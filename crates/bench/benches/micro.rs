@@ -215,7 +215,7 @@ fn bench_partition_scan(c: &mut Criterion) {
             let cfg = CubeConfig { memory_budget_bytes: budget, ..CubeConfig::default() };
             let mut sink = MemSink::new(2);
             let report =
-                build_cure_cube(&catalog, "facts", &ds.schema, &cfg, &mut sink, "tmp_").unwrap();
+                build_cure_cube(&catalog, "facts", &ds.schema, &cfg, &mut sink, "tmp_", 1).unwrap();
             black_box(report.stats.total_tuples())
         });
     });

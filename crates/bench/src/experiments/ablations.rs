@@ -197,92 +197,9 @@ pub fn run_plan(scale: u64) -> Result<Vec<FigureResult>> {
     Ok(vec![result])
 }
 
-/// Parallel out-of-core build scaling (extension beyond the paper): the
-/// per-partition passes of `build_cure_cube_parallel` across 1–8 worker
-/// threads on a partitioned APB-1 build.
-pub fn run_parallel(scale: u64) -> Result<Vec<FigureResult>> {
-    use cure_core::partition::build_cure_cube_parallel;
-    use cure_core::Tuples;
-
-    let ds = apb1(40.0, scale, 0x9A4);
-    let catalog = crate::experiment_catalog("parallel")?;
-    ds.store(&catalog, "facts")?;
-    let tuple_bytes = Tuples::tuple_bytes(4, 2);
-    let budget = (ds.tuples.len() * tuple_bytes / 16).max(1 << 20);
-    let cfg = CubeConfig { memory_budget_bytes: budget, ..CubeConfig::default() };
-    println!(
-        "APB-1 density 40 (scaled): {} tuples, budget {}",
-        ds.tuples.len(),
-        fmt_bytes(budget as u64)
-    );
-
-    let mut rows = Vec::new();
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    let mut base = 0.0f64;
-    let mut first_part = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let mut sink = cure_core::MemSink::new(2);
-        let (res, secs) = timed(|| {
-            build_cure_cube_parallel(
-                &catalog, "facts", &ds.schema, &cfg, &mut sink, "tmp_", threads,
-            )
-        });
-        let report = res?;
-        if threads == 1 {
-            base = secs;
-        }
-        let part_secs = report.partition.as_ref().map(|p| p.partition_secs).unwrap_or(0.0);
-        rows.push(vec![
-            threads.to_string(),
-            fmt_secs(secs),
-            format!("{:.2}x", base / secs.max(1e-9)),
-            fmt_secs(part_secs),
-            format!("{:.2}x", (base - first_part) / (secs - part_secs).max(1e-9)),
-            report
-                .partition
-                .as_ref()
-                .map(|p| p.choice.num_partitions.to_string())
-                .unwrap_or_default(),
-        ]);
-        if threads == 1 {
-            first_part = part_secs;
-        }
-        xs.push(serde_json::json!(threads));
-        ys.push(secs);
-    }
-    print_table(
-        "Extension — parallel partition passes (build_cure_cube_parallel)",
-        &[
-            "threads",
-            "build time",
-            "speedup",
-            "partition scan (serial)",
-            "pass speedup",
-            "partitions",
-        ],
-        &rows,
-    );
-    println!(
-        "  (the single partitioning scan is inherently serial — Amdahl bounds the total; \
-         'pass speedup' isolates the parallel per-partition phase)"
-    );
-    let result = FigureResult {
-        id: "ablation_parallel".into(),
-        title: "Parallel out-of-core build scaling".into(),
-        x_axis: "worker threads".into(),
-        y_axis: "seconds".into(),
-        scale,
-        series: vec![Series { label: "APB-1 density 40".into(), x: xs, y: ys }],
-    };
-    write_result(&result);
-    Ok(vec![result])
-}
-
 /// Run all ablations.
 pub fn run(scale: u64) -> Result<Vec<FigureResult>> {
     let mut out = run_cat_formats(scale)?;
     out.extend(run_plan(scale)?);
-    out.extend(run_parallel(scale)?);
     Ok(out)
 }

@@ -2,18 +2,18 @@
 //!
 //! Not a figure from the paper — its evaluation is single-threaded — but
 //! the write-path counterpart of the `serve` experiment: §4's external
-//! partitions are independent once sealed, so the parallel driver cubes
-//! them on a worker pool while a single merger keeps the output
-//! byte-identical to the sequential build. This experiment stores an
+//! partitions are independent once sealed, so above one thread the build
+//! driver cubes them on a worker pool while a single merger keeps the
+//! output byte-identical to the one-thread build. This experiment stores an
 //! APB-1-style fact table, forces partitioning with a small memory
-//! budget, and times `build_cure_cube_parallel` at 1/2/4/8 threads for
+//! budget, and times `build_cure_cube` at 1/2/4/8 threads for
 //! CURE and CURE_DR.
 //!
 //! Wall-clock speedup is bounded by the host's physical cores (a
 //! single-core machine measures ~1x everywhere); the core count is
 //! recorded in the JSON so the committed numbers stay interpretable.
 
-use cure_core::partition::build_cure_cube_parallel;
+use cure_core::partition::build_cure_cube;
 use cure_core::sink::{DiskSink, RowResolver};
 use cure_core::{CubeConfig, CubeSchema, Result};
 use cure_storage::{Catalog, Schema};
@@ -75,9 +75,7 @@ pub fn run(scale: u64) -> Result<Vec<FigureResult>> {
             let mut sink =
                 DiskSink::new(&catalog, "bs_", &ds.schema, variant.dr(), false, resolver)?;
             let (report, secs) = timed(|| {
-                build_cure_cube_parallel(
-                    &catalog, "facts", &ds.schema, &cfg, &mut sink, "bs_tmp_", threads,
-                )
+                build_cure_cube(&catalog, "facts", &ds.schema, &cfg, &mut sink, "bs_tmp_", threads)
             });
             let report = report?;
             let io = catalog.stats().snapshot();

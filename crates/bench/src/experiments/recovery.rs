@@ -82,7 +82,7 @@ pub fn run(scale: u64) -> Result<Vec<FigureResult>> {
     let plain_secs = {
         let mut sink = DiskSink::new(&plain_catalog, "cube_", &ds.schema, false, false, None)?;
         let (res, secs) = timed(|| {
-            build_cure_cube(&plain_catalog, "facts", &ds.schema, &cfg(), &mut sink, "cube_tmp_")
+            build_cure_cube(&plain_catalog, "facts", &ds.schema, &cfg(), &mut sink, "cube_tmp_", 1)
         });
         res?;
         secs

@@ -118,7 +118,7 @@ pub fn build_cure_variant(
     let start = Instant::now();
     let mut sink = DiskSink::new(catalog, prefix, schema, variant.dr(), variant.plus(), resolver)?;
     let report =
-        build_cure_cube(catalog, fact_rel, schema, cfg, &mut sink, &format!("{prefix}tmp_"))?;
+        build_cure_cube(catalog, fact_rel, schema, cfg, &mut sink, &format!("{prefix}tmp_"), 1)?;
     let secs = start.elapsed().as_secs_f64();
     CubeMeta {
         prefix: prefix.to_string(),

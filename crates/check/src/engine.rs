@@ -49,10 +49,9 @@ use cure_core::cube::CubeBuilder;
 use cure_core::meta::CubeMeta;
 use cure_core::sink::{CatFormat, CubeSink, DiskSink, MemSink, RowResolver, SinkStats};
 use cure_core::{
-    active_prefix, build_cure_cube, build_cure_cube_durable, build_cure_cube_parallel,
-    build_shard_cubes, ingest_cube, shard_cube_prefix, shard_prefix, BuildReport, CubeSchema,
-    DurableOptions, IngestManifest, IngestOptions, MemCubeReader, NodeCoder, NodeId,
-    Result as CoreResult, Tuples,
+    active_prefix, build_cure_cube, build_cure_cube_durable, build_shard_cubes, ingest_cube,
+    shard_cube_prefix, shard_prefix, BuildReport, CubeSchema, DurableOptions, IngestManifest,
+    IngestOptions, MemCubeReader, NodeCoder, NodeId, Result as CoreResult, Tuples,
 };
 use cure_query::{CacheConfig, ConcurrentCube, CureCube, ReadPath};
 use cure_serve::{
@@ -74,10 +73,10 @@ pub type NodeMap = BTreeMap<NodeId, Vec<(Vec<u32>, Vec<i64>)>>;
 pub enum Engine {
     /// `CubeBuilder::build_in_memory` into a `MemSink`.
     InMemory,
-    /// Sequential `build_cure_cube` into a `DiskSink` (in-memory fast
+    /// `build_cure_cube` at one thread into a `DiskSink` (in-memory fast
     /// path or external partitioning, depending on the budget).
     Sequential,
-    /// `build_cure_cube_parallel` at this thread count.
+    /// `build_cure_cube` at this many worker threads (more than one).
     Parallel(usize),
     /// Sequential CURE_DR: NTs materialize dimension values.
     Dr,
@@ -128,7 +127,6 @@ impl Engine {
         vec![
             Engine::InMemory,
             Engine::Sequential,
-            Engine::Parallel(1),
             Engine::Parallel(2),
             Engine::Parallel(4),
             Engine::Parallel(8),
@@ -417,18 +415,8 @@ fn run_disk(
     let dr = engine == Engine::Dr;
     let resolver = if dr { Some(dr_resolver(&catalog, schema)?) } else { None };
     let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, dr, false, resolver)?;
-    let report = match engine {
-        Engine::Parallel(threads) => build_cure_cube_parallel(
-            &catalog,
-            "facts",
-            schema,
-            &cfg,
-            &mut sink,
-            PART_PREFIX,
-            threads,
-        )?,
-        _ => build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX)?,
-    };
+    let threads = if let Engine::Parallel(t) = engine { t } else { 1 };
+    let report = build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, threads)?;
     let mut internal = Vec::new();
     if w.partitioned && report.partition.is_none() {
         internal.push(format!(
@@ -446,7 +434,7 @@ fn run_disk(
 fn run_durable_resume(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<EngineRun> {
     let cfg = w.config();
     // Thread count varies with the seed so resume composes with the
-    // parallel driver too; bytes stay identical at any count (PR 3).
+    // parallel partition passes too; bytes stay identical at any count.
     let threads = [1usize, 2, 4][ShapeRng::new(w.seed ^ 0xD0_0D).below(3) as usize];
 
     // Fault-free reference under a counting policy: learn the write
@@ -613,7 +601,7 @@ fn ingest_chain(
     drop(heap);
     let report = {
         let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-        build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX)?
+        build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
     };
     write_meta(&catalog, w, schema, &report, false)?;
     for delta in deltas {
@@ -653,7 +641,7 @@ fn run_delta_ingest(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result
         store_fact(&catalog, w)?;
         let report = {
             let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX)?
+            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
         };
         write_meta(&catalog, w, schema, &report, false)?;
         let mut probe = Tuples::new(schema.num_dims(), schema.num_measures());
@@ -726,7 +714,7 @@ fn run_chaos_serve(
         let cfg = w.config();
         let report = {
             let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX)?
+            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
         };
         write_meta(&catalog, w, schema, &report, false)?;
     }

@@ -10,7 +10,7 @@
 //!    thresholds, and memory budgets small enough to force external
 //!    partitioning.
 //! 2. **Build** it through every engine configuration ([`Engine::all`]):
-//!    in-memory, CURE sequential, CURE parallel at 1/2/4/8 threads,
+//!    in-memory, CURE sequential, CURE parallel at 2/4/8 threads,
 //!    CURE_DR, a durable build killed at a fault-injected write index and
 //!    resumed, the BUC / BU-BST baselines, delta-ingest (a base
 //!    build advanced by 1–2 incremental batches, which must equal a

@@ -4,8 +4,8 @@
 //! ({linear, DAG-hierarchy} × {full, iceberg} × {in-memory,
 //! forced-partitioning} — `Workload::from_matrix` pins the three booleans
 //! to `seed % 8`), so each of the 8 cells is exercised by 5 seeds, and
-//! every workload runs through all fifteen engine configurations:
-//! in-memory, sequential, parallel ×{1,2,4,8}, CURE_DR, durable
+//! every workload runs through all fourteen engine configurations:
+//! in-memory, sequential, parallel ×{2,4,8}, CURE_DR, durable
 //! kill+resume, BUC, BU-BST, delta-ingest (base + deltas == fresh
 //! rebuild), chaos-serve ×{cache,mmap}, sharded scatter-gather, and
 //! socket-sharded (real server processes, one SIGKILLed and respawned

@@ -21,17 +21,22 @@
 //! count is below the threshold, exactly like BUC.
 //!
 //! The out-of-core driver (`Algorithm CURE` lines 9–21) lives in
-//! [`crate::partition`]; it reuses the internal `Exec` state for the per-partition and
-//! *N*-relation passes.
+//! [`crate::partition`]; it reuses the internal `Exec` state for the
+//! per-partition passes, and ends, like the in-memory build, with the
+//! finish step here: the last pass (over *N*, or the whole in-memory
+//! input), the final flush and the one [`BuildReport`] assembly.
 
 // A worker panic would poison the parallel build pool, so the build path
 // must return typed errors instead of panicking (clippy.toml exempts the
 // test modules).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::time::Instant;
+
 use crate::error::{CubeError, Result};
 use crate::hierarchy::{CubeSchema, LevelIdx};
 use crate::lattice::NodeCoder;
+use crate::partition::PartitionReport;
 use crate::signature::SignaturePool;
 use crate::sink::{CatFormatPolicy, CubeSink, SinkStats};
 use crate::sorter::{SortPolicy, Sorter};
@@ -123,35 +128,88 @@ impl<'a> CubeBuilder<'a> {
             self.cfg.pool_capacity,
             self.cfg.cat_policy,
         );
-        let mut exec =
-            Exec::new(self.schema, &coder, t, self.cfg.min_support, self.cfg.sort_policy);
-        let t0 = std::time::Instant::now();
-        exec.run_full(&mut pool, sink)?;
-        pool.flush(sink)?;
-        let pass_secs = t0.elapsed().as_secs_f64();
-        let stats = sink.finish()?;
-        Ok(BuildReport {
-            stats,
-            pool_flushes: pool.flushes(),
-            signatures: pool.total_signatures(),
-            counting_sorts: exec.sorter.counting_calls(),
-            comparison_sorts: exec.sorter.comparison_calls(),
-            phases: PhaseTimes {
-                partition_secs: 0.0,
-                pass_secs,
-                sort_secs: exec.sorter.sort_secs(),
-                flush_secs: pool.write_secs(),
-                merge_secs: 0.0,
-            },
-            pool: PoolCounters {
-                tt_prunes: exec.tt_prunes,
-                nt_written: pool.nt_written(),
-                cat_groups: pool.cat_groups(),
-                cat_tuples: pool.cat_tuples(),
-            },
-            partition: None,
-        })
+        finish_build(self.schema, &coder, &self.cfg, t, &mut pool, sink, RunStats::default(), None)
     }
+}
+
+/// Counters and timers of one or more cubing passes, summed into build
+/// totals in partition order. The integer counters are deterministic
+/// (sums over fixed partition contents); only the wall-clock fields vary
+/// run to run, and nothing downstream of them touches the output bytes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunStats {
+    pub counting_sorts: u64,
+    pub comparison_sorts: u64,
+    pub tt_prunes: u64,
+    /// Wall-clock seconds of the recursion and its pool flushes (CPU
+    /// seconds when summed across parallel workers, not elapsed time).
+    pub pass_secs: f64,
+    /// Seconds inside the segment sorter.
+    pub sort_secs: f64,
+    /// Merger replay of sealed worker runs (parallel passes only).
+    pub merge_secs: f64,
+}
+
+impl RunStats {
+    pub(crate) fn add(&mut self, o: RunStats) {
+        self.counting_sorts += o.counting_sorts;
+        self.comparison_sorts += o.comparison_sorts;
+        self.tt_prunes += o.tt_prunes;
+        self.pass_secs += o.pass_secs;
+        self.sort_secs += o.sort_secs;
+        self.merge_secs += o.merge_secs;
+    }
+}
+
+/// The last pass of every build and its report (`Algorithm CURE` lines
+/// 17–22): cube `t` from the root through `pool`, flush the pool, finish
+/// the sink, and fold `totals` — the partition passes already run
+/// through `pool` — into the [`BuildReport`]. With `partition` set, `t`
+/// is the aggregated relation *N* and dimension 0 is restricted to
+/// levels ≥ L+1 (skipped entirely when L was the top level); without it,
+/// `t` is the whole fact table, cubed in memory.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_build<S: CubeSink + ?Sized>(
+    schema: &CubeSchema,
+    coder: &NodeCoder,
+    cfg: &CubeConfig,
+    t: &Tuples,
+    pool: &mut SignaturePool,
+    sink: &mut S,
+    mut totals: RunStats,
+    partition: Option<PartitionReport>,
+) -> Result<BuildReport> {
+    let mut exec = Exec::new(schema, coder, t, cfg.min_support, cfg.sort_policy);
+    if let Some(p) = &partition {
+        let level = p.choice.level;
+        exec.restrict_dim0(level + 1, level == schema.dims()[0].top_level());
+    }
+    let t0 = Instant::now();
+    exec.run_full(pool, sink)?;
+    pool.flush(sink)?;
+    totals.add(exec.run_stats(t0.elapsed().as_secs_f64()));
+    let stats = sink.finish()?;
+    Ok(BuildReport {
+        stats,
+        pool_flushes: pool.flushes(),
+        signatures: pool.total_signatures(),
+        counting_sorts: totals.counting_sorts,
+        comparison_sorts: totals.comparison_sorts,
+        phases: PhaseTimes {
+            partition_secs: partition.as_ref().map_or(0.0, |p| p.partition_secs),
+            pass_secs: totals.pass_secs,
+            sort_secs: totals.sort_secs,
+            flush_secs: pool.write_secs(),
+            merge_secs: totals.merge_secs,
+        },
+        pool: PoolCounters {
+            tt_prunes: totals.tt_prunes,
+            nt_written: pool.nt_written(),
+            cat_groups: pool.cat_groups(),
+            cat_tuples: pool.cat_tuples(),
+        },
+        partition,
+    })
 }
 
 /// The recursion state shared by the in-memory and partitioned drivers.
@@ -169,10 +227,10 @@ pub(crate) struct Exec<'a> {
     /// dimension 0 is projected out of *N*).
     skip_dim0: bool,
     min_support: u64,
-    pub(crate) sorter: Sorter,
+    sorter: Sorter,
     /// Sub-cubes pruned via the trivial-tuple fast path (Figure 13
     /// lines 1–4); one increment per `write_tt`.
-    pub(crate) tt_prunes: u64,
+    tt_prunes: u64,
     agg_scratch: Vec<i64>,
     node_scratch: Vec<LevelIdx>,
 }
@@ -216,11 +274,23 @@ impl<'a> Exec<'a> {
         self.levels[0] = l;
     }
 
+    /// This recursion's counters, with `pass_secs` measured by the caller.
+    pub(crate) fn run_stats(&self, pass_secs: f64) -> RunStats {
+        RunStats {
+            counting_sorts: self.sorter.counting_calls(),
+            comparison_sorts: self.sorter.comparison_calls(),
+            tt_prunes: self.tt_prunes,
+            pass_secs,
+            sort_secs: self.sorter.sort_secs(),
+            merge_secs: 0.0,
+        }
+    }
+
     /// Run the full plan from the root: `ExecutePlan(input, 0, levels)`.
-    pub(crate) fn run_full(
+    pub(crate) fn run_full<S: CubeSink + ?Sized>(
         &mut self,
         pool: &mut SignaturePool,
-        sink: &mut dyn CubeSink,
+        sink: &mut S,
     ) -> Result<()> {
         let mut idx: Vec<u32> = (0..self.t.len() as u32).collect();
         self.execute_plan(&mut idx, 0, pool, sink)
@@ -228,10 +298,10 @@ impl<'a> Exec<'a> {
 
     /// Run a partition pass: `FollowEdge(partition, 0, levels)` with
     /// `levels[0]` already set to the partitioning level `L`.
-    pub(crate) fn run_partition_pass(
+    pub(crate) fn run_partition_pass<S: CubeSink + ?Sized>(
         &mut self,
         pool: &mut SignaturePool,
-        sink: &mut dyn CubeSink,
+        sink: &mut S,
     ) -> Result<()> {
         let mut idx: Vec<u32> = (0..self.t.len() as u32).collect();
         self.follow_edge(&mut idx, 0, pool, sink)
@@ -246,12 +316,12 @@ impl<'a> Exec<'a> {
     }
 
     /// `ExecutePlan` of Figure 13.
-    fn execute_plan(
+    fn execute_plan<S: CubeSink + ?Sized>(
         &mut self,
         idx: &mut [u32],
         dim: usize,
         pool: &mut SignaturePool,
-        sink: &mut dyn CubeSink,
+        sink: &mut S,
     ) -> Result<()> {
         // Aggregate the input in one pass: sums, total represented count,
         // minimum row-id.
@@ -317,12 +387,12 @@ impl<'a> Exec<'a> {
 
     /// `FollowEdge` of Figure 13: sort by dimension `d` at its current
     /// level, then recurse into each equal-value segment.
-    fn follow_edge(
+    fn follow_edge<S: CubeSink + ?Sized>(
         &mut self,
         idx: &mut [u32],
         d: usize,
         pool: &mut SignaturePool,
-        sink: &mut dyn CubeSink,
+        sink: &mut S,
     ) -> Result<()> {
         let lv = self.levels[d];
         let schema: &'a CubeSchema = self.schema;

@@ -5,10 +5,11 @@
 //! point — mid-write, mid-fsync, mid-rename — loses at most the work since
 //! the last checkpoint, and a subsequent `resume` run completes the build
 //! producing **byte-identical** cube files to a run that never crashed.
-//! This holds at any thread count: parallel builds buffer per-partition
-//! work on workers and replay it through a single in-order merger (see
-//! `partition::run_partition_passes_parallel`), which checkpoints after
-//! every merged partition exactly like the serial loop.
+//! This holds at any thread count: the journal is a hook on the same
+//! partition passes, *N* pass and finish step as
+//! [`build_cure_cube`](crate::partition::build_cure_cube), and it
+//! checkpoints after every applied partition whether the passes run
+//! serially or on workers behind the in-order merger.
 //!
 //! ## Protocol
 //!
@@ -40,21 +41,26 @@
 //! validation fails (sealed inputs damaged externally), the build restarts
 //! from scratch with a warning rather than erroring.
 
+// The journaling hook runs on the parallel pool's merger, so a panic
+// here would poison the pool: return typed errors instead (clippy.toml
+// exempts the test modules).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::Instant;
 
 use cure_storage::{Catalog, HeapFile, StorageError};
 
-use crate::cube::{BuildReport, CubeBuilder, CubeConfig, Exec};
+use crate::cube::{finish_build, BuildReport, CubeConfig, RunStats};
 use crate::error::{CubeError, Result};
 use crate::hierarchy::CubeSchema;
 use crate::lattice::NodeCoder;
 use crate::manifest::{BuildManifest, BuildPhase};
 use crate::partition::{
-    partition_and_build_n, run_partition_passes_parallel, select_partition_level, PartitionChoice,
-    PartitionReport,
+    build_in_memory_if_fits, partition_and_build_n, run_partition_passes, select_partition_level,
+    PartitionChoice, PartitionReport,
 };
 use crate::signature::{PoolDecisionState, SignaturePool};
-use crate::sink::{aggregates_rel_name, CubeSink, DiskSink, SinkCheckpoint};
+use crate::sink::{aggregates_rel_name, DiskSink, SinkCheckpoint};
 use crate::stats::{PhaseTimes, PoolCounters};
 use crate::tuples::Tuples;
 
@@ -121,7 +127,6 @@ pub fn build_cure_cube_durable(
     part_prefix: &str,
     opts: &DurableOptions,
 ) -> Result<DurableReport> {
-    let threads = opts.threads.max(1);
     if !sink.supports_checkpoint() {
         return Err(CubeError::Config(
             "durable builds do not support CURE+ (TT bitmaps are not checkpointable)".into(),
@@ -131,8 +136,6 @@ pub fn build_cure_cube_durable(
     let fact = catalog.open_relation(fact_rel)?;
     let d = schema.num_dims();
     let y = schema.num_measures();
-    let num_rows = fact.num_rows();
-    let mem_needed = num_rows.saturating_mul(Tuples::tuple_bytes(d, y) as u64);
 
     // ---- resume: load + validate the journal --------------------------
     let mut recovered: Option<(BuildManifest, Recovery)> = None;
@@ -213,9 +216,7 @@ pub fn build_cure_cube_durable(
             }
 
             // In-memory fast path: all-or-nothing, one Complete manifest.
-            if mem_needed <= cfg.memory_budget_bytes as u64 {
-                let t = Tuples::load_fact(&fact, d, y)?;
-                let report = CubeBuilder::new(schema, cfg.clone()).build_in_memory(&t, sink)?;
+            if let Some(report) = build_in_memory_if_fits(&fact, schema, cfg, sink)? {
                 let cp = sink.checkpoint()?;
                 let m = BuildManifest {
                     phase: BuildPhase::Complete,
@@ -264,7 +265,7 @@ pub fn build_cure_cube_durable(
             // scan leaves a Partitioning-phase manifest → clean restart.
             let choice = select_partition_level(
                 schema,
-                num_rows,
+                fact.num_rows(),
                 Tuples::tuple_bytes(d, y),
                 cfg.memory_budget_bytes,
             )?;
@@ -321,112 +322,61 @@ pub fn build_cure_cube_durable(
         }
     }
 
-    // ---- partition passes ---------------------------------------------
+    // ---- partition passes, N pass, finish -----------------------------
+    // One decision-carrying pool for the whole build, restored from the
+    // journal on resume. Every partition is checkpointed once applied:
+    // the pool is empty then (durable state must be self-contained), so
+    // fsync everything and journal. The sort counters and the pool's
+    // flush and signature totals are journaled with each checkpoint, so a
+    // resumed build reports the totals of one that never crashed; phase
+    // timers and the TT/NT/CAT counters are not (they never steer the
+    // build, so the manifest stays lean) and cover only this run's work.
     let coder = NodeCoder::new(schema);
-    let level = manifest.choice.level;
-    let mut counting = manifest.counting_sorts;
-    let mut comparison = manifest.comparison_sorts;
-    // Phase timers and classification counters cover *this run only*:
-    // they are not journaled (they never steer the build, so the
-    // manifest stays lean), so a resumed build reports the work it did
-    // after the crash, not the sum across attempts.
-    let mut pass_secs = 0.0f64;
-    let mut sort_secs = 0.0f64;
-    let mut tt_prunes = 0u64;
-    let merge_secs;
-
-    // One decision-carrying pool for the whole build, serial or parallel:
-    // the parallel driver's workers only buffer sealed flushes, so every
-    // order-sensitive effect still happens here, on the merger, through
-    // this pool — byte-identical to a serial run at any thread count.
     let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
     pool.restore_decision(&manifest.pool)?;
-
-    if threads == 1 {
-        for (i, part_name) in part_names.iter().enumerate().skip(skip) {
-            let rel = catalog.open_relation(part_name)?;
-            if rel.num_rows() > 0 {
-                let t = Tuples::load_partition(&rel, d, y)?;
-                let mut exec = Exec::new(schema, &coder, &t, cfg.min_support, cfg.sort_policy);
-                exec.set_dim0_level(level);
-                let t0 = Instant::now();
-                exec.run_partition_pass(&mut pool, sink)?;
-                pass_secs += t0.elapsed().as_secs_f64();
-                counting += exec.sorter.counting_calls();
-                comparison += exec.sorter.comparison_calls();
-                sort_secs += exec.sorter.sort_secs();
-                tt_prunes += exec.tt_prunes;
-            }
-            // Checkpoint: flush the pool (durable state must be
-            // self-contained), fsync everything, then journal.
-            pool.flush(sink)?;
+    let mut totals = RunStats {
+        counting_sorts: manifest.counting_sorts,
+        comparison_sorts: manifest.comparison_sorts,
+        ..RunStats::default()
+    };
+    run_partition_passes(
+        catalog,
+        schema,
+        &coder,
+        cfg,
+        sink,
+        &part_names,
+        manifest.choice.level,
+        opts.threads,
+        skip,
+        &mut pool,
+        &mut totals,
+        |sink, pool, i, totals| {
             manifest.sink = sink.checkpoint()?;
             manifest.pool = pool.decision_state();
             manifest.completed_partitions = i + 1;
-            manifest.counting_sorts = counting;
-            manifest.comparison_sorts = comparison;
-            manifest.save(catalog)?;
-        }
-        merge_secs = 0.0;
-    } else {
-        // Parallel passes: workers record per-partition runs; the merger
-        // (this thread) applies them in partition order and checkpoints
-        // after each one, exactly like the serial loop — so `--resume`
-        // restarts only the unfinished partitions, at any thread count.
-        merge_secs = run_partition_passes_parallel(
-            catalog,
-            schema,
-            &coder,
-            cfg,
-            sink,
-            &part_names,
-            level,
-            threads,
-            skip,
-            &mut pool,
-            |sink, pool, i, rs| {
-                counting += rs.counting_sorts;
-                comparison += rs.comparison_sorts;
-                pass_secs += rs.pass_secs;
-                sort_secs += rs.sort_secs;
-                tt_prunes += rs.tt_prunes;
-                manifest.sink = sink.checkpoint()?;
-                manifest.pool = pool.decision_state();
-                manifest.completed_partitions = i + 1;
-                manifest.counting_sorts = counting;
-                manifest.comparison_sorts = comparison;
-                manifest.save(catalog)
-            },
-        )?;
-    }
-    // N pass, then finish + final checkpoint.
-    run_n_pass(
-        schema,
-        &coder,
-        &n_tuples,
-        cfg,
-        level,
-        &mut pool,
-        sink,
-        &mut counting,
-        &mut comparison,
-        &mut pass_secs,
-        &mut sort_secs,
-        &mut tt_prunes,
+            manifest.counting_sorts = totals.counting_sorts;
+            manifest.comparison_sorts = totals.comparison_sorts;
+            manifest.save(catalog)
+        },
     )?;
-    pool.flush(sink)?;
-    let pool_flushes = pool.flushes();
-    let signatures = pool.total_signatures();
-    manifest.pool = pool.decision_state();
+    let partition = PartitionReport {
+        choice: manifest.choice.clone(),
+        n_rows: manifest.n_rows,
+        max_partition_rows: manifest.max_partition_rows,
+        partition_secs: manifest.partition_secs,
+    };
+    let report =
+        finish_build(schema, &coder, cfg, &n_tuples, &mut pool, sink, totals, Some(partition))?;
 
-    // ---- finish: final fsync, Complete manifest, then drop temps ------
-    let stats = sink.finish()?;
+    // ---- final fsync, Complete manifest, then drop temps --------------
+    manifest.pool = pool.decision_state();
     manifest.sink = sink.checkpoint()?;
-    manifest.counting_sorts = counting;
-    manifest.comparison_sorts = comparison;
+    manifest.counting_sorts = report.counting_sorts;
+    manifest.comparison_sorts = report.comparison_sorts;
     manifest.completed_partitions = part_names.len();
     manifest.phase = BuildPhase::Complete;
-    manifest.stats = Some(stats.clone());
+    manifest.stats = Some(report.stats.clone());
     manifest.save(catalog)?;
     for name in &part_names {
         catalog.drop_relation(name)?;
@@ -434,69 +384,13 @@ pub fn build_cure_cube_durable(
     catalog.drop_relation(&manifest.n_rel)?;
 
     Ok(DurableReport {
-        report: BuildReport {
-            stats,
-            pool_flushes,
-            signatures,
-            counting_sorts: counting,
-            comparison_sorts: comparison,
-            phases: PhaseTimes {
-                partition_secs: manifest.partition_secs,
-                pass_secs,
-                sort_secs,
-                flush_secs: pool.write_secs(),
-                merge_secs,
-            },
-            pool: PoolCounters {
-                tt_prunes,
-                nt_written: pool.nt_written(),
-                cat_groups: pool.cat_groups(),
-                cat_tuples: pool.cat_tuples(),
-            },
-            partition: Some(PartitionReport {
-                choice: manifest.choice.clone(),
-                n_rows: manifest.n_rows,
-                max_partition_rows: manifest.max_partition_rows,
-                partition_secs: manifest.partition_secs,
-            }),
-        },
+        report,
         resumed,
         already_complete: false,
         partitions_skipped: skip,
         relations_repaired: repaired,
         relations_dropped: dropped,
     })
-}
-
-/// The N pass: dimension 0 restricted to levels ≥ L+1 (skipped entirely
-/// when L was the top level).
-#[allow(clippy::too_many_arguments)]
-fn run_n_pass(
-    schema: &CubeSchema,
-    coder: &NodeCoder,
-    n_tuples: &Tuples,
-    cfg: &CubeConfig,
-    level: crate::hierarchy::LevelIdx,
-    pool: &mut SignaturePool,
-    sink: &mut DiskSink<'_>,
-    counting: &mut u64,
-    comparison: &mut u64,
-    pass_secs: &mut f64,
-    sort_secs: &mut f64,
-    tt_prunes: &mut u64,
-) -> Result<()> {
-    let top = schema.dims()[0].top_level();
-    let skip_dim0 = level == top;
-    let mut exec = Exec::new(schema, coder, n_tuples, cfg.min_support, cfg.sort_policy);
-    exec.restrict_dim0(level + 1, skip_dim0);
-    let t0 = Instant::now();
-    exec.run_full(pool, sink)?;
-    *pass_secs += t0.elapsed().as_secs_f64();
-    *counting += exec.sorter.counting_calls();
-    *comparison += exec.sorter.comparison_calls();
-    *sort_secs += exec.sorter.sort_secs();
-    *tt_prunes += exec.tt_prunes;
-    Ok(())
 }
 
 /// Reject resuming with build options that would change the stored bytes.
@@ -767,6 +661,7 @@ mod tests {
             &cfg,
             &mut sink,
             "cube_tmp_",
+            1,
         )
         .unwrap();
         assert_eq!(r.report.stats, plain.stats);
@@ -934,6 +829,81 @@ mod tests {
                 durable_build(&catalog, &schema, &cfg, &DurableOptions { resume: true, threads })
                     .unwrap();
             assert!(again.already_complete);
+        }
+    }
+
+    #[test]
+    fn resumed_report_keeps_journaled_totals_and_counts_only_its_own_run() {
+        // The sort, flush and signature totals are journaled with every
+        // checkpoint, so a resumed build reports those of a build that
+        // never crashed. The TT/NT/CAT counters are not journaled: they
+        // count exactly the rows this run wrote after the checkpoint.
+        let cfg = small_cfg();
+        let (_, clean) = reference_build("acct_ref", &cfg);
+        let clean = clean.report;
+        assert_eq!(clean.pool.nt_written, clean.stats.nt_tuples);
+        assert_eq!(clean.pool.cat_tuples, clean.stats.cat_tuples);
+        assert_eq!(clean.pool.tt_prunes, clean.stats.tt_tuples);
+        let schema = test_schema();
+        for threads in [1usize, 4] {
+            let fresh = DurableOptions { resume: false, threads };
+            let writes = {
+                let dir = fresh_dir(&format!("acct_count{threads}"));
+                {
+                    let plain = Catalog::open(&dir).unwrap();
+                    store_fact(&plain, &schema, 1_000, 99);
+                }
+                let counter = Arc::new(FaultInjector::counting());
+                let counted =
+                    Catalog::open_with_policy(&dir, counter.clone() as Arc<dyn IoPolicy>).unwrap();
+                durable_build(&counted, &schema, &cfg, &fresh).unwrap();
+                counter.writes()
+            };
+            let mut skipped_any = false;
+            for k in [writes / 4, writes / 2, writes * 3 / 4] {
+                let at = format!("threads={threads}, crash at write {k} of {writes}");
+                let dir = fresh_dir(&format!("acct_t{threads}_k{k}"));
+                {
+                    let plain = Catalog::open(&dir).unwrap();
+                    store_fact(&plain, &schema, 1_000, 99);
+                }
+                let inj = Arc::new(FaultInjector::fail_nth_write(k, FaultKind::Error).sticky());
+                let faulty =
+                    Catalog::open_with_policy(&dir, inj.clone() as Arc<dyn IoPolicy>).unwrap();
+                assert!(durable_build(&faulty, &schema, &cfg, &fresh).is_err(), "{at}");
+                drop(faulty);
+                let recovered = Catalog::open(&dir).unwrap();
+                let journaled = BuildManifest::load(&recovered, "cube_")
+                    .unwrap()
+                    .filter(|m| m.phase != BuildPhase::Partitioning)
+                    .map(|m| m.sink)
+                    .unwrap_or_default();
+                let r = durable_build(
+                    &recovered,
+                    &schema,
+                    &cfg,
+                    &DurableOptions { resume: true, threads },
+                )
+                .unwrap();
+                skipped_any |= r.partitions_skipped > 0;
+                let got = &r.report;
+                assert_eq!(got.counting_sorts, clean.counting_sorts, "{at}");
+                assert_eq!(got.comparison_sorts, clean.comparison_sorts, "{at}");
+                assert_eq!(got.pool_flushes, clean.pool_flushes, "{at}");
+                assert_eq!(got.signatures, clean.signatures, "{at}");
+                assert_eq!(
+                    got.pool.nt_written,
+                    clean.stats.nt_tuples - journaled.nt_tuples,
+                    "{at}"
+                );
+                assert_eq!(
+                    got.pool.cat_tuples,
+                    clean.stats.cat_tuples - journaled.cat_tuples,
+                    "{at}"
+                );
+                assert_eq!(got.pool.tt_prunes, clean.stats.tt_tuples - journaled.tt_tuples, "{at}");
+            }
+            assert!(skipped_any, "threads={threads}: no crash point resumed past a checkpoint");
         }
     }
 

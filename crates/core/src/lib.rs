@@ -16,17 +16,19 @@
 //!   and choosing the CAT storage format dynamically (§5);
 //! * [`sink`] — NT/TT/CAT relational storage (in-memory and on-disk),
 //!   including the CURE_DR and CURE+ variants;
-//! * [`partition`] — external partitioning and the out-of-core driver
-//!   (§4), including the paper's Table 1 level-selection logic;
+//! * [`partition`] — external partitioning and the one out-of-core build
+//!   driver (§4, [`build_cure_cube`]), whose partition passes run serially
+//!   or on `threads` workers with byte-identical output, including the
+//!   paper's Table 1 level-selection logic;
 //! * [`manifest`] — the durable, CRC-guarded build manifest journaling
 //!   sealed partitions and checkpointed sink state;
-//! * [`durable`] — the crash-safe, resumable build driver
-//!   ([`build_cure_cube_durable`]);
+//! * [`durable`] — [`build_cure_cube_durable`], the crash-safe, resumable
+//!   journaling wrapper around the same driver steps;
 //! * [`mod@reference`] — a naive full-cube oracle used by the test suite;
 //! * [`reader`] — logical node reconstruction from an in-memory cube.
 //!
 //! Start with [`cube::CubeBuilder`] for in-memory construction or
-//! [`partition::build_cure_cube`] for the disk-based pipeline.
+//! [`build_cure_cube`] for the disk-based pipeline.
 //!
 //! ```
 //! use cure_core::{CubeBuilder, CubeConfig, CubeSchema, Dimension, MemSink, Tuples};
@@ -84,10 +86,7 @@ pub use hierarchy::{CubeSchema, Dimension, Level, LevelIdx};
 pub use lattice::{NodeCoder, NodeId, NodeLevels};
 pub use manifest::{BuildManifest, BuildPhase};
 pub use meta::CubeMeta;
-pub use partition::{
-    build_cure_cube, build_cure_cube_parallel, select_partition_level, PartitionChoice,
-    PartitionReport,
-};
+pub use partition::{build_cure_cube, select_partition_level, PartitionChoice, PartitionReport};
 pub use plan::{EdgeKind, Pass, PlanSpec, PlanTree};
 pub use reader::MemCubeReader;
 pub use schema_blob::{

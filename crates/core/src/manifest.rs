@@ -23,6 +23,11 @@
 //! stable storage (write-ahead of nothing): the manifest never references
 //! rows that a crash could take away.
 
+// Saved from the durable build's checkpoint hook on the parallel pool's
+// merger: return typed errors instead of panicking (clippy.toml exempts
+// the test modules).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 

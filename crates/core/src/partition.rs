@@ -28,13 +28,12 @@ use std::time::Instant;
 use cure_storage::hash::FxHashMap;
 use cure_storage::{Catalog, HeapFile, Schema};
 
-use crate::cube::{BuildReport, CubeBuilder, CubeConfig, Exec};
+use crate::cube::{finish_build, BuildReport, CubeBuilder, CubeConfig, Exec, RunStats};
 use crate::error::{CubeError, Result};
 use crate::hierarchy::{CubeSchema, LevelIdx};
 use crate::lattice::NodeCoder;
 use crate::signature::{SealedFlush, SignaturePool};
 use crate::sink::CubeSink;
-use crate::stats::{PhaseTimes, PoolCounters};
 use crate::tuples::Tuples;
 
 /// The outcome of partition-level selection (the paper's Table 1 columns).
@@ -127,8 +126,11 @@ pub fn select_partition_level(
 /// Build a cube from an on-disk fact relation, partitioning when it does
 /// not fit the memory budget — the complete `Algorithm CURE`.
 ///
-/// `part_prefix` namespaces the temporary partition relations, which are
-/// dropped before returning.
+/// The per-partition passes run on `threads` workers; `1` runs them one
+/// after another on the calling thread. The output is **byte-identical**
+/// at any thread count (see [`run_partition_passes`]). `part_prefix`
+/// namespaces the temporary partition relations, which are dropped
+/// before returning.
 pub fn build_cure_cube(
     catalog: &Catalog,
     fact_rel: &str,
@@ -136,113 +138,72 @@ pub fn build_cure_cube(
     cfg: &CubeConfig,
     sink: &mut dyn CubeSink,
     part_prefix: &str,
+    threads: usize,
 ) -> Result<BuildReport> {
     let fact = catalog.open_relation(fact_rel)?;
-    let d = schema.num_dims();
-    let y = schema.num_measures();
-    let num_rows = fact.num_rows();
-    let mem_needed = num_rows.saturating_mul(Tuples::tuple_bytes(d, y) as u64);
-
-    // Lines 6–8: in-memory fast path.
-    if mem_needed <= cfg.memory_budget_bytes as u64 {
-        let t = Tuples::load_fact(&fact, d, y)?;
-        return CubeBuilder::new(schema, cfg.clone()).build_in_memory(&t, sink);
+    if let Some(report) = build_in_memory_if_fits(&fact, schema, cfg, sink)? {
+        return Ok(report);
     }
-
-    // Line 10: select L; lines 11: partition + build N in one scan.
+    // Line 10: select L; line 11: partition and build N in one scan.
     let choice = select_partition_level(
         schema,
-        num_rows,
-        Tuples::tuple_bytes(d, y),
+        fact.num_rows(),
+        Tuples::tuple_bytes(schema.num_dims(), schema.num_measures()),
         cfg.memory_budget_bytes,
     )?;
     let start = Instant::now();
     let (part_names, n_tuples, max_partition_rows) =
         partition_and_build_n(catalog, &fact, schema, &choice, part_prefix)?;
-    let partition_secs = start.elapsed().as_secs_f64();
+    let partition = PartitionReport {
+        n_rows: n_tuples.len() as u64,
+        max_partition_rows,
+        partition_secs: start.elapsed().as_secs_f64(),
+        choice,
+    };
 
     let coder = NodeCoder::new(schema);
-    let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
-    let mut counting_sorts = 0u64;
-    let mut comparison_sorts = 0u64;
-    let mut pass_secs = 0.0f64;
-    let mut sort_secs = 0.0f64;
-    let mut tt_prunes = 0u64;
-
-    // Lines 12–16: per-partition passes, entering dimension 0 at level L.
-    // The pool is flushed at every partition boundary: that makes the
-    // flush schedule a pure function of the partition contents, so the
-    // sequential, parallel and durable drivers all emit identical bytes
-    // (and a durable build can checkpoint between partitions). The cost
-    // is that CATs spanning a partition boundary are stored redundantly —
-    // the same working-set trade-off as the bounded pool itself.
-    for name in &part_names {
-        let rel = catalog.open_relation(name)?;
-        if rel.num_rows() == 0 {
-            continue;
-        }
-        let t = Tuples::load_partition(&rel, d, y)?;
-        let mut exec = Exec::new(schema, &coder, &t, cfg.min_support, cfg.sort_policy);
-        exec.set_dim0_level(choice.level);
-        let t0 = Instant::now();
-        exec.run_partition_pass(&mut pool, sink)?;
-        pool.flush(sink)?;
-        pass_secs += t0.elapsed().as_secs_f64();
-        counting_sorts += exec.sorter.counting_calls();
-        comparison_sorts += exec.sorter.comparison_calls();
-        sort_secs += exec.sorter.sort_secs();
-        tt_prunes += exec.tt_prunes;
-    }
-    // Lines 17–20: the N pass — dimension 0 restricted to levels ≥ L+1 (or
-    // skipped entirely when L was the top level).
-    {
-        let top = schema.dims()[0].top_level();
-        let skip_dim0 = choice.level == top;
-        let mut exec = Exec::new(schema, &coder, &n_tuples, cfg.min_support, cfg.sort_policy);
-        exec.restrict_dim0(choice.level + 1, skip_dim0);
-        let t0 = Instant::now();
-        exec.run_full(&mut pool, sink)?;
-        pass_secs += t0.elapsed().as_secs_f64();
-        counting_sorts += exec.sorter.counting_calls();
-        comparison_sorts += exec.sorter.comparison_calls();
-        sort_secs += exec.sorter.sort_secs();
-        tt_prunes += exec.tt_prunes;
-    }
-    // Line 22: final flush.
-    pool.flush(sink)?;
-    let stats = sink.finish()?;
-
-    // Drop the temporary partitions.
+    let mut pool = SignaturePool::new(schema.num_measures(), cfg.pool_capacity, cfg.cat_policy);
+    let mut totals = RunStats::default();
+    // Lines 12–16: the partition passes; lines 17–22: the N pass and the
+    // final flush.
+    run_partition_passes(
+        catalog,
+        schema,
+        &coder,
+        cfg,
+        sink,
+        &part_names,
+        partition.choice.level,
+        threads,
+        0,
+        &mut pool,
+        &mut totals,
+        |_, _, _, _| Ok(()),
+    )?;
+    let report =
+        finish_build(schema, &coder, cfg, &n_tuples, &mut pool, sink, totals, Some(partition))?;
     for name in &part_names {
         catalog.drop_relation(name)?;
     }
+    Ok(report)
+}
 
-    Ok(BuildReport {
-        stats,
-        pool_flushes: pool.flushes(),
-        signatures: pool.total_signatures(),
-        counting_sorts,
-        comparison_sorts,
-        phases: PhaseTimes {
-            partition_secs,
-            pass_secs,
-            sort_secs,
-            flush_secs: pool.write_secs(),
-            merge_secs: 0.0,
-        },
-        pool: PoolCounters {
-            tt_prunes,
-            nt_written: pool.nt_written(),
-            cat_groups: pool.cat_groups(),
-            cat_tuples: pool.cat_tuples(),
-        },
-        partition: Some(PartitionReport {
-            choice,
-            n_rows: n_tuples.len() as u64,
-            max_partition_rows,
-            partition_secs,
-        }),
-    })
+/// Lines 6–8 of `Algorithm CURE`: when the fact relation fits the memory
+/// budget, cube it in memory and return the report; `None` means the
+/// build must partition.
+pub(crate) fn build_in_memory_if_fits(
+    fact: &HeapFile,
+    schema: &CubeSchema,
+    cfg: &CubeConfig,
+    sink: &mut dyn CubeSink,
+) -> Result<Option<BuildReport>> {
+    let (d, y) = (schema.num_dims(), schema.num_measures());
+    let mem_needed = fact.num_rows().saturating_mul(Tuples::tuple_bytes(d, y) as u64);
+    if mem_needed > cfg.memory_budget_bytes as u64 {
+        return Ok(None);
+    }
+    let t = Tuples::load_fact(fact, d, y)?;
+    CubeBuilder::new(schema, cfg.clone()).build_in_memory(&t, sink).map(Some)
 }
 
 /// One scan of the fact relation: route each tuple to its sound partition
@@ -346,7 +307,8 @@ pub(crate) fn partition_and_build_n(
 }
 
 // ---------------------------------------------------------------------
-// Parallel partition passes: record on workers, merge in order.
+// Partition passes (lines 12–16): serial, or recorded on workers and
+// merged in order.
 //
 // Every sound partition can be cubed independently (§4), but three pieces
 // of build state are order-sensitive: the §5.1 CAT-format statistics, the
@@ -356,27 +318,11 @@ pub(crate) fn partition_and_build_n(
 // state — TT writes into a local vector, pool flushes sealed by a
 // recording [`SignaturePool`] — and a single merger replays completed
 // partitions strictly in partition order against the real sink and one
-// decision-carrying pool. Since the per-partition flush schedule of the
-// sequential driver is a pure function of the partition contents (see
-// [`build_cure_cube`]), the merger performs the exact same writes in the
-// exact same order: the output is byte-identical, at any thread count.
-
-/// Per-partition worker statistics, folded into build totals by the
-/// merger in partition order. The integer counters are deterministic
-/// (sums over fixed partition contents); only the wall-clock fields
-/// vary run to run, and nothing downstream of them touches the output
-/// bytes.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunStats {
-    pub counting_sorts: u64,
-    pub comparison_sorts: u64,
-    pub tt_prunes: u64,
-    /// Worker wall-clock seconds cubing this partition (CPU seconds
-    /// when summed across workers, not elapsed time).
-    pub pass_secs: f64,
-    /// Worker seconds inside the segment sorter.
-    pub sort_secs: f64,
-}
+// decision-carrying pool. Since the pool is flushed at every partition
+// boundary, the flush schedule is a pure function of the partition
+// contents, so the merger performs the exact same writes in the exact
+// same order as the serial loop: the output is byte-identical, at any
+// thread count.
 
 /// The buffered output of cubing one partition on a worker.
 pub(crate) struct PartitionRun {
@@ -423,6 +369,36 @@ impl CubeSink for RecordingSink {
     }
 }
 
+/// Cube one partition through `pool` into `sink`, entering dimension 0 at
+/// the partitioning level, then flush the pool: the per-partition flush
+/// boundary. CATs spanning a boundary are stored redundantly — the same
+/// working-set trade-off as the bounded pool itself — in exchange for
+/// output that does not depend on the thread count, and for a durable
+/// build that can checkpoint between partitions.
+#[allow(clippy::too_many_arguments)]
+fn cube_partition<S: CubeSink + ?Sized>(
+    catalog: &Catalog,
+    name: &str,
+    schema: &CubeSchema,
+    coder: &NodeCoder,
+    cfg: &CubeConfig,
+    level: LevelIdx,
+    pool: &mut SignaturePool,
+    sink: &mut S,
+) -> Result<RunStats> {
+    let rel = catalog.open_relation(name)?;
+    if rel.num_rows() == 0 {
+        return Ok(RunStats::default());
+    }
+    let t = Tuples::load_partition(&rel, schema.num_dims(), schema.num_measures())?;
+    let mut exec = Exec::new(schema, coder, &t, cfg.min_support, cfg.sort_policy);
+    exec.set_dim0_level(level);
+    let t0 = Instant::now();
+    exec.run_partition_pass(pool, sink)?;
+    pool.flush(sink)?;
+    Ok(exec.run_stats(t0.elapsed().as_secs_f64()))
+}
+
 /// Cube one partition into a buffered [`PartitionRun`] (worker side).
 fn cube_partition_recorded(
     catalog: &Catalog,
@@ -432,33 +408,15 @@ fn cube_partition_recorded(
     cfg: &CubeConfig,
     level: LevelIdx,
 ) -> Result<PartitionRun> {
-    let d = schema.num_dims();
     let y = schema.num_measures();
-    let mut run = PartitionRun { tts: Vec::new(), flushes: Vec::new(), stats: RunStats::default() };
-    let rel = catalog.open_relation(name)?;
-    if rel.num_rows() == 0 {
-        return Ok(run);
-    }
-    let t = Tuples::load_partition(&rel, d, y)?;
     // Full pool capacity, not capacity/threads: the worker must reproduce
-    // the sequential driver's flush boundaries exactly (the sequential
-    // pool is empty at every partition start thanks to the per-partition
-    // flush, so a fresh full-capacity pool sees identical push sequences).
+    // the serial loop's flush boundaries exactly (its pool is empty at
+    // every partition start thanks to the per-partition flush, so a fresh
+    // full-capacity pool sees identical push sequences).
     let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy).recording();
     let mut rec = RecordingSink { y, tts: Vec::new() };
-    let mut exec = Exec::new(schema, coder, &t, cfg.min_support, cfg.sort_policy);
-    exec.set_dim0_level(level);
-    let t0 = Instant::now();
-    exec.run_partition_pass(&mut pool, &mut rec)?;
-    pool.flush(&mut rec)?; // seals the tail
-    run.stats.pass_secs = t0.elapsed().as_secs_f64();
-    run.tts = rec.tts;
-    run.flushes = pool.take_recorded();
-    run.stats.counting_sorts = exec.sorter.counting_calls();
-    run.stats.comparison_sorts = exec.sorter.comparison_calls();
-    run.stats.sort_secs = exec.sorter.sort_secs();
-    run.stats.tt_prunes = exec.tt_prunes;
-    Ok(run)
+    let stats = cube_partition(catalog, name, schema, coder, cfg, level, &mut pool, &mut rec)?;
+    Ok(PartitionRun { tts: rec.tts, flushes: pool.take_recorded(), stats })
 }
 
 /// Coordination state shared between workers and the merger.
@@ -471,16 +429,25 @@ struct MergeState {
     failed: Option<CubeError>,
 }
 
-/// Run the per-partition passes of a partitioned build on `threads`
-/// workers, merging completed runs into `sink` strictly in partition
-/// order. `pool` is the merger's decision-carrying pool (possibly
-/// restored from a manifest); partitions `0..skip` are assumed already
-/// merged (durable resume). `after_merge(sink, pool, i, stats)` runs on
-/// the merger thread after partition `i` is fully applied, receiving
-/// the run's worker-side statistics — the durable driver checkpoints
-/// there. Returns the merger's replay wall time in seconds.
+/// Run the per-partition passes of a partitioned build into `sink`
+/// through `pool`, the build's one decision-carrying pool (possibly
+/// restored from a manifest). Partitions `0..skip` are assumed already
+/// applied (durable resume). Each partition's counters are added to
+/// `totals`, then `after_partition(sink, pool, i, totals)` runs once
+/// partition `i` is fully applied and the pool is empty — the durable
+/// build checkpoints there.
+///
+/// At `threads == 1` the partitions are cubed one after another on the
+/// calling thread: the reference loop the parallel path must reproduce.
+/// Above that, a fixed pool of `threads` workers cubes partitions into
+/// buffered runs and the calling thread, as the single merger, applies
+/// completed runs strictly in partition order: every order-sensitive
+/// effect — NT/CAT classification, the §5.1 format decision,
+/// `AGGREGATES` row-id assignment, relation appends — happens there, in
+/// the serial loop's order. A backpressure window of `2 × threads`
+/// partitions bounds the memory held in unmerged runs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_partition_passes_parallel<S, F>(
+pub(crate) fn run_partition_passes<S, F>(
     catalog: &Catalog,
     schema: &CubeSchema,
     coder: &NodeCoder,
@@ -491,17 +458,25 @@ pub(crate) fn run_partition_passes_parallel<S, F>(
     threads: usize,
     skip: usize,
     pool: &mut SignaturePool,
-    mut after_merge: F,
-) -> Result<f64>
+    totals: &mut RunStats,
+    mut after_partition: F,
+) -> Result<()>
 where
     S: CubeSink + ?Sized,
-    F: FnMut(&mut S, &mut SignaturePool, usize, RunStats) -> Result<()>,
+    F: FnMut(&mut S, &mut SignaturePool, usize, &RunStats) -> Result<()>,
 {
     let n_parts = part_names.len();
-    if skip >= n_parts {
-        return Ok(0.0);
+    if threads <= 1 {
+        for (i, name) in part_names.iter().enumerate().skip(skip) {
+            totals.add(cube_partition(catalog, name, schema, coder, cfg, level, pool, sink)?);
+            after_partition(sink, pool, i, totals)?;
+        }
+        return Ok(());
     }
-    let threads = threads.max(1).min(n_parts - skip);
+    if skip >= n_parts {
+        return Ok(());
+    }
+    let threads = threads.min(n_parts - skip);
     // Backpressure window: a worker may run at most this many partitions
     // ahead of the merge frontier, bounding buffered-run memory. The
     // window never deadlocks: claim indices are monotone, so the worker
@@ -515,7 +490,6 @@ where
         failed: None,
     });
     let cv = parking_lot::Condvar::new();
-    let mut merge_secs = 0.0f64;
 
     let fail = |e: CubeError| {
         let mut st = state.lock();
@@ -580,9 +554,10 @@ where
                 for f in &run.flushes {
                     pool.apply_sealed(sink, f)?;
                 }
-                after_merge(sink, pool, i, run.stats)
+                totals.add(run.stats);
+                after_partition(sink, pool, i, totals)
             })();
-            merge_secs += t0.elapsed().as_secs_f64();
+            totals.merge_secs += t0.elapsed().as_secs_f64();
             if let Err(e) = applied {
                 fail(e);
                 return;
@@ -595,129 +570,8 @@ where
 
     match state.into_inner().failed {
         Some(e) => Err(e),
-        None => Ok(merge_secs),
+        None => Ok(()),
     }
-}
-
-/// Parallel variant of [`build_cure_cube`]: partitions are cubed by a
-/// fixed pool of `threads` workers into buffered per-partition runs, and
-/// a single merger (the calling thread) appends completed runs to the
-/// sink in deterministic partition order. Not an algorithm of the paper —
-/// a natural extension its partitioning makes possible, since every sound
-/// partition can be cubed independently.
-///
-/// The output is **byte-identical** to [`build_cure_cube`] at any thread
-/// count: workers only ever buffer (TT vectors plus sealed signature
-/// flushes), while every order-sensitive effect — NT/CAT classification,
-/// the §5.1 format decision, `AGGREGATES` row-id assignment, relation
-/// appends — happens on the merger, in the same order as a sequential
-/// build. A backpressure window of `2 × threads` partitions bounds the
-/// memory held in unmerged runs.
-pub fn build_cure_cube_parallel(
-    catalog: &Catalog,
-    fact_rel: &str,
-    schema: &CubeSchema,
-    cfg: &CubeConfig,
-    sink: &mut dyn CubeSink,
-    part_prefix: &str,
-    threads: usize,
-) -> Result<BuildReport> {
-    let threads = threads.max(1);
-    let fact = catalog.open_relation(fact_rel)?;
-    let d = schema.num_dims();
-    let y = schema.num_measures();
-    let num_rows = fact.num_rows();
-    let mem_needed = num_rows.saturating_mul(Tuples::tuple_bytes(d, y) as u64);
-    if mem_needed <= cfg.memory_budget_bytes as u64 {
-        let t = Tuples::load_fact(&fact, d, y)?;
-        return CubeBuilder::new(schema, cfg.clone()).build_in_memory(&t, sink);
-    }
-    let choice = select_partition_level(
-        schema,
-        num_rows,
-        Tuples::tuple_bytes(d, y),
-        cfg.memory_budget_bytes,
-    )?;
-    let start = Instant::now();
-    let (part_names, n_tuples, max_partition_rows) =
-        partition_and_build_n(catalog, &fact, schema, &choice, part_prefix)?;
-    let partition_secs = start.elapsed().as_secs_f64();
-
-    let coder = NodeCoder::new(schema);
-    let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
-    let mut counting_sorts = 0u64;
-    let mut comparison_sorts = 0u64;
-    let mut pass_secs = 0.0f64;
-    let mut sort_secs = 0.0f64;
-    let mut tt_prunes = 0u64;
-
-    let merge_secs = run_partition_passes_parallel(
-        catalog,
-        schema,
-        &coder,
-        cfg,
-        sink,
-        &part_names,
-        choice.level,
-        threads,
-        0,
-        &mut pool,
-        |_, _, _, rs| {
-            counting_sorts += rs.counting_sorts;
-            comparison_sorts += rs.comparison_sorts;
-            pass_secs += rs.pass_secs;
-            sort_secs += rs.sort_secs;
-            tt_prunes += rs.tt_prunes;
-            Ok(())
-        },
-    )?;
-
-    // Serial N pass (small by construction), exactly as the sequential
-    // driver runs it.
-    {
-        let top = schema.dims()[0].top_level();
-        let skip_dim0 = choice.level == top;
-        let mut exec = Exec::new(schema, &coder, &n_tuples, cfg.min_support, cfg.sort_policy);
-        exec.restrict_dim0(choice.level + 1, skip_dim0);
-        let t0 = Instant::now();
-        exec.run_full(&mut pool, sink)?;
-        pass_secs += t0.elapsed().as_secs_f64();
-        counting_sorts += exec.sorter.counting_calls();
-        comparison_sorts += exec.sorter.comparison_calls();
-        sort_secs += exec.sorter.sort_secs();
-        tt_prunes += exec.tt_prunes;
-    }
-    pool.flush(sink)?;
-    let stats = sink.finish()?;
-    for name in &part_names {
-        catalog.drop_relation(name)?;
-    }
-    Ok(BuildReport {
-        stats,
-        pool_flushes: pool.flushes(),
-        signatures: pool.total_signatures(),
-        counting_sorts,
-        comparison_sorts,
-        phases: PhaseTimes {
-            partition_secs,
-            pass_secs,
-            sort_secs,
-            flush_secs: pool.write_secs(),
-            merge_secs,
-        },
-        pool: PoolCounters {
-            tt_prunes,
-            nt_written: pool.nt_written(),
-            cat_groups: pool.cat_groups(),
-            cat_tuples: pool.cat_tuples(),
-        },
-        partition: Some(PartitionReport {
-            choice,
-            n_rows: n_tuples.len() as u64,
-            max_partition_rows,
-            partition_secs,
-        }),
-    })
 }
 
 #[cfg(test)]
@@ -872,7 +726,8 @@ mod tests {
         let fact = store_random_fact(&catalog, &schema, 2_000, 12345);
         let cfg = CubeConfig { memory_budget_bytes: budget, ..CubeConfig::default() };
         let mut sink = MemSink::new(schema.num_measures());
-        let report = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_").unwrap();
+        let report =
+            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", 1).unwrap();
         let part = report.partition.as_ref().expect("budget must force partitioning");
         assert!(part.choice.num_partitions > 1);
         let reader = MemCubeReader::new(&schema, &sink, &fact, Some(part.choice.level)).unwrap();
@@ -917,7 +772,8 @@ mod tests {
         let fact = store_random_fact(&catalog, &schema, 2_000, 777);
         let cfg = CubeConfig { memory_budget_bytes: 45 << 10, ..CubeConfig::default() };
         let mut sink = MemSink::new(schema.num_measures());
-        let report = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_").unwrap();
+        let report =
+            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", 1).unwrap();
         let part = report.partition.as_ref().unwrap();
         assert_eq!(part.choice.level, schema.dims()[0].top_level());
         let reader = MemCubeReader::new(&schema, &sink, &fact, Some(part.choice.level)).unwrap();
@@ -945,7 +801,8 @@ mod tests {
         let _fact = store_random_fact(&catalog, &schema, 500, 5);
         let cfg = CubeConfig::default(); // 256 MB budget
         let mut sink = MemSink::new(schema.num_measures());
-        let report = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_").unwrap();
+        let report =
+            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", 1).unwrap();
         assert!(report.partition.is_none());
     }
 
@@ -957,10 +814,9 @@ mod tests {
             let fact = store_random_fact(&catalog, &schema, 2_000, 4242);
             let cfg = CubeConfig { memory_budget_bytes: 12 << 10, ..CubeConfig::default() };
             let mut sink = MemSink::new(schema.num_measures());
-            let report = build_cure_cube_parallel(
-                &catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads,
-            )
-            .unwrap();
+            let report =
+                build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads)
+                    .unwrap();
             let part = report.partition.as_ref().expect("budget forces partitioning");
             assert!(part.choice.num_partitions > 1);
             let reader =
@@ -981,25 +837,23 @@ mod tests {
     fn parallel_build_reports_same_counters_as_sequential() {
         // The instrumentation must not perturb determinism: every integer
         // counter of a parallel build (worker-summed or merger-side) must
-        // equal the sequential build's, at any thread count. Timers are
+        // equal the one-thread build's, at any thread count. Timers are
         // wall-clock and excluded.
         let schema = hierarchical_schema();
         let cfg = CubeConfig { memory_budget_bytes: 12 << 10, ..CubeConfig::default() };
         let seq_catalog = fresh_catalog("counters_seq");
         store_random_fact(&seq_catalog, &schema, 2_000, 4242);
         let mut seq_sink = MemSink::new(schema.num_measures());
-        let seq =
-            build_cure_cube(&seq_catalog, "facts", &schema, &cfg, &mut seq_sink, "tmp_").unwrap();
+        let seq = build_cure_cube(&seq_catalog, "facts", &schema, &cfg, &mut seq_sink, "tmp_", 1)
+            .unwrap();
         assert!(seq.pool.tt_prunes > 0, "sparse data must hit the TT fast path");
         assert!(seq.pool.nt_written + seq.pool.cat_tuples > 0);
-        for threads in [1usize, 4] {
+        for threads in [2usize, 4] {
             let catalog = fresh_catalog(&format!("counters_par{threads}"));
             store_random_fact(&catalog, &schema, 2_000, 4242);
             let mut sink = MemSink::new(schema.num_measures());
-            let par = build_cure_cube_parallel(
-                &catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads,
-            )
-            .unwrap();
+            let par = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads)
+                .unwrap();
             assert_eq!(par.stats, seq.stats, "threads={threads}");
             assert_eq!(par.pool, seq.pool, "threads={threads}");
             assert_eq!(par.counting_sorts, seq.counting_sorts, "threads={threads}");
@@ -1015,7 +869,7 @@ mod tests {
         let schema = hierarchical_schema();
         let _fact = store_random_fact(&catalog, &schema, 300, 77);
         let mut sink = MemSink::new(schema.num_measures());
-        let report = build_cure_cube_parallel(
+        let report = build_cure_cube(
             &catalog,
             "facts",
             &schema,
@@ -1042,7 +896,7 @@ mod tests {
         let mut part_sink = MemSink::new(2);
         let cfg = CubeConfig { memory_budget_bytes: 8 << 10, ..CubeConfig::default() };
         let report =
-            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut part_sink, "tmp_").unwrap();
+            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut part_sink, "tmp_", 1).unwrap();
         let l = report.partition.unwrap().choice.level;
         let mem_reader = MemCubeReader::new(&schema, &mem_sink, &fact, None).unwrap();
         let part_reader = MemCubeReader::new(&schema, &part_sink, &fact, Some(l)).unwrap();

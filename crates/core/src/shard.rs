@@ -21,6 +21,10 @@
 //! (facts, cube relations, meta blob, manifest), so a single
 //! prefix-scoped snapshot export replicates a whole shard.
 
+// Part of the durable build path: return typed errors instead of
+// panicking (clippy.toml exempts the test modules).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use cure_storage::Catalog;
 
 use crate::cube::{BuildReport, CubeConfig};

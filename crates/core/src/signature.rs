@@ -245,7 +245,7 @@ impl SignaturePool {
     /// `ExecutePlan` lines 6–7).
     pub fn push(
         &mut self,
-        sink: &mut dyn CubeSink,
+        sink: &mut (impl CubeSink + ?Sized),
         aggs: &[i64],
         rowid: u64,
         node: NodeId,
@@ -266,7 +266,7 @@ impl SignaturePool {
     ///
     /// In [recording mode](Self::recording) the sorted contents are
     /// sealed into the internal log instead and `sink` is not touched.
-    pub fn flush(&mut self, sink: &mut dyn CubeSink) -> Result<()> {
+    pub fn flush(&mut self, sink: &mut (impl CubeSink + ?Sized)) -> Result<()> {
         let Some(sealed) = self.seal_sorted() else {
             return Ok(());
         };

@@ -1,9 +1,10 @@
 //! Build-level observability: phase wall times and classification
 //! counters.
 //!
-//! These types ride on [`crate::cube::BuildReport`] and are filled by
-//! every build driver (in-memory, partitioned, parallel, durable). Two
-//! invariants keep the instrumentation safe:
+//! These types ride on [`crate::cube::BuildReport`], which every build —
+//! in memory, partitioned at any thread count, durable — assembles in
+//! one place, the finish step in [`crate::cube`]. Two invariants keep
+//! the instrumentation safe:
 //!
 //! * **Counters never steer the build.** They are incremented next to
 //!   the writes they describe and are read only after the build

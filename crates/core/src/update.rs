@@ -751,6 +751,7 @@ mod tests {
             &cfg,
             &mut old_sink,
             "tmp_",
+            1,
         )
         .unwrap();
         let level = report.partition.as_ref().expect("partitioned").choice.level;

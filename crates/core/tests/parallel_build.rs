@@ -12,9 +12,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use cure_core::sink::RowResolver;
-use cure_core::{
-    build_cure_cube, build_cure_cube_parallel, CubeConfig, CubeSchema, Dimension, DiskSink, Tuples,
-};
+use cure_core::{build_cure_cube, CubeConfig, CubeSchema, Dimension, DiskSink, Tuples};
 use cure_storage::{Catalog, Schema};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -91,7 +89,7 @@ fn dr_resolver(catalog: &Catalog, schema: &CubeSchema) -> RowResolver<'static> {
     })
 }
 
-fn build(dir: &Path, dr: bool, threads: Option<usize>) -> BTreeMap<String, Vec<u8>> {
+fn build(dir: &Path, dr: bool, threads: usize) -> BTreeMap<String, Vec<u8>> {
     let schema = test_schema();
     let catalog = Catalog::open(dir).unwrap();
     store_fact(&catalog, &schema, 1_200, 7);
@@ -100,11 +98,8 @@ fn build(dir: &Path, dr: bool, threads: Option<usize>) -> BTreeMap<String, Vec<u
     let cfg = CubeConfig { memory_budget_bytes: 8 << 10, ..CubeConfig::default() };
     let resolver = dr.then(|| dr_resolver(&catalog, &schema));
     let mut sink = DiskSink::new(&catalog, "cube_", &schema, dr, false, resolver).unwrap();
-    let report = match threads {
-        Some(t) => build_cure_cube_parallel(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", t)
-            .unwrap(),
-        None => build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_").unwrap(),
-    };
+    let report =
+        build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads).unwrap();
     assert!(report.partition.is_some(), "budget must force partitioning");
     drop(sink);
     drop(catalog);
@@ -113,18 +108,18 @@ fn build(dir: &Path, dr: bool, threads: Option<usize>) -> BTreeMap<String, Vec<u
 
 #[test]
 fn parallel_cure_build_is_byte_identical_to_sequential() {
-    let reference = build(&fresh_dir("cure_seq"), false, None);
+    let reference = build(&fresh_dir("cure_seq"), false, 1);
     for threads in [1usize, 2, 4, 8] {
-        let got = build(&fresh_dir(&format!("cure_t{threads}")), false, Some(threads));
+        let got = build(&fresh_dir(&format!("cure_t{threads}")), false, threads);
         assert_eq!(got, reference, "CURE, {threads} threads");
     }
 }
 
 #[test]
 fn parallel_cure_dr_build_is_byte_identical_to_sequential() {
-    let reference = build(&fresh_dir("dr_seq"), true, None);
+    let reference = build(&fresh_dir("dr_seq"), true, 1);
     for threads in [1usize, 2, 4, 8] {
-        let got = build(&fresh_dir(&format!("dr_t{threads}")), true, Some(threads));
+        let got = build(&fresh_dir(&format!("dr_t{threads}")), true, threads);
         assert_eq!(got, reference, "CURE_DR, {threads} threads");
     }
 }

@@ -224,7 +224,7 @@ proptest! {
         let budget = (t.mem_bytes() / budget_div).max(64);
         let cfg = CubeConfig { memory_budget_bytes: budget, ..CubeConfig::default() };
         let mut sink = MemSink::new(schema.num_measures());
-        match build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_") {
+        match build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", 1) {
             Ok(report) => {
                 let level = report.partition.as_ref().map(|p| p.choice.level);
                 check_against_oracle(&schema, &t, &sink, level, 1)?;

@@ -212,7 +212,7 @@ fn disk_cure_partitioned() {
     store_fact(&catalog, &schema, &t);
     let cfg = CubeConfig { memory_budget_bytes: 16 << 10, ..CubeConfig::default() };
     let mut sink = DiskSink::new(&catalog, "p_", &schema, false, false, None).unwrap();
-    let report = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_").unwrap();
+    let report = build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", 1).unwrap();
     let part = report.partition.expect("budget forces partitioning");
     CubeMeta {
         prefix: "p_".into(),

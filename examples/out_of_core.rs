@@ -58,7 +58,7 @@ fn main() -> cure::core::Result<()> {
 
     let cfg = CubeConfig { memory_budget_bytes: budget, ..CubeConfig::default() };
     let mut sink = DiskSink::new(&catalog, "cube_", &ds.schema, false, false, None)?;
-    let report = build_cure_cube(&catalog, "facts", &ds.schema, &cfg, &mut sink, "tmp_")?;
+    let report = build_cure_cube(&catalog, "facts", &ds.schema, &cfg, &mut sink, "tmp_", 1)?;
     let part = report.partition.as_ref().expect("partitioned build");
     println!(
         "\nbuild: {} partitions written in {:.2}s (largest: {} rows), N = {} rows; \

@@ -387,7 +387,7 @@ fn ingest_bench(out: &mut String, dir: &str, out_path: &str) -> Result<()> {
         let start = std::time::Instant::now();
         let mut sink = DiskSink::new(catalog, "cube_", schema, false, false, None)?;
         let report =
-            cure_core::build_cure_cube(catalog, "facts", schema, &cfg, &mut sink, "part_")?;
+            cure_core::build_cure_cube(catalog, "facts", schema, &cfg, &mut sink, "part_", 1)?;
         let secs = start.elapsed().as_secs_f64();
         CubeMeta {
             prefix: "cube_".into(),
@@ -962,7 +962,7 @@ pub fn run(cmd: Command) -> Result<String> {
             // crash left off); CURE+ buffers TT bitmaps in memory until
             // `finish`, so it keeps the plain driver.
             let (report, durable_note) = if plus {
-                let report = cure_core::build_cure_cube_parallel(
+                let report = cure_core::build_cure_cube(
                     &catalog,
                     "facts",
                     &schema,

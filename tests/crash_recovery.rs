@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cure::core::cube::CubeConfig;
 use cure::core::sink::DiskSink;
@@ -105,7 +105,16 @@ fn durable_build(
 }
 
 /// Fault-free reference build. Returns (cube bytes, build writes W).
+///
+/// Built once per test binary: the tests run on parallel threads, and
+/// each rebuilding into the same directory would delete the catalog
+/// another test is still reading.
 fn reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
+    static REFERENCE: OnceLock<(BTreeMap<String, Vec<u8>>, u64, DurableReport)> = OnceLock::new();
+    REFERENCE.get_or_init(build_reference).clone()
+}
+
+fn build_reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
     let dir = fresh_dir("reference");
     let schema = test_schema();
     {
