@@ -4,14 +4,20 @@
 //! `&mut self` because its per-handle LRU caches mutate on every fetch.
 //! Serving workloads (many readers, one immutable cube) instead open a
 //! `ConcurrentCube`: it owns `Arc`s of the catalog and schema, resolves
-//! rows through [`HeapFile::fetch_shared`] against sharded
-//! [`SharedBufferCache`]s, and counts work in atomics — so `node_query`
-//! takes `&self` and the whole cube can sit behind one `Arc` shared by a
-//! worker pool (see the `cure-serve` crate).
+//! rows against sharded [`SharedBufferCache`]s, and counts work in
+//! atomics — so `node_query` takes `&self` and the whole cube can sit
+//! behind one `Arc` shared by a worker pool (see the `cure-serve` crate).
+//!
+//! On the cache read path each source's fact rows are fetched with one
+//! [`HeapFile::gather_shared`] call, which reads the fact table in page
+//! order — one cache lookup per distinct page rather than one per row,
+//! the page-ordered access CURE+ gets by sorting row-ids (§5.3) — and
+//! hands the rows back in resolution order. `AGGREGATES` rows are
+//! fetched one at a time through [`HeapFile::fetch_shared`].
 //!
 //! Query *semantics* are identical to the exclusive path by construction:
 //! both drive the same [`crate::resolve`] engine and differ only in the
-//! [`RowFetcher`] used.
+//! [`RowFetcher`] used, so both return the same rows in the same order.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -51,16 +57,17 @@ impl SharedQueryStats {
 
 /// How a [`ConcurrentCube`] resolves rows.
 ///
-/// `Cache` is the original serving path — `fetch_shared` through the
-/// sharded [`SharedBufferCache`]s — and remains the fallback for cubes
-/// still being written or ingested into. `Mmap` memory-maps every sealed
-/// relation at open and serves borrowed page slices with no locking and
-/// no copy; it requires the cube to be immutable for the lifetime of the
-/// handle (live ingest swaps in a *new* handle per epoch instead of
-/// mutating this one).
+/// `Cache` is the original serving path — page-ordered gathers and
+/// `fetch_shared` through the sharded [`SharedBufferCache`]s — and
+/// remains the fallback for cubes still being written or ingested into.
+/// `Mmap` memory-maps every sealed relation at open and serves borrowed
+/// page slices with no locking and no copy; it requires the cube to be
+/// immutable for the lifetime of the handle (live ingest swaps in a *new*
+/// handle per epoch instead of mutating this one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
-    /// Lock-guarded shared page caches over `HeapFile::fetch_shared`.
+    /// Lock-guarded shared page caches over `HeapFile::gather_shared`
+    /// (fact rows) and `HeapFile::fetch_shared` (`AGGREGATES` rows).
     Cache,
     /// Zero-copy mmap reads + the per-node point-query index.
     Mmap,
@@ -107,8 +114,9 @@ impl Default for CacheConfig {
 /// Pages the serving layer has marked as known-corrupt.
 ///
 /// Consulted by [`ConcurrentCube::node_query_guarded`] *before* each fact
-/// or `AGGREGATES` fetch, so repeat reads of a page that already failed
-/// its checksum become fast typed failures instead of further disk I/O.
+/// page or `AGGREGATES` row is fetched, so repeat reads of a page that
+/// already failed its checksum become fast typed failures instead of
+/// further disk I/O.
 /// Implemented by the quarantine set in `cure-serve`.
 pub trait PageQuarantine: Sync {
     /// Whether `(relation, page)` is currently quarantined.
@@ -123,7 +131,7 @@ pub trait PageQuarantine: Sync {
 #[derive(Clone, Copy, Default)]
 pub struct QueryGuard<'a> {
     /// Abort with [`CubeError::Timeout`] once this instant passes. The
-    /// check runs between row fetches, so a query stops within one page
+    /// check runs between page fetches, so a query stops within one page
     /// fetch of its deadline rather than running to completion.
     pub deadline: Option<Instant>,
     /// Corrupt-page set to fail fast against (see [`PageQuarantine`]).
@@ -162,11 +170,23 @@ struct SharedFetcher<'f> {
     stats: &'f SharedQueryStats,
 }
 
+impl SharedFetcher<'_> {
+    /// Gather fact rows page by page, running `before_page` before each
+    /// page is touched.
+    fn gather_facts(
+        &self,
+        rowids: &[u64],
+        buf: &mut [u8],
+        before_page: impl FnMut(u64) -> Result<()>,
+    ) -> Result<()> {
+        self.stats.fact_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
+        self.fact.gather_shared(rowids, self.fact_cache, buf, before_page)
+    }
+}
+
 impl RowFetcher for SharedFetcher<'_> {
-    fn fetch_fact(&mut self, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.stats.fact_fetches.fetch_add(1, Ordering::Relaxed);
-        self.fact.fetch_shared(rowid, self.fact_cache, buf)?;
-        Ok(())
+    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        self.gather_facts(rowids, buf, |_| Ok(()))
     }
 
     fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
@@ -181,7 +201,6 @@ struct GuardedFetcher<'f, 'g> {
     inner: SharedFetcher<'f>,
     guard: QueryGuard<'g>,
     fact_name: String,
-    fact_rows_per_page: u64,
     agg_name: String,
     agg_rows_per_page: u64,
 }
@@ -198,9 +217,8 @@ impl GuardedFetcher<'_, '_> {
         Ok(())
     }
 
-    fn check_quarantine(&self, relation: &str, rowid: u64, rows_per_page: u64) -> Result<()> {
+    fn check_quarantine(&self, relation: &str, page: u64) -> Result<()> {
         if let Some(q) = self.guard.quarantine {
-            let page = rowid / rows_per_page.max(1);
             if q.is_quarantined(relation, page) {
                 return Err(CubeError::Storage(StorageError::CorruptPage {
                     relation: relation.to_string(),
@@ -214,15 +232,16 @@ impl GuardedFetcher<'_, '_> {
 }
 
 impl RowFetcher for GuardedFetcher<'_, '_> {
-    fn fetch_fact(&mut self, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_deadline()?;
-        self.check_quarantine(&self.fact_name, rowid, self.fact_rows_per_page)?;
-        self.inner.fetch_fact(rowid, buf)
+    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        self.inner.gather_facts(rowids, buf, |page| {
+            self.check_deadline()?;
+            self.check_quarantine(&self.fact_name, page)
+        })
     }
 
     fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
         self.check_deadline()?;
-        self.check_quarantine(&self.agg_name, rowid, self.agg_rows_per_page)?;
+        self.check_quarantine(&self.agg_name, rowid / self.agg_rows_per_page.max(1))?;
         self.inner.fetch_agg(agg, rowid, buf)
     }
 }
@@ -415,9 +434,9 @@ impl ConcurrentCube {
 
     /// [`node_query`](Self::node_query) under a [`QueryGuard`]: the same
     /// answer when nothing intervenes, [`CubeError::Timeout`] when the
-    /// guard's deadline passes mid-query, and a typed
-    /// [`StorageError::CorruptPage`] without touching disk when a fetch
-    /// would land on a quarantined page.
+    /// guard's deadline passes mid-query (checked before each page
+    /// fetch), and a typed [`StorageError::CorruptPage`] without touching
+    /// disk when a fetch would land on a quarantined page.
     pub fn node_query_guarded(&self, node: NodeId, guard: &QueryGuard<'_>) -> Result<Vec<CubeRow>> {
         if self.mmap.is_some() {
             return self.node_query_mmap(node, guard, None);
@@ -429,7 +448,6 @@ impl ConcurrentCube {
             inner,
             guard: *guard,
             fact_name: self.fact.relation_name(),
-            fact_rows_per_page: self.fact.rows_per_page() as u64,
             agg_name: self.aggregates.as_ref().map(|a| a.relation_name()).unwrap_or_default(),
             agg_rows_per_page: self.aggregates.as_ref().map_or(1, |a| a.rows_per_page() as u64),
         };
@@ -540,6 +558,7 @@ impl ConcurrentCube {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     use cure_core::cube::{CubeBuilder, CubeConfig};
@@ -606,6 +625,61 @@ mod tests {
         rows
     }
 
+    /// What one cache-path query of a node asks of the fact table.
+    #[derive(Default)]
+    struct FactAccess {
+        /// Fact rows fetched.
+        rows: u64,
+        /// Fact-cache lookups a page-ordered gather makes: the distinct
+        /// sealed pages of each batch, summed over batches.
+        lookups: u64,
+        /// Every sealed fact page read.
+        pages: BTreeSet<u64>,
+    }
+
+    /// [`RowFetcher`] that records the fact pages each batch spans.
+    struct PageRecorder<'f> {
+        inner: SharedFetcher<'f>,
+        rows_per_page: u64,
+        sealed_pages: u64,
+        access: FactAccess,
+    }
+
+    impl RowFetcher for PageRecorder<'_> {
+        fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+            let pages: BTreeSet<u64> = rowids
+                .iter()
+                .map(|r| r / self.rows_per_page)
+                .filter(|&p| p < self.sealed_pages)
+                .collect();
+            self.access.rows += rowids.len() as u64;
+            self.access.lookups += pages.len() as u64;
+            self.access.pages.extend(pages);
+            self.inner.fetch_facts(rowids, buf)
+        }
+
+        fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.fetch_agg(agg, rowid, buf)
+        }
+    }
+
+    /// Resolve `node` on the cache path, recording its fact access.
+    fn fact_access(cube: &ConcurrentCube, node: NodeId) -> FactAccess {
+        let levels = cube.coder().decode(node).unwrap();
+        let (env, inner) = cube.env();
+        let rows_per_page = cube.fact.rows_per_page() as u64;
+        let mut recorder = PageRecorder {
+            inner,
+            rows_per_page,
+            sealed_pages: cube.fact.num_rows() / rows_per_page,
+            access: FactAccess::default(),
+        };
+        let mut out = Vec::new();
+        resolve::scan_nt_cat(&env, &mut recorder, node, &levels, &mut out, None).unwrap();
+        resolve::scan_tts(&env, &mut recorder, node, &levels, &mut out, None).unwrap();
+        recorder.access
+    }
+
     #[test]
     fn matches_exclusive_path_on_every_node() {
         let (catalog, schema, prefix) = build_test_cube("match");
@@ -613,9 +687,56 @@ mod tests {
             ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
         let mut exclusive = CureCube::open(&catalog, &schema, &prefix).unwrap();
         for node in 0..shared.coder().num_nodes() {
-            let a = sorted(shared.node_query(node).unwrap());
-            let b = sorted(exclusive.node_query(node).unwrap());
+            // Page-ordered reads still answer in resolution order.
+            let a = shared.node_query(node).unwrap();
+            let b = exclusive.node_query(node).unwrap();
             assert_eq!(a, b, "node {node} diverged");
+        }
+    }
+
+    #[test]
+    fn exclusive_fact_access_is_per_row_and_unchanged() {
+        // `(fact_fetches, fact_cache_hits, fact_cache_misses)` of each
+        // node, queried in id order on one handle with counters reset in
+        // between: at the default cache size and at a one-page cache,
+        // where the hit count depends on the order rows are fetched in.
+        // The exclusive handle keeps the per-row, resolution-order fact
+        // access that Figures 16 and 17 measure; these are its counts.
+        const DEFAULT_CACHE: [(u64, u64, u64); 8] = [
+            (120, 118, 2),
+            (20, 20, 0),
+            (24, 24, 0),
+            (4, 4, 0),
+            (30, 30, 0),
+            (5, 5, 0),
+            (6, 6, 0),
+            (1, 1, 0),
+        ];
+        const ONE_PAGE_CACHE: [(u64, u64, u64); 8] = [
+            (120, 105, 15),
+            (20, 20, 0),
+            (24, 24, 0),
+            (4, 4, 0),
+            (30, 30, 0),
+            (5, 5, 0),
+            (6, 6, 0),
+            (1, 1, 0),
+        ];
+        let (catalog, schema, prefix) = build_test_cube("exclusive_pin");
+        let mut cube = CureCube::open(&catalog, &schema, &prefix).unwrap();
+        for (pages, expect) in [(None, DEFAULT_CACHE), (Some(1), ONE_PAGE_CACHE)] {
+            if let Some(p) = pages {
+                cube.set_fact_cache_pages(p);
+            }
+            let got: Vec<(u64, u64, u64)> = (0..cube.coder().num_nodes())
+                .map(|node| {
+                    cube.reset_stats();
+                    cube.node_query(node).unwrap();
+                    let s = cube.stats();
+                    (s.fact_fetches, s.fact_cache_hits, s.fact_cache_misses)
+                })
+                .collect();
+            assert_eq!(got, expect, "fact cache pages {pages:?}");
         }
     }
 
@@ -628,6 +749,7 @@ mod tests {
         let nodes = cube.coder().num_nodes();
         // Reference answers from the same shared handle, single-threaded.
         let reference: Vec<_> = (0..nodes).map(|n| sorted(cube.node_query(n).unwrap())).collect();
+        let access: Vec<FactAccess> = (0..nodes).map(|n| fact_access(&cube, n)).collect();
         cube.reset_stats();
         let handles: Vec<_> = (0..8)
             .map(|t| {
@@ -647,8 +769,16 @@ mod tests {
         }
         let stats = cube.stats_snapshot();
         assert_eq!(stats.queries, 8 * nodes * 2);
-        // Every fact fetch is exactly one shared-cache access.
-        assert_eq!(stats.fact_fetches, stats.fact_cache_hits + stats.fact_cache_misses);
+        // Each thread queried every node twice. Every query fetches its
+        // rows, and makes exactly one shared-cache access per distinct
+        // sealed fact page of each source batch, whatever the eviction
+        // and interleaving (tail-page rows need no access).
+        let per_sweep = |f: fn(&FactAccess) -> u64| access.iter().map(f).sum::<u64>();
+        assert_eq!(stats.fact_fetches, 16 * per_sweep(|a| a.rows));
+        assert_eq!(stats.fact_cache_hits + stats.fact_cache_misses, 16 * per_sweep(|a| a.lookups));
+        let shard_total: u64 =
+            cube.fact_cache().shard_stats().iter().map(|s| s.hits + s.misses).sum();
+        assert_eq!(shard_total, stats.fact_cache_hits + stats.fact_cache_misses);
     }
 
     #[test]
@@ -658,8 +788,8 @@ mod tests {
             ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
         let guard = QueryGuard::default();
         for node in 0..cube.coder().num_nodes() {
-            let a = sorted(cube.node_query(node).unwrap());
-            let b = sorted(cube.node_query_guarded(node, &guard).unwrap());
+            let a = cube.node_query(node).unwrap();
+            let b = cube.node_query_guarded(node, &guard).unwrap();
             assert_eq!(a, b, "node {node} diverged under a default guard");
         }
     }
@@ -716,6 +846,86 @@ mod tests {
         // Repair is a no-op on sound pages and clears the way for reads.
         cube.reverify_page(&cube.fact_relation(), 0).unwrap();
         assert!(cube.reverify_page("no_such_rel", 0).is_err());
+    }
+
+    struct QuarantineOne {
+        relation: String,
+        page: u64,
+    }
+    impl PageQuarantine for QuarantineOne {
+        fn is_quarantined(&self, relation: &str, page: u64) -> bool {
+            relation == self.relation && page == self.page
+        }
+    }
+
+    #[test]
+    fn one_quarantined_fact_page_fails_exactly_the_nodes_that_read_it() {
+        let (catalog, schema, prefix) = build_test_cube("guard_one_page");
+        let open =
+            || ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
+        let probe_cube = open();
+        let nodes = probe_cube.coder().num_nodes();
+        let reference: Vec<_> = (0..nodes).map(|n| probe_cube.node_query(n).unwrap()).collect();
+        let pages: Vec<BTreeSet<u64>> =
+            (0..nodes).map(|n| fact_access(&probe_cube, n).pages).collect();
+        // A sealed page that some nodes read and some do not.
+        let page = pages
+            .iter()
+            .flatten()
+            .copied()
+            .find(|p| pages.iter().any(|s| !s.contains(p)))
+            .expect("test cube has no page that only some nodes read");
+
+        // A fresh handle, so its fact cache starts cold.
+        let cube = open();
+        let quarantine = QuarantineOne { relation: cube.fact_relation(), page };
+        let guard = QueryGuard { deadline: None, quarantine: Some(&quarantine) };
+        let (mut answered, mut rejected) = (0, 0);
+        for node in 0..nodes {
+            let reads_page = pages[node as usize].contains(&page);
+            match cube.node_query_guarded(node, &guard) {
+                Ok(rows) => {
+                    assert!(!reads_page, "node {node} answered through quarantined page {page}");
+                    assert_eq!(rows, reference[node as usize], "node {node} diverged");
+                    answered += 1;
+                }
+                Err(CubeError::Storage(StorageError::CorruptPage {
+                    relation,
+                    page: p,
+                    detail,
+                })) => {
+                    assert!(reads_page, "node {node} rejected without reading page {page}");
+                    assert_eq!((relation, p), (cube.fact_relation(), page));
+                    assert!(detail.contains("quarantined"), "{detail}");
+                    rejected += 1;
+                }
+                Err(e) => panic!("node {node}: unexpected error {e}"),
+            }
+        }
+        assert!(answered > 0 && rejected > 0, "answered {answered}, rejected {rejected}");
+
+        // Every shard of the cache can hold every fact page, so a page
+        // loaded during the sweep is still resident; the quarantined one
+        // costs a page read now because it was never loaded.
+        let rows_per_page = cube.fact.rows_per_page() as u64;
+        let fact_cache = cube.fact_cache();
+        let per_shard = fact_cache.capacity() / fact_cache.num_shards();
+        assert!(per_shard as u64 > cube.fact.num_rows() / rows_per_page);
+        let mut buf = vec![0u8; cube.fact_schema.row_width()];
+        let mut page_reads_to_fetch = |p: u64| {
+            let before = catalog.stats().pages_read();
+            cube.fact.fetch_shared(p * rows_per_page, &cube.fact_cache, &mut buf).unwrap();
+            catalog.stats().pages_read() - before
+        };
+        let loaded = pages
+            .iter()
+            .filter(|s| !s.contains(&page))
+            .flatten()
+            .copied()
+            .next()
+            .expect("an answered node reads a sealed page");
+        assert_eq!(page_reads_to_fetch(loaded), 0, "page {loaded} was loaded by the sweep");
+        assert_eq!(page_reads_to_fetch(page), 1, "quarantined page {page} was loaded");
     }
 
     #[test]

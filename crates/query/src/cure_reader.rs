@@ -15,7 +15,10 @@
 //!   [`PlanSpec::path_to`] and projects each TT's source tuple.
 //!
 //! Fact-table and `AGGREGATES` fetches go through LRU page caches whose
-//! capacities are the knob of the paper's Figure 17 experiment.
+//! capacities are the knob of the paper's Figure 17 experiment. This
+//! handle fetches fact rows one at a time, in resolution order, so the
+//! cache sees the per-row access pattern that experiment measures (the
+//! concurrent handle gathers them page by page instead).
 //!
 //! The resolution semantics live in [`crate::resolve`], shared with the
 //! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube);
@@ -71,9 +74,14 @@ struct ExclusiveFetcher<'f> {
 }
 
 impl RowFetcher for ExclusiveFetcher<'_> {
-    fn fetch_fact(&mut self, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.stats.fact_fetches += 1;
-        self.fact.fetch_cached(rowid, self.fact_cache, buf)?;
+    /// One cache lookup per row, in input order: the per-row fact access
+    /// whose cache behaviour Figures 16 and 17 measure.
+    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        let w = self.fact.schema().row_width();
+        for (&rowid, row) in rowids.iter().zip(buf.chunks_exact_mut(w)) {
+            self.stats.fact_fetches += 1;
+            self.fact.fetch_cached(rowid, self.fact_cache, row)?;
+        }
         Ok(())
     }
 

@@ -4,10 +4,10 @@
 //! The cache read path resolves a node query by *searching*: it opens
 //! the node's NT relation from the catalog, re-reads CAT bitmap blobs,
 //! walks the plan path probing for TT relations — every query, every
-//! time — then funnels each fact fetch through a lock-guarded shared
-//! page cache. On an immutable post-build cube all of that work is
-//! invariant across queries, so [`MmapNodeIndex`] hoists it to open
-//! time:
+//! time — then gathers each source's fact rows page by page through a
+//! lock-guarded shared page cache, copying every row out of it. On an
+//! immutable post-build cube all of that work is invariant across
+//! queries, so [`MmapNodeIndex`] hoists it to open time:
 //!
 //! * group-by keys → node: the [`NodeCoder`] already encodes each
 //!   grouping combination as a dense node id, so the index is a flat
@@ -24,9 +24,10 @@
 //!
 //! A query is then O(probe + result): one array index, then exactly the
 //! row accesses its answer needs. Deadline and quarantine guards are
-//! enforced per fetch exactly as on the cache path, and every mmap
-//! access keeps the typed-corruption guarantee (a damaged page surfaces
-//! as [`StorageError::CorruptPage`], never as wrong rows).
+//! enforced before every row fetch (the cache path checks them before
+//! every page it gathers), and every mmap access keeps the
+//! typed-corruption guarantee (a damaged page surfaces as
+//! [`StorageError::CorruptPage`], never as wrong rows).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -153,7 +154,6 @@ impl MmapNodeIndex {
 
     /// Resolve the node's NT and CAT sources into `out` (the mmap
     /// counterpart of `resolve::scan_nt_cat`).
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_nt_cat(
         &self,

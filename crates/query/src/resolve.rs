@@ -8,10 +8,16 @@
 //! answer node queries with identical semantics: resolve NT rows against
 //! the fact table, CAT rows against `AGGREGATES`, and TT row-id lists
 //! along the execution-plan path (§5.1). This module holds that logic
-//! once. The two cube types differ only in *how a row is fetched* —
-//! which cache, which counters — so fetching is abstracted behind
-//! [`RowFetcher`] while everything else borrows through the read-only
-//! [`ResolveEnv`].
+//! once. The two cube types differ only in *how rows are fetched* —
+//! which cache, which counters, in which order — so fetching is
+//! abstracted behind [`RowFetcher`] while everything else borrows
+//! through the read-only [`ResolveEnv`].
+//!
+//! Each source (the NT relation, the CAT references, each TT on the plan
+//! path) hands all of its fact row-ids to one
+//! [`RowFetcher::fetch_facts`] call and then projects the rows in source
+//! order, so the answer is the same rows in the same order whichever
+//! order the fetcher reads the fact table in.
 
 use cure_core::meta::CubeMeta;
 use cure_core::sink::{
@@ -37,8 +43,10 @@ pub(crate) struct ResolveEnv<'e> {
 /// How rows are fetched: the only behavioural difference between the
 /// exclusive and concurrent paths.
 pub(crate) trait RowFetcher {
-    /// Fetch fact-table row `rowid` into `buf`, counting the fetch.
-    fn fetch_fact(&mut self, rowid: u64, buf: &mut [u8]) -> Result<()>;
+    /// Fetch fact-table rows `rowids` into `buf` (row `i` at
+    /// `buf[i * w..(i + 1) * w]`, `w` the fact row width), counting one
+    /// fetch per row.
+    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()>;
 
     /// Fetch `AGGREGATES` row `rowid` into `buf`, counting the fetch.
     fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()>;
@@ -66,6 +74,30 @@ impl<'e> ResolveEnv<'e> {
             .map(|m| Schema::read_i64_at(buf, self.fact_schema.offset(d + m)))
             .collect()
     }
+
+    /// Fetch the fact rows `rowids` in one batch, row `i` at
+    /// `[i * w..(i + 1) * w]` of the result.
+    fn fetch_facts(&self, fetcher: &mut impl RowFetcher, rowids: &[u64]) -> Result<Vec<u8>> {
+        let mut facts = vec![0u8; rowids.len() * self.fact_schema.row_width()];
+        fetcher.fetch_facts(rowids, &mut facts)?;
+        Ok(facts)
+    }
+
+    /// Fill `rows[i].0` with fact row `rowids[i]` projected onto the
+    /// node's levels.
+    fn project_facts(
+        &self,
+        fetcher: &mut impl RowFetcher,
+        levels: &[usize],
+        rowids: &[u64],
+        rows: &mut [CubeRow],
+    ) -> Result<()> {
+        let facts = self.fetch_facts(fetcher, rowids)?;
+        for (row, fact) in rows.iter_mut().zip(facts.chunks_exact(self.fact_schema.row_width())) {
+            row.0 = self.project(levels, fact);
+        }
+        Ok(())
+    }
 }
 
 /// Resolve the node's NT and CAT relations into `out`, dropping rows
@@ -79,7 +111,6 @@ pub(crate) fn scan_nt_cat(
     qualifier: Option<&BitmapIndex>,
 ) -> Result<()> {
     let y = env.schema.num_measures();
-    let mut fact_buf = vec![0u8; env.fact_schema.row_width()];
 
     let nt_name = nt_rel_name(&env.meta.prefix, node);
     if env.catalog.exists(&nt_name) {
@@ -96,6 +127,8 @@ pub(crate) fn scan_nt_cat(
                 out.push((dims, aggs));
             }
         } else {
+            let start = out.len();
+            let mut rowids = Vec::new();
             while let Some(row) = scan.next_row()? {
                 let rowid = Schema::read_u64_at(row, rs.offset(0));
                 if let Some(q) = qualifier {
@@ -105,9 +138,10 @@ pub(crate) fn scan_nt_cat(
                 }
                 let aggs: Vec<i64> =
                     (0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))).collect();
-                fetcher.fetch_fact(rowid, &mut fact_buf)?;
-                out.push((env.project(levels, &fact_buf), aggs));
+                rowids.push(rowid);
+                out.push((Vec::new(), aggs));
             }
+            env.project_facts(fetcher, levels, &rowids, &mut out[start..])?;
         }
     }
 
@@ -151,6 +185,8 @@ pub(crate) fn scan_nt_cat(
             .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES relation".into()))?;
         let aggs_rel_schema = aggregates.schema().clone();
         let mut agg_buf = vec![0u8; aggs_rel_schema.row_width()];
+        let start = out.len();
+        let mut rowids = Vec::new();
         for (rowid_opt, a_rowid) in refs {
             // Format (b) exposes the source row-id before any fetch;
             // reject non-qualifying rows without touching AGGREGATES.
@@ -187,9 +223,10 @@ pub(crate) fn scan_nt_cat(
                     continue;
                 }
             }
-            fetcher.fetch_fact(rowid, &mut fact_buf)?;
-            out.push((env.project(levels, &fact_buf), aggs));
+            rowids.push(rowid);
+            out.push((Vec::new(), aggs));
         }
+        env.project_facts(fetcher, levels, &rowids, &mut out[start..])?;
     }
     Ok(())
 }
@@ -205,7 +242,7 @@ pub(crate) fn scan_tts(
     out: &mut Vec<CubeRow>,
     qualifier: Option<&BitmapIndex>,
 ) -> Result<()> {
-    let mut fact_buf = vec![0u8; env.fact_schema.row_width()];
+    let w = env.fact_schema.row_width();
     for m in env.plan.path_to(node)? {
         let rowids: Vec<u64> = if env.meta.plus {
             let name = tt_bitmap_name(&env.meta.prefix, m);
@@ -235,10 +272,10 @@ pub(crate) fn scan_tts(
                 continue;
             }
         };
-        for rowid in rowids {
-            fetcher.fetch_fact(rowid, &mut fact_buf)?;
-            out.push((env.project(levels, &fact_buf), env.measures_of(&fact_buf)));
-        }
+        let facts = env.fetch_facts(fetcher, &rowids)?;
+        out.extend(
+            facts.chunks_exact(w).map(|fact| (env.project(levels, fact), env.measures_of(fact))),
+        );
     }
     Ok(())
 }

@@ -1,10 +1,11 @@
 //! Differential test for the zero-copy read path: for every relation of
 //! a built cube — in all three storage schemes (CURE, CURE+, CURE DR) —
-//! mmap reads and `fetch_shared` cache reads must return byte-identical
-//! rows, and the mmap query path must answer every node exactly like the
-//! cache query path. The two paths share nothing below the file: one
-//! goes through `pread` into a lock-guarded user-space cache, the other
-//! through a `MAP_SHARED` mapping, so byte equality here pins the mmap
+//! mmap reads, per-row `fetch_shared` cache reads and the page-ordered
+//! `gather_shared` batch must return byte-identical rows, and the mmap
+//! query path must answer every node exactly like the cache query path.
+//! The two paths share nothing below the file: one goes through `pread`
+//! into a lock-guarded user-space cache, the other through a
+//! `MAP_SHARED` mapping, so byte equality here pins the mmap
 //! implementation to the storage engine's on-disk format.
 
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use cure_core::meta::CubeMeta;
 use cure_core::sink::{DiskSink, RowResolver};
 use cure_core::{CubeSchema, Dimension, Tuples};
 use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
-use cure_storage::{Catalog, MmapRelation, SharedBufferCache};
+use cure_storage::{Catalog, MmapRelation, SharedBufferCache, StorageError};
 
 fn make_schema() -> CubeSchema {
     let a = Dimension::linear(
@@ -97,7 +98,8 @@ fn build_variant(dr: bool, plus: bool, tag: &str) -> (Arc<Catalog>, Arc<CubeSche
     (Arc::new(catalog), Arc::new(schema))
 }
 
-/// Every row of every relation, byte-for-byte: mmap vs `fetch_shared`.
+/// Every row of every relation, byte-for-byte: mmap vs `fetch_shared`
+/// vs one `gather_shared` of all rows in a scrambled order.
 fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
     let relations = catalog.list().unwrap();
     assert!(!relations.is_empty(), "{tag}: catalog has no relations");
@@ -115,6 +117,19 @@ fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
                 &buf[..],
                 &row[..],
                 "{tag}/{name}: row {rowid} bytes diverge between cache and mmap"
+            );
+        }
+        // Odd strides visit the pages out of order and revisit them.
+        let n = heap.num_rows();
+        let rowids: Vec<u64> = (0..n).map(|i| (i * 7919 + 13) % n).collect();
+        let w = heap.schema().row_width();
+        let mut gathered = vec![0u8; rowids.len() * w];
+        heap.gather_shared(&rowids, &cache, &mut gathered, |_| Ok::<(), StorageError>(())).unwrap();
+        for (i, &rowid) in rowids.iter().enumerate() {
+            assert_eq!(
+                &gathered[i * w..(i + 1) * w],
+                &mapped.row(rowid).unwrap()[..],
+                "{tag}/{name}: row {rowid} bytes diverge between gather and mmap"
             );
         }
     }

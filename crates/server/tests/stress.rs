@@ -1,7 +1,8 @@
 //! Multi-threaded serving stress test: the same workload answered by
 //! [`CubeService`] from 8 worker threads must be byte-identical to the
 //! single-threaded [`CureCube`] path, and the shared cache's accounting
-//! must balance exactly (every fact fetch is one hit or one miss).
+//! must balance exactly (every cache access is one hit or one miss, and
+//! the accesses are the ones a single-threaded replay makes).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use std::sync::Arc;
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::sink::DiskSink;
 use cure_core::{CubeSchema, Dimension, NodeId, Tuples};
-use cure_query::{CacheConfig, CubeRow, CureCube};
+use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube};
 use cure_serve::workload::NodeSampler;
 use cure_serve::{CubeService, NodePopularity, WorkerPool};
 use cure_storage::Catalog;
@@ -78,21 +79,15 @@ fn eight_threads_match_single_threaded_reference_exactly() {
     let (catalog, schema, prefix) = build_cube("match");
 
     // Deterministic 1,000-query workload over the whole lattice.
-    let service = CubeService::open(
-        Arc::clone(&catalog),
-        Arc::clone(&schema),
-        &prefix,
-        CacheConfig { fact_pages: 256, agg_pages: 64, shards: 8 },
-    )
-    .unwrap();
+    let caches = CacheConfig { fact_pages: 256, agg_pages: 64, shards: 8 };
+    let service =
+        CubeService::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix, caches).unwrap();
     let mut sampler = NodeSampler::new(service.num_nodes(), NodePopularity::Uniform, 99).unwrap();
     let workload: Vec<NodeId> = (0..1_000).map(|_| sampler.next_node()).collect();
 
     // Reference: replay the *full* workload through the exclusive
     // single-threaded path, capturing both the expected answers and the
-    // expected counter totals (fetch counts are a property of the
-    // workload, and cache *accesses* — hits + misses — are too, since
-    // every non-tail fetch is exactly one access regardless of eviction).
+    // expected fetch counts (a property of the workload).
     let mut reference: BTreeMap<NodeId, Vec<CubeRow>> = BTreeMap::new();
     let ref_stats = {
         let mut exclusive = CureCube::open(&catalog, &schema, &prefix).unwrap();
@@ -102,6 +97,22 @@ fn eight_threads_match_single_threaded_reference_exactly() {
         }
         exclusive.stats().clone()
     };
+    // The cache *accesses* — hits + misses — of the concurrent path are a
+    // property of the workload too: each query gathers a source's fact
+    // rows with one access per distinct sealed page and fetches each
+    // non-tail `AGGREGATES` row with one access, whatever the eviction.
+    // A single-threaded replay on a fresh concurrent handle counts them.
+    let replay = ConcurrentCube::open_with_caches(
+        Arc::clone(&catalog),
+        Arc::clone(&schema),
+        &prefix,
+        caches,
+    )
+    .unwrap();
+    for &node in &workload {
+        replay.node_query(node).unwrap();
+    }
+    let (replay_facts, replay_aggs) = (replay.fact_cache(), replay.agg_cache());
 
     // Serve the same workload from 8 threads; compare every reply in the
     // worker itself so mismatches fail loudly with the node id.
@@ -127,20 +138,19 @@ fn eight_threads_match_single_threaded_reference_exactly() {
 
     // Shared-cache accounting balances exactly even under 8-way
     // contention: the concurrent path did the same fetches as the
-    // single-threaded replay, and every non-tail fetch was exactly one
-    // hit or one miss (rows in a heap file's in-memory tail page are
-    // served without a cache access on both paths, so the access totals
-    // match the reference rather than the raw fetch counts).
+    // exclusive reference and the same cache accesses as the
+    // single-threaded replay.
     let stats = service.cube().stats_snapshot();
     assert_eq!(stats.queries, 1_000);
     assert_eq!(stats.fact_fetches, ref_stats.fact_fetches);
     assert_eq!(stats.agg_fetches, ref_stats.agg_fetches);
     assert_eq!(
         stats.fact_cache_hits + stats.fact_cache_misses,
-        ref_stats.fact_cache_hits + ref_stats.fact_cache_misses
+        replay_facts.hits() + replay_facts.misses()
     );
     assert!(stats.fact_cache_hits + stats.fact_cache_misses <= stats.fact_fetches);
     let agg = service.cube().agg_cache();
+    assert_eq!(agg.hits() + agg.misses(), replay_aggs.hits() + replay_aggs.misses());
     assert!(agg.hits() + agg.misses() <= stats.agg_fetches);
 
     // The per-shard breakdown sums to the global counters.

@@ -691,6 +691,95 @@ impl HeapFile {
         )
     }
 
+    /// Fetch many rows through a [`SharedBufferCache`](crate::shared_cache::SharedBufferCache),
+    /// visiting each distinct page once.
+    ///
+    /// Row `rowids[i]` is copied to `out[i * w..(i + 1) * w]` (`w` the row
+    /// width), so callers see rows in input order while the file is read
+    /// in page order: row-ids are bucketed by page with a counting sort
+    /// (O(n + pages spanned)), then every page costs one shard lock, one
+    /// LRU lookup and, on a miss, one checksum-verified load. Rows in the
+    /// in-memory tail page are served without I/O, as in
+    /// [`fetch_shared`](Self::fetch_shared). Duplicate row-ids are allowed.
+    ///
+    /// `before_page(page_no)` runs before each page (the tail included)
+    /// is touched; its error aborts the gather, so a caller can stop
+    /// between pages. Every row-id is bounds-checked before any page is
+    /// read.
+    pub fn gather_shared<E: From<StorageError>>(
+        &self,
+        rowids: &[RowId],
+        cache: &crate::shared_cache::SharedBufferCache,
+        out: &mut [u8],
+        mut before_page: impl FnMut(u64) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let w = self.schema.row_width();
+        if out.len() != rowids.len() * w {
+            return Err(StorageError::Layout(format!(
+                "gather_shared: buffer {} bytes, {} rows of width {w}",
+                out.len(),
+                rowids.len()
+            ))
+            .into());
+        }
+        let num_rows = self.num_rows();
+        let rpp = self.rows_per_page as u64;
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for &rowid in rowids {
+            if rowid >= num_rows {
+                return Err(StorageError::RowOutOfBounds { rowid, num_rows }.into());
+            }
+            lo = lo.min(rowid / rpp);
+            hi = hi.max(rowid / rpp);
+        }
+        if rowids.is_empty() {
+            return Ok(());
+        }
+        // Counting sort of input positions by page: `ends[b]` starts as
+        // bucket b's first slot in `order` and ends one past its last.
+        let span = (hi - lo + 1) as usize;
+        let mut ends = vec![0usize; span + 1];
+        for &rowid in rowids {
+            ends[(rowid / rpp - lo) as usize + 1] += 1;
+        }
+        for b in 1..=span {
+            ends[b] += ends[b - 1];
+        }
+        let mut order = vec![0usize; rowids.len()];
+        for (i, &rowid) in rowids.iter().enumerate() {
+            let b = (rowid / rpp - lo) as usize;
+            order[ends[b]] = i;
+            ends[b] += 1;
+        }
+        let copy_rows = |page: &Page, slots: &[usize], out: &mut [u8]| {
+            for &i in slots {
+                let slot = (rowids[i] % rpp) as usize;
+                out[i * w..(i + 1) * w].copy_from_slice(page.row(w, slot));
+            }
+        };
+        let mut begin = 0;
+        for (b, &end) in ends[..span].iter().enumerate() {
+            if begin == end {
+                continue;
+            }
+            let slots = &order[begin..end];
+            begin = end;
+            let page_no = lo + b as u64;
+            before_page(page_no)?;
+            if page_no == self.full_pages {
+                copy_rows(&self.tail, slots, out);
+            } else {
+                cache.with_page_or_load(
+                    self.file_id,
+                    page_no,
+                    || self.read_page(page_no),
+                    |page| copy_rows(page, slots, out),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
     /// Decoded convenience fetch (tests and examples).
     pub fn fetch_values(&self, rowid: RowId) -> Result<Vec<Value>> {
         let mut buf = vec![0u8; self.schema.row_width()];
@@ -1303,6 +1392,111 @@ mod tests {
             HeapFile::open_report_with_policy(&path, small_schema(), policy).unwrap();
         assert!(repair.is_none(), "transient read fault must not trigger a repair: {repair:?}");
         assert_eq!(hf.num_rows(), total as u64, "no rows may be dropped");
+    }
+
+    /// Three sealed pages plus a partial tail page; row `i` is `(i, i)`.
+    fn gather_fixture(tag: &str) -> (HeapFile, u64) {
+        let path = tmpdir().join(format!("gather_{tag}.heap"));
+        let rows_per_page = Page::capacity(12) as u32;
+        write_rows(&path, rows_per_page * 3 + 17);
+        (HeapFile::open(&path, small_schema()).unwrap(), rows_per_page as u64)
+    }
+
+    fn gather(
+        hf: &HeapFile,
+        rowids: &[RowId],
+        cache: &crate::shared_cache::SharedBufferCache,
+        pages: &mut Vec<u64>,
+    ) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; rowids.len() * hf.schema().row_width()];
+        hf.gather_shared(rowids, cache, &mut out, |p| {
+            pages.push(p);
+            Ok::<(), StorageError>(())
+        })?;
+        Ok(out)
+    }
+
+    #[test]
+    fn gather_returns_rows_in_input_order_one_visit_per_page() {
+        use crate::shared_cache::SharedBufferCache;
+        let (hf, rpp) = gather_fixture("order");
+        let w = hf.schema().row_width();
+        // Descending, interleaved across pages, with duplicates and rows
+        // on the in-memory tail page (page 3).
+        let rowids: Vec<RowId> =
+            vec![3 * rpp + 16, 5, 2 * rpp + 1, 5, rpp, 3 * rpp, 0, 2 * rpp + 1, rpp - 1, 3 * rpp];
+        for capacity in [0usize, 1, 64] {
+            let cache = SharedBufferCache::new(capacity, 2);
+            let mut pages = Vec::new();
+            let out = gather(&hf, &rowids, &cache, &mut pages).unwrap();
+            for (i, &rowid) in rowids.iter().enumerate() {
+                let mut expect = vec![0u8; w];
+                hf.fetch_into(rowid, &mut expect).unwrap();
+                assert_eq!(&out[i * w..(i + 1) * w], &expect[..], "cap {capacity}: row {i}");
+            }
+            assert_eq!(pages, vec![0, 1, 2, 3], "cap {capacity}: each page once, in page order");
+            // One cache access per distinct sealed page; the tail is
+            // served without one.
+            assert_eq!(cache.hits() + cache.misses(), 3, "cap {capacity}");
+        }
+    }
+
+    #[test]
+    fn gather_of_nothing_touches_nothing() {
+        use crate::shared_cache::SharedBufferCache;
+        let (hf, _) = gather_fixture("empty");
+        let cache = SharedBufferCache::new(4, 1);
+        let mut pages = Vec::new();
+        let before = hf.pages_read();
+        assert!(gather(&hf, &[], &cache, &mut pages).unwrap().is_empty());
+        assert!(pages.is_empty());
+        assert_eq!((hf.pages_read(), cache.hits() + cache.misses()), (before, 0));
+    }
+
+    #[test]
+    fn gather_rejects_bad_input_before_reading_a_page() {
+        use crate::shared_cache::SharedBufferCache;
+        let (hf, _) = gather_fixture("reject");
+        let cache = SharedBufferCache::new(4, 1);
+        let before = hf.pages_read();
+        let n = hf.num_rows();
+        let mut pages = Vec::new();
+        let err = gather(&hf, &[0, 1, n, 2], &cache, &mut pages).unwrap_err();
+        assert!(
+            matches!(err, StorageError::RowOutOfBounds { rowid, num_rows: m } if rowid == n && m == n),
+            "got {err:?}"
+        );
+        let mut short = vec![0u8; 1];
+        let err = hf
+            .gather_shared(&[0, 1], &cache, &mut short, |p| {
+                pages.push(p);
+                Ok::<(), StorageError>(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Layout(_)), "got {err:?}");
+        assert!(pages.is_empty(), "no page may be touched: {pages:?}");
+        assert_eq!((hf.pages_read(), cache.hits() + cache.misses()), (before, 0));
+    }
+
+    #[test]
+    fn gather_stops_at_the_first_refused_page() {
+        use crate::shared_cache::SharedBufferCache;
+        let (hf, rpp) = gather_fixture("refuse");
+        let cache = SharedBufferCache::new(4, 1);
+        let before = hf.pages_read();
+        let mut out = vec![0u8; 3 * hf.schema().row_width()];
+        let err = hf
+            .gather_shared(&[2 * rpp, 0, rpp], &cache, &mut out, |p| {
+                if p == 1 {
+                    Err(StorageError::Corrupt(format!("refused page {p}")))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(ref m) if m == "refused page 1"), "{err:?}");
+        // Page 0 was read; pages 1 and 2 never were.
+        assert_eq!(hf.pages_read(), before + 1);
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //! makes the measured construction costs attributable to the cubing
 //! algorithms rather than to engine concurrency artifacts. Query *serving*
 //! is concurrent: heap files are readable through `&self`
-//! ([`heap::HeapFile::fetch_shared`]) and pages are shared across worker
-//! threads via the sharded [`shared_cache::SharedBufferCache`].
+//! ([`heap::HeapFile::fetch_shared`] for one row,
+//! [`heap::HeapFile::gather_shared`] for a page-ordered batch) and pages
+//! are shared across worker threads via the sharded
+//! [`shared_cache::SharedBufferCache`].
 
 pub mod bitmap;
 pub mod cache;

@@ -7,7 +7,9 @@
 //! serialize every page access; instead the [`SharedBufferCache`] splits
 //! capacity across N independently locked shards, selected by a hash of
 //! `(file_id, page_no)`. Shard locks are only held for the duration of a
-//! page lookup plus a row copy, so threads touching different shards
+//! page lookup plus copying the rows a caller needs from that page (one
+//! row for `HeapFile::fetch_shared`, every requested row on the page for
+//! `HeapFile::gather_shared`), so threads touching different shards
 //! proceed in parallel.
 //!
 //! Hit/miss counters are additionally mirrored into lock-free atomics so
@@ -85,7 +87,10 @@ impl SharedBufferCache {
 
     /// Run `f` on the page `(file_id, page_no)`, loading it via `load` on
     /// a miss. The owning shard's lock is held while `f` runs, so keep
-    /// `f` to a row copy.
+    /// `f` to row copies.
+    ///
+    /// The global counters mirror the shard's exactly: a miss whose
+    /// `load` fails still counts as one miss in both.
     pub fn with_page_or_load<T>(
         &self,
         file_id: u64,
@@ -95,14 +100,13 @@ impl SharedBufferCache {
     ) -> Result<T> {
         let mut shard = self.shard_for(file_id, page_no).lock();
         let before_hits = shard.hits();
-        let page = shard.get_or_load(file_id, page_no, load)?;
-        let out = f(page);
+        let out = shard.get_or_load(file_id, page_no, load).map(f);
         if shard.hits() > before_hits {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(out)
+        out
     }
 
     /// Evict one page from the cache, if resident. Returns whether an
@@ -238,6 +242,28 @@ mod tests {
         assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         let shard_totals: u64 = cache.shard_stats().iter().map(|s| s.hits + s.misses).sum();
         assert_eq!(shard_totals, 30);
+    }
+
+    #[test]
+    fn failed_load_counts_one_miss_globally_and_per_shard() {
+        let cache = SharedBufferCache::new(16, 4);
+        let err = cache
+            .with_page_or_load(
+                1,
+                3,
+                || Err(crate::error::StorageError::Corrupt("injected".into())),
+                |_| (),
+            )
+            .unwrap_err();
+        assert!(matches!(err, crate::error::StorageError::Corrupt(_)));
+        let shard_misses: u64 = cache.shard_stats().iter().map(|s| s.misses).sum();
+        let shard_hits: u64 = cache.shard_stats().iter().map(|s| s.hits).sum();
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!((shard_hits, shard_misses), (0, 1));
+        // The failed page was not cached: the retry loads again.
+        cache.with_page_or_load(1, 3, || Ok(page_with_marker(3)), |_| ()).unwrap();
+        let shard_misses: u64 = cache.shard_stats().iter().map(|s| s.misses).sum();
+        assert_eq!((cache.misses(), shard_misses), (2, 2));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 use std::cmp::Ordering;
 
 use cure_storage::sort::{ExternalSorter, RowCmp};
-use cure_storage::{BitmapIndex, Catalog, ColType, Column, HeapFile, Page, Schema, Value};
+use cure_storage::{
+    BitmapIndex, Catalog, ColType, Column, HeapFile, Page, Schema, SharedBufferCache, StorageError,
+    Value,
+};
 use proptest::prelude::*;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -73,6 +76,50 @@ proptest! {
             prop_assert_eq!(vals[0], Value::U32(rows[probe].0));
             prop_assert_eq!(vals[1], Value::I64(rows[probe].1));
         }
+    }
+
+    /// The batched gather returns exactly what per-row `fetch_shared`
+    /// does, in input order, for any row-id vector (duplicates, tail
+    /// rows, any order) and any cache size, and it looks each distinct
+    /// sealed page up exactly once.
+    #[test]
+    fn gather_matches_per_row_fetch(
+        total in 1u64..3_000,
+        picks in proptest::collection::vec(any::<u64>(), 0..300),
+        capacity in 0usize..4,
+        shards in 1usize..4,
+    ) {
+        let path = tmp("gather").join("g.heap");
+        let schema = Schema::new(vec![
+            Column::new("k", ColType::U32),
+            Column::new("v", ColType::I64),
+        ]);
+        let mut hf = HeapFile::create(&path, schema.clone()).unwrap();
+        for i in 0..total {
+            hf.append(&[Value::U32(i as u32), Value::I64(-(i as i64))]).unwrap();
+        }
+        hf.flush().unwrap();
+        // Reopened, a partial last page is the in-memory tail and every
+        // full page is sealed.
+        let hf = HeapFile::open(&path, schema).unwrap();
+        let rowids: Vec<u64> = picks.iter().map(|p| p % total).collect();
+        let w = hf.schema().row_width();
+        let cache = SharedBufferCache::new(capacity, shards);
+        let mut out = vec![0u8; rowids.len() * w];
+        hf.gather_shared(&rowids, &cache, &mut out, |_| Ok::<(), StorageError>(())).unwrap();
+        let per_row = SharedBufferCache::new(capacity, shards);
+        let mut expect = vec![0u8; w];
+        for (i, &rowid) in rowids.iter().enumerate() {
+            hf.fetch_shared(rowid, &per_row, &mut expect).unwrap();
+            prop_assert_eq!(&out[i * w..(i + 1) * w], &expect[..], "row {} (id {})", i, rowid);
+        }
+        let rpp = hf.rows_per_page() as u64;
+        let sealed = total / rpp;
+        let mut pages: Vec<u64> =
+            rowids.iter().map(|r| r / rpp).filter(|&p| p < sealed).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        prop_assert_eq!(cache.hits() + cache.misses(), pages.len() as u64);
     }
 
     /// External sorter output equals std sort for any input and any
@@ -224,6 +271,45 @@ mod fault_injection {
         })
         .unwrap();
         assert_eq!(seen, rows);
+    }
+
+    /// A bit flipped in a page image on its way in surfaces from the
+    /// batched gather as a typed `CorruptPage` — never as wrong rows —
+    /// and the damaged image is not cached, so the next gather reads the
+    /// page again and serves it clean.
+    #[test]
+    fn gather_surfaces_a_flipped_bit_as_corrupt_page() {
+        use cure_storage::io::ReadFaultKind;
+        use cure_storage::{SharedBufferCache, StorageError};
+
+        let path = fresh_path("gather_flip");
+        let mut heap = HeapFile::create(&path, schema()).unwrap();
+        let rpp = heap.rows_per_page() as u64;
+        for i in 0..rpp * 2 + 5 {
+            heap.append_raw(&row_bytes(i)).unwrap();
+        }
+        heap.flush().unwrap();
+        drop(heap);
+        let counting = Arc::new(FaultInjector::counting());
+        drop(HeapFile::open_with_policy(&path, schema(), counting.clone()).unwrap());
+        // Flip a bit in the first page read after open: the gather reads
+        // page 0 first, whatever the input order.
+        let policy =
+            Arc::new(FaultInjector::fail_nth_read(counting.reads(), ReadFaultKind::FlipBit));
+        let heap = HeapFile::open_with_policy(&path, schema(), policy).unwrap();
+        let rowids = [rpp + 3, 2, rpp * 2 + 1, 0];
+        let cache = SharedBufferCache::new(8, 2);
+        let mut out = vec![0u8; rowids.len() * 12];
+        let err = heap
+            .gather_shared(&rowids, &cache, &mut out, |_| Ok::<(), StorageError>(()))
+            .unwrap_err();
+        assert!(matches!(err, StorageError::CorruptPage { page: 0, .. }), "got {err:?}");
+        let shard_misses: u64 = cache.shard_stats().iter().map(|s| s.misses).sum();
+        assert_eq!((cache.misses(), shard_misses), (1, 1));
+        heap.gather_shared(&rowids, &cache, &mut out, |_| Ok::<(), StorageError>(())).unwrap();
+        for (i, &rowid) in rowids.iter().enumerate() {
+            assert_eq!(&out[i * 12..(i + 1) * 12], &row_bytes(rowid)[..], "row {rowid}");
+        }
     }
 
     proptest! {
