@@ -36,6 +36,8 @@
 //! The active-cube pointer itself is a small catalog blob replaced via
 //! `atomic_write`, so readers never observe a torn prefix name.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;

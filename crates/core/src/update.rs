@@ -26,21 +26,33 @@
 //! design for free.
 //!
 //! The merged cube is written under a **new prefix** (immutable-update
-//! style); the caller can drop the old relations afterwards. Cost is
-//! `O(cube size + |delta| · nodes)`, independent of `|R|`.
+//! style); the caller can drop the old relations afterwards.
+//!
+//! **Cost.** Classification needs the leaf values of every row-id the old
+//! cube stores. The walk reads the fact relation (which already holds the
+//! delta) once, sequentially, into two dense columns indexed by row-id:
+//! leaf values and measures, `|R|·(4d + 8y)` bytes. Each old node's
+//! relations are then read once, in stored order, into reused buffers,
+//! and each stored row-id is projected into one reused key buffer that
+//! probes the node's delta map. Carrying an old group therefore costs no
+//! heap allocation, and the walk is `O(|R| + cube size + |delta| ·
+//! nodes)`, the `|R|` term being one sequential scan.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cure_storage::hash::FxHashMap;
-use cure_storage::Catalog;
+use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema, StorageError};
 
+use crate::aggfn::AggFn;
 use crate::cube::CubeConfig;
 use crate::error::{CubeError, Result};
-use crate::hierarchy::CubeSchema;
+use crate::hierarchy::{CubeSchema, LevelIdx};
 use crate::lattice::{NodeCoder, NodeId};
 use crate::meta::CubeMeta;
 use crate::plan::PlanSpec;
 use crate::reference;
 use crate::signature::SignaturePool;
-use crate::sink::CubeSink;
+use crate::sink::{CatFormat, CubeSink};
 use crate::tuples::Tuples;
 
 /// Statistics of an incremental update.
@@ -59,49 +71,117 @@ pub struct UpdateReport {
     pub new_groups: u64,
 }
 
-/// A read-back logical group of an existing cube node.
-struct OldGroup {
-    aggs: Vec<i64>,
-    min_rowid: u64,
+/// The fact relation as two dense columns indexed by row-id: `d` leaf
+/// dimension values and `y` measures per row.
+struct FactColumns {
+    rows: u64,
+    d: usize,
+    y: usize,
+    leaf: Vec<u32>,
+    measures: Vec<i64>,
 }
 
-/// Reads the logical contents of an existing cube node, split into
-/// non-trivial groups (keyed by grouping values) and the TT row-ids stored
-/// *at* the node (not the shared ones from ancestors — those are carried
-/// by the DFS).
-trait OldCubeAccess {
-    fn non_trivial_groups(&mut self, node: NodeId) -> Result<FxHashMap<Vec<u32>, OldGroup>>;
-    fn own_tts(&mut self, node: NodeId) -> Result<Vec<u64>>;
-    /// Leaf dimension values + measures of an original fact tuple.
-    fn fact_row(&mut self, rowid: u64) -> Result<(Vec<u32>, Vec<i64>)>;
+impl FactColumns {
+    /// Fill the columns with one sequential, CRC-verified scan.
+    fn load(fact: &HeapFile, d: usize, y: usize) -> Result<Self> {
+        let fs = fact.schema();
+        if fs.arity() != d + y {
+            return Err(CubeError::Schema(format!(
+                "fact relation has {} columns, expected {}",
+                fs.arity(),
+                d + y
+            )));
+        }
+        let n = fact.num_rows() as usize;
+        let mut leaf = Vec::with_capacity(n * d);
+        let mut measures = Vec::with_capacity(n * y);
+        let rows = fact.for_each_row(|_, row| {
+            leaf.extend((0..d).map(|i| Schema::read_u32_at(row, fs.offset(i))));
+            measures.extend((0..y).map(|m| Schema::read_i64_at(row, fs.offset(d + m))));
+        })?;
+        Ok(FactColumns { rows, d, y, leaf, measures })
+    }
+
+    /// Position of `rowid`; a typed error when the relation does not hold
+    /// it (a damaged cube, or a delta that was never appended).
+    fn index(&self, rowid: u64) -> Result<usize> {
+        if rowid < self.rows {
+            Ok(rowid as usize)
+        } else {
+            Err(StorageError::RowOutOfBounds { rowid, num_rows: self.rows }.into())
+        }
+    }
+
+    fn leaf(&self, rowid: u64) -> Result<&[u32]> {
+        let i = self.index(rowid)?;
+        Ok(&self.leaf[i * self.d..(i + 1) * self.d])
+    }
+
+    fn measures(&self, rowid: u64) -> Result<&[i64]> {
+        let i = self.index(rowid)?;
+        Ok(&self.measures[i * self.y..(i + 1) * self.y])
+    }
 }
 
-/// Access to an old cube through the catalog relations.
+/// Projects leaf tuples onto one node's grouping values (its non-ALL
+/// dimensions, in dimension order) through one reused key buffer.
+struct Projector<'s> {
+    schema: &'s CubeSchema,
+    grouped: Vec<(usize, LevelIdx)>,
+    key: Vec<u32>,
+}
+
+impl<'s> Projector<'s> {
+    fn new(schema: &'s CubeSchema) -> Self {
+        Projector { schema, grouped: Vec::new(), key: Vec::new() }
+    }
+
+    fn set_node(&mut self, coder: &NodeCoder, levels: &[LevelIdx]) {
+        self.grouped.clear();
+        self.grouped.extend(
+            (0..self.schema.num_dims())
+                .filter(|&d| !coder.is_all(levels, d))
+                .map(|d| (d, levels[d])),
+        );
+    }
+
+    fn key(&mut self, leaf: &[u32]) -> &[u32] {
+        let dims = self.schema.dims();
+        self.key.clear();
+        self.key.extend(self.grouped.iter().map(|&(d, l)| dims[d].value_at(l, leaf[d])));
+        &self.key
+    }
+}
+
+/// `out = a ⊕ b` under the schema's aggregate functions, in a reused buffer.
+fn merge_into(out: &mut Vec<i64>, fns: &[AggFn], a: &[i64], b: &[i64]) {
+    out.clear();
+    out.extend_from_slice(a);
+    AggFn::merge_all(fns, out, b);
+}
+
+/// Read-back of an existing cube: its node relations through the catalog,
+/// its fact rows through dense [`FactColumns`]. Each node's contents are
+/// split into non-trivial groups and the TT row-ids stored *at* the node
+/// (not the shared ones from ancestors — those are carried by the DFS).
 struct DiskOldCube<'a> {
     catalog: &'a Catalog,
-    schema: &'a CubeSchema,
     meta: CubeMeta,
-    coder: NodeCoder,
-    fact: cure_storage::HeapFile,
-    fact_schema: cure_storage::Schema,
-    aggregates: Option<cure_storage::HeapFile>,
-    /// Memoized fact rows. Every node of the lattice re-resolves the
-    /// row-ids its groups reference, so without this the walk performs
-    /// one random fact fetch *per group row per node* — the dominant cost
-    /// of an update by far. The cache is bounded by the distinct row-ids
-    /// the cube references (≤ |R|).
-    fact_cache: FxHashMap<u64, (Vec<u32>, Vec<i64>)>,
-    fact_buf: Vec<u8>,
-    /// Page cache for the random fetches into the fact and `AGGREGATES`
-    /// relations. `fetch_into` re-reads (and re-checksums) a whole page
-    /// per row, which at cube scale means hundreds of thousands of
-    /// redundant page reads; build order gives both relations strong
-    /// locality, so a small LRU absorbs almost all of them.
-    pages: cure_storage::BufferCache,
+    y: usize,
+    facts: FactColumns,
+    aggregates: Option<HeapFile>,
+    /// Page LRU for the `AGGREGATES` fetches behind CAT rows; each node's
+    /// references are sorted into `AGGREGATES` order, so a small cache
+    /// absorbs almost every repeated page read.
+    pages: BufferCache,
+    agg_buf: Vec<u8>,
+    /// A node's CAT references: (fact row-id when the CAT row holds it,
+    /// `AGGREGATES` row-id).
+    cat_refs: Vec<(Option<u64>, u64)>,
 }
 
 impl<'a> DiskOldCube<'a> {
-    fn open(catalog: &'a Catalog, schema: &'a CubeSchema, prefix: &str) -> Result<Self> {
+    fn open(catalog: &'a Catalog, schema: &CubeSchema, prefix: &str) -> Result<Self> {
         let meta = CubeMeta::read(catalog, prefix)?;
         if meta.dr {
             return Err(CubeError::Config(
@@ -114,166 +194,125 @@ impl<'a> DiskOldCube<'a> {
                 "incremental update requires a complete (non-iceberg) cube".into(),
             ));
         }
-        let fact = catalog.open_relation(&meta.fact_rel)?;
-        let fact_schema = fact.schema().clone();
+        let y = schema.num_measures();
+        let facts =
+            FactColumns::load(&catalog.open_relation(&meta.fact_rel)?, schema.num_dims(), y)?;
         let agg_name = crate::sink::aggregates_rel_name(prefix);
         let aggregates =
             if catalog.exists(&agg_name) { Some(catalog.open_relation(&agg_name)?) } else { None };
-        let row_width = fact_schema.row_width();
+        let agg_buf = vec![0u8; aggregates.as_ref().map_or(0, |a| a.schema().row_width())];
         Ok(DiskOldCube {
             catalog,
-            schema,
             meta,
-            coder: NodeCoder::new(schema),
-            fact,
-            fact_schema,
+            y,
+            facts,
             aggregates,
-            fact_cache: FxHashMap::default(),
-            fact_buf: vec![0u8; row_width],
-            pages: cure_storage::BufferCache::new(1024),
+            pages: BufferCache::new(1024),
+            agg_buf,
+            cat_refs: Vec::new(),
         })
     }
 
-    fn project(&self, levels: &[usize], leaf: &[u32]) -> Vec<u32> {
-        self.schema
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| !self.coder.is_all(levels, *d))
-            .map(|(d, dim)| dim.value_at(levels[d], leaf[d]))
-            .collect()
-    }
-}
-
-impl OldCubeAccess for DiskOldCube<'_> {
-    fn non_trivial_groups(&mut self, node: NodeId) -> Result<FxHashMap<Vec<u32>, OldGroup>> {
-        use cure_storage::Schema;
-        let levels = self.coder.decode(node)?;
-        let y = self.schema.num_measures();
-        let mut out: FxHashMap<Vec<u32>, OldGroup> = FxHashMap::default();
-        // NT rows.
+    /// The node's non-trivial groups in stored order — NT rows, then CAT
+    /// rows in `AGGREGATES` order — as their row-ids and flat aggregates
+    /// (`y` per group). Non-trivial groups are unique per key in a node.
+    fn non_trivial_groups(
+        &mut self,
+        node: NodeId,
+        rowids: &mut Vec<u64>,
+        aggs: &mut Vec<i64>,
+    ) -> Result<()> {
+        rowids.clear();
+        aggs.clear();
+        let y = self.y;
         let nt_name = crate::sink::nt_rel_name(&self.meta.prefix, node);
-        let mut pending: Vec<(u64, Vec<i64>)> = Vec::new();
         if self.catalog.exists(&nt_name) {
             let rel = self.catalog.open_relation(&nt_name)?;
-            let rs = rel.schema().clone();
-            let mut scan = rel.scan();
-            while let Some(row) = scan.next_row()? {
-                let rowid = Schema::read_u64_at(row, rs.offset(0));
-                let aggs: Vec<i64> =
-                    (0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))).collect();
-                pending.push((rowid, aggs));
-            }
+            let rs = rel.schema();
+            rel.for_each_row(|_, row| {
+                rowids.push(Schema::read_u64_at(row, rs.offset(0)));
+                aggs.extend((0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))));
+            })?;
         }
         // CAT rows (CURE+ format-(a) cubes store them as bitmap blobs).
         let cat_name = crate::sink::cat_rel_name(&self.meta.prefix, node);
         let cat_bm_name = crate::sink::cat_bitmap_name(&self.meta.prefix, node);
         let bitmap_cats = self.meta.plus && self.catalog.blob_exists(&cat_bm_name);
-        if bitmap_cats || self.catalog.exists(&cat_name) {
-            let format = self
-                .meta
-                .cat_format
-                .ok_or_else(|| CubeError::Schema("CAT relation without a format in meta".into()))?;
-            let aggrel = self
-                .aggregates
-                .as_ref()
-                .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES".into()))?;
-            let ars = aggrel.schema().clone();
-            let mut agg_buf = vec![0u8; ars.row_width()];
-            let mut refs: Vec<(Option<u64>, u64)> = Vec::new();
-            if bitmap_cats {
-                let bm =
-                    cure_storage::BitmapIndex::from_bytes(&self.catalog.read_blob(&cat_bm_name)?)?;
-                refs.extend(bm.iter().map(|a| (None, a)));
-            } else {
-                let rel = self.catalog.open_relation(&cat_name)?;
-                let rs = rel.schema().clone();
-                let mut scan = rel.scan();
-                while let Some(row) = scan.next_row()? {
-                    match format {
-                        crate::sink::CatFormat::CommonSource => {
-                            refs.push((None, Schema::read_u64_at(row, rs.offset(0))));
-                        }
-                        crate::sink::CatFormat::Coincidental => {
-                            refs.push((
-                                Some(Schema::read_u64_at(row, rs.offset(0))),
-                                Schema::read_u64_at(row, rs.offset(1)),
-                            ));
-                        }
-                        crate::sink::CatFormat::AsNt => {
-                            return Err(CubeError::Schema("AsNt cube has CAT relations".into()))
-                        }
-                    }
-                }
-            }
-            // Ascending AGGREGATES order keeps the fetches page-local.
-            refs.sort_unstable_by_key(|r| r.1);
-            for (rowid_opt, a_rowid) in refs {
-                aggrel.fetch_cached(a_rowid, &mut self.pages, &mut agg_buf)?;
-                match format {
-                    crate::sink::CatFormat::CommonSource => {
-                        let rowid = Schema::read_u64_at(&agg_buf, ars.offset(0));
-                        let aggs: Vec<i64> = (0..y)
-                            .map(|m| Schema::read_i64_at(&agg_buf, ars.offset(1 + m)))
-                            .collect();
-                        pending.push((rowid, aggs));
-                    }
-                    crate::sink::CatFormat::Coincidental => {
-                        let aggs: Vec<i64> =
-                            (0..y).map(|m| Schema::read_i64_at(&agg_buf, ars.offset(m))).collect();
-                        pending.push((rowid_opt.expect("format (b)"), aggs));
-                    }
-                    crate::sink::CatFormat::AsNt => unreachable!(),
-                }
-            }
+        if !bitmap_cats && !self.catalog.exists(&cat_name) {
+            return Ok(());
         }
-        for (rowid, aggs) in pending {
-            let (leaf, _) = self.fact_row(rowid)?;
-            let key = self.project(&levels, &leaf);
-            // Non-trivial groups are unique per key within a node.
-            out.insert(key, OldGroup { aggs, min_rowid: rowid });
+        let format = self
+            .meta
+            .cat_format
+            .ok_or_else(|| CubeError::Schema("CAT relation without a format in meta".into()))?;
+        // Format (a) stores the fact row-id in AGGREGATES, format (b) in
+        // the node's CAT row.
+        let first_agg = match format {
+            CatFormat::CommonSource => 1,
+            CatFormat::Coincidental => 0,
+            CatFormat::AsNt => return Err(CubeError::Schema("AsNt cube has CAT relations".into())),
+        };
+        let aggrel = self
+            .aggregates
+            .as_ref()
+            .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES".into()))?;
+        let refs = &mut self.cat_refs;
+        refs.clear();
+        if bitmap_cats {
+            let bm = BitmapIndex::from_bytes(&self.catalog.read_blob(&cat_bm_name)?)?;
+            refs.extend(bm.iter().map(|a| (None, a)));
+        } else {
+            let rel = self.catalog.open_relation(&cat_name)?;
+            let rs = rel.schema();
+            rel.for_each_row(|_, row| {
+                refs.push(match format {
+                    CatFormat::Coincidental => (
+                        Some(Schema::read_u64_at(row, rs.offset(0))),
+                        Schema::read_u64_at(row, rs.offset(1)),
+                    ),
+                    _ => (None, Schema::read_u64_at(row, rs.offset(0))),
+                });
+            })?;
         }
-        Ok(out)
+        // Ascending AGGREGATES order keeps the fetches page-local.
+        refs.sort_unstable_by_key(|r| r.1);
+        let ars = aggrel.schema();
+        let buf = &mut self.agg_buf;
+        for &(cat_rowid, a_rowid) in refs.iter() {
+            aggrel.fetch_cached(a_rowid, &mut self.pages, buf)?;
+            let rowid = match (format, cat_rowid) {
+                (CatFormat::CommonSource, _) => Schema::read_u64_at(buf, ars.offset(0)),
+                (_, Some(rowid)) => rowid,
+                (_, None) => {
+                    return Err(CubeError::Schema(format!(
+                        "node {node}: format (b) CAT reference to AGGREGATES row {a_rowid} \
+                         carries no fact row-id"
+                    )))
+                }
+            };
+            rowids.push(rowid);
+            aggs.extend((0..y).map(|m| Schema::read_i64_at(buf, ars.offset(first_agg + m))));
+        }
+        Ok(())
     }
 
-    fn own_tts(&mut self, node: NodeId) -> Result<Vec<u64>> {
-        use cure_storage::Schema;
+    /// The TT row-ids stored at `node`.
+    fn own_tts(&self, node: NodeId, out: &mut Vec<u64>) -> Result<()> {
+        out.clear();
         if self.meta.plus {
             let name = crate::sink::tt_bitmap_name(&self.meta.prefix, node);
             if self.catalog.blob_exists(&name) {
-                let bm = cure_storage::BitmapIndex::from_bytes(&self.catalog.read_blob(&name)?)?;
-                return Ok(bm.iter().collect());
+                out.extend(BitmapIndex::from_bytes(&self.catalog.read_blob(&name)?)?.iter());
             }
-            return Ok(Vec::new());
+            return Ok(());
         }
         let name = crate::sink::tt_rel_name(&self.meta.prefix, node);
-        if !self.catalog.exists(&name) {
-            return Ok(Vec::new());
+        if self.catalog.exists(&name) {
+            self.catalog
+                .open_relation(&name)?
+                .for_each_row(|_, row| out.push(Schema::read_u64_at(row, 0)))?;
         }
-        let rel = self.catalog.open_relation(&name)?;
-        let mut out = Vec::with_capacity(rel.num_rows() as usize);
-        let mut scan = rel.scan();
-        while let Some(row) = scan.next_row()? {
-            out.push(Schema::read_u64_at(row, 0));
-        }
-        Ok(out)
-    }
-
-    fn fact_row(&mut self, rowid: u64) -> Result<(Vec<u32>, Vec<i64>)> {
-        use cure_storage::Schema;
-        if let Some(hit) = self.fact_cache.get(&rowid) {
-            return Ok(hit.clone());
-        }
-        let d = self.schema.num_dims();
-        let y = self.schema.num_measures();
-        self.fact.fetch_cached(rowid, &mut self.pages, &mut self.fact_buf)?;
-        let buf = &self.fact_buf;
-        let leaf: Vec<u32> =
-            (0..d).map(|i| Schema::read_u32_at(buf, self.fact_schema.offset(i))).collect();
-        let measures: Vec<i64> =
-            (0..y).map(|m| Schema::read_i64_at(buf, self.fact_schema.offset(d + m))).collect();
-        self.fact_cache.insert(rowid, (leaf.clone(), measures.clone()));
-        Ok((leaf, measures))
+        Ok(())
     }
 }
 
@@ -287,6 +326,9 @@ impl OldCubeAccess for DiskOldCube<'_> {
 ///   the fact relation must already contain them (NT/TT references into
 ///   it must resolve).
 /// * The old cube must be a complete (non-iceberg), non-DR cube.
+///
+/// A stored row-id the fact relation does not hold is a typed
+/// [`CubeError`], never a panic.
 pub fn update_cube(
     catalog: &Catalog,
     schema: &CubeSchema,
@@ -301,11 +343,11 @@ pub fn update_cube(
         Some(l) => PlanSpec::partitioned(schema, l)?,
     };
     let coder = NodeCoder::new(schema);
-    let mut pool = SignaturePool::new(schema.num_measures(), cfg.pool_capacity, cfg.cat_policy);
+    let fns = schema.agg_fns();
+    let y = schema.num_measures();
+    let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
     let mut report = UpdateReport::default();
 
-    // DFS over the plan forest, carrying the TTs shared along the path:
-    // (rowid, leaf dims, measures) of tuples already re-stored as TTs.
     let tree = plan.build_tree();
     let mut children: FxHashMap<Option<NodeId>, Vec<NodeId>> = FxHashMap::default();
     for &n in &tree.order {
@@ -313,53 +355,60 @@ pub fn update_cube(
     }
     let roots = children.remove(&None).unwrap_or_default();
 
+    /// A tuple stored as a TT on the current DFS path (at this node or an
+    /// ancestor); its leaf values and measures come from the fact columns.
     struct PathTt {
         rowid: u64,
-        leaf: Vec<u32>,
-        measures: Vec<i64>,
         /// Whether a TT row for this tuple has been written at an ancestor
         /// (then the whole subtree is covered and, because key collisions
         /// propagate upward, no deeper delta collision is possible).
         covered: bool,
     }
 
-    // Iterative DFS with explicit stack carrying the path-TT frames.
-    struct Frame {
-        node: NodeId,
-        /// TTs established at this node (appended to the path while its
-        /// subtree is processed).
-        established: usize,
-        /// Inherited path entries whose `covered` flag was set at this
-        /// node (re-established TTs) — reset when leaving the subtree.
-        covered_here: Vec<usize>,
+    /// One step of the iterative DFS over the plan forest.
+    enum Step {
+        Enter(NodeId),
+        /// Leave a node's subtree: pop the `established` path TTs it added
+        /// and uncover the inherited entries it covered.
+        Leave {
+            established: usize,
+            covered_here: Vec<usize>,
+        },
     }
-    let mut path_tts: Vec<PathTt> = Vec::new();
-    let mut stack: Vec<(NodeId, bool)> = roots.iter().rev().map(|&r| (r, false)).collect();
-    let mut frames: Vec<Frame> = Vec::new();
 
-    while let Some((node, done)) = stack.pop() {
-        if done {
-            let f = frames.pop().expect("frame");
-            debug_assert_eq!(f.node, node);
-            path_tts.truncate(path_tts.len() - f.established);
-            for i in f.covered_here {
-                path_tts[i].covered = false;
+    // Buffers reused by every node: carrying a group allocates nothing.
+    let mut path_tts: Vec<PathTt> = Vec::new();
+    let mut own_tts: Vec<u64> = Vec::new();
+    let mut group_rowids: Vec<u64> = Vec::new();
+    let mut group_aggs: Vec<i64> = Vec::new();
+    let mut merged: Vec<i64> = Vec::with_capacity(y);
+    let mut proj = Projector::new(schema);
+    let mut stack: Vec<Step> = roots.iter().rev().map(|&r| Step::Enter(r)).collect();
+
+    while let Some(step) = stack.pop() {
+        let node = match step {
+            Step::Enter(node) => node,
+            Step::Leave { established, covered_here } => {
+                path_tts.truncate(path_tts.len() - established);
+                for i in covered_here {
+                    path_tts[i].covered = false;
+                }
+                continue;
             }
-            continue;
-        }
-        stack.push((node, true));
+        };
         let levels = coder.decode(node)?;
+        proj.set_node(&coder, &levels);
         report.nodes += 1;
 
-        // Delta groups of this node.
-        let delta_groups = reference::compute_node(schema, delta, &levels);
+        // Delta groups of this node, keyed by grouping values.
         let mut delta_map: FxHashMap<Vec<u32>, reference::GroupRow> = FxHashMap::default();
-        for g in delta_groups {
-            delta_map.insert(g.dims.clone(), g);
+        for mut g in reference::compute_node(schema, delta, &levels) {
+            delta_map.insert(std::mem::take(&mut g.dims), g);
         }
         // Old non-trivial groups and own TTs.
-        let mut old_groups = old.non_trivial_groups(node)?;
-        let own_tts = old.own_tts(node)?;
+        old.non_trivial_groups(node, &mut group_rowids, &mut group_aggs)?;
+        old.own_tts(node, &mut own_tts)?;
+        let facts = &old.facts;
 
         // 1. Old TTs stored at this node: collision check against delta.
         //
@@ -370,25 +419,23 @@ pub fn update_cube(
         // re-establishes its TT at the topmost divergence point of each
         // branch.
         let mut established = 0usize;
-        for rowid in own_tts {
-            let (leaf, measures) = old.fact_row(rowid)?;
-            let key = old.project(&levels, &leaf);
-            if let Some(dg) = delta_map.remove(&key) {
-                report.tt_demotions += 1;
-                let mut aggs = measures.clone();
-                crate::aggfn::AggFn::merge_all(schema.agg_fns(), &mut aggs, &dg.aggs);
-                let min_rowid = rowid.min(dg.min_rowid);
-                pool.push(sink, &aggs, min_rowid, node)?;
-                report.merged_groups += 1;
-                path_tts.push(PathTt { rowid, leaf, measures, covered: false });
-                established += 1;
-            } else {
-                // Still trivial at this node: keep as TT and share below.
-                sink.write_tt(node, rowid)?;
-                report.carried_groups += 1;
-                path_tts.push(PathTt { rowid, leaf, measures, covered: true });
-                established += 1;
+        for &rowid in &own_tts {
+            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
+                Some(dg) => {
+                    report.tt_demotions += 1;
+                    merge_into(&mut merged, fns, facts.measures(rowid)?, &dg.aggs);
+                    pool.push(sink, &merged, rowid.min(dg.min_rowid), node)?;
+                    report.merged_groups += 1;
+                    path_tts.push(PathTt { rowid, covered: false });
+                }
+                None => {
+                    // Still trivial at this node: keep as TT and share below.
+                    sink.write_tt(node, rowid)?;
+                    report.carried_groups += 1;
+                    path_tts.push(PathTt { rowid, covered: true });
+                }
             }
+            established += 1;
         }
 
         // 2. Uncovered path TTs (demoted at an ancestor): either the delta
@@ -399,50 +446,48 @@ pub fn update_cube(
         // impossible because equal keys at a finer node imply equal keys
         // at every coarser one.
         let inherited = path_tts.len() - established;
-        let mut cover_on_exit: Vec<usize> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // index kept: `path_tts[i]` is mutated below
-        for i in 0..inherited {
-            let (key, rowid) = {
-                let t = &path_tts[i];
-                (old.project(&levels, &t.leaf), t.rowid)
-            };
-            if path_tts[i].covered {
+        let mut covered_here: Vec<usize> = Vec::new();
+        for (i, t) in path_tts[..inherited].iter_mut().enumerate() {
+            let hit = delta_map.remove(proj.key(facts.leaf(t.rowid)?));
+            if t.covered {
                 // A covered *old* TT cannot be hit by the delta here
                 // (collisions propagate upward and were ruled out at the
                 // covering node). A covered *delta* TT, however, still
                 // appears in this node's freshly computed delta groups —
-                // consume it so step 4 does not store it twice.
-                if let Some(dg) = delta_map.remove(&key) {
+                // the removal above consumes it so step 4 does not store
+                // it twice.
+                if let Some(dg) = hit {
                     debug_assert_eq!(dg.count, 1, "covered TT group must stay trivial");
-                    debug_assert_eq!(dg.min_rowid, rowid);
+                    debug_assert_eq!(dg.min_rowid, t.rowid);
                 }
                 continue;
             }
-            if let Some(dg) = delta_map.remove(&key) {
-                let t = &path_tts[i];
-                let mut aggs = t.measures.clone();
-                crate::aggfn::AggFn::merge_all(schema.agg_fns(), &mut aggs, &dg.aggs);
-                pool.push(sink, &aggs, rowid.min(dg.min_rowid), node)?;
-                report.merged_groups += 1;
-            } else {
-                // Divergence point: re-establish the TT for this subtree.
-                sink.write_tt(node, rowid)?;
-                path_tts[i].covered = true;
-                cover_on_exit.push(i);
+            match hit {
+                Some(dg) => {
+                    merge_into(&mut merged, fns, facts.measures(t.rowid)?, &dg.aggs);
+                    pool.push(sink, &merged, t.rowid.min(dg.min_rowid), node)?;
+                    report.merged_groups += 1;
+                }
+                None => {
+                    // Divergence point: re-establish the TT for this subtree.
+                    sink.write_tt(node, t.rowid)?;
+                    t.covered = true;
+                    covered_here.push(i);
+                }
             }
         }
 
         // 3. Old non-trivial groups: merge with delta where keys match.
-        for (key, og) in old_groups.drain() {
-            match delta_map.remove(&key) {
+        for (j, &rowid) in group_rowids.iter().enumerate() {
+            let aggs = &group_aggs[j * y..(j + 1) * y];
+            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
                 Some(dg) => {
-                    let mut aggs = og.aggs;
-                    crate::aggfn::AggFn::merge_all(schema.agg_fns(), &mut aggs, &dg.aggs);
-                    pool.push(sink, &aggs, og.min_rowid.min(dg.min_rowid), node)?;
+                    merge_into(&mut merged, fns, aggs, &dg.aggs);
+                    pool.push(sink, &merged, rowid.min(dg.min_rowid), node)?;
                     report.merged_groups += 1;
                 }
                 None => {
-                    pool.push(sink, &og.aggs, og.min_rowid, node)?;
+                    pool.push(sink, aggs, rowid, node)?;
                     report.carried_groups += 1;
                 }
             }
@@ -452,9 +497,10 @@ pub fn update_cube(
         for (_, dg) in delta_map.drain() {
             if dg.count == 1 {
                 // New trivial tuple: store here; shared with the subtree.
+                // Its row must already be in the fact relation.
+                facts.index(dg.min_rowid)?;
                 sink.write_tt(node, dg.min_rowid)?;
-                let (leaf, measures) = old.fact_row(dg.min_rowid)?;
-                path_tts.push(PathTt { rowid: dg.min_rowid, leaf, measures, covered: true });
+                path_tts.push(PathTt { rowid: dg.min_rowid, covered: true });
                 established += 1;
             } else {
                 pool.push(sink, &dg.aggs, dg.min_rowid, node)?;
@@ -462,11 +508,9 @@ pub fn update_cube(
             report.new_groups += 1;
         }
 
-        frames.push(Frame { node, established, covered_here: cover_on_exit });
+        stack.push(Step::Leave { established, covered_here });
         if let Some(ch) = children.get(&Some(node)) {
-            for &c in ch.iter().rev() {
-                stack.push((c, false));
-            }
+            stack.extend(ch.iter().rev().map(|&c| Step::Enter(c)));
         }
     }
 
@@ -521,6 +565,73 @@ mod tests {
         t
     }
 
+    fn concat(parts: &[&Tuples]) -> Tuples {
+        let mut all = Tuples::new(parts[0].n_dims(), parts[0].n_measures());
+        for src in parts {
+            for i in 0..src.len() {
+                all.push(src.dims_of(i), src.aggs_of(i), 1, src.rowid(i));
+            }
+        }
+        all
+    }
+
+    fn meta(prefix: &str, plus: bool, cat_format: Option<CatFormat>) -> CubeMeta {
+        CubeMeta {
+            prefix: prefix.into(),
+            fact_rel: "facts".into(),
+            n_dims: 3,
+            n_measures: 2,
+            dr: false,
+            plus,
+            cat_format,
+            partition_level: None,
+            min_support: 1,
+        }
+    }
+
+    /// Store `base` as relation `facts` and build a cube of it on disk
+    /// under `prefix`, meta included. Returns the open fact heap, for
+    /// appending a delta.
+    fn build_old(
+        catalog: &Catalog,
+        schema: &CubeSchema,
+        base: &Tuples,
+        prefix: &str,
+        plus: bool,
+    ) -> HeapFile {
+        let mut heap =
+            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
+        base.store_fact(&mut heap).unwrap();
+        let mut sink = DiskSink::new(catalog, prefix, schema, false, plus, None).unwrap();
+        let report = CubeBuilder::new(schema, CubeConfig::default())
+            .build_in_memory(base, &mut sink)
+            .unwrap();
+        meta(prefix, plus, report.stats.cat_format).write(catalog).unwrap();
+        heap
+    }
+
+    /// Every node of `sink`'s cube equals the oracle over `facts`.
+    fn assert_matches_oracle(
+        schema: &CubeSchema,
+        sink: &MemSink,
+        facts: &Tuples,
+        level: Option<usize>,
+        tag: &str,
+    ) {
+        let reader = MemCubeReader::new(schema, sink, facts, level).unwrap();
+        let coder = NodeCoder::new(schema);
+        for id in coder.all_ids() {
+            let mut got = reader.node_contents(id).unwrap();
+            got.sort();
+            let levels = coder.decode(id).unwrap();
+            let want: Vec<(Vec<u32>, Vec<i64>)> = reference::compute_node(schema, facts, &levels)
+                .into_iter()
+                .map(|r| (r.dims, r.aggs))
+                .collect();
+            assert_eq!(got, want, "{tag}: node {} ({})", id, coder.name(schema, id));
+        }
+    }
+
     /// Build base → update with delta → compare against a fresh oracle of
     /// the combined data, node by node.
     fn check_update(n_base: usize, n_delta: usize, seed: u64, tag: &str) {
@@ -528,59 +639,16 @@ mod tests {
         let schema = schema();
         let base = make_tuples(&schema, n_base, seed, 0);
         let delta = make_tuples(&schema, n_delta, seed.wrapping_mul(31) + 7, n_base as u64);
-
-        // Store base facts and build the original cube on disk.
-        let mut heap =
-            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-        base.store_fact(&mut heap).unwrap();
-        let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
-        let report = CubeBuilder::new(&schema, CubeConfig::default())
-            .build_in_memory(&base, &mut old_sink)
-            .unwrap();
-        CubeMeta {
-            prefix: "old_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: false,
-            plus: false,
-            cat_format: report.stats.cat_format,
-            partition_level: None,
-            min_support: 1,
-        }
-        .write(&catalog)
-        .unwrap();
+        let cfg = CubeConfig::default();
+        let mut heap = build_old(&catalog, &schema, &base, "old_", false);
         // Append the delta to the fact relation (row-ids continue).
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
 
-        // Incremental update into a MemSink.
         let mut new_sink = MemSink::new(2);
-        let up =
-            update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink)
-                .unwrap();
+        let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink).unwrap();
         assert_eq!(up.nodes, NodeCoder::new(&schema).num_nodes());
-
-        // Oracle over base ∪ delta.
-        let mut combined = Tuples::new(schema.num_dims(), 2);
-        for src in [&base, &delta] {
-            for i in 0..src.len() {
-                combined.push(src.dims_of(i), src.aggs_of(i), 1, src.rowid(i));
-            }
-        }
-        let reader = MemCubeReader::new(&schema, &new_sink, &combined, None).unwrap();
-        let coder = NodeCoder::new(&schema);
-        for id in coder.all_ids() {
-            let mut got = reader.node_contents(id).unwrap();
-            got.sort();
-            let levels = coder.decode(id).unwrap();
-            let want: Vec<(Vec<u32>, Vec<i64>)> =
-                reference::compute_node(&schema, &combined, &levels)
-                    .into_iter()
-                    .map(|r| (r.dims, r.aggs))
-                    .collect();
-            assert_eq!(got, want, "{tag}: node {} ({})", id, coder.name(&schema, id));
-        }
+        assert_matches_oracle(&schema, &new_sink, &concat(&[&base, &delta]), None, tag);
     }
 
     #[test]
@@ -623,55 +691,19 @@ mod tests {
         let b0 = make_tuples(&schema, 500, 61, 0);
         let b1 = make_tuples(&schema, 120, 62, 500);
         let b2 = make_tuples(&schema, 120, 63, 620);
-        let mut heap =
-            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-        b0.store_fact(&mut heap).unwrap();
-        let mut s1 = DiskSink::new(&catalog, "v1_", &schema, false, false, None).unwrap();
-        let r1 =
-            CubeBuilder::new(&schema, CubeConfig::default()).build_in_memory(&b0, &mut s1).unwrap();
-        let meta = |prefix: &str, fmt| CubeMeta {
-            prefix: prefix.into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: false,
-            plus: false,
-            cat_format: fmt,
-            partition_level: None,
-            min_support: 1,
-        };
-        meta("v1_", r1.stats.cat_format).write(&catalog).unwrap();
+        let cfg = CubeConfig::default();
+        let mut heap = build_old(&catalog, &schema, &b0, "v1_", false);
 
         b1.store_fact(&mut heap).unwrap();
         let mut s2 = DiskSink::new(&catalog, "v2_", &schema, false, false, None).unwrap();
-        update_cube(&catalog, &schema, "v1_", &b1, &CubeConfig::default(), &mut s2).unwrap();
-        use crate::sink::CubeSink as _;
-        meta("v2_", s2.cat_format()).write(&catalog).unwrap();
+        update_cube(&catalog, &schema, "v1_", &b1, &cfg, &mut s2).unwrap();
+        meta("v2_", false, s2.cat_format()).write(&catalog).unwrap();
 
         b2.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut s3 = MemSink::new(2);
-        update_cube(&catalog, &schema, "v2_", &b2, &CubeConfig::default(), &mut s3).unwrap();
-
-        let mut combined = Tuples::new(schema.num_dims(), 2);
-        for src in [&b0, &b1, &b2] {
-            for i in 0..src.len() {
-                combined.push(src.dims_of(i), src.aggs_of(i), 1, src.rowid(i));
-            }
-        }
-        let reader = MemCubeReader::new(&schema, &s3, &combined, None).unwrap();
-        let coder = NodeCoder::new(&schema);
-        for id in coder.all_ids() {
-            let mut got = reader.node_contents(id).unwrap();
-            got.sort();
-            let levels = coder.decode(id).unwrap();
-            let want: Vec<(Vec<u32>, Vec<i64>)> =
-                reference::compute_node(&schema, &combined, &levels)
-                    .into_iter()
-                    .map(|r| (r.dims, r.aggs))
-                    .collect();
-            assert_eq!(got, want, "chained node {id}");
-        }
+        update_cube(&catalog, &schema, "v2_", &b2, &cfg, &mut s3).unwrap();
+        assert_matches_oracle(&schema, &s3, &concat(&[&b0, &b1, &b2]), None, "chained");
     }
 
     #[test]
@@ -681,50 +713,13 @@ mod tests {
         let schema = schema();
         let base = make_tuples(&schema, 600, 41, 0);
         let delta = make_tuples(&schema, 80, 43, 600);
-        let mut heap =
-            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-        base.store_fact(&mut heap).unwrap();
-        let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, true, None).unwrap();
-        let report = CubeBuilder::new(&schema, CubeConfig::default())
-            .build_in_memory(&base, &mut old_sink)
-            .unwrap();
-        CubeMeta {
-            prefix: "old_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: false,
-            plus: true,
-            cat_format: report.stats.cat_format,
-            partition_level: None,
-            min_support: 1,
-        }
-        .write(&catalog)
-        .unwrap();
+        let cfg = CubeConfig::default();
+        let mut heap = build_old(&catalog, &schema, &base, "old_", true);
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut new_sink = MemSink::new(2);
-        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink)
-            .unwrap();
-        let mut combined = Tuples::new(schema.num_dims(), 2);
-        for src in [&base, &delta] {
-            for i in 0..src.len() {
-                combined.push(src.dims_of(i), src.aggs_of(i), 1, src.rowid(i));
-            }
-        }
-        let reader = MemCubeReader::new(&schema, &new_sink, &combined, None).unwrap();
-        let coder = NodeCoder::new(&schema);
-        for id in coder.all_ids() {
-            let mut got = reader.node_contents(id).unwrap();
-            got.sort();
-            let levels = coder.decode(id).unwrap();
-            let want: Vec<(Vec<u32>, Vec<i64>)> =
-                reference::compute_node(&schema, &combined, &levels)
-                    .into_iter()
-                    .map(|r| (r.dims, r.aggs))
-                    .collect();
-            assert_eq!(got, want, "plus node {id}");
-        }
+        update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink).unwrap();
+        assert_matches_oracle(&schema, &new_sink, &concat(&[&base, &delta]), None, "plus");
     }
 
     #[test]
@@ -742,8 +737,7 @@ mod tests {
         base.store_fact(&mut heap).unwrap();
         // 16 KB budget: 5 partitions needed → L = 0 (card 20), N ≈ 13 KB.
         let cfg = CubeConfig { memory_budget_bytes: 16 << 10, ..CubeConfig::default() };
-        let mut old_sink =
-            crate::sink::DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
+        let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
         let report = crate::partition::build_cure_cube(
             &catalog,
             "facts",
@@ -755,45 +749,17 @@ mod tests {
         )
         .unwrap();
         let level = report.partition.as_ref().expect("partitioned").choice.level;
-        CubeMeta {
-            prefix: "old_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: false,
-            plus: false,
-            cat_format: report.stats.cat_format,
-            partition_level: Some(level),
-            min_support: 1,
-        }
-        .write(&catalog)
-        .unwrap();
+        CubeMeta { partition_level: Some(level), ..meta("old_", false, report.stats.cat_format) }
+            .write(&catalog)
+            .unwrap();
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
-        let mut new_sink = crate::sink::MemSink::new(2);
+        let mut new_sink = MemSink::new(2);
         update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink)
             .unwrap();
-        let mut combined = Tuples::new(schema.num_dims(), 2);
-        for src in [&base, &delta] {
-            for i in 0..src.len() {
-                combined.push(src.dims_of(i), src.aggs_of(i), 1, src.rowid(i));
-            }
-        }
         // TT placement follows the OLD cube's (partitioned) plan forest.
-        let reader =
-            crate::reader::MemCubeReader::new(&schema, &new_sink, &combined, Some(level)).unwrap();
-        let coder = NodeCoder::new(&schema);
-        for id in coder.all_ids() {
-            let mut got = reader.node_contents(id).unwrap();
-            got.sort();
-            let levels = coder.decode(id).unwrap();
-            let want: Vec<(Vec<u32>, Vec<i64>)> =
-                reference::compute_node(&schema, &combined, &levels)
-                    .into_iter()
-                    .map(|r| (r.dims, r.aggs))
-                    .collect();
-            assert_eq!(got, want, "partitioned-update node {id}");
-        }
+        let all = concat(&[&base, &delta]);
+        assert_matches_oracle(&schema, &new_sink, &all, Some(level), "partitioned-update");
     }
 
     #[test]
@@ -804,19 +770,7 @@ mod tests {
         let mut heap =
             catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
         base.store_fact(&mut heap).unwrap();
-        CubeMeta {
-            prefix: "x_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: true,
-            plus: false,
-            cat_format: None,
-            partition_level: None,
-            min_support: 1,
-        }
-        .write(&catalog)
-        .unwrap();
+        CubeMeta { dr: true, ..meta("x_", false, None) }.write(&catalog).unwrap();
         let delta = make_tuples(&schema, 5, 4, 50);
         let mut sink = MemSink::new(2);
         assert!(update_cube(&catalog, &schema, "x_", &delta, &CubeConfig::default(), &mut sink)
@@ -833,31 +787,12 @@ mod tests {
         for i in 0..50 {
             delta.push(base.dims_of(i), base.aggs_of(i), 1, 200 + i as u64);
         }
-        let mut heap =
-            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-        base.store_fact(&mut heap).unwrap();
-        let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
-        let report = CubeBuilder::new(&schema, CubeConfig::default())
-            .build_in_memory(&base, &mut old_sink)
-            .unwrap();
-        CubeMeta {
-            prefix: "old_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: 2,
-            dr: false,
-            plus: false,
-            cat_format: report.stats.cat_format,
-            partition_level: None,
-            min_support: 1,
-        }
-        .write(&catalog)
-        .unwrap();
+        let cfg = CubeConfig::default();
+        let mut heap = build_old(&catalog, &schema, &base, "old_", false);
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut sink = MemSink::new(2);
-        let up = update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut sink)
-            .unwrap();
+        let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink).unwrap();
         assert!(up.tt_demotions > 0, "exact duplicates must demote TTs: {up:?}");
     }
 }

@@ -6,12 +6,13 @@
 
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
-use cure_core::sink::DiskSink;
+use cure_core::sink::{nt_rel_name, tt_rel_name, DiskSink};
 use cure_core::update::update_cube;
 use cure_core::{
-    reference, CubeSchema, Dimension, Level, MemCubeReader, MemSink, NodeCoder, Tuples,
+    reference, CatFormat, CatFormatPolicy, CubeError, CubeSchema, CubeSink, Dimension, Level,
+    MemCubeReader, MemSink, NodeCoder, NodeId, SinkStats, Tuples,
 };
-use cure_storage::Catalog;
+use cure_storage::{Catalog, HeapFile, StorageError};
 
 fn fresh_catalog(tag: &str) -> Catalog {
     let dir = std::env::temp_dir().join(format!("cure-upd-it-{tag}-{}", std::process::id()));
@@ -107,50 +108,78 @@ fn node_rows(schema: &CubeSchema, sink: &MemSink, fact: &Tuples) -> NodeRows {
         .collect()
 }
 
-/// Build base on disk, append delta, update — and also rebuild from
-/// scratch over base ∪ delta. The two cubes must agree node by node, and
-/// both must agree with the oracle.
-fn check_update_equals_rebuild(schema: CubeSchema, n_base: usize, n_delta: usize, tag: &str) {
+/// Store `base` as relation `facts` and build a cube of it on disk under
+/// `prefix` with `cfg`, meta included. Returns the open fact heap (for
+/// appending a delta) and the build's sink statistics.
+fn build_on_disk(
+    catalog: &Catalog,
+    schema: &CubeSchema,
+    base: &Tuples,
+    prefix: &str,
+    plus: bool,
+    cfg: &CubeConfig,
+) -> (HeapFile, SinkStats) {
     let y = schema.num_measures();
-    let catalog = fresh_catalog(tag);
-    let base = make_tuples(&schema, n_base, 0x5EED ^ tag.len() as u64, 0);
-    let delta = make_tuples(&schema, n_delta, 0xDE17A, n_base as u64);
-
     let mut heap =
         catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), y)).unwrap();
     base.store_fact(&mut heap).unwrap();
-    let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
-    let report = CubeBuilder::new(&schema, CubeConfig::default())
-        .build_in_memory(&base, &mut old_sink)
-        .unwrap();
+    let mut sink = DiskSink::new(catalog, prefix, schema, false, plus, None).unwrap();
+    let report = CubeBuilder::new(schema, cfg.clone()).build_in_memory(base, &mut sink).unwrap();
     CubeMeta {
-        prefix: "old_".into(),
+        prefix: prefix.into(),
         fact_rel: "facts".into(),
         n_dims: schema.num_dims(),
         n_measures: y,
         dr: false,
-        plus: false,
+        plus,
         cat_format: report.stats.cat_format,
         partition_level: None,
         min_support: 1,
     }
-    .write(&catalog)
+    .write(catalog)
     .unwrap();
+    (heap, report.stats)
+}
+
+/// Build base on disk (CURE+ when `plus`) under `cfg`, append delta,
+/// update — and also rebuild from scratch over base ∪ delta. The two
+/// cubes must agree node by node, and both must agree with the oracle.
+/// Returns the old cube's sink statistics.
+fn check_update_equals_rebuild(
+    schema: &CubeSchema,
+    n_base: usize,
+    n_delta: usize,
+    plus: bool,
+    cfg: &CubeConfig,
+    tag: &str,
+) -> SinkStats {
+    let y = schema.num_measures();
+    let catalog = fresh_catalog(tag);
+    let base = make_tuples(schema, n_base, 0x5EED ^ tag.len() as u64, 0);
+    let delta = make_tuples(schema, n_delta, 0xDE17A, n_base as u64);
+    let (mut heap, old) = build_on_disk(&catalog, schema, &base, "old_", plus, cfg);
+    if plus && old.cat_format == Some(CatFormat::CommonSource) && old.cat_tuples > 0 {
+        // CURE+ stores format-(a) CAT rows as bitmaps: that is the branch
+        // the update reads back.
+        assert!(catalog.list_blobs().unwrap().iter().any(|b| b.ends_with("_catbm")), "{tag}");
+    }
     delta.store_fact(&mut heap).unwrap();
     drop(heap);
 
     // Path 1: incremental update.
     let mut updated = MemSink::new(y);
-    let up = update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut updated)
-        .unwrap();
+    let up = update_cube(&catalog, schema, "old_", &delta, cfg, &mut updated).unwrap();
+    if let CatFormatPolicy::Force(format) = cfg.cat_policy {
+        assert_eq!(updated.cat_format(), Some(format), "{tag}");
+    }
     // Path 2: fresh rebuild over everything.
-    let all = combine(&schema, &[&base, &delta]);
+    let all = combine(schema, &[&base, &delta]);
     let mut rebuilt = MemSink::new(y);
-    CubeBuilder::new(&schema, CubeConfig::default()).build_in_memory(&all, &mut rebuilt).unwrap();
+    CubeBuilder::new(schema, cfg.clone()).build_in_memory(&all, &mut rebuilt).unwrap();
 
-    let got = node_rows(&schema, &updated, &all);
-    let want = node_rows(&schema, &rebuilt, &all);
-    let coder = NodeCoder::new(&schema);
+    let got = node_rows(schema, &updated, &all);
+    let want = node_rows(schema, &rebuilt, &all);
+    let coder = NodeCoder::new(schema);
     assert_eq!(up.nodes, coder.num_nodes(), "{tag}: update must visit the full lattice");
     for ((id_g, rows_g), (id_w, rows_w)) in got.iter().zip(want.iter()) {
         assert_eq!(id_g, id_w);
@@ -159,26 +188,142 @@ fn check_update_equals_rebuild(schema: CubeSchema, n_base: usize, n_delta: usize
             rows_w,
             "{tag}: updated cube differs from fresh rebuild at node {} ({})",
             id_g,
-            coder.name(&schema, *id_g)
+            coder.name(schema, *id_g)
         );
         // Both must equal the oracle, too.
         let levels = coder.decode(*id_g).unwrap();
-        let oracle: Vec<(Vec<u32>, Vec<i64>)> = reference::compute_node(&schema, &all, &levels)
+        let oracle: Vec<(Vec<u32>, Vec<i64>)> = reference::compute_node(schema, &all, &levels)
             .into_iter()
             .map(|r| (r.dims, r.aggs))
             .collect();
         assert_eq!(rows_g, &oracle, "{tag}: node {id_g} differs from oracle");
     }
+    old
 }
 
 #[test]
 fn insert_then_update_equals_rebuild_linear() {
-    check_update_equals_rebuild(linear_schema(), 600, 120, "linear");
+    check_update_equals_rebuild(
+        &linear_schema(),
+        600,
+        120,
+        false,
+        &CubeConfig::default(),
+        "linear",
+    );
 }
 
 #[test]
 fn insert_then_update_equals_rebuild_dag() {
-    check_update_equals_rebuild(dag_schema(), 300, 80, "dag");
+    check_update_equals_rebuild(&dag_schema(), 300, 80, false, &CubeConfig::default(), "dag");
+}
+
+#[test]
+fn update_equals_rebuild_under_each_forced_cat_format() {
+    // Every CAT read-back branch — format (a) through AGGREGATES, as a
+    // relation and as a CURE+ bitmap; format (b) from the node's CAT
+    // rows — and the CAT-free AsNt cube, on disk-built old cubes.
+    for format in [CatFormat::CommonSource, CatFormat::Coincidental, CatFormat::AsNt] {
+        for plus in [false, true] {
+            let cfg =
+                CubeConfig { cat_policy: CatFormatPolicy::Force(format), ..CubeConfig::default() };
+            let tag = format!("forced-{format:?}-{plus}");
+            let old = check_update_equals_rebuild(&linear_schema(), 600, 120, plus, &cfg, &tag);
+            assert_eq!(old.cat_format, Some(format), "{tag}");
+            assert_eq!(old.cat_tuples > 0, format != CatFormat::AsNt, "{tag}: {old:?}");
+        }
+    }
+}
+
+/// Rewrite relation `name` with the leading row-id column of its first
+/// row set to `rowid`.
+fn set_first_rowid(catalog: &Catalog, name: &str, rowid: u64) {
+    let rel = catalog.open_relation(name).unwrap();
+    let rel_schema = rel.schema().clone();
+    let mut rows: Vec<Vec<u8>> = Vec::new();
+    rel.for_each_row(|_, row| rows.push(row.to_vec())).unwrap();
+    drop(rel);
+    rows[0][..8].copy_from_slice(&rowid.to_le_bytes());
+    let mut heap = catalog.create_or_replace(name, rel_schema).unwrap();
+    for row in &rows {
+        heap.append_raw(row).unwrap();
+    }
+    heap.flush().unwrap();
+}
+
+/// The first of the lattice's node relations named by `rel_name` that
+/// exists and holds rows.
+fn first_nonempty(
+    catalog: &Catalog,
+    schema: &CubeSchema,
+    rel_name: impl Fn(NodeId) -> String,
+) -> String {
+    NodeCoder::new(schema)
+        .all_ids()
+        .map(rel_name)
+        .find(|n| catalog.exists(n) && catalog.open_relation(n).unwrap().num_rows() > 0)
+        .unwrap()
+}
+
+#[test]
+fn out_of_range_rowids_are_typed_errors() {
+    // An old cube whose NT row-id, or separately whose TT row-id, points
+    // at or past the fact row count: the update returns RowOutOfBounds
+    // instead of panicking.
+    let schema = linear_schema();
+    let cfg = CubeConfig::default();
+    let base = make_tuples(&schema, 400, 101, 0);
+    let delta = make_tuples(&schema, 40, 103, 400);
+    let rows = 440u64;
+    for (kind, rel_name) in [("nt", nt_rel_name as fn(&str, NodeId) -> String), ("tt", tt_rel_name)]
+    {
+        for bad in [rows, rows + 1_000] {
+            let tag = format!("badrowid-{kind}-{bad}");
+            let catalog = fresh_catalog(&tag);
+            let (mut heap, _) = build_on_disk(&catalog, &schema, &base, "old_", false, &cfg);
+            delta.store_fact(&mut heap).unwrap();
+            drop(heap);
+            set_first_rowid(
+                &catalog,
+                &first_nonempty(&catalog, &schema, |n| rel_name("old_", n)),
+                bad,
+            );
+            let mut sink = MemSink::new(2);
+            let err = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CubeError::Storage(StorageError::RowOutOfBounds { rowid, num_rows })
+                        if rowid == bad && num_rows == rows
+                ),
+                "{tag}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn failed_merge_leaves_the_active_prefix_unmoved() {
+    use cure_core::delta::{abort_ingest, active_prefix, ingest_cube, IngestOptions};
+    let schema = linear_schema();
+    let cfg = CubeConfig::default();
+    let catalog = fresh_catalog("badingest");
+    let base = make_tuples(&schema, 300, 107, 0);
+    drop(build_on_disk(&catalog, &schema, &base, "cube_", false, &cfg));
+    set_first_rowid(
+        &catalog,
+        &first_nonempty(&catalog, &schema, |n| nt_rel_name("cube_", n)),
+        1 << 40,
+    );
+    let delta = make_tuples(&schema, 20, 109, 0);
+    let err = ingest_cube(&catalog, &schema, &delta, &cfg, &IngestOptions::default()).unwrap_err();
+    assert!(matches!(err, CubeError::Storage(StorageError::RowOutOfBounds { .. })), "{err}");
+    assert_eq!(active_prefix(&catalog), "cube_");
+    // The journal still records the half-done ingest; aborting it
+    // truncates the appended delta away.
+    abort_ingest(&catalog).unwrap().unwrap();
+    assert_eq!(catalog.open_relation("facts").unwrap().num_rows(), 300);
+    assert_eq!(active_prefix(&catalog), "cube_");
 }
 
 #[test]
@@ -193,26 +338,8 @@ fn update_with_duplicate_heavy_delta_equals_rebuild() {
         let j = (i * 3) % base.len();
         delta.push(base.dims_of(j), base.aggs_of(j), 1, 400 + i as u64);
     }
-    let mut heap =
-        catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-    base.store_fact(&mut heap).unwrap();
-    let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
-    let report = CubeBuilder::new(&schema, CubeConfig::default())
-        .build_in_memory(&base, &mut old_sink)
-        .unwrap();
-    CubeMeta {
-        prefix: "old_".into(),
-        fact_rel: "facts".into(),
-        n_dims: schema.num_dims(),
-        n_measures: 2,
-        dr: false,
-        plus: false,
-        cat_format: report.stats.cat_format,
-        partition_level: None,
-        min_support: 1,
-    }
-    .write(&catalog)
-    .unwrap();
+    let (mut heap, _) =
+        build_on_disk(&catalog, &schema, &base, "old_", false, &CubeConfig::default());
     delta.store_fact(&mut heap).unwrap();
     drop(heap);
 
@@ -233,27 +360,7 @@ fn empty_delta_carries_every_group() {
     let schema = linear_schema();
     let catalog = fresh_catalog("emptyd");
     let base = make_tuples(&schema, 300, 17, 0);
-    let mut heap =
-        catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2)).unwrap();
-    base.store_fact(&mut heap).unwrap();
-    drop(heap);
-    let mut old_sink = DiskSink::new(&catalog, "old_", &schema, false, false, None).unwrap();
-    let report = CubeBuilder::new(&schema, CubeConfig::default())
-        .build_in_memory(&base, &mut old_sink)
-        .unwrap();
-    CubeMeta {
-        prefix: "old_".into(),
-        fact_rel: "facts".into(),
-        n_dims: schema.num_dims(),
-        n_measures: 2,
-        dr: false,
-        plus: false,
-        cat_format: report.stats.cat_format,
-        partition_level: None,
-        min_support: 1,
-    }
-    .write(&catalog)
-    .unwrap();
+    drop(build_on_disk(&catalog, &schema, &base, "old_", false, &CubeConfig::default()));
 
     let delta = Tuples::new(schema.num_dims(), 2);
     let mut updated = MemSink::new(2);
@@ -292,28 +399,7 @@ mod ingest_props {
 
     /// Build `base` fresh on disk under `cube_` with facts + meta.
     fn seed_cube(catalog: &Catalog, schema: &CubeSchema, base: &Tuples) {
-        let y = schema.num_measures();
-        let mut heap =
-            catalog.create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), y)).unwrap();
-        base.store_fact(&mut heap).unwrap();
-        drop(heap);
-        let mut sink = DiskSink::new(catalog, "cube_", schema, false, false, None).unwrap();
-        let report = CubeBuilder::new(schema, CubeConfig::default())
-            .build_in_memory(base, &mut sink)
-            .unwrap();
-        CubeMeta {
-            prefix: "cube_".into(),
-            fact_rel: "facts".into(),
-            n_dims: schema.num_dims(),
-            n_measures: y,
-            dr: false,
-            plus: false,
-            cat_format: report.stats.cat_format,
-            partition_level: None,
-            min_support: 1,
-        }
-        .write(catalog)
-        .unwrap();
+        drop(build_on_disk(catalog, schema, base, "cube_", false, &CubeConfig::default()));
     }
 
     /// Read the active disk cube back into a MemSink via an empty-delta
