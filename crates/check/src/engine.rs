@@ -387,8 +387,8 @@ fn read_disk_nodes(catalog: &Catalog, schema: &CubeSchema, prefix: &str) -> Resu
 }
 
 /// Byte snapshot of the cube's relations: every catalog file whose name
-/// starts with the cube prefix (heap + meta files; the `meta` blob is
-/// identical across engines by construction).
+/// starts with the cube prefix (heap files, schema header included; the
+/// `meta` blob is identical across engines by construction).
 fn snapshot_cube(dir: &Path, prefix: &str) -> Result<BTreeMap<String, Vec<u8>>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).map_err(CheckError::Io)? {

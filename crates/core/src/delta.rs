@@ -497,7 +497,6 @@ fn merge_delta(
     let mut sink = DiskSink::new(catalog, &m.new_prefix, schema, false, old_meta.plus, None)?;
     let update = update_cube(catalog, schema, &m.old_prefix, batch, cfg, &mut sink)?;
     let cat_format = sink.cat_format();
-    drop(sink);
     CubeMeta {
         prefix: m.new_prefix.clone(),
         fact_rel: m.fact_rel.clone(),
@@ -512,14 +511,9 @@ fn merge_delta(
         min_support: 1,
     }
     .write(catalog)?;
-    // DiskSink::finish flushes but does not fsync; push every new-prefix
-    // relation to stable storage before the journal claims it is there.
-    for name in catalog.list()? {
-        if name.starts_with(&m.new_prefix) {
-            catalog.open_relation(&name)?.sync()?;
-        }
-    }
-    catalog.sync_dir()?;
+    // DiskSink::finish flushes but does not fsync; push every relation it
+    // wrote to stable storage before the journal claims it is there.
+    sink.sync()?;
     Ok(update)
 }
 
@@ -596,6 +590,8 @@ pub fn parse_batch(schema: &CubeSchema, text: &str) -> Result<Tuples> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::cube::CubeBuilder;
     use crate::hierarchy::Dimension;
@@ -756,6 +752,97 @@ mod tests {
         }
         assert!(!IngestManifest::exists(&catalog));
         assert_matches_oracle(&catalog, &schema);
+    }
+
+    /// Records the path of every fsync and of every page read.
+    #[derive(Debug, Default)]
+    struct IoLog {
+        fsyncs: std::sync::Mutex<Vec<std::path::PathBuf>>,
+        reads: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl cure_storage::IoPolicy for IoLog {
+        fn on_fsync(&self, path: &std::path::Path) -> Option<std::io::Error> {
+            self.fsyncs.lock().unwrap().push(path.to_path_buf());
+            None
+        }
+
+        fn on_read(&self, path: &std::path::Path, _: u64, _: usize) -> cure_storage::ReadFault {
+            self.reads.lock().unwrap().push(path.to_string_lossy().into_owned());
+            cure_storage::ReadFault::Proceed
+        }
+    }
+
+    #[test]
+    fn merge_delta_fsyncs_each_written_relation_once() {
+        for plus in [false, true] {
+            let catalog = fresh_catalog(&format!("merge_fsyncs_{plus}"));
+            let schema = schema();
+            let base = make_tuples(&schema, 400, 31);
+            let mut fact = catalog
+                .create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), 2))
+                .unwrap();
+            base.store_fact(&mut fact).unwrap();
+            let mut sink = DiskSink::new(&catalog, "cube_", &schema, false, plus, None).unwrap();
+            let report = CubeBuilder::new(&schema, CubeConfig::default())
+                .build_in_memory(&base, &mut sink)
+                .unwrap();
+            drop(sink);
+            let old_meta = CubeMeta {
+                prefix: "cube_".into(),
+                fact_rel: "facts".into(),
+                n_dims: schema.num_dims(),
+                n_measures: 2,
+                dr: false,
+                plus,
+                cat_format: report.stats.cat_format,
+                partition_level: None,
+                min_support: 1,
+            };
+            old_meta.write(&catalog).unwrap();
+            // Phase 1 of an ingest: the delta appended under fresh row-ids.
+            let delta = make_tuples(&schema, 60, 37);
+            let mut batch = Tuples::new(schema.num_dims(), 2);
+            for i in 0..delta.len() {
+                batch.push(delta.dims_of(i), delta.aggs_of(i), 1, base.len() as u64 + i as u64);
+            }
+            batch.store_fact(&mut fact).unwrap();
+            fact.sync().unwrap();
+            drop(fact);
+            let m = IngestManifest {
+                phase: IngestPhase::Merging,
+                old_prefix: "cube_".into(),
+                new_prefix: "cubeB_".into(),
+                fact_rel: "facts".into(),
+                fact_rows_before: base.len() as u64,
+                delta_rows: batch.len() as u64,
+                drop_old: true,
+            };
+            let log = Arc::new(IoLog::default());
+            let logged = Catalog::open_with_policy(catalog.dir(), log.clone()).unwrap();
+            merge_delta(&logged, &schema, &m, &old_meta, &batch, &CubeConfig::default()).unwrap();
+
+            let fsyncs = log.fsyncs.lock().unwrap().clone();
+            let new_rel: Vec<String> =
+                logged.list().unwrap().into_iter().filter(|n| n.starts_with("cubeB_")).collect();
+            let new_blobs =
+                logged.list_blobs().unwrap().iter().filter(|n| n.starts_with("cubeB_")).count();
+            assert!(new_rel.contains(&"cubeB_aggregates".to_string()), "{new_rel:?}");
+            let mut synced: Vec<String> = fsyncs
+                .iter()
+                .filter(|p| p.extension().is_some_and(|e| e == "heap"))
+                .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+                .collect();
+            synced.sort();
+            assert_eq!(synced, new_rel, "plus={plus}: each written relation fsynced once");
+            // Plus one directory fsync, and two (temp file, directory) per
+            // atomically written blob: the cube meta and CURE+ bitmaps.
+            assert_eq!(fsyncs.len(), new_rel.len() + 1 + 2 * new_blobs, "plus={plus}");
+            assert_eq!(new_blobs > 1, plus);
+            // Syncing reopens nothing: no page of the new cube is read back.
+            let reads = log.reads.lock().unwrap();
+            assert!(!reads.iter().any(|p| p.contains("cubeB_")), "plus={plus}: read back");
+        }
     }
 
     #[test]

@@ -738,6 +738,95 @@ mod tests {
         }
     }
 
+    /// Tears the `target`-th header write of a cube relation (a `cube_`
+    /// heap file outside the partition prefix), then fails every later
+    /// write and fsync, as a process killed there would.
+    #[derive(Debug)]
+    struct TearNthHeader {
+        target: u64,
+        keep: usize,
+        seen: std::sync::atomic::AtomicU64,
+        torn: std::sync::Mutex<Option<std::path::PathBuf>>,
+    }
+
+    impl TearNthHeader {
+        fn new(target: u64, keep: usize) -> Self {
+            TearNthHeader { target, keep, seen: Default::default(), torn: Default::default() }
+        }
+
+        fn crashed(&self) -> bool {
+            self.torn.lock().unwrap().is_some()
+        }
+    }
+
+    impl IoPolicy for TearNthHeader {
+        fn on_write(&self, path: &Path, offset: u64, _len: usize) -> cure_storage::WriteFault {
+            use std::sync::atomic::Ordering;
+            if self.crashed() {
+                return cure_storage::WriteFault::Fail(std::io::Error::other("killed"));
+            }
+            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+            let cube_header = offset == 0
+                && path.extension().is_some_and(|e| e == "heap")
+                && stem.starts_with("cube_")
+                && !stem.starts_with("cube_tmp_");
+            if cube_header && self.seen.fetch_add(1, Ordering::SeqCst) == self.target {
+                *self.torn.lock().unwrap() = Some(path.to_path_buf());
+                return cure_storage::WriteFault::Torn { keep: self.keep };
+            }
+            cure_storage::WriteFault::Proceed
+        }
+
+        fn on_fsync(&self, _path: &Path) -> Option<std::io::Error> {
+            self.crashed().then(|| std::io::Error::other("killed"))
+        }
+    }
+
+    #[test]
+    fn torn_header_of_an_unjournaled_relation_is_dropped_on_resume() {
+        let cfg = small_cfg();
+        let (ref_dir, _) = reference_build("torn_hdr_ref", &cfg);
+        let reference = snapshot(&ref_dir);
+        let schema = test_schema();
+        let headers = {
+            let dir = fresh_dir("torn_hdr_count");
+            store_fact(&Catalog::open(&dir).unwrap(), &schema, 1_000, 99);
+            let counter = Arc::new(TearNthHeader::new(u64::MAX, 0));
+            let counted =
+                Catalog::open_with_policy(&dir, counter.clone() as Arc<dyn IoPolicy>).unwrap();
+            durable_build(&counted, &schema, &cfg, &DurableOptions::default()).unwrap();
+            counter.seen.load(std::sync::atomic::Ordering::SeqCst)
+        };
+        // Tear a header mid-build and the last one, keeping part of the
+        // magic or all of the schema text: both leave the slot short.
+        for (k, keep) in [(headers / 2, 5), (headers - 1, 4096)] {
+            let dir = fresh_dir(&format!("torn_hdr_{k}"));
+            store_fact(&Catalog::open(&dir).unwrap(), &schema, 1_000, 99);
+            let policy = Arc::new(TearNthHeader::new(k, keep));
+            let faulty =
+                Catalog::open_with_policy(&dir, policy.clone() as Arc<dyn IoPolicy>).unwrap();
+            assert!(durable_build(&faulty, &schema, &cfg, &DurableOptions::default()).is_err());
+            drop(faulty);
+            let torn = policy.torn.lock().unwrap().clone().expect("header write torn");
+            assert_eq!(std::fs::metadata(&torn).unwrap().len(), keep as u64);
+            let catalog = Catalog::open(&dir).unwrap();
+            let m = BuildManifest::load(&catalog, "cube_").unwrap().expect("journal");
+            assert_eq!(m.phase, BuildPhase::Passes, "header {k} torn after a checkpoint");
+            let stem = torn.file_stem().unwrap().to_string_lossy().into_owned();
+            assert!(m.sink.relations.iter().all(|(n, _)| *n != stem), "{stem} is unjournaled");
+            assert!(catalog.open_relation(&stem).is_err(), "torn header must not open");
+            let r = durable_build(
+                &catalog,
+                &schema,
+                &cfg,
+                &DurableOptions { resume: true, ..Default::default() },
+            )
+            .unwrap();
+            assert!(r.resumed && r.relations_dropped > 0, "header {k}: nothing dropped on resume");
+            assert_eq!(snapshot(&dir), reference, "torn header {k}");
+        }
+    }
+
     #[test]
     fn crash_then_fresh_rebuild_also_matches() {
         let cfg = small_cfg();

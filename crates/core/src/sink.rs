@@ -466,19 +466,8 @@ impl<'a> DiskSink<'a> {
         }
         if let Some(rel) = self.aggregates.as_mut() {
             rel.flush()?;
-            if self.agg_dirty {
-                rel.sync()?;
-                self.agg_dirty = false;
-            }
         }
-        // Deterministic fsync order so fault-injection sweeps are
-        // reproducible run to run.
-        let mut dirty: Vec<String> = self.dirty.drain().collect();
-        dirty.sort_unstable();
-        for name in dirty {
-            self.catalog.open_relation(&name)?.sync()?;
-        }
-        self.catalog.sync_dir()?;
+        self.sync()?;
         let mut relations: Vec<(String, u64)> =
             self.rel_rows.iter().map(|(n, r)| (n.clone(), *r)).collect();
         relations.sort_unstable();
@@ -490,6 +479,27 @@ impl<'a> DiskSink<'a> {
             cat_tuples: self.stats.cat_tuples,
             relations,
         })
+    }
+
+    /// Make every flushed row durable: fsync `AGGREGATES` if it was
+    /// written, then each relation written since the last sync (by name,
+    /// without reopening it as a relation), then the catalog directory
+    /// once, so the files created since are durable too. CURE+ TT bitmaps
+    /// are atomic blobs and need nothing here.
+    pub fn sync(&mut self) -> Result<()> {
+        if let (Some(rel), true) = (self.aggregates.as_ref(), self.agg_dirty) {
+            rel.sync()?;
+            self.agg_dirty = false;
+        }
+        // Deterministic fsync order so fault-injection sweeps are
+        // reproducible run to run.
+        let mut dirty: Vec<String> = self.dirty.drain().collect();
+        dirty.sort_unstable();
+        for name in dirty {
+            self.catalog.sync_relation(&name)?;
+        }
+        self.catalog.sync_dir()?;
+        Ok(())
     }
 
     /// Rebuild this (freshly created) sink's progress from a journaled

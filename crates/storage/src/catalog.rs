@@ -1,20 +1,24 @@
 //! The catalog: a directory of named relations.
 //!
 //! A [`Catalog`] is the "database" the ROLAP engine exposes: a filesystem
-//! directory in which every relation `R` is a pair of files — `R.heap`
-//! (pages of rows) and `R.meta` (a one-line-per-column schema description).
+//! directory in which every relation `R` is one self-describing file,
+//! `R.heap`, whose header slot holds the schema (layout in [`crate::heap`]).
 //! CURE creates large numbers of relations (up to three per cube node, plus
 //! `AGGREGATES`, plus spill partitions), so creation and lookup are kept
-//! cheap and names are sanitized into filenames deterministically.
+//! cheap: creating a relation is one exclusive create and one header
+//! write, with no fsync (the header becomes durable with the relation's
+//! first sync), and names are sanitized into filenames deterministically.
+//! Opaque byte blobs live beside the relations as `<name>.blob`.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
-use crate::heap::HeapFile;
-use crate::io::{atomic_write, no_faults, sync_dir, IoPolicy};
-use crate::schema::{ColType, Column, Schema};
+use crate::heap::{read_header, HeapFile};
+use crate::io::{atomic_write, fsync_file, no_faults, sync_dir, IoPolicy};
+use crate::schema::Schema;
 use crate::stats::StorageStats;
 
 /// A directory of named heap-file relations.
@@ -73,69 +77,44 @@ impl Catalog {
         self.dir.join(format!("{}.heap", sanitize(name)))
     }
 
-    fn meta_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{}.meta", sanitize(name)))
-    }
-
     /// Whether a relation named `name` exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.meta_path(name).exists()
+        self.heap_path(name).exists()
     }
 
     /// Create a new relation; errors if one with this name already exists.
     pub fn create_relation(&self, name: &str, schema: Schema) -> Result<HeapFile> {
-        if self.exists(name) {
-            return Err(StorageError::Catalog(format!("relation '{name}' already exists")));
-        }
-        write_meta(self.policy.as_ref(), &self.meta_path(name), &schema)?;
-        let mut hf =
-            HeapFile::create_with_policy(self.heap_path(name), schema, self.policy.clone())?;
+        let mut hf = HeapFile::create_at(&self.heap_path(name), schema, self.policy.clone(), true)
+            .map_err(|e| match e {
+                StorageError::Io(io) if io.kind() == io::ErrorKind::AlreadyExists => {
+                    StorageError::Catalog(format!("relation '{name}' already exists"))
+                }
+                e => e,
+            })?;
         hf.attach_stats(Arc::clone(&self.stats));
         Ok(hf)
     }
 
     /// Create a relation, replacing any existing one with the same name.
     pub fn create_or_replace(&self, name: &str, schema: Schema) -> Result<HeapFile> {
-        write_meta(self.policy.as_ref(), &self.meta_path(name), &schema)?;
         let mut hf =
-            HeapFile::create_with_policy(self.heap_path(name), schema, self.policy.clone())?;
+            HeapFile::create_at(&self.heap_path(name), schema, self.policy.clone(), false)?;
         hf.attach_stats(Arc::clone(&self.stats));
         Ok(hf)
     }
 
-    /// Open an existing relation, reading its schema from the catalog.
+    /// Open an existing relation, reading its schema from its header.
     pub fn open_relation(&self, name: &str) -> Result<HeapFile> {
-        let schema = read_meta(&self.meta_path(name))
-            .map_err(|_| StorageError::Catalog(format!("relation '{name}' not found")))?;
+        let path = self.heap_path(name);
         // Stats ride along from the start so open-time reads (tail page,
         // torn-tail checks) count retries and verifications too.
-        let (hf, repair) = HeapFile::open_report_with_policy_stats(
-            self.heap_path(name),
-            schema,
-            self.policy.clone(),
-            Some(Arc::clone(&self.stats)),
-        )?;
+        let (hf, repair) =
+            HeapFile::open_at(&path, None, self.policy.clone(), Some(Arc::clone(&self.stats)))
+                .map_err(|e| not_found(e, name))?;
         if let Some(r) = &repair {
-            eprintln!("cure-storage: warning: {}: {}", self.heap_path(name).display(), r.reason);
+            eprintln!("cure-storage: warning: {}: {}", path.display(), r.reason);
         }
         Ok(hf)
-    }
-
-    /// [`open_relation`](Self::open_relation), additionally reporting any
-    /// torn-tail repair applied while opening the heap file.
-    pub fn open_relation_report(
-        &self,
-        name: &str,
-    ) -> Result<(HeapFile, Option<crate::heap::TailRepair>)> {
-        let schema = read_meta(&self.meta_path(name))
-            .map_err(|_| StorageError::Catalog(format!("relation '{name}' not found")))?;
-        let (hf, repair) = HeapFile::open_report_with_policy_stats(
-            self.heap_path(name),
-            schema,
-            self.policy.clone(),
-            Some(Arc::clone(&self.stats)),
-        )?;
-        Ok((hf, repair))
     }
 
     /// Filesystem path of a relation's heap file (recovery tooling).
@@ -143,32 +122,39 @@ impl Catalog {
         self.heap_path(name)
     }
 
-    /// Read a relation's schema without opening its heap file.
+    /// Read a relation's schema from its header, without reading any page.
     pub fn relation_schema(&self, name: &str) -> Result<Schema> {
-        read_meta(&self.meta_path(name))
-            .map_err(|_| StorageError::Catalog(format!("relation '{name}' not found")))
+        let path = self.heap_path(name);
+        let file = File::open(&path).map_err(|e| not_found(e.into(), name))?;
+        read_header(&file, &path, file.metadata()?.len())
     }
 
-    /// Remove a relation and its metadata. Missing relations are an error.
-    pub fn drop_relation(&self, name: &str) -> Result<()> {
-        if !self.exists(name) {
-            return Err(StorageError::Catalog(format!("relation '{name}' not found")));
-        }
-        fs::remove_file(self.meta_path(name))?;
-        let heap = self.heap_path(name);
-        if heap.exists() {
-            fs::remove_file(heap)?;
-        }
+    /// Fsync a relation's file without opening it as a relation (no
+    /// header or page is read), counted like [`HeapFile::sync`].
+    pub fn sync_relation(&self, name: &str) -> Result<()> {
+        let path = self.heap_path(name);
+        let file = File::open(&path).map_err(|e| not_found(e.into(), name))?;
+        fsync_file(self.policy.as_ref(), &file, &path)?;
+        self.stats.count_fsync();
         Ok(())
+    }
+
+    /// Remove a relation. Missing relations are an error.
+    pub fn drop_relation(&self, name: &str) -> Result<()> {
+        fs::remove_file(self.heap_path(name)).map_err(|e| not_found(e.into(), name))
     }
 
     /// All relation names in this catalog, sorted.
     pub fn list(&self) -> Result<Vec<String>> {
+        self.list_ext("heap")
+    }
+
+    /// Stems of the files with extension `ext`, sorted.
+    fn list_ext(&self, ext: &str) -> Result<Vec<String>> {
         let mut names = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("meta") {
+            let path = entry?.path();
+            if path.extension().and_then(|e| e.to_str()) == Some(ext) {
                 if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
                     names.push(stem.to_string());
                 }
@@ -204,18 +190,7 @@ impl Catalog {
 
     /// All blob names in this catalog, sorted.
     pub fn list_blobs(&self) -> Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("blob") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    names.push(stem.to_string());
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
+        self.list_ext("blob")
     }
 
     /// Drop every relation and blob whose name starts with `prefix` —
@@ -261,37 +236,14 @@ pub(crate) fn sanitize(name: &str) -> String {
         .collect()
 }
 
-fn write_meta(policy: &dyn IoPolicy, path: &Path, schema: &Schema) -> Result<()> {
-    let mut s = String::new();
-    for col in schema.columns() {
-        s.push_str(&col.name);
-        s.push(' ');
-        s.push_str(col.ty.name());
-        s.push('\n');
-    }
-    // Atomic so a crash during relation creation can't leave a torn schema
-    // file (which would make the relation unopenable rather than absent).
-    atomic_write(policy, path, s.as_bytes())?;
-    Ok(())
-}
-
-fn read_meta(path: &Path) -> Result<Schema> {
-    let text = fs::read_to_string(path)?;
-    let mut cols = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+/// A missing file is an unknown relation; every other error passes through.
+pub(crate) fn not_found(e: StorageError, name: &str) -> StorageError {
+    match e {
+        StorageError::Io(io) if io.kind() == io::ErrorKind::NotFound => {
+            StorageError::Catalog(format!("relation '{name}' not found"))
         }
-        let (name, ty_str) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| StorageError::Corrupt(format!("meta line {lineno}: '{line}'")))?;
-        let ty = ColType::parse(ty_str).ok_or_else(|| {
-            StorageError::Corrupt(format!("meta line {lineno}: bad type '{ty_str}'"))
-        })?;
-        cols.push(Column::new(name, ty));
+        e => e,
     }
-    Ok(Schema::new(cols))
 }
 
 #[cfg(test)]
@@ -436,7 +388,7 @@ mod tests {
         rel.flush().unwrap();
         rel.sync().unwrap();
         cat.write_blob("b", b"payload").unwrap();
-        // meta write + page write + blob write at minimum, plus fsyncs.
+        // header write + page write + blob write at minimum, plus fsyncs.
         assert!(policy.writes() >= 3, "writes seen: {}", policy.writes());
         assert!(policy.fsyncs() >= 3, "fsyncs seen: {}", policy.fsyncs());
     }
@@ -453,6 +405,74 @@ mod tests {
         let faulty = Catalog::open_with_policy(&dir, policy).unwrap();
         assert!(faulty.write_blob("meta", b"v2-much-longer-content").is_err());
         assert_eq!(clean.read_blob("meta").unwrap(), b"v1", "old blob intact after torn write");
+    }
+
+    /// A relation's file, damaged the three ways a header can be: cut
+    /// short by a crash during creation, one CRC byte flipped, and a
+    /// header-less heap of the earlier two-file layout (data page 0 at
+    /// offset 0).
+    fn damaged_relations(cat: &Catalog) -> Vec<&'static str> {
+        use crate::heap::page_offset;
+        use crate::page::{Page, PAGE_SIZE};
+        for name in ["bad_short", "bad_crc"] {
+            let mut rel = cat.create_relation(name, Schema::fact(1, 1)).unwrap();
+            rel.append(&[Value::U32(1), Value::I64(1)]).unwrap();
+            rel.flush().unwrap();
+        }
+        let short = fs::OpenOptions::new().write(true).open(cat.heap_path("bad_short")).unwrap();
+        short.set_len(20).unwrap();
+        let mut bytes = fs::read(cat.heap_path("bad_crc")).unwrap();
+        bytes[12] ^= 0x01;
+        fs::write(cat.heap_path("bad_crc"), &bytes).unwrap();
+        let mut page = Page::new();
+        assert!(page.push_row(&[0u8; 12]));
+        page.stamp_checksum();
+        fs::write(cat.heap_path("bad_old"), page.as_bytes()).unwrap();
+        assert_eq!(page_offset(0), PAGE_SIZE as u64);
+        vec!["bad_crc", "bad_old", "bad_short"]
+    }
+
+    #[test]
+    fn damaged_headers_are_typed_corrupt_and_still_droppable() {
+        use crate::mmap::MmapRelation;
+        let cat = fresh_catalog("damaged");
+        cat.create_relation("good", Schema::fact(1, 1)).unwrap();
+        let damaged = damaged_relations(&cat);
+        for &name in &damaged {
+            let path = cat.heap_path(name).display().to_string();
+            let corrupt = |what: &str, e: StorageError| match e {
+                StorageError::Corrupt(msg) => assert!(msg.contains(&path), "{what}: {msg}"),
+                other => panic!("{name}: {what} gave {other:?}, not Corrupt"),
+            };
+            corrupt("open_relation", cat.open_relation(name).map(|_| ()).unwrap_err());
+            corrupt("relation_schema", cat.relation_schema(name).map(|_| ()).unwrap_err());
+            corrupt("MmapRelation::open", MmapRelation::open(&cat, name).map(|_| ()).unwrap_err());
+        }
+        // The damaged files are still relations: listed, and dropped by
+        // prefix without reading their headers.
+        assert_eq!(cat.list().unwrap(), vec!["bad_crc", "bad_old", "bad_short", "good"]);
+        assert_eq!(cat.drop_prefix("bad_").unwrap(), damaged.len());
+        assert_eq!(cat.list().unwrap(), vec!["good"]);
+    }
+
+    #[test]
+    fn creating_a_relation_writes_one_file_and_no_fsync() {
+        use crate::io::FaultInjector;
+        let dir = std::env::temp_dir().join(format!("cure_catalog_onefile_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let policy = Arc::new(FaultInjector::counting());
+        let cat = Catalog::open_with_policy(&dir, policy.clone()).unwrap();
+        let schema = Schema::fact(3, 2);
+        drop(cat.create_relation("r", schema.clone()).unwrap());
+        assert_eq!((policy.writes(), policy.fsyncs()), (1, 0), "one header write, no fsync");
+        let files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, vec!["r.heap"]);
+        assert_eq!(cat.relation_schema("r").unwrap(), schema);
+        assert_eq!(cat.open_relation("r").unwrap().num_rows(), 0);
+        assert_eq!(cat.stats().snapshot().pages_written, 0, "the header is not a data page");
     }
 
     #[test]

@@ -14,6 +14,30 @@
 //! Row-ids are dense `0..num_rows`, so `rowid ↔ (page, slot)` is pure
 //! arithmetic. The file also keeps I/O counters (`pages_read` /
 //! `pages_written`) used by the experiment harness to report I/O volumes.
+//!
+//! ## File layout
+//!
+//! A heap file describes itself: page slot 0 holds the schema, so a
+//! relation is one file and creating it costs one create and one write.
+//!
+//! ```text
+//! offset 0            PAGE_SIZE          2·PAGE_SIZE          (n+1)·PAGE_SIZE
+//! +-------------------+------------------+-----   ---+------------------+
+//! | header slot       | data page 0      |   ...     | data page n      |
+//! +-------------------+------------------+-----   ---+------------------+
+//!
+//! header slot: magic (8) | text_len: u32 LE | crc32(text): u32 LE | text | zeros
+//! text:        one "<column name> <type>\n" line per column
+//! ```
+//!
+//! Data page `n` starts at [`page_offset`]`(n)`, so data pages stay
+//! page-aligned for `mmap`. The header is written once, at creation,
+//! through the [`IoPolicy`] write hook, and is not fsynced there: it
+//! becomes durable with the relation's first [`HeapFile::sync`]. Opening
+//! reads the first 512 bytes of it (a longer schema text costs one more
+//! read) and checks the CRC over the text only. A header slot cut
+//! short, a bad magic or a CRC mismatch is [`StorageError::Corrupt`]
+//! naming the file. The header write does not count in `pages_written`.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -24,14 +48,165 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 use crate::io::{fsync_file, no_faults, with_write_retries, IoPolicy, ReadFault, WriteFault};
 use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
-use crate::schema::{Schema, Value};
+use crate::schema::{ColType, Column, Schema, Value};
 use crate::stats::StorageStats;
 
 /// Identifies a row within a heap file: dense, starting at 0.
 pub type RowId = u64;
+
+/// First bytes of every heap file (format version in the last two).
+const MAGIC: &[u8; 8] = b"CUREHP01";
+
+/// Magic, text length and text CRC: the fixed part of the header slot.
+const HEADER_FIXED: usize = MAGIC.len() + 8;
+
+/// Bytes of the header slot an open reads up front.
+const HEADER_READ: usize = 512;
+
+/// Byte offset of data page `page_no`: the header takes page slot 0.
+pub fn page_offset(page_no: u64) -> u64 {
+    (page_no + 1) * PAGE_SIZE as u64
+}
+
+/// The header slot image for `schema` (see the module docs).
+fn encode_header(schema: &Schema) -> Result<Vec<u8>> {
+    let mut text = String::new();
+    for col in schema.columns() {
+        text.push_str(&col.name);
+        text.push(' ');
+        text.push_str(col.ty.name());
+        text.push('\n');
+    }
+    if HEADER_FIXED + text.len() > PAGE_SIZE {
+        return Err(StorageError::Layout(format!(
+            "schema text of {} bytes does not fit the header slot",
+            text.len()
+        )));
+    }
+    let mut slot = vec![0u8; PAGE_SIZE];
+    slot[..MAGIC.len()].copy_from_slice(MAGIC);
+    slot[8..12].copy_from_slice(&(text.len() as u32).to_le_bytes());
+    slot[12..16].copy_from_slice(&crc32(text.as_bytes()).to_le_bytes());
+    slot[HEADER_FIXED..HEADER_FIXED + text.len()].copy_from_slice(text.as_bytes());
+    Ok(slot)
+}
+
+/// The schema text length a header prefix declares, after checking the
+/// magic.
+fn header_text_len(bytes: &[u8], path: &Path) -> Result<usize> {
+    if bytes.len() < HEADER_FIXED || &bytes[..MAGIC.len()] != MAGIC {
+        return Err(header_corrupt(path, "bad magic: not a heap file of this format"));
+    }
+    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
+    if HEADER_FIXED + len > PAGE_SIZE {
+        return Err(header_corrupt(path, &format!("schema text length {len} overflows the slot")));
+    }
+    Ok(len)
+}
+
+/// Decode the schema from a header prefix holding at least the fixed part
+/// and the whole schema text.
+pub(crate) fn decode_header(bytes: &[u8], path: &Path) -> Result<Schema> {
+    let len = header_text_len(bytes, path)?;
+    let text = bytes
+        .get(HEADER_FIXED..HEADER_FIXED + len)
+        .ok_or_else(|| header_corrupt(path, "header cut short"))?;
+    let stored = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
+    let actual = crc32(text);
+    if stored != actual {
+        return Err(header_corrupt(
+            path,
+            &format!("schema checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"),
+        ));
+    }
+    let text = std::str::from_utf8(text).map_err(|_| header_corrupt(path, "schema not UTF-8"))?;
+    let mut cols = Vec::new();
+    for line in text.lines() {
+        let (name, ty) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| header_corrupt(path, &format!("bad schema line '{line}'")))?;
+        let ty = ColType::parse(ty)
+            .ok_or_else(|| header_corrupt(path, &format!("bad column type '{ty}'")))?;
+        cols.push(Column::new(name, ty));
+    }
+    Ok(Schema::new(cols))
+}
+
+/// Read and decode the schema header of `file`, whose length is `len`.
+pub(crate) fn read_header(file: &File, path: &Path, len: u64) -> Result<Schema> {
+    if len < page_offset(0) {
+        return Err(header_corrupt(path, &format!("header slot cut short at {len} bytes")));
+    }
+    let mut buf = vec![0u8; HEADER_READ];
+    file.read_exact_at(&mut buf, 0)?;
+    let need = HEADER_FIXED + header_text_len(&buf, path)?;
+    if need > HEADER_READ {
+        buf.resize(need, 0);
+        file.read_exact_at(&mut buf[HEADER_READ..], HEADER_READ as u64)?;
+    }
+    decode_header(&buf, path)
+}
+
+/// Check that `file` (of length `len`) holds `schema` in its header. A
+/// header slot shorter than a page can only be a creation cut short
+/// before any data page was written, so it is rewritten from `schema`
+/// (which extends the file to one slot); returns whether it was.
+fn expect_header(
+    policy: &dyn IoPolicy,
+    file: &File,
+    path: &Path,
+    len: u64,
+    schema: &Schema,
+) -> Result<bool> {
+    if len < page_offset(0) {
+        write_slot(policy, file, path, 0, &encode_header(schema)?).1?;
+        return Ok(true);
+    }
+    let found = read_header(file, path, len)?;
+    if &found != schema {
+        return Err(StorageError::Layout(format!(
+            "{}: file holds schema {:?}, not the expected {:?}",
+            path.display(),
+            found.columns(),
+            schema.columns()
+        )));
+    }
+    Ok(false)
+}
+
+fn header_corrupt(path: &Path, detail: &str) -> StorageError {
+    StorageError::Corrupt(format!("{}: {detail}", path.display()))
+}
+
+/// Write `bytes` at `offset` through `policy`'s write hook, retrying
+/// transient faults. An injected torn write lands a prefix (as a crashed
+/// kernel would) and fails. Returns the attempts made.
+fn write_slot(
+    policy: &dyn IoPolicy,
+    file: &File,
+    path: &Path,
+    offset: u64,
+    bytes: &[u8],
+) -> (u64, io::Result<()>) {
+    let mut attempts = 0u64;
+    let result = with_write_retries(|| {
+        attempts += 1;
+        match policy.on_write(path, offset, bytes.len()) {
+            WriteFault::Proceed => file.write_all_at(bytes, offset),
+            WriteFault::Torn { keep } => {
+                file.write_all_at(&bytes[..keep.min(bytes.len())], offset)?;
+                let _ = file.sync_data();
+                Err(io::Error::other("injected torn page write"))
+            }
+            WriteFault::Fail(e) => Err(e),
+        }
+    });
+    (attempts, result)
+}
 
 static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -93,6 +268,18 @@ impl HeapFile {
         schema: Schema,
         policy: Arc<dyn IoPolicy>,
     ) -> Result<Self> {
+        Self::create_at(path.as_ref(), schema, policy, false)
+    }
+
+    /// Create the file at `path` and write its header slot. `exclusive`
+    /// fails with [`io::ErrorKind::AlreadyExists`] instead of truncating
+    /// an existing file.
+    pub(crate) fn create_at(
+        path: &Path,
+        schema: Schema,
+        policy: Arc<dyn IoPolicy>,
+        exclusive: bool,
+    ) -> Result<Self> {
         let rows_per_page = Page::capacity(schema.row_width());
         if rows_per_page == 0 {
             return Err(StorageError::Layout(format!(
@@ -100,15 +287,19 @@ impl HeapFile {
                 schema.row_width()
             )));
         }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path.as_ref())?;
+        let header = encode_header(&schema)?;
+        let mut opts = OpenOptions::new();
+        opts.read(true).write(true);
+        if exclusive {
+            opts.create_new(true);
+        } else {
+            opts.create(true).truncate(true);
+        }
+        let file = opts.open(path)?;
+        write_slot(policy.as_ref(), &file, path, 0, &header).1?;
         Ok(HeapFile {
             file,
-            path: path.as_ref().to_path_buf(),
+            path: path.to_path_buf(),
             schema,
             file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
             rows_per_page,
@@ -122,7 +313,9 @@ impl HeapFile {
         })
     }
 
-    /// Open an existing heap file created with the same schema.
+    /// Open an existing heap file created with `schema`: its header must
+    /// hold that schema ([`StorageError::Layout`] otherwise), and a header
+    /// cut short by a crash during creation is rewritten from it.
     ///
     /// The last page on disk, if partially filled, becomes the in-memory
     /// tail so appends can resume. A torn tail left by a crash (partial
@@ -172,20 +365,44 @@ impl HeapFile {
         schema: Schema,
         policy: Arc<dyn IoPolicy>,
     ) -> Result<(Self, Option<TailRepair>)> {
-        Self::open_report_with_policy_stats(path, schema, policy, None)
+        Self::open_at(path.as_ref(), Some(schema), policy, None)
     }
 
-    /// [`open_report_with_policy`](Self::open_report_with_policy) with a
-    /// [`StorageStats`] block attached *before* the open-time tail reads,
-    /// so retries and checksum verifications spent while opening are
-    /// counted too (relations open lazily under live traffic, where those
-    /// reads are part of serving).
-    pub fn open_report_with_policy_stats(
-        path: impl AsRef<Path>,
-        schema: Schema,
+    /// Open the heap file at `path`, taking its schema from the header.
+    ///
+    /// With `expected` set, the header must hold that schema (else
+    /// [`StorageError::Layout`]), and a header slot cut short by a crash
+    /// during creation is rewritten from it and reported as a repair.
+    /// Without it, such a header is [`StorageError::Corrupt`]. `stats` is attached *before*
+    /// the open-time tail reads, so retries and checksum verifications
+    /// spent while opening are counted too (relations open lazily under
+    /// live traffic, where those reads are part of serving).
+    pub(crate) fn open_at(
+        path: &Path,
+        expected: Option<Schema>,
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
     ) -> Result<(Self, Option<TailRepair>)> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut len = file.metadata()?.len();
+        let mut repair: Option<TailRepair> = None;
+        let schema = match expected {
+            Some(schema) => {
+                if expect_header(policy.as_ref(), &file, path, len, &schema)? {
+                    fsync_file(policy.as_ref(), &file, path).map_err(StorageError::Io)?;
+                    repair = Some(TailRepair {
+                        truncated_bytes: 0,
+                        dropped_page: false,
+                        reason: format!(
+                            "torn creation: header slot cut short at {len} bytes; rewritten"
+                        ),
+                    });
+                    len = page_offset(0);
+                }
+                schema
+            }
+            None => read_header(&file, path, len)?,
+        };
         let rows_per_page = Page::capacity(schema.row_width());
         if rows_per_page == 0 {
             return Err(StorageError::Layout(format!(
@@ -193,13 +410,11 @@ impl HeapFile {
                 schema.row_width()
             )));
         }
-        let file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
-        let len = file.metadata()?.len();
-        let mut repair: Option<TailRepair> = None;
-        let excess = len % PAGE_SIZE as u64;
+        let data_len = len - page_offset(0);
+        let excess = data_len % PAGE_SIZE as u64;
         if excess != 0 {
             file.set_len(len - excess)?;
-            fsync_file(policy.as_ref(), &file, path.as_ref()).map_err(StorageError::Io)?;
+            fsync_file(policy.as_ref(), &file, path).map_err(StorageError::Io)?;
             repair = Some(TailRepair {
                 truncated_bytes: excess,
                 dropped_page: false,
@@ -209,10 +424,10 @@ impl HeapFile {
                 ),
             });
         }
-        let pages = (len - excess) / PAGE_SIZE as u64;
+        let pages = (data_len - excess) / PAGE_SIZE as u64;
         let mut hf = HeapFile {
             file,
-            path: path.as_ref().to_path_buf(),
+            path: path.to_path_buf(),
             schema,
             file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
             rows_per_page,
@@ -251,7 +466,7 @@ impl HeapFile {
                             // One torn write damages at most the final
                             // page; drop it.
                             hf.full_pages -= 1;
-                            hf.file.set_len(hf.full_pages * PAGE_SIZE as u64)?;
+                            hf.file.set_len(page_offset(hf.full_pages))?;
                             fsync_file(hf.policy.as_ref(), &hf.file, &hf.path)
                                 .map_err(StorageError::Io)?;
                             repair = Some(TailRepair {
@@ -373,23 +588,13 @@ impl HeapFile {
         let mut stamped = page.clone();
         stamped.zero_padding(self.schema.row_width());
         stamped.stamp_checksum();
-        let offset = page_no * PAGE_SIZE as u64;
-        let mut attempts = 0u64;
-        let result = with_write_retries(|| {
-            attempts += 1;
-            match self.policy.on_write(&self.path, offset, PAGE_SIZE) {
-                WriteFault::Proceed => self.file.write_all_at(stamped.as_bytes(), offset),
-                WriteFault::Torn { keep } => {
-                    // Land a prefix of the page (as a crashed kernel would),
-                    // then report the write as failed.
-                    let keep = keep.min(PAGE_SIZE);
-                    self.file.write_all_at(&stamped.as_bytes()[..keep], offset)?;
-                    let _ = self.file.sync_data();
-                    Err(io::Error::other("injected torn page write"))
-                }
-                WriteFault::Fail(e) => Err(e),
-            }
-        });
+        let (attempts, result) = write_slot(
+            self.policy.as_ref(),
+            &self.file,
+            &self.path,
+            page_offset(page_no),
+            stamped.as_bytes(),
+        );
         if let Some(stats) = &self.stats {
             // Retries are counted even when the write ultimately fails.
             stats.count_write_retries(attempts.saturating_sub(1));
@@ -403,7 +608,7 @@ impl HeapFile {
     }
 
     fn read_page(&self, page_no: u64) -> Result<Page> {
-        let offset = page_no * PAGE_SIZE as u64;
+        let offset = page_offset(page_no);
         let mut attempts = 0u64;
         // Whether the policy tampered with the returned bytes (bit flip /
         // torn tail): such a read must always be checksum-verified and must
@@ -535,6 +740,8 @@ impl HeapFile {
     /// journaled row slots, so the sealed prefix can always be
     /// reconstructed even when the page header and checksum are garbage.
     /// The rebuilt file is byte-identical to one that stopped at `rows`.
+    /// The file's header must hold `schema`; with `rows == 0`, a header
+    /// slot cut short by a crash during creation is rewritten from it.
     pub fn repair_to_rows(
         path: impl AsRef<Path>,
         schema: &Schema,
@@ -552,18 +759,19 @@ impl HeapFile {
         let full = rows / rows_per_page as u64;
         let rem = (rows % rows_per_page as u64) as usize;
         let needed_pages = full + u64::from(rem > 0);
-        let needed_len = needed_pages * PAGE_SIZE as u64;
-        if len < needed_len {
+        let needed_len = page_offset(needed_pages);
+        if rows > 0 && len < needed_len {
             return Err(StorageError::Corrupt(format!(
                 "{}: {len} bytes on disk, but {needed_len} are journaled as sealed",
                 path.display()
             )));
         }
+        expect_header(policy, &file, path, len, schema)?;
         if rem > 0 {
             // Rebuild the tail page from the raw row bytes; do not trust
             // its header or checksum (a torn rewrite may have wrecked both).
             let mut raw = vec![0u8; PAGE_SIZE];
-            file.read_exact_at(&mut raw, full * PAGE_SIZE as u64)?;
+            file.read_exact_at(&mut raw, page_offset(full))?;
             let mut page = Page::new();
             for i in 0..rem {
                 let off = PAGE_HEADER + i * w;
@@ -576,17 +784,7 @@ impl HeapFile {
             }
             page.zero_padding(w);
             page.stamp_checksum();
-            let offset = full * PAGE_SIZE as u64;
-            with_write_retries(|| match policy.on_write(path, offset, PAGE_SIZE) {
-                WriteFault::Proceed => file.write_all_at(page.as_bytes(), offset),
-                WriteFault::Torn { keep } => {
-                    let keep = keep.min(PAGE_SIZE);
-                    file.write_all_at(&page.as_bytes()[..keep], offset)?;
-                    let _ = file.sync_data();
-                    Err(io::Error::other("injected torn page write"))
-                }
-                WriteFault::Fail(e) => Err(e),
-            })?;
+            write_slot(policy, &file, path, page_offset(full), page.as_bytes()).1?;
         }
         file.set_len(needed_len)?;
         fsync_file(policy, &file, path).map_err(StorageError::Io)?;
@@ -1009,12 +1207,12 @@ mod tests {
         }
         hf.flush().unwrap();
         drop(hf);
-        // Flip one payload byte in the first page on disk.
+        // Flip one payload byte in the first data page on disk.
         let mut f = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
-        f.seek(SeekFrom::Start(100)).unwrap();
+        f.seek(SeekFrom::Start(page_offset(0) + 100)).unwrap();
         let mut b = [0u8; 1];
         f.read_exact(&mut b).unwrap();
-        f.seek(SeekFrom::Start(100)).unwrap();
+        f.seek(SeekFrom::Start(page_offset(0) + 100)).unwrap();
         f.write_all(&[b[0] ^ 0x55]).unwrap();
         drop(f);
         let hf = HeapFile::open(&path, small_schema()).unwrap();
@@ -1075,7 +1273,7 @@ mod tests {
         }
         // Corrupt the *last* page's payload without restamping.
         let mut f = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
-        f.seek(SeekFrom::Start(PAGE_SIZE as u64 + 20)).unwrap();
+        f.seek(SeekFrom::Start(page_offset(1) + 20)).unwrap();
         f.write_all(&[0xFF; 8]).unwrap();
         drop(f);
         let (mut hf, repair) = HeapFile::open_report(&path, small_schema()).unwrap();
@@ -1100,7 +1298,7 @@ mod tests {
             hf.flush().unwrap();
         }
         let mut f = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
-        f.seek(SeekFrom::Start(0)).unwrap();
+        f.seek(SeekFrom::Start(page_offset(0))).unwrap();
         // nrows = u16::MAX, checksum field zeroed.
         f.write_all(&[0xFF, 0xFF, 0, 0, 0, 0, 0, 0]).unwrap();
         drop(f);
@@ -1152,7 +1350,7 @@ mod tests {
         write_rows(&path, sealed + 3);
         // Wreck the tail page's header in place (rows untouched).
         let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.seek(SeekFrom::Start(PAGE_SIZE as u64)).unwrap();
+        f.seek(SeekFrom::Start(page_offset(1))).unwrap();
         f.write_all(&[0xEE; PAGE_HEADER]).unwrap();
         drop(f);
         HeapFile::repair_to_rows(&path, &small_schema(), sealed as u64, &NoFaults).unwrap();
@@ -1181,7 +1379,8 @@ mod tests {
         use crate::io::{FaultInjector, FaultKind};
         use std::sync::Arc;
         let path = tmpdir().join("injected.heap");
-        let policy = Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Enospc));
+        // Write 0 is the header slot, so write 2 is the second data page.
+        let policy = Arc::new(FaultInjector::fail_nth_write(2, FaultKind::Enospc));
         let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy.clone()).unwrap();
         let rows_per_page = Page::capacity(12) as u32;
         let mut result = Ok(0);
@@ -1204,8 +1403,9 @@ mod tests {
         use crate::io::{FaultInjector, FaultKind};
         use std::sync::Arc;
         let path = tmpdir().join("transient.heap");
+        // Write 0 is the header slot; the faults land on the first data page.
         let policy =
-            Arc::new(FaultInjector::fail_nth_write(0, FaultKind::Transient { failures: 2 }));
+            Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
         let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy).unwrap();
         for i in 0..(Page::capacity(12) as u32 + 1) {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
@@ -1239,8 +1439,9 @@ mod tests {
     fn attached_stats_count_transient_retries() {
         use crate::io::{FaultInjector, FaultKind};
         let path = tmpdir().join("stats_retry.heap");
+        // Write 0 is the header slot, written before the stats attach.
         let policy =
-            Arc::new(FaultInjector::fail_nth_write(0, FaultKind::Transient { failures: 2 }));
+            Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
         let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy).unwrap();
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));

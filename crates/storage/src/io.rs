@@ -21,7 +21,7 @@
 //!   transient error kinds (`Interrupted`, `WouldBlock`, `TimedOut`);
 //!   anything else propagates immediately.
 //! * [`atomic_write`] — temp file + fsync + rename + directory fsync, the
-//!   standard publish protocol for small metadata files (catalog schemas,
+//!   standard publish protocol for small metadata files (catalog blobs,
 //!   the build manifest). Readers see either the old or the new content,
 //!   never a torn mixture.
 

@@ -6,7 +6,8 @@
 //! read-only memory map exposes them to every worker thread with no
 //! locking and no copying. An [`MmapRelation`]:
 //!
-//! * maps the whole heap file `MAP_SHARED`/`PROT_READ` at open,
+//! * maps the whole heap file `MAP_SHARED`/`PROT_READ` at open and reads
+//!   the schema from the mapped header slot (one open of the file),
 //! * verifies every page checksum **once** at open, recording failures
 //!   in an atomic bad-page bitset (open degrades per page instead of
 //!   failing — the serving layer quarantines and repairs),
@@ -38,10 +39,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::catalog::Catalog;
+use crate::catalog::{not_found, Catalog};
 use crate::checksum::Crc32;
 use crate::error::{Result, StorageError};
-use crate::heap::RowId;
+use crate::heap::{decode_header, page_offset, RowId};
 use crate::io::{with_write_retries, IoPolicy, ReadFault};
 use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
 use crate::schema::Schema;
@@ -97,7 +98,7 @@ fn verify_page_bytes(bytes: &[u8]) -> std::result::Result<(), String> {
 /// A sealed heap relation served zero-copy through a read-only memory
 /// map (see module docs).
 pub struct MmapRelation {
-    /// Base of the mapping; null for an empty (zero-length) file.
+    /// Base of the mapping (the header slot, then the data pages).
     ptr: *const u8,
     map_len: usize,
     path: PathBuf,
@@ -136,12 +137,10 @@ impl std::fmt::Debug for MmapRelation {
 
 impl Drop for MmapRelation {
     fn drop(&mut self) {
-        if !self.ptr.is_null() {
-            // SAFETY: ptr/map_len came from a successful mmap of exactly
-            // this length and are unmapped exactly once.
-            unsafe {
-                sys::munmap(self.ptr as *mut std::ffi::c_void, self.map_len);
-            }
+        // SAFETY: ptr/map_len came from a successful mmap of exactly
+        // this length and are unmapped exactly once.
+        unsafe {
+            sys::munmap(self.ptr as *mut std::ffi::c_void, self.map_len);
         }
     }
 }
@@ -153,43 +152,34 @@ impl MmapRelation {
     /// later served as typed corrupt errors) rather than failing the
     /// open, so one bad page degrades one page, not the whole cube.
     pub fn open(catalog: &Catalog, name: &str) -> Result<Self> {
-        let schema = catalog.relation_schema(name)?;
         let path = catalog.relation_heap_path(name);
-        Self::open_at(
-            &path,
-            schema,
-            Arc::clone(catalog.policy()),
-            Some(Arc::clone(catalog.stats())),
-        )
+        Self::open_at(&path, Arc::clone(catalog.policy()), Some(Arc::clone(catalog.stats())))
+            .map_err(|e| not_found(e, name))
     }
 
     /// [`open`](Self::open) from an explicit path, policy, and stats
     /// sink.
     pub fn open_at(
         path: &Path,
-        schema: Schema,
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
     ) -> Result<Self> {
-        let row_width = schema.row_width();
-        let rows_per_page = Page::capacity(row_width);
-        if rows_per_page == 0 {
-            return Err(StorageError::Layout(format!(
-                "row width {row_width} exceeds page capacity"
-            )));
-        }
         let file = File::open(path)?;
         let len = file.metadata()?.len();
+        if len < page_offset(0) {
+            return Err(StorageError::Corrupt(format!(
+                "{}: header slot cut short at {len} bytes",
+                path.display()
+            )));
+        }
         if len % PAGE_SIZE as u64 != 0 {
             return Err(StorageError::Corrupt(format!(
                 "{}: {len} bytes is not a whole number of pages",
                 path.display()
             )));
         }
-        let disk_pages = len / PAGE_SIZE as u64;
-        let ptr = if len == 0 {
-            std::ptr::null()
-        } else {
+        let disk_pages = (len - page_offset(0)) / PAGE_SIZE as u64;
+        let ptr = {
             // SAFETY: fd is a freshly opened readable file of `len`
             // bytes; a PROT_READ/MAP_SHARED mapping of it has no aliasing
             // hazards (we never write through it).
@@ -215,8 +205,8 @@ impl MmapRelation {
             map_len: len as usize,
             path: path.to_path_buf(),
             name,
-            schema,
-            rows_per_page,
+            schema: Schema::new(Vec::new()),
+            rows_per_page: 0,
             disk_pages,
             num_rows: 0,
             policy,
@@ -224,6 +214,17 @@ impl MmapRelation {
             bad,
             _file: file,
         };
+        // The mapping is owned by `rel` from here, so an error below unmaps it.
+        // SAFETY: the mapping is at least one header slot long.
+        let header = unsafe { std::slice::from_raw_parts(rel.ptr, PAGE_SIZE) };
+        rel.schema = decode_header(header, path)?;
+        rel.rows_per_page = Page::capacity(rel.schema.row_width());
+        if rel.rows_per_page == 0 {
+            return Err(StorageError::Layout(format!(
+                "row width {} exceeds page capacity",
+                rel.schema.row_width()
+            )));
+        }
         rel.verify_all_pages()?;
         Ok(rel)
     }
@@ -231,9 +232,11 @@ impl MmapRelation {
     /// Raw mapped bytes of `page_no` (no policy, no verification).
     fn raw_page(&self, page_no: u64) -> &[u8] {
         debug_assert!(page_no < self.disk_pages);
-        // SAFETY: page_no is within the mapping (disk_pages * PAGE_SIZE
+        // SAFETY: page_no is within the mapping (page_offset(disk_pages)
         // == map_len) and the mapping lives as long as &self.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(page_no as usize * PAGE_SIZE), PAGE_SIZE) }
+        unsafe {
+            std::slice::from_raw_parts(self.ptr.add(page_offset(page_no) as usize), PAGE_SIZE)
+        }
     }
 
     fn bad_bit(&self, page_no: u64) -> bool {
@@ -258,7 +261,7 @@ impl MmapRelation {
     /// tampering faults (bit flip / torn read) are applied to a private
     /// copy of the mapped page. Returns the page image to serve from.
     fn policy_page(&self, page_no: u64) -> Result<Cow<'_, [u8]>> {
-        let offset = page_no * PAGE_SIZE as u64;
+        let offset = page_offset(page_no);
         let mut attempts = 0u64;
         let result = with_write_retries(|| {
             attempts += 1;
@@ -568,13 +571,13 @@ mod tests {
         let catalog = Catalog::open(&dir).unwrap();
         build_relation(&catalog, "rel", 1500);
         let path = catalog.relation_heap_path("rel");
-        // Save page 1, then flip a payload byte on disk.
+        // Save data page 1, then flip a payload byte on disk.
         let file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
         let mut good = vec![0u8; PAGE_SIZE];
-        file.read_exact_at(&mut good, PAGE_SIZE as u64).unwrap();
+        file.read_exact_at(&mut good, page_offset(1)).unwrap();
         let mut evil = good.clone();
         evil[PAGE_HEADER + 11] ^= 0x40;
-        file.write_all_at(&evil, PAGE_SIZE as u64).unwrap();
+        file.write_all_at(&evil, page_offset(1)).unwrap();
         file.sync_all().unwrap();
 
         let map = MmapRelation::open(&catalog, "rel").unwrap();
@@ -591,7 +594,7 @@ mod tests {
         }
         assert!(map.reverify_page(1).is_err(), "still corrupt on disk");
         // Repair on disk; MAP_SHARED makes the fix visible in place.
-        file.write_all_at(&good, PAGE_SIZE as u64).unwrap();
+        file.write_all_at(&good, page_offset(1)).unwrap();
         file.sync_all().unwrap();
         map.reverify_page(1).unwrap();
         assert_eq!(map.bad_pages(), 0);
@@ -603,13 +606,12 @@ mod tests {
         let dir = tmpdir("faults");
         let catalog = Catalog::open(&dir).unwrap();
         build_relation(&catalog, "rel", 1000);
-        let schema = catalog.relation_schema("rel").unwrap();
         let path = catalog.relation_heap_path("rel");
-        let pages = (std::fs::metadata(&path).unwrap().len() / PAGE_SIZE as u64) as u64;
+        let pages = (std::fs::metadata(&path).unwrap().len() - page_offset(0)) / PAGE_SIZE as u64;
 
         // Bit flip on the first post-open access → typed corrupt.
         let policy = Arc::new(FaultInjector::fail_nth_read(pages, ReadFaultKind::FlipBit));
-        let map = MmapRelation::open_at(&path, schema.clone(), policy, None).unwrap();
+        let map = MmapRelation::open_at(&path, policy, None).unwrap();
         assert_eq!(map.bad_pages(), 0, "open consumed exactly {pages} policy reads");
         match map.row(0) {
             Err(StorageError::CorruptPage { page: 0, .. }) => {}
@@ -621,13 +623,13 @@ mod tests {
 
         // Hard read error → typed I/O error, and transient → absorbed.
         let policy = Arc::new(FaultInjector::fail_nth_read(pages, ReadFaultKind::Error));
-        let map = MmapRelation::open_at(&path, schema.clone(), policy, None).unwrap();
+        let map = MmapRelation::open_at(&path, policy, None).unwrap();
         assert!(matches!(map.row(0), Err(StorageError::Io(_))));
         assert!(map.row(0).is_ok());
 
         let policy =
             Arc::new(FaultInjector::fail_nth_read(pages, ReadFaultKind::Transient { failures: 2 }));
-        let map = MmapRelation::open_at(&path, schema, policy, None).unwrap();
+        let map = MmapRelation::open_at(&path, policy, None).unwrap();
         assert!(map.row(0).is_ok(), "bounded retry absorbs transient faults");
     }
 
@@ -636,12 +638,11 @@ mod tests {
         let dir = tmpdir("openfault");
         let catalog = Catalog::open(&dir).unwrap();
         build_relation(&catalog, "rel", 1500);
-        let schema = catalog.relation_schema("rel").unwrap();
         let path = catalog.relation_heap_path("rel");
         // A bit flip during the open-time verify pass marks that page bad
         // without failing the open; a later repair probe clears it.
         let policy = Arc::new(FaultInjector::fail_nth_read(1, ReadFaultKind::FlipBit));
-        let map = MmapRelation::open_at(&path, schema, policy, None).unwrap();
+        let map = MmapRelation::open_at(&path, policy, None).unwrap();
         assert_eq!(map.bad_pages(), 1);
         map.reverify_page(1).unwrap();
         assert_eq!(map.bad_pages(), 0);

@@ -1,13 +1,14 @@
 //! Snapshot export and CRC verification: the replication primitive.
 //!
 //! A sealed cube is a closed family of catalog files under one name
-//! prefix — `<rel>.heap` + `<rel>.meta` pairs, `<name>.blob` metadata
-//! blobs, and the durable `<prefix>manifest.json` journal. Shipping a
+//! prefix — one self-describing `<rel>.heap` per relation, `<name>.blob`
+//! metadata blobs, and the durable `<prefix>manifest.json` journal. Shipping a
 //! replica is therefore a *file-level* copy of that family into another
 //! catalog directory ([`export_snapshot`]), followed by an end-to-end
-//! integrity check on the receiving side ([`verify_snapshot`]): every
-//! page of every replicated relation is re-read from disk and its CRC32
-//! verified, so a replica that passes verification serves byte-identical
+//! integrity check on the receiving side ([`verify_snapshot`]): the
+//! schema header and every data page of every replicated relation are
+//! re-read from disk and their CRC32s verified, so a replica that passes
+//! verification serves byte-identical
 //! rows or it is rejected before it ever serves a query.
 //!
 //! The export deliberately skips `.tmp` files (in-flight atomic writes)
@@ -19,13 +20,15 @@ use std::path::Path;
 
 use crate::catalog::{sanitize, Catalog};
 use crate::error::{Result, StorageError};
+use crate::heap::{decode_header, page_offset};
+use crate::page::{Page, PAGE_SIZE};
 
 /// What a snapshot export or verification covered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotReport {
     /// Files copied (export) or relations opened (verify).
     pub files: usize,
-    /// Relations in the prefix family (`.meta` count on export, opened
+    /// Relations in the prefix family (`.heap` files on export, verified
     /// relations on verify).
     pub relations: usize,
     /// Bytes copied (export) or pages CRC-verified (verify).
@@ -35,8 +38,8 @@ pub struct SnapshotReport {
 }
 
 /// Copy every sealed catalog file whose name starts with `prefix` from
-/// `src` into `dest_dir` (created if needed). Covers heap files, schema
-/// metadata, blobs, and the build manifest uniformly; skips `.tmp`
+/// `src` into `dest_dir` (created if needed). Covers heap files, blobs,
+/// and the build manifest uniformly; skips `.tmp`
 /// leftovers of in-flight atomic writes. The destination directory is
 /// fsynced once after the last copy.
 pub fn export_snapshot(src: &Catalog, prefix: &str, dest_dir: &Path) -> Result<SnapshotReport> {
@@ -58,7 +61,7 @@ pub fn export_snapshot(src: &Catalog, prefix: &str, dest_dir: &Path) -> Result<S
         let copied = fs::copy(&path, dest_dir.join(&name))?;
         report.files += 1;
         report.bytes += copied;
-        if name.ends_with(".meta") {
+        if name.ends_with(".heap") {
             report.relations += 1;
         }
     }
@@ -71,9 +74,9 @@ pub fn export_snapshot(src: &Catalog, prefix: &str, dest_dir: &Path) -> Result<S
     Ok(report)
 }
 
-/// Verify a shipped snapshot end to end: re-read every page of every
-/// `.heap` file under `prefix` in `dir` straight from disk and check its
-/// CRC32, and parse every `.meta` schema. This deliberately bypasses the
+/// Verify a shipped snapshot end to end: re-read every `.heap` file under
+/// `prefix` in `dir` straight from disk, check its schema header's CRC32,
+/// then every data page's. This deliberately bypasses the
 /// relation-open path — its torn-tail repair would silently *truncate* a
 /// corrupt tail page, and a replica is either bit-faithful or rejected.
 /// Returns the verified page/byte counts, or the first corruption as a
@@ -85,17 +88,18 @@ pub fn verify_snapshot(dir: &Path, prefix: &str) -> Result<SnapshotReport> {
         if !name.starts_with(prefix) {
             continue;
         }
-        // Schema metadata must parse.
-        catalog.relation_schema(&name)?;
-        let bytes = fs::read(catalog.relation_heap_path(&name))?;
-        if !bytes.len().is_multiple_of(crate::page::PAGE_SIZE) {
+        let path = catalog.relation_heap_path(&name);
+        let bytes = fs::read(&path)?;
+        let data_start = page_offset(0) as usize;
+        if bytes.len() < data_start || !bytes.len().is_multiple_of(PAGE_SIZE) {
             return Err(StorageError::Corrupt(format!(
-                "replica relation '{name}': {} bytes is not a whole number of pages",
+                "replica relation '{name}': {} bytes is not a header slot and whole pages",
                 bytes.len()
             )));
         }
-        for (page_no, chunk) in bytes.chunks(crate::page::PAGE_SIZE).enumerate() {
-            let page = crate::page::Page::from_bytes(chunk.to_vec().into_boxed_slice())
+        decode_header(&bytes[..data_start], &path)?;
+        for (page_no, chunk) in bytes[data_start..].chunks(PAGE_SIZE).enumerate() {
+            let page = Page::from_bytes(chunk.to_vec().into_boxed_slice())
                 .map_err(|e| corrupt_page(&name, page_no as u64, e))?;
             page.verify_checksum().map_err(|e| corrupt_page(&name, page_no as u64, e))?;
             report.pages_verified += 1;
@@ -158,8 +162,8 @@ mod tests {
         seed_catalog(&src_dir);
         let report =
             export_snapshot(&Catalog::open(&src_dir).unwrap(), "shard0_", &dst_dir).unwrap();
-        // facts heap + facts meta + meta blob.
-        assert_eq!(report.files, 3);
+        // facts heap + meta blob.
+        assert_eq!(report.files, 2);
         assert_eq!(report.relations, 1);
         let names: Vec<String> = fs::read_dir(&dst_dir)
             .unwrap()
@@ -199,6 +203,21 @@ mod tests {
             matches!(err, StorageError::CorruptPage { .. } | StorageError::Corrupt(_)),
             "unexpected error: {err:?}"
         );
+    }
+
+    #[test]
+    fn verify_rejects_a_flipped_header_byte() {
+        let src_dir = fresh_dir("badhdr_src");
+        let dst_dir = fresh_dir("badhdr_dst");
+        seed_catalog(&src_dir);
+        export_snapshot(&Catalog::open(&src_dir).unwrap(), "shard0_", &dst_dir).unwrap();
+        let heap = dst_dir.join("shard0_facts.heap");
+        let mut bytes = fs::read(&heap).unwrap();
+        // A byte of the schema text: only the header CRC covers it.
+        bytes[20] ^= 0x01;
+        fs::write(&heap, bytes).unwrap();
+        let err = verify_snapshot(&dst_dir, "shard0_").unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "unexpected error: {err:?}");
     }
 
     #[test]

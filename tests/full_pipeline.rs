@@ -59,6 +59,73 @@ fn apb_cube_end_to_end() {
     }
 }
 
+/// A relation is one file: after a durable partitioned build and one
+/// ingest, the catalog directory holds one `.heap` per relation, the
+/// blobs and the manifests — no schema side files, no temp files.
+#[test]
+fn one_file_per_relation_after_durable_build_and_ingest() {
+    let catalog = fresh_catalog("files_per_cube");
+    let ds = apb1_dense(0.4, 2_000, 3);
+    ds.store(&catalog, "facts").unwrap();
+    let cfg = CubeConfig { memory_budget_bytes: 16 << 10, ..CubeConfig::default() };
+    let mut sink = DiskSink::new(&catalog, "cube_", &ds.schema, false, false, None).unwrap();
+    let built = cure::core::build_cure_cube_durable(
+        &catalog,
+        "facts",
+        &ds.schema,
+        &cfg,
+        &mut sink,
+        "cube_tmp_",
+        &cure::core::DurableOptions::default(),
+    )
+    .unwrap();
+    drop(sink);
+    assert!(built.report.partition.is_some(), "the budget must force partitioning");
+    CubeMeta {
+        prefix: "cube_".into(),
+        fact_rel: "facts".into(),
+        n_dims: 4,
+        n_measures: 2,
+        dr: false,
+        plus: false,
+        cat_format: built.report.stats.cat_format,
+        partition_level: built.report.partition.as_ref().map(|p| p.choice.level),
+        min_support: 1,
+    }
+    .write(&catalog)
+    .unwrap();
+    let batch = apb1_dense(0.4, 2_000, 4).tuples;
+    let mut delta = cure::core::Tuples::new(4, 2);
+    for i in 0..batch.len() / 100 {
+        delta.push_fact(batch.dims_of(i), batch.aggs_of(i), i as u64);
+    }
+    cure::core::ingest_cube(
+        &catalog,
+        &ds.schema,
+        &delta,
+        &CubeConfig::default(),
+        &cure::core::IngestOptions { drop_old: true },
+    )
+    .unwrap();
+
+    let relations = catalog.list().unwrap();
+    assert!(relations.len() > 100, "{} relations", relations.len());
+    let mut heaps = Vec::new();
+    for entry in std::fs::read_dir(catalog.dir()).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if let Some(stem) = name.strip_suffix(".heap") {
+            heaps.push(stem.to_string());
+        } else {
+            assert!(
+                name.ends_with(".blob") || name.ends_with("manifest.json"),
+                "unexpected file {name}"
+            );
+        }
+    }
+    heaps.sort();
+    assert_eq!(heaps, relations, "one .heap per relation");
+}
+
 #[test]
 fn three_formats_agree_on_hierarchical_data() {
     // BUC, BU-BST and CURE must return identical answers for leaf-level
