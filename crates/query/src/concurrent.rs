@@ -8,12 +8,19 @@
 //! atomics — so `node_query` takes `&self` and the whole cube can sit
 //! behind one `Arc` shared by a worker pool (see the `cure-serve` crate).
 //!
-//! On the cache read path each source's fact rows are fetched with one
-//! [`HeapFile::gather_shared`] call, which reads the fact table in page
-//! order — one cache lookup per distinct page rather than one per row,
-//! the page-ordered access CURE+ gets by sorting row-ids (§5.3) — and
-//! hands the rows back in resolution order. `AGGREGATES` rows are
-//! fetched one at a time through [`HeapFile::fetch_shared`].
+//! On the cache read path a node query reads each relation once:
+//!
+//! * the node's NT, CAT and TT relations come from a per-epoch table
+//!   keyed by node id, opened on first use, so a repeated query does no
+//!   catalog probe, no open and no header read, and verifies no page
+//!   checksum twice;
+//! * every CAT reference of the query is fetched from `AGGREGATES` with
+//!   one [`HeapFile::gather_shared`] call, and every fact row-id of every
+//!   source (NT, CAT, each TT on the plan path) with one more. A gather
+//!   reads its relation in page order — one cache lookup per distinct
+//!   page rather than one per row, the page-ordered access CURE+ gets by
+//!   sorting row-ids (§5.3) — and hands the rows back in resolution
+//!   order.
 //!
 //! Query *semantics* are identical to the exclusive path by construction:
 //! both drive the same [`crate::resolve`] engine and differ only in the
@@ -32,7 +39,7 @@ use cure_storage::{Catalog, HeapFile, Schema, SharedBufferCache, StorageError};
 
 use crate::cure_reader::QueryStats;
 use crate::node_index::{Attribution, MmapNodeIndex};
-use crate::resolve::{self, ResolveEnv, RowFetcher};
+use crate::resolve::{self, NodeRelations, ResolveEnv, RowFetcher};
 use crate::CubeRow;
 
 /// Lock-free counterpart of [`QueryStats`] (cache hit/miss counters live
@@ -57,17 +64,17 @@ impl SharedQueryStats {
 
 /// How a [`ConcurrentCube`] resolves rows.
 ///
-/// `Cache` is the original serving path — page-ordered gathers and
-/// `fetch_shared` through the sharded [`SharedBufferCache`]s — and
-/// remains the fallback for cubes still being written or ingested into.
+/// On either path a handle serves one sealed epoch: the cube must stay
+/// immutable for the lifetime of the handle, and live ingest swaps in a
+/// *new* handle per epoch instead of mutating this one. `Cache` is the
+/// original serving path — page-ordered gathers through the sharded
+/// [`SharedBufferCache`]s, over relations opened once per handle.
 /// `Mmap` memory-maps every sealed relation at open and serves borrowed
-/// page slices with no locking and no copy; it requires the cube to be
-/// immutable for the lifetime of the handle (live ingest swaps in a *new*
-/// handle per epoch instead of mutating this one).
+/// page slices with no locking and no copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
     /// Lock-guarded shared page caches over `HeapFile::gather_shared`
-    /// (fact rows) and `HeapFile::fetch_shared` (`AGGREGATES` rows).
+    /// (fact and `AGGREGATES` rows).
     Cache,
     /// Zero-copy mmap reads + the per-node point-query index.
     Mmap,
@@ -154,6 +161,8 @@ pub struct ConcurrentCube {
     read_path: ReadPath,
     /// The per-node point-query index, present iff `read_path` is `Mmap`.
     mmap: Option<MmapNodeIndex>,
+    /// Each node's opened NT, CAT and TT relations (cache path).
+    relations: NodeRelations,
 }
 
 /// A `ConcurrentCube` is shared across worker threads behind an `Arc`.
@@ -182,6 +191,18 @@ impl SharedFetcher<'_> {
         self.stats.fact_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
         self.fact.gather_shared(rowids, self.fact_cache, buf, before_page)
     }
+
+    /// [`gather_facts`](Self::gather_facts) over `AGGREGATES`.
+    fn gather_aggs(
+        &self,
+        agg: &HeapFile,
+        rowids: &[u64],
+        buf: &mut [u8],
+        before_page: impl FnMut(u64) -> Result<()>,
+    ) -> Result<()> {
+        self.stats.agg_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
+        agg.gather_shared(rowids, self.agg_cache, buf, before_page)
+    }
 }
 
 impl RowFetcher for SharedFetcher<'_> {
@@ -189,10 +210,8 @@ impl RowFetcher for SharedFetcher<'_> {
         self.gather_facts(rowids, buf, |_| Ok(()))
     }
 
-    fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.stats.agg_fetches.fetch_add(1, Ordering::Relaxed);
-        agg.fetch_shared(rowid, self.agg_cache, buf)?;
-        Ok(())
+    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        self.gather_aggs(agg, rowids, buf, |_| Ok(()))
     }
 }
 
@@ -202,7 +221,6 @@ struct GuardedFetcher<'f, 'g> {
     guard: QueryGuard<'g>,
     fact_name: String,
     agg_name: String,
-    agg_rows_per_page: u64,
 }
 
 impl GuardedFetcher<'_, '_> {
@@ -239,10 +257,11 @@ impl RowFetcher for GuardedFetcher<'_, '_> {
         })
     }
 
-    fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_deadline()?;
-        self.check_quarantine(&self.agg_name, rowid / self.agg_rows_per_page.max(1))?;
-        self.inner.fetch_agg(agg, rowid, buf)
+    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        self.inner.gather_aggs(agg, rowids, buf, |page| {
+            self.check_deadline()?;
+            self.check_quarantine(&self.agg_name, page)
+        })
     }
 }
 
@@ -306,6 +325,7 @@ impl ConcurrentCube {
             schema,
             meta,
             plan,
+            relations: NodeRelations::new(coder.num_nodes()),
             coder,
             fact,
             fact_schema,
@@ -375,6 +395,7 @@ impl ConcurrentCube {
             coder: &self.coder,
             fact_schema: &self.fact_schema,
             aggregates: self.aggregates.as_ref(),
+            relations: &self.relations,
         }
     }
 
@@ -425,8 +446,7 @@ impl ConcurrentCube {
         let levels = self.coder.decode(node)?;
         let mut out: Vec<CubeRow> = Vec::new();
         let (env, mut fetcher) = self.env();
-        resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, None)?;
-        resolve::scan_tts(&env, &mut fetcher, node, &levels, &mut out, None)?;
+        resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
@@ -449,10 +469,8 @@ impl ConcurrentCube {
             guard: *guard,
             fact_name: self.fact.relation_name(),
             agg_name: self.aggregates.as_ref().map(|a| a.relation_name()).unwrap_or_default(),
-            agg_rows_per_page: self.aggregates.as_ref().map_or(1, |a| a.rows_per_page() as u64),
         };
-        resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, None)?;
-        resolve::scan_tts(&env, &mut fetcher, node, &levels, &mut out, None)?;
+        resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
@@ -547,7 +565,7 @@ impl ConcurrentCube {
             )?;
         } else {
             let (env, mut fetcher) = self.env();
-            resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, None)?;
+            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, false)?;
         }
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         out.retain(|(_, aggs)| aggs[count_measure] > min_count);
@@ -630,9 +648,11 @@ mod tests {
     struct FactAccess {
         /// Fact rows fetched.
         rows: u64,
-        /// Fact-cache lookups a page-ordered gather makes: the distinct
-        /// sealed pages of each batch, summed over batches.
+        /// Fact-cache lookups the query's page-ordered gathers make: the
+        /// distinct sealed pages of each gather, summed over gathers.
         lookups: u64,
+        /// Fact gathers the query made.
+        gathers: u64,
         /// Every sealed fact page read.
         pages: BTreeSet<u64>,
     }
@@ -654,12 +674,13 @@ mod tests {
                 .collect();
             self.access.rows += rowids.len() as u64;
             self.access.lookups += pages.len() as u64;
+            self.access.gathers += 1;
             self.access.pages.extend(pages);
             self.inner.fetch_facts(rowids, buf)
         }
 
-        fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
-            self.inner.fetch_agg(agg, rowid, buf)
+        fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+            self.inner.fetch_aggs(agg, rowids, buf)
         }
     }
 
@@ -675,8 +696,7 @@ mod tests {
             access: FactAccess::default(),
         };
         let mut out = Vec::new();
-        resolve::scan_nt_cat(&env, &mut recorder, node, &levels, &mut out, None).unwrap();
-        resolve::scan_tts(&env, &mut recorder, node, &levels, &mut out, None).unwrap();
+        resolve::scan_node(&env, &mut recorder, node, &levels, &mut out, None, true).unwrap();
         recorder.access
     }
 
@@ -770,15 +790,35 @@ mod tests {
         let stats = cube.stats_snapshot();
         assert_eq!(stats.queries, 8 * nodes * 2);
         // Each thread queried every node twice. Every query fetches its
-        // rows, and makes exactly one shared-cache access per distinct
-        // sealed fact page of each source batch, whatever the eviction
-        // and interleaving (tail-page rows need no access).
+        // rows in one gather, and so makes exactly one shared-cache access
+        // per distinct sealed fact page it reads, whatever the eviction and
+        // interleaving (tail-page rows need no access).
+        assert!(access.iter().all(|a| a.gathers == 1), "one fact gather per query");
         let per_sweep = |f: fn(&FactAccess) -> u64| access.iter().map(f).sum::<u64>();
         assert_eq!(stats.fact_fetches, 16 * per_sweep(|a| a.rows));
         assert_eq!(stats.fact_cache_hits + stats.fact_cache_misses, 16 * per_sweep(|a| a.lookups));
         let shard_total: u64 =
             cube.fact_cache().shard_stats().iter().map(|s| s.hits + s.misses).sum();
         assert_eq!(shard_total, stats.fact_cache_hits + stats.fact_cache_misses);
+    }
+
+    #[test]
+    fn repeated_query_verifies_no_page_again() {
+        let (catalog, schema, prefix) = build_test_cube("repeat");
+        let cube =
+            ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
+        let nodes = cube.coder().num_nodes();
+        let first: Vec<_> = (0..nodes).map(|n| cube.node_query(n).unwrap()).collect();
+        let verified = catalog.stats().checksum_verifications();
+        assert!(verified > 0, "the first sweep verified the pages it read");
+        for node in 0..nodes {
+            assert_eq!(cube.node_query(node).unwrap(), first[node as usize], "node {node}");
+        }
+        assert_eq!(
+            catalog.stats().checksum_verifications(),
+            verified,
+            "a repeated query re-verified a page"
+        );
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!
 //! Fact-table and `AGGREGATES` fetches go through LRU page caches whose
 //! capacities are the knob of the paper's Figure 17 experiment. This
-//! handle fetches fact rows one at a time, in resolution order, so the
-//! cache sees the per-row access pattern that experiment measures (the
-//! concurrent handle gathers them page by page instead).
+//! handle fetches rows one at a time, in resolution order, so the cache
+//! sees the per-row access pattern that experiment measures (the
+//! concurrent handle gathers them page by page instead). Like the
+//! concurrent handle, it opens each node's NT, CAT and TT relations once
+//! and keeps them for the handle's lifetime.
 //!
 //! The resolution semantics live in [`crate::resolve`], shared with the
 //! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube);
@@ -29,7 +31,7 @@ use cure_core::sink::aggregates_rel_name;
 use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result, Tuples};
 use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema};
 
-use crate::resolve::{self, ResolveEnv, RowFetcher};
+use crate::resolve::{self, NodeRelations, ResolveEnv, RowFetcher};
 use crate::CubeRow;
 
 /// Counters accumulated across queries (reset with
@@ -63,6 +65,8 @@ pub struct CureCube<'a> {
     fact_cache: BufferCache,
     agg_cache: BufferCache,
     stats: QueryStats,
+    /// Each node's opened NT, CAT and TT relations.
+    relations: NodeRelations,
 }
 
 /// [`RowFetcher`] over the exclusive per-handle caches.
@@ -85,9 +89,12 @@ impl RowFetcher for ExclusiveFetcher<'_> {
         Ok(())
     }
 
-    fn fetch_agg(&mut self, agg: &HeapFile, rowid: u64, buf: &mut [u8]) -> Result<()> {
-        self.stats.agg_fetches += 1;
-        agg.fetch_cached(rowid, self.agg_cache, buf)?;
+    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+        let w = agg.schema().row_width();
+        for (&rowid, row) in rowids.iter().zip(buf.chunks_exact_mut(w)) {
+            self.stats.agg_fetches += 1;
+            agg.fetch_cached(rowid, self.agg_cache, row)?;
+        }
         Ok(())
     }
 }
@@ -120,6 +127,7 @@ impl<'a> CureCube<'a> {
             schema,
             meta,
             plan,
+            relations: NodeRelations::new(coder.num_nodes()),
             coder,
             fact,
             fact_schema,
@@ -186,6 +194,7 @@ impl<'a> CureCube<'a> {
             fact_cache,
             agg_cache,
             stats,
+            relations,
         } = self;
         (
             ResolveEnv {
@@ -196,6 +205,7 @@ impl<'a> CureCube<'a> {
                 coder,
                 fact_schema,
                 aggregates: aggregates.as_ref(),
+                relations,
             },
             ExclusiveFetcher { fact, fact_cache, agg_cache, stats },
         )
@@ -208,8 +218,7 @@ impl<'a> CureCube<'a> {
         let mut out: Vec<CubeRow> = Vec::new();
         {
             let (env, mut fetcher) = self.parts();
-            resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, None)?;
-            resolve::scan_tts(&env, &mut fetcher, node, &levels, &mut out, None)?;
+            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
         }
         self.stats.queries += 1;
         self.stats.rows += out.len() as u64;
@@ -240,7 +249,7 @@ impl<'a> CureCube<'a> {
         {
             // TTs all have count == 1 ≤ min_count: skip them without reading.
             let (env, mut fetcher) = self.parts();
-            resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, None)?;
+            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, false)?;
         }
         self.stats.queries += 1;
         out.retain(|(_, aggs)| aggs[count_measure] > min_count);
@@ -305,8 +314,8 @@ impl<'a> CureCube<'a> {
         let mut out: Vec<CubeRow> = Vec::new();
         {
             let (env, mut fetcher) = self.parts();
-            resolve::scan_nt_cat(&env, &mut fetcher, node, &levels, &mut out, Some(&qualifier))?;
-            resolve::scan_tts(&env, &mut fetcher, node, &levels, &mut out, Some(&qualifier))?;
+            let q = Some(&qualifier);
+            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, q, true)?;
         }
         self.stats.queries += 1;
         self.stats.rows += out.len() as u64;

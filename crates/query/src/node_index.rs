@@ -1,13 +1,13 @@
 //! The per-node point-query index and the zero-copy (mmap) node-query
 //! path behind [`ConcurrentCube`](crate::ConcurrentCube).
 //!
-//! The cache read path resolves a node query by *searching*: it opens
-//! the node's NT relation from the catalog, re-reads CAT bitmap blobs,
-//! walks the plan path probing for TT relations — every query, every
-//! time — then gathers each source's fact rows page by page through a
-//! lock-guarded shared page cache, copying every row out of it. On an
-//! immutable post-build cube all of that work is invariant across
-//! queries, so [`MmapNodeIndex`] hoists it to open time:
+//! The cache read path resolves a node query by *scanning*: it reads the
+//! node's NT, CAT and TT relations (opened once per handle) to collect
+//! row-ids, then gathers the `AGGREGATES` and fact rows page by page
+//! through lock-guarded shared page caches, copying every row out of
+//! them. On an immutable post-build cube all of that work but the final
+//! row fetches is invariant across queries, so [`MmapNodeIndex`] hoists
+//! it to open time:
 //!
 //! * group-by keys → node: the [`NodeCoder`] already encodes each
 //!   grouping combination as a dense node id, so the index is a flat
@@ -153,7 +153,7 @@ impl MmapNodeIndex {
     }
 
     /// Resolve the node's NT and CAT sources into `out` (the mmap
-    /// counterpart of `resolve::scan_nt_cat`).
+    /// counterpart of the NT and CAT part of `resolve::scan_node`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_nt_cat(
         &self,
@@ -271,7 +271,7 @@ impl MmapNodeIndex {
     }
 
     /// Resolve the node's TT row-id lists into `out` (the mmap
-    /// counterpart of `resolve::scan_tts`; the lists themselves were
+    /// counterpart of the TT part of `resolve::scan_node`; the lists themselves were
     /// materialized at open, so only the fact fetches remain).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_tts(

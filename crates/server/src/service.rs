@@ -200,8 +200,8 @@ impl CubeService {
 
     /// Open the cube stored under `prefix` on an explicit
     /// [`ReadPath`] — [`ReadPath::Mmap`] for the zero-copy serving path
-    /// over sealed cubes, [`ReadPath::Cache`] for the shared-cache
-    /// fallback (required while a cube is still mutable or ingesting).
+    /// over sealed cubes, [`ReadPath::Cache`] for the shared page caches.
+    /// On either path the handle serves one sealed epoch.
     pub fn open_with_read_path(
         catalog: Arc<Catalog>,
         schema: Arc<CubeSchema>,

@@ -25,11 +25,13 @@
 //!
 //! The map is only valid for *sealed* relations — every row on disk,
 //! no in-memory tail. Cube files are flushed at the end of every build
-//! and ingest epoch, so the serving layer can always use this path; the
-//! shared-cache path remains the fallback for relations still being
-//! written.
+//! and ingest epoch, and a serving handle covers one sealed epoch (live
+//! ingest opens a new handle per epoch), so the serving layer can use
+//! this path or the shared-cache path on any cube it serves.
 //!
 //! [`reverify_page`]: MmapRelation::reverify_page
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -40,11 +42,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::catalog::{not_found, Catalog};
-use crate::checksum::Crc32;
 use crate::error::{Result, StorageError};
 use crate::heap::{decode_header, page_offset, RowId};
 use crate::io::{with_write_retries, IoPolicy, ReadFault};
-use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
+use crate::page::{verify_image, Page, PAGE_HEADER, PAGE_SIZE};
 use crate::schema::Schema;
 use crate::stats::StorageStats;
 
@@ -73,26 +74,6 @@ mod sys {
 /// Row count stored in a raw page image's header.
 fn page_nrows(bytes: &[u8]) -> usize {
     u16::from_le_bytes([bytes[0], bytes[1]]) as usize
-}
-
-/// [`Page::verify_checksum`] over a raw page image: CRC of the row count
-/// plus the payload, checked against the stored header field (zero is
-/// accepted as "never stamped").
-fn verify_page_bytes(bytes: &[u8]) -> std::result::Result<(), String> {
-    let stored = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if stored == 0 {
-        return Ok(());
-    }
-    let mut c = Crc32::new();
-    c.update(&bytes[0..2]);
-    c.update(&bytes[PAGE_HEADER..]);
-    let actual = c.finish();
-    if actual != stored {
-        return Err(format!(
-            "page checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        ));
-    }
-    Ok(())
 }
 
 /// A sealed heap relation served zero-copy through a read-only memory
@@ -313,7 +294,7 @@ impl MmapRelation {
         if nrows > self.rows_per_page {
             return fail(format!("row count {nrows} exceeds capacity {}", self.rows_per_page));
         }
-        if let Err(detail) = verify_page_bytes(bytes) {
+        if let Err(detail) = verify_image(bytes) {
             return fail(detail);
         }
         Ok(())

@@ -12,9 +12,13 @@
 //! never contain partial rows: the number of rows per page for a relation of
 //! row width `w` is `(PAGE_SIZE - HEADER) / w`.
 //!
-//! The header also carries a CRC-32 over the payload region (see
-//! [`crate::checksum`]); the heap layer stamps it on every write and
-//! verifies it on every read, so torn or corrupted pages fail loudly.
+//! The header also carries a CRC-32 over the row count and the payload
+//! (see [`crate::checksum`]); the heap layer stamps it on every write and
+//! verifies it on first read, and the mmap path at open, so torn or
+//! corrupted pages fail loudly. `verify_image` is the one definition of
+//! that check, shared by [`Page::verify_checksum`] and the mmap path.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::checksum::Crc32;
 use crate::error::{Result, StorageError};
@@ -25,6 +29,36 @@ pub const PAGE_SIZE: usize = 8192;
 /// Bytes reserved for the page header: `nrows: u16`, 2 bytes padding,
 /// `crc32: u32` over the payload.
 pub const PAGE_HEADER: usize = 8;
+
+/// Checksum over a page image's row count *and* payload, but not the
+/// checksum field itself. Covering `nrows` matters for torn-write
+/// detection: a write cut short after the header would otherwise pair a
+/// new row count with old row bytes and verify clean.
+fn content_crc(image: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(&image[0..2]);
+    c.update(&image[PAGE_HEADER..]);
+    c.finish()
+}
+
+/// Verify a page image's stored checksum against its content, returning
+/// the mismatch as a message.
+///
+/// A zero stored checksum is accepted as "never stamped", so pages
+/// written by older builds (and fresh all-zero pages) stay readable.
+pub(crate) fn verify_image(image: &[u8]) -> std::result::Result<(), String> {
+    let stored = u32::from_le_bytes([image[4], image[5], image[6], image[7]]);
+    if stored == 0 {
+        return Ok(());
+    }
+    let actual = content_crc(image);
+    if actual != stored {
+        return Err(format!(
+            "page checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+        ));
+    }
+    Ok(())
+}
 
 /// An in-memory page image.
 ///
@@ -127,40 +161,17 @@ impl Page {
         }
     }
 
-    /// Checksum over the row count *and* the payload (but not the checksum
-    /// field itself). Covering `nrows` matters for torn-write detection: a
-    /// write cut short after the header would otherwise pair a new row
-    /// count with old row bytes and verify clean.
-    fn content_crc(&self) -> u32 {
-        let mut c = Crc32::new();
-        c.update(&self.buf[0..2]);
-        c.update(&self.buf[PAGE_HEADER..]);
-        c.finish()
-    }
-
     /// Stamp the content checksum into the header (done by the heap layer
     /// immediately before a disk write).
     pub fn stamp_checksum(&mut self) {
-        let c = self.content_crc();
+        let c = content_crc(&self.buf);
         self.buf[4..8].copy_from_slice(&c.to_le_bytes());
     }
 
-    /// Verify the stored checksum against the page content.
-    ///
-    /// A zero stored checksum is accepted as "never stamped" so pages
-    /// written by older builds (and fresh all-zero pages) stay readable.
+    /// Verify the stored checksum against the page content (see
+    /// `verify_image`; a zero stored checksum means "never stamped").
     pub fn verify_checksum(&self) -> Result<()> {
-        let stored = u32::from_le_bytes(self.buf[4..8].try_into().unwrap());
-        if stored == 0 {
-            return Ok(());
-        }
-        let actual = self.content_crc();
-        if actual != stored {
-            return Err(StorageError::Corrupt(format!(
-                "page checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        Ok(())
+        verify_image(&self.buf).map_err(StorageError::Corrupt)
     }
 
     /// Iterate over the rows of this page.
@@ -275,6 +286,39 @@ mod tests {
         img[0] ^= 0x01;
         let bad = Page::from_bytes(img.into_boxed_slice()).unwrap();
         assert!(bad.verify_checksum().is_err());
+    }
+
+    /// A partial page of 300 deterministic 16-byte rows.
+    fn golden_rows() -> Page {
+        let mut p = Page::new();
+        for i in 0..300u64 {
+            let mut row = [0u8; 16];
+            row[..8].copy_from_slice(&i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes());
+            row[8..].copy_from_slice(&(i as i64 * 37 - 1000).to_le_bytes());
+            assert!(p.push_row(&row));
+        }
+        p.zero_padding(16);
+        p
+    }
+
+    /// The stored checksum of [`golden_rows`] as the byte-at-a-time CRC
+    /// wrote it (also `zlib.crc32` of the row count + payload bytes). The
+    /// page format is unchanged, so that image must verify and stamp
+    /// identically forever.
+    const GOLDEN_CRC: u32 = 0x5928_5D8D;
+
+    #[test]
+    fn golden_page_image_verifies() {
+        let mut img = golden_rows().as_bytes().to_vec();
+        img[4..8].copy_from_slice(&GOLDEN_CRC.to_le_bytes());
+        let golden = Page::from_bytes(img.clone().into_boxed_slice()).unwrap();
+        golden.verify_checksum().unwrap();
+        assert_eq!(verify_image(&img), Ok(()));
+        let mut restamped = golden_rows();
+        restamped.stamp_checksum();
+        assert_eq!(restamped.as_bytes(), &img[..], "stamping reproduces the golden image");
+        img[PAGE_SIZE - 1] ^= 1;
+        assert!(verify_image(&img).is_err());
     }
 
     #[test]

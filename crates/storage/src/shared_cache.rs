@@ -17,6 +17,8 @@
 //! per-shard counters behind each lock feed the shard-level breakdown in
 //! serve metrics).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
