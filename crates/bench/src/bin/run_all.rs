@@ -21,7 +21,6 @@ fn main() {
         ("fig26-28", Box::new(move || experiments::flat_hier::run(scale(500)))),
         ("iceberg", Box::new(move || experiments::iceberg::run(scale(1000)))),
         ("ablations", Box::new(move || experiments::ablations::run(scale(1000)))),
-        ("serve", Box::new(move || experiments::serve::run(scale(1000)))),
         ("build_scaling", Box::new(move || experiments::build_scaling::run(scale(1000)))),
         ("recovery", Box::new(move || experiments::recovery::run(scale(4)))),
     ];

@@ -1,10 +1,10 @@
 //! Parallel cube-construction scaling: the partition-level worker pool.
 //!
 //! Not a figure from the paper — its evaluation is single-threaded — but
-//! the write-path counterpart of the `serve` experiment: §4's external
-//! partitions are independent once sealed, so above one thread the build
-//! driver cubes them on a worker pool while a single merger keeps the
-//! output byte-identical to the one-thread build. This experiment stores an
+//! a natural extension of it: §4's external partitions are independent
+//! once sealed, so above one thread the build driver cubes them on a
+//! worker pool while a single merger keeps the output byte-identical to
+//! the one-thread build. This experiment stores an
 //! APB-1-style fact table, forces partitioning with a small memory
 //! budget, and times `build_cure_cube` at 1/2/4/8 threads for
 //! CURE and CURE_DR.

@@ -13,6 +13,5 @@ pub mod pool;
 pub mod qrt;
 pub mod real;
 pub mod recovery;
-pub mod serve;
 pub mod skew;
 pub mod table1;

@@ -106,20 +106,6 @@ impl WireCounters {
     }
 }
 
-/// Snapshot of one backend's page-cache counters (in-process backends
-/// only; a remote replica's caches live in its server process).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheTotals {
-    /// Fact-cache hits.
-    pub fact_hits: u64,
-    /// Fact-cache misses.
-    pub fact_misses: u64,
-    /// `AGGREGATES`-cache hits.
-    pub agg_hits: u64,
-    /// `AGGREGATES`-cache misses.
-    pub agg_misses: u64,
-}
-
 /// One shard replica as the router sees it: answer queries, expose the
 /// shared metrics, reset counters. In-process and socket replicas are
 /// interchangeable behind this trait — same failover, same round-robin,
@@ -144,11 +130,6 @@ pub trait ShardBackend: Send + Sync {
 
     /// Zero metrics and any cache/wire counters (contents are kept).
     fn reset_counters(&self);
-
-    /// Page-cache counters, when the caches live in this process.
-    fn cache_totals(&self) -> Option<CacheTotals> {
-        None
-    }
 
     /// Socket counters, when this backend speaks the wire protocol.
     fn wire_totals(&self) -> WireTotals {
@@ -184,17 +165,6 @@ impl ShardBackend for CubeService {
     fn reset_counters(&self) {
         self.metrics().reset();
         self.cube().reset_stats();
-    }
-
-    fn cache_totals(&self) -> Option<CacheTotals> {
-        let fact = self.cube().fact_cache();
-        let agg = self.cube().agg_cache();
-        Some(CacheTotals {
-            fact_hits: fact.hits(),
-            fact_misses: fact.misses(),
-            agg_hits: agg.hits(),
-            agg_misses: agg.misses(),
-        })
     }
 
     fn describe(&self) -> String {

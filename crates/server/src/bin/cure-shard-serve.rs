@@ -14,7 +14,7 @@
 //! ```
 //!
 //! to stdout (resolving `--listen 127.0.0.1:0` to the bound port) and
-//! then serves until killed. Parents — `serve-bench --socket`, the
+//! then serves until killed. Parents — the socket-shard tests, the
 //! conformance engine — parse that line to learn the endpoint.
 
 use std::io::Write as _;

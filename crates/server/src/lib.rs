@@ -8,14 +8,10 @@
 //! * [`CubeService`] — a `Clone + Send` handle over one shared
 //!   [`ConcurrentCube`](cure_query::ConcurrentCube), answering node
 //!   queries through `&self` and timing every answer;
-//! * [`WorkerPool`] — a fixed pool of OS threads behind a **bounded**
-//!   job queue, so submission blocks (backpressure) instead of building
-//!   an unbounded backlog;
 //! * [`ServeMetrics`] / [`LatencyHistogram`] — lock-free counters and a
 //!   log₂-bucketed latency histogram with p50/p95/p99 extraction;
-//! * [`run_load`] — a closed-loop driver generating uniform or
-//!   Zipf-skewed node traffic and reporting QPS, latency quantiles, and
-//!   shared-cache hit rates (global and per shard);
+//! * [`NodeSampler`] — a deterministic uniform or Zipf-skewed stream of
+//!   node ids for generated query traffic;
 //! * [`LiveCubeService`] — live ingest: a single writer applies delta
 //!   batches through the durable ingest pipeline while readers keep
 //!   answering from pinned, immutable epoch snapshots;
@@ -37,7 +33,6 @@ pub mod backend;
 pub mod live;
 pub mod metrics;
 pub mod net;
-pub mod pool;
 pub mod resilience;
 pub mod service;
 pub mod shard;
@@ -45,18 +40,15 @@ pub mod stats;
 pub mod wire;
 pub mod workload;
 
-pub use backend::{CacheTotals, ShardBackend, WireCounters, WireTotals};
+pub use backend::{ShardBackend, WireCounters, WireTotals};
 pub use live::LiveCubeService;
 pub use metrics::{
     AttributionSample, AttributionTotals, LatencyHistogram, ServeErrorKind, ServeMetrics,
 };
 pub use net::{RemoteShardBackend, RemoteShardConfig, ShardServer, ShardServerConfig};
-pub use pool::{PoolError, WorkerPool};
 pub use resilience::{BreakerState, QuarantineSet, RelationBreakers, ResilienceConfig};
 pub use service::{CubeService, QueryOptions, QueryReply, ServeError};
 pub use shard::{replicate_shards, ReplicationReport, ShardRouter, ShardRouterConfig, ShardStats};
 pub use stats::{IngestTotals, StatsSnapshot};
 pub use wire::{ProtocolError, RemoteError, Request, Response, MAX_FRAME_LEN, WIRE_VERSION};
-pub use workload::{
-    run_load, run_load_on, LoadReport, LoadSpec, LoadTarget, NodePopularity, NodeSampler,
-};
+pub use workload::{NodePopularity, NodeSampler};

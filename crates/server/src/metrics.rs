@@ -118,7 +118,7 @@ impl LatencyHistogram {
 
 /// Failure classes the serving layer distinguishes. One query failure
 /// increments exactly one typed counter (plus the `errors` total), so
-/// operators can tell a saturated queue (`Shed`) from a sick disk (`Io`)
+/// operators can tell a saturated server (`Shed`) from a sick disk (`Io`)
 /// from data damage (`Corrupt`) at a glance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeErrorKind {

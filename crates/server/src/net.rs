@@ -5,10 +5,9 @@
 //! The server is deliberately boring: a blocking accept loop with a
 //! **bounded** connection pool (past the cap, a typed `Overloaded`
 //! frame is written and the connection dropped — load shedding at the
-//! door, same policy as the worker pool's bounded queue), one handler
-//! thread per admitted connection, and every answer produced by the
-//! existing hardened [`CubeService::query_with_options`] path — the
-//! socket adds transport, not new query semantics.
+//! door), one handler thread per admitted connection, and every answer
+//! produced by the existing hardened [`CubeService::query_with_options`]
+//! path — the socket adds transport, not new query semantics.
 //!
 //! The client carries the resilience contract across the process
 //! boundary:

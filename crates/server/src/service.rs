@@ -68,8 +68,8 @@ pub enum ServeError {
         /// The node that was being queried.
         node: NodeId,
     },
-    /// Dropped by admission control: the queue was full or the request's
-    /// deadline had already expired at dequeue.
+    /// Dropped by admission control: a shard server past its connection
+    /// cap answers with this instead of serving the request.
     Overloaded,
     /// Rejected by `relation`'s open circuit breaker.
     Degraded {
@@ -343,15 +343,6 @@ impl CubeService {
     fn fail(&self, e: ServeError) -> std::result::Result<QueryReply, ServeError> {
         self.metrics.record_error_kind(e.kind());
         Err(e)
-    }
-
-    /// Record a request shed by admission control (queue full or
-    /// deadline expired at dequeue) and return the typed error. The load
-    /// driver calls this from the submission path, where no service
-    /// method ever ran.
-    pub fn shed(&self) -> ServeError {
-        self.metrics.record_error_kind(ServeErrorKind::Shed);
-        ServeError::Overloaded
     }
 
     /// Try to release a quarantined page by re-verifying it from disk

@@ -109,8 +109,8 @@ struct RouterInner {
 ///
 /// Mirrors [`CubeService`]'s surface — [`query`](Self::query) for the
 /// trusted path, [`query_with_options`](Self::query_with_options) for
-/// the hardened one — so load drivers treat a router and a single
-/// service interchangeably.
+/// the hardened one — so callers treat a router and a single service
+/// interchangeably.
 #[derive(Clone)]
 pub struct ShardRouter {
     inner: Arc<RouterInner>,
@@ -326,67 +326,6 @@ impl ShardRouter {
         }
     }
 
-    /// Fact-cache hit rate aggregated over every in-process replica
-    /// cube (remote replicas' caches live in their server processes).
-    pub fn fact_hit_rate(&self) -> f64 {
-        let (mut hits, mut total) = (0u64, 0u64);
-        for s in &self.inner.shards {
-            for r in &s.replicas {
-                if let Some(c) = r.cache_totals() {
-                    hits += c.fact_hits;
-                    total += c.fact_hits + c.fact_misses;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// `AGGREGATES`-cache hit rate aggregated over every in-process
-    /// replica cube.
-    pub fn agg_hit_rate(&self) -> f64 {
-        let (mut hits, mut total) = (0u64, 0u64);
-        for s in &self.inner.shards {
-            for r in &s.replicas {
-                if let Some(c) = r.cache_totals() {
-                    hits += c.agg_hits;
-                    total += c.agg_hits + c.agg_misses;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Per-*cube-shard* fact-cache hit rates (index = shard), each
-    /// aggregated over the shard's in-process replicas.
-    pub fn fact_shard_hit_rates(&self) -> Vec<f64> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                let (mut hits, mut total) = (0u64, 0u64);
-                for r in &s.replicas {
-                    if let Some(c) = r.cache_totals() {
-                        hits += c.fact_hits;
-                        total += c.fact_hits + c.fact_misses;
-                    }
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                }
-            })
-            .collect()
-    }
-
     /// Ask shard `k` for its partial answer, round-robining over its
     /// replicas and failing over to the next replica on error. Returns
     /// the last replica's error when every replica fails; a typed
@@ -487,13 +426,6 @@ impl ShardRouter {
             Ok(parts) => Ok(self.merged_reply(parts, start)),
             Err(e) => self.fail(e),
         }
-    }
-
-    /// Record a request shed by admission control (the load driver calls
-    /// this from the submission path).
-    pub fn shed(&self) -> ServeError {
-        self.inner.metrics.record_error_kind(crate::metrics::ServeErrorKind::Shed);
-        ServeError::Overloaded
     }
 
     /// Iceberg query with **post-merge** thresholding: every shard

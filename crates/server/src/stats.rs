@@ -6,16 +6,15 @@
 //! traffic, [`PhaseTimes`](cure_core::PhaseTimes) and
 //! [`PoolCounters`](cure_core::PoolCounters) inside a
 //! [`BuildReport`](cure_core::BuildReport) for the build, and
-//! [`LoadReport`](crate::LoadReport) plus the latency histogram for
-//! serving. A [`StatsSnapshot`] stitches whichever of those a command
-//! produced into a single JSON object (`cure-cli … --stats file.json`),
-//! so one file answers "what did this run cost in I/O, time, and cache
-//! behaviour". Sections a command did not exercise are simply absent —
-//! a build snapshot has no `serve` array, a serve snapshot no `build`
-//! object.
+//! [`IngestTotals`] for delta ingest. A [`StatsSnapshot`] stitches
+//! whichever of those a command produced into a single JSON object
+//! (`cure-cli build|ingest … --stats file.json`), so one file answers
+//! "what did this run cost in I/O and time". Sections a command did not
+//! exercise are simply absent — a build snapshot has no `ingest`
+//! object, an ingest snapshot no `build` object.
 //!
 //! Assembly and serialization happen strictly *after* the timed work:
-//! nothing here runs while a build or load run is in flight.
+//! nothing here runs while a build or ingest is in flight.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,9 +23,6 @@ use std::collections::BTreeMap;
 use cure_core::BuildReport;
 use cure_storage::StorageCounters;
 use serde_json::{json, ToJson, Value};
-
-use crate::shard::ShardStats;
-use crate::workload::LoadReport;
 
 /// Build a JSON object from `(key, value)` pairs (the vendored stub has
 /// no nested-object macro).
@@ -86,8 +82,6 @@ pub struct StatsSnapshot {
     build: Option<Value>,
     storage: Option<Value>,
     ingest: Option<Value>,
-    serve: Vec<Value>,
-    shards: Vec<Value>,
 }
 
 impl StatsSnapshot {
@@ -165,7 +159,7 @@ impl StatsSnapshot {
 
     /// Record the ingest-layer section: epoch/batch counters and the
     /// accumulated [`UpdateReport`](cure_core::UpdateReport) numbers, so
-    /// ingest runs are observable like builds and serves.
+    /// ingest runs are observable like builds.
     pub fn set_ingest(&mut self, t: &IngestTotals) {
         self.ingest = Some(obj(vec![
             ("epoch", json!(t.epoch)),
@@ -179,61 +173,6 @@ impl StatsSnapshot {
             ("append_secs", json!(t.append_secs)),
             ("merge_secs", json!(t.merge_secs)),
         ]));
-    }
-
-    /// Append one serve run (one thread count): throughput, latency
-    /// quantiles, cache hit rates, and the raw log₂ latency buckets
-    /// (`latency_buckets[i]` counts answers in `[2^i, 2^(i+1))` ns).
-    pub fn push_serve_run(&mut self, r: &LoadReport, latency_buckets: &[u64]) {
-        self.serve.push(obj(vec![
-            ("threads", json!(r.threads)),
-            ("queries", json!(r.queries)),
-            ("errors", json!(r.errors)),
-            ("rows", json!(r.rows)),
-            ("wall_secs", json!(r.wall_secs)),
-            ("qps", json!(r.qps)),
-            ("p50_us", json!(r.p50_us)),
-            ("p95_us", json!(r.p95_us)),
-            ("p99_us", json!(r.p99_us)),
-            ("fact_hit_rate", json!(r.fact_hit_rate)),
-            ("agg_hit_rate", json!(r.agg_hit_rate)),
-            ("fact_shard_hit_rates", json!(r.fact_shard_hit_rates.clone())),
-            ("shed", json!(r.shed)),
-            ("timeouts", json!(r.timeouts)),
-            ("io_errors", json!(r.io_errors)),
-            ("corrupt_errors", json!(r.corrupt_errors)),
-            ("degraded", json!(r.degraded)),
-            ("breaker_trips", json!(r.breaker_trips)),
-            ("read_path", json!(r.read_path)),
-            ("attr_samples", json!(r.attr_samples)),
-            ("attr_probe_us", json!(r.attr_probe_us)),
-            ("attr_read_us", json!(r.attr_read_us)),
-            ("attr_compute_us", json!(r.attr_compute_us)),
-            ("latency_buckets", json!(latency_buckets.to_vec())),
-        ]));
-    }
-
-    /// Record the shard-labelled serving section: one entry per shard
-    /// with its sub-query traffic, error count, replica count, and
-    /// failovers, as reported by
-    /// [`ShardRouter::shard_stats`](crate::ShardRouter::shard_stats).
-    pub fn set_shards(&mut self, stats: &[ShardStats]) {
-        self.shards = stats
-            .iter()
-            .map(|s| {
-                obj(vec![
-                    ("shard", json!(s.shard)),
-                    ("replicas", json!(s.replicas)),
-                    ("queries", json!(s.queries)),
-                    ("errors", json!(s.errors)),
-                    ("failovers", json!(s.failovers)),
-                    ("wire_bytes_in", json!(s.wire.bytes_in)),
-                    ("wire_bytes_out", json!(s.wire.bytes_out)),
-                    ("wire_reconnects", json!(s.wire.reconnects)),
-                    ("wire_timeouts", json!(s.wire.timeouts)),
-                ])
-            })
-            .collect();
     }
 
     /// Pretty-printed JSON bytes, ready for `--stats <file>`.
@@ -255,12 +194,6 @@ impl ToJson for StatsSnapshot {
         if let Some(i) = &self.ingest {
             top.push(("ingest", i.clone()));
         }
-        if !self.serve.is_empty() {
-            top.push(("serve", Value::Array(self.serve.clone())));
-        }
-        if !self.shards.is_empty() {
-            top.push(("shards", Value::Array(self.shards.clone())));
-        }
         obj(top)
     }
 }
@@ -270,7 +203,6 @@ mod tests {
     use cure_core::{PhaseTimes, PoolCounters};
 
     use super::*;
-    use crate::backend::WireTotals;
 
     fn sample_build_report() -> BuildReport {
         BuildReport {
@@ -302,34 +234,6 @@ mod tests {
         }
     }
 
-    fn sample_load_report() -> LoadReport {
-        LoadReport {
-            queries: 100,
-            errors: 0,
-            rows: 1234,
-            threads: 4,
-            wall_secs: 0.5,
-            qps: 200.0,
-            p50_us: 90.0,
-            p95_us: 181.0,
-            p99_us: 362.0,
-            fact_hit_rate: 0.75,
-            agg_hit_rate: 0.5,
-            fact_shard_hit_rates: vec![0.75, 0.75],
-            shed: 6,
-            timeouts: 2,
-            io_errors: 1,
-            corrupt_errors: 3,
-            degraded: 4,
-            breaker_trips: 1,
-            read_path: "mmap",
-            attr_samples: 2,
-            attr_probe_us: 0.5,
-            attr_read_us: 12.0,
-            attr_compute_us: 3.5,
-        }
-    }
-
     #[test]
     fn snapshot_round_trips_through_json() {
         let mut snap = StatsSnapshot::new();
@@ -345,7 +249,6 @@ mod tests {
             sort_runs: 4,
             sort_spill_bytes: 4096,
         });
-        snap.push_serve_run(&sample_load_report(), &[0, 0, 5, 95]);
 
         let bytes = snap.to_pretty_bytes();
         let text = String::from_utf8(bytes).unwrap();
@@ -372,23 +275,6 @@ mod tests {
         assert_eq!(storage.get("checksum_verifications").and_then(Value::as_u64), Some(9));
         assert_eq!(storage.get("checksum_failures").and_then(Value::as_u64), Some(1));
         assert_eq!(storage.get("sort_spill_bytes").and_then(Value::as_u64), Some(4096));
-
-        let serve = v.get("serve").and_then(Value::as_array).expect("serve array");
-        assert_eq!(serve.len(), 1);
-        assert_eq!(serve[0].get("threads").and_then(Value::as_u64), Some(4));
-        assert_eq!(serve[0].get("fact_hit_rate").and_then(Value::as_f64), Some(0.75));
-        assert_eq!(serve[0].get("shed").and_then(Value::as_u64), Some(6));
-        assert_eq!(serve[0].get("timeouts").and_then(Value::as_u64), Some(2));
-        assert_eq!(serve[0].get("io_errors").and_then(Value::as_u64), Some(1));
-        assert_eq!(serve[0].get("corrupt_errors").and_then(Value::as_u64), Some(3));
-        assert_eq!(serve[0].get("degraded").and_then(Value::as_u64), Some(4));
-        assert_eq!(serve[0].get("breaker_trips").and_then(Value::as_u64), Some(1));
-        assert_eq!(serve[0].get("read_path").and_then(Value::as_str), Some("mmap"));
-        assert_eq!(serve[0].get("attr_samples").and_then(Value::as_u64), Some(2));
-        assert_eq!(serve[0].get("attr_read_us").and_then(Value::as_f64), Some(12.0));
-        let buckets = serve[0].get("latency_buckets").and_then(Value::as_array).expect("buckets");
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets[3].as_u64(), Some(95));
     }
 
     #[test]
@@ -400,45 +286,6 @@ mod tests {
         assert!(v.get("storage").is_some());
         assert!(v.get("build").is_none());
         assert!(v.get("ingest").is_none());
-        assert!(v.get("serve").is_none());
-    }
-
-    #[test]
-    fn shards_section_round_trips() {
-        let mut snap = StatsSnapshot::new();
-        snap.set_shards(&[
-            ShardStats {
-                shard: 0,
-                replicas: 2,
-                queries: 40,
-                errors: 0,
-                failovers: 1,
-                wire: WireTotals::default(),
-            },
-            ShardStats {
-                shard: 1,
-                replicas: 2,
-                queries: 38,
-                errors: 2,
-                failovers: 0,
-                wire: WireTotals { bytes_in: 512, bytes_out: 64, reconnects: 3, timeouts: 1 },
-            },
-        ]);
-        let text = String::from_utf8(snap.to_pretty_bytes()).unwrap();
-        let v = serde_json::from_str(&text).unwrap();
-        let shards = v.get("shards").and_then(Value::as_array).expect("shards array");
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].get("shard").and_then(Value::as_u64), Some(0));
-        assert_eq!(shards[0].get("replicas").and_then(Value::as_u64), Some(2));
-        assert_eq!(shards[0].get("failovers").and_then(Value::as_u64), Some(1));
-        assert_eq!(shards[0].get("wire_bytes_in").and_then(Value::as_u64), Some(0));
-        assert_eq!(shards[1].get("queries").and_then(Value::as_u64), Some(38));
-        assert_eq!(shards[1].get("errors").and_then(Value::as_u64), Some(2));
-        assert_eq!(shards[1].get("wire_bytes_in").and_then(Value::as_u64), Some(512));
-        assert_eq!(shards[1].get("wire_reconnects").and_then(Value::as_u64), Some(3));
-        assert_eq!(shards[1].get("wire_timeouts").and_then(Value::as_u64), Some(1));
-        // Without shard traffic the section is absent.
-        assert!(StatsSnapshot::new().to_json().get("shards").is_none());
     }
 
     #[test]

@@ -1,28 +1,16 @@
-//! Closed-loop load driver for [`CubeService`].
+//! Node-popularity models for generated query traffic.
 //!
-//! Generates a deterministic stream of node ids from a popularity model,
-//! pushes them through a [`WorkerPool`] (the bounded queue provides
-//! backpressure, so at most `threads + queue_depth` queries are ever in
-//! flight — a closed loop), then reads throughput, latency quantiles and
-//! shared-cache hit rates out of the service's metrics.
-//!
-//! Two popularity models mirror how OLAP dashboards actually hit cubes:
-//! [`NodePopularity::Uniform`] touches every node equally (worst case for
-//! the page caches), while [`NodePopularity::Zipf`] concentrates traffic
-//! on a few hot nodes via the classic rank-frequency law, which is what
-//! makes the shared cache pay off across threads.
+//! [`NodeSampler`] turns a seed and a [`NodePopularity`] into a
+//! deterministic stream of node ids. Two models mirror how OLAP
+//! dashboards hit cubes: [`NodePopularity::Uniform`] touches every node
+//! equally (worst case for the page caches), while
+//! [`NodePopularity::Zipf`] concentrates traffic on a few hot nodes via
+//! the classic rank-frequency law, which is what makes the shared cache
+//! pay off across threads.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
 use cure_core::{CubeError, NodeId, Result};
-
-use crate::pool::{PoolError, WorkerPool};
-use crate::service::{CubeService, QueryOptions};
-use crate::shard::ShardRouter;
-use crate::ServeMetrics;
 
 /// How query traffic is spread over the cube's nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,98 +23,8 @@ pub enum NodePopularity {
     Zipf(f64),
 }
 
-/// A load-run specification.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadSpec {
-    /// Total queries to issue.
-    pub queries: u64,
-    /// Worker threads answering them.
-    pub threads: usize,
-    /// Bounded submission-queue depth (backpressure window).
-    pub queue_depth: usize,
-    /// Traffic model.
-    pub popularity: NodePopularity,
-    /// RNG seed: same spec → same node sequence.
-    pub seed: u64,
-    /// Per-request latency budget. When set, each query carries a
-    /// deadline of `now + deadline` from submission: requests that wait
-    /// it out in the queue are shed at dequeue, and running queries
-    /// abort with a typed timeout between page fetches.
-    pub deadline: Option<Duration>,
-    /// Shed instead of blocking when the submission queue is full
-    /// (admission control). The default `false` keeps the closed-loop
-    /// backpressure behaviour.
-    pub shed_on_full: bool,
-}
-
-impl Default for LoadSpec {
-    fn default() -> Self {
-        LoadSpec {
-            queries: 1_000,
-            threads: 4,
-            queue_depth: 64,
-            popularity: NodePopularity::Uniform,
-            seed: 0xC0BE,
-            deadline: None,
-            shed_on_full: false,
-        }
-    }
-}
-
-/// What a load run measured.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Queries answered successfully.
-    pub queries: u64,
-    /// Queries that returned an error.
-    pub errors: u64,
-    /// Result rows returned in total.
-    pub rows: u64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock duration of the run in seconds.
-    pub wall_secs: f64,
-    /// Successful queries per second of wall time.
-    pub qps: f64,
-    /// Latency quantiles in microseconds (0 when no queries completed).
-    pub p50_us: f64,
-    /// 95th-percentile latency in microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: f64,
-    /// Fact-table shared-cache hit rate over the run.
-    pub fact_hit_rate: f64,
-    /// `AGGREGATES` shared-cache hit rate over the run.
-    pub agg_hit_rate: f64,
-    /// Per-shard fact-cache hit rates (index = shard).
-    pub fact_shard_hit_rates: Vec<f64>,
-    /// Requests shed by admission control (queue full, or deadline
-    /// already expired at dequeue).
-    pub shed: u64,
-    /// Queries that exceeded their deadline while running.
-    pub timeouts: u64,
-    /// Queries failed by disk I/O errors.
-    pub io_errors: u64,
-    /// Queries failed by corrupt or quarantined pages.
-    pub corrupt_errors: u64,
-    /// Queries rejected by an open circuit breaker.
-    pub degraded: u64,
-    /// Circuit-breaker trips over the run.
-    pub breaker_trips: u64,
-    /// The read path that served the run (`"mmap"` or `"cache"`).
-    pub read_path: &'static str,
-    /// Latency-attribution samples taken (mmap path only; 0 on cache).
-    pub attr_samples: u64,
-    /// Mean index-probe time per sampled query, microseconds.
-    pub attr_probe_us: f64,
-    /// Mean page-read time per sampled query, microseconds.
-    pub attr_read_us: f64,
-    /// Mean compute time per sampled query, microseconds.
-    pub attr_compute_us: f64,
-}
-
 /// SplitMix64-seeded xorshift stream with Lemire bounded sampling —
-/// self-contained so the driver has no RNG dependency.
+/// self-contained so the sampler has no RNG dependency.
 struct Stream(u64);
 
 impl Stream {
@@ -210,240 +108,6 @@ impl NodeSampler {
             Ok(i) | Err(i) => (i as u64).min(self.nodes - 1),
         }
     }
-}
-
-/// Anything the load driver can push traffic through: a single
-/// [`CubeService`] or a [`ShardRouter`] (one merged query per sample),
-/// interchangeably. Implementations are clonable shared handles — every
-/// clone reports into the same metrics block.
-pub trait LoadTarget: Clone + Send + 'static {
-    /// Nodes in the target's lattice (valid ids are `0..num_nodes()`).
-    fn num_nodes(&self) -> NodeId;
-    /// The metrics block every query is recorded into.
-    fn metrics(&self) -> &Arc<ServeMetrics>;
-    /// Zero metrics and cache counters (contents are kept).
-    fn reset_counters(&self);
-    /// Trusted-path query; errors are counted in the shared metrics.
-    fn query_plain(&self, node: NodeId);
-    /// Hardened query under per-request options.
-    fn query_resilient(&self, node: NodeId, opts: &QueryOptions);
-    /// Record a request shed by admission control.
-    fn record_shed(&self);
-    /// Fact-table cache hit rate over the run.
-    fn fact_hit_rate(&self) -> f64;
-    /// `AGGREGATES` cache hit rate over the run.
-    fn agg_hit_rate(&self) -> f64;
-    /// Per-shard fact-cache hit rates (cache shards for a single
-    /// service, cube shards for a router).
-    fn fact_shard_hit_rates(&self) -> Vec<f64>;
-    /// The read path label (`"mmap"` or `"cache"`).
-    fn read_path_label(&self) -> &'static str;
-}
-
-impl LoadTarget for CubeService {
-    fn num_nodes(&self) -> NodeId {
-        CubeService::num_nodes(self)
-    }
-
-    fn metrics(&self) -> &Arc<ServeMetrics> {
-        CubeService::metrics(self)
-    }
-
-    fn reset_counters(&self) {
-        CubeService::metrics(self).reset();
-        self.cube().reset_stats();
-    }
-
-    fn query_plain(&self, node: NodeId) {
-        let _ = CubeService::query(self, node);
-    }
-
-    fn query_resilient(&self, node: NodeId, opts: &QueryOptions) {
-        let _ = self.query_with_options(node, opts);
-    }
-
-    fn record_shed(&self) {
-        let _ = self.shed();
-    }
-
-    fn fact_hit_rate(&self) -> f64 {
-        self.cube().fact_cache().hit_rate()
-    }
-
-    fn agg_hit_rate(&self) -> f64 {
-        self.cube().agg_cache().hit_rate()
-    }
-
-    fn fact_shard_hit_rates(&self) -> Vec<f64> {
-        self.cube()
-            .fact_cache()
-            .shard_stats()
-            .iter()
-            .map(|s| {
-                let total = s.hits + s.misses;
-                if total == 0 {
-                    0.0
-                } else {
-                    s.hits as f64 / total as f64
-                }
-            })
-            .collect()
-    }
-
-    fn read_path_label(&self) -> &'static str {
-        self.cube().read_path().label()
-    }
-}
-
-impl LoadTarget for ShardRouter {
-    fn num_nodes(&self) -> NodeId {
-        ShardRouter::num_nodes(self)
-    }
-
-    fn metrics(&self) -> &Arc<ServeMetrics> {
-        ShardRouter::metrics(self)
-    }
-
-    fn reset_counters(&self) {
-        self.reset_stats();
-    }
-
-    fn query_plain(&self, node: NodeId) {
-        let _ = ShardRouter::query(self, node);
-    }
-
-    fn query_resilient(&self, node: NodeId, opts: &QueryOptions) {
-        let _ = self.query_with_options(node, opts);
-    }
-
-    fn record_shed(&self) {
-        let _ = self.shed();
-    }
-
-    fn fact_hit_rate(&self) -> f64 {
-        ShardRouter::fact_hit_rate(self)
-    }
-
-    fn agg_hit_rate(&self) -> f64 {
-        ShardRouter::agg_hit_rate(self)
-    }
-
-    fn fact_shard_hit_rates(&self) -> Vec<f64> {
-        ShardRouter::fact_shard_hit_rates(self)
-    }
-
-    fn read_path_label(&self) -> &'static str {
-        self.read_path().label()
-    }
-}
-
-/// Run `spec` against `service` and report what happened. A thin
-/// alias for [`run_load_on`] kept for the single-service call sites.
-pub fn run_load(service: &CubeService, spec: &LoadSpec) -> Result<LoadReport> {
-    run_load_on(service, spec)
-}
-
-/// Run `spec` against any [`LoadTarget`] and report what happened.
-///
-/// Closed loop: one driver thread samples node ids and submits jobs to a
-/// fresh [`WorkerPool`]; when the bounded queue fills, submission blocks
-/// until a worker drains it. Resets the target's metrics and cache
-/// counters first, so the report covers exactly this run (cache
-/// *contents* are kept — pass a freshly opened target for cold-cache
-/// numbers).
-pub fn run_load_on<T: LoadTarget>(target: &T, spec: &LoadSpec) -> Result<LoadReport> {
-    let mut sampler = NodeSampler::new(target.num_nodes(), spec.popularity, spec.seed)?;
-    target.reset_counters();
-
-    let start = Instant::now();
-    {
-        let mut pool = WorkerPool::new(spec.threads, spec.queue_depth)
-            .map_err(|e| CubeError::Config(format!("worker pool startup failed: {e}")))?;
-        let resilient = spec.deadline.is_some() || spec.shed_on_full;
-        for _ in 0..spec.queries {
-            let node = sampler.next_node();
-            let svc = target.clone();
-            if !resilient {
-                pool.execute(move || {
-                    // Errors are counted in the shared metrics by the
-                    // target's query path.
-                    svc.query_plain(node);
-                })
-                .map_err(|e| CubeError::Config(format!("worker pool rejected job: {e}")))?;
-                continue;
-            }
-            let deadline = spec.deadline.map(|d| Instant::now() + d);
-            let make_job = |svc: T| {
-                move |expired: bool| {
-                    if expired {
-                        // Waited out its budget in the queue: drop without
-                        // running (counted as a shed, not a timeout).
-                        svc.record_shed();
-                    } else {
-                        svc.query_resilient(node, &QueryOptions { deadline });
-                    }
-                }
-            };
-            if !spec.shed_on_full {
-                pool.execute_with_deadline(deadline, make_job(svc))
-                    .map_err(|e| CubeError::Config(format!("worker pool rejected job: {e}")))?;
-                continue;
-            }
-            // Admission control: a momentarily full queue is backpressure,
-            // not overload — back off and retry until the request's budget
-            // is spent, then shed. Without a deadline the wait is bounded
-            // so a wedged pool cannot hang the driver.
-            let admit_by = deadline.unwrap_or_else(|| Instant::now() + Duration::from_millis(20));
-            loop {
-                match pool.try_execute_with_deadline(deadline, make_job(target.clone())) {
-                    Ok(()) => break,
-                    Err(PoolError::Full) => {
-                        if Instant::now() >= admit_by {
-                            target.record_shed();
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    Err(e) => {
-                        return Err(CubeError::Config(format!("worker pool rejected job: {e}")))
-                    }
-                }
-            }
-        }
-        pool.shutdown(); // waits for every queued query to finish
-    }
-    let wall = start.elapsed();
-
-    let metrics = target.metrics();
-    let q_us = |q: f64| metrics.latency().quantile(q).map(|d| d.as_secs_f64() * 1e6).unwrap_or(0.0);
-    let attr = metrics.attribution();
-    let per_sample_us =
-        |ns: u64| if attr.samples == 0 { 0.0 } else { ns as f64 / attr.samples as f64 / 1e3 };
-    Ok(LoadReport {
-        queries: metrics.queries(),
-        errors: metrics.errors(),
-        rows: metrics.rows(),
-        threads: spec.threads,
-        wall_secs: wall.as_secs_f64(),
-        qps: metrics.qps(wall),
-        p50_us: q_us(0.50),
-        p95_us: q_us(0.95),
-        p99_us: q_us(0.99),
-        fact_hit_rate: target.fact_hit_rate(),
-        agg_hit_rate: target.agg_hit_rate(),
-        fact_shard_hit_rates: target.fact_shard_hit_rates(),
-        shed: metrics.shed(),
-        timeouts: metrics.timeouts(),
-        io_errors: metrics.io_errors(),
-        corrupt_errors: metrics.corrupt_errors(),
-        degraded: metrics.degraded(),
-        breaker_trips: metrics.breaker_trips(),
-        read_path: target.read_path_label(),
-        attr_samples: attr.samples,
-        attr_probe_us: per_sample_us(attr.probe_ns),
-        attr_read_us: per_sample_us(attr.read_ns),
-        attr_compute_us: per_sample_us(attr.compute_ns),
-    })
 }
 
 #[cfg(test)]

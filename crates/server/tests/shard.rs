@@ -243,6 +243,15 @@ fn replication_ships_byte_identical_shards_and_replicas_serve_reads() {
             "node {node}"
         );
     }
+    // The shard-labelled counters account for the sweep: every shard is
+    // backed by both replicas, answered sub-queries, and failed none.
+    let stats = both.shard_stats();
+    assert_eq!(stats.len(), 2, "{stats:?}");
+    for s in &stats {
+        assert_eq!(s.replicas, 2, "{stats:?}");
+        assert_eq!(s.errors, 0, "{stats:?}");
+        assert!(s.queries > 0, "{stats:?}");
+    }
 }
 
 #[test]

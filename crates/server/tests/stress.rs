@@ -1,18 +1,19 @@
 //! Multi-threaded serving stress test: the same workload answered by
-//! [`CubeService`] from 8 worker threads must be byte-identical to the
+//! [`CubeService`] from 8 client threads must be byte-identical to the
 //! single-threaded [`CureCube`] path, and the shared cache's accounting
 //! must balance exactly (every cache access is one hit or one miss, and
-//! the accesses are the ones a single-threaded replay makes).
+//! the accesses are the ones a single-threaded replay makes). The mmap
+//! read path answers the same way and samples latency attribution.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::sink::DiskSink;
 use cure_core::{CubeSchema, Dimension, NodeId, Tuples};
-use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube};
-use cure_serve::workload::NodeSampler;
-use cure_serve::{CubeService, NodePopularity, WorkerPool};
+use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube, ReadPath};
+use cure_serve::{CubeService, NodePopularity, NodeSampler};
 use cure_storage::Catalog;
 
 fn build_cube(tag: &str) -> (Arc<Catalog>, Arc<CubeSchema>, String) {
@@ -74,6 +75,28 @@ fn sorted(mut rows: Vec<CubeRow>) -> Vec<CubeRow> {
     rows
 }
 
+/// Answer `workload` from `threads` closed-loop clients sharing one
+/// cursor, comparing every reply in the client itself so a mismatch
+/// fails loudly with the node id.
+fn serve_and_check(
+    service: &CubeService,
+    workload: &[NodeId],
+    threads: usize,
+    reference: &BTreeMap<NodeId, Vec<CubeRow>>,
+) {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                while let Some(&node) = workload.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let reply = service.query(node).unwrap();
+                    assert_eq!(&sorted(reply.rows), &reference[&node], "node {node} diverged");
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn eight_threads_match_single_threaded_reference_exactly() {
     let (catalog, schema, prefix) = build_cube("match");
@@ -82,6 +105,7 @@ fn eight_threads_match_single_threaded_reference_exactly() {
     let caches = CacheConfig { fact_pages: 256, agg_pages: 64, shards: 8 };
     let service =
         CubeService::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix, caches).unwrap();
+    assert_eq!(service.read_path(), ReadPath::Cache);
     let mut sampler = NodeSampler::new(service.num_nodes(), NodePopularity::Uniform, 99).unwrap();
     let workload: Vec<NodeId> = (0..1_000).map(|_| sampler.next_node()).collect();
 
@@ -114,22 +138,8 @@ fn eight_threads_match_single_threaded_reference_exactly() {
     }
     let (replay_facts, replay_aggs) = (replay.fact_cache(), replay.agg_cache());
 
-    // Serve the same workload from 8 threads; compare every reply in the
-    // worker itself so mismatches fail loudly with the node id.
-    let reference = Arc::new(reference);
-    {
-        let mut pool = WorkerPool::new(8, 32).unwrap();
-        for &node in &workload {
-            let svc = service.clone();
-            let reference = Arc::clone(&reference);
-            pool.execute(move || {
-                let reply = svc.query(node).unwrap();
-                assert_eq!(&sorted(reply.rows), &reference[&node], "node {node} diverged");
-            })
-            .unwrap();
-        }
-        pool.shutdown();
-    }
+    // Serve the same workload from 8 threads.
+    serve_and_check(&service, &workload, 8, &reference);
 
     // Nothing lost, nothing failed.
     assert_eq!(service.metrics().queries(), 1_000);
@@ -160,31 +170,32 @@ fn eight_threads_match_single_threaded_reference_exactly() {
 }
 
 #[test]
-fn zipf_load_run_reports_consistent_metrics() {
-    let (catalog, schema, prefix) = build_cube("zipf");
-    let service = CubeService::open(
+fn mmap_service_matches_reference_and_samples_attribution() {
+    let (catalog, schema, prefix) = build_cube("mmap");
+    let service = CubeService::open_with_read_path(
         Arc::clone(&catalog),
         Arc::clone(&schema),
         &prefix,
         CacheConfig::default(),
+        ReadPath::Mmap,
     )
     .unwrap();
-    let spec = cure_serve::LoadSpec {
-        queries: 400,
-        threads: 8,
-        queue_depth: 16,
-        popularity: NodePopularity::Zipf(1.0),
-        seed: 5,
-        deadline: None,
-        shed_on_full: false,
-    };
-    let report = cure_serve::run_load(&service, &spec).unwrap();
-    assert_eq!(report.queries, 400);
-    assert_eq!(report.errors, 0);
-    assert!(report.qps > 0.0);
-    assert!(
-        report.p50_us > 0.0 && report.p50_us <= report.p95_us && report.p95_us <= report.p99_us
-    );
-    assert!((0.0..=1.0).contains(&report.fact_hit_rate));
-    assert_eq!(report.fact_shard_hit_rates.len(), service.cube().fact_cache().num_shards());
+    assert_eq!(service.read_path(), ReadPath::Mmap);
+
+    // Zipf traffic, as dashboards send it; 128 queries is two
+    // attribution samples at one sample per 64 queries.
+    let mut sampler = NodeSampler::new(service.num_nodes(), NodePopularity::Zipf(1.0), 5).unwrap();
+    let workload: Vec<NodeId> = (0..128).map(|_| sampler.next_node()).collect();
+    let mut reference: BTreeMap<NodeId, Vec<CubeRow>> = BTreeMap::new();
+    let mut exclusive = CureCube::open(&catalog, &schema, &prefix).unwrap();
+    for &node in &workload {
+        reference.entry(node).or_insert_with(|| sorted(exclusive.node_query(node).unwrap()));
+    }
+
+    serve_and_check(&service, &workload, 4, &reference);
+    assert_eq!(service.metrics().queries(), 128);
+    assert_eq!(service.metrics().errors(), 0);
+    let attr = service.metrics().attribution();
+    assert!(attr.samples > 0, "the mmap path took no attribution samples");
+    assert!(attr.read_ns + attr.probe_ns + attr.compute_ns > 0);
 }
