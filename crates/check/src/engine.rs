@@ -1203,7 +1203,7 @@ fn run_socket_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Resu
         backends.push(reps);
         handles.push(hs);
     }
-    let router = ShardRouter::from_backends(Arc::clone(&serve_schema), backends, ReadPath::Cache)
+    let router = ShardRouter::from_backends(Arc::clone(&serve_schema), backends)
         .map_err(|e| CheckError::Case(format!("socket-sharded: open router: {e}")))?;
 
     let node_ids: Vec<NodeId> = NodeCoder::new(schema).all_ids().collect();

@@ -1,7 +1,7 @@
 //! Self-describing sharded catalogs: a [`CubeSchema`] serialized into a
 //! catalog blob.
 //!
-//! A shard server process (`cure-cli shard-serve`) is handed nothing but
+//! A shard server process (`cure-shard-serve`) is handed nothing but
 //! a replica directory; it cannot re-derive the schema from the dataset
 //! generator the way the CLI's bench paths do. `build_shard_cubes`
 //! therefore writes the schema it built against into the catalog as the

@@ -36,7 +36,7 @@ impl<'a> BucCube<'a> {
         if !self.catalog.exists(&name) {
             return Ok(Vec::new());
         }
-        let rel = self.catalog.open_relation(&name)?;
+        let rel = self.catalog.open_sealed(&name)?;
         let rs = rel.schema().clone();
         let arity = rs.arity() - self.y;
         let mut out = Vec::with_capacity(rel.num_rows() as usize);
@@ -72,7 +72,7 @@ impl<'a> BubstCube<'a> {
         d: usize,
         y: usize,
     ) -> Result<Self> {
-        let fact = catalog.open_relation(fact_rel)?;
+        let fact = catalog.open_sealed(fact_rel)?;
         let fact_schema = fact.schema().clone();
         Ok(BubstCube { catalog, rel_name: bubst_rel_name(prefix), fact, fact_schema, d, y })
     }
@@ -80,7 +80,7 @@ impl<'a> BubstCube<'a> {
     /// Answer a node query. **Scans the entire monolithic relation** — the
     /// format's inherent cost, faithfully reproduced.
     pub fn node_query(&self, node: NodeId) -> Result<Vec<CubeRow>> {
-        let rel = self.catalog.open_relation(&self.rel_name)?;
+        let rel = self.catalog.open_sealed(&self.rel_name)?;
         let rs = rel.schema().clone();
         // BSTs stored at any node on the P1 path to `node` are members.
         let path = flatnode::path(node);

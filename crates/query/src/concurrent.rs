@@ -3,31 +3,32 @@
 //! The exclusive [`CureCube`](crate::cure_reader::CureCube) requires
 //! `&mut self` because its per-handle LRU caches mutate on every fetch.
 //! Serving workloads (many readers, one immutable cube) instead open a
-//! `ConcurrentCube`: it owns `Arc`s of the catalog and schema, resolves
-//! rows against sharded [`SharedBufferCache`]s, and counts work in
-//! atomics — so `node_query` takes `&self` and the whole cube can sit
-//! behind one `Arc` shared by a worker pool (see the `cure-serve` crate).
+//! `ConcurrentCube`: it owns `Arc`s of the catalog and schema, counts
+//! work in atomics and answers through `&self`, so the whole cube can sit
+//! behind one `Arc` shared by any number of threads (see the `cure-serve`
+//! crate).
 //!
-//! On the cache read path a node query reads each relation once:
+//! Both [`ReadPath`]s answer through the one resolution engine,
+//! [`crate::resolve`]; the read path only chooses where pages come from:
 //!
-//! * the node's NT, CAT and TT relations come from a per-epoch table
-//!   keyed by node id, opened on first use, so a repeated query does no
-//!   catalog probe, no open and no header read, and verifies no page
-//!   checksum twice;
-//! * every CAT reference of the query is fetched from `AGGREGATES` with
-//!   one [`HeapFile::gather_shared`] call, and every fact row-id of every
-//!   source (NT, CAT, each TT on the plan path) with one more. A gather
-//!   reads its relation in page order — one cache lookup per distinct
-//!   page rather than one per row, the page-ordered access CURE+ gets by
-//!   sorting row-ids (§5.3) — and hands the rows back in resolution
-//!   order.
+//! * [`ReadPath::Cache`] opens each relation read-only, reads node
+//!   sources with `pread` (opened on first use and kept for the epoch),
+//!   and fetches fact and `AGGREGATES` rows with one page-ordered
+//!   [`HeapFile::gather_shared`](cure_storage::HeapFile::gather_shared) per relation per query through the
+//!   sharded [`SharedBufferCache`]s — one cache lookup per distinct page,
+//!   the page-ordered access CURE+ gets by sorting row-ids (§5.3);
+//! * [`ReadPath::Mmap`] maps every relation read-only at open, verifies
+//!   every page once there, and visits rows as borrowed slices of the
+//!   mapping — no lock, no copy, and no open, map or verify cost in a
+//!   query's latency.
 //!
-//! Query *semantics* are identical to the exclusive path by construction:
-//! both drive the same [`crate::resolve`] engine and differ only in the
-//! [`RowFetcher`] used, so both return the same rows in the same order.
+//! Either way a query returns the same rows in the same order as the
+//! exclusive handle, and the [`QueryGuard`]'s deadline and quarantine
+//! are checked before each fact or `AGGREGATES` page a query touches.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,48 +36,35 @@ use std::time::Instant;
 use cure_core::meta::CubeMeta;
 use cure_core::sink::aggregates_rel_name;
 use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result};
-use cure_storage::{Catalog, HeapFile, Schema, SharedBufferCache, StorageError};
+use cure_storage::page::PAGE_HEADER;
+use cure_storage::{Catalog, Schema, SharedBufferCache, StorageError};
 
 use crate::cure_reader::QueryStats;
-use crate::node_index::{Attribution, MmapNodeIndex};
-use crate::resolve::{self, NodeRelations, ResolveEnv, RowFetcher};
+use crate::resolve::{self, Attribution, NodeRelations, ResolveEnv, RowFetcher, Source};
 use crate::CubeRow;
 
 /// Lock-free counterpart of [`QueryStats`] (cache hit/miss counters live
 /// in the [`SharedBufferCache`]s themselves).
 #[derive(Debug, Default)]
-pub(crate) struct SharedQueryStats {
+struct SharedQueryStats {
     queries: AtomicU64,
     rows: AtomicU64,
     fact_fetches: AtomicU64,
     agg_fetches: AtomicU64,
 }
 
-impl SharedQueryStats {
-    pub(crate) fn count_fact_fetch(&self) {
-        self.fact_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_agg_fetch(&self) {
-        self.agg_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// How a [`ConcurrentCube`] resolves rows.
+/// Where a [`ConcurrentCube`] reads its pages from.
 ///
 /// On either path a handle serves one sealed epoch: the cube must stay
 /// immutable for the lifetime of the handle, and live ingest swaps in a
-/// *new* handle per epoch instead of mutating this one. `Cache` is the
-/// original serving path — page-ordered gathers through the sharded
-/// [`SharedBufferCache`]s, over relations opened once per handle.
-/// `Mmap` memory-maps every sealed relation at open and serves borrowed
-/// page slices with no locking and no copy.
+/// *new* handle per epoch instead of mutating this one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
-    /// Lock-guarded shared page caches over `HeapFile::gather_shared`
-    /// (fact and `AGGREGATES` rows).
+    /// Relations read with `pread`; fact and `AGGREGATES` rows gathered
+    /// page by page through the shared page caches.
     Cache,
-    /// Zero-copy mmap reads + the per-node point-query index.
+    /// Relations memory-mapped and verified at open; rows served as
+    /// borrowed slices of the mapping.
     Mmap,
 }
 
@@ -99,7 +87,7 @@ impl ReadPath {
     }
 }
 
-/// Cache sizing for [`ConcurrentCube::open_with_caches`].
+/// Cache sizing for [`ConcurrentCube::open_with_read_path`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Total fact-table cache capacity in pages.
@@ -121,10 +109,9 @@ impl Default for CacheConfig {
 /// Pages the serving layer has marked as known-corrupt.
 ///
 /// Consulted by [`ConcurrentCube::node_query_guarded`] *before* each fact
-/// page or `AGGREGATES` row is fetched, so repeat reads of a page that
-/// already failed its checksum become fast typed failures instead of
-/// further disk I/O.
-/// Implemented by the quarantine set in `cure-serve`.
+/// or `AGGREGATES` page is read, so repeat reads of a page that already
+/// failed its checksum become fast typed failures instead of further
+/// disk I/O. Implemented by the quarantine set in `cure-serve`.
 pub trait PageQuarantine: Sync {
     /// Whether `(relation, page)` is currently quarantined.
     fn is_quarantined(&self, relation: &str, page: u64) -> bool;
@@ -145,6 +132,25 @@ pub struct QueryGuard<'a> {
     pub quarantine: Option<&'a dyn PageQuarantine>,
 }
 
+impl QueryGuard<'_> {
+    /// The check every fetch makes before it touches page `page` of
+    /// `relation`: a passed deadline is [`CubeError::Timeout`], and a
+    /// quarantined page a typed [`StorageError::CorruptPage`].
+    fn check_page(&self, relation: &str, page: u64) -> Result<()> {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(CubeError::Timeout("query deadline exceeded between page fetches".into()));
+        }
+        if self.quarantine.is_some_and(|q| q.is_quarantined(relation, page)) {
+            return Err(CubeError::Storage(StorageError::CorruptPage {
+                relation: relation.to_string(),
+                page,
+                detail: "page is quarantined pending repair".into(),
+            }));
+        }
+        Ok(())
+    }
+}
+
 /// An opened CURE cube that answers node queries through `&self`.
 pub struct ConcurrentCube {
     catalog: Arc<Catalog>,
@@ -152,16 +158,20 @@ pub struct ConcurrentCube {
     meta: CubeMeta,
     plan: PlanSpec,
     coder: NodeCoder,
-    fact: HeapFile,
+    read_path: ReadPath,
+    /// The fact table, opened on `read_path`.
+    fact: Source,
+    /// `AGGREGATES`, opened on `read_path`, or [`Source::Absent`].
+    aggregates: Source,
     fact_schema: Schema,
-    aggregates: Option<HeapFile>,
+    agg_schema: Option<Schema>,
+    /// Relation names of `fact` and `aggregates` (the quarantine keys).
+    fact_name: String,
+    agg_name: String,
     fact_cache: SharedBufferCache,
     agg_cache: SharedBufferCache,
     stats: SharedQueryStats,
-    read_path: ReadPath,
-    /// The per-node point-query index, present iff `read_path` is `Mmap`.
-    mmap: Option<MmapNodeIndex>,
-    /// Each node's opened NT, CAT and TT relations (cache path).
+    /// Each node's opened NT, CAT and TT sources.
     relations: NodeRelations,
 }
 
@@ -171,124 +181,95 @@ const _: () = {
     assert_sync::<ConcurrentCube>();
 };
 
-/// [`RowFetcher`] over the shared sharded caches.
-struct SharedFetcher<'f> {
-    fact: &'f HeapFile,
-    fact_cache: &'f SharedBufferCache,
-    agg_cache: &'f SharedBufferCache,
-    stats: &'f SharedQueryStats,
+/// [`RowFetcher`] of a [`ConcurrentCube`]: each fetch reads the pages of
+/// the relation's [`Source`] — gathered through a shared cache, or
+/// borrowed from the mapping — after the guard's check on each page.
+struct SharedFetcher<'f, 'g> {
+    cube: &'f ConcurrentCube,
+    guard: &'f QueryGuard<'g>,
 }
 
-impl SharedFetcher<'_> {
-    /// Gather fact rows page by page, running `before_page` before each
-    /// page is touched.
-    fn gather_facts(
-        &self,
+impl RowFetcher for SharedFetcher<'_, '_> {
+    fn fetch_facts(
+        &mut self,
         rowids: &[u64],
-        buf: &mut [u8],
-        before_page: impl FnMut(u64) -> Result<()>,
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
     ) -> Result<()> {
-        self.stats.fact_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
-        self.fact.gather_shared(rowids, self.fact_cache, buf, before_page)
+        let c = self.cube;
+        c.stats.fact_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
+        fetch(&c.fact, &c.fact_name, &c.fact_cache, self.guard, rowids, visit)
     }
 
-    /// [`gather_facts`](Self::gather_facts) over `AGGREGATES`.
-    fn gather_aggs(
-        &self,
-        agg: &HeapFile,
+    fn fetch_aggs(
+        &mut self,
         rowids: &[u64],
-        buf: &mut [u8],
-        before_page: impl FnMut(u64) -> Result<()>,
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
     ) -> Result<()> {
-        self.stats.agg_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
-        agg.gather_shared(rowids, self.agg_cache, buf, before_page)
+        let c = self.cube;
+        c.stats.agg_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
+        fetch(&c.aggregates, &c.agg_name, &c.agg_cache, self.guard, rowids, visit)
     }
 }
 
-impl RowFetcher for SharedFetcher<'_> {
-    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        self.gather_facts(rowids, buf, |_| Ok(()))
-    }
-
-    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        self.gather_aggs(agg, rowids, buf, |_| Ok(()))
-    }
-}
-
-/// [`SharedFetcher`] wrapped with deadline and quarantine checks.
-struct GuardedFetcher<'f, 'g> {
-    inner: SharedFetcher<'f>,
-    guard: QueryGuard<'g>,
-    fact_name: String,
-    agg_name: String,
-}
-
-impl GuardedFetcher<'_, '_> {
-    fn check_deadline(&self) -> Result<()> {
-        if let Some(d) = self.guard.deadline {
-            if Instant::now() >= d {
-                return Err(CubeError::Timeout(
-                    "query deadline exceeded between page fetches".into(),
-                ));
-            }
+/// Visit rows `rowids` of relation `src` (named `name`) in input order.
+///
+/// A heap relation is gathered page by page through `cache` into one
+/// buffer, which is then visited. A mapped relation is visited in place:
+/// each row is a borrowed slice of its page, and a page is looked up
+/// once per run of row-ids that falls on it. Both check `guard` before
+/// every page they touch.
+fn fetch(
+    src: &Source,
+    name: &str,
+    cache: &SharedBufferCache,
+    guard: &QueryGuard<'_>,
+    rowids: &[u64],
+    mut visit: impl FnMut(usize, &[u8]) -> Result<()>,
+) -> Result<()> {
+    match src {
+        Source::Relation(rel) => {
+            let w = rel.schema().row_width();
+            let mut buf = vec![0u8; rowids.len() * w];
+            rel.gather_shared(rowids, cache, &mut buf, |page| guard.check_page(name, page))?;
+            buf.chunks_exact(w).enumerate().try_for_each(|(i, row)| visit(i, row))
         }
-        Ok(())
-    }
-
-    fn check_quarantine(&self, relation: &str, page: u64) -> Result<()> {
-        if let Some(q) = self.guard.quarantine {
-            if q.is_quarantined(relation, page) {
-                return Err(CubeError::Storage(StorageError::CorruptPage {
-                    relation: relation.to_string(),
-                    page,
-                    detail: "page is quarantined pending repair".into(),
-                }));
+        Source::Mapped(rel) => {
+            let (w, rpp, n) =
+                (rel.schema().row_width(), rel.rows_per_page() as u64, rel.num_rows());
+            let mut page: (u64, Cow<'_, [u8]>) = (u64::MAX, Cow::Borrowed(&[]));
+            for (i, &rowid) in rowids.iter().enumerate() {
+                if rowid >= n {
+                    return Err(StorageError::RowOutOfBounds { rowid, num_rows: n }.into());
+                }
+                if page.0 != rowid / rpp {
+                    guard.check_page(name, rowid / rpp)?;
+                    page = (rowid / rpp, rel.page(rowid / rpp)?);
+                }
+                let off = PAGE_HEADER + (rowid % rpp) as usize * w;
+                visit(i, &page.1[off..off + w])?;
             }
+            Ok(())
         }
-        Ok(())
-    }
-}
-
-impl RowFetcher for GuardedFetcher<'_, '_> {
-    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        self.inner.gather_facts(rowids, buf, |page| {
-            self.check_deadline()?;
-            self.check_quarantine(&self.fact_name, page)
-        })
-    }
-
-    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        self.inner.gather_aggs(agg, rowids, buf, |page| {
-            self.check_deadline()?;
-            self.check_quarantine(&self.agg_name, page)
-        })
+        Source::Absent | Source::Bitmap(_) => {
+            Err(CubeError::Schema(format!("no relation '{name}' to fetch rows from")))
+        }
     }
 }
 
 impl ConcurrentCube {
-    /// Open the cube stored under `prefix` with default cache sizing.
+    /// Open the cube stored under `prefix` on the cache read path with
+    /// default cache sizing.
     pub fn open(catalog: Arc<Catalog>, schema: Arc<CubeSchema>, prefix: &str) -> Result<Self> {
-        Self::open_with_caches(catalog, schema, prefix, CacheConfig::default())
-    }
-
-    /// Open the cube stored under `prefix`, sizing the shared caches.
-    pub fn open_with_caches(
-        catalog: Arc<Catalog>,
-        schema: Arc<CubeSchema>,
-        prefix: &str,
-        caches: CacheConfig,
-    ) -> Result<Self> {
-        Self::open_with_read_path(catalog, schema, prefix, caches, ReadPath::Cache)
+        Self::open_with_read_path(catalog, schema, prefix, CacheConfig::default(), ReadPath::Cache)
     }
 
     /// Open the cube stored under `prefix` on the chosen [`ReadPath`].
     ///
-    /// With [`ReadPath::Mmap`], every sealed relation (fact, `AGGREGATES`,
-    /// all NTs) is memory-mapped and CRC-verified once here, and the
-    /// per-node point-query index is built — one pass at open buys
-    /// O(probe + result) node queries afterwards. The shared caches are
-    /// still allocated (repair re-verifies through both views) but stay
-    /// cold during serving.
+    /// Every relation is opened read-only; opening never writes the cube.
+    /// With [`ReadPath::Mmap`], every relation the cube reads (fact,
+    /// `AGGREGATES`, every node's NT, CAT and TT) is mapped and its pages
+    /// verified here, once. The shared caches are allocated on both paths
+    /// but stay cold on the mmap path.
     pub fn open_with_read_path(
         catalog: Arc<Catalog>,
         schema: Arc<CubeSchema>,
@@ -311,31 +292,39 @@ impl ConcurrentCube {
             Some(l) => PlanSpec::partitioned(&schema, l)?,
         };
         let coder = NodeCoder::new(&schema);
-        let fact = catalog.open_relation(&meta.fact_rel)?;
-        let fact_schema = fact.schema().clone();
+        let fact = resolve::open_source(&catalog, &meta.fact_rel, read_path)?;
+        let fact_schema = fact
+            .schema()
+            .cloned()
+            .ok_or_else(|| CubeError::Schema("the fact table opened as no relation".into()))?;
         let agg_name = aggregates_rel_name(prefix);
-        let aggregates =
-            if catalog.exists(&agg_name) { Some(catalog.open_relation(&agg_name)?) } else { None };
-        let mmap = match read_path {
-            ReadPath::Cache => None,
-            ReadPath::Mmap => Some(MmapNodeIndex::build(&catalog, &meta, &plan, &coder)?),
+        let aggregates = if catalog.exists(&agg_name) {
+            resolve::open_source(&catalog, &agg_name, read_path)?
+        } else {
+            Source::Absent
         };
-        Ok(ConcurrentCube {
+        let cube = ConcurrentCube {
+            fact_schema,
+            agg_schema: aggregates.schema().cloned(),
+            fact_name: fact.relation_name(),
+            agg_name: aggregates.relation_name(),
             catalog,
             schema,
             meta,
             plan,
             relations: NodeRelations::new(coder.num_nodes()),
             coder,
+            read_path,
             fact,
-            fact_schema,
             aggregates,
             fact_cache: SharedBufferCache::new(caches.fact_pages, caches.shards),
             agg_cache: SharedBufferCache::new(caches.agg_pages, caches.shards),
             stats: SharedQueryStats::default(),
-            read_path,
-            mmap,
-        })
+        };
+        if read_path == ReadPath::Mmap {
+            cube.resolve_env().fill_all()?;
+        }
+        Ok(cube)
     }
 
     /// The read path this handle was opened on.
@@ -394,44 +383,21 @@ impl ConcurrentCube {
             plan: &self.plan,
             coder: &self.coder,
             fact_schema: &self.fact_schema,
-            aggregates: self.aggregates.as_ref(),
+            agg_schema: self.agg_schema.as_ref(),
+            read_path: self.read_path,
             relations: &self.relations,
         }
     }
 
-    fn env(&self) -> (ResolveEnv<'_>, SharedFetcher<'_>) {
-        (
-            self.resolve_env(),
-            SharedFetcher {
-                fact: &self.fact,
-                fact_cache: &self.fact_cache,
-                agg_cache: &self.agg_cache,
-                stats: &self.stats,
-            },
-        )
-    }
-
-    /// Answer `node` through the mmap index. Callers must have checked
-    /// that the handle was opened on [`ReadPath::Mmap`].
-    fn node_query_mmap(
+    /// Resolve `node` under `guard`, adding probe and read time to `attr`.
+    fn answer(
         &self,
         node: NodeId,
         guard: &QueryGuard<'_>,
-        mut attr: Option<&mut Attribution>,
+        attr: Option<&mut Attribution>,
     ) -> Result<Vec<CubeRow>> {
-        let idx = self
-            .mmap
-            .as_ref()
-            .ok_or_else(|| CubeError::Config("mmap read path is not enabled".into()))?;
-        let t = attr.is_some().then(Instant::now);
-        let levels = self.coder.decode(node)?;
-        if let (Some(t), Some(a)) = (t, attr.as_deref_mut()) {
-            a.probe_ns += t.elapsed().as_nanos() as u64;
-        }
-        let env = self.resolve_env();
-        let mut out: Vec<CubeRow> = Vec::new();
-        idx.scan_nt_cat(&env, &self.stats, node, &levels, guard, &mut out, attr.as_deref_mut())?;
-        idx.scan_tts(&env, &self.stats, node, &levels, guard, &mut out, attr)?;
+        let mut fetcher = SharedFetcher { cube: self, guard };
+        let out = resolve::scan_node(&self.resolve_env(), &mut fetcher, node, None, true, attr)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
@@ -440,58 +406,29 @@ impl ConcurrentCube {
     /// Answer a full node query: every `(grouping values, aggregates)` row
     /// of `node`. Callable from any number of threads concurrently.
     pub fn node_query(&self, node: NodeId) -> Result<Vec<CubeRow>> {
-        if self.mmap.is_some() {
-            return self.node_query_mmap(node, &QueryGuard::default(), None);
-        }
-        let levels = self.coder.decode(node)?;
-        let mut out: Vec<CubeRow> = Vec::new();
-        let (env, mut fetcher) = self.env();
-        resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.answer(node, &QueryGuard::default(), None)
     }
 
     /// [`node_query`](Self::node_query) under a [`QueryGuard`]: the same
     /// answer when nothing intervenes, [`CubeError::Timeout`] when the
     /// guard's deadline passes mid-query (checked before each page
     /// fetch), and a typed [`StorageError::CorruptPage`] without touching
-    /// disk when a fetch would land on a quarantined page.
+    /// the page when a fetch would land on a quarantined one.
     pub fn node_query_guarded(&self, node: NodeId, guard: &QueryGuard<'_>) -> Result<Vec<CubeRow>> {
-        if self.mmap.is_some() {
-            return self.node_query_mmap(node, guard, None);
-        }
-        let levels = self.coder.decode(node)?;
-        let mut out: Vec<CubeRow> = Vec::new();
-        let (env, inner) = self.env();
-        let mut fetcher = GuardedFetcher {
-            inner,
-            guard: *guard,
-            fact_name: self.fact.relation_name(),
-            agg_name: self.aggregates.as_ref().map(|a| a.relation_name()).unwrap_or_default(),
-        };
-        resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.answer(node, guard, None)
     }
 
     /// [`node_query_guarded`](Self::node_query_guarded) that also reports
-    /// where the query's time went (index probe vs page reads vs
-    /// compute). Attribution is only measured on the mmap path — on the
-    /// cache path the returned [`Attribution`] is all zeros and the
-    /// `read_path` label in the stats spine disambiguates.
+    /// where the query's time went (see [`Attribution`]), on either read
+    /// path.
     pub fn node_query_attributed(
         &self,
         node: NodeId,
         guard: &QueryGuard<'_>,
     ) -> Result<(Vec<CubeRow>, Attribution)> {
-        if self.mmap.is_none() {
-            return Ok((self.node_query_guarded(node, guard)?, Attribution::default()));
-        }
         let start = Instant::now();
         let mut attr = Attribution::default();
-        let rows = self.node_query_mmap(node, guard, Some(&mut attr))?;
+        let rows = self.answer(node, guard, Some(&mut attr))?;
         let total = start.elapsed().as_nanos() as u64;
         attr.compute_ns = total.saturating_sub(attr.probe_ns + attr.read_ns);
         Ok((rows, attr))
@@ -500,77 +437,35 @@ impl ConcurrentCube {
     /// Name of the fact relation backing R-rowid resolution (the circuit
     /// breaker in `cure-serve` keys its failure counts on this).
     pub fn fact_relation(&self) -> String {
-        self.fact.relation_name()
+        self.fact_name.clone()
     }
 
-    /// Re-verify one page of `relation` from disk, evicting any cached
-    /// copy first so a repaired page cannot be shadowed by a stale
-    /// (possibly corrupt) in-memory image. Returns `Ok` when the page now
-    /// reads and checksums clean; the quarantine repair hook uses this to
-    /// decide whether an entry may leave the quarantine set.
+    /// Re-verify one page of `relation` — the fact table, `AGGREGATES` or
+    /// any node's NT, CAT or TT — from disk, evicting any cached copy
+    /// first so a repaired page cannot be shadowed by a stale in-memory
+    /// image. A node relation not opened yet is opened first. Returns
+    /// `Ok` when the page now reads and checksums clean; the quarantine
+    /// repair hook uses this to decide whether an entry may leave the
+    /// quarantine set.
     pub fn reverify_page(&self, relation: &str, page: u64) -> Result<()> {
-        let mut known = false;
-        if self.fact.relation_name() == relation {
-            self.fact_cache.evict(self.fact.file_id(), page);
-            self.fact.reverify_page(page)?;
-            known = true;
-        } else if let Some(agg) = &self.aggregates {
-            if agg.relation_name() == relation {
-                self.agg_cache.evict(agg.file_id(), page);
-                agg.reverify_page(page)?;
-                known = true;
+        let src = if relation == self.fact_name {
+            &self.fact
+        } else if relation == self.agg_name {
+            &self.aggregates
+        } else {
+            self.resolve_env().source_named(relation)?.unwrap_or(&Source::Absent)
+        };
+        match src {
+            Source::Relation(rel) => {
+                self.fact_cache.evict(rel.file_id(), page);
+                self.agg_cache.evict(rel.file_id(), page);
+                Ok(rel.reverify_page(page)?)
+            }
+            Source::Mapped(rel) => Ok(rel.reverify_page(page)?),
+            Source::Absent | Source::Bitmap(_) => {
+                Err(CubeError::Config(format!("unknown relation '{relation}' for page repair")))
             }
         }
-        // On the mmap path the repaired bytes must also checksum clean
-        // through the mapped view (MAP_SHARED makes an on-disk rewrite
-        // visible in place); the index additionally covers NT relations,
-        // which the cache path never quarantines.
-        if let Some(idx) = &self.mmap {
-            if let Some(res) = idx.reverify_page(relation, page) {
-                res?;
-                known = true;
-            }
-        }
-        if known {
-            Ok(())
-        } else {
-            Err(CubeError::Config(format!("unknown relation '{relation}' for page repair")))
-        }
-    }
-
-    /// Count iceberg query (see
-    /// [`CureCube::iceberg_count_query`](crate::cure_reader::CureCube::iceberg_count_query));
-    /// TTs are skipped without being read.
-    pub fn iceberg_count_query(
-        &self,
-        node: NodeId,
-        min_count: i64,
-        count_measure: usize,
-    ) -> Result<Vec<CubeRow>> {
-        if min_count < 1 {
-            return Err(CubeError::Config("iceberg threshold must be ≥ 1".into()));
-        }
-        let levels = self.coder.decode(node)?;
-        let mut out: Vec<CubeRow> = Vec::new();
-        if let Some(idx) = &self.mmap {
-            let env = self.resolve_env();
-            idx.scan_nt_cat(
-                &env,
-                &self.stats,
-                node,
-                &levels,
-                &QueryGuard::default(),
-                &mut out,
-                None,
-            )?;
-        } else {
-            let (env, mut fetcher) = self.env();
-            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, false)?;
-        }
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        out.retain(|(_, aggs)| aggs[count_measure] > min_count);
-        self.stats.rows.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
     }
 }
 
@@ -657,16 +552,28 @@ mod tests {
         pages: BTreeSet<u64>,
     }
 
+    /// The cache-path handle's fact table.
+    fn fact_heap(cube: &ConcurrentCube) -> &cure_storage::HeapFile {
+        match &cube.fact {
+            Source::Relation(rel) => rel,
+            _ => panic!("the cache path opens the fact table as a heap relation"),
+        }
+    }
+
     /// [`RowFetcher`] that records the fact pages each batch spans.
-    struct PageRecorder<'f> {
-        inner: SharedFetcher<'f>,
+    struct PageRecorder<'f, 'g> {
+        inner: SharedFetcher<'f, 'g>,
         rows_per_page: u64,
         sealed_pages: u64,
         access: FactAccess,
     }
 
-    impl RowFetcher for PageRecorder<'_> {
-        fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
+    impl RowFetcher for PageRecorder<'_, '_> {
+        fn fetch_facts(
+            &mut self,
+            rowids: &[u64],
+            visit: impl FnMut(usize, &[u8]) -> Result<()>,
+        ) -> Result<()> {
             let pages: BTreeSet<u64> = rowids
                 .iter()
                 .map(|r| r / self.rows_per_page)
@@ -676,27 +583,29 @@ mod tests {
             self.access.lookups += pages.len() as u64;
             self.access.gathers += 1;
             self.access.pages.extend(pages);
-            self.inner.fetch_facts(rowids, buf)
+            self.inner.fetch_facts(rowids, visit)
         }
 
-        fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-            self.inner.fetch_aggs(agg, rowids, buf)
+        fn fetch_aggs(
+            &mut self,
+            rowids: &[u64],
+            visit: impl FnMut(usize, &[u8]) -> Result<()>,
+        ) -> Result<()> {
+            self.inner.fetch_aggs(rowids, visit)
         }
     }
 
     /// Resolve `node` on the cache path, recording its fact access.
     fn fact_access(cube: &ConcurrentCube, node: NodeId) -> FactAccess {
-        let levels = cube.coder().decode(node).unwrap();
-        let (env, inner) = cube.env();
-        let rows_per_page = cube.fact.rows_per_page() as u64;
+        let guard = QueryGuard::default();
+        let rows_per_page = fact_heap(cube).rows_per_page() as u64;
         let mut recorder = PageRecorder {
-            inner,
+            inner: SharedFetcher { cube, guard: &guard },
             rows_per_page,
-            sealed_pages: cube.fact.num_rows() / rows_per_page,
+            sealed_pages: fact_heap(cube).num_rows() / rows_per_page,
             access: FactAccess::default(),
         };
-        let mut out = Vec::new();
-        resolve::scan_node(&env, &mut recorder, node, &levels, &mut out, None, true).unwrap();
+        resolve::scan_node(&cube.resolve_env(), &mut recorder, node, None, true, None).unwrap();
         recorder.access
     }
 
@@ -947,14 +856,15 @@ mod tests {
         // Every shard of the cache can hold every fact page, so a page
         // loaded during the sweep is still resident; the quarantined one
         // costs a page read now because it was never loaded.
-        let rows_per_page = cube.fact.rows_per_page() as u64;
+        let fact = fact_heap(&cube);
+        let rows_per_page = fact.rows_per_page() as u64;
         let fact_cache = cube.fact_cache();
         let per_shard = fact_cache.capacity() / fact_cache.num_shards();
-        assert!(per_shard as u64 > cube.fact.num_rows() / rows_per_page);
+        assert!(per_shard as u64 > fact.num_rows() / rows_per_page);
         let mut buf = vec![0u8; cube.fact_schema.row_width()];
         let mut page_reads_to_fetch = |p: u64| {
             let before = catalog.stats().pages_read();
-            cube.fact.fetch_shared(p * rows_per_page, &cube.fact_cache, &mut buf).unwrap();
+            fact.fetch_shared(p * rows_per_page, &cube.fact_cache, &mut buf).unwrap();
             catalog.stats().pages_read() - before
         };
         let loaded = pages
@@ -983,40 +893,60 @@ mod tests {
         .unwrap();
         assert_eq!(cache.read_path(), ReadPath::Cache);
         assert_eq!(mmap.read_path(), ReadPath::Mmap);
+        let guard = QueryGuard::default();
         for node in 0..cache.coder().num_nodes() {
-            let a = sorted(cache.node_query(node).unwrap());
-            let b = sorted(mmap.node_query(node).unwrap());
-            assert_eq!(a, b, "node {node} diverged between read paths");
-            let guard = QueryGuard::default();
-            let c = sorted(mmap.node_query_guarded(node, &guard).unwrap());
-            assert_eq!(a, c, "node {node} diverged on the guarded mmap path");
-            let (d, _attr) = mmap.node_query_attributed(node, &guard).unwrap();
-            assert_eq!(a, sorted(d), "node {node} diverged on the attributed mmap path");
-            let i1 = sorted(cache.iceberg_count_query(node, 2, 1).unwrap());
-            let i2 = sorted(mmap.iceberg_count_query(node, 2, 1).unwrap());
-            assert_eq!(i1, i2, "node {node} iceberg diverged between read paths");
+            // One engine: the same rows in the same order on both paths.
+            let a = cache.node_query(node).unwrap();
+            assert_eq!(a, mmap.node_query(node).unwrap(), "node {node} diverged");
+            assert_eq!(a, mmap.node_query_guarded(node, &guard).unwrap(), "node {node} guarded");
+            let (d, _) = mmap.node_query_attributed(node, &guard).unwrap();
+            assert_eq!(a, d, "node {node} diverged on the attributed mmap path");
         }
         // The mmap path never touches the user-space caches.
         let s = mmap.stats_snapshot();
         assert_eq!(s.fact_cache_hits + s.fact_cache_misses, 0);
-        // Attribution on a non-trivial node reports probe + read time.
-        let (_, attr) = mmap.node_query_attributed(0, &QueryGuard::default()).unwrap();
-        assert!(attr.probe_ns + attr.read_ns + attr.compute_ns > 0);
-        // Repair through the mmap view covers fact and NT relations.
+        // Repair through the mapped view covers the fact table and every
+        // node relation.
         mmap.reverify_page(&mmap.fact_relation(), 0).unwrap();
+        mmap.reverify_page(&some_nt(&catalog, &prefix, mmap.coder()), 0).unwrap();
         assert!(mmap.reverify_page("no_such_rel", 0).is_err());
     }
 
+    /// The name of some node's NT relation.
+    fn some_nt(catalog: &Catalog, prefix: &str, coder: &NodeCoder) -> String {
+        (0..coder.num_nodes())
+            .map(|n| cure_core::sink::nt_rel_name(prefix, n))
+            .find(|name| catalog.exists(name))
+            .expect("the test cube stores an NT relation")
+    }
+
     #[test]
-    fn iceberg_matches_exclusive() {
-        let (catalog, schema, prefix) = build_test_cube("iceberg");
-        let shared =
-            ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
-        let mut exclusive = CureCube::open(&catalog, &schema, &prefix).unwrap();
-        for node in 0..shared.coder().num_nodes() {
-            let a = sorted(shared.iceberg_count_query(node, 2, 1).unwrap());
-            let b = sorted(exclusive.iceberg_count_query(node, 2, 1).unwrap());
-            assert_eq!(a, b, "node {node} diverged");
+    fn attribution_measures_reads_on_both_paths() {
+        let (catalog, schema, prefix) = build_test_cube("attr");
+        for read_path in [ReadPath::Cache, ReadPath::Mmap] {
+            let cube = ConcurrentCube::open_with_read_path(
+                Arc::clone(&catalog),
+                Arc::clone(&schema),
+                &prefix,
+                CacheConfig::default(),
+                read_path,
+            )
+            .unwrap();
+            // Node 0 groups by every dimension, so it fetches fact rows.
+            let (rows, attr) = cube.node_query_attributed(0, &QueryGuard::default()).unwrap();
+            assert!(!rows.is_empty());
+            assert!(attr.read_ns > 0, "{read_path:?}: no read time attributed");
+            assert!(attr.probe_ns > 0, "{read_path:?}: no probe time attributed");
         }
+    }
+
+    #[test]
+    fn cache_path_repairs_node_relations_it_has_not_opened() {
+        let (catalog, schema, prefix) = build_test_cube("repair_nodes");
+        let cube =
+            ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
+        // Nothing has been queried yet: repair opens the NT to verify it.
+        cube.reverify_page(&some_nt(&catalog, &prefix, cube.coder()), 0).unwrap();
+        assert!(cube.reverify_page("no_such_rel", 0).is_err());
     }
 }

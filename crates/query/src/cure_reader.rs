@@ -23,14 +23,16 @@
 //! and keeps them for the handle's lifetime.
 //!
 //! The resolution semantics live in [`crate::resolve`], shared with the
-//! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube);
-//! this type is the exclusive (`&mut self`) front end over them.
+//! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube) on
+//! both its read paths; this type is the exclusive (`&mut self`) front
+//! end over them. Like every reader it opens relations read-only.
 
 use cure_core::meta::CubeMeta;
 use cure_core::sink::aggregates_rel_name;
 use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result, Tuples};
 use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema};
 
+use crate::concurrent::ReadPath;
 use crate::resolve::{self, NodeRelations, ResolveEnv, RowFetcher};
 use crate::CubeRow;
 
@@ -72,30 +74,50 @@ pub struct CureCube<'a> {
 /// [`RowFetcher`] over the exclusive per-handle caches.
 struct ExclusiveFetcher<'f> {
     fact: &'f HeapFile,
+    aggregates: Option<&'f HeapFile>,
     fact_cache: &'f mut BufferCache,
     agg_cache: &'f mut BufferCache,
     stats: &'f mut QueryStats,
 }
 
+/// Fetch rows `rowids` of `rel` one at a time through `cache`, in input
+/// order, visiting each as it arrives.
+fn fetch_each(
+    rel: &HeapFile,
+    cache: &mut BufferCache,
+    fetches: &mut u64,
+    rowids: &[u64],
+    mut visit: impl FnMut(usize, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut row = vec![0u8; rel.schema().row_width()];
+    for (i, &rowid) in rowids.iter().enumerate() {
+        *fetches += 1;
+        rel.fetch_cached(rowid, cache, &mut row)?;
+        visit(i, &row)?;
+    }
+    Ok(())
+}
+
 impl RowFetcher for ExclusiveFetcher<'_> {
     /// One cache lookup per row, in input order: the per-row fact access
     /// whose cache behaviour Figures 16 and 17 measure.
-    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        let w = self.fact.schema().row_width();
-        for (&rowid, row) in rowids.iter().zip(buf.chunks_exact_mut(w)) {
-            self.stats.fact_fetches += 1;
-            self.fact.fetch_cached(rowid, self.fact_cache, row)?;
-        }
-        Ok(())
+    fn fetch_facts(
+        &mut self,
+        rowids: &[u64],
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        fetch_each(self.fact, self.fact_cache, &mut self.stats.fact_fetches, rowids, visit)
     }
 
-    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()> {
-        let w = agg.schema().row_width();
-        for (&rowid, row) in rowids.iter().zip(buf.chunks_exact_mut(w)) {
-            self.stats.agg_fetches += 1;
-            agg.fetch_cached(rowid, self.agg_cache, row)?;
-        }
-        Ok(())
+    fn fetch_aggs(
+        &mut self,
+        rowids: &[u64],
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let agg = self
+            .aggregates
+            .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES relation".into()))?;
+        fetch_each(agg, self.agg_cache, &mut self.stats.agg_fetches, rowids, visit)
     }
 }
 
@@ -117,11 +139,11 @@ impl<'a> CureCube<'a> {
             Some(l) => PlanSpec::partitioned(schema, l)?,
         };
         let coder = NodeCoder::new(schema);
-        let fact = catalog.open_relation(&meta.fact_rel)?;
+        let fact = catalog.open_sealed(&meta.fact_rel)?;
         let fact_schema = fact.schema().clone();
         let agg_name = aggregates_rel_name(prefix);
         let aggregates =
-            if catalog.exists(&agg_name) { Some(catalog.open_relation(&agg_name)?) } else { None };
+            if catalog.exists(&agg_name) { Some(catalog.open_sealed(&agg_name)?) } else { None };
         Ok(CureCube {
             catalog,
             schema,
@@ -204,22 +226,27 @@ impl<'a> CureCube<'a> {
                 plan,
                 coder,
                 fact_schema,
-                aggregates: aggregates.as_ref(),
+                agg_schema: aggregates.as_ref().map(HeapFile::schema),
+                read_path: ReadPath::Cache,
                 relations,
             },
-            ExclusiveFetcher { fact, fact_cache, agg_cache, stats },
+            ExclusiveFetcher {
+                fact,
+                aggregates: aggregates.as_ref(),
+                fact_cache,
+                agg_cache,
+                stats,
+            },
         )
     }
 
     /// Answer a full node query: every `(grouping values, aggregates)` row
     /// of `node`.
     pub fn node_query(&mut self, node: NodeId) -> Result<Vec<CubeRow>> {
-        let levels = self.coder.decode(node)?;
-        let mut out: Vec<CubeRow> = Vec::new();
-        {
+        let out = {
             let (env, mut fetcher) = self.parts();
-            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, true)?;
-        }
+            resolve::scan_node(&env, &mut fetcher, node, None, true, None)?
+        };
         self.stats.queries += 1;
         self.stats.rows += out.len() as u64;
         self.stats.fact_cache_hits = self.fact_cache.hits();
@@ -244,13 +271,11 @@ impl<'a> CureCube<'a> {
         if min_count < 1 {
             return Err(CubeError::Config("iceberg threshold must be ≥ 1".into()));
         }
-        let levels = self.coder.decode(node)?;
-        let mut out: Vec<CubeRow> = Vec::new();
-        {
+        let mut out = {
             // TTs all have count == 1 ≤ min_count: skip them without reading.
             let (env, mut fetcher) = self.parts();
-            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, None, false)?;
-        }
+            resolve::scan_node(&env, &mut fetcher, node, None, false, None)?
+        };
         self.stats.queries += 1;
         out.retain(|(_, aggs)| aggs[count_measure] > min_count);
         self.stats.rows += out.len() as u64;
@@ -311,12 +336,10 @@ impl<'a> CureCube<'a> {
             return Err(CubeError::Config("selective query lost its predicates".into()));
         };
 
-        let mut out: Vec<CubeRow> = Vec::new();
-        {
+        let out = {
             let (env, mut fetcher) = self.parts();
-            let q = Some(&qualifier);
-            resolve::scan_node(&env, &mut fetcher, node, &levels, &mut out, q, true)?;
-        }
+            resolve::scan_node(&env, &mut fetcher, node, Some(&qualifier), true, None)?
+        };
         self.stats.queries += 1;
         self.stats.rows += out.len() as u64;
         Ok(out)
@@ -326,6 +349,6 @@ impl<'a> CureCube<'a> {
 /// Load the fact relation a cube references into memory (test helper and
 /// roll-up substrate).
 pub fn load_fact_tuples(catalog: &Catalog, meta: &CubeMeta) -> Result<Tuples> {
-    let rel = catalog.open_relation(&meta.fact_rel)?;
+    let rel = catalog.open_sealed(&meta.fact_rel)?;
     Tuples::load_fact(&rel, meta.n_dims, meta.n_measures)
 }

@@ -21,11 +21,12 @@
 //! * [`navigate`] — OLAP roll-up / drill-down / slice over node ids;
 //! * [`workload`] — the paper's random node-query workloads;
 //! * [`concurrent`] — the thread-safe [`ConcurrentCube`] (`&self` node
-//!   queries over shared sharded caches), the substrate of the
-//!   `cure-serve` serving subsystem.
+//!   queries over shared sharded caches or read-only memory maps), the
+//!   substrate of the `cure-serve` serving subsystem.
 //!
 //! CURE reference resolution (NT/TT/CAT semantics) is implemented once in
-//! the private `resolve` module and driven by both cube front ends.
+//! the private `resolve` module and driven by both cube front ends, on
+//! every read path.
 
 pub mod baseline_reader;
 pub mod concurrent;
@@ -34,7 +35,6 @@ pub mod error;
 pub mod index;
 pub mod merge;
 pub mod navigate;
-mod node_index;
 mod resolve;
 pub mod rollup;
 pub mod workload;
@@ -44,7 +44,7 @@ pub use concurrent::{CacheConfig, ConcurrentCube, PageQuarantine, QueryGuard, Re
 pub use cure_reader::{CureCube, QueryStats};
 pub use error::QueryError;
 pub use merge::{iceberg_filter_merged, merge_partials};
-pub use node_index::Attribution;
+pub use resolve::Attribution;
 
 /// A logical cube row: grouping values (node's dimensions only, in
 /// dimension order) and aggregate values.

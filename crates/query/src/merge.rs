@@ -13,7 +13,7 @@
 //! one shard says nothing about its global support, so sub-cubes must be
 //! complete and [`iceberg_filter_merged`] is applied to the *merged*
 //! rows — mirroring
-//! [`iceberg_count_query`](crate::ConcurrentCube::iceberg_count_query)'s
+//! [`iceberg_count_query`](crate::CureCube::iceberg_count_query)'s
 //! `aggs[count_measure] > min_count` contract on the unsharded path.
 
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ pub fn merge_partials(agg_fns: &[AggFn], parts: Vec<Vec<CubeRow>>) -> Vec<CubeRo
 /// Apply an iceberg threshold to *merged* rows: keep groups whose
 /// `count_measure` aggregate is strictly greater than `min_count` (the
 /// same contract as the unsharded
-/// [`iceberg_count_query`](crate::ConcurrentCube::iceberg_count_query)).
+/// [`iceberg_count_query`](crate::CureCube::iceberg_count_query)).
 /// Must run after [`merge_partials`] — filtering per shard would drop
 /// groups whose support only clears the bar globally.
 pub fn iceberg_filter_merged(

@@ -1,48 +1,60 @@
-//! Reference-resolution engine shared by the exclusive and concurrent
-//! cache-path queries.
+//! The node-resolution engine: the one code path that turns a lattice
+//! node into rows, for every cube handle and every read path.
 //!
-//! [`CureCube`](crate::cure_reader::CureCube) (single-threaded, `&mut
-//! self`, plain [`BufferCache`](cure_storage::BufferCache)) and
-//! [`ConcurrentCube`](crate::concurrent::ConcurrentCube) (thread-safe,
-//! `&self`, [`SharedBufferCache`](cure_storage::SharedBufferCache))
-//! answer node queries with identical semantics: resolve NT rows against
-//! the fact table, CAT rows against `AGGREGATES`, and TT row-id lists
-//! along the execution-plan path (§5.1). This module holds that logic
-//! once. The two cube types differ only in *how rows are fetched* —
-//! which cache, which counters, in which order — so fetching is
-//! abstracted behind [`RowFetcher`] while everything else borrows
-//! through the read-only [`ResolveEnv`].
+//! A node query reads the node's stored sources — its NT relation, its
+//! CAT references and the TTs along its execution-plan path (§5.1) —
+//! and resolves them against the fact table and `AGGREGATES`.
+//! [`CureCube`](crate::cure_reader::CureCube) (exclusive, `&mut self`)
+//! and [`ConcurrentCube`](crate::concurrent::ConcurrentCube) (`&self`,
+//! on either [`ReadPath`]) all answer through [`scan_node`]. Only two
+//! things differ between them:
 //!
-//! A query is one pass per relation ([`scan_node`]):
+//! * **where a source's pages come from** — a [`Source`] is a heap
+//!   relation read through `pread` and the handle's checksum memo, a
+//!   relation mapped read-only and verified at open, or a decoded CURE+
+//!   bitmap. Every relation a reader opens goes through [`open_source`],
+//!   which never writes, truncates or fsyncs the cube;
+//! * **how fact and `AGGREGATES` rows are fetched** — a [`RowFetcher`]
+//!   visits them through a per-row LRU, page-ordered gathers through the
+//!   shared caches, or borrowed slices of the mapping.
 //!
-//! * the node's stored relations come from its [`NodeRelations`] slots,
-//!   opened on first use and kept for the handle's epoch, so a repeated
-//!   query does no catalog probe, no open and no header read, and its
-//!   pages keep the handle's checksum memo (no page is verified twice);
-//! * every source (NT, CAT, each TT on the plan path) is scanned once to
-//!   collect row-ids;
-//! * all CAT references go to `AGGREGATES` in one
-//!   [`RowFetcher::fetch_aggs`] call, and then every fact row-id of every
-//!   source goes to the fact table in one [`RowFetcher::fetch_facts`]
-//!   call.
-//!
-//! Rows are projected in source order afterwards, so the answer is the
-//! same rows in the same order whichever order the fetcher reads the
-//! relations in.
+//! A query is one pass per source: the node's sources come from its
+//! [`NodeRelations`] slots (opened on first use, or all at open on the
+//! mmap path, and kept for the handle's epoch), each source is scanned
+//! once to collect row-ids, all CAT references go to `AGGREGATES` in one
+//! [`RowFetcher::fetch_aggs`] call, and every fact row-id of every source
+//! goes to the fact table in one [`RowFetcher::fetch_facts`] call. Rows
+//! are visited in row-id input order, so every handle returns the same
+//! rows in the same order.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use cure_core::meta::CubeMeta;
 use cure_core::sink::{
     cat_bitmap_name, cat_rel_name, nt_rel_name, tt_bitmap_name, tt_rel_name, CatFormat,
 };
 use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result};
-use cure_storage::{BitmapIndex, Catalog, HeapFile, Schema};
+use cure_storage::{BitmapIndex, Catalog, HeapFile, MmapRelation, Schema};
 
+use crate::concurrent::ReadPath;
 use crate::error::QueryError;
 use crate::CubeRow;
+
+/// Where one query's time went, so the next bottleneck is measured
+/// rather than guessed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Attribution {
+    /// Node decode and source lookup (a first use opens the source).
+    pub probe_ns: u64,
+    /// Scanning the node's sources, and fetching its fact and
+    /// `AGGREGATES` rows and decoding them into the answer.
+    pub read_ns: u64,
+    /// Everything else, chiefly allocating the answer's rows.
+    pub compute_ns: u64,
+}
 
 /// Read-only view of everything resolution needs from an opened cube.
 pub(crate) struct ResolveEnv<'e> {
@@ -52,31 +64,95 @@ pub(crate) struct ResolveEnv<'e> {
     pub plan: &'e PlanSpec,
     pub coder: &'e NodeCoder,
     pub fact_schema: &'e Schema,
-    pub aggregates: Option<&'e HeapFile>,
+    /// `AGGREGATES`' row schema, when the cube has one.
+    pub agg_schema: Option<&'e Schema>,
+    /// How node sources are opened.
+    pub read_path: ReadPath,
     pub relations: &'e NodeRelations,
 }
 
-/// How rows are fetched: the only behavioural difference between the
-/// exclusive and concurrent paths.
+/// How fact and `AGGREGATES` rows are fetched: the only behavioural
+/// difference between handles besides where source pages come from.
+///
+/// Both calls visit the rows in input order: `visit(i, row)` receives
+/// row `rowids[i]`. Each counts one fetch per row.
 pub(crate) trait RowFetcher {
-    /// Fetch fact-table rows `rowids` into `buf` (row `i` at
-    /// `buf[i * w..(i + 1) * w]`, `w` the fact row width), counting one
-    /// fetch per row.
-    fn fetch_facts(&mut self, rowids: &[u64], buf: &mut [u8]) -> Result<()>;
+    /// Visit fact-table rows `rowids`.
+    fn fetch_facts(
+        &mut self,
+        rowids: &[u64],
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()>;
 
-    /// Fetch `AGGREGATES` rows `rowids` of `agg` into `buf`, laid out as
-    /// in [`fetch_facts`](Self::fetch_facts), counting one fetch per row.
-    fn fetch_aggs(&mut self, agg: &HeapFile, rowids: &[u64], buf: &mut [u8]) -> Result<()>;
+    /// Visit `AGGREGATES` rows `rowids`.
+    fn fetch_aggs(
+        &mut self,
+        rowids: &[u64],
+        visit: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()>;
 }
 
 /// One stored source of a node's rows, as opened for a handle's epoch.
 pub(crate) enum Source {
     /// The node stores no such relation or blob.
     Absent,
-    /// An opened heap relation (NT, CAT or TT).
+    /// A heap relation, opened read-only (cache read path).
     Relation(HeapFile),
+    /// A relation mapped read-only, every page verified at open (mmap
+    /// read path).
+    Mapped(MmapRelation),
     /// A CURE+ row-id bitmap blob (CAT A-rowids or TT R-rowids), decoded.
     Bitmap(BitmapIndex),
+}
+
+impl Source {
+    /// The row schema of a relation source.
+    pub(crate) fn schema(&self) -> Option<&Schema> {
+        match self {
+            Source::Relation(rel) => Some(rel.schema()),
+            Source::Mapped(rel) => Some(rel.schema()),
+            Source::Absent | Source::Bitmap(_) => None,
+        }
+    }
+
+    /// The relation name (file stem) of a relation source, the key typed
+    /// corrupt-page errors carry; empty for other sources.
+    pub(crate) fn relation_name(&self) -> String {
+        match self {
+            Source::Relation(rel) => rel.relation_name(),
+            Source::Mapped(rel) => rel.relation_name().to_string(),
+            Source::Absent | Source::Bitmap(_) => String::new(),
+        }
+    }
+}
+
+/// Open relation `name` for reading on `read_path`: the one open every
+/// relation a reader uses goes through. Neither path writes the file: a
+/// damaged page becomes a typed error (cache path) or is marked bad and
+/// served as one (mmap path), never a truncation.
+pub(crate) fn open_source(catalog: &Catalog, name: &str, read_path: ReadPath) -> Result<Source> {
+    Ok(match read_path {
+        ReadPath::Cache => Source::Relation(catalog.open_sealed(name)?),
+        ReadPath::Mmap => Source::Mapped(MmapRelation::open(catalog, name)?),
+    })
+}
+
+/// Run `f` over every row of a relation source, in row-id order.
+/// Absent sources have no rows; bitmaps hold row-ids, not rows.
+fn for_each_row(src: &Source, mut f: impl FnMut(&[u8])) -> Result<()> {
+    match src {
+        Source::Absent => Ok(()),
+        Source::Relation(rel) => rel.for_each_row(|_, row| f(row)).map(|_| ()).map_err(Into::into),
+        Source::Mapped(rel) => rel
+            .try_for_each_row(|_, row| {
+                f(row);
+                Ok(())
+            })
+            .map_err(Into::into),
+        Source::Bitmap(_) => {
+            Err(QueryError::Malformed("a bitmap source has no rows".into()).into())
+        }
+    }
 }
 
 /// The NT, CAT and TT slots of one lattice node.
@@ -88,7 +164,8 @@ struct NodeSlots {
 }
 
 /// Per-epoch relation table: every node's stored sources, keyed by node
-/// id and filled on first use.
+/// id and filled on first use (or all at open, see
+/// [`ResolveEnv::fill_all`]).
 ///
 /// A handle serves one sealed epoch, so a slot never goes stale once it
 /// is filled. A load that fails (an I/O fault while opening, say) fills
@@ -121,36 +198,43 @@ fn filled(cell: &OnceLock<Source>, load: impl FnOnce() -> Result<Source>) -> Res
     Ok(cell.get_or_init(|| s))
 }
 
+/// Adds the time `f` takes to `*ns` when `on`.
+fn timed<T>(on: bool, ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    if !on {
+        return f();
+    }
+    let t = Instant::now();
+    let r = f();
+    *ns += t.elapsed().as_nanos() as u64;
+    r
+}
+
 impl<'e> ResolveEnv<'e> {
-    /// Project the fact row in `buf` onto the node's grouped dimensions.
-    pub fn project(&self, levels: &[usize], buf: &[u8]) -> Vec<u32> {
-        self.schema
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| !self.coder.is_all(levels, *d))
-            .map(|(d, dim)| {
+    /// Append the fact row in `buf`, projected onto the node's grouped
+    /// dimensions, to `dims`.
+    fn project_into(&self, levels: &[usize], buf: &[u8], dims: &mut Vec<u32>) {
+        for (d, dim) in self.schema.dims().iter().enumerate() {
+            if !self.coder.is_all(levels, d) {
                 let leaf = Schema::read_u32_at(buf, self.fact_schema.offset(d));
-                dim.value_at(levels[d], leaf)
-            })
-            .collect()
+                dims.push(dim.value_at(levels[d], leaf));
+            }
+        }
     }
 
-    /// Decode the measure columns of the fact row in `buf`.
-    pub fn measures_of(&self, buf: &[u8]) -> Vec<i64> {
+    /// Append the measure columns of the fact row in `buf` to `aggs`.
+    fn measures_into(&self, buf: &[u8], aggs: &mut Vec<i64>) {
         let d = self.schema.num_dims();
-        (0..self.schema.num_measures())
-            .map(|m| Schema::read_i64_at(buf, self.fact_schema.offset(d + m)))
-            .collect()
+        let measures = 0..self.schema.num_measures();
+        aggs.extend(measures.map(|m| Schema::read_i64_at(buf, self.fact_schema.offset(d + m))));
     }
 
     /// Relation `name`, opened, or [`Source::Absent`].
     fn relation(&self, name: &str) -> Result<Source> {
-        Ok(if self.catalog.exists(name) {
-            Source::Relation(self.catalog.open_relation(name)?)
+        if self.catalog.exists(name) {
+            open_source(self.catalog, name, self.read_path)
         } else {
-            Source::Absent
-        })
+            Ok(Source::Absent)
+        }
     }
 
     /// Blob `name`, decoded as a bitmap, or [`Source::Absent`].
@@ -196,104 +280,147 @@ impl<'e> ResolveEnv<'e> {
             }
         })
     }
+
+    /// Fill every node's slots now, so no open, map or verification cost
+    /// lands in a query's latency.
+    pub(crate) fn fill_all(&self) -> Result<()> {
+        for node in 0..self.coder.num_nodes() {
+            self.nt(node)?;
+            self.cat(node)?;
+            self.tt(node)?;
+        }
+        Ok(())
+    }
+
+    /// The node source stored as relation `name`, opening its slot first
+    /// if it is empty; `None` when no node stores a relation of that name.
+    pub(crate) fn source_named(&self, name: &str) -> Result<Option<&'e Source>> {
+        let prefix = &self.meta.prefix;
+        for node in 0..self.coder.num_nodes() {
+            if nt_rel_name(prefix, node) == name {
+                return self.nt(node).map(Some);
+            }
+            if cat_rel_name(prefix, node) == name {
+                return self.cat(node).map(Some);
+            }
+            if !self.meta.plus && tt_rel_name(prefix, node) == name {
+                return self.tt(node).map(Some);
+            }
+        }
+        Ok(None)
+    }
 }
 
-/// Resolve `node` into `out`: its NT rows, then its CAT rows, then (with
+/// Resolve `node`: its NT rows, then its CAT rows, then (with
 /// `with_tts`) the rows of each TT on its plan path, in that order.
 ///
 /// With a `qualifier`, rows whose source row-id is not in it are dropped
 /// before any fact fetch: NT and TT row-ids are membership-tested (TT
 /// bitmaps intersected), and format-(b) CAT rows, which carry their
 /// source row-id, are dropped before `AGGREGATES` is touched.
+///
+/// With `attr`, the probe and read time of the query is added to it
+/// (see [`Attribution`]).
 pub(crate) fn scan_node(
     env: &ResolveEnv<'_>,
     fetcher: &mut impl RowFetcher,
     node: NodeId,
-    levels: &[usize],
-    out: &mut Vec<CubeRow>,
     qualifier: Option<&BitmapIndex>,
     with_tts: bool,
-) -> Result<()> {
-    let y = env.schema.num_measures();
-    let keep = |rowid: u64| qualifier.is_none_or(|q| q.contains(rowid));
-
-    // CURE_DR NT rows hold their grouping values: they need no fetch.
-    let nt = env.nt(node)?;
-    if let (true, Source::Relation(rel)) = (env.meta.dr, nt) {
-        let rs = rel.schema();
-        let arity = env.coder.grouping_arity(levels);
-        let mut scan = rel.scan();
-        while let Some(row) = scan.next_row()? {
-            let dims: Vec<u32> =
-                (0..arity).map(|i| Schema::read_u32_at(row, rs.offset(i))).collect();
-            let aggs: Vec<i64> =
-                (0..y).map(|m| Schema::read_i64_at(row, rs.offset(arity + m))).collect();
-            out.push((dims, aggs));
-        }
-    }
-
-    // From here on, row `start + i` of `out` is fact row `rowids[i]`
-    // projected: its grouping values are filled in after the one fact
-    // fetch below.
-    let start = out.len();
-    let mut rowids: Vec<u64> = Vec::new();
-
-    if let (false, Source::Relation(rel)) = (env.meta.dr, nt) {
-        let rs = rel.schema();
-        let mut scan = rel.scan();
-        while let Some(row) = scan.next_row()? {
-            let rowid = Schema::read_u64_at(row, rs.offset(0));
-            if keep(rowid) {
-                rowids.push(rowid);
-                out.push((
-                    Vec::new(),
-                    (0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))).collect(),
-                ));
+    attr: Option<&mut Attribution>,
+) -> Result<Vec<CubeRow>> {
+    let on = attr.is_some();
+    let mut time = Attribution::default();
+    let (levels, nt, cat, tts) = timed(on, &mut time.probe_ns, || -> Result<_> {
+        let (levels, nt, cat) = (env.coder.decode(node)?, env.nt(node)?, env.cat(node)?);
+        let mut tts = Vec::new();
+        if with_tts {
+            for m in env.plan.path_to(node)? {
+                tts.push(env.tt(m)?);
             }
         }
-    }
+        Ok((levels, nt, cat, tts))
+    })?;
+    let y = env.schema.num_measures();
+    let keep = |rowid: u64| qualifier.is_none_or(|q| q.contains(rowid));
+    let mut out: Vec<CubeRow> = Vec::new();
+    // Row `start + i` of `out` is fact row `rowids[i]` projected: its
+    // grouping values are filled in by the one fact fetch below.
+    let mut rowids: Vec<u64> = Vec::new();
+    let (mut start, mut tt_start) = (0, 0);
 
-    let cat = env.cat(node)?;
-    if !matches!(cat, Source::Absent) {
-        scan_cat(env, fetcher, cat, &keep, &mut rowids, out)?;
-    }
-
-    // TT rows take their measures from the fact row too.
-    let tt_start = out.len();
-    if with_tts {
-        for m in env.plan.path_to(node)? {
-            let before = rowids.len();
-            match env.tt(m)? {
-                Source::Absent => continue,
-                Source::Bitmap(bm) => match qualifier {
-                    Some(q) => rowids.extend(bm.intersect(q).iter()),
-                    None => rowids.extend(bm.iter()),
-                },
-                Source::Relation(rel) => {
-                    let mut scan = rel.scan();
-                    while let Some(row) = scan.next_row()? {
-                        let rid = Schema::read_u64_at(row, 0);
-                        if keep(rid) {
-                            rowids.push(rid);
-                        }
+    timed(on, &mut time.read_ns, || -> Result<()> {
+        if let Some(rs) = nt.schema() {
+            if env.meta.dr {
+                // CURE_DR NT rows hold their grouping values: no fetch.
+                let arity = env.coder.grouping_arity(&levels);
+                for_each_row(nt, |row| {
+                    let dims = (0..arity).map(|i| Schema::read_u32_at(row, rs.offset(i)));
+                    let aggs = (0..y).map(|m| Schema::read_i64_at(row, rs.offset(arity + m)));
+                    out.push((dims.collect(), aggs.collect()));
+                })?;
+                start = out.len();
+            } else {
+                for_each_row(nt, |row| {
+                    let rowid = Schema::read_u64_at(row, rs.offset(0));
+                    if keep(rowid) {
+                        rowids.push(rowid);
+                        let aggs = (0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m)));
+                        out.push((Vec::new(), aggs.collect()));
                     }
-                }
+                })?;
+            }
+        }
+
+        scan_cat(env, fetcher, cat, &keep, &mut rowids, &mut out)?;
+
+        // TT rows take their measures from the fact row too.
+        tt_start = out.len();
+        for tt in tts {
+            let before = rowids.len();
+            match (tt, qualifier) {
+                (Source::Bitmap(bm), Some(q)) => rowids.extend(bm.intersect(q).iter()),
+                (Source::Bitmap(bm), None) => rowids.extend(bm.iter()),
+                (src, _) => for_each_row(src, |row| {
+                    let rowid = Schema::read_u64_at(row, 0);
+                    if keep(rowid) {
+                        rowids.push(rowid);
+                    }
+                })?,
             }
             let added = rowids.len() - before;
             out.extend(std::iter::repeat_with(|| (Vec::new(), Vec::new())).take(added));
         }
-    }
+        Ok(())
+    })?;
 
-    let w = env.fact_schema.row_width();
-    let mut facts = vec![0u8; rowids.len() * w];
-    fetcher.fetch_facts(&rowids, &mut facts)?;
-    for (i, (row, fact)) in out[start..].iter_mut().zip(facts.chunks_exact(w)).enumerate() {
-        row.0 = env.project(levels, fact);
+    // The fact fetch fills rows in place. Their vectors are allocated
+    // here, in one pass outside the timed reads: attribution counts the
+    // allocation as compute, and one pass measured faster than
+    // allocating inside the visitor.
+    let arity = env.coder.grouping_arity(&levels);
+    for (i, row) in out[start..].iter_mut().enumerate() {
+        row.0.reserve_exact(arity);
         if start + i >= tt_start {
-            row.1 = env.measures_of(fact);
+            row.1.reserve_exact(y);
         }
     }
-    Ok(())
+
+    timed(on, &mut time.read_ns, || {
+        fetcher.fetch_facts(&rowids, |i, fact| {
+            let row = &mut out[start + i];
+            env.project_into(&levels, fact, &mut row.0);
+            if start + i >= tt_start {
+                env.measures_into(fact, &mut row.1);
+            }
+            Ok(())
+        })
+    })?;
+    if let Some(a) = attr {
+        a.probe_ns += time.probe_ns;
+        a.read_ns += time.read_ns;
+    }
+    Ok(out)
 }
 
 /// Resolve a node's CAT references against `AGGREGATES` in one fetch,
@@ -307,73 +434,51 @@ fn scan_cat(
     rowids: &mut Vec<u64>,
     out: &mut Vec<CubeRow>,
 ) -> Result<()> {
+    if matches!(cat, Source::Absent) {
+        return Ok(());
+    }
     let y = env.schema.num_measures();
     let format = env.meta.cat_format.ok_or_else(|| {
         CubeError::Schema("cube has a CAT relation but no CAT format in meta".into())
     })?;
-    // `(source row-id if the CAT row carries it, A-rowid)`; format (b)
-    // exposes the source row-id, so non-qualifying rows are dropped here
-    // without touching AGGREGATES.
-    let mut refs: Vec<(Option<u64>, u64)> = Vec::new();
-    match cat {
-        Source::Absent => return Ok(()),
-        Source::Bitmap(bm) => refs.extend(bm.iter().map(|a| (None, a))),
-        Source::Relation(rel) => {
-            let rs = rel.schema();
-            let mut scan = rel.scan();
-            while let Some(row) = scan.next_row()? {
-                match format {
-                    CatFormat::CommonSource => {
-                        refs.push((None, Schema::read_u64_at(row, rs.offset(0))));
-                    }
-                    CatFormat::Coincidental => {
-                        let rowid = Schema::read_u64_at(row, rs.offset(0));
-                        if keep(rowid) {
-                            refs.push((Some(rowid), Schema::read_u64_at(row, rs.offset(1))));
-                        }
-                    }
-                    CatFormat::AsNt => {
-                        return Err(CubeError::Schema(
-                            "AsNt format cannot have CAT relations".into(),
-                        ))
-                    }
+    let ags = env
+        .agg_schema
+        .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES relation".into()))?;
+    // Format (a) rows reference AGGREGATES rows that hold the source
+    // row-id; format (b) rows carry it, so non-qualifying rows are
+    // dropped here without touching AGGREGATES.
+    let mut a_rowids: Vec<u64> = Vec::new();
+    let mut sources: Vec<u64> = Vec::new();
+    match (cat, format) {
+        (_, CatFormat::AsNt) => {
+            return Err(CubeError::Schema("AsNt format cannot have CAT relations".into()))
+        }
+        (Source::Bitmap(bm), CatFormat::CommonSource) => a_rowids.extend(bm.iter()),
+        (src, CatFormat::CommonSource) => {
+            for_each_row(src, |row| a_rowids.push(Schema::read_u64_at(row, 0)))?
+        }
+        // A bitmap has no source row-ids, so `for_each_row` rejects it.
+        (src, CatFormat::Coincidental) => {
+            let a_off = src.schema().map_or(0, |rs| rs.offset(1));
+            for_each_row(src, |row| {
+                let rowid = Schema::read_u64_at(row, 0);
+                if keep(rowid) {
+                    sources.push(rowid);
+                    a_rowids.push(Schema::read_u64_at(row, a_off));
                 }
-            }
+            })?
         }
     }
-    let aggregates = env
-        .aggregates
-        .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES relation".into()))?;
-    let ags = aggregates.schema();
-    let aw = ags.row_width();
-    let a_rowids: Vec<u64> = refs.iter().map(|&(_, a)| a).collect();
-    let mut agg_rows = vec![0u8; a_rowids.len() * aw];
-    fetcher.fetch_aggs(aggregates, &a_rowids, &mut agg_rows)?;
-    for (&(rowid_opt, _), agg_row) in refs.iter().zip(agg_rows.chunks_exact(aw)) {
-        let (rowid, aggs) = match format {
-            CatFormat::CommonSource => {
-                let rowid = Schema::read_u64_at(agg_row, ags.offset(0));
-                let aggs: Vec<i64> =
-                    (0..y).map(|m| Schema::read_i64_at(agg_row, ags.offset(1 + m))).collect();
-                (rowid, aggs)
-            }
-            CatFormat::Coincidental => {
-                let aggs: Vec<i64> =
-                    (0..y).map(|m| Schema::read_i64_at(agg_row, ags.offset(m))).collect();
-                let rowid = rowid_opt.ok_or_else(|| {
-                    QueryError::Malformed("format (b) CAT row without a source row-id".into())
-                })?;
-                (rowid, aggs)
-            }
-            // Rejected while loading the refs above.
-            CatFormat::AsNt => {
-                return Err(CubeError::Schema("AsNt format cannot have CAT rows".into()))
-            }
+    fetcher.fetch_aggs(&a_rowids, |i, agg_row| {
+        let (rowid, first) = match format {
+            CatFormat::Coincidental => (sources[i], 0),
+            _ => (Schema::read_u64_at(agg_row, ags.offset(0)), 1),
         };
         if keep(rowid) {
             rowids.push(rowid);
-            out.push((Vec::new(), aggs));
+            let aggs = (0..y).map(|m| Schema::read_i64_at(agg_row, ags.offset(first + m)));
+            out.push((Vec::new(), aggs.collect()));
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }

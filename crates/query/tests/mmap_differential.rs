@@ -2,7 +2,9 @@
 //! a built cube — in all three storage schemes (CURE, CURE+, CURE DR) —
 //! mmap reads, per-row `fetch_shared` cache reads and the page-ordered
 //! `gather_shared` batch must return byte-identical rows, and the mmap
-//! query path must answer every node exactly like the cache query path.
+//! query path must answer every node exactly like the cache query path:
+//! the same rows in the same order, and the same typed error when a
+//! fact page is quarantined.
 //! The two paths share nothing below the file: one goes through `pread`
 //! into a lock-guarded user-space cache, the other through a
 //! `MAP_SHARED` mapping, so byte equality here pins the mmap
@@ -13,8 +15,10 @@ use std::sync::Arc;
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
 use cure_core::sink::{DiskSink, RowResolver};
-use cure_core::{CubeSchema, Dimension, Tuples};
-use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
+use cure_core::{CubeError, CubeSchema, Dimension, Tuples};
+use cure_query::{
+    Attribution, CacheConfig, ConcurrentCube, CubeRow, PageQuarantine, QueryGuard, ReadPath,
+};
 use cure_storage::{Catalog, MmapRelation, SharedBufferCache, StorageError};
 
 fn make_schema() -> CubeSchema {
@@ -135,7 +139,36 @@ fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
     }
 }
 
-/// Query-level differential: every node answered on both read paths.
+/// Quarantines one page of one relation.
+struct QuarantineOne {
+    relation: String,
+    page: u64,
+}
+
+impl PageQuarantine for QuarantineOne {
+    fn is_quarantined(&self, relation: &str, page: u64) -> bool {
+        relation == self.relation && page == self.page
+    }
+}
+
+/// What a guarded query returned: its rows, or the corrupt page that
+/// stopped it (any other error fails the test).
+fn outcome(
+    res: cure_core::Result<(Vec<CubeRow>, Attribution)>,
+    tag: &str,
+) -> Result<Vec<CubeRow>, (String, u64)> {
+    match res {
+        Ok((rows, _)) => Ok(rows),
+        Err(CubeError::Storage(StorageError::CorruptPage { relation, page, .. })) => {
+            Err((relation, page))
+        }
+        Err(e) => panic!("{tag}: unexpected error {e}"),
+    }
+}
+
+/// Query-level differential: every node answered on both read paths,
+/// the same rows in the same order, and the same typed failure when the
+/// guard's quarantine holds a fact page.
 fn assert_queries_identical(catalog: Arc<Catalog>, schema: Arc<CubeSchema>, tag: &str) {
     let cache = ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), "c_").unwrap();
     let mmap = ConcurrentCube::open_with_read_path(
@@ -146,13 +179,22 @@ fn assert_queries_identical(catalog: Arc<Catalog>, schema: Arc<CubeSchema>, tag:
         ReadPath::Mmap,
     )
     .unwrap();
+    let quarantine = QuarantineOne { relation: cache.fact_relation(), page: 0 };
+    let guard = QueryGuard { deadline: None, quarantine: Some(&quarantine) };
+    let mut rejected = 0;
     for node in cache.coder().all_ids() {
-        let mut a = cache.node_query(node).unwrap();
-        let mut b = mmap.node_query(node).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "{tag}: node {node} diverged between read paths");
+        let a = cache.node_query(node).unwrap();
+        assert_eq!(
+            a,
+            mmap.node_query(node).unwrap(),
+            "{tag}: node {node} diverged between read paths"
+        );
+        let a = outcome(cache.node_query_attributed(node, &guard), tag);
+        let b = outcome(mmap.node_query_attributed(node, &guard), tag);
+        assert_eq!(a, b, "{tag}: node {node} diverged under a quarantined fact page");
+        rejected += usize::from(a.is_err());
     }
+    assert!(rejected > 0, "{tag}: no node read the quarantined fact page");
 }
 
 #[test]

@@ -155,8 +155,8 @@ pub struct ServeMetrics {
     breaker_trips: AtomicU64,
     read_retries: AtomicU64,
     latency: LatencyHistogram,
-    /// Latency-attribution samples (mmap path only): how many queries
-    /// were sampled and where their time went.
+    /// Latency-attribution samples: how many queries were sampled and
+    /// where their time went.
     attr_samples: AtomicU64,
     attr_probe_ns: AtomicU64,
     attr_read_ns: AtomicU64,
@@ -168,11 +168,12 @@ pub struct ServeMetrics {
 /// dependency edge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AttributionSample {
-    /// Index probe: node decode + source lookup.
+    /// Probe: node decode + source lookup.
     pub probe_ns: u64,
-    /// Page reads: mmap row and page accesses.
+    /// Reads: scanning the node's sources, and fetching fact and
+    /// `AGGREGATES` rows and decoding them into the answer.
     pub read_ns: u64,
-    /// Everything else: projection, decoding, result assembly.
+    /// Everything else, chiefly allocating the answer's rows.
     pub compute_ns: u64,
 }
 

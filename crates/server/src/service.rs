@@ -28,10 +28,9 @@ use cure_storage::{Catalog, StorageError};
 use crate::metrics::{AttributionSample, ServeErrorKind, ServeMetrics};
 use crate::resilience::{BreakerState, QuarantineSet, RelationBreakers, ResilienceConfig};
 
-/// On the mmap path, every `ATTR_SAMPLE_EVERY`-th query is answered
-/// through the attributed entry point so the metrics learn where latency
-/// goes (index probe vs page reads vs compute) without timing every row
-/// access of every query.
+/// Every `ATTR_SAMPLE_EVERY`-th query is answered through the attributed
+/// entry point, so the metrics learn where latency goes (probe vs page
+/// reads vs compute) without timing every query.
 const ATTR_SAMPLE_EVERY: u64 = 64;
 
 /// One answered query: the result rows plus the service-side latency.
@@ -187,17 +186,6 @@ pub struct CubeService {
 }
 
 impl CubeService {
-    /// Open the cube stored under `prefix` and wrap it for serving.
-    pub fn open(
-        catalog: Arc<Catalog>,
-        schema: Arc<CubeSchema>,
-        prefix: &str,
-        caches: CacheConfig,
-    ) -> Result<Self> {
-        let cube = ConcurrentCube::open_with_caches(catalog, schema, prefix, caches)?;
-        Ok(Self::from_cube(Arc::new(cube)))
-    }
-
     /// Open the cube stored under `prefix` on an explicit
     /// [`ReadPath`] — [`ReadPath::Mmap`] for the zero-copy serving path
     /// over sealed cubes, [`ReadPath::Cache`] for the shared page caches.
@@ -210,15 +198,11 @@ impl CubeService {
         read_path: ReadPath,
     ) -> Result<Self> {
         let cube = ConcurrentCube::open_with_read_path(catalog, schema, prefix, caches, read_path)?;
-        Ok(Self::from_cube(Arc::new(cube)))
+        Ok(Self::from_cube_with_resilience(Arc::new(cube), ResilienceConfig::default()))
     }
 
-    /// Serve an already opened cube (shares its caches and stats).
-    pub fn from_cube(cube: Arc<ConcurrentCube>) -> Self {
-        Self::from_cube_with_resilience(cube, ResilienceConfig::default())
-    }
-
-    /// [`from_cube`](Self::from_cube) with explicit breaker tuning.
+    /// Serve an already opened cube (sharing its caches and stats) with
+    /// explicit breaker tuning.
     pub fn from_cube_with_resilience(cube: Arc<ConcurrentCube>, cfg: ResilienceConfig) -> Self {
         CubeService {
             cube,
@@ -241,12 +225,10 @@ impl CubeService {
         self.cube.read_path()
     }
 
-    /// Answer through the cube, sampling latency attribution on the
-    /// mmap path (every [`ATTR_SAMPLE_EVERY`]-th query per service).
+    /// Answer through the cube, sampling latency attribution (every
+    /// [`ATTR_SAMPLE_EVERY`]-th query per service).
     fn guarded_query(&self, node: NodeId, guard: &QueryGuard<'_>) -> Result<Vec<CubeRow>> {
-        if self.cube.read_path() == ReadPath::Mmap
-            && self.sample_tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(ATTR_SAMPLE_EVERY)
-        {
+        if self.sample_tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(ATTR_SAMPLE_EVERY) {
             let (rows, a) = self.cube.node_query_attributed(node, guard)?;
             self.metrics.record_attribution(AttributionSample {
                 probe_ns: a.probe_ns,

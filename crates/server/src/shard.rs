@@ -102,7 +102,6 @@ struct RouterInner {
     shards: Vec<Shard>,
     metrics: Arc<ServeMetrics>,
     num_nodes: NodeId,
-    read_path: ReadPath,
 }
 
 /// A thread-safe, clonable scatter-gather router over sharded sub-cubes.
@@ -186,7 +185,6 @@ impl ShardRouter {
                 shards,
                 metrics: Arc::new(ServeMetrics::new()),
                 num_nodes,
-                read_path: cfg.read_path,
             }),
         })
     }
@@ -201,7 +199,6 @@ impl ShardRouter {
     pub fn from_backends(
         schema: Arc<CubeSchema>,
         backends: Vec<Vec<Arc<dyn ShardBackend>>>,
-        read_path: ReadPath,
     ) -> Result<Self> {
         if backends.is_empty() {
             return Err(CubeError::Config("shard router needs at least one shard".into()));
@@ -237,7 +234,6 @@ impl ShardRouter {
                 shards,
                 metrics: Arc::new(ServeMetrics::new()),
                 num_nodes,
-                read_path,
             }),
         })
     }
@@ -260,11 +256,6 @@ impl ShardRouter {
     /// The schema the shards were built over.
     pub fn schema(&self) -> &Arc<CubeSchema> {
         &self.inner.schema
-    }
-
-    /// The read path every replica cube was opened on.
-    pub fn read_path(&self) -> ReadPath {
-        self.inner.read_path
     }
 
     /// Router-level metrics: one entry per *merged* query, timed across
@@ -430,9 +421,8 @@ impl ShardRouter {
 
     /// Iceberg query with **post-merge** thresholding: every shard
     /// answers its complete partial, the partials are merged, and only
-    /// then are groups with `aggs[count_measure] <= min_count` dropped —
-    /// the same strict contract as the unsharded
-    /// [`iceberg_count_query`](cure_query::ConcurrentCube::iceberg_count_query).
+    /// then are groups with `aggs[count_measure] <= min_count` dropped by
+    /// [`merge::iceberg_filter_merged`](cure_query::merge::iceberg_filter_merged).
     /// Filtering per shard would lose groups whose support only clears
     /// the bar globally.
     pub fn iceberg_query(

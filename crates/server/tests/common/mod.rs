@@ -48,6 +48,7 @@ pub fn apb_cube(tag: &str, density: f64, scale: u64, seed: u64) -> (PathBuf, Arc
 
 /// Run `query` on every node of `nodes` from `threads` closed-loop
 /// clients sharing one cursor; returns when all are answered.
+#[allow(dead_code)] // each test binary compiles this module; not all use it
 pub fn closed_loop(nodes: &[NodeId], threads: usize, query: impl Fn(NodeId) + Sync) {
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {

@@ -1,0 +1,71 @@
+//! A query never writes the cube it reads.
+//!
+//! A bit flip on the two reads of a node relation's last page that
+//! opening it makes used to look like a torn tail: the open truncated
+//! the file, fsynced it, and the query answered from what was left. A
+//! reader now opens every relation read-only, so the same faults are a
+//! typed corrupt-page error, the file keeps its length, and once the
+//! faults stop the quarantine repair releases the page and the node
+//! answers correctly.
+
+mod common;
+
+use std::sync::Arc;
+
+use cure_core::sink::nt_rel_name;
+use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
+use cure_serve::{CubeService, QueryOptions, ServeError};
+use cure_storage::{Catalog, FaultInjector, IoPolicy, ReadFaultKind};
+
+use common::PREFIX;
+
+#[test]
+fn read_faults_on_a_node_tail_page_leave_the_file_alone() {
+    let (dir, schema) = common::apb_cube("read_only_open", 0.4, 4000, 0xC11);
+    let node = 2;
+    let want =
+        ConcurrentCube::open(Arc::new(Catalog::open(&dir).unwrap()), Arc::clone(&schema), PREFIX)
+            .unwrap()
+            .node_query(node)
+            .unwrap();
+
+    // Opening the cube reads the last page of the fact table and of
+    // AGGREGATES (reads 0 and 1); the next reads are the node's.
+    let policy = Arc::new(FaultInjector::chaos_reads(2, 1, 3, ReadFaultKind::FlipBit));
+    let catalog = Arc::new(
+        Catalog::open_with_policy(&dir, Arc::clone(&policy) as Arc<dyn IoPolicy>).unwrap(),
+    );
+    let nt = nt_rel_name(PREFIX, node);
+    let heap = catalog.relation_heap_path(&nt);
+    let len = std::fs::metadata(&heap).unwrap().len();
+    let service = CubeService::open_with_read_path(
+        Arc::clone(&catalog),
+        schema,
+        PREFIX,
+        CacheConfig::default(),
+        ReadPath::Cache,
+    )
+    .unwrap();
+
+    let opts = QueryOptions::default();
+    match service.query_with_options(node, &opts) {
+        Err(ServeError::Corrupt { relation, .. }) => assert_eq!(relation, nt),
+        Err(e) => panic!("expected a corrupt page of {nt}, got {e}"),
+        Ok(reply) => panic!("answered {} rows through a corrupt page", reply.rows.len()),
+    }
+    assert_eq!(std::fs::metadata(&heap).unwrap().len(), len, "the query changed {nt} on disk");
+    assert_eq!(service.quarantine_len(), 1);
+
+    // Repair re-verifies the page; it stays quarantined while the flips
+    // last and is released once they stop.
+    let mut attempts = 0;
+    while service.quarantine_len() > 0 && attempts < 10 {
+        service.repair_all();
+        attempts += 1;
+    }
+    assert_eq!(policy.read_faults_fired(), 3);
+    assert_eq!(service.quarantine_len(), 0, "{:?}", service.quarantine_entries());
+    assert_eq!(service.query_with_options(node, &opts).unwrap().rows, want);
+    assert_eq!(std::fs::metadata(&heap).unwrap().len(), len);
+    let _ = std::fs::remove_dir_all(&dir);
+}

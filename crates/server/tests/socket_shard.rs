@@ -11,7 +11,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
 use cure_core::{build_shard_cubes, CubeConfig, CubeSchema, Dimension, NodeCoder, Tuples};
-use cure_query::ReadPath;
 use cure_serve::{
     replicate_shards, QueryOptions, RemoteShardBackend, RemoteShardConfig, ShardBackend,
     ShardRouter,
@@ -140,8 +139,7 @@ fn socket_router_survives_replica_process_kill() {
         backends.push(reps);
         handles.push(hs);
     }
-    let router =
-        ShardRouter::from_backends(Arc::clone(&schema), backends, ReadPath::Cache).unwrap();
+    let router = ShardRouter::from_backends(Arc::clone(&schema), backends).unwrap();
     assert_eq!(router.shard_count(), 2);
     assert_eq!(router.replica_count(), 2);
     for per_shard in router.describe_backends() {

@@ -103,8 +103,14 @@ fn eight_threads_match_single_threaded_reference_exactly() {
 
     // Deterministic 1,000-query workload over the whole lattice.
     let caches = CacheConfig { fact_pages: 256, agg_pages: 64, shards: 8 };
-    let service =
-        CubeService::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix, caches).unwrap();
+    let service = CubeService::open_with_read_path(
+        Arc::clone(&catalog),
+        Arc::clone(&schema),
+        &prefix,
+        caches,
+        ReadPath::Cache,
+    )
+    .unwrap();
     assert_eq!(service.read_path(), ReadPath::Cache);
     let mut sampler = NodeSampler::new(service.num_nodes(), NodePopularity::Uniform, 99).unwrap();
     let workload: Vec<NodeId> = (0..1_000).map(|_| sampler.next_node()).collect();
@@ -126,11 +132,12 @@ fn eight_threads_match_single_threaded_reference_exactly() {
     // rows with one access per distinct sealed page and fetches each
     // non-tail `AGGREGATES` row with one access, whatever the eviction.
     // A single-threaded replay on a fresh concurrent handle counts them.
-    let replay = ConcurrentCube::open_with_caches(
+    let replay = ConcurrentCube::open_with_read_path(
         Arc::clone(&catalog),
         Arc::clone(&schema),
         &prefix,
         caches,
+        ReadPath::Cache,
     )
     .unwrap();
     for &node in &workload {

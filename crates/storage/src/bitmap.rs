@@ -10,6 +10,12 @@
 //! `(gap, run)` pairs of LEB128 varints — `gap` zero bits skipped, then
 //! `run` consecutive one bits. This is compact both for sparse sets (large
 //! gaps) and for dense sets (long runs), the two regimes TT lists occupy.
+//!
+//! [`BitmapIndex::from_bytes`] decodes every run once and rejects a blob
+//! whose positions overflow a row-id or disagree with its count, so the
+//! other operations decode a validated body.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::{Result, StorageError};
 use crate::heap::RowId;
@@ -120,8 +126,11 @@ impl BitmapIndex {
         let mut pos = 0usize;
         let mut next = 0u64;
         while pos < self.bytes.len() {
-            let gap = read_varint(&self.bytes, &mut pos).expect("validated at build");
-            let run = read_varint(&self.bytes, &mut pos).expect("validated at build");
+            let (Ok(gap), Ok(run)) =
+                (read_varint(&self.bytes, &mut pos), read_varint(&self.bytes, &mut pos))
+            else {
+                return false;
+            };
             let start = next + gap;
             if rowid < start {
                 return false;
@@ -180,13 +189,16 @@ impl BitmapIndex {
         let mut pos = 0usize;
         let count = read_varint(bytes, &mut pos)?;
         let body = bytes[pos..].to_vec();
-        // Validate: decode all runs and check the total matches `count`.
+        // Validate: decode all runs, check that every position fits a
+        // row-id and that the run total matches `count`.
+        let overflow = || StorageError::Corrupt("bitmap run overflows the row-id range".into());
         let mut check_pos = 0usize;
-        let mut total = 0u64;
+        let (mut total, mut next) = (0u64, 0u64);
         while check_pos < body.len() {
-            let _gap = read_varint(&body, &mut check_pos)?;
+            let gap = read_varint(&body, &mut check_pos)?;
             let run = read_varint(&body, &mut check_pos)?;
-            total += run;
+            total = total.checked_add(run).ok_or_else(overflow)?;
+            next = next.checked_add(gap).and_then(|s| s.checked_add(run)).ok_or_else(overflow)?;
         }
         if total != count {
             return Err(StorageError::Corrupt(format!(
@@ -283,6 +295,24 @@ mod tests {
         push_varint(&mut bytes, 1); // gap
         push_varint(&mut bytes, 3); // run
         assert!(BitmapIndex::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn overflowing_runs_rejected() {
+        // count 0, then (gap 0, run 2^63) twice: the run total wraps to 0.
+        let mut bytes = Vec::new();
+        push_varint(&mut bytes, 0);
+        for _ in 0..2 {
+            push_varint(&mut bytes, 0);
+            push_varint(&mut bytes, 1 << 63);
+        }
+        assert!(matches!(BitmapIndex::from_bytes(&bytes), Err(StorageError::Corrupt(_))));
+        // One run ending past u64::MAX overflows the position instead.
+        let mut bytes = Vec::new();
+        push_varint(&mut bytes, 1 << 63);
+        push_varint(&mut bytes, u64::MAX);
+        push_varint(&mut bytes, 1 << 63);
+        assert!(matches!(BitmapIndex::from_bytes(&bytes), Err(StorageError::Corrupt(_))));
     }
 
     #[test]

@@ -104,6 +104,9 @@ impl Catalog {
     }
 
     /// Open an existing relation, reading its schema from its header.
+    /// This is the writer's open: a torn tail left by a crash is repaired
+    /// by truncation (see [`HeapFile::open_report`]); readers use
+    /// [`open_sealed`](Self::open_sealed).
     pub fn open_relation(&self, name: &str) -> Result<HeapFile> {
         let path = self.heap_path(name);
         // Stats ride along from the start so open-time reads (tail page,
@@ -115,6 +118,20 @@ impl Catalog {
             eprintln!("cure-storage: warning: {}: {}", path.display(), r.reason);
         }
         Ok(hf)
+    }
+
+    /// Open an existing relation for reading only, as a query handle
+    /// does: the file is opened read-only and never truncated or
+    /// fsynced, so a reader cannot change a cube on disk. A damaged last
+    /// page is the open's typed [`StorageError::CorruptPage`] instead of
+    /// the torn-tail repair [`open_relation`](Self::open_relation) applies.
+    pub fn open_sealed(&self, name: &str) -> Result<HeapFile> {
+        HeapFile::open_sealed_at(
+            &self.heap_path(name),
+            self.policy.clone(),
+            Some(Arc::clone(&self.stats)),
+        )
+        .map_err(|e| not_found(e, name))
     }
 
     /// Filesystem path of a relation's heap file (recovery tooling).

@@ -425,12 +425,89 @@ impl HeapFile {
             });
         }
         let pages = (data_len - excess) / PAGE_SIZE as u64;
-        let mut hf = HeapFile {
+        let mut hf = HeapFile::with_pages(file, path, schema, pages, policy, stats);
+        match hf.adopt_tail() {
+            Err(StorageError::Corrupt(_) | StorageError::CorruptPage { .. }) => {
+                // Truncation is destructive, so distinguish persistent
+                // on-media damage (a torn tail write — drop the page)
+                // from a transient read-side fault (keep it) by
+                // re-reading before acting.
+                match hf.adopt_tail() {
+                    Err(
+                        StorageError::Corrupt(detail) | StorageError::CorruptPage { detail, .. },
+                    ) => {
+                        // One torn write damages at most the final page;
+                        // drop it. The preceding page must be sound: it
+                        // is verified and adopted as the tail if partial.
+                        hf.full_pages -= 1;
+                        hf.file.set_len(page_offset(hf.full_pages))?;
+                        fsync_file(hf.policy.as_ref(), &hf.file, &hf.path)
+                            .map_err(StorageError::Io)?;
+                        repair = Some(TailRepair {
+                            truncated_bytes: PAGE_SIZE as u64
+                                + repair.as_ref().map_or(0, |r| r.truncated_bytes),
+                            dropped_page: true,
+                            reason: format!("torn tail: dropped invalid final page ({detail})"),
+                        });
+                        hf.adopt_tail()?;
+                    }
+                    other => other?,
+                }
+            }
+            other => other?,
+        }
+        Ok((hf, repair))
+    }
+
+    /// Open the sealed heap file at `path` for reading only: nothing is
+    /// written, truncated or fsynced. The header supplies the schema, and
+    /// the last page is read and checksum-verified so a partial one can
+    /// serve as the in-memory tail. A length that is not a whole number
+    /// of pages is [`StorageError::Corrupt`], and a last page that fails
+    /// verification is the read's typed error — a reader reports damage
+    /// and leaves tail repair to the writer's recovery.
+    pub(crate) fn open_sealed_at(
+        path: &Path,
+        policy: Arc<dyn IoPolicy>,
+        stats: Option<Arc<StorageStats>>,
+    ) -> Result<Self> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let schema = read_header(&file, path, len)?;
+        if Page::capacity(schema.row_width()) == 0 {
+            return Err(StorageError::Layout(format!(
+                "row width {} exceeds page capacity",
+                schema.row_width()
+            )));
+        }
+        let data_len = len - page_offset(0);
+        if !data_len.is_multiple_of(PAGE_SIZE as u64) {
+            return Err(StorageError::Corrupt(format!(
+                "{}: {len} bytes is not a whole number of pages",
+                path.display()
+            )));
+        }
+        let pages = data_len / PAGE_SIZE as u64;
+        let mut hf = HeapFile::with_pages(file, path, schema, pages, policy, stats);
+        hf.adopt_tail()?;
+        Ok(hf)
+    }
+
+    /// A handle over `file`, whose `pages` data pages are all on disk.
+    fn with_pages(
+        file: File,
+        path: &Path,
+        schema: Schema,
+        pages: u64,
+        policy: Arc<dyn IoPolicy>,
+        stats: Option<Arc<StorageStats>>,
+    ) -> Self {
+        HeapFile {
             file,
             path: path.to_path_buf(),
+            rows_per_page: Page::capacity(schema.row_width()),
             schema,
             file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
-            rows_per_page,
             full_pages: pages,
             tail: Page::new(),
             policy,
@@ -438,61 +515,20 @@ impl HeapFile {
             pages_read: AtomicU64::new(0),
             pages_written: AtomicU64::new(0),
             verified: Mutex::new(Vec::new()),
-        };
-        if hf.full_pages > 0 {
-            match hf.read_page(hf.full_pages - 1) {
-                Ok(last) => {
-                    if last.nrows() < rows_per_page {
-                        hf.full_pages -= 1;
-                        hf.tail = last;
-                    }
-                }
-                Err(StorageError::Corrupt(_) | StorageError::CorruptPage { .. }) => {
-                    // Truncation is destructive, so distinguish persistent
-                    // on-media damage (a torn tail write — drop the page)
-                    // from a transient read-side fault (keep it) by
-                    // re-reading before acting.
-                    match hf.read_page(hf.full_pages - 1) {
-                        Ok(last) => {
-                            if last.nrows() < rows_per_page {
-                                hf.full_pages -= 1;
-                                hf.tail = last;
-                            }
-                        }
-                        Err(
-                            StorageError::Corrupt(detail)
-                            | StorageError::CorruptPage { detail, .. },
-                        ) => {
-                            // One torn write damages at most the final
-                            // page; drop it.
-                            hf.full_pages -= 1;
-                            hf.file.set_len(page_offset(hf.full_pages))?;
-                            fsync_file(hf.policy.as_ref(), &hf.file, &hf.path)
-                                .map_err(StorageError::Io)?;
-                            repair = Some(TailRepair {
-                                truncated_bytes: PAGE_SIZE as u64
-                                    + repair.as_ref().map_or(0, |r| r.truncated_bytes),
-                                dropped_page: true,
-                                reason: format!("torn tail: dropped invalid final page ({detail})"),
-                            });
-                            if hf.full_pages > 0 {
-                                // The preceding page must be sound: verify
-                                // it now and adopt it as the tail if
-                                // partially filled.
-                                let last = hf.read_page(hf.full_pages - 1)?;
-                                if last.nrows() < rows_per_page {
-                                    hf.full_pages -= 1;
-                                    hf.tail = last;
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(e) => return Err(e),
+        }
+    }
+
+    /// Read the last page on disk and, if it is partially filled, make it
+    /// the in-memory tail so appends can resume on it.
+    fn adopt_tail(&mut self) -> Result<()> {
+        if self.full_pages > 0 {
+            let last = self.read_page(self.full_pages - 1)?;
+            if last.nrows() < self.rows_per_page {
+                self.full_pages -= 1;
+                self.tail = last;
             }
         }
-        Ok((hf, repair))
+        Ok(())
     }
 
     /// The schema this file was created with.

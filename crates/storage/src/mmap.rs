@@ -94,10 +94,6 @@ pub struct MmapRelation {
     /// verification (at open or at a repair probe) and is served as a
     /// typed [`StorageError::CorruptPage`] until re-verified clean.
     bad: Vec<AtomicU64>,
-    /// Keeps the fd alive for the mapping's lifetime (not required by
-    /// the kernel, but it keeps repair tooling able to reopen by path
-    /// while we serve).
-    _file: File,
 }
 
 // SAFETY: the mapping is PROT_READ and never remapped after open; all
@@ -179,6 +175,9 @@ impl MmapRelation {
             }
             p as *const u8
         };
+        // The mapping outlives the descriptor, so a handle that maps every
+        // relation of a cube holds no open file.
+        drop(file);
         let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
         let bad = (0..disk_pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         let mut rel = MmapRelation {
@@ -193,7 +192,6 @@ impl MmapRelation {
             policy,
             stats,
             bad,
-            _file: file,
         };
         // The mapping is owned by `rel` from here, so an error below unmaps it.
         // SAFETY: the mapping is at least one header slot long.
@@ -359,11 +357,6 @@ impl MmapRelation {
         self.rows_per_page
     }
 
-    /// Pages on disk (the last may be partial).
-    pub fn num_pages(&self) -> u64 {
-        self.disk_pages
-    }
-
     /// Pages currently marked bad (failed verification, pending repair).
     pub fn bad_pages(&self) -> u64 {
         self.bad.iter().map(|w| w.load(Ordering::Acquire).count_ones() as u64).sum()
@@ -393,14 +386,6 @@ impl MmapRelation {
         Ok(bytes)
     }
 
-    /// Row count of one page (via [`page`](Self::page), so gated and
-    /// policy-consulted like any other access).
-    pub fn page_rows(&self, page_no: u64) -> Result<(Cow<'_, [u8]>, usize)> {
-        let bytes = self.page(page_no)?;
-        let n = page_nrows(&bytes);
-        Ok((bytes, n))
-    }
-
     /// Fetch row `rowid` as a byte slice — borrowed straight from the
     /// mapping on the clean path.
     pub fn row(&self, rowid: RowId) -> Result<Cow<'_, [u8]>> {
@@ -417,29 +402,15 @@ impl MmapRelation {
         }
     }
 
-    /// Copying fetch with the same signature shape as
-    /// [`HeapFile::fetch_into`](crate::heap::HeapFile::fetch_into), for
-    /// differential testing against the cache path.
-    pub fn fetch_into(&self, rowid: RowId, out: &mut [u8]) -> Result<()> {
-        let w = self.schema.row_width();
-        if out.len() != w {
-            return Err(StorageError::Layout(format!(
-                "fetch_into: buffer {} bytes, row width {w}",
-                out.len()
-            )));
-        }
-        out.copy_from_slice(&self.row(rowid)?);
-        Ok(())
-    }
-
-    /// Iterate every row (page at a time, policy-consulted per page) —
-    /// the zero-copy scan behind NT/CAT resolution on the mmap path.
+    /// Iterate every row (page at a time, each page read through
+    /// [`page`](Self::page)) — the zero-copy scan behind node-source
+    /// resolution on the mmap path.
     pub fn try_for_each_row(&self, mut f: impl FnMut(RowId, &[u8]) -> Result<()>) -> Result<()> {
         let w = self.schema.row_width();
         let mut rowid: RowId = 0;
         for p in 0..self.disk_pages {
-            let (bytes, nrows) = self.page_rows(p)?;
-            for i in 0..nrows {
+            let bytes = self.page(p)?;
+            for i in 0..page_nrows(&bytes) {
                 let off = PAGE_HEADER + i * w;
                 f(rowid, &bytes[off..off + w])?;
                 rowid += 1;
