@@ -122,6 +122,25 @@ pub struct IngestReport {
     pub append_secs: f64,
     /// Seconds spent in the merge (update walk + sink + meta + fsync).
     pub merge_secs: f64,
+    /// Of `merge_secs`: the update walk itself, reading the old cube and
+    /// classifying groups.
+    pub walk_secs: f64,
+    /// Of `merge_secs`: writing the merged cube's extents, `AGGREGATES`
+    /// pages and segment directory (no fsync).
+    pub sink_secs: f64,
+    /// Of `merge_secs`: making the merged cube durable — its fsyncs and
+    /// the metadata blob's atomic write.
+    pub sync_secs: f64,
+    /// Seconds spent dropping the old cube after the swap (0 when kept).
+    pub gc_secs: f64,
+}
+
+/// Where [`merge_delta`]'s time went.
+#[derive(Debug, Clone, Copy, Default)]
+struct MergeTimes {
+    walk_secs: f64,
+    sink_secs: f64,
+    sync_secs: f64,
 }
 
 /// Which stage an ingest had durably reached.
@@ -387,14 +406,16 @@ pub fn ingest_cube_into(
     manifest.phase = IngestPhase::Merging;
     manifest.save(catalog)?;
     let t_merge = Instant::now();
-    let update = merge_delta(catalog, schema, &manifest, &old_meta, &batch, cfg)?;
+    let (update, times) = merge_delta(catalog, schema, &manifest, &old_meta, &batch, cfg)?;
     let merge_secs = t_merge.elapsed().as_secs_f64();
 
     // Phase 3: the merged cube is durable — journal that, swap, GC.
     manifest.phase = IngestPhase::Swapped;
     manifest.save(catalog)?;
     set_active_prefix(catalog, new_prefix)?;
+    let t_gc = Instant::now();
     let dropped_objects = finish_swap(catalog, &manifest)?;
+    let gc_secs = t_gc.elapsed().as_secs_f64();
     IngestManifest::remove(catalog)?;
 
     Ok(IngestReport {
@@ -405,6 +426,10 @@ pub fn ingest_cube_into(
         dropped_objects,
         append_secs,
         merge_secs,
+        walk_secs: times.walk_secs,
+        sink_secs: times.sink_secs,
+        sync_secs: times.sync_secs,
+        gc_secs,
     })
 }
 
@@ -482,9 +507,10 @@ pub fn abort_ingest(catalog: &Catalog) -> Result<Option<IngestRecovery>> {
     }
 }
 
-/// Run [`update_cube`] under the new prefix and make the result durable.
-/// Any partial output of an earlier attempt is dropped first, so the merge
-/// is restartable.
+/// Run [`update_cube`] under the new prefix and make the result durable:
+/// the merged cube is one sealed segment (one fsync) plus `AGGREGATES`.
+/// Any partial output of an earlier attempt is dropped first, so the
+/// merge is restartable.
 fn merge_delta(
     catalog: &Catalog,
     schema: &CubeSchema,
@@ -492,10 +518,14 @@ fn merge_delta(
     old_meta: &CubeMeta,
     batch: &Tuples,
     cfg: &CubeConfig,
-) -> Result<UpdateReport> {
+) -> Result<(UpdateReport, MergeTimes)> {
     catalog.drop_prefix(&m.new_prefix)?;
     let mut sink = DiskSink::new(catalog, &m.new_prefix, schema, false, old_meta.plus, None)?;
+    let t_walk = Instant::now();
     let update = update_cube(catalog, schema, &m.old_prefix, batch, cfg, &mut sink)?;
+    let walked = t_walk.elapsed().as_secs_f64();
+    let during = sink.times();
+    let t_sync = Instant::now();
     let cat_format = sink.cat_format();
     CubeMeta {
         prefix: m.new_prefix.clone(),
@@ -511,10 +541,16 @@ fn merge_delta(
         min_support: 1,
     }
     .write(catalog)?;
-    // DiskSink::finish flushes but does not fsync; push every relation it
-    // wrote to stable storage before the journal claims it is there.
+    // `finish` sealed the segment with its one fsync; make `AGGREGATES`
+    // and the new files' directory entries durable before the journal
+    // claims the cube is there.
     sink.sync()?;
-    Ok(update)
+    let times = MergeTimes {
+        walk_secs: (walked - during.write_secs - during.sync_secs).max(0.0),
+        sink_secs: during.write_secs,
+        sync_secs: during.sync_secs + t_sync.elapsed().as_secs_f64(),
+    };
+    Ok((update, times))
 }
 
 /// Post-swap GC: drop the old cube's relations, blobs and build manifest
@@ -599,9 +635,7 @@ mod tests {
     use crate::reference;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_delta_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(cure_storage::scratch::scratch_dir(&format!("delta_{tag}"))).unwrap()
     }
 
     fn schema() -> CubeSchema {
@@ -774,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_fsyncs_each_written_relation_once() {
+    fn merge_delta_fsyncs_the_segment_and_each_relation_once() {
         for plus in [false, true] {
             let catalog = fresh_catalog(&format!("merge_fsyncs_{plus}"));
             let schema = schema();
@@ -830,14 +864,16 @@ mod tests {
             assert!(new_rel.contains(&"cubeB_aggregates".to_string()), "{new_rel:?}");
             let mut synced: Vec<String> = fsyncs
                 .iter()
-                .filter(|p| p.extension().is_some_and(|e| e == "heap"))
-                .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+                .filter(|p| p.extension().is_some_and(|e| e == "heap" || e == "seg"))
+                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
                 .collect();
             synced.sort();
-            assert_eq!(synced, new_rel, "plus={plus}: each written relation fsynced once");
+            let mut written: Vec<String> = new_rel.iter().map(|n| format!("{n}.heap")).collect();
+            written.push("cubeB_nodes.seg".into());
+            assert_eq!(synced, written, "plus={plus}: the segment and each heap fsynced once");
             // Plus one directory fsync, and two (temp file, directory) per
             // atomically written blob: the cube meta and CURE+ bitmaps.
-            assert_eq!(fsyncs.len(), new_rel.len() + 1 + 2 * new_blobs, "plus={plus}");
+            assert_eq!(fsyncs.len(), written.len() + 1 + 2 * new_blobs, "plus={plus}");
             assert_eq!(new_blobs > 1, plus);
             // Syncing reopens nothing: no page of the new cube is read back.
             let reads = log.reads.lock().unwrap();

@@ -20,8 +20,9 @@
 //!    re-scans the fact table) are flushed, fsynced, and journaled with
 //!    their row counts; then the manifest moves to `Passes`.
 //! 2. **Passes.** After each partition pass the signature pool is flushed,
-//!    the sink is checkpointed ([`DiskSink::checkpoint`]: every relation
-//!    fsynced), and the manifest journals the [`SinkCheckpoint`], the
+//!    the sink is checkpointed ([`DiskSink::checkpoint`]: the segment and
+//!    `AGGREGATES` fsynced), and the manifest journals the
+//!    [`SinkCheckpoint`] (the segment's page count and extent table), the
 //!    pool's [`PoolDecisionState`] and the completed-partition count. The
 //!    journal is strictly write-behind: it never references a row that is
 //!    not already on stable storage.
@@ -33,10 +34,12 @@
 //!
 //! On `resume`, a `Passes`-phase manifest drives recovery: the sealed
 //! inputs (partitions, *N*) are re-validated by a full checksummed scan;
-//! every journaled cube relation is truncated back to its journaled row
-//! count ([`HeapFile::repair_to_rows`] — sound because journaled rows were
+//! `AGGREGATES` is truncated back to its journaled row count
+//! ([`HeapFile::repair_to_rows`] — sound because journaled rows were
 //! fsynced before journaling, and append-only pages agree byte-for-byte on
-//! sealed row slots under any torn rewrite); unjournaled relations are
+//! sealed row slots under any torn rewrite), and the segment back to its
+//! journaled page count (its extents are never rewritten, so the pages
+//! before that count are exactly as journaled); unjournaled relations are
 //! dropped. The build then resumes from the first incomplete partition. If
 //! validation fails (sealed inputs damaged externally), the build restarts
 //! from scratch with a warning rather than erroring.
@@ -48,6 +51,7 @@
 
 use std::time::Instant;
 
+use cure_storage::heap::page_offset;
 use cure_storage::{Catalog, HeapFile, StorageError};
 
 use crate::cube::{finish_build, BuildReport, CubeConfig, RunStats};
@@ -94,9 +98,9 @@ pub struct DurableReport {
     pub already_complete: bool,
     /// Partition passes skipped because they were journaled as complete.
     pub partitions_skipped: usize,
-    /// Cube relations truncated back to their journaled row counts.
+    /// Cube files (the segment, `AGGREGATES`) truncated back to the journal.
     pub relations_repaired: usize,
-    /// Unjournaled relations dropped during recovery.
+    /// Unjournaled cube files dropped during recovery.
     pub relations_dropped: usize,
 }
 
@@ -489,40 +493,50 @@ fn recover_sealed_state(
         }
     }
 
-    // 2. Truncate every journaled cube relation back to its sealed rows.
+    // 2. Truncate AGGREGATES back to its sealed rows. The segment is
+    //    truncated to its journaled pages when the sink restores the
+    //    checkpoint; here it only has to hold them.
     let policy = catalog.policy().clone();
-    let mut journaled = cure_storage::hash::FxHashSet::default();
-    let mut to_repair: Vec<(String, u64)> = m.sink.relations.clone();
-    if m.sink.agg_rows > 0 {
-        to_repair.push((aggregates_rel_name(&m.cube_prefix), m.sink.agg_rows));
-    }
+    let agg = aggregates_rel_name(&m.cube_prefix);
     let mut repaired = 0usize;
-    for (name, rows) in &to_repair {
-        journaled.insert(name.clone());
-        if !catalog.exists(name) {
-            return Err(RecoverError::Invalid(format!("journaled relation '{name}' is missing")));
+    if m.sink.agg_rows > 0 {
+        if !catalog.exists(&agg) {
+            return Err(RecoverError::Invalid(format!("journaled relation '{agg}' is missing")));
         }
-        let schema = catalog.relation_schema(name).map_err(|e| fatal(e.into()))?;
-        match HeapFile::repair_to_rows(
-            catalog.relation_heap_path(name),
-            &schema,
-            *rows,
-            policy.as_ref(),
-        ) {
+        let schema = catalog.relation_schema(&agg).map_err(|e| fatal(e.into()))?;
+        let path = catalog.relation_heap_path(&agg);
+        match HeapFile::repair_to_rows(path, &schema, m.sink.agg_rows, policy.as_ref()) {
             Ok(()) => repaired += 1,
             Err(StorageError::Corrupt(msg)) => {
-                return Err(RecoverError::Invalid(format!("journaled relation '{name}': {msg}")))
+                return Err(RecoverError::Invalid(format!("journaled relation '{agg}': {msg}")))
             }
             Err(e) => return Err(fatal(e.into())),
         }
     }
+    if m.sink.segment.pages > 0 {
+        let path = catalog.segment_path(&m.cube_prefix);
+        let len = std::fs::metadata(&path).map(|md| md.len()).unwrap_or(0);
+        if len < page_offset(m.sink.segment.pages) {
+            return Err(RecoverError::Invalid(format!(
+                "segment {} holds {len} bytes, {} pages are journaled",
+                path.display(),
+                m.sink.segment.pages
+            )));
+        }
+        repaired += 1;
+    }
 
-    // 3. Drop relations created after the last checkpoint (unjournaled).
+    // 3. Drop files created after the last checkpoint (unjournaled).
     let mut dropped = 0usize;
+    let segment = catalog.segment_path(&m.cube_prefix);
+    if m.sink.segment.pages == 0 && segment.exists() {
+        std::fs::remove_file(&segment).map_err(|e| fatal(StorageError::Io(e).into()))?;
+        dropped += 1;
+    }
     for name in catalog.list().map_err(|e| fatal(e.into()))? {
         if !name.starts_with(&m.cube_prefix)
             || name.starts_with(&m.part_prefix)
-            || journaled.contains(&name)
+            || (name == agg && m.sink.agg_rows > 0)
         {
             continue;
         }
@@ -545,9 +559,7 @@ mod tests {
     use crate::hierarchy::Dimension;
 
     fn fresh_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("cure_durable_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        cure_storage::scratch::scratch_dir(&format!("durable_{tag}"))
     }
 
     fn test_schema() -> CubeSchema {
@@ -738,9 +750,9 @@ mod tests {
         }
     }
 
-    /// Tears the `target`-th header write of a cube relation (a `cube_`
-    /// heap file outside the partition prefix), then fails every later
-    /// write and fsync, as a process killed there would.
+    /// Tears the `target`-th header write of a cube file (the `cube_`
+    /// segment or a `cube_` heap outside the partition prefix), then
+    /// fails every later write and fsync, as a process killed there would.
     #[derive(Debug)]
     struct TearNthHeader {
         target: u64,
@@ -767,7 +779,7 @@ mod tests {
             }
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
             let cube_header = offset == 0
-                && path.extension().is_some_and(|e| e == "heap")
+                && path.extension().is_some_and(|e| e == "heap" || e == "seg")
                 && stem.starts_with("cube_")
                 && !stem.starts_with("cube_tmp_");
             if cube_header && self.seen.fetch_add(1, Ordering::SeqCst) == self.target {
@@ -813,7 +825,11 @@ mod tests {
             let m = BuildManifest::load(&catalog, "cube_").unwrap().expect("journal");
             assert_eq!(m.phase, BuildPhase::Passes, "header {k} torn after a checkpoint");
             let stem = torn.file_stem().unwrap().to_string_lossy().into_owned();
-            assert!(m.sink.relations.iter().all(|(n, _)| *n != stem), "{stem} is unjournaled");
+            let journaled = match stem.as_str() {
+                "cube_nodes" => m.sink.segment.pages > 0,
+                _ => m.sink.agg_rows > 0,
+            };
+            assert!(!journaled, "{stem} is unjournaled");
             assert!(catalog.open_relation(&stem).is_err(), "torn header must not open");
             let r = durable_build(
                 &catalog,

@@ -12,10 +12,11 @@
 //!   sealed. Recovery restarts the build from scratch.
 //! * **`Passes`** — the partitions and the aggregated relation *N* are
 //!   sealed (flushed, fsynced, row counts journaled), and `sink` holds the
-//!   last durable [`SinkCheckpoint`]. Recovery validates the sealed inputs
-//!   by a full checksummed scan, truncates every cube relation back to its
-//!   journaled row count, drops unjournaled relations, and resumes from
-//!   partition `completed_partitions`.
+//!   last durable [`SinkCheckpoint`]: the segment's page count and extent
+//!   table, and `AGGREGATES`' row count. Recovery validates the sealed
+//!   inputs by a full checksummed scan, truncates the segment and
+//!   `AGGREGATES` back to the journal, drops unjournaled relations, and
+//!   resumes from partition `completed_partitions`.
 //! * **`Complete`** — the build finished; `stats` holds the final numbers.
 //!   Resuming is a no-op that returns the journaled report.
 //!
@@ -32,7 +33,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use cure_storage::checksum::crc32;
-use cure_storage::{atomic_write, Catalog};
+use cure_storage::{atomic_write, Catalog, Directory, SegmentCheckpoint};
 use serde_json::Value;
 
 use crate::error::{CubeError, Result};
@@ -42,7 +43,7 @@ use crate::signature::PoolDecisionState;
 use crate::sink::{CatFormat, SinkCheckpoint, SinkStats};
 
 /// Manifest format version (bumped on incompatible layout changes).
-pub const MANIFEST_VERSION: u64 = 1;
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// Which stage a durable build had durably reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +174,29 @@ fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
 
 fn get_bool(v: &Value, key: &str) -> Result<bool> {
     get(v, key)?.as_bool().ok_or_else(|| m_err(format!("field '{key}' is not a bool")))
+}
+
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The journaled segment checkpoint: its page count, and its extent
+/// table as the hex of the segment directory's encoding (checked by the
+/// same decoder that reads a sealed segment).
+fn segment_checkpoint(sink: &Value) -> Result<SegmentCheckpoint> {
+    let pages = get_u64(sink, "segment_pages")?;
+    let text = get_str(sink, "extents")?;
+    if !text.len().is_multiple_of(2) || !text.is_ascii() {
+        return Err(m_err("extents: not hex"));
+    }
+    let bytes = (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16))
+        .collect::<std::result::Result<Vec<u8>, _>>()
+        .map_err(|e| m_err(format!("extents: {e}")))?;
+    let directory = Directory::decode(&bytes, pages).map_err(|e| m_err(format!("extents: {e}")))?;
+    Ok(SegmentCheckpoint { pages, directory })
 }
 
 fn get_rels(v: &Value, key: &str) -> Result<Vec<(String, u64)>> {
@@ -327,7 +351,8 @@ impl BuildManifest {
                     ("tt_tuples", Value::from(self.sink.tt_tuples)),
                     ("nt_tuples", Value::from(self.sink.nt_tuples)),
                     ("cat_tuples", Value::from(self.sink.cat_tuples)),
-                    ("relations", rel_list(&self.sink.relations)),
+                    ("segment_pages", Value::from(self.sink.segment.pages)),
+                    ("extents", Value::from(hex(&self.sink.segment.directory.encode()))),
                 ]),
             ),
         ];
@@ -411,7 +436,7 @@ impl BuildManifest {
                 tt_tuples: get_u64(sink, "tt_tuples")?,
                 nt_tuples: get_u64(sink, "nt_tuples")?,
                 cat_tuples: get_u64(sink, "cat_tuples")?,
-                relations: get_rels(sink, "relations")?,
+                segment: segment_checkpoint(sink)?,
             },
             stats,
         })
@@ -423,9 +448,19 @@ mod tests {
     use super::*;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_manifest_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(cure_storage::scratch::scratch_dir(&format!("manifest_{tag}"))).unwrap()
+    }
+
+    /// A checkpoint of a real two-relation segment.
+    fn sample_segment() -> SegmentCheckpoint {
+        let catalog = fresh_catalog("segment");
+        let mut seg = catalog.create_segment("cube_").unwrap();
+        let nt: Vec<u8> = (0..20u64 * 3).flat_map(u64::to_le_bytes).collect();
+        let tt: Vec<u8> = (0..40u64).flat_map(u64::to_le_bytes).collect();
+        seg.append("cube_n3_nt", &crate::sink::nt_schema(2, None), &nt).unwrap();
+        seg.append("cube_n7_tt", &crate::sink::tt_schema(), &tt).unwrap();
+        seg.sync().unwrap();
+        seg.checkpoint()
     }
 
     fn sample(phase: BuildPhase) -> BuildManifest {
@@ -466,7 +501,7 @@ mod tests {
                 tt_tuples: 40,
                 nt_tuples: 20,
                 cat_tuples: 15,
-                relations: vec![("cube_n3_nt".into(), 20), ("cube_n7_tt".into(), 40)],
+                segment: sample_segment(),
             },
             stats: None,
         }
@@ -531,8 +566,7 @@ mod tests {
     fn atomic_replace_preserves_old_version_under_fault() {
         use cure_storage::{FaultInjector, FaultKind};
         use std::sync::Arc;
-        let dir = std::env::temp_dir().join(format!("cure_manifest_{}_fault", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = cure_storage::scratch::scratch_dir("manifest_fault");
         let catalog = Catalog::open(&dir).unwrap();
         let old = sample(BuildPhase::Passes);
         old.save(&catalog).unwrap();

@@ -356,6 +356,10 @@ impl CubeSink for RecordingSink {
         Ok(())
     }
 
+    fn tts_written(&self) -> u64 {
+        self.tts.len() as u64
+    }
+
     fn write_nt(&mut self, _: crate::lattice::NodeId, _: u64, _: &[i64]) -> Result<()> {
         Err(CubeError::Config("recording sink accepts only TT writes".into()))
     }
@@ -433,7 +437,9 @@ struct MergeState {
 /// through `pool`, the build's one decision-carrying pool (possibly
 /// restored from a manifest). Partitions `0..skip` are assumed already
 /// applied (durable resume). Each partition's counters are added to
-/// `totals`, then `after_partition(sink, pool, i, totals)` runs once
+/// `totals`, then [`CubeSink::end_partition`] flushes the sink's
+/// buffers (in both paths, so the stored bytes do not depend on the
+/// driver), and `after_partition(sink, pool, i, totals)` runs once
 /// partition `i` is fully applied and the pool is empty — the durable
 /// build checkpoints there.
 ///
@@ -469,6 +475,7 @@ where
     if threads <= 1 {
         for (i, name) in part_names.iter().enumerate().skip(skip) {
             totals.add(cube_partition(catalog, name, schema, coder, cfg, level, pool, sink)?);
+            sink.end_partition()?;
             after_partition(sink, pool, i, totals)?;
         }
         return Ok(());
@@ -545,15 +552,24 @@ where
             };
             let t0 = Instant::now();
             let applied = (|| -> Result<()> {
-                // TT writes and pool flushes target disjoint relations, so
-                // replaying all TTs first preserves per-relation append
-                // order — the only order the bytes depend on.
-                for &(node, rowid) in &run.tts {
-                    sink.write_tt(node, rowid)?;
-                }
+                // Replay TT writes and flushes interleaved as the worker
+                // made them: the sink's buffer flushes, and so the order
+                // of extents in the segment, follow the call sequence.
+                // Marks are the worker's TT counts at each flush, so they
+                // never decrease and never pass `run.tts.len()`.
+                let mut written = 0usize;
                 for f in &run.flushes {
+                    let mark = f.tt_mark() as usize;
+                    for &(node, rowid) in &run.tts[written..mark] {
+                        sink.write_tt(node, rowid)?;
+                    }
+                    written = mark;
                     pool.apply_sealed(sink, f)?;
                 }
+                for &(node, rowid) in &run.tts[written..] {
+                    sink.write_tt(node, rowid)?;
+                }
+                sink.end_partition()?;
                 totals.add(run.stats);
                 after_partition(sink, pool, i, totals)
             })();
@@ -674,9 +690,7 @@ mod tests {
     use crate::sink::MemSink;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_partbuild_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(cure_storage::scratch::scratch_dir(&format!("partbuild_{tag}"))).unwrap()
     }
 
     fn hierarchical_schema() -> CubeSchema {

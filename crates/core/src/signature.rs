@@ -76,9 +76,18 @@ pub struct SealedFlush {
     rowids: Vec<u64>,
     /// Owning nodes, parallel to `rowids`.
     nodes: Vec<NodeId>,
+    /// Trivial tuples the worker had written when this flush happened,
+    /// so the merger replays TT writes and flushes interleaved exactly
+    /// as a sequential build made them.
+    tt_mark: u64,
 }
 
 impl SealedFlush {
+    /// Trivial tuples written before this flush in the worker's pass.
+    pub fn tt_mark(&self) -> u64 {
+        self.tt_mark
+    }
+
     /// Number of signatures in this flush.
     pub fn len(&self) -> usize {
         self.rowids.len()
@@ -271,7 +280,7 @@ impl SignaturePool {
             return Ok(());
         };
         if let Some(log) = &mut self.record {
-            log.push(sealed);
+            log.push(SealedFlush { tt_mark: sink.tts_written(), ..sealed });
             return Ok(());
         }
         self.apply_writes(sink, &sealed)
@@ -320,6 +329,7 @@ impl SignaturePool {
             aggs: Vec::with_capacity(n * y),
             rowids: Vec::with_capacity(n),
             nodes: Vec::with_capacity(n),
+            tt_mark: 0,
         };
         for &w in &idx {
             let t = w as usize;

@@ -9,7 +9,9 @@
 //! * [`MemSink`] — keeps everything in memory. Used by unit tests, the
 //!   reference-oracle comparisons and pure-CPU benchmarks.
 //! * [`DiskSink`] — writes real relations through the
-//!   [`cure_storage::Catalog`], buffering per node; supports the
+//!   [`cure_storage::Catalog`], buffering per node: every node relation
+//!   is a run of extents in the cube's one segment file
+//!   ([`cure_storage::segment`]), `AGGREGATES` is a heap file; supports the
 //!   **CURE_DR** variant (NTs store materialized dimension values instead
 //!   of row-id references) and the **CURE+** variant (TT row-id lists are
 //!   sorted and stored as compressed bitmaps in a post-processing step,
@@ -27,8 +29,12 @@
 //! | node `NT` | `(R-rowid, Aggr1..AggrY)` | `(g1..gk, Aggr1..AggrY)` |
 //! | node `TT` | `(R-rowid)` | same |
 
+use std::time::Instant;
+
 use cure_storage::hash::FxHashMap;
-use cure_storage::{BitmapIndex, Catalog, ColType, Column, HeapFile, Schema};
+use cure_storage::{
+    BitmapIndex, Catalog, ColType, Column, HeapFile, Schema, SegmentCheckpoint, SegmentWriter,
+};
 
 use crate::error::{CubeError, Result};
 use crate::hierarchy::CubeSchema;
@@ -123,6 +129,20 @@ pub trait CubeSink {
 
     /// Flush buffers, run post-processing, and return the final stats.
     fn finish(&mut self) -> Result<SinkStats>;
+
+    /// A partition pass is complete and its pool flushed: write out
+    /// whatever is buffered. Both build drivers call this at every
+    /// partition boundary, so what is stored does not depend on the
+    /// driver, the thread count or a resume.
+    fn end_partition(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    /// Trivial tuples written so far (a recording sink counts them, so
+    /// a recorded flush knows where it fell among the TT writes).
+    fn tts_written(&self) -> u64 {
+        0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -336,8 +356,6 @@ struct NodeBuf {
     cat: Vec<u8>,
     /// Format-(a) A-rowids retained for CURE+ bitmap post-processing.
     cat_a_rowids: Vec<u64>,
-    nt_rows: u64,
-    cat_rows: u64,
 }
 
 /// Flush a node buffer once it holds this many bytes.
@@ -346,9 +364,8 @@ const NODE_BUF_FLUSH_BYTES: usize = 256 * 1024;
 /// A durable snapshot of a [`DiskSink`]'s progress, taken by
 /// [`DiskSink::checkpoint`] after all buffers are flushed and fsynced.
 /// The build manifest journals it; [`DiskSink::restore_checkpoint`] rebuilds
-/// an equivalent sink on resume. `relations` maps each sealed node relation
-/// to its journaled row count (the shared `AGGREGATES` relation is tracked
-/// separately via `agg_rows`).
+/// an equivalent sink on resume: the segment's page count and extent
+/// table, and the shared `AGGREGATES` relation's row count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SinkCheckpoint {
     /// The CAT format decided so far, if any.
@@ -361,8 +378,18 @@ pub struct SinkCheckpoint {
     pub nt_tuples: u64,
     /// Common-aggregate tuples written so far.
     pub cat_tuples: u64,
-    /// `(relation name, sealed row count)`, sorted by name.
-    pub relations: Vec<(String, u64)>,
+    /// The segment's fsynced pages and what they hold.
+    pub segment: SegmentCheckpoint,
+}
+
+/// Where a [`DiskSink`]'s time went, for the ingest time split.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SinkTimes {
+    /// Writing extents, `AGGREGATES` pages, bitmaps and the segment
+    /// directory (no fsync).
+    pub write_secs: f64,
+    /// Fsyncing the segment, `AGGREGATES` and the catalog directory.
+    pub sync_secs: f64,
 }
 
 /// A sink writing real relations through a [`Catalog`].
@@ -376,18 +403,18 @@ pub struct DiskSink<'a> {
     resolver: Option<RowResolver<'a>>,
     format: Option<CatFormat>,
     bufs: FxHashMap<NodeId, NodeBuf>,
+    /// The cube's segment, started at the first write (the caller may
+    /// clear the prefix after creating the sink).
+    segment: Option<SegmentWriter>,
     aggregates: Option<HeapFile>,
     agg_rows: u64,
     stats: SinkStats,
     leaf_scratch: Vec<u32>,
-    relations: cure_storage::hash::FxHashSet<String>,
-    /// Rows flushed to each node relation (kept in sync with disk by
-    /// `flush_node_part`; drives checkpoints without re-opening files).
-    rel_rows: FxHashMap<String, u64>,
-    /// Relations with writes since the last checkpoint (need an fsync).
-    dirty: cure_storage::hash::FxHashSet<String>,
-    /// Whether `AGGREGATES` has writes since the last checkpoint.
+    /// CURE+ bitmap blobs written.
+    bitmaps: u64,
+    /// Whether `AGGREGATES` has writes since the last sync.
     agg_dirty: bool,
+    times: SinkTimes,
 }
 
 impl<'a> DiskSink<'a> {
@@ -419,14 +446,14 @@ impl<'a> DiskSink<'a> {
             resolver,
             format: None,
             bufs: FxHashMap::default(),
+            segment: None,
             aggregates: None,
             agg_rows: 0,
             stats: SinkStats::default(),
             leaf_scratch: vec![0u32; n_dims],
-            relations: Default::default(),
-            rel_rows: FxHashMap::default(),
-            dirty: Default::default(),
+            bitmaps: 0,
             agg_dirty: false,
+            times: SinkTimes::default(),
         })
     }
 
@@ -446,70 +473,69 @@ impl<'a> DiskSink<'a> {
         !self.plus
     }
 
+    /// Time spent writing and fsyncing so far.
+    pub fn times(&self) -> SinkTimes {
+        self.times
+    }
+
     /// Flush and fsync everything written so far and return a durable
     /// snapshot of the sink's progress for the build manifest.
     ///
     /// After this returns, every journaled row is on stable storage; a
-    /// crash at any later point can be recovered by truncating each
-    /// relation back to its journaled row count.
+    /// crash at any later point can be recovered by truncating the
+    /// segment and `AGGREGATES` back to the journaled sizes.
     pub fn checkpoint(&mut self) -> Result<SinkCheckpoint> {
         if self.plus {
             return Err(CubeError::Config(
                 "CURE+ builds cannot checkpoint: TT bitmaps are buffered until finish".into(),
             ));
         }
-        let nodes: Vec<NodeId> = self.bufs.keys().copied().collect();
-        for node in nodes {
-            self.flush_node_part(node, Part::Tt)?;
-            self.flush_node_part(node, Part::Nt)?;
-            self.flush_node_part(node, Part::Cat)?;
-        }
+        self.end_partition()?;
         if let Some(rel) = self.aggregates.as_mut() {
             rel.flush()?;
         }
         self.sync()?;
-        let mut relations: Vec<(String, u64)> =
-            self.rel_rows.iter().map(|(n, r)| (n.clone(), *r)).collect();
-        relations.sort_unstable();
         Ok(SinkCheckpoint {
             format: self.format,
             agg_rows: self.agg_rows,
             tt_tuples: self.stats.tt_tuples,
             nt_tuples: self.stats.nt_tuples,
             cat_tuples: self.stats.cat_tuples,
-            relations,
+            segment: self.segment.as_ref().map(SegmentWriter::checkpoint).unwrap_or_default(),
         })
     }
 
     /// Make every flushed row durable: fsync `AGGREGATES` if it was
-    /// written, then each relation written since the last sync (by name,
-    /// without reopening it as a relation), then the catalog directory
-    /// once, so the files created since are durable too. CURE+ TT bitmaps
-    /// are atomic blobs and need nothing here.
+    /// written, the segment if it was (a sealed segment already is),
+    /// then the catalog directory once, so the files created since are
+    /// durable too. CURE+ bitmaps are atomic blobs and need nothing here.
     pub fn sync(&mut self) -> Result<()> {
+        let t = Instant::now();
         if let (Some(rel), true) = (self.aggregates.as_ref(), self.agg_dirty) {
             rel.sync()?;
             self.agg_dirty = false;
         }
-        // Deterministic fsync order so fault-injection sweeps are
-        // reproducible run to run.
-        let mut dirty: Vec<String> = self.dirty.drain().collect();
-        dirty.sort_unstable();
-        for name in dirty {
-            self.catalog.sync_relation(&name)?;
+        if let Some(seg) = self.segment.as_mut() {
+            seg.sync()?;
         }
         self.catalog.sync_dir()?;
+        self.times.sync_secs += t.elapsed().as_secs_f64();
         Ok(())
     }
 
     /// Rebuild this (freshly created) sink's progress from a journaled
-    /// checkpoint. The caller is responsible for having truncated every
-    /// journaled relation back to its sealed row count first.
+    /// checkpoint: the segment is truncated back to the journaled pages
+    /// (see [`SegmentWriter`]). The caller is responsible for having
+    /// truncated `AGGREGATES` back to its sealed row count first.
     pub fn restore_checkpoint(&mut self, cp: &SinkCheckpoint) -> Result<()> {
         if self.plus {
             return Err(CubeError::Config("CURE+ builds cannot restore a checkpoint".into()));
         }
-        if !self.bufs.is_empty() || self.stats.total_tuples() > 0 || self.aggregates.is_some() {
+        if !self.bufs.is_empty()
+            || self.stats.total_tuples() > 0
+            || self.aggregates.is_some()
+            || self.segment.is_some()
+        {
             return Err(CubeError::Config("restore_checkpoint requires a fresh sink".into()));
         }
         self.format = cp.format;
@@ -517,9 +543,8 @@ impl<'a> DiskSink<'a> {
         self.stats.tt_tuples = cp.tt_tuples;
         self.stats.nt_tuples = cp.nt_tuples;
         self.stats.cat_tuples = cp.cat_tuples;
-        for (name, rows) in &cp.relations {
-            self.relations.insert(name.clone());
-            self.rel_rows.insert(name.clone(), *rows);
+        if cp.segment.pages > 0 {
+            self.segment = Some(self.catalog.resume_segment(&self.prefix, &cp.segment)?);
         }
         if cp.agg_rows > 0 {
             let name = aggregates_rel_name(&self.prefix);
@@ -537,54 +562,42 @@ impl<'a> DiskSink<'a> {
         Ok(())
     }
 
+    /// The segment, started on first use.
+    fn segment(&mut self) -> Result<&mut SegmentWriter> {
+        if self.segment.is_none() {
+            self.segment = Some(self.catalog.create_segment(&self.prefix)?);
+        }
+        self.segment.as_mut().ok_or_else(|| CubeError::Config("segment vanished".into()))
+    }
+
+    /// Append node `node`'s buffered `which` rows to the segment as one
+    /// extent, emptying the buffer.
     fn flush_node_part(&mut self, node: NodeId, which: Part) -> Result<()> {
         let Some(buf) = self.bufs.get_mut(&node) else { return Ok(()) };
-        match which {
+        let (name, schema, rows) = match which {
             Part::Tt => {
                 if buf.tt.is_empty() {
                     return Ok(());
                 }
-                let name = tt_rel_name(&self.prefix, node);
-                let mut rel = if self.catalog.exists(&name) {
-                    self.catalog.open_relation(&name)?
-                } else {
-                    self.relations.insert(name.clone());
-                    self.catalog.create_relation(&name, tt_schema())?
-                };
-                for &r in &buf.tt {
-                    rel.append_raw(&r.to_le_bytes())?;
-                }
-                rel.flush()?;
-                *self.rel_rows.entry(name.clone()).or_insert(0) += buf.tt.len() as u64;
-                self.dirty.insert(name);
-                buf.tt.clear();
+                let rows: Vec<u8> = buf.tt.drain(..).flat_map(u64::to_le_bytes).collect();
+                (tt_rel_name(&self.prefix, node), tt_schema(), rows)
             }
             Part::Nt => {
                 if buf.nt.is_empty() {
                     return Ok(());
                 }
-                let name = nt_rel_name(&self.prefix, node);
+                let rows = std::mem::take(&mut buf.nt);
                 let arity = if self.dr {
                     let levels = self.coder.decode(node)?;
                     Some(self.coder.grouping_arity(&levels))
                 } else {
                     None
                 };
-                let schema = nt_schema(self.schema.num_measures(), arity);
-                let mut rel = if self.catalog.exists(&name) {
-                    self.catalog.open_relation(&name)?
-                } else {
-                    self.relations.insert(name.clone());
-                    self.catalog.create_relation(&name, schema.clone())?
-                };
-                let w = schema.row_width();
-                for chunk in buf.nt.chunks(w) {
-                    rel.append_raw(chunk)?;
-                }
-                rel.flush()?;
-                *self.rel_rows.entry(name.clone()).or_insert(0) += (buf.nt.len() / w) as u64;
-                self.dirty.insert(name);
-                buf.nt.clear();
+                (
+                    nt_rel_name(&self.prefix, node),
+                    nt_schema(self.schema.num_measures(), arity),
+                    rows,
+                )
             }
             Part::Cat => {
                 if buf.cat.is_empty() {
@@ -593,23 +606,35 @@ impl<'a> DiskSink<'a> {
                 let format = self.format.ok_or_else(|| {
                     CubeError::Config("CAT rows buffered before a format was decided".into())
                 })?;
-                let name = cat_rel_name(&self.prefix, node);
-                let schema = cat_schema(format);
-                let mut rel = if self.catalog.exists(&name) {
-                    self.catalog.open_relation(&name)?
-                } else {
-                    self.relations.insert(name.clone());
-                    self.catalog.create_relation(&name, schema.clone())?
-                };
-                let w = schema.row_width();
-                for chunk in buf.cat.chunks(w) {
-                    rel.append_raw(chunk)?;
-                }
-                rel.flush()?;
-                *self.rel_rows.entry(name.clone()).or_insert(0) += (buf.cat.len() / w) as u64;
-                self.dirty.insert(name);
-                buf.cat.clear();
+                (cat_rel_name(&self.prefix, node), cat_schema(format), std::mem::take(&mut buf.cat))
             }
+        };
+        let t = Instant::now();
+        self.segment()?.append(&name, &schema, &rows)?;
+        self.times.write_secs += t.elapsed().as_secs_f64();
+        // Hand the allocation back to the buffer for its next rows.
+        if let (Part::Nt | Part::Cat, Some(buf)) = (which, self.bufs.get_mut(&node)) {
+            let mut rows = rows;
+            rows.clear();
+            match which {
+                Part::Nt => buf.nt = rows,
+                _ => buf.cat = rows,
+            }
+        }
+        Ok(())
+    }
+
+    /// Flush every buffered part of every node, in node order (TT, NT,
+    /// CAT per node), so the segment's layout depends only on the rows.
+    fn flush_all(&mut self) -> Result<()> {
+        let mut nodes: Vec<NodeId> = self.bufs.keys().copied().collect();
+        nodes.sort_unstable();
+        for node in nodes {
+            if !self.plus {
+                self.flush_node_part(node, Part::Tt)?;
+            }
+            self.flush_node_part(node, Part::Nt)?;
+            self.flush_node_part(node, Part::Cat)?;
         }
         Ok(())
     }
@@ -645,6 +670,28 @@ impl<'a> DiskSink<'a> {
             self.aggregates = Some(self.catalog.create_or_replace(&name, schema)?);
         }
         Ok(())
+    }
+
+    /// Append one `AGGREGATES` row; returns its A-rowid.
+    fn append_aggregate(&mut self, row: &[u8]) -> Result<u64> {
+        self.ensure_aggregates()?;
+        let a_rowid = self.agg_rows;
+        let rel = self
+            .aggregates
+            .as_mut()
+            .ok_or_else(|| CubeError::Config("AGGREGATES relation missing after ensure".into()))?;
+        rel.append_raw(row)?;
+        self.agg_rows += 1;
+        self.agg_dirty = true;
+        Ok(a_rowid)
+    }
+
+    /// Store CURE+ bitmap `name` over `rowids`; returns its size.
+    fn write_bitmap(&mut self, name: String, rowids: &[u64]) -> Result<u64> {
+        let bm = BitmapIndex::from_unsorted(rowids);
+        self.catalog.write_blob(&name, &bm.to_bytes())?;
+        self.bitmaps += 1;
+        Ok(bm.size_bytes() as u64)
     }
 }
 
@@ -695,7 +742,6 @@ impl CubeSink for DiskSink<'_> {
             for &a in aggs {
                 buf.nt.extend_from_slice(&a.to_le_bytes());
             }
-            buf.nt_rows += 1;
             self.leaf_scratch = leaf;
         } else {
             let buf = self.bufs.entry(node).or_default();
@@ -703,7 +749,6 @@ impl CubeSink for DiskSink<'_> {
             for &a in aggs {
                 buf.nt.extend_from_slice(&a.to_le_bytes());
             }
-            buf.nt_rows += 1;
         }
         self.stats.nt_tuples += 1;
         self.maybe_flush(node)
@@ -713,6 +758,7 @@ impl CubeSink for DiskSink<'_> {
         let format = self
             .format
             .ok_or_else(|| CubeError::Config("CAT written before a format was decided".into()))?;
+        let mut row = Vec::with_capacity(8 + aggs.len() * 8);
         match format {
             CatFormat::AsNt => {
                 for &(node, rowid) in members {
@@ -720,112 +766,90 @@ impl CubeSink for DiskSink<'_> {
                 }
                 return Ok(());
             }
-            CatFormat::CommonSource => {
-                self.ensure_aggregates()?;
-                let a_rowid = self.agg_rows;
-                let rel = self.aggregates.as_mut().ok_or_else(|| {
-                    CubeError::Config("AGGREGATES relation missing after ensure".into())
-                })?;
-                let mut row = Vec::with_capacity(8 + aggs.len() * 8);
-                row.extend_from_slice(&members[0].1.to_le_bytes());
-                for &a in aggs {
-                    row.extend_from_slice(&a.to_le_bytes());
-                }
-                rel.append_raw(&row)?;
-                self.agg_rows += 1;
-                self.agg_dirty = true;
-                for &(node, _) in members {
-                    let buf = self.bufs.entry(node).or_default();
-                    if self.plus {
-                        // Retained for the sort-and-bitmap post-processing
-                        // step (§5.3 applies it to format-(a) CATs too).
-                        buf.cat_a_rowids.push(a_rowid);
-                    } else {
-                        buf.cat.extend_from_slice(&a_rowid.to_le_bytes());
-                    }
-                    buf.cat_rows += 1;
-                    self.stats.cat_tuples += 1;
-                    self.maybe_flush(node)?;
-                }
-            }
-            CatFormat::Coincidental => {
-                self.ensure_aggregates()?;
-                let a_rowid = self.agg_rows;
-                let rel = self.aggregates.as_mut().ok_or_else(|| {
-                    CubeError::Config("AGGREGATES relation missing after ensure".into())
-                })?;
-                let mut row = Vec::with_capacity(aggs.len() * 8);
-                for &a in aggs {
-                    row.extend_from_slice(&a.to_le_bytes());
-                }
-                rel.append_raw(&row)?;
-                self.agg_rows += 1;
-                self.agg_dirty = true;
-                for &(node, rowid) in members {
-                    let buf = self.bufs.entry(node).or_default();
+            CatFormat::CommonSource => row.extend_from_slice(&members[0].1.to_le_bytes()),
+            CatFormat::Coincidental => {}
+        }
+        for &a in aggs {
+            row.extend_from_slice(&a.to_le_bytes());
+        }
+        let a_rowid = self.append_aggregate(&row)?;
+        for &(node, rowid) in members {
+            let buf = self.bufs.entry(node).or_default();
+            match format {
+                // Retained for the sort-and-bitmap post-processing step
+                // (§5.3 applies it to format-(a) CATs too).
+                CatFormat::CommonSource if self.plus => buf.cat_a_rowids.push(a_rowid),
+                CatFormat::CommonSource => buf.cat.extend_from_slice(&a_rowid.to_le_bytes()),
+                _ => {
                     buf.cat.extend_from_slice(&rowid.to_le_bytes());
                     buf.cat.extend_from_slice(&a_rowid.to_le_bytes());
-                    buf.cat_rows += 1;
-                    self.stats.cat_tuples += 1;
-                    self.maybe_flush(node)?;
                 }
             }
+            self.stats.cat_tuples += 1;
+            self.maybe_flush(node)?;
         }
         Ok(())
     }
 
+    fn end_partition(&mut self) -> Result<()> {
+        self.flush_all()
+    }
+
     fn finish(&mut self) -> Result<SinkStats> {
-        let nodes: Vec<NodeId> = self.bufs.keys().copied().collect();
+        let mut nodes: Vec<NodeId> = self.bufs.keys().copied().collect();
+        nodes.sort_unstable();
         let mut cat_bitmap_bytes = 0u64;
-        for node in nodes {
-            if self.plus {
-                // CURE+ post-processing (§5.3): sort TT row-ids and store a
-                // compressed bitmap instead of a row-id relation.
+        if self.plus {
+            // CURE+ post-processing (§5.3): sort TT row-ids and store a
+            // compressed bitmap instead of a row-id relation; format-(a)
+            // CAT rows are bare A-rowids and get the same treatment.
+            let t = Instant::now();
+            for &node in &nodes {
                 let missing = || CubeError::Config("node buffer vanished during finish".into());
-                let tt = std::mem::take(&mut self.bufs.get_mut(&node).ok_or_else(missing)?.tt);
+                let buf = self.bufs.get_mut(&node).ok_or_else(missing)?;
+                let (tt, cats) =
+                    (std::mem::take(&mut buf.tt), std::mem::take(&mut buf.cat_a_rowids));
                 if !tt.is_empty() {
-                    let bm = BitmapIndex::from_unsorted(&tt);
-                    let name = tt_bitmap_name(&self.prefix, node);
-                    self.catalog.write_blob(&name, &bm.to_bytes())?;
-                    self.relations.insert(name);
-                    self.stats.tt_bytes += bm.size_bytes() as u64;
+                    self.stats.tt_bytes +=
+                        self.write_bitmap(tt_bitmap_name(&self.prefix, node), &tt)?;
                 }
-                // Format-(a) CAT rows are bare A-rowids: same treatment.
-                let cats =
-                    std::mem::take(&mut self.bufs.get_mut(&node).ok_or_else(missing)?.cat_a_rowids);
                 if !cats.is_empty() {
-                    let bm = BitmapIndex::from_unsorted(&cats);
-                    let name = cat_bitmap_name(&self.prefix, node);
-                    self.catalog.write_blob(&name, &bm.to_bytes())?;
-                    self.relations.insert(name);
-                    cat_bitmap_bytes += bm.size_bytes() as u64;
+                    cat_bitmap_bytes +=
+                        self.write_bitmap(cat_bitmap_name(&self.prefix, node), &cats)?;
                 }
-            } else {
-                self.flush_node_part(node, Part::Tt)?;
             }
-            self.flush_node_part(node, Part::Nt)?;
-            self.flush_node_part(node, Part::Cat)?;
+            self.times.write_secs += t.elapsed().as_secs_f64();
         }
+        self.flush_all()?;
+        let t = Instant::now();
         if let Some(rel) = self.aggregates.as_mut() {
             rel.flush()?;
         }
+        // Seal the segment: directory, footer, one fsync. A cube with no
+        // node rows still gets one, so every cube has a segment.
+        let seg = self.segment()?;
+        let synced = seg.sync_secs();
+        seg.seal()?;
+        let fsync = seg.sync_secs() - synced;
+        self.times.sync_secs += fsync;
+        self.times.write_secs += t.elapsed().as_secs_f64() - fsync;
+        let directory = self.segment()?.directory().clone();
         // Account logical bytes from the final relations.
         let y = self.schema.num_measures() as u64;
         if !self.plus {
             self.stats.tt_bytes = self.stats.tt_tuples * 8;
         }
-        self.stats.nt_bytes = 0;
-        if self.dr {
-            // DR NT widths vary per node; recompute from relation volumes.
-            for name in self.relations.iter() {
-                if name.ends_with("_nt") {
-                    let rel = self.catalog.open_relation(name)?;
-                    self.stats.nt_bytes += rel.data_bytes();
-                }
-            }
+        self.stats.nt_bytes = if self.dr {
+            // DR NT widths vary per node; sum the stored volumes.
+            directory
+                .entries()
+                .iter()
+                .filter(|e| e.name.ends_with("_nt"))
+                .map(|e| e.data_bytes())
+                .sum()
         } else {
-            self.stats.nt_bytes = self.stats.nt_tuples * (8 + 8 * y);
-        }
+            self.stats.nt_tuples * (8 + 8 * y)
+        };
         if self.plus && self.format == Some(CatFormat::CommonSource) {
             self.stats.cat_bytes = cat_bitmap_bytes;
         } else {
@@ -841,7 +865,8 @@ impl CubeSink for DiskSink<'_> {
             _ => 8 * y,
         };
         self.stats.aggregates_bytes = self.agg_rows * agg_row_bytes;
-        self.stats.relations = self.relations.len() as u64 + u64::from(self.agg_rows > 0);
+        self.stats.relations =
+            directory.entries().len() as u64 + self.bitmaps + u64::from(self.agg_rows > 0);
         self.stats.cat_format = self.format;
         Ok(self.stats.clone())
     }
@@ -857,9 +882,14 @@ mod tests {
     }
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_sink_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(cure_storage::scratch::scratch_dir(&format!("sink_{tag}"))).unwrap()
+    }
+
+    /// The rows of node relation `name` in the sealed segment of `prefix`,
+    /// as one flat list of its `u64` columns.
+    fn seg_rows(cat: &Catalog, prefix: &str, name: &str) -> Vec<u64> {
+        let bytes = cat.open_segment(prefix).unwrap().rows_of(name).unwrap();
+        bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
     }
 
     #[test]
@@ -913,21 +943,18 @@ mod tests {
         assert_eq!(stats.nt_tuples, 1);
         assert_eq!(stats.cat_tuples, 2);
         assert_eq!(stats.aggregates_rows, 1);
-        // Relations exist and contain the rows.
-        let tt = cat.open_relation(&tt_rel_name("c_", 0)).unwrap();
-        assert_eq!(tt.num_rows(), 1);
-        assert_eq!(tt.fetch_values(0).unwrap()[0], cure_storage::Value::U64(100));
-        let nt = cat.open_relation(&nt_rel_name("c_", 1)).unwrap();
-        assert_eq!(nt.num_rows(), 1);
+        // The segment holds every node relation; AGGREGATES is a heap.
+        assert_eq!(seg_rows(&cat, "c_", &tt_rel_name("c_", 0)), vec![100]);
+        assert_eq!(seg_rows(&cat, "c_", &nt_rel_name("c_", 1)), vec![5, 7, 8]);
         let agg = cat.open_relation(&aggregates_rel_name("c_")).unwrap();
         assert_eq!(agg.num_rows(), 1);
         let v = agg.fetch_values(0).unwrap();
         assert_eq!(v[0], cure_storage::Value::U64(9)); // shared source rowid
         assert_eq!(v[1], cure_storage::Value::I64(1));
-        let catrel = cat.open_relation(&cat_rel_name("c_", 1)).unwrap();
-        assert_eq!(catrel.num_rows(), 1);
-        assert_eq!(catrel.fetch_values(0).unwrap()[0], cure_storage::Value::U64(0));
-        // a_rowid 0
+        // Format (a): the CAT row is the A-rowid 0.
+        assert_eq!(seg_rows(&cat, "c_", &cat_rel_name("c_", 1)), vec![0]);
+        let files = std::fs::read_dir(cat.dir()).unwrap().count();
+        assert_eq!(files, 2, "one segment and AGGREGATES");
     }
 
     #[test]
@@ -966,15 +993,17 @@ mod tests {
         sink.write_nt(a, 3, &[30, 40]).unwrap();
         let stats = sink.finish().unwrap();
         assert_eq!(stats.nt_tuples, 2);
-        let nt_ab = cat.open_relation(&nt_rel_name("d_", ab)).unwrap();
-        let v = nt_ab.fetch_values(0).unwrap();
+        let seg = cat.open_segment("d_").unwrap();
+        let nt_ab = seg.directory().get(&nt_rel_name("d_", ab)).unwrap();
+        let row = seg.rows_of(&nt_ab.name).unwrap();
+        let v = nt_ab.schema.decode_row(&row).unwrap();
         assert_eq!(v[0], cure_storage::Value::U32(2));
         assert_eq!(v[1], cure_storage::Value::U32(3));
         assert_eq!(v[2], cure_storage::Value::I64(10));
-        let nt_a = cat.open_relation(&nt_rel_name("d_", a)).unwrap();
-        assert_eq!(nt_a.schema().arity(), 3); // 1 dim + 2 aggs
-                                              // DR NT bytes: node AB (2 dims + 2 aggs = 24) + node A (1 dim +
-                                              // 2 aggs = 20) = 44.
+        let nt_a = seg.directory().get(&nt_rel_name("d_", a)).unwrap();
+        assert_eq!(nt_a.schema.arity(), 3); // 1 dim + 2 aggs
+                                            // DR NT bytes: node AB (2 dims + 2 aggs = 24) + node A (1 dim +
+                                            // 2 aggs = 20) = 44.
         assert_eq!(stats.nt_bytes, 44);
     }
 
@@ -1001,13 +1030,11 @@ mod tests {
         assert_eq!(cp.tt_tuples, 2);
         assert_eq!(cp.nt_tuples, 1);
         assert_eq!(cp.cat_tuples, 2);
-        // Every journaled relation exists on disk with exactly the
-        // journaled row count.
-        assert!(!cp.relations.is_empty());
-        for (name, rows) in &cp.relations {
-            let rel = cat.open_relation(name).unwrap();
-            assert_eq!(rel.num_rows(), *rows, "{name}");
-        }
+        // The journaled extent table covers every journaled page, and the
+        // segment on disk holds at least that many.
+        assert_eq!(cp.segment.directory.entries().len(), 4);
+        let on_disk = std::fs::metadata(cat.segment_path("k_")).unwrap().len();
+        assert!(on_disk >= cure_storage::heap::page_offset(cp.segment.pages));
         // A second checkpoint with no writes in between is identical.
         assert_eq!(sink.checkpoint().unwrap(), cp);
     }
@@ -1016,7 +1043,8 @@ mod tests {
     fn disksink_restore_checkpoint_resumes_equivalently() {
         // Build A writes everything in one sink. Build B writes the first
         // half, checkpoints, then a fresh restored sink writes the second
-        // half. Final stats and on-disk rows must agree.
+        // half. Final stats and on-disk bytes must agree when A flushes
+        // at the same boundary (as both build drivers do).
         let schema = two_dim_schema();
         let write_first = |s: &mut DiskSink| {
             s.set_cat_format(CatFormat::CommonSource);
@@ -1033,6 +1061,7 @@ mod tests {
         let cat_a = fresh_catalog("res_a");
         let mut a = DiskSink::new(&cat_a, "r_", &schema, false, false, None).unwrap();
         write_first(&mut a);
+        a.end_partition().unwrap();
         write_second(&mut a);
         let stats_a = a.finish().unwrap();
 
@@ -1049,10 +1078,11 @@ mod tests {
         let stats_b = b2.finish().unwrap();
 
         assert_eq!(stats_a, stats_b);
-        for (name, _) in &cp.relations {
-            let ra = cat_a.open_relation(name).unwrap();
-            let rb = cat_b.open_relation(name).unwrap();
-            assert_eq!(ra.num_rows(), rb.num_rows(), "{name}");
+        // Both flushed at the same boundary, so the files are identical.
+        for file in ["r_nodes.seg", "r_aggregates.heap"] {
+            let a = std::fs::read(cat_a.dir().join(file)).unwrap();
+            let b = std::fs::read(cat_b.dir().join(file)).unwrap();
+            assert_eq!(a, b, "{file}");
         }
         let agg = cat_b.open_relation(&aggregates_rel_name("r_")).unwrap();
         assert_eq!(agg.num_rows(), stats_b.aggregates_rows);
@@ -1098,9 +1128,12 @@ mod tests {
         }
         let stats = sink.finish().unwrap();
         assert_eq!(stats.nt_tuples, n);
-        let rel = cat.open_relation(&nt_rel_name("b_", 3)).unwrap();
-        assert_eq!(rel.num_rows(), n);
+        let seg = cat.open_segment("b_").unwrap();
+        let nt = seg.directory().get(&nt_rel_name("b_", 3)).unwrap();
+        assert_eq!(nt.rows(), n);
+        assert!(nt.extents.len() > 1, "the buffer flushed more than once");
         // Spot-check ordering survived the chunked appends.
-        assert_eq!(rel.fetch_values(12_345).unwrap()[0], cure_storage::Value::U64(12_345));
+        let rows = seg_rows(&cat, "b_", &nt.name);
+        assert_eq!(rows[12_345 * 3], 12_345);
     }
 }

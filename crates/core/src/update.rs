@@ -41,7 +41,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cure_storage::hash::FxHashMap;
-use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema, StorageError};
+use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema, Segment, StorageError};
 
 use crate::aggfn::AggFn;
 use crate::cube::CubeConfig;
@@ -160,13 +160,15 @@ fn merge_into(out: &mut Vec<i64>, fns: &[AggFn], a: &[i64], b: &[i64]) {
     AggFn::merge_all(fns, out, b);
 }
 
-/// Read-back of an existing cube: its node relations through the catalog,
-/// its fact rows through dense [`FactColumns`]. Each node's contents are
+/// Read-back of an existing cube: its node relations through its segment's
+/// directory, its fact rows through dense [`FactColumns`]. Each node's contents are
 /// split into non-trivial groups and the TT row-ids stored *at* the node
 /// (not the shared ones from ancestors — those are carried by the DFS).
 struct DiskOldCube<'a> {
     catalog: &'a Catalog,
     meta: CubeMeta,
+    /// The old cube's segment: every node relation, opened once.
+    segment: Segment,
     y: usize,
     facts: FactColumns,
     aggregates: Option<HeapFile>,
@@ -203,6 +205,7 @@ impl<'a> DiskOldCube<'a> {
         let agg_buf = vec![0u8; aggregates.as_ref().map_or(0, |a| a.schema().row_width())];
         Ok(DiskOldCube {
             catalog,
+            segment: catalog.open_segment(prefix)?,
             meta,
             y,
             facts,
@@ -225,20 +228,19 @@ impl<'a> DiskOldCube<'a> {
         rowids.clear();
         aggs.clear();
         let y = self.y;
-        let nt_name = crate::sink::nt_rel_name(&self.meta.prefix, node);
-        if self.catalog.exists(&nt_name) {
-            let rel = self.catalog.open_relation(&nt_name)?;
-            let rs = rel.schema();
-            rel.for_each_row(|_, row| {
+        let dir = self.segment.directory();
+        if let Some(nt) = dir.get(&crate::sink::nt_rel_name(&self.meta.prefix, node)) {
+            let rs = &nt.schema;
+            self.segment.for_each_row(nt, |row| {
                 rowids.push(Schema::read_u64_at(row, rs.offset(0)));
                 aggs.extend((0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))));
             })?;
         }
         // CAT rows (CURE+ format-(a) cubes store them as bitmap blobs).
-        let cat_name = crate::sink::cat_rel_name(&self.meta.prefix, node);
+        let cat = dir.get(&crate::sink::cat_rel_name(&self.meta.prefix, node));
         let cat_bm_name = crate::sink::cat_bitmap_name(&self.meta.prefix, node);
         let bitmap_cats = self.meta.plus && self.catalog.blob_exists(&cat_bm_name);
-        if !bitmap_cats && !self.catalog.exists(&cat_name) {
+        if !bitmap_cats && cat.is_none() {
             return Ok(());
         }
         let format = self
@@ -261,10 +263,9 @@ impl<'a> DiskOldCube<'a> {
         if bitmap_cats {
             let bm = BitmapIndex::from_bytes(&self.catalog.read_blob(&cat_bm_name)?)?;
             refs.extend(bm.iter().map(|a| (None, a)));
-        } else {
-            let rel = self.catalog.open_relation(&cat_name)?;
-            let rs = rel.schema();
-            rel.for_each_row(|_, row| {
+        } else if let Some(cat) = cat {
+            let rs = &cat.schema;
+            self.segment.for_each_row(cat, |row| {
                 refs.push(match format {
                     CatFormat::Coincidental => (
                         Some(Schema::read_u64_at(row, rs.offset(0))),
@@ -307,10 +308,8 @@ impl<'a> DiskOldCube<'a> {
             return Ok(());
         }
         let name = crate::sink::tt_rel_name(&self.meta.prefix, node);
-        if self.catalog.exists(&name) {
-            self.catalog
-                .open_relation(&name)?
-                .for_each_row(|_, row| out.push(Schema::read_u64_at(row, 0)))?;
+        if let Some(tt) = self.segment.directory().get(&name) {
+            self.segment.for_each_row(tt, |row| out.push(Schema::read_u64_at(row, 0)))?;
         }
         Ok(())
     }
@@ -528,9 +527,7 @@ mod tests {
     use crate::sink::{DiskSink, MemSink};
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_update_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(cure_storage::scratch::scratch_dir(&format!("update_{tag}"))).unwrap()
     }
 
     fn schema() -> CubeSchema {

@@ -12,13 +12,14 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use cure_core::sink::RowResolver;
-use cure_core::{build_cure_cube, CubeConfig, CubeSchema, Dimension, DiskSink, Tuples};
+use cure_core::{
+    build_cure_cube, CatFormat, CubeConfig, CubeSchema, CubeSink, Dimension, DiskSink, NodeId,
+    SinkStats, Tuples,
+};
 use cure_storage::{Catalog, Schema};
 
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure_parbuild_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    cure_storage::scratch::scratch_dir(&format!("parbuild_{tag}"))
 }
 
 fn test_schema() -> CubeSchema {
@@ -121,5 +122,94 @@ fn parallel_cure_dr_build_is_byte_identical_to_sequential() {
     for threads in [1usize, 2, 4, 8] {
         let got = build(&fresh_dir(&format!("dr_t{threads}")), true, threads);
         assert_eq!(got, reference, "CURE_DR, {threads} threads");
+    }
+}
+
+/// One call a build made on its sink.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    Format(CatFormat),
+    Tt(NodeId, u64),
+    Nt(NodeId, u64, Vec<i64>),
+    Cat(Vec<(NodeId, u64)>, Vec<i64>),
+    EndPartition,
+}
+
+/// A sink that records every call, in order.
+struct LogSink {
+    y: usize,
+    format: Option<CatFormat>,
+    calls: Vec<Call>,
+}
+
+impl CubeSink for LogSink {
+    fn n_measures(&self) -> usize {
+        self.y
+    }
+
+    fn set_cat_format(&mut self, f: CatFormat) {
+        self.format = Some(f);
+        self.calls.push(Call::Format(f));
+    }
+
+    fn cat_format(&self) -> Option<CatFormat> {
+        self.format
+    }
+
+    fn write_tt(&mut self, node: NodeId, rowid: u64) -> cure_core::Result<()> {
+        self.calls.push(Call::Tt(node, rowid));
+        Ok(())
+    }
+
+    fn write_nt(&mut self, node: NodeId, rowid: u64, aggs: &[i64]) -> cure_core::Result<()> {
+        self.calls.push(Call::Nt(node, rowid, aggs.to_vec()));
+        Ok(())
+    }
+
+    fn write_cat_group(
+        &mut self,
+        members: &[(NodeId, u64)],
+        aggs: &[i64],
+    ) -> cure_core::Result<()> {
+        self.calls.push(Call::Cat(members.to_vec(), aggs.to_vec()));
+        Ok(())
+    }
+
+    fn end_partition(&mut self) -> cure_core::Result<()> {
+        self.calls.push(Call::EndPartition);
+        Ok(())
+    }
+
+    fn finish(&mut self) -> cure_core::Result<SinkStats> {
+        Ok(SinkStats::default())
+    }
+}
+
+/// The sink sees the same calls in the same order at every thread count:
+/// the segment's extent order follows the call order, so TT writes must
+/// interleave with pool flushes exactly as the sequential build made
+/// them. A small pool flushes many times inside each partition.
+#[test]
+fn parallel_build_makes_the_sequential_sink_calls_in_order() {
+    let schema = test_schema();
+    let dir = fresh_dir("call_order");
+    let catalog = Catalog::open(&dir).unwrap();
+    store_fact(&catalog, &schema, 1_200, 11);
+    let cfg =
+        CubeConfig { memory_budget_bytes: 8 << 10, pool_capacity: 16, ..CubeConfig::default() };
+    let calls = |threads: usize| {
+        let mut sink = LogSink { y: schema.num_measures(), format: None, calls: Vec::new() };
+        let report =
+            build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads).unwrap();
+        assert!(report.partition.is_some(), "budget must force partitioning");
+        sink.calls
+    };
+    let reference = calls(1);
+    let tt_after_flush = reference
+        .windows(2)
+        .any(|w| matches!(w[0], Call::Nt(..) | Call::Cat(..)) && matches!(w[1], Call::Tt(..)));
+    assert!(tt_after_flush, "no TT write follows a pool flush inside a partition");
+    for threads in [2usize, 4] {
+        assert!(calls(threads) == reference, "{threads} threads changed the sink call order");
     }
 }

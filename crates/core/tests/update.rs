@@ -15,9 +15,7 @@ use cure_core::{
 use cure_storage::{Catalog, HeapFile, StorageError};
 
 fn fresh_catalog(tag: &str) -> Catalog {
-    let dir = std::env::temp_dir().join(format!("cure-upd-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Catalog::open(&dir).unwrap()
+    Catalog::open(cure_storage::scratch::scratch_dir(&format!("upd_it_{tag}"))).unwrap()
 }
 
 /// Linear 3-dim schema, two measures.
@@ -235,33 +233,40 @@ fn update_equals_rebuild_under_each_forced_cat_format() {
     }
 }
 
-/// Rewrite relation `name` with the leading row-id column of its first
-/// row set to `rowid`.
-fn set_first_rowid(catalog: &Catalog, name: &str, rowid: u64) {
-    let rel = catalog.open_relation(name).unwrap();
-    let rel_schema = rel.schema().clone();
-    let mut rows: Vec<Vec<u8>> = Vec::new();
-    rel.for_each_row(|_, row| rows.push(row.to_vec())).unwrap();
-    drop(rel);
-    rows[0][..8].copy_from_slice(&rowid.to_le_bytes());
-    let mut heap = catalog.create_or_replace(name, rel_schema).unwrap();
-    for row in &rows {
-        heap.append_raw(row).unwrap();
+/// Rewrite the segment of the cube under `prefix` with the leading
+/// row-id column of relation `name`'s first row set to `rowid`.
+fn set_first_rowid(catalog: &Catalog, prefix: &str, name: &str, rowid: u64) {
+    let seg = catalog.open_segment(prefix).unwrap();
+    let rels: Vec<_> = seg
+        .directory()
+        .entries()
+        .iter()
+        .map(|e| (e.name.clone(), e.schema.clone(), seg.rows_of(&e.name).unwrap()))
+        .collect();
+    drop(seg);
+    let mut out = catalog.create_segment(prefix).unwrap();
+    for (rel, rel_schema, mut rows) in rels {
+        if rel == name {
+            rows[..8].copy_from_slice(&rowid.to_le_bytes());
+        }
+        out.append(&rel, &rel_schema, &rows).unwrap();
     }
-    heap.flush().unwrap();
+    out.seal().unwrap();
 }
 
 /// The first of the lattice's node relations named by `rel_name` that
-/// exists and holds rows.
+/// the segment of the cube under `prefix` holds rows for.
 fn first_nonempty(
     catalog: &Catalog,
+    prefix: &str,
     schema: &CubeSchema,
     rel_name: impl Fn(NodeId) -> String,
 ) -> String {
+    let seg = catalog.open_segment(prefix).unwrap();
     NodeCoder::new(schema)
         .all_ids()
         .map(rel_name)
-        .find(|n| catalog.exists(n) && catalog.open_relation(n).unwrap().num_rows() > 0)
+        .find(|n| seg.directory().get(n).is_some_and(|e| e.rows() > 0))
         .unwrap()
 }
 
@@ -283,11 +288,8 @@ fn out_of_range_rowids_are_typed_errors() {
             let (mut heap, _) = build_on_disk(&catalog, &schema, &base, "old_", false, &cfg);
             delta.store_fact(&mut heap).unwrap();
             drop(heap);
-            set_first_rowid(
-                &catalog,
-                &first_nonempty(&catalog, &schema, |n| rel_name("old_", n)),
-                bad,
-            );
+            let name = first_nonempty(&catalog, "old_", &schema, |n| rel_name("old_", n));
+            set_first_rowid(&catalog, "old_", &name, bad);
             let mut sink = MemSink::new(2);
             let err = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink).unwrap_err();
             assert!(
@@ -310,11 +312,8 @@ fn failed_merge_leaves_the_active_prefix_unmoved() {
     let catalog = fresh_catalog("badingest");
     let base = make_tuples(&schema, 300, 107, 0);
     drop(build_on_disk(&catalog, &schema, &base, "cube_", false, &cfg));
-    set_first_rowid(
-        &catalog,
-        &first_nonempty(&catalog, &schema, |n| nt_rel_name("cube_", n)),
-        1 << 40,
-    );
+    let name = first_nonempty(&catalog, "cube_", &schema, |n| nt_rel_name("cube_", n));
+    set_first_rowid(&catalog, "cube_", &name, 1 << 40);
     let delta = make_tuples(&schema, 20, 109, 0);
     let err = ingest_cube(&catalog, &schema, &delta, &cfg, &IngestOptions::default()).unwrap_err();
     assert!(matches!(err, CubeError::Storage(StorageError::RowOutOfBounds { .. })), "{err}");

@@ -171,7 +171,7 @@ pub struct ConcurrentCube {
     fact_cache: SharedBufferCache,
     agg_cache: SharedBufferCache,
     stats: SharedQueryStats,
-    /// Each node's opened NT, CAT and TT sources.
+    /// The cube's segment and each node's NT, CAT and TT in it.
     relations: NodeRelations,
 }
 
@@ -250,7 +250,7 @@ fn fetch(
             }
             Ok(())
         }
-        Source::Absent | Source::Bitmap(_) => {
+        Source::Absent => {
             Err(CubeError::Schema(format!("no relation '{name}' to fetch rows from")))
         }
     }
@@ -265,11 +265,12 @@ impl ConcurrentCube {
 
     /// Open the cube stored under `prefix` on the chosen [`ReadPath`].
     ///
-    /// Every relation is opened read-only; opening never writes the cube.
-    /// With [`ReadPath::Mmap`], every relation the cube reads (fact,
-    /// `AGGREGATES`, every node's NT, CAT and TT) is mapped and its pages
-    /// verified here, once. The shared caches are allocated on both paths
-    /// but stay cold on the mmap path.
+    /// Every file is opened read-only; opening never writes the cube.
+    /// The cube's segment is opened once, its directory read and every
+    /// node resolved in it. With [`ReadPath::Mmap`], every file the cube
+    /// reads (fact, `AGGREGATES`, the segment: one mapping each) is mapped
+    /// and its pages verified here, once. The shared caches are allocated
+    /// on both paths but stay cold on the mmap path.
     pub fn open_with_read_path(
         catalog: Arc<Catalog>,
         schema: Arc<CubeSchema>,
@@ -303,6 +304,7 @@ impl ConcurrentCube {
         } else {
             Source::Absent
         };
+        let relations = NodeRelations::open(&catalog, &meta, &coder, read_path)?;
         let cube = ConcurrentCube {
             fact_schema,
             agg_schema: aggregates.schema().cloned(),
@@ -312,7 +314,7 @@ impl ConcurrentCube {
             schema,
             meta,
             plan,
-            relations: NodeRelations::new(coder.num_nodes()),
+            relations,
             coder,
             read_path,
             fact,
@@ -384,7 +386,6 @@ impl ConcurrentCube {
             coder: &self.coder,
             fact_schema: &self.fact_schema,
             agg_schema: self.agg_schema.as_ref(),
-            read_path: self.read_path,
             relations: &self.relations,
         }
     }
@@ -441,9 +442,10 @@ impl ConcurrentCube {
     }
 
     /// Re-verify one page of `relation` — the fact table, `AGGREGATES` or
-    /// any node's NT, CAT or TT — from disk, evicting any cached copy
-    /// first so a repaired page cannot be shadowed by a stale in-memory
-    /// image. A node relation not opened yet is opened first. Returns
+    /// the cube's segment (which holds every node's NT, CAT and TT; its
+    /// pages are numbered across the file) — from disk, evicting any
+    /// cached copy first so a repaired page cannot be shadowed by a stale
+    /// in-memory image. Returns
     /// `Ok` when the page now reads and checksums clean; the quarantine
     /// repair hook uses this to decide whether an entry may leave the
     /// quarantine set.
@@ -452,8 +454,10 @@ impl ConcurrentCube {
             &self.fact
         } else if relation == self.agg_name {
             &self.aggregates
+        } else if relation == self.relations.segment_name() {
+            return self.relations.reverify_page(page);
         } else {
-            self.resolve_env().source_named(relation)?.unwrap_or(&Source::Absent)
+            &Source::Absent
         };
         match src {
             Source::Relation(rel) => {
@@ -462,7 +466,7 @@ impl ConcurrentCube {
                 Ok(rel.reverify_page(page)?)
             }
             Source::Mapped(rel) => Ok(rel.reverify_page(page)?),
-            Source::Absent | Source::Bitmap(_) => {
+            Source::Absent => {
                 Err(CubeError::Config(format!("unknown relation '{relation}' for page repair")))
             }
         }
@@ -905,19 +909,16 @@ mod tests {
         // The mmap path never touches the user-space caches.
         let s = mmap.stats_snapshot();
         assert_eq!(s.fact_cache_hits + s.fact_cache_misses, 0);
-        // Repair through the mapped view covers the fact table and every
-        // node relation.
+        // Repair through the mapped view covers the fact table and the
+        // segment every node relation lives in.
         mmap.reverify_page(&mmap.fact_relation(), 0).unwrap();
         mmap.reverify_page(&some_nt(&catalog, &prefix, mmap.coder()), 0).unwrap();
         assert!(mmap.reverify_page("no_such_rel", 0).is_err());
     }
 
-    /// The name of some node's NT relation.
-    fn some_nt(catalog: &Catalog, prefix: &str, coder: &NodeCoder) -> String {
-        (0..coder.num_nodes())
-            .map(|n| cure_core::sink::nt_rel_name(prefix, n))
-            .find(|name| catalog.exists(name))
-            .expect("the test cube stores an NT relation")
+    /// The name of the test cube's segment, which holds every node's NT.
+    fn some_nt(_catalog: &Catalog, prefix: &str, _coder: &NodeCoder) -> String {
+        cure_storage::segment::segment_name(prefix)
     }
 
     #[test]
@@ -941,11 +942,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_path_repairs_node_relations_it_has_not_opened() {
+    fn cache_path_repairs_segment_pages_before_any_query() {
         let (catalog, schema, prefix) = build_test_cube("repair_nodes");
         let cube =
             ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
-        // Nothing has been queried yet: repair opens the NT to verify it.
+        // Nothing has been queried yet: repair reads the page from disk.
         cube.reverify_page(&some_nt(&catalog, &prefix, cube.coder()), 0).unwrap();
         assert!(cube.reverify_page("no_such_rel", 0).is_err());
     }

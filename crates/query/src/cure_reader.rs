@@ -19,8 +19,8 @@
 //! handle fetches rows one at a time, in resolution order, so the cache
 //! sees the per-row access pattern that experiment measures (the
 //! concurrent handle gathers them page by page instead). Like the
-//! concurrent handle, it opens each node's NT, CAT and TT relations once
-//! and keeps them for the handle's lifetime.
+//! concurrent handle, it opens the cube's segment once and keeps it for
+//! the handle's lifetime.
 //!
 //! The resolution semantics live in [`crate::resolve`], shared with the
 //! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube) on
@@ -67,7 +67,7 @@ pub struct CureCube<'a> {
     fact_cache: BufferCache,
     agg_cache: BufferCache,
     stats: QueryStats,
-    /// Each node's opened NT, CAT and TT relations.
+    /// The cube's segment and each node's NT, CAT and TT in it.
     relations: NodeRelations,
 }
 
@@ -144,12 +144,13 @@ impl<'a> CureCube<'a> {
         let agg_name = aggregates_rel_name(prefix);
         let aggregates =
             if catalog.exists(&agg_name) { Some(catalog.open_sealed(&agg_name)?) } else { None };
+        let relations = NodeRelations::open(catalog, &meta, &coder, ReadPath::Cache)?;
         Ok(CureCube {
             catalog,
             schema,
             meta,
             plan,
-            relations: NodeRelations::new(coder.num_nodes()),
+            relations,
             coder,
             fact,
             fact_schema,
@@ -227,7 +228,6 @@ impl<'a> CureCube<'a> {
                 coder,
                 fact_schema,
                 agg_schema: aggregates.as_ref().map(HeapFile::schema),
-                read_path: ReadPath::Cache,
                 relations,
             },
             ExclusiveFetcher {

@@ -9,18 +9,21 @@
 //! on either [`ReadPath`]) all answer through [`scan_node`]. Only two
 //! things differ between them:
 //!
-//! * **where a source's pages come from** — a [`Source`] is a heap
-//!   relation read through `pread` and the handle's checksum memo, a
-//!   relation mapped read-only and verified at open, or a decoded CURE+
-//!   bitmap. Every relation a reader opens goes through [`open_source`],
-//!   which never writes, truncates or fsyncs the cube;
+//! * **where a source's pages come from** — a node's NT, CAT and TT rows
+//!   are extents of the cube's one segment ([`cure_storage::segment`]),
+//!   read with one `pread` per extent and the handle's checksum memo, or
+//!   borrowed from one mapping of the segment verified at open; CURE+
+//!   bitmaps are decoded blobs. The fact table and `AGGREGATES` are heap
+//!   [`Source`]s opened through [`open_source`]. Nothing a reader opens
+//!   is ever written, truncated or fsynced;
 //! * **how fact and `AGGREGATES` rows are fetched** — a [`RowFetcher`]
 //!   visits them through a per-row LRU, page-ordered gathers through the
 //!   shared caches, or borrowed slices of the mapping.
 //!
-//! A query is one pass per source: the node's sources come from its
-//! [`NodeRelations`] slots (opened on first use, or all at open on the
-//! mmap path, and kept for the handle's epoch), each source is scanned
+//! A query is one pass per source: the node's sources are directory
+//! lookups in its handle's [`NodeRelations`] (the segment is opened once
+//! per epoch; CURE+ bitmaps are decoded on first use, or all at open on
+//! the mmap path), each source is scanned
 //! once to collect row-ids, all CAT references go to `AGGREGATES` in one
 //! [`RowFetcher::fetch_aggs`] call, and every fact row-id of every source
 //! goes to the fact table in one [`RowFetcher::fetch_facts`] call. Rows
@@ -37,7 +40,9 @@ use cure_core::sink::{
     cat_bitmap_name, cat_rel_name, nt_rel_name, tt_bitmap_name, tt_rel_name, CatFormat,
 };
 use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result};
-use cure_storage::{BitmapIndex, Catalog, HeapFile, MmapRelation, Schema};
+use cure_storage::{
+    BitmapIndex, Catalog, HeapFile, MmapRelation, Schema, Segment, SegmentEntry, SegmentMap,
+};
 
 use crate::concurrent::ReadPath;
 use crate::error::QueryError;
@@ -66,8 +71,6 @@ pub(crate) struct ResolveEnv<'e> {
     pub fact_schema: &'e Schema,
     /// `AGGREGATES`' row schema, when the cube has one.
     pub agg_schema: Option<&'e Schema>,
-    /// How node sources are opened.
-    pub read_path: ReadPath,
     pub relations: &'e NodeRelations,
 }
 
@@ -92,17 +95,16 @@ pub(crate) trait RowFetcher {
     ) -> Result<()>;
 }
 
-/// One stored source of a node's rows, as opened for a handle's epoch.
+/// A heap relation a handle reads rows from by row-id: the fact table
+/// or `AGGREGATES`, as opened for the handle's epoch.
 pub(crate) enum Source {
-    /// The node stores no such relation or blob.
+    /// The cube stores no such relation.
     Absent,
     /// A heap relation, opened read-only (cache read path).
     Relation(HeapFile),
     /// A relation mapped read-only, every page verified at open (mmap
     /// read path).
     Mapped(MmapRelation),
-    /// A CURE+ row-id bitmap blob (CAT A-rowids or TT R-rowids), decoded.
-    Bitmap(BitmapIndex),
 }
 
 impl Source {
@@ -111,25 +113,25 @@ impl Source {
         match self {
             Source::Relation(rel) => Some(rel.schema()),
             Source::Mapped(rel) => Some(rel.schema()),
-            Source::Absent | Source::Bitmap(_) => None,
+            Source::Absent => None,
         }
     }
 
     /// The relation name (file stem) of a relation source, the key typed
-    /// corrupt-page errors carry; empty for other sources.
+    /// corrupt-page errors carry; empty for an absent one.
     pub(crate) fn relation_name(&self) -> String {
         match self {
             Source::Relation(rel) => rel.relation_name(),
             Source::Mapped(rel) => rel.relation_name().to_string(),
-            Source::Absent | Source::Bitmap(_) => String::new(),
+            Source::Absent => String::new(),
         }
     }
 }
 
 /// Open relation `name` for reading on `read_path`: the one open every
-/// relation a reader uses goes through. Neither path writes the file: a
-/// damaged page becomes a typed error (cache path) or is marked bad and
-/// served as one (mmap path), never a truncation.
+/// heap relation a reader uses goes through. Neither path writes the
+/// file: a damaged page becomes a typed error (cache path) or is marked
+/// bad and served as one (mmap path), never a truncation.
 pub(crate) fn open_source(catalog: &Catalog, name: &str, read_path: ReadPath) -> Result<Source> {
     Ok(match read_path {
         ReadPath::Cache => Source::Relation(catalog.open_sealed(name)?),
@@ -137,65 +139,133 @@ pub(crate) fn open_source(catalog: &Catalog, name: &str, read_path: ReadPath) ->
     })
 }
 
-/// Run `f` over every row of a relation source, in row-id order.
-/// Absent sources have no rows; bitmaps hold row-ids, not rows.
-fn for_each_row(src: &Source, mut f: impl FnMut(&[u8])) -> Result<()> {
-    match src {
-        Source::Absent => Ok(()),
-        Source::Relation(rel) => rel.for_each_row(|_, row| f(row)).map(|_| ()).map_err(Into::into),
-        Source::Mapped(rel) => rel
-            .try_for_each_row(|_, row| {
-                f(row);
-                Ok(())
-            })
-            .map_err(Into::into),
-        Source::Bitmap(_) => {
-            Err(QueryError::Malformed("a bitmap source has no rows".into()).into())
+/// One stored source of a node's rows.
+pub(crate) enum NodeSource<'a> {
+    /// The node stores no such relation or bitmap.
+    Absent,
+    /// A relation of the cube's segment.
+    Rows(&'a SegmentEntry),
+    /// A CURE+ row-id bitmap (CAT A-rowids or TT R-rowids), decoded.
+    Bitmap(&'a BitmapIndex),
+}
+
+impl NodeSource<'_> {
+    fn schema(&self) -> Option<&Schema> {
+        match self {
+            NodeSource::Rows(e) => Some(&e.schema),
+            NodeSource::Absent | NodeSource::Bitmap(_) => None,
         }
     }
 }
 
-/// The NT, CAT and TT slots of one lattice node.
-#[derive(Default)]
-struct NodeSlots {
-    nt: OnceLock<Source>,
-    cat: OnceLock<Source>,
-    tt: OnceLock<Source>,
+/// The cube's segment, as its handle's read path opened it.
+enum Store {
+    /// Read with one `pread` per extent (cache read path).
+    Read(Segment),
+    /// Mapped once, every page verified at open (mmap read path).
+    Mapped(SegmentMap),
 }
 
-/// Per-epoch relation table: every node's stored sources, keyed by node
-/// id and filled on first use (or all at open, see
+/// Per-epoch node table: the cube's segment, opened once, and every
+/// node's NT, CAT and TT resolved to a directory entry at open. CURE+
+/// bitmaps are decoded on first use (or all at open, see
 /// [`ResolveEnv::fill_all`]).
 ///
-/// A handle serves one sealed epoch, so a slot never goes stale once it
-/// is filled. A load that fails (an I/O fault while opening, say) fills
-/// nothing, and the next query retries it. Two threads that race on an
-/// empty slot may both open the relation; one handle is kept and the
-/// other dropped.
+/// A handle serves one sealed epoch, so nothing here goes stale. A
+/// bitmap load that fails (an I/O fault, say) fills nothing, and the next
+/// query retries it. Two threads that race on an empty bitmap slot may
+/// both decode it; one copy is kept.
 pub(crate) struct NodeRelations {
-    nodes: Vec<NodeSlots>,
+    store: Store,
+    /// Per node: the directory index of its NT, CAT and TT.
+    index: Vec<[Option<u32>; 3]>,
+    /// Per node, CURE+ cubes only: its TT and CAT bitmaps.
+    bitmaps: Vec<[OnceLock<Option<BitmapIndex>>; 2]>,
 }
 
 impl NodeRelations {
-    /// Empty slots for `num_nodes` lattice nodes.
-    pub(crate) fn new(num_nodes: u64) -> Self {
-        NodeRelations { nodes: (0..num_nodes).map(|_| NodeSlots::default()).collect() }
+    /// Open the segment of the cube `meta` describes on `read_path` and
+    /// resolve every node's relations in its directory.
+    pub(crate) fn open(
+        catalog: &Catalog,
+        meta: &CubeMeta,
+        coder: &NodeCoder,
+        read_path: ReadPath,
+    ) -> Result<Self> {
+        let store = match read_path {
+            ReadPath::Cache => Store::Read(catalog.open_segment(&meta.prefix)?),
+            ReadPath::Mmap => Store::Mapped(catalog.map_segment(&meta.prefix)?),
+        };
+        let dir = match &store {
+            Store::Read(seg) => seg.directory(),
+            Store::Mapped(map) => map.directory(),
+        };
+        let p = &meta.prefix;
+        let find = |name: String| dir.position(&name).map(|i| i as u32);
+        let index = (0..coder.num_nodes())
+            .map(|n| [find(nt_rel_name(p, n)), find(cat_rel_name(p, n)), find(tt_rel_name(p, n))])
+            .collect();
+        let slots = if meta.plus { coder.num_nodes() } else { 0 };
+        let bitmaps = (0..slots).map(|_| Default::default()).collect();
+        Ok(NodeRelations { store, index, bitmaps })
     }
 
-    fn slots(&self, node: NodeId) -> Result<&NodeSlots> {
-        self.nodes
+    fn entries(&self) -> &[SegmentEntry] {
+        match &self.store {
+            Store::Read(seg) => seg.directory().entries(),
+            Store::Mapped(map) => map.directory().entries(),
+        }
+    }
+
+    /// Node `node`'s part `part` (0 NT, 1 CAT, 2 TT) as a source.
+    fn part(&self, node: NodeId, part: usize) -> Result<NodeSource<'_>> {
+        let slots = self
+            .index
             .get(node as usize)
-            .ok_or_else(|| CubeError::Config(format!("node {node} beyond the lattice")))
+            .ok_or_else(|| CubeError::Config(format!("node {node} beyond the lattice")))?;
+        Ok(match slots[part] {
+            Some(i) => NodeSource::Rows(&self.entries()[i as usize]),
+            None => NodeSource::Absent,
+        })
+    }
+
+    /// Run `f` over every row of segment relation `entry`, in row order.
+    fn for_each_row(&self, entry: &SegmentEntry, f: impl FnMut(&[u8])) -> Result<()> {
+        match &self.store {
+            Store::Read(seg) => seg.for_each_row(entry, f)?,
+            Store::Mapped(map) => map.for_each_row(entry, f)?,
+        }
+        Ok(())
+    }
+
+    /// The segment's name: the relation its corrupt-page errors carry.
+    pub(crate) fn segment_name(&self) -> &str {
+        match &self.store {
+            Store::Read(seg) => seg.name(),
+            Store::Mapped(map) => map.name(),
+        }
+    }
+
+    /// Re-verify data page `page` of the segment from disk.
+    pub(crate) fn reverify_page(&self, page: u64) -> Result<()> {
+        match &self.store {
+            Store::Read(seg) => seg.reverify_page(page)?,
+            Store::Mapped(map) => map.reverify_page(page)?,
+        }
+        Ok(())
     }
 }
 
-/// The source in `cell`, loading it first if the slot is empty.
-fn filled(cell: &OnceLock<Source>, load: impl FnOnce() -> Result<Source>) -> Result<&Source> {
-    if let Some(s) = cell.get() {
-        return Ok(s);
+/// Run `f` over every row of a relation source, in row-id order.
+/// Absent sources have no rows; bitmaps hold row-ids, not rows.
+fn for_each_row(env: &ResolveEnv<'_>, src: &NodeSource<'_>, f: impl FnMut(&[u8])) -> Result<()> {
+    match src {
+        NodeSource::Absent => Ok(()),
+        NodeSource::Rows(entry) => env.relations.for_each_row(entry, f),
+        NodeSource::Bitmap(_) => {
+            Err(QueryError::Malformed("a bitmap source has no rows".into()).into())
+        }
     }
-    let s = load()?;
-    Ok(cell.get_or_init(|| s))
 }
 
 /// Adds the time `f` takes to `*ns` when `on`.
@@ -228,86 +298,68 @@ impl<'e> ResolveEnv<'e> {
         aggs.extend(measures.map(|m| Schema::read_i64_at(buf, self.fact_schema.offset(d + m))));
     }
 
-    /// Relation `name`, opened, or [`Source::Absent`].
-    fn relation(&self, name: &str) -> Result<Source> {
-        if self.catalog.exists(name) {
-            open_source(self.catalog, name, self.read_path)
-        } else {
-            Ok(Source::Absent)
-        }
-    }
-
-    /// Blob `name`, decoded as a bitmap, or [`Source::Absent`].
-    fn bitmap(&self, name: &str) -> Result<Source> {
-        Ok(if self.catalog.blob_exists(name) {
-            Source::Bitmap(BitmapIndex::from_bytes(&self.catalog.read_blob(name)?)?)
-        } else {
-            Source::Absent
-        })
+    /// CURE+ bitmap `kind` (0 TT, 1 CAT) of `node`, decoded on first use.
+    fn bitmap(&self, node: NodeId, kind: usize) -> Result<NodeSource<'e>> {
+        let slot = self
+            .relations
+            .bitmaps
+            .get(node as usize)
+            .ok_or_else(|| CubeError::Config(format!("node {node} beyond the lattice")))?;
+        let cell = &slot[kind];
+        let bm = match cell.get() {
+            Some(bm) => bm,
+            None => {
+                let p = &self.meta.prefix;
+                let name =
+                    if kind == 0 { tt_bitmap_name(p, node) } else { cat_bitmap_name(p, node) };
+                let bm = if self.catalog.blob_exists(&name) {
+                    Some(BitmapIndex::from_bytes(&self.catalog.read_blob(&name)?)?)
+                } else {
+                    None
+                };
+                cell.get_or_init(|| bm)
+            }
+        };
+        Ok(bm.as_ref().map_or(NodeSource::Absent, NodeSource::Bitmap))
     }
 
     /// The node's NT relation.
-    fn nt(&self, node: NodeId) -> Result<&'e Source> {
-        let slot = &self.relations.slots(node)?.nt;
-        filled(slot, || self.relation(&nt_rel_name(&self.meta.prefix, node)))
+    fn nt(&self, node: NodeId) -> Result<NodeSource<'e>> {
+        self.relations.part(node, 0)
     }
 
     /// The node's CAT references: a CURE+ bitmap of format-(a) A-rowids
     /// when one exists, else the CAT relation.
-    fn cat(&self, node: NodeId) -> Result<&'e Source> {
-        let slot = &self.relations.slots(node)?.cat;
-        filled(slot, || {
-            if self.meta.plus {
-                if let bm @ Source::Bitmap(_) =
-                    self.bitmap(&cat_bitmap_name(&self.meta.prefix, node))?
-                {
-                    return Ok(bm);
-                }
+    fn cat(&self, node: NodeId) -> Result<NodeSource<'e>> {
+        if self.meta.plus {
+            if let bm @ NodeSource::Bitmap(_) = self.bitmap(node, 1)? {
+                return Ok(bm);
             }
-            self.relation(&cat_rel_name(&self.meta.prefix, node))
-        })
+        }
+        self.relations.part(node, 1)
     }
 
     /// The TT stored at node `m`: a bitmap blob on CURE+ cubes, a
     /// relation otherwise.
-    fn tt(&self, m: NodeId) -> Result<&'e Source> {
-        let slot = &self.relations.slots(m)?.tt;
-        filled(slot, || {
-            if self.meta.plus {
-                self.bitmap(&tt_bitmap_name(&self.meta.prefix, m))
-            } else {
-                self.relation(&tt_rel_name(&self.meta.prefix, m))
-            }
-        })
+    fn tt(&self, m: NodeId) -> Result<NodeSource<'e>> {
+        if self.meta.plus {
+            self.bitmap(m, 0)
+        } else {
+            self.relations.part(m, 2)
+        }
     }
 
-    /// Fill every node's slots now, so no open, map or verification cost
-    /// lands in a query's latency.
+    /// Decode every CURE+ bitmap now, so no decode cost lands in a
+    /// query's latency (the segment itself is opened, or mapped and
+    /// verified, when the handle opens).
     pub(crate) fn fill_all(&self) -> Result<()> {
-        for node in 0..self.coder.num_nodes() {
-            self.nt(node)?;
-            self.cat(node)?;
-            self.tt(node)?;
+        if self.meta.plus {
+            for node in 0..self.coder.num_nodes() {
+                self.bitmap(node, 0)?;
+                self.bitmap(node, 1)?;
+            }
         }
         Ok(())
-    }
-
-    /// The node source stored as relation `name`, opening its slot first
-    /// if it is empty; `None` when no node stores a relation of that name.
-    pub(crate) fn source_named(&self, name: &str) -> Result<Option<&'e Source>> {
-        let prefix = &self.meta.prefix;
-        for node in 0..self.coder.num_nodes() {
-            if nt_rel_name(prefix, node) == name {
-                return self.nt(node).map(Some);
-            }
-            if cat_rel_name(prefix, node) == name {
-                return self.cat(node).map(Some);
-            }
-            if !self.meta.plus && tt_rel_name(prefix, node) == name {
-                return self.tt(node).map(Some);
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -354,14 +406,14 @@ pub(crate) fn scan_node(
             if env.meta.dr {
                 // CURE_DR NT rows hold their grouping values: no fetch.
                 let arity = env.coder.grouping_arity(&levels);
-                for_each_row(nt, |row| {
+                for_each_row(env, &nt, |row| {
                     let dims = (0..arity).map(|i| Schema::read_u32_at(row, rs.offset(i)));
                     let aggs = (0..y).map(|m| Schema::read_i64_at(row, rs.offset(arity + m)));
                     out.push((dims.collect(), aggs.collect()));
                 })?;
                 start = out.len();
             } else {
-                for_each_row(nt, |row| {
+                for_each_row(env, &nt, |row| {
                     let rowid = Schema::read_u64_at(row, rs.offset(0));
                     if keep(rowid) {
                         rowids.push(rowid);
@@ -372,16 +424,16 @@ pub(crate) fn scan_node(
             }
         }
 
-        scan_cat(env, fetcher, cat, &keep, &mut rowids, &mut out)?;
+        scan_cat(env, fetcher, &cat, &keep, &mut rowids, &mut out)?;
 
         // TT rows take their measures from the fact row too.
         tt_start = out.len();
         for tt in tts {
             let before = rowids.len();
-            match (tt, qualifier) {
-                (Source::Bitmap(bm), Some(q)) => rowids.extend(bm.intersect(q).iter()),
-                (Source::Bitmap(bm), None) => rowids.extend(bm.iter()),
-                (src, _) => for_each_row(src, |row| {
+            match (&tt, qualifier) {
+                (NodeSource::Bitmap(bm), Some(q)) => rowids.extend(bm.intersect(q).iter()),
+                (NodeSource::Bitmap(bm), None) => rowids.extend(bm.iter()),
+                (src, _) => for_each_row(env, src, |row| {
                     let rowid = Schema::read_u64_at(row, 0);
                     if keep(rowid) {
                         rowids.push(rowid);
@@ -429,12 +481,12 @@ pub(crate) fn scan_node(
 fn scan_cat(
     env: &ResolveEnv<'_>,
     fetcher: &mut impl RowFetcher,
-    cat: &Source,
+    cat: &NodeSource<'_>,
     keep: &impl Fn(u64) -> bool,
     rowids: &mut Vec<u64>,
     out: &mut Vec<CubeRow>,
 ) -> Result<()> {
-    if matches!(cat, Source::Absent) {
+    if matches!(cat, NodeSource::Absent) {
         return Ok(());
     }
     let y = env.schema.num_measures();
@@ -453,14 +505,14 @@ fn scan_cat(
         (_, CatFormat::AsNt) => {
             return Err(CubeError::Schema("AsNt format cannot have CAT relations".into()))
         }
-        (Source::Bitmap(bm), CatFormat::CommonSource) => a_rowids.extend(bm.iter()),
+        (NodeSource::Bitmap(bm), CatFormat::CommonSource) => a_rowids.extend(bm.iter()),
         (src, CatFormat::CommonSource) => {
-            for_each_row(src, |row| a_rowids.push(Schema::read_u64_at(row, 0)))?
+            for_each_row(env, src, |row| a_rowids.push(Schema::read_u64_at(row, 0)))?
         }
         // A bitmap has no source row-ids, so `for_each_row` rejects it.
         (src, CatFormat::Coincidental) => {
             let a_off = src.schema().map_or(0, |rs| rs.offset(1));
-            for_each_row(src, |row| {
+            for_each_row(env, src, |row| {
                 let rowid = Schema::read_u64_at(row, 0);
                 if keep(rowid) {
                     sources.push(rowid);

@@ -103,8 +103,19 @@ fn build_variant(dr: bool, plus: bool, tag: &str) -> (Arc<Catalog>, Arc<CubeSche
 }
 
 /// Every row of every relation, byte-for-byte: mmap vs `fetch_shared`
-/// vs one `gather_shared` of all rows in a scrambled order.
+/// vs one `gather_shared` of all rows in a scrambled order for the heap
+/// relations, and the segment read by `pread` vs through its mapping for
+/// every node relation.
 fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
+    let read = catalog.open_segment("c_").unwrap();
+    let mapped = catalog.map_segment("c_").unwrap();
+    assert_eq!(mapped.bad_pages(), 0, "{tag}: clean segment has bad pages");
+    assert!(!read.directory().entries().is_empty(), "{tag}: segment has no relations");
+    for entry in mapped.directory().entries() {
+        let mut rows = Vec::new();
+        mapped.for_each_row(entry, |row| rows.extend_from_slice(row)).unwrap();
+        assert_eq!(rows, read.rows_of(&entry.name).unwrap(), "{tag}/{}: diverged", entry.name);
+    }
     let relations = catalog.list().unwrap();
     assert!(!relations.is_empty(), "{tag}: catalog has no relations");
     for name in relations {

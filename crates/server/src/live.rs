@@ -83,6 +83,8 @@ pub struct LiveCubeService {
     dropped_objects: AtomicU64,
     append_nanos: AtomicU64,
     merge_nanos: AtomicU64,
+    /// The merge time split: walk, sink, sync and GC nanoseconds.
+    split_nanos: [AtomicU64; 4],
 }
 
 impl LiveCubeService {
@@ -140,6 +142,7 @@ impl LiveCubeService {
             dropped_objects: AtomicU64::new(0),
             append_nanos: AtomicU64::new(0),
             merge_nanos: AtomicU64::new(0),
+            split_nanos: Default::default(),
         })
     }
 
@@ -271,6 +274,10 @@ impl LiveCubeService {
         self.new_groups.fetch_add(report.update.new_groups, Ordering::Relaxed);
         self.append_nanos.fetch_add((report.append_secs * 1e9) as u64, Ordering::Relaxed);
         self.merge_nanos.fetch_add((report.merge_secs * 1e9) as u64, Ordering::Relaxed);
+        let split = [report.walk_secs, report.sink_secs, report.sync_secs, report.gc_secs];
+        for (total, secs) in self.split_nanos.iter().zip(split) {
+            total.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+        }
 
         self.gc_retired(&mut w);
         Ok(report)
@@ -384,6 +391,10 @@ impl LiveCubeService {
             dropped_objects: self.dropped_objects.load(Ordering::Relaxed),
             append_secs: self.append_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             merge_secs: self.merge_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            walk_secs: self.split_nanos[0].load(Ordering::Relaxed) as f64 / 1e9,
+            sink_secs: self.split_nanos[1].load(Ordering::Relaxed) as f64 / 1e9,
+            sync_secs: self.split_nanos[2].load(Ordering::Relaxed) as f64 / 1e9,
+            gc_secs: self.split_nanos[3].load(Ordering::Relaxed) as f64 / 1e9,
         }
     }
 }

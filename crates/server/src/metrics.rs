@@ -97,8 +97,9 @@ impl LatencyHistogram {
     }
 
     /// Per-bucket counts (index `i` covers `[2^i, 2^(i+1))` ns); trailing
-    /// empty buckets trimmed.
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    /// empty buckets trimmed. The histogram's property tests read it.
+    #[cfg(test)]
+    fn bucket_counts(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         while v.last() == Some(&0) {
             v.pop();
@@ -153,7 +154,6 @@ pub struct ServeMetrics {
     degraded: AtomicU64,
     protocol_errors: AtomicU64,
     breaker_trips: AtomicU64,
-    read_retries: AtomicU64,
     latency: LatencyHistogram,
     /// Latency-attribution samples: how many queries were sampled and
     /// where their time went.
@@ -203,11 +203,6 @@ impl ServeMetrics {
         self.latency.record(latency);
     }
 
-    /// Record one failed query of unclassified kind.
-    pub fn record_error(&self) {
-        self.record_error_kind(ServeErrorKind::Other);
-    }
-
     /// Record one failed query, classified.
     pub fn record_error_kind(&self, kind: ServeErrorKind) {
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -226,13 +221,6 @@ impl ServeMetrics {
     /// Record one circuit-breaker trip (closed → open transition).
     pub fn record_breaker_trip(&self) {
         self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` extra read attempts spent retrying transient I/O faults.
-    pub fn record_read_retries(&self, n: u64) {
-        if n > 0 {
-            self.read_retries.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Record one sampled query's latency attribution.
@@ -303,24 +291,9 @@ impl ServeMetrics {
         self.breaker_trips.load(Ordering::Relaxed)
     }
 
-    /// Extra read attempts spent retrying transient I/O faults.
-    pub fn read_retries(&self) -> u64 {
-        self.read_retries.load(Ordering::Relaxed)
-    }
-
     /// The latency histogram.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
-    }
-
-    /// Throughput over `wall` seconds of serving.
-    pub fn qps(&self, wall: Duration) -> f64 {
-        let secs = wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.queries() as f64 / secs
-        }
     }
 
     /// Zero everything.
@@ -335,7 +308,6 @@ impl ServeMetrics {
         self.degraded.store(0, Ordering::Relaxed);
         self.protocol_errors.store(0, Ordering::Relaxed);
         self.breaker_trips.store(0, Ordering::Relaxed);
-        self.read_retries.store(0, Ordering::Relaxed);
         self.attr_samples.store(0, Ordering::Relaxed);
         self.attr_probe_ns.store(0, Ordering::Relaxed);
         self.attr_read_ns.store(0, Ordering::Relaxed);
@@ -388,12 +360,11 @@ mod tests {
         let m = ServeMetrics::new();
         m.record_query(10, Duration::from_micros(5));
         m.record_query(20, Duration::from_micros(7));
-        m.record_error();
+        m.record_error_kind(ServeErrorKind::Other);
         assert_eq!(m.queries(), 2);
         assert_eq!(m.rows(), 30);
         assert_eq!(m.errors(), 1);
         assert_eq!(m.latency().count(), 2);
-        assert!((m.qps(Duration::from_secs(2)) - 1.0).abs() < 1e-12);
         m.reset();
         assert_eq!(m.queries(), 0);
         assert_eq!(m.latency().count(), 0);
@@ -409,7 +380,7 @@ mod tests {
         m.record_error_kind(ServeErrorKind::Shed);
         m.record_error_kind(ServeErrorKind::Degraded);
         m.record_error_kind(ServeErrorKind::Protocol);
-        m.record_error(); // Other
+        m.record_error_kind(ServeErrorKind::Other);
         assert_eq!(m.errors(), 8);
         assert_eq!(m.io_errors(), 2);
         assert_eq!(m.corrupt_errors(), 1);
@@ -426,13 +397,10 @@ mod tests {
             + m.protocol_errors();
         assert_eq!(m.errors() - typed, 1);
         m.record_breaker_trip();
-        m.record_read_retries(3);
-        m.record_read_retries(0); // no-op
         assert_eq!(m.breaker_trips(), 1);
-        assert_eq!(m.read_retries(), 3);
         m.reset();
         assert_eq!(m.errors(), 0);
-        assert_eq!(m.io_errors() + m.breaker_trips() + m.read_retries(), 0);
+        assert_eq!(m.io_errors() + m.breaker_trips(), 0);
     }
 
     /// Cheap deterministic value stream for the property-style tests.

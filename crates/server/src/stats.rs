@@ -56,6 +56,14 @@ pub struct IngestTotals {
     pub append_secs: f64,
     /// Seconds spent merging (update walk + sink + fsync).
     pub merge_secs: f64,
+    /// Of `merge_secs`: the update walk.
+    pub walk_secs: f64,
+    /// Of `merge_secs`: writing the merged cubes' pages (no fsync).
+    pub sink_secs: f64,
+    /// Of `merge_secs`: the merged cubes' fsyncs and metadata writes.
+    pub sync_secs: f64,
+    /// Seconds spent dropping superseded cubes.
+    pub gc_secs: f64,
 }
 
 impl IngestTotals {
@@ -72,6 +80,10 @@ impl IngestTotals {
             dropped_objects: r.dropped_objects,
             append_secs: r.append_secs,
             merge_secs: r.merge_secs,
+            walk_secs: r.walk_secs,
+            sink_secs: r.sink_secs,
+            sync_secs: r.sync_secs,
+            gc_secs: r.gc_secs,
         }
     }
 }
@@ -172,6 +184,10 @@ impl StatsSnapshot {
             ("dropped_objects", json!(t.dropped_objects)),
             ("append_secs", json!(t.append_secs)),
             ("merge_secs", json!(t.merge_secs)),
+            ("walk_secs", json!(t.walk_secs)),
+            ("sink_secs", json!(t.sink_secs)),
+            ("sync_secs", json!(t.sync_secs)),
+            ("gc_secs", json!(t.gc_secs)),
         ]));
     }
 
@@ -302,12 +318,17 @@ mod tests {
             dropped_objects: 21,
             append_secs: 0.25,
             merge_secs: 1.5,
+            walk_secs: 1.0,
+            sink_secs: 0.25,
+            sync_secs: 0.125,
+            gc_secs: 0.0625,
         });
         let text = String::from_utf8(snap.to_pretty_bytes()).unwrap();
         let v = serde_json::from_str(&text).unwrap();
         let ing = v.get("ingest").expect("ingest section");
         assert_eq!(ing.get("epoch").and_then(Value::as_u64), Some(3));
         assert_eq!(ing.get("delta_rows").and_then(Value::as_u64), Some(150));
+        assert_eq!(ing.get("sync_secs").and_then(Value::as_f64), Some(0.125));
         assert_eq!(ing.get("tt_demotions").and_then(Value::as_u64), Some(12));
         assert_eq!(ing.get("carried_groups").and_then(Value::as_u64), Some(900));
         assert_eq!(ing.get("merge_secs").and_then(Value::as_f64), Some(1.5));

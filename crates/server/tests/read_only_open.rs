@@ -1,18 +1,16 @@
 //! A query never writes the cube it reads.
 //!
-//! A bit flip on the two reads of a node relation's last page that
-//! opening it makes used to look like a torn tail: the open truncated
-//! the file, fsynced it, and the query answered from what was left. A
-//! reader now opens every relation read-only, so the same faults are a
-//! typed corrupt-page error, the file keeps its length, and once the
-//! faults stop the quarantine repair releases the page and the node
-//! answers correctly.
+//! A bit flip on a read of a node relation's pages once looked like a
+//! torn tail to the writer's open, which truncated the file. A reader
+//! opens every file read-only, so a flipped read of a node's extent in
+//! the cube's segment is a typed corrupt-page error naming the segment,
+//! the file keeps its length, and once the faults stop the quarantine
+//! repair releases the page and the node answers correctly.
 
 mod common;
 
 use std::sync::Arc;
 
-use cure_core::sink::nt_rel_name;
 use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
 use cure_serve::{CubeService, QueryOptions, ServeError};
 use cure_storage::{Catalog, FaultInjector, IoPolicy, ReadFaultKind};
@@ -30,13 +28,13 @@ fn read_faults_on_a_node_tail_page_leave_the_file_alone() {
             .unwrap();
 
     // Opening the cube reads the last page of the fact table and of
-    // AGGREGATES (reads 0 and 1); the next reads are the node's.
+    // AGGREGATES (reads 0 and 1); the next read is the node's NT extent.
     let policy = Arc::new(FaultInjector::chaos_reads(2, 1, 3, ReadFaultKind::FlipBit));
     let catalog = Arc::new(
         Catalog::open_with_policy(&dir, Arc::clone(&policy) as Arc<dyn IoPolicy>).unwrap(),
     );
-    let nt = nt_rel_name(PREFIX, node);
-    let heap = catalog.relation_heap_path(&nt);
+    let nt = cure_storage::segment::segment_name(PREFIX);
+    let heap = catalog.segment_path(PREFIX);
     let len = std::fs::metadata(&heap).unwrap().len();
     let service = CubeService::open_with_read_path(
         Arc::clone(&catalog),

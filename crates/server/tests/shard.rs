@@ -23,8 +23,7 @@ fn sharded_fixture(
     measures: usize,
     shards: usize,
 ) -> (PathBuf, Arc<CubeSchema>, Tuples) {
-    let dir = std::env::temp_dir().join(format!("cure_shard_it_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = cure_storage::scratch::scratch_dir(&format!("shard_it_{tag}"));
     let catalog = Catalog::open(&dir).unwrap();
     let a = Dimension::linear("A", 6, &[vec![0, 0, 0, 1, 1, 1]]).unwrap();
     let b = Dimension::flat("B", 4);
@@ -252,6 +251,26 @@ fn replication_ships_byte_identical_shards_and_replicas_serve_reads() {
         assert_eq!(s.errors, 0, "{stats:?}");
         assert!(s.queries > 0, "{stats:?}");
     }
+}
+
+#[test]
+fn replication_rejects_a_flipped_segment_directory_or_data_byte() {
+    let (dir, _, _) = sharded_fixture("repl_flip", 500, 2, 2);
+    let src = Catalog::open(&dir).unwrap();
+    let segment = src.segment_path(&cure_core::shard::shard_cube_prefix(0));
+    let good = std::fs::read(&segment).unwrap();
+    let directory_byte = good.len() - cure_storage::segment::FOOTER_LEN - 2;
+    let data_byte = cure_storage::heap::page_offset(0) as usize + 64;
+    for (what, at) in [("directory", directory_byte), ("data page", data_byte)] {
+        let mut bad = good.clone();
+        bad[at] ^= 0x08;
+        std::fs::write(&segment, &bad).unwrap();
+        let replica_dir = dir.join(format!("replica_{at}"));
+        let err = replicate_shards(&src, 2, &replica_dir).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{what}: {err}");
+    }
+    std::fs::write(&segment, &good).unwrap();
+    replicate_shards(&src, 2, &dir.join("replica_clean")).unwrap();
 }
 
 #[test]

@@ -1,14 +1,16 @@
 //! The catalog: a directory of named relations.
 //!
 //! A [`Catalog`] is the "database" the ROLAP engine exposes: a filesystem
-//! directory in which every relation `R` is one self-describing file,
-//! `R.heap`, whose header slot holds the schema (layout in [`crate::heap`]).
-//! CURE creates large numbers of relations (up to three per cube node, plus
-//! `AGGREGATES`, plus spill partitions), so creation and lookup are kept
-//! cheap: creating a relation is one exclusive create and one header
-//! write, with no fsync (the header becomes durable with the relation's
-//! first sync), and names are sanitized into filenames deterministically.
-//! Opaque byte blobs live beside the relations as `<name>.blob`.
+//! directory in which every standalone relation `R` (fact tables,
+//! `AGGREGATES`, spill partitions) is one self-describing file, `R.heap`,
+//! whose header slot holds the schema (layout in [`crate::heap`]).
+//! Creating a relation is one exclusive create and one header write,
+//! with no fsync (the header becomes durable with the relation's first
+//! sync), and names are sanitized into filenames deterministically.
+//! A cube's node relations (up to three per lattice node) live in one
+//! segment per cube prefix, `<prefix>nodes.seg` (layout in
+//! [`crate::segment`]). Opaque byte blobs live beside them as
+//! `<name>.blob`.
 
 use std::fs::{self, File};
 use std::io;
@@ -17,8 +19,9 @@ use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
 use crate::heap::{read_header, HeapFile};
-use crate::io::{atomic_write, fsync_file, no_faults, sync_dir, IoPolicy};
+use crate::io::{atomic_write, no_faults, sync_dir, IoPolicy};
 use crate::schema::Schema;
+use crate::segment::{segment_name, Segment, SegmentCheckpoint, SegmentMap, SegmentWriter};
 use crate::stats::StorageStats;
 
 /// A directory of named heap-file relations.
@@ -146,16 +149,6 @@ impl Catalog {
         read_header(&file, &path, file.metadata()?.len())
     }
 
-    /// Fsync a relation's file without opening it as a relation (no
-    /// header or page is read), counted like [`HeapFile::sync`].
-    pub fn sync_relation(&self, name: &str) -> Result<()> {
-        let path = self.heap_path(name);
-        let file = File::open(&path).map_err(|e| not_found(e.into(), name))?;
-        fsync_file(self.policy.as_ref(), &file, &path)?;
-        self.stats.count_fsync();
-        Ok(())
-    }
-
     /// Remove a relation. Missing relations are an error.
     pub fn drop_relation(&self, name: &str) -> Result<()> {
         fs::remove_file(self.heap_path(name)).map_err(|e| not_found(e.into(), name))
@@ -179,6 +172,48 @@ impl Catalog {
         }
         names.sort();
         Ok(names)
+    }
+
+    /// Filesystem path of the segment of the cube under `prefix`.
+    pub fn segment_path(&self, prefix: &str) -> PathBuf {
+        self.dir.join(format!("{}.seg", sanitize(&segment_name(prefix))))
+    }
+
+    /// Start the segment of the cube under `prefix`, replacing any file
+    /// of that name; its header is written, nothing is fsynced.
+    pub fn create_segment(&self, prefix: &str) -> Result<SegmentWriter> {
+        SegmentWriter::create(&self.segment_path(prefix), self.policy.clone(), self.stats.clone())
+    }
+
+    /// Reopen the unsealed segment of the cube under `prefix` at a
+    /// journaled checkpoint, truncating what was written after it.
+    pub fn resume_segment(&self, prefix: &str, cp: &SegmentCheckpoint) -> Result<SegmentWriter> {
+        SegmentWriter::resume(
+            &self.segment_path(prefix),
+            self.policy.clone(),
+            self.stats.clone(),
+            cp,
+        )
+        .map_err(|e| not_found(e, &segment_name(prefix)))
+    }
+
+    /// Open the sealed segment of the cube under `prefix` for reading
+    /// (read-only; a segment with no valid footer is
+    /// [`StorageError::Corrupt`]).
+    pub fn open_segment(&self, prefix: &str) -> Result<Segment> {
+        Segment::open_at(&self.segment_path(prefix), self.policy.clone(), Some(self.stats.clone()))
+            .map_err(|e| not_found(e, &segment_name(prefix)))
+    }
+
+    /// Map the sealed segment of the cube under `prefix`, verifying
+    /// every data page once.
+    pub fn map_segment(&self, prefix: &str) -> Result<SegmentMap> {
+        SegmentMap::open_at(
+            &self.segment_path(prefix),
+            self.policy.clone(),
+            Some(self.stats.clone()),
+        )
+        .map_err(|e| not_found(e, &segment_name(prefix)))
     }
 
     fn blob_path(&self, name: &str) -> PathBuf {
@@ -210,36 +245,41 @@ impl Catalog {
         self.list_ext("blob")
     }
 
-    /// Drop every relation and blob whose name starts with `prefix` —
-    /// the cleanup primitive for replacing a cube (e.g. after an
-    /// incremental update wrote its successor under a new prefix).
-    /// Returns how many objects were removed.
+    /// Drop every relation, segment and blob whose name starts with
+    /// `prefix` — the cleanup primitive for replacing a cube (e.g. after
+    /// an incremental update wrote its successor under a new prefix).
+    /// A cube's node relations are one segment, so this is one unlink
+    /// for them. Returns how many files were removed.
     pub fn drop_prefix(&self, prefix: &str) -> Result<usize> {
+        let stem = sanitize(prefix);
         let mut dropped = 0usize;
-        for name in self.list()? {
-            if name.starts_with(prefix) {
-                self.drop_relation(&name)?;
-                dropped += 1;
-            }
-        }
-        for name in self.list_blobs()? {
-            if name.starts_with(prefix) {
-                fs::remove_file(self.blob_path(&name))?;
-                dropped += 1;
+        for ext in ["heap", "seg", "blob"] {
+            for name in self.list_ext(ext)? {
+                if name.starts_with(&stem) {
+                    fs::remove_file(self.dir.join(format!("{name}.{ext}")))?;
+                    dropped += 1;
+                }
             }
         }
         Ok(dropped)
     }
 
-    /// Total logical data volume (bytes of rows) across relations whose name
-    /// starts with `prefix` — the measure used for the paper's "storage
-    /// space" figures.
+    /// Total logical data volume (bytes of rows) across the relations
+    /// whose name starts with `prefix`, node relations of sealed segments
+    /// included — the measure used for the paper's "storage space"
+    /// figures.
     pub fn data_bytes_with_prefix(&self, prefix: &str) -> Result<u64> {
         let mut total = 0u64;
         for name in self.list()? {
             if name.starts_with(prefix) {
-                let rel = self.open_relation(&name)?;
-                total += rel.data_bytes();
+                total += self.open_sealed(&name)?.data_bytes();
+            }
+        }
+        for name in self.list_ext("seg")? {
+            if name.starts_with(prefix) {
+                let path = self.dir.join(format!("{name}.seg"));
+                let seg = Segment::open_at(&path, self.policy.clone(), Some(self.stats.clone()))?;
+                total += seg.directory().data_bytes();
             }
         }
         Ok(total)
@@ -269,9 +309,7 @@ mod tests {
     use crate::schema::Value;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_catalog_{}_{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Catalog::open(&dir).unwrap()
+        Catalog::open(crate::scratch::scratch_dir(&format!("catalog_{tag}"))).unwrap()
     }
 
     #[test]
@@ -396,8 +434,7 @@ mod tests {
     fn policy_observes_all_catalog_writes() {
         use crate::io::FaultInjector;
         use std::sync::Arc;
-        let dir = std::env::temp_dir().join(format!("cure_catalog_policy_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = crate::scratch::scratch_dir("catalog_policy");
         let policy = Arc::new(FaultInjector::counting());
         let cat = Catalog::open_with_policy(&dir, policy.clone()).unwrap();
         let mut rel = cat.create_relation("r", Schema::fact(1, 1)).unwrap();
@@ -414,8 +451,7 @@ mod tests {
     fn faulted_blob_write_leaves_old_content() {
         use crate::io::{FaultInjector, FaultKind};
         use std::sync::Arc;
-        let dir = std::env::temp_dir().join(format!("cure_catalog_fault_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = crate::scratch::scratch_dir("catalog_fault");
         let clean = Catalog::open(&dir).unwrap();
         clean.write_blob("meta", b"v1").unwrap();
         let policy = Arc::new(FaultInjector::fail_nth_write(0, FaultKind::Torn));
@@ -475,8 +511,7 @@ mod tests {
     #[test]
     fn creating_a_relation_writes_one_file_and_no_fsync() {
         use crate::io::FaultInjector;
-        let dir = std::env::temp_dir().join(format!("cure_catalog_onefile_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = crate::scratch::scratch_dir("catalog_onefile");
         let policy = Arc::new(FaultInjector::counting());
         let cat = Catalog::open_with_policy(&dir, policy.clone()).unwrap();
         let schema = Schema::fact(3, 2);
@@ -490,6 +525,27 @@ mod tests {
         assert_eq!(cat.relation_schema("r").unwrap(), schema);
         assert_eq!(cat.open_relation("r").unwrap().num_rows(), 0);
         assert_eq!(cat.stats().snapshot().pages_written, 0, "the header is not a data page");
+    }
+
+    #[test]
+    fn a_cube_segment_is_counted_and_dropped_by_prefix() {
+        let cat = Catalog::open(crate::scratch::scratch_dir("catalog_segment")).unwrap();
+        let mut seg = cat.create_segment("cube_").unwrap();
+        let tt = Schema::new(vec![crate::schema::Column::new("r", crate::schema::ColType::U64)]);
+        seg.append("cube_n1_tt", &tt, &[0u8; 8 * 3]).unwrap();
+        seg.append("cube_n2_tt", &tt, &[0u8; 8 * 2]).unwrap();
+        assert!(cat.data_bytes_with_prefix("cube_").is_err(), "an unsealed segment is no cube");
+        seg.seal().unwrap();
+        let mut agg = cat.create_relation("cube_aggregates", Schema::fact(0, 1)).unwrap();
+        agg.append(&[Value::I64(5)]).unwrap();
+        agg.flush().unwrap();
+        assert_eq!(cat.data_bytes_with_prefix("cube_").unwrap(), 5 * 8 + 8);
+        assert!(cat.segment_path("cube_").exists());
+        assert_eq!(cat.open_segment("cube_").unwrap().directory().entries().len(), 2);
+        // One unlink for the node relations, one for AGGREGATES.
+        assert_eq!(cat.drop_prefix("cube_").unwrap(), 2);
+        assert!(!cat.segment_path("cube_").exists());
+        assert!(matches!(cat.open_segment("cube_"), Err(StorageError::Catalog(_))));
     }
 
     #[test]

@@ -74,13 +74,7 @@ pub fn page_offset(page_no: u64) -> u64 {
 
 /// The header slot image for `schema` (see the module docs).
 fn encode_header(schema: &Schema) -> Result<Vec<u8>> {
-    let mut text = String::new();
-    for col in schema.columns() {
-        text.push_str(&col.name);
-        text.push(' ');
-        text.push_str(col.ty.name());
-        text.push('\n');
-    }
+    let text = schema_text(schema);
     if HEADER_FIXED + text.len() > PAGE_SIZE {
         return Err(StorageError::Layout(format!(
             "schema text of {} bytes does not fit the header slot",
@@ -124,13 +118,29 @@ pub(crate) fn decode_header(bytes: &[u8], path: &Path) -> Result<Schema> {
         ));
     }
     let text = std::str::from_utf8(text).map_err(|_| header_corrupt(path, "schema not UTF-8"))?;
+    parse_schema_text(text).map_err(|detail| header_corrupt(path, &detail))
+}
+
+/// A schema as text: one `"<column name> <type>\n"` line per column (the
+/// heap header's and the segment directory's schema encoding).
+pub(crate) fn schema_text(schema: &Schema) -> String {
+    let mut text = String::new();
+    for col in schema.columns() {
+        text.push_str(&col.name);
+        text.push(' ');
+        text.push_str(col.ty.name());
+        text.push('\n');
+    }
+    text
+}
+
+/// Parse [`schema_text`]'s encoding back into a schema.
+pub(crate) fn parse_schema_text(text: &str) -> std::result::Result<Schema, String> {
     let mut cols = Vec::new();
     for line in text.lines() {
-        let (name, ty) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| header_corrupt(path, &format!("bad schema line '{line}'")))?;
-        let ty = ColType::parse(ty)
-            .ok_or_else(|| header_corrupt(path, &format!("bad column type '{ty}'")))?;
+        let (name, ty) =
+            line.rsplit_once(' ').ok_or_else(|| format!("bad schema line '{line}'"))?;
+        let ty = ColType::parse(ty).ok_or_else(|| format!("bad column type '{ty}'"))?;
         cols.push(Column::new(name, ty));
     }
     Ok(Schema::new(cols))
@@ -185,7 +195,7 @@ fn header_corrupt(path: &Path, detail: &str) -> StorageError {
 /// Write `bytes` at `offset` through `policy`'s write hook, retrying
 /// transient faults. An injected torn write lands a prefix (as a crashed
 /// kernel would) and fails. Returns the attempts made.
-fn write_slot(
+pub(crate) fn write_slot(
     policy: &dyn IoPolicy,
     file: &File,
     path: &Path,

@@ -10,6 +10,8 @@
 //! * [`heap`] — append-only page-structured heap files with sequential scan
 //!   and random row fetch,
 //! * [`catalog`] — a named-relation directory (the "database"),
+//! * [`segment`] — one append-only file per cube epoch holding every
+//!   node's NT, CAT and TT rows as extents of heap-format pages,
 //! * [`cache`] — an LRU page cache with hit/miss accounting (drives the
 //!   paper's Figure 17 caching experiment),
 //! * [`shared_cache`] — a thread-safe sharded wrapper over [`cache`] for
@@ -45,6 +47,8 @@ pub mod io;
 pub mod mmap;
 pub mod page;
 pub mod schema;
+pub mod scratch;
+pub mod segment;
 pub mod shared_cache;
 pub mod snapshot;
 pub mod sort;
@@ -62,6 +66,9 @@ pub use io::{
 pub use mmap::MmapRelation;
 pub use page::{Page, PAGE_SIZE};
 pub use schema::{ColType, Column, Schema, Value};
+pub use segment::{
+    Directory, Extent, Segment, SegmentCheckpoint, SegmentEntry, SegmentMap, SegmentWriter,
+};
 pub use shared_cache::{ShardStats, SharedBufferCache};
 pub use snapshot::{export_snapshot, verify_snapshot, SnapshotReport};
 pub use stats::{StorageCounters, StorageStats};

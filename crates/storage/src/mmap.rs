@@ -1,16 +1,18 @@
-//! Zero-copy serving over sealed heap files: [`MmapRelation`].
+//! Zero-copy serving over sealed files: [`MmapRelation`] and the page
+//! map a cube segment is served through.
 //!
 //! Cube relations are immutable once construction (or an ingest epoch)
 //! finishes, so the serving layer does not need a user-space page cache
 //! at all: the kernel page cache already holds the hot pages, and a
 //! read-only memory map exposes them to every worker thread with no
-//! locking and no copying. An [`MmapRelation`]:
+//! locking and no copying. A mapped file (a heap relation here, a node
+//! segment in [`crate::segment`]):
 //!
-//! * maps the whole heap file `MAP_SHARED`/`PROT_READ` at open and reads
-//!   the schema from the mapped header slot (one open of the file),
-//! * verifies every page checksum **once** at open, recording failures
-//!   in an atomic bad-page bitset (open degrades per page instead of
-//!   failing — the serving layer quarantines and repairs),
+//! * is mapped whole, `MAP_SHARED`/`PROT_READ`, at open (one open of the
+//!   file, one mapping),
+//! * has every data page checksum-verified **once** at open, with
+//!   failures recorded in an atomic bad-page bitset (open degrades per
+//!   page instead of failing — the serving layer quarantines and repairs),
 //! * serves rows as borrowed `&[u8]` slices of the mapping (zero-copy;
 //!   `Cow::Owned` only appears when the I/O fault policy tampers with a
 //!   read),
@@ -23,9 +25,9 @@
 //!   (`MAP_SHARED` means an on-disk repair is visible through the
 //!   mapping), the hook behind the serve layer's quarantine repair.
 //!
-//! The map is only valid for *sealed* relations — every row on disk,
-//! no in-memory tail. Cube files are flushed at the end of every build
-//! and ingest epoch, and a serving handle covers one sealed epoch (live
+//! The map is only valid for *sealed* files — every row on disk, no
+//! in-memory tail. Cube files are sealed at the end of every build and
+//! ingest epoch, and a serving handle covers one sealed epoch (live
 //! ingest opens a new handle per epoch), so the serving layer can use
 //! this path or the shared-cache path on any cube it serves.
 //!
@@ -72,25 +74,27 @@ mod sys {
 }
 
 /// Row count stored in a raw page image's header.
-fn page_nrows(bytes: &[u8]) -> usize {
+pub(crate) fn page_nrows(bytes: &[u8]) -> usize {
     u16::from_le_bytes([bytes[0], bytes[1]]) as usize
 }
 
-/// A sealed heap relation served zero-copy through a read-only memory
-/// map (see module docs).
-pub struct MmapRelation {
+/// A whole file mapped read-only, whose data pages start at
+/// [`page_offset`]`(0)`: the page-level core shared by [`MmapRelation`]
+/// and the segment map. It owns the policy consultation, the once-only
+/// verification and the bad-page set; what the pages hold is the
+/// owner's business.
+pub(crate) struct Mapping {
     /// Base of the mapping (the header slot, then the data pages).
     ptr: *const u8,
     map_len: usize,
     path: PathBuf,
+    /// The identity corrupt errors and the quarantine key by.
     name: String,
-    schema: Schema,
-    rows_per_page: usize,
-    disk_pages: u64,
-    num_rows: u64,
+    /// Data pages the owner serves (set by the owner after open).
+    pages: u64,
     policy: Arc<dyn IoPolicy>,
     stats: Option<Arc<StorageStats>>,
-    /// Bitset over disk pages: a set bit marks a page that failed
+    /// Bitset over data pages: a set bit marks a page that failed
     /// verification (at open or at a repair probe) and is served as a
     /// typed [`StorageError::CorruptPage`] until re-verified clean.
     bad: Vec<AtomicU64>,
@@ -99,44 +103,25 @@ pub struct MmapRelation {
 // SAFETY: the mapping is PROT_READ and never remapped after open; all
 // interior mutability goes through atomics (`bad`). Raw-pointer reads of
 // immutable, process-lifetime-stable memory are safe to share.
-unsafe impl Send for MmapRelation {}
-unsafe impl Sync for MmapRelation {}
+unsafe impl Send for Mapping {}
+unsafe impl Sync for Mapping {}
 
-impl std::fmt::Debug for MmapRelation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MmapRelation")
-            .field("name", &self.name)
-            .field("pages", &self.disk_pages)
-            .field("rows", &self.num_rows)
-            .finish()
-    }
-}
-
-impl Drop for MmapRelation {
+impl Drop for Mapping {
     fn drop(&mut self) {
-        // SAFETY: ptr/map_len came from a successful mmap of exactly
-        // this length and are unmapped exactly once.
-        unsafe {
-            sys::munmap(self.ptr as *mut std::ffi::c_void, self.map_len);
+        if self.map_len > 0 {
+            // SAFETY: ptr/map_len came from a successful mmap of exactly
+            // this length and are unmapped exactly once.
+            unsafe {
+                sys::munmap(self.ptr as *mut std::ffi::c_void, self.map_len);
+            }
         }
     }
 }
 
-impl MmapRelation {
-    /// Map the relation `name` from `catalog`, inheriting the catalog's
-    /// I/O fault policy and storage counters. Every page is
-    /// checksum-verified once here; pages that fail are recorded (and
-    /// later served as typed corrupt errors) rather than failing the
-    /// open, so one bad page degrades one page, not the whole cube.
-    pub fn open(catalog: &Catalog, name: &str) -> Result<Self> {
-        let path = catalog.relation_heap_path(name);
-        Self::open_at(&path, Arc::clone(catalog.policy()), Some(Arc::clone(catalog.stats())))
-            .map_err(|e| not_found(e, name))
-    }
-
-    /// [`open`](Self::open) from an explicit path, policy, and stats
-    /// sink.
-    pub fn open_at(
+impl Mapping {
+    /// Map the file at `path` whole. At least one header slot must be
+    /// there; the caller decides how many data pages follow it.
+    pub(crate) fn open(
         path: &Path,
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
@@ -149,13 +134,6 @@ impl MmapRelation {
                 path.display()
             )));
         }
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(StorageError::Corrupt(format!(
-                "{}: {len} bytes is not a whole number of pages",
-                path.display()
-            )));
-        }
-        let disk_pages = (len - page_offset(0)) / PAGE_SIZE as u64;
         let ptr = {
             // SAFETY: fd is a freshly opened readable file of `len`
             // bytes; a PROT_READ/MAP_SHARED mapping of it has no aliasing
@@ -175,47 +153,48 @@ impl MmapRelation {
             }
             p as *const u8
         };
-        // The mapping outlives the descriptor, so a handle that maps every
-        // relation of a cube holds no open file.
+        // The mapping outlives the descriptor, so a handle holds no open
+        // file.
         drop(file);
         let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let bad = (0..disk_pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        let mut rel = MmapRelation {
+        Ok(Mapping {
             ptr,
             map_len: len as usize,
             path: path.to_path_buf(),
             name,
-            schema: Schema::new(Vec::new()),
-            rows_per_page: 0,
-            disk_pages,
-            num_rows: 0,
+            pages: 0,
             policy,
             stats,
-            bad,
-        };
-        // The mapping is owned by `rel` from here, so an error below unmaps it.
-        // SAFETY: the mapping is at least one header slot long.
-        let header = unsafe { std::slice::from_raw_parts(rel.ptr, PAGE_SIZE) };
-        rel.schema = decode_header(header, path)?;
-        rel.rows_per_page = Page::capacity(rel.schema.row_width());
-        if rel.rows_per_page == 0 {
-            return Err(StorageError::Layout(format!(
-                "row width {} exceeds page capacity",
-                rel.schema.row_width()
-            )));
-        }
-        rel.verify_all_pages()?;
-        Ok(rel)
+            bad: Vec::new(),
+        })
+    }
+
+    /// The whole mapped file.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        // SAFETY: the mapping is `map_len` bytes and lives as long as &self.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.map_len) }
+    }
+
+    /// Serve data pages `0..pages`, all presumed clean until verified.
+    pub(crate) fn set_pages(&mut self, pages: u64) {
+        debug_assert!(page_offset(pages) as usize <= self.map_len);
+        self.pages = pages;
+        self.bad = (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+    }
+
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    pub(crate) fn pages(&self) -> u64 {
+        self.pages
     }
 
     /// Raw mapped bytes of `page_no` (no policy, no verification).
-    fn raw_page(&self, page_no: u64) -> &[u8] {
-        debug_assert!(page_no < self.disk_pages);
-        // SAFETY: page_no is within the mapping (page_offset(disk_pages)
-        // == map_len) and the mapping lives as long as &self.
-        unsafe {
-            std::slice::from_raw_parts(self.ptr.add(page_offset(page_no) as usize), PAGE_SIZE)
-        }
+    pub(crate) fn raw_page(&self, page_no: u64) -> &[u8] {
+        debug_assert!(page_no < self.pages);
+        let off = page_offset(page_no) as usize;
+        &self.bytes()[off..off + PAGE_SIZE]
     }
 
     fn bad_bit(&self, page_no: u64) -> bool {
@@ -223,7 +202,7 @@ impl MmapRelation {
         self.bad.get(word).is_some_and(|w| w.load(Ordering::Acquire) & (1 << bit) != 0)
     }
 
-    fn set_bad(&self, page_no: u64, bad: bool) {
+    pub(crate) fn set_bad(&self, page_no: u64, bad: bool) {
         let (word, bit) = ((page_no / 64) as usize, page_no % 64);
         if let Some(w) = self.bad.get(word) {
             if bad {
@@ -234,12 +213,17 @@ impl MmapRelation {
         }
     }
 
+    /// Pages currently marked bad.
+    pub(crate) fn bad_pages(&self) -> u64 {
+        self.bad.iter().map(|w| w.load(Ordering::Acquire).count_ones() as u64).sum()
+    }
+
     /// Consult the I/O policy for one page access, mirroring the heap
     /// layer's read semantics: transient failures are retried with
     /// backoff (and counted), hard failures surface as I/O errors, and
     /// tampering faults (bit flip / torn read) are applied to a private
     /// copy of the mapped page. Returns the page image to serve from.
-    fn policy_page(&self, page_no: u64) -> Result<Cow<'_, [u8]>> {
+    pub(crate) fn policy_page(&self, page_no: u64) -> Result<Cow<'_, [u8]>> {
         let offset = page_offset(page_no);
         let mut attempts = 0u64;
         let result = with_write_retries(|| {
@@ -268,7 +252,7 @@ impl MmapRelation {
         }
     }
 
-    fn corrupt(&self, page_no: u64, detail: impl Into<String>) -> StorageError {
+    pub(crate) fn corrupt(&self, page_no: u64, detail: impl Into<String>) -> StorageError {
         StorageError::CorruptPage {
             relation: self.name.clone(),
             page: page_no,
@@ -276,9 +260,9 @@ impl MmapRelation {
         }
     }
 
-    /// Verify a page image (header sanity + checksum), counting into the
-    /// storage stats. Used at open and by [`reverify_page`](Self::reverify_page).
-    fn verify_bytes(&self, page_no: u64, bytes: &[u8]) -> Result<()> {
+    /// Verify a page image (row count at most `max_rows`, then the
+    /// checksum), counting into the storage stats.
+    pub(crate) fn verify_bytes(&self, page_no: u64, bytes: &[u8], max_rows: usize) -> Result<()> {
         if let Some(stats) = &self.stats {
             stats.count_checksum_verification();
         }
@@ -289,8 +273,8 @@ impl MmapRelation {
             Err(self.corrupt(page_no, detail))
         };
         let nrows = page_nrows(bytes);
-        if nrows > self.rows_per_page {
-            return fail(format!("row count {nrows} exceeds capacity {}", self.rows_per_page));
+        if nrows > max_rows {
+            return fail(format!("row count {nrows} exceeds capacity {max_rows}"));
         }
         if let Err(detail) = verify_image(bytes) {
             return fail(detail);
@@ -298,40 +282,153 @@ impl MmapRelation {
         Ok(())
     }
 
+    /// Open-time check of one page: policy-consulted and verified, and
+    /// marked bad (not failed) when it does not pass. Returns whether it
+    /// passed.
+    pub(crate) fn verify_at_open(&self, page_no: u64, max_rows: usize) -> bool {
+        let sound = match self.policy_page(page_no) {
+            Ok(bytes) => self.verify_bytes(page_no, &bytes, max_rows).is_ok(),
+            // A hard read fault at open degrades the page, not the
+            // open; the repair probe re-verifies it later.
+            Err(_) => false,
+        };
+        if !sound {
+            self.set_bad(page_no, true);
+        }
+        sound
+    }
+
+    /// One page image, policy-consulted and gated on the bad-page set.
+    /// Borrowed from the mapping on the clean path (zero-copy); owned
+    /// only when the fault policy tampered with the access, in which
+    /// case the tampered image is re-verified and surfaces as a typed
+    /// corrupt error on mismatch.
+    pub(crate) fn page(&self, page_no: u64, max_rows: usize) -> Result<Cow<'_, [u8]>> {
+        if page_no >= self.pages {
+            return Err(self.corrupt(page_no, format!("page beyond file ({} pages)", self.pages)));
+        }
+        if self.bad_bit(page_no) {
+            return Err(self.corrupt(page_no, "page failed verification (pending repair)"));
+        }
+        let bytes = self.policy_page(page_no)?;
+        if let Cow::Owned(_) = bytes {
+            // Tampered access: always verify, never trust. (The clean
+            // borrowed path was verified once at open.)
+            self.verify_bytes(page_no, &bytes, max_rows)?;
+        }
+        Ok(bytes)
+    }
+
+    /// Repair probe: re-verify `page_no` against the live mapping and
+    /// update the bad-page set to match. `Ok` means the page serves clean.
+    pub(crate) fn reverify_page(&self, page_no: u64, max_rows: usize) -> Result<()> {
+        if page_no >= self.pages {
+            // Parity with the heap layer's in-memory tail: nothing on
+            // disk to verify.
+            return Ok(());
+        }
+        let bytes = self.policy_page(page_no)?;
+        match self.verify_bytes(page_no, &bytes, max_rows) {
+            Ok(()) => {
+                // Only a clean *untampered* image clears the bad bit —
+                // a faulted probe proves nothing about the mapping.
+                if matches!(bytes, Cow::Borrowed(_)) {
+                    self.set_bad(page_no, false);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                self.set_bad(page_no, true);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// A sealed heap relation served zero-copy through a read-only memory
+/// map (see module docs).
+pub struct MmapRelation {
+    map: Mapping,
+    schema: Schema,
+    rows_per_page: usize,
+    num_rows: u64,
+}
+
+impl std::fmt::Debug for MmapRelation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MmapRelation")
+            .field("name", &self.map.name)
+            .field("pages", &self.map.pages)
+            .field("rows", &self.num_rows)
+            .finish()
+    }
+}
+
+impl MmapRelation {
+    /// Map the relation `name` from `catalog`, inheriting the catalog's
+    /// I/O fault policy and storage counters. Every page is
+    /// checksum-verified once here; pages that fail are recorded (and
+    /// later served as typed corrupt errors) rather than failing the
+    /// open, so one bad page degrades one page, not the whole cube.
+    pub fn open(catalog: &Catalog, name: &str) -> Result<Self> {
+        let path = catalog.relation_heap_path(name);
+        Self::open_at(&path, Arc::clone(catalog.policy()), Some(Arc::clone(catalog.stats())))
+            .map_err(|e| not_found(e, name))
+    }
+
+    /// [`open`](Self::open) from an explicit path, policy, and stats
+    /// sink.
+    pub fn open_at(
+        path: &Path,
+        policy: Arc<dyn IoPolicy>,
+        stats: Option<Arc<StorageStats>>,
+    ) -> Result<Self> {
+        let mut map = Mapping::open(path, policy, stats)?;
+        let len = map.map_len as u64;
+        if !len.is_multiple_of(PAGE_SIZE as u64) {
+            return Err(StorageError::Corrupt(format!(
+                "{}: {len} bytes is not a whole number of pages",
+                path.display()
+            )));
+        }
+        map.set_pages((len - page_offset(0)) / PAGE_SIZE as u64);
+        let schema = decode_header(&map.bytes()[..PAGE_SIZE], path)?;
+        let rows_per_page = Page::capacity(schema.row_width());
+        if rows_per_page == 0 {
+            return Err(StorageError::Layout(format!(
+                "row width {} exceeds page capacity",
+                schema.row_width()
+            )));
+        }
+        let mut rel = MmapRelation { map, schema, rows_per_page, num_rows: 0 };
+        rel.verify_all_pages()?;
+        Ok(rel)
+    }
+
     /// Open-time pass: policy-consult and verify every page once,
     /// recording failures in the bad-page bitset, and derive the row
     /// count (all pages but the last are full in a sealed heap).
     fn verify_all_pages(&mut self) -> Result<()> {
-        for p in 0..self.disk_pages {
-            let sound = match self.policy_page(p) {
-                Ok(bytes) => self.verify_bytes(p, &bytes).is_ok(),
-                // A hard read fault at open degrades the page, not the
-                // open; the repair probe re-verifies it later.
-                Err(_) => false,
-            };
-            if !sound {
-                self.set_bad(p, true);
-            }
+        let pages = self.map.pages;
+        for p in 0..pages {
+            let sound = self.map.verify_at_open(p, self.rows_per_page);
             // Every page except the last must be full, or row-id
             // arithmetic is impossible. A clean short middle page means
             // this is not a sealed heap file — refuse the mapping.
-            if sound
-                && p + 1 < self.disk_pages
-                && page_nrows(self.raw_page(p)) != self.rows_per_page
-            {
+            if sound && p + 1 < pages && page_nrows(self.map.raw_page(p)) != self.rows_per_page {
                 return Err(StorageError::Corrupt(format!(
                     "{}: page {p} holds {} rows but only the last page may be partial — \
                      relation is not sealed",
-                    self.path.display(),
-                    page_nrows(self.raw_page(p)),
+                    self.map.path.display(),
+                    page_nrows(self.map.raw_page(p)),
                 )));
             }
         }
-        self.num_rows = if self.disk_pages == 0 {
+        self.num_rows = if pages == 0 {
             0
         } else {
-            let tail = page_nrows(self.raw_page(self.disk_pages - 1)).min(self.rows_per_page);
-            (self.disk_pages - 1) * self.rows_per_page as u64 + tail as u64
+            let tail = page_nrows(self.map.raw_page(pages - 1)).min(self.rows_per_page);
+            (pages - 1) * self.rows_per_page as u64 + tail as u64
         };
         Ok(())
     }
@@ -339,7 +436,7 @@ impl MmapRelation {
     /// The relation name (file stem) — the identity corrupt errors and
     /// the serving layer's quarantine key by.
     pub fn relation_name(&self) -> &str {
-        &self.name
+        &self.map.name
     }
 
     /// The relation's row schema.
@@ -359,7 +456,7 @@ impl MmapRelation {
 
     /// Pages currently marked bad (failed verification, pending repair).
     pub fn bad_pages(&self) -> u64 {
-        self.bad.iter().map(|w| w.load(Ordering::Acquire).count_ones() as u64).sum()
+        self.map.bad_pages()
     }
 
     /// One page image, policy-consulted and gated on the bad-page set.
@@ -369,21 +466,7 @@ impl MmapRelation {
     /// corrupt error on mismatch — a corrupt mapped page can produce an
     /// error, never wrong rows.
     pub fn page(&self, page_no: u64) -> Result<Cow<'_, [u8]>> {
-        if page_no >= self.disk_pages {
-            return Err(
-                self.corrupt(page_no, format!("page beyond file ({} pages)", self.disk_pages))
-            );
-        }
-        if self.bad_bit(page_no) {
-            return Err(self.corrupt(page_no, "page failed verification (pending repair)"));
-        }
-        let bytes = self.policy_page(page_no)?;
-        if let Cow::Owned(_) = bytes {
-            // Tampered access: always verify, never trust. (The clean
-            // borrowed path was verified once at open.)
-            self.verify_bytes(page_no, &bytes)?;
-        }
-        Ok(bytes)
+        self.map.page(page_no, self.rows_per_page)
     }
 
     /// Fetch row `rowid` as a byte slice — borrowed straight from the
@@ -403,12 +486,11 @@ impl MmapRelation {
     }
 
     /// Iterate every row (page at a time, each page read through
-    /// [`page`](Self::page)) — the zero-copy scan behind node-source
-    /// resolution on the mmap path.
+    /// [`page`](Self::page)).
     pub fn try_for_each_row(&self, mut f: impl FnMut(RowId, &[u8]) -> Result<()>) -> Result<()> {
         let w = self.schema.row_width();
         let mut rowid: RowId = 0;
-        for p in 0..self.disk_pages {
+        for p in 0..self.map.pages {
             let bytes = self.page(p)?;
             for i in 0..page_nrows(&bytes) {
                 let off = PAGE_HEADER + i * w;
@@ -423,26 +505,7 @@ impl MmapRelation {
     /// (`MAP_SHARED`, so an on-disk rewrite is visible here) and update
     /// the bad-page set to match. `Ok` means the page now serves clean.
     pub fn reverify_page(&self, page_no: u64) -> Result<()> {
-        if page_no >= self.disk_pages {
-            // Parity with the heap layer's in-memory tail: nothing on
-            // disk to verify.
-            return Ok(());
-        }
-        let bytes = self.policy_page(page_no)?;
-        match self.verify_bytes(page_no, &bytes) {
-            Ok(()) => {
-                // Only a clean *untampered* image clears the bad bit —
-                // a faulted probe proves nothing about the mapping.
-                if matches!(bytes, Cow::Borrowed(_)) {
-                    self.set_bad(page_no, false);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.set_bad(page_no, true);
-                Err(e)
-            }
-        }
+        self.map.reverify_page(page_no, self.rows_per_page)
     }
 }
 
@@ -456,10 +519,7 @@ mod tests {
     use crate::Catalog;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cure_mmap_test_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+        crate::scratch::scratch_dir(&format!("mmap_test_{tag}"))
     }
 
     fn test_schema() -> Schema {

@@ -60,6 +60,14 @@ pub(crate) fn verify_image(image: &[u8]) -> std::result::Result<(), String> {
     Ok(())
 }
 
+/// Stamp the content checksum into a raw page image's header: the
+/// [`Page::stamp_checksum`] of an image built in place (segment extents
+/// are packed straight into one write buffer).
+pub(crate) fn stamp_image(image: &mut [u8]) {
+    let c = content_crc(image);
+    image[4..8].copy_from_slice(&c.to_le_bytes());
+}
+
 /// An in-memory page image.
 ///
 /// `Page` owns a `PAGE_SIZE` buffer; the heap file reads/writes these images

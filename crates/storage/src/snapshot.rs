@@ -1,13 +1,16 @@
 //! Snapshot export and CRC verification: the replication primitive.
 //!
 //! A sealed cube is a closed family of catalog files under one name
-//! prefix — one self-describing `<rel>.heap` per relation, `<name>.blob`
-//! metadata blobs, and the durable `<prefix>manifest.json` journal. Shipping a
+//! prefix — one self-describing `<rel>.heap` per standalone relation,
+//! one `<prefix>nodes.seg` segment holding every node relation,
+//! `<name>.blob` metadata blobs, and the durable `<prefix>manifest.json`
+//! journal. Shipping a
 //! replica is therefore a *file-level* copy of that family into another
 //! catalog directory ([`export_snapshot`]), followed by an end-to-end
 //! integrity check on the receiving side ([`verify_snapshot`]): the
-//! schema header and every data page of every replicated relation are
-//! re-read from disk and their CRC32s verified, so a replica that passes
+//! schema header and every data page of every replicated heap, and the
+//! footer, directory and every data page of every replicated segment,
+//! are re-read from disk and their CRC32s verified, so a replica that passes
 //! verification serves byte-identical
 //! rows or it is rejected before it ever serves a query.
 //!
@@ -28,8 +31,9 @@ use crate::page::{Page, PAGE_SIZE};
 pub struct SnapshotReport {
     /// Files copied (export) or relations opened (verify).
     pub files: usize,
-    /// Relations in the prefix family (`.heap` files on export, verified
-    /// relations on verify).
+    /// Relations in the prefix family (`.heap` and `.seg` files on
+    /// export; verified heaps plus the relations of verified segments on
+    /// verify).
     pub relations: usize,
     /// Bytes copied (export) or pages CRC-verified (verify).
     pub bytes: u64,
@@ -61,7 +65,7 @@ pub fn export_snapshot(src: &Catalog, prefix: &str, dest_dir: &Path) -> Result<S
         let copied = fs::copy(&path, dest_dir.join(&name))?;
         report.files += 1;
         report.bytes += copied;
-        if name.ends_with(".heap") {
+        if name.ends_with(".heap") || name.ends_with(".seg") {
             report.relations += 1;
         }
     }
@@ -76,7 +80,9 @@ pub fn export_snapshot(src: &Catalog, prefix: &str, dest_dir: &Path) -> Result<S
 
 /// Verify a shipped snapshot end to end: re-read every `.heap` file under
 /// `prefix` in `dir` straight from disk, check its schema header's CRC32,
-/// then every data page's. This deliberately bypasses the
+/// then every data page's; and re-read every `.seg` file, checking its
+/// footer, its directory's CRC32 and layout, and every data page's CRC32
+/// and row count. This deliberately bypasses the
 /// relation-open path — its torn-tail repair would silently *truncate* a
 /// corrupt tail page, and a replica is either bit-faithful or rejected.
 /// Returns the verified page/byte counts, or the first corruption as a
@@ -108,6 +114,20 @@ pub fn verify_snapshot(dir: &Path, prefix: &str) -> Result<SnapshotReport> {
         report.files += 1;
         report.relations += 1;
     }
+    let stem = sanitize(prefix);
+    for name in fs::read_dir(dir)?.filter_map(|e| e.ok()).map(|e| e.path()) {
+        let Some(seg) = name.file_stem().and_then(|s| s.to_str()) else { continue };
+        if name.extension().and_then(|e| e.to_str()) != Some("seg") || !seg.starts_with(&stem) {
+            continue;
+        }
+        let bytes = fs::read(&name)?;
+        let dir = crate::segment::verify_image_bytes(&name, seg, &bytes)?;
+        report.pages_verified +=
+            dir.entries().iter().flat_map(|e| &e.extents).map(|x| u64::from(x.pages)).sum::<u64>();
+        report.bytes += bytes.len() as u64;
+        report.files += 1;
+        report.relations += dir.entries().len();
+    }
     if report.relations == 0 {
         return Err(StorageError::Catalog(format!(
             "snapshot verification found no relations under prefix '{prefix}'"
@@ -127,9 +147,7 @@ mod tests {
     use crate::schema::{ColType, Column, Schema, Value};
 
     fn fresh_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("cure_snapshot_{}_{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+        crate::scratch::scratch_dir(&format!("snapshot_{tag}"))
     }
 
     fn two_col_schema() -> Schema {
@@ -218,6 +236,37 @@ mod tests {
         fs::write(&heap, bytes).unwrap();
         let err = verify_snapshot(&dst_dir, "shard0_").unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "unexpected error: {err:?}");
+    }
+
+    /// A replica whose segment has one byte flipped in its directory, or
+    /// in a data page, is rejected.
+    #[test]
+    fn verify_rejects_a_flipped_segment_byte() {
+        let src_dir = fresh_dir("seg_src");
+        let catalog = seed_catalog(&src_dir);
+        let mut seg = catalog.create_segment("shard0_").unwrap();
+        let rows: Vec<u8> = (0..3000u64).flat_map(|i| i.to_le_bytes()).collect();
+        seg.append("shard0_n1_tt", &Schema::new(vec![Column::new("r", ColType::U64)]), &rows)
+            .unwrap();
+        seg.seal().unwrap();
+        let dst_dir = fresh_dir("seg_dst");
+        export_snapshot(&catalog, "shard0_", &dst_dir).unwrap();
+        let clean = verify_snapshot(&dst_dir, "shard0_").unwrap();
+        assert_eq!(clean.relations, 2, "the facts heap and the segment's one relation");
+        let path = dst_dir.join("shard0_nodes.seg");
+        let good = fs::read(&path).unwrap();
+        let dir_byte = good.len() - crate::segment::FOOTER_LEN - 4;
+        let page_byte = crate::heap::page_offset(1) as usize + 100;
+        for at in [dir_byte, page_byte] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x20;
+            fs::write(&path, &bad).unwrap();
+            let err = verify_snapshot(&dst_dir, "shard0_").unwrap_err();
+            assert!(
+                matches!(err, StorageError::CorruptPage { .. } | StorageError::Corrupt(_)),
+                "byte {at}: {err:?}"
+            );
+        }
     }
 
     #[test]

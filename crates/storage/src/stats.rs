@@ -66,6 +66,18 @@ impl StorageStats {
         self.pages_read.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count `n` pages read from disk in one call (a segment extent).
+    #[inline]
+    pub fn count_pages_read(&self, n: u64) {
+        self.pages_read.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` pages written to disk in one call (a segment extent).
+    #[inline]
+    pub fn count_pages_written(&self, n: u64) {
+        self.pages_written.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Count one heap page written to disk.
     #[inline]
     pub fn count_page_written(&self) {

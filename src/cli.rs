@@ -436,6 +436,14 @@ pub fn run(cmd: Command) -> Result<String> {
             }
             let rels = catalog.list()?;
             let _ = writeln!(out, "  relations: {}", rels.len());
+            if let Ok(seg) = catalog.open_segment(&active_prefix(&catalog)) {
+                let _ = writeln!(
+                    out,
+                    "  node relations: {} in one segment of {} pages",
+                    seg.directory().entries().len(),
+                    seg.pages()
+                );
+            }
         }
         Command::Index { dir } => {
             let catalog = Catalog::open(&dir)?;

@@ -59,11 +59,12 @@ fn apb_cube_end_to_end() {
     }
 }
 
-/// A relation is one file: after a durable partitioned build and one
-/// ingest, the catalog directory holds one `.heap` per relation, the
-/// blobs and the manifests — no schema side files, no temp files.
+/// A cube epoch is one segment: after a durable partitioned build and
+/// one ingest, the active cube's node relations all live in its
+/// `nodes.seg`, no node relation has a `.heap` of its own, and the cube
+/// is at most five files.
 #[test]
-fn one_file_per_relation_after_durable_build_and_ingest() {
+fn one_segment_per_cube_after_durable_build_and_ingest() {
     let catalog = fresh_catalog("files_per_cube");
     let ds = apb1_dense(0.4, 2_000, 3);
     ds.store(&catalog, "facts").unwrap();
@@ -108,22 +109,31 @@ fn one_file_per_relation_after_durable_build_and_ingest() {
     )
     .unwrap();
 
-    let relations = catalog.list().unwrap();
-    assert!(relations.len() > 100, "{} relations", relations.len());
-    let mut heaps = Vec::new();
+    let active = cure::core::delta::active_prefix(&catalog);
+    assert_eq!(active, "cubeB_");
+    let segment = catalog.open_segment(&active).unwrap();
+    let relations = segment.directory().entries().len();
+    assert!(relations > 100, "{relations} node relations in the segment");
+    let mut cube_files = Vec::new();
     for entry in std::fs::read_dir(catalog.dir()).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if name.starts_with(&active) {
+            cube_files.push(name.clone());
+        }
         if let Some(stem) = name.strip_suffix(".heap") {
-            heaps.push(stem.to_string());
+            assert!(stem == "facts" || stem.ends_with("aggregates"), "per-node heap {name}");
         } else {
             assert!(
-                name.ends_with(".blob") || name.ends_with("manifest.json"),
+                name.ends_with(".blob")
+                    || name.ends_with(".seg")
+                    || name.ends_with("manifest.json"),
                 "unexpected file {name}"
             );
         }
     }
-    heaps.sort();
-    assert_eq!(heaps, relations, "one .heap per relation");
+    cube_files.sort();
+    assert!(cube_files.len() <= 5, "the cube is {} files: {cube_files:?}", cube_files.len());
+    assert!(cube_files.contains(&"cubeB_nodes.seg".to_string()), "{cube_files:?}");
 }
 
 #[test]
