@@ -231,6 +231,7 @@ mod tests {
     use crate::{flatnode, ALL_SENTINEL};
     use cure_core::reference;
     use cure_core::{CubeSchema, Dimension};
+    use cure_storage::scratch::scratch_dir;
 
     fn flat_schema(cards: &[u32]) -> CubeSchema {
         let dims =
@@ -341,8 +342,7 @@ mod tests {
 
     #[test]
     fn disk_matches_memory() {
-        let dir = std::env::temp_dir().join(format!("cure_bubst_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("bubst");
         let catalog = Catalog::open(&dir).unwrap();
         let cards = [8u32, 6];
         let t = random_tuples(&cards, 200, 31);

@@ -185,6 +185,7 @@ mod tests {
     use super::*;
     use cure_core::reference;
     use cure_core::{CubeSchema, Dimension};
+    use cure_storage::scratch::scratch_dir;
 
     fn flat_schema(cards: &[u32]) -> CubeSchema {
         let dims =
@@ -273,8 +274,7 @@ mod tests {
 
     #[test]
     fn disk_cube_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("cure_buc_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("buc");
         let catalog = Catalog::open(&dir).unwrap();
         let cards = [5u32, 4];
         let t = random_tuples(&cards, 300, 13);

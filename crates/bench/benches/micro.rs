@@ -17,6 +17,7 @@ use cure_core::meta::CubeMeta;
 use cure_core::sink::DiskSink;
 use cure_core::{CatFormatPolicy, MemSink, NodeCoder, SignaturePool, SortPolicy, Sorter, Tuples};
 use cure_data::synthetic::{flat, hierarchical, FlatSpec, HierSpec};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::{BitmapIndex, Catalog};
 
 fn bench_sort(c: &mut Criterion) {
@@ -122,8 +123,7 @@ fn bench_cube_build(c: &mut Criterion) {
 
 fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
-    let dir = std::env::temp_dir().join(format!("cure_criterion_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("criterion");
     let catalog = Catalog::open(&dir).unwrap();
     let ds = small_hier_dataset();
     let mut heap = catalog.create_or_replace("facts", Tuples::fact_schema(3, 2)).unwrap();
@@ -170,9 +170,7 @@ fn bench_storage_primitives(c: &mut Criterion) {
         b.iter(|| black_box(cure_storage::checksum::crc32(&payload)));
     });
     // Heap append throughput (buffered tail-page writes).
-    let dir = std::env::temp_dir().join(format!("cure_bench_heap_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("bench_heap");
     group.bench_function("heap_append_10k", |b| {
         let mut n = 0u32;
         b.iter(|| {
@@ -203,8 +201,7 @@ fn bench_partition_scan(c: &mut Criterion) {
             black_box(select_partition_level(&ds.schema, 1_000_000, 48, 1 << 20).unwrap().level)
         });
     });
-    let dir = std::env::temp_dir().join(format!("cure_bench_part_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("bench_part");
     let catalog = Catalog::open(&dir).unwrap();
     let mut heap = catalog.create_or_replace("facts", Tuples::fact_schema(3, 2)).unwrap();
     ds.tuples.store_fact(&mut heap).unwrap();
@@ -227,8 +224,7 @@ fn bench_value_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("value_index");
     group.sample_size(10);
     let ds = small_hier_dataset();
-    let dir = std::env::temp_dir().join(format!("cure_bench_vidx_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("bench_vidx");
     let catalog = Catalog::open(&dir).unwrap();
     let mut heap = catalog.create_or_replace("facts", Tuples::fact_schema(3, 2)).unwrap();
     ds.tuples.store_fact(&mut heap).unwrap();

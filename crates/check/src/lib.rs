@@ -118,6 +118,8 @@ pub struct CheckOutcome {
     pub mismatches: Vec<Mismatch>,
     /// Engines run.
     pub engines_run: usize,
+    /// Wall seconds per engine, in run order (`Engine::label`).
+    pub engine_secs: Vec<(String, f64)>,
 }
 
 /// Render the first few row-level differences between two sorted row
@@ -164,11 +166,13 @@ pub fn check_workload(w: &Workload, scratch: &Path, opts: &CheckOptions) -> Resu
     let mut byte_baseline: Option<(String, BTreeMap<String, Vec<u8>>)> = None;
     for &e in &opts.engines {
         let label = e.label();
+        let started = Instant::now();
         let run = if e == Engine::InMemory && opts.mutation.is_some() {
             run_in_memory_mutated(w, opts.mutation)
         } else {
             run_engine(w, e, scratch)
         };
+        outcome.engine_secs.push((label.clone(), started.elapsed().as_secs_f64()));
         let run = match run {
             Ok(r) => r,
             Err(err) => {
@@ -274,6 +278,8 @@ pub struct SuiteReport {
     pub seeds_run: usize,
     /// Failing seeds, with minimized repros.
     pub failures: Vec<SeedFailure>,
+    /// Wall seconds per engine label, summed over the seeds run.
+    pub engine_secs: BTreeMap<String, f64>,
 }
 
 /// Configuration of a multi-seed sweep ([`run_suite`]).
@@ -304,6 +310,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport> {
         let opts = CheckOptions::default();
         let outcome = check_workload(&w, &scratch, &opts)?;
         report.seeds_run += 1;
+        for (label, secs) in &outcome.engine_secs {
+            *report.engine_secs.entry(label.clone()).or_default() += secs;
+        }
         if outcome.mismatches.is_empty() {
             continue;
         }

@@ -1,10 +1,12 @@
-//! Fixed-seed differential conformance matrix (tier-1).
+//! Fixed-seed differential conformance matrix.
 //!
 //! Seeds 0..40 map deterministically onto the coverage matrix
 //! ({linear, DAG-hierarchy} × {full, iceberg} × {in-memory,
 //! forced-partitioning} — `Workload::from_matrix` pins the three booleans
-//! to `seed % 8`), so each of the 8 cells is exercised by 5 seeds, and
-//! every workload runs through all fourteen engine configurations:
+//! to `seed % 8`), so each of the 8 cells is exercised by 5 seeds. Seeds
+//! 0..8 run in the root package's `tests/conformance_matrix.rs` (tier-1);
+//! this file runs seeds 8..40. Every workload runs through all fourteen
+//! engine configurations:
 //! in-memory, sequential, parallel ×{2,4,8}, CURE_DR, durable
 //! kill+resume, BUC, BU-BST, delta-ingest (base + deltas == fresh
 //! rebuild), chaos-serve ×{cache,mmap}, sharded scatter-gather, and
@@ -12,15 +14,10 @@
 //! mid-run).
 
 use cure_check::{check_workload, CheckOptions, Workload};
+use cure_storage::scratch::scratch_dir;
 
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure-check-conf-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn run_seeds(tag: &str, seeds: std::ops::Range<u64>) {
-    let scratch = scratch(tag);
+fn run_seeds(seeds: std::ops::Range<u64>) {
+    let scratch = scratch_dir("check_conformance");
     let opts = CheckOptions::default();
     for seed in seeds {
         let w = Workload::from_matrix(seed);
@@ -59,43 +56,43 @@ fn workloads_are_deterministic_per_seed() {
 }
 
 #[test]
-fn seeds_00_04_conform() {
-    run_seeds("s00", 0..5);
+fn seeds_08_11_conform() {
+    run_seeds(8..12);
 }
 
 #[test]
-fn seeds_05_09_conform() {
-    run_seeds("s05", 5..10);
+fn seeds_12_15_conform() {
+    run_seeds(12..16);
 }
 
 #[test]
-fn seeds_10_14_conform() {
-    run_seeds("s10", 10..15);
+fn seeds_16_19_conform() {
+    run_seeds(16..20);
 }
 
 #[test]
-fn seeds_15_19_conform() {
-    run_seeds("s15", 15..20);
+fn seeds_20_23_conform() {
+    run_seeds(20..24);
 }
 
 #[test]
-fn seeds_20_24_conform() {
-    run_seeds("s20", 20..25);
+fn seeds_24_27_conform() {
+    run_seeds(24..28);
 }
 
 #[test]
-fn seeds_25_29_conform() {
-    run_seeds("s25", 25..30);
+fn seeds_28_31_conform() {
+    run_seeds(28..32);
 }
 
 #[test]
-fn seeds_30_34_conform() {
-    run_seeds("s30", 30..35);
+fn seeds_32_35_conform() {
+    run_seeds(32..36);
 }
 
 #[test]
-fn seeds_35_39_conform() {
-    run_seeds("s35", 35..40);
+fn seeds_36_39_conform() {
+    run_seeds(36..40);
 }
 
 #[test]

@@ -3,12 +3,7 @@
 //! that never fails is indistinguishable from one that never looks.
 
 use cure_check::{check_workload, shrink, CheckOptions, Engine, Mutation, Workload};
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure-check-mut-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use cure_storage::scratch::scratch_dir;
 
 fn mutated_opts() -> CheckOptions {
     CheckOptions { engines: vec![Engine::InMemory], mutation: Some(Mutation::NtAggOffByOne) }
@@ -16,7 +11,7 @@ fn mutated_opts() -> CheckOptions {
 
 #[test]
 fn injected_aggregation_bug_is_caught() {
-    let scratch = scratch("catch");
+    let scratch = scratch_dir("catch");
     let w = Workload::from_matrix(0);
     let outcome = check_workload(&w, &scratch, &mutated_opts()).expect("harness runs");
     assert!(
@@ -28,7 +23,7 @@ fn injected_aggregation_bug_is_caught() {
 
 #[test]
 fn injected_bug_shrinks_to_tiny_repro() {
-    let scratch = scratch("shrink");
+    let scratch = scratch_dir("shrink");
     let w = Workload::from_matrix(0);
     let opts = mutated_opts();
     let outcome = check_workload(&w, &scratch, &opts).expect("harness runs");
@@ -58,7 +53,7 @@ fn injected_bug_shrinks_to_tiny_repro() {
 
 #[test]
 fn clean_build_passes_without_mutation() {
-    let scratch = scratch("clean");
+    let scratch = scratch_dir("clean");
     let w = Workload::from_matrix(0);
     let opts = CheckOptions { engines: vec![Engine::InMemory], mutation: None };
     let outcome = check_workload(&w, &scratch, &opts).expect("harness runs");

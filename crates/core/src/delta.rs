@@ -10,7 +10,7 @@
 //!
 //! 1. **Append** — journal intent in an [`IngestManifest`] (CRC-guarded,
 //!    atomically replaced, like the build's
-//!    [`BuildManifest`](crate::manifest::BuildManifest)), then append the
+//!    [`BuildManifest`]), then append the
 //!    re-rowid'd delta to the fact relation and fsync it.
 //! 2. **Merge** — journal phase `Merging` (the delta is now durable), then
 //!    run [`update_cube`] into a [`DiskSink`] under the *other* prefix,

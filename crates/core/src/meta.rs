@@ -120,10 +120,10 @@ impl CubeMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cure_storage::scratch::scratch_dir;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_meta_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("meta_{tag}"));
         Catalog::open(&dir).unwrap()
     }
 

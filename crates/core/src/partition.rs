@@ -128,7 +128,7 @@ pub fn select_partition_level(
 ///
 /// The per-partition passes run on `threads` workers; `1` runs them one
 /// after another on the calling thread. The output is **byte-identical**
-/// at any thread count (see [`run_partition_passes`]). `part_prefix`
+/// at any thread count (see `run_partition_passes`). `part_prefix`
 /// namespaces the temporary partition relations, which are dropped
 /// before returning.
 pub fn build_cure_cube(

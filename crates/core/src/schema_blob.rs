@@ -226,9 +226,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_a_catalog() {
-        let dir = std::env::temp_dir().join("cure_schema_blob_rt");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = cure_storage::scratch::scratch_dir("schema_blob");
         let catalog = Catalog::open(&dir).unwrap();
         assert!(read_schema_blob(&catalog).unwrap().is_none());
         let schema = sample_schema();

@@ -189,10 +189,10 @@ mod tests {
     use super::*;
     use crate::hierarchy::Dimension;
     use crate::manifest::{BuildManifest, BuildPhase};
+    use cure_storage::scratch::scratch_dir;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_shard_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("shard_{tag}"));
         Catalog::open(&dir).unwrap()
     }
 

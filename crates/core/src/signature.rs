@@ -26,8 +26,6 @@
 //! NTs or duplicate CAT groups). The paper's Figure 18 measures exactly
 //! this trade-off; `flushes()` and `len()` expose what experiments need.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::error::Result;
 use crate::lattice::NodeId;
 use crate::sink::{CatFormat, CatFormatPolicy, CubeSink};
@@ -115,9 +113,6 @@ pub struct SignaturePool {
     nodes: Vec<NodeId>,
     policy: CatFormatPolicy,
     decided: Option<CatFormat>,
-    /// Cross-pool decision cell for parallel builds: the first pool to
-    /// decide publishes the format; every other pool adopts it.
-    shared: Option<Arc<OnceLock<CatFormat>>>,
     /// Recording mode: flushes are sealed here instead of being written.
     record: Option<Vec<SealedFlush>>,
     flushes: u64,
@@ -156,7 +151,6 @@ impl SignaturePool {
             nodes: Vec::new(),
             policy,
             decided,
-            shared: None,
             record: None,
             flushes: 0,
             total_signatures: 0,
@@ -168,17 +162,6 @@ impl SignaturePool {
             cat_tuples: 0,
             write_secs: 0.0,
         }
-    }
-
-    /// Share the CAT-format decision with other pools (parallel builds):
-    /// whichever pool decides first publishes into the cell; later pools
-    /// adopt that format instead of deciding from their own statistics.
-    pub fn with_shared_decision(mut self, cell: Arc<OnceLock<CatFormat>>) -> Self {
-        if let Some(&f) = cell.get() {
-            self.decided = Some(f);
-        }
-        self.shared = Some(cell);
-        self
     }
 
     /// Switch the pool into recording mode: every flush is sorted and
@@ -243,11 +226,6 @@ impl SignaturePool {
     /// Seconds spent classifying and writing flushed signatures.
     pub fn write_secs(&self) -> f64 {
         self.write_secs
-    }
-
-    /// Approximate pool memory footprint in bytes at full capacity.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity * (self.y * 8 + 8 + 8)
     }
 
     /// Add a signature, flushing first if the pool is full (Figure 13,
@@ -359,14 +337,6 @@ impl SignaturePool {
         let same_aggs = |a: usize, b: usize| aggs[a * y..(a + 1) * y] == aggs[b * y..(b + 1) * y];
         self.flushes += 1;
 
-        // Adopt a decision another pool has published meanwhile.
-        if self.decided.is_none() {
-            if let Some(cell) = &self.shared {
-                if let Some(&f) = cell.get() {
-                    self.decided = Some(f);
-                }
-            }
-        }
         // Pass 1 (only while undecided): gather k/n statistics.
         if self.decided.is_none() {
             let mut i = 0usize;
@@ -398,10 +368,7 @@ impl SignaturePool {
                 } else {
                     CatFormat::Coincidental
                 };
-                self.decided = Some(match &self.shared {
-                    Some(cell) => *cell.get_or_init(|| f),
-                    None => f,
-                });
+                self.decided = Some(f);
             }
         }
         if let Some(f) = self.decided {
@@ -507,9 +474,6 @@ impl SignaturePool {
         self.n_sum = st.n_sum;
         self.flushes = st.flushes;
         self.total_signatures = st.total_signatures;
-        if let (Some(f), Some(cell)) = (st.decided, &self.shared) {
-            let _ = cell.set(f);
-        }
         Ok(())
     }
 }
@@ -658,14 +622,6 @@ mod tests {
         let mut pool = SignaturePool::new(1, 10, CatFormatPolicy::Auto);
         pool.flush(&mut sink).unwrap();
         assert_eq!(pool.flushes(), 0);
-    }
-
-    #[test]
-    fn capacity_bytes_matches_paper_shape() {
-        // The paper: a pool of 10^6 signatures occupies ≈ (Y+2)·4 MB with
-        // 4-byte fields; ours uses 8-byte fields → (Y+2)·8 MB.
-        let pool = SignaturePool::new(2, 1_000_000, CatFormatPolicy::Auto);
-        assert_eq!(pool.capacity_bytes(), 1_000_000 * (2 * 8 + 16));
     }
 
     #[test]

@@ -268,11 +268,11 @@ impl Tuples {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cure_storage::scratch::scratch_dir;
     use cure_storage::{Catalog, Value};
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_tuples_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("tuples_{tag}"));
         Catalog::open(&dir).unwrap()
     }
 

@@ -11,7 +11,7 @@
 #![cfg(feature = "fault-injection")]
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use cure_core::cube::CubeConfig;
@@ -20,13 +20,8 @@ use cure_core::{
     build_cure_cube_durable, CubeSchema, Dimension, DurableOptions, DurableReport, Tuples,
 };
 use cure_storage::io::{FaultInjector, FaultKind, IoPolicy};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure_faultrec_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn test_schema() -> CubeSchema {
     let a = Dimension::linear(
@@ -112,7 +107,7 @@ fn reference() -> (BTreeMap<String, Vec<u8>>, u64, u64) {
 }
 
 fn build_reference() -> (BTreeMap<String, Vec<u8>>, u64, u64) {
-    let dir = fresh_dir("reference");
+    let dir = scratch_dir("reference");
     let schema = test_schema();
     {
         let plain = Catalog::open(&dir).unwrap();
@@ -128,7 +123,7 @@ fn build_reference() -> (BTreeMap<String, Vec<u8>>, u64, u64) {
 fn sweep(tag: &str, make: impl Fn(u64) -> FaultInjector, points: u64) {
     let (want, _, _) = reference();
     let schema = test_schema();
-    let dir = fresh_dir(tag);
+    let dir = scratch_dir(tag);
     {
         let plain = Catalog::open(&dir).unwrap();
         store_fact(&plain, &schema, 250, 42);

@@ -12,6 +12,7 @@ use cure_core::{
     reference, CatFormat, CatFormatPolicy, CubeSchema, Dimension, MemCubeReader, MemSink,
     NodeCoder, PlanSpec, SortPolicy, Tuples,
 };
+use cure_storage::scratch::scratch_dir;
 use proptest::prelude::*;
 
 /// Strategy: a random linear-hierarchy dimension with ≤3 levels and small
@@ -209,12 +210,7 @@ proptest! {
     #[test]
     fn partitioned_equals_oracle((schema, t) in arb_dataset(), budget_div in 2usize..12) {
         // Store the facts, then build with a budget of tuples/budget_div.
-        let dir = std::env::temp_dir().join(format!(
-            "cure_prop_part_{}_{budget_div}_{}",
-            std::process::id(),
-            t.len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("prop_part");
         let catalog = cure_storage::Catalog::open(&dir).unwrap();
         let mut heap = catalog
             .create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), schema.num_measures()))
@@ -260,13 +256,7 @@ proptest! {
             let target = if i < n_base { &mut base } else { &mut delta };
             target.push(all.dims_of(i), all.aggs_of(i), 1, all.rowid(i));
         }
-        let dir = std::env::temp_dir().join(format!(
-            "cure_prop_upd_{}_{}_{}",
-            std::process::id(),
-            all.len(),
-            split_pct
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("prop_upd");
         let catalog = cure_storage::Catalog::open(&dir).unwrap();
         let mut heap = catalog
             .create_or_replace("facts", Tuples::fact_schema(schema.num_dims(), schema.num_measures()))

@@ -9,7 +9,8 @@
 //! crate).
 //!
 //! Both [`ReadPath`]s answer through the one resolution engine,
-//! [`crate::resolve`]; the read path only chooses where pages come from:
+//! the crate-private `resolve` module; the read path only chooses where
+//! pages come from:
 //!
 //! * [`ReadPath::Cache`] opens each relation read-only, reads node
 //!   sources with `pread` (opened on first use and kept for the epoch),
@@ -481,16 +482,14 @@ mod tests {
     use cure_core::cube::{CubeBuilder, CubeConfig};
     use cure_core::sink::DiskSink;
     use cure_core::{CubeSchema, Dimension, Tuples};
+    use cure_storage::scratch::scratch_dir;
     use cure_storage::Catalog;
 
     use super::*;
     use crate::CureCube;
 
     fn build_test_cube(tag: &str) -> (Arc<Catalog>, Arc<CubeSchema>, String) {
-        let dir =
-            std::env::temp_dir().join(format!("cure_concurrent_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let catalog = Catalog::open(dir).unwrap();
+        let catalog = Catalog::open(scratch_dir(&format!("concurrent_{tag}"))).unwrap();
         let schema = CubeSchema::new(
             vec![Dimension::flat("A", 6), Dimension::flat("B", 5), Dimension::flat("C", 4)],
             2,

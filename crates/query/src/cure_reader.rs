@@ -22,14 +22,14 @@
 //! concurrent handle, it opens the cube's segment once and keeps it for
 //! the handle's lifetime.
 //!
-//! The resolution semantics live in [`crate::resolve`], shared with the
-//! thread-safe [`ConcurrentCube`](crate::concurrent::ConcurrentCube) on
-//! both its read paths; this type is the exclusive (`&mut self`) front
-//! end over them. Like every reader it opens relations read-only.
+//! The resolution semantics live in the crate-private `resolve` module,
+//! shared with the thread-safe
+//! [`ConcurrentCube`](crate::concurrent::ConcurrentCube) on both its read
+//! paths; this type is the exclusive (`&mut self`) front end over them. Like every reader it opens relations read-only.
 
 use cure_core::meta::CubeMeta;
 use cure_core::sink::aggregates_rel_name;
-use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result, Tuples};
+use cure_core::{CubeError, CubeSchema, NodeCoder, NodeId, PlanSpec, Result};
 use cure_storage::{BitmapIndex, BufferCache, Catalog, HeapFile, Schema};
 
 use crate::concurrent::ReadPath;
@@ -344,11 +344,4 @@ impl<'a> CureCube<'a> {
         self.stats.rows += out.len() as u64;
         Ok(out)
     }
-}
-
-/// Load the fact relation a cube references into memory (test helper and
-/// roll-up substrate).
-pub fn load_fact_tuples(catalog: &Catalog, meta: &CubeMeta) -> Result<Tuples> {
-    let rel = catalog.open_sealed(&meta.fact_rel)?;
-    Tuples::load_fact(&rel, meta.n_dims, meta.n_measures)
 }

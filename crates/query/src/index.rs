@@ -193,10 +193,10 @@ pub struct Predicate {
 mod tests {
     use super::*;
     use cure_core::{Dimension, Tuples};
+    use cure_storage::scratch::scratch_dir;
 
     fn fresh_catalog(tag: &str) -> Catalog {
-        let dir = std::env::temp_dir().join(format!("cure_vidx_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("vidx_{tag}"));
         Catalog::open(&dir).unwrap()
     }
 

@@ -13,11 +13,11 @@ use cure_core::sink::{CatFormatPolicy, DiskSink, RowResolver};
 use cure_core::{reference, CubeSchema, Dimension, NodeCoder, Tuples};
 use cure_query::rollup::{flat_node_for, rollup};
 use cure_query::{BubstCube, BucCube, CureCube};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
 fn fresh_catalog(tag: &str) -> Catalog {
-    let dir = std::env::temp_dir().join(format!("cure_e2e_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("e2e_{tag}"));
     Catalog::open(&dir).unwrap()
 }
 

@@ -19,6 +19,7 @@ use cure_core::{CubeError, CubeSchema, Dimension, Tuples};
 use cure_query::{
     Attribution, CacheConfig, ConcurrentCube, CubeRow, PageQuarantine, QueryGuard, ReadPath,
 };
+use cure_storage::scratch::scratch_dir;
 use cure_storage::{Catalog, MmapRelation, SharedBufferCache, StorageError};
 
 fn make_schema() -> CubeSchema {
@@ -59,8 +60,7 @@ fn make_tuples(schema: &CubeSchema, n: usize, seed: u64) -> Tuples {
 
 /// Build one cube variant on disk and return its opened catalog.
 fn build_variant(dr: bool, plus: bool, tag: &str) -> (Arc<Catalog>, Arc<CubeSchema>) {
-    let dir = std::env::temp_dir().join(format!("cure_mmapdiff_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("mmapdiff_{tag}"));
     let catalog = Catalog::open(&dir).unwrap();
     let schema = make_schema();
     let t = make_tuples(&schema, 2_000, 0xD1FF);

@@ -8,6 +8,7 @@ use cure_core::meta::CubeMeta;
 use cure_core::sink::DiskSink;
 use cure_core::{reference, CubeSchema, Dimension, NodeCoder, Tuples};
 use cure_query::CureCube;
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 use proptest::prelude::*;
 
@@ -55,12 +56,8 @@ proptest! {
 
     /// Disk cubes (plain and CURE+) answer every node like the oracle.
     #[test]
-    fn disk_cube_queries_equal_oracle((schema, t, plus) in arb_case(), case_id in any::<u64>()) {
-        let dir = std::env::temp_dir().join(format!(
-            "cure_qprop_{}_{case_id}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn disk_cube_queries_equal_oracle((schema, t, plus) in arb_case()) {
+        let dir = scratch_dir("qprop");
         let catalog = Catalog::open(&dir).unwrap();
         let mut heap = catalog
             .create_or_replace("facts", Tuples::fact_schema(2, schema.num_measures()))

@@ -5,7 +5,7 @@
 //! cursor, and deadline bookkeeping drive an in-process replica and a
 //! remote shard-server process identically. Two implementations exist:
 //!
-//! * [`CubeService`](crate::CubeService) — the in-process backend;
+//! * [`CubeService`] — the in-process backend;
 //! * [`RemoteShardBackend`](crate::net::RemoteShardBackend) — a socket
 //!   client speaking the [`wire`](crate::wire) protocol.
 //!

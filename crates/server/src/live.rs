@@ -17,25 +17,24 @@
 //! Crash semantics compose with the ingest journal: the writer keeps the
 //! old prefix (`drop_old: false`) so an interrupted swap can always roll
 //! back or forward via [`recover_ingest`], which
-//! [`LiveCubeService::open`] runs before serving; retired epochs a
-//! previous process never got to GC are swept at open, too.
+//! [`LiveCubeService::open_with_read_path`] runs before serving. Retired
+//! epochs a previous process never got to GC are swept at open too, but
+//! only once the active epoch's cube has opened, and only epochs older
+//! than it: a damaged active-cube pointer fails the open and deletes
+//! nothing.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use cure_core::delta::{
     abort_ingest, active_prefix, ingest_cube_into, recover_ingest, IngestOptions, IngestRecovery,
 };
 use cure_core::{CubeConfig, CubeSchema, IngestReport, NodeId, Result};
-use cure_query::{CacheConfig, ConcurrentCube, CubeRow, ReadPath};
+use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
 use cure_storage::Catalog;
 use parking_lot::{Mutex, RwLock};
-
-use crate::metrics::ServeMetrics;
-use crate::stats::IngestTotals;
 
 /// Prefix family of live-ingest epochs: `live_e<N>_`.
 fn epoch_prefix(epoch: u64) -> String {
@@ -71,38 +70,18 @@ pub struct LiveCubeService {
     /// readable through an existing mapping).
     read_path: ReadPath,
     current: RwLock<Arc<ConcurrentCube>>,
-    metrics: Arc<ServeMetrics>,
     writer: Mutex<WriterState>,
     epoch: AtomicU64,
-    batches: AtomicU64,
-    delta_rows: AtomicU64,
-    tt_demotions: AtomicU64,
-    merged_groups: AtomicU64,
-    carried_groups: AtomicU64,
-    new_groups: AtomicU64,
-    dropped_objects: AtomicU64,
-    append_nanos: AtomicU64,
-    merge_nanos: AtomicU64,
-    /// The merge time split: walk, sink, sync and GC nanoseconds.
-    split_nanos: [AtomicU64; 4],
 }
 
 impl LiveCubeService {
-    /// Open the active cube for live serving. Resolves any interrupted
-    /// ingest first (roll back or forward via the journal) and sweeps
+    /// Open the active cube for live serving on `read_path`. Resolves any
+    /// interrupted ingest first (roll back or forward via the journal),
+    /// opens the active epoch's cube, and only then sweeps the older
     /// epoch prefixes a previous process retired but never dropped.
-    pub fn open(
-        catalog: Arc<Catalog>,
-        schema: Arc<CubeSchema>,
-        caches: CacheConfig,
-        cfg: &CubeConfig,
-    ) -> Result<Self> {
-        Self::open_with_read_path(catalog, schema, caches, cfg, ReadPath::Cache)
-    }
-
-    /// [`open`](Self::open) on an explicit [`ReadPath`]. With
-    /// [`ReadPath::Mmap`] every epoch — the one opened here and each one
-    /// swapped in by [`apply_delta`](Self::apply_delta) — is served
+    ///
+    /// With [`ReadPath::Mmap`] every epoch — the one opened here and each
+    /// one swapped in by [`apply_delta`](Self::apply_delta) — is served
     /// through the zero-copy mmap index; a pinned snapshot's mappings
     /// stay valid across swaps because GC is deferred until the
     /// snapshot's `Arc` is released.
@@ -115,8 +94,9 @@ impl LiveCubeService {
     ) -> Result<Self> {
         recover_ingest(&catalog, &schema, cfg)?;
         let active = active_prefix(&catalog);
-        let epoch = epoch_of(&active).unwrap_or(0);
-        Self::sweep_stale_epochs(&catalog, epoch)?;
+        // Open before sweeping: `active_prefix` maps an unreadable or
+        // damaged pointer to some prefix, and only a cube that opens
+        // proves the pointer names the live epoch.
         let cube = Arc::new(ConcurrentCube::open_with_read_path(
             Arc::clone(&catalog),
             Arc::clone(&schema),
@@ -124,37 +104,30 @@ impl LiveCubeService {
             caches,
             read_path,
         )?);
+        let epoch = epoch_of(&active).unwrap_or(0);
+        Self::sweep_stale_epochs(&catalog, epoch)?;
         Ok(LiveCubeService {
             catalog,
             schema,
             caches,
             read_path,
             current: RwLock::new(cube),
-            metrics: Arc::new(ServeMetrics::new()),
             writer: Mutex::new(WriterState { retired: Vec::new() }),
             epoch: AtomicU64::new(epoch),
-            batches: AtomicU64::new(0),
-            delta_rows: AtomicU64::new(0),
-            tt_demotions: AtomicU64::new(0),
-            merged_groups: AtomicU64::new(0),
-            carried_groups: AtomicU64::new(0),
-            new_groups: AtomicU64::new(0),
-            dropped_objects: AtomicU64::new(0),
-            append_nanos: AtomicU64::new(0),
-            merge_nanos: AtomicU64::new(0),
-            split_nanos: Default::default(),
         })
     }
 
-    /// Drop every `live_e<K>_` prefix except the active epoch's — leftovers
-    /// of a previous session that crashed between swap and GC.
-    fn sweep_stale_epochs(catalog: &Catalog, keep: u64) -> Result<()> {
+    /// Drop every `live_e<K>_` prefix older than the active epoch —
+    /// leftovers of a previous session that crashed between swap and GC.
+    /// Newer prefixes are partial ingests, which `recover_ingest` has
+    /// already resolved through the journal.
+    fn sweep_stale_epochs(catalog: &Catalog, active: u64) -> Result<()> {
         let mut stale: Vec<u64> = Vec::new();
         for name in catalog.list()?.into_iter().chain(catalog.list_blobs()?) {
             if let Some(rest) = name.strip_prefix("live_e") {
                 if let Some((num, _)) = rest.split_once('_') {
                     if let Ok(e) = num.parse::<u64>() {
-                        if e != keep && !stale.contains(&e) {
+                        if e < active && !stale.contains(&e) {
                             stale.push(e);
                         }
                     }
@@ -182,28 +155,6 @@ impl LiveCubeService {
     /// The read path every epoch of this service is opened on.
     pub fn read_path(&self) -> ReadPath {
         self.read_path
-    }
-
-    /// Answer a node query on the current epoch, recording latency and
-    /// row count into the shared metrics. Never blocks on the writer.
-    pub fn query(&self, node: NodeId) -> Result<Vec<CubeRow>> {
-        let snap = self.snapshot();
-        let start = Instant::now();
-        match snap.node_query(node) {
-            Ok(rows) => {
-                self.metrics.record_query(rows.len(), start.elapsed());
-                Ok(rows)
-            }
-            Err(e) => {
-                self.metrics.record_error_kind(crate::service::classify_cube_error(&e));
-                Err(e)
-            }
-        }
-    }
-
-    /// The serving metrics shared by every query on this service.
-    pub fn metrics(&self) -> &Arc<ServeMetrics> {
-        &self.metrics
     }
 
     /// Number of nodes in the cube's lattice.
@@ -265,20 +216,6 @@ impl LiveCubeService {
         };
         self.epoch.store(next, Ordering::Release);
         w.retired.push((old_prefix, old_cube));
-
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.delta_rows.fetch_add(report.delta_rows, Ordering::Relaxed);
-        self.tt_demotions.fetch_add(report.update.tt_demotions, Ordering::Relaxed);
-        self.merged_groups.fetch_add(report.update.merged_groups, Ordering::Relaxed);
-        self.carried_groups.fetch_add(report.update.carried_groups, Ordering::Relaxed);
-        self.new_groups.fetch_add(report.update.new_groups, Ordering::Relaxed);
-        self.append_nanos.fetch_add((report.append_secs * 1e9) as u64, Ordering::Relaxed);
-        self.merge_nanos.fetch_add((report.merge_secs * 1e9) as u64, Ordering::Relaxed);
-        let split = [report.walk_secs, report.sink_secs, report.sync_secs, report.gc_secs];
-        for (total, secs) in self.split_nanos.iter().zip(split) {
-            total.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
-        }
-
         self.gc_retired(&mut w);
         Ok(report)
     }
@@ -336,13 +273,8 @@ impl LiveCubeService {
                 eprintln!("cure-serve: warning: rollback after failed delta ingest failed: {re}");
             }
         }
-        match self.catalog.drop_prefix(new_prefix) {
-            Ok(n) => {
-                self.dropped_objects.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            Err(de) => {
-                eprintln!("cure-serve: warning: GC of partial epoch '{new_prefix}' failed: {de}");
-            }
+        if let Err(de) = self.catalog.drop_prefix(new_prefix) {
+            eprintln!("cure-serve: warning: GC of partial epoch '{new_prefix}' failed: {de}");
         }
         err
     }
@@ -352,16 +284,12 @@ impl LiveCubeService {
     /// retired list) proves no reader holds it and none can get it again.
     fn gc_retired(&self, w: &mut WriterState) {
         let catalog = &self.catalog;
-        let dropped = &self.dropped_objects;
         w.retired.retain(|(prefix, cube)| {
             if Arc::strong_count(cube) > 1 {
                 return true;
             }
             match catalog.drop_prefix(prefix) {
-                Ok(n) => {
-                    dropped.fetch_add(n as u64, Ordering::Relaxed);
-                    false
-                }
+                Ok(_) => false,
                 Err(e) => {
                     eprintln!("cure-serve: warning: GC of retired epoch '{prefix}' failed: {e}");
                     true
@@ -376,26 +304,6 @@ impl LiveCubeService {
         let mut w = self.writer.lock();
         self.gc_retired(&mut w);
         w.retired.len()
-    }
-
-    /// Cumulative ingest counters for the observability spine.
-    pub fn ingest_totals(&self) -> IngestTotals {
-        IngestTotals {
-            epoch: self.epoch(),
-            batches: self.batches.load(Ordering::Relaxed),
-            delta_rows: self.delta_rows.load(Ordering::Relaxed),
-            tt_demotions: self.tt_demotions.load(Ordering::Relaxed),
-            merged_groups: self.merged_groups.load(Ordering::Relaxed),
-            carried_groups: self.carried_groups.load(Ordering::Relaxed),
-            new_groups: self.new_groups.load(Ordering::Relaxed),
-            dropped_objects: self.dropped_objects.load(Ordering::Relaxed),
-            append_secs: self.append_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            merge_secs: self.merge_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            walk_secs: self.split_nanos[0].load(Ordering::Relaxed) as f64 / 1e9,
-            sink_secs: self.split_nanos[1].load(Ordering::Relaxed) as f64 / 1e9,
-            sync_secs: self.split_nanos[2].load(Ordering::Relaxed) as f64 / 1e9,
-            gc_secs: self.split_nanos[3].load(Ordering::Relaxed) as f64 / 1e9,
-        }
     }
 }
 

@@ -72,7 +72,6 @@ pub struct ShardServer {
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     accept_thread: Option<thread::JoinHandle<()>>,
-    active: Arc<AtomicUsize>,
 }
 
 impl ShardServer {
@@ -94,7 +93,6 @@ impl ShardServer {
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let active = Arc::clone(&active);
             thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
@@ -130,17 +128,12 @@ impl ShardServer {
                 }
             })
         };
-        Ok(ShardServer { addr, stop, conns, accept_thread: Some(accept_thread), active })
+        Ok(ShardServer { addr, stop, conns, accept_thread: Some(accept_thread) })
     }
 
     /// The address the server actually bound (resolves `:0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
     }
 
     /// Hard-stop: shut every live connection down mid-stream without
@@ -297,7 +290,6 @@ struct RemoteInner {
     endpoint: Mutex<String>,
     shard: u32,
     num_nodes: NodeId,
-    mmap: bool,
     pool: Mutex<Vec<TcpStream>>,
     counters: WireCounters,
     metrics: Arc<ServeMetrics>,
@@ -336,12 +328,11 @@ impl RemoteShardBackend {
             }
             match read_frame(&mut stream) {
                 Ok((t, p)) => match decode_response(t, &p) {
-                    Ok(Response::HelloAck { shard, num_nodes, mmap }) => {
+                    Ok(Response::HelloAck { shard, num_nodes, .. }) => {
                         let inner = RemoteInner {
                             endpoint: Mutex::new(endpoint.to_string()),
                             shard,
                             num_nodes,
-                            mmap,
                             pool: Mutex::new(vec![stream]),
                             counters: WireCounters::new(),
                             metrics: Arc::new(ServeMetrics::new()),
@@ -383,11 +374,6 @@ impl RemoteShardBackend {
         self.inner.endpoint.lock().clone()
     }
 
-    /// Whether the remote server reads through mmap.
-    pub fn remote_mmap(&self) -> bool {
-        self.inner.mmap
-    }
-
     /// Point this backend at a new endpoint (a respawned server) and
     /// drop every pooled connection to the old one.
     pub fn redirect(&self, new_endpoint: &str) {
@@ -396,11 +382,6 @@ impl RemoteShardBackend {
         drop(ep);
         self.inner.pool.lock().clear();
         self.inner.counters.add_reconnect();
-    }
-
-    /// The socket counters this backend records into.
-    pub fn wire_counters(&self) -> &WireCounters {
-        &self.inner.counters
     }
 
     fn breaker_key(&self) -> String {

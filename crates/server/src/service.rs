@@ -364,10 +364,4 @@ impl CubeService {
     pub fn breaker_state(&self) -> BreakerState {
         self.resilience.breakers.state(&self.cube.fact_relation())
     }
-
-    /// Number of relations currently tracked by the breaker registry
-    /// (bounded: closed, idle entries are pruned past a small floor).
-    pub fn breaker_count(&self) -> usize {
-        self.resilience.breakers.len()
-    }
 }

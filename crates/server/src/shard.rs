@@ -238,16 +238,6 @@ impl ShardRouter {
         })
     }
 
-    /// Number of shards the router scatters over.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Number of replicas backing each shard.
-    pub fn replica_count(&self) -> usize {
-        self.inner.shards.first().map_or(0, |s| s.replicas.len())
-    }
-
     /// Number of nodes in the logical cube's lattice.
     pub fn num_nodes(&self) -> NodeId {
         self.inner.num_nodes
@@ -293,16 +283,6 @@ impl ShardRouter {
             .iter()
             .flat_map(|s| s.replicas.iter())
             .fold(WireTotals::default(), |acc, r| acc.merged(r.wire_totals()))
-    }
-
-    /// Per-replica descriptions, shard-major (`"in-process"`,
-    /// `"socket://…"`), for stats output.
-    pub fn describe_backends(&self) -> Vec<Vec<String>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.replicas.iter().map(|r| r.describe()).collect())
-            .collect()
     }
 
     /// Zero the router metrics and every replica backend's counters

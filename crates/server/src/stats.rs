@@ -2,11 +2,10 @@
 //! combining counters from every layer.
 //!
 //! The lower layers each expose plain counter structs —
-//! [`StorageCounters`](cure_storage::StorageCounters) for page/fsync/spill
-//! traffic, [`PhaseTimes`](cure_core::PhaseTimes) and
-//! [`PoolCounters`](cure_core::PoolCounters) inside a
-//! [`BuildReport`](cure_core::BuildReport) for the build, and
-//! [`IngestTotals`] for delta ingest. A [`StatsSnapshot`] stitches
+//! [`StorageCounters`] for page/fsync/checksum traffic,
+//! [`PhaseTimes`](cure_core::PhaseTimes) and
+//! [`PoolCounters`](cure_core::PoolCounters) inside a [`BuildReport`]
+//! for the build, and [`IngestTotals`] for delta ingest. A [`StatsSnapshot`] stitches
 //! whichever of those a command produced into a single JSON object
 //! (`cure-cli build|ingest … --stats file.json`), so one file answers
 //! "what did this run cost in I/O and time". Sections a command did not
@@ -30,10 +29,9 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect::<BTreeMap<_, _>>())
 }
 
-/// Cumulative ingest counters: [`UpdateReport`](cure_core::UpdateReport)
-/// totals plus the epoch/batch bookkeeping of one-shot (`cure-cli
-/// ingest`) or live ([`LiveCubeService`](crate::LiveCubeService)) delta
-/// application.
+/// Ingest counters: [`UpdateReport`](cure_core::UpdateReport) totals
+/// plus the epoch/batch bookkeeping of a one-shot (`cure-cli ingest`)
+/// delta application.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestTotals {
     /// Epoch counter after the last applied batch.
@@ -154,7 +152,7 @@ impl StatsSnapshot {
     }
 
     /// Record the storage-layer section: page I/O, fsyncs, retry and
-    /// external-sort spill counters.
+    /// checksum counters.
     pub fn set_storage(&mut self, io: StorageCounters) {
         self.storage = Some(obj(vec![
             ("pages_read", json!(io.pages_read)),
@@ -164,8 +162,6 @@ impl StatsSnapshot {
             ("read_retries", json!(io.read_retries)),
             ("checksum_verifications", json!(io.checksum_verifications)),
             ("checksum_failures", json!(io.checksum_failures)),
-            ("sort_runs", json!(io.sort_runs)),
-            ("sort_spill_bytes", json!(io.sort_spill_bytes)),
         ]));
     }
 
@@ -262,8 +258,7 @@ mod tests {
             read_retries: 2,
             checksum_verifications: 9,
             checksum_failures: 1,
-            sort_runs: 4,
-            sort_spill_bytes: 4096,
+            ..StorageCounters::default()
         });
 
         let bytes = snap.to_pretty_bytes();
@@ -290,7 +285,6 @@ mod tests {
         assert_eq!(storage.get("read_retries").and_then(Value::as_u64), Some(2));
         assert_eq!(storage.get("checksum_verifications").and_then(Value::as_u64), Some(9));
         assert_eq!(storage.get("checksum_failures").and_then(Value::as_u64), Some(1));
-        assert_eq!(storage.get("sort_spill_bytes").and_then(Value::as_u64), Some(4096));
     }
 
     #[test]

@@ -568,26 +568,21 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Decode one frame from an in-memory buffer (the test/fuzz entry
-/// point; the socket paths use [`read_frame`]).
-pub fn decode_frame_bytes(bytes: &[u8]) -> Result<(u8, Vec<u8>), ProtocolError> {
-    let mut r = bytes;
-    match read_frame(&mut r) {
-        Ok(pair) => {
-            if r.is_empty() {
-                Ok(pair)
-            } else {
-                Err(ProtocolError::TrailingBytes)
-            }
-        }
-        Err(ReadFrameError::Protocol(p)) => Err(p),
-        Err(ReadFrameError::Io(_)) => Err(ProtocolError::Truncated),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode one frame from an in-memory buffer (the socket paths use
+    /// [`read_frame`]).
+    fn decode_frame_bytes(bytes: &[u8]) -> Result<(u8, Vec<u8>), ProtocolError> {
+        let mut r = bytes;
+        match read_frame(&mut r) {
+            Ok(pair) if r.is_empty() => Ok(pair),
+            Ok(_) => Err(ProtocolError::TrailingBytes),
+            Err(ReadFrameError::Protocol(p)) => Err(p),
+            Err(ReadFrameError::Io(_)) => Err(ProtocolError::Truncated),
+        }
+    }
 
     fn round_trip_request(req: Request) {
         let bytes = encode_request(&req);

@@ -9,6 +9,7 @@ use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
 use cure_core::sink::DiskSink;
 use cure_core::{CubeSchema, NodeId};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
 /// Relation prefix of the fixture cube.
@@ -19,8 +20,7 @@ pub const PREFIX: &str = "cube_";
 /// [`PREFIX`]. Returns the directory (callers open their own catalog
 /// over it, with whatever I/O policy they need) and the schema.
 pub fn apb_cube(tag: &str, density: f64, scale: u64, seed: u64) -> (PathBuf, Arc<CubeSchema>) {
-    let dir = std::env::temp_dir().join(format!("cure_serve_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("serve_{tag}"));
     let catalog = Catalog::open(&dir).unwrap();
     let ds = cure_data::apb::apb1_dense(density, scale, seed);
     ds.store(&catalog, "facts").unwrap();

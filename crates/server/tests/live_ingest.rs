@@ -14,8 +14,9 @@ use std::sync::Arc;
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::sink::{DiskSink, MemSink};
 use cure_core::{CubeSchema, Dimension, MemCubeReader, NodeCoder, NodeId, Tuples};
-use cure_query::{CacheConfig, CubeRow};
+use cure_query::{CacheConfig, CubeRow, ReadPath};
 use cure_serve::LiveCubeService;
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
 const BASE_ROWS: usize = 1_500;
@@ -68,10 +69,14 @@ fn oracle(schema: &CubeSchema, facts: &Tuples) -> BTreeMap<NodeId, Vec<CubeRow>>
         .collect()
 }
 
-/// Build the base cube on disk under the default active prefix `cube_`.
+/// Build the base cube on disk under the default active prefix `cube_`,
+/// in a fresh scratch directory.
 fn seed_base(tag: &str, schema: &CubeSchema, base: &Tuples) -> Arc<Catalog> {
-    let dir = std::env::temp_dir().join(format!("cure_live_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    seed_base_in(&scratch_dir(&format!("live_{tag}")), schema, base)
+}
+
+/// [`seed_base`] into a given directory.
+fn seed_base_in(dir: &std::path::Path, schema: &CubeSchema, base: &Tuples) -> Arc<Catalog> {
     let catalog = Catalog::open(dir).unwrap();
     let (d, y) = (schema.num_dims(), schema.num_measures());
     let mut heap = catalog.create_or_replace("facts", Tuples::fact_schema(d, y)).unwrap();
@@ -95,6 +100,20 @@ fn seed_base(tag: &str, schema: &CubeSchema, base: &Tuples) -> Arc<Catalog> {
     .write(&catalog)
     .unwrap();
     Arc::new(catalog)
+}
+
+/// Open a live service on the cache read path.
+fn open_live(
+    catalog: Arc<Catalog>,
+    schema: &Arc<CubeSchema>,
+) -> cure_core::Result<LiveCubeService> {
+    LiveCubeService::open_with_read_path(
+        catalog,
+        Arc::clone(schema),
+        CacheConfig::default(),
+        &CubeConfig::default(),
+        ReadPath::Cache,
+    )
 }
 
 /// Query every lattice node on one pinned snapshot, sorted.
@@ -150,17 +169,11 @@ fn failed_delta_keeps_active_epoch_serving_and_leaves_no_partial_state() {
     // Phase 1: learn the delta's write schedule on a twin catalog —
     // identical data and config give an identical schedule.
     let (open_writes, delta_writes) = {
-        drop(seed_base("faultlearn", &schema, &base));
-        let dir = std::env::temp_dir().join(format!("cure_live_faultlearn_{}", std::process::id()));
+        let dir = scratch_dir("live_faultlearn");
+        drop(seed_base_in(&dir, &schema, &base));
         let policy = Arc::new(FaultInjector::counting());
         let catalog = Arc::new(Catalog::open_with_policy(&dir, policy.clone()).unwrap());
-        let service = LiveCubeService::open(
-            catalog,
-            Arc::clone(&schema),
-            CacheConfig::default(),
-            &CubeConfig::default(),
-        )
-        .unwrap();
+        let service = open_live(catalog, &schema).unwrap();
         let at_open = policy.writes();
         service.apply_delta(&delta, &CubeConfig::default()).unwrap();
         (at_open, policy.writes() - at_open)
@@ -169,18 +182,12 @@ fn failed_delta_keeps_active_epoch_serving_and_leaves_no_partial_state() {
 
     // Phase 2: same data, but the write half-way through the merge fails
     // hard (one-shot EIO; retries don't absorb it).
-    drop(seed_base("faultinject", &schema, &base));
-    let dir = std::env::temp_dir().join(format!("cure_live_faultinject_{}", std::process::id()));
+    let dir = scratch_dir("live_faultinject");
+    drop(seed_base_in(&dir, &schema, &base));
     let fault_at = open_writes + delta_writes / 2;
     let policy = Arc::new(FaultInjector::fail_nth_write(fault_at, FaultKind::Error));
     let catalog = Arc::new(Catalog::open_with_policy(&dir, policy.clone()).unwrap());
-    let service = LiveCubeService::open(
-        Arc::clone(&catalog),
-        Arc::clone(&schema),
-        CacheConfig::default(),
-        &CubeConfig::default(),
-    )
-    .unwrap();
+    let service = open_live(Arc::clone(&catalog), &schema).unwrap();
     let pinned = service.snapshot();
 
     let err = service.apply_delta(&delta, &CubeConfig::default());
@@ -236,14 +243,14 @@ fn mmap_snapshot_survives_apply_delta_swap_and_deferred_gc() {
         Arc::clone(&schema),
         CacheConfig::default(),
         &CubeConfig::default(),
-        cure_query::ReadPath::Mmap,
+        ReadPath::Mmap,
     )
     .unwrap();
-    assert_eq!(service.read_path(), cure_query::ReadPath::Mmap);
+    assert_eq!(service.read_path(), ReadPath::Mmap);
 
     // Pin epoch 0 (holding its mmaps) and record its answers.
     let pinned = service.snapshot();
-    assert_eq!(pinned.read_path(), cure_query::ReadPath::Mmap);
+    assert_eq!(pinned.read_path(), ReadPath::Mmap);
     let before = snapshot_answers(&pinned, &nodes);
     for (id, rows) in &before {
         assert_eq!(rows, &base_oracle[id], "epoch 0 node {id} diverged from base oracle");
@@ -261,7 +268,7 @@ fn mmap_snapshot_survives_apply_delta_swap_and_deferred_gc() {
 
     // The new epoch serves the merged cube through fresh mmaps.
     let fresh = service.snapshot();
-    assert_eq!(fresh.read_path(), cure_query::ReadPath::Mmap);
+    assert_eq!(fresh.read_path(), ReadPath::Mmap);
     for (id, rows) in &snapshot_answers(&fresh, &nodes) {
         assert_eq!(rows, &merged_oracle[id], "epoch 1 node {id} diverged from merged oracle");
     }
@@ -295,15 +302,7 @@ fn pinned_snapshots_stay_byte_identical_across_writer_swaps() {
     }
 
     let catalog = seed_base("swap", &schema, &base);
-    let service = Arc::new(
-        LiveCubeService::open(
-            Arc::clone(&catalog),
-            Arc::clone(&schema),
-            CacheConfig::default(),
-            &CubeConfig::default(),
-        )
-        .unwrap(),
-    );
+    let service = Arc::new(open_live(Arc::clone(&catalog), &schema).unwrap());
     let nodes: Vec<NodeId> = NodeCoder::new(&schema).all_ids().collect();
     assert_eq!(service.epoch(), 0);
 
@@ -373,11 +372,7 @@ fn pinned_snapshots_stay_byte_identical_across_writer_swaps() {
     let final_answers = snapshot_answers(&service.snapshot(), &nodes);
     assert_eq!(matching_epoch(&final_answers, &oracles), BATCHES);
 
-    // The ingest counters aggregated every batch.
-    let totals = service.ingest_totals();
-    assert_eq!(totals.epoch, BATCHES as u64);
-    assert_eq!(totals.batches, BATCHES as u64);
-    assert_eq!(totals.delta_rows, (BATCHES * DELTA_ROWS) as u64);
+    assert_eq!(service.epoch(), BATCHES as u64);
 
     // The pinned epoch-0 handle *still* serves the base cube even though
     // its prefix is retired; releasing it lets deferred GC drain, leaving
@@ -391,5 +386,59 @@ fn pinned_snapshots_stay_byte_identical_across_writer_swaps() {
             name == "facts" || name == "active_cube" || name.starts_with(&live),
             "stale object survived GC: {name}"
         );
+    }
+}
+
+/// A damaged active-cube pointer must fail the open and delete nothing.
+/// A pointer flipped from `live_e2_` to `xive_e2_` names no cube and
+/// parses as epoch 0, so an open that swept stale epochs before opening
+/// the active one would drop the live cube.
+#[test]
+fn damaged_active_pointer_fails_open_and_deletes_nothing() {
+    let schema = Arc::new(make_schema());
+    let base = make_tuples(&schema, 500, 0xAC7, 0);
+    let deltas = [make_tuples(&schema, 80, 0xD1, 0), make_tuples(&schema, 80, 0xD2, 0)];
+    let mut cumulative = base.clone();
+    for d in &deltas {
+        for i in 0..d.len() {
+            cumulative.push_fact(d.dims_of(i), d.aggs_of(i), cumulative.len() as u64);
+        }
+    }
+    let merged_oracle = oracle(&schema, &cumulative);
+    let nodes: Vec<NodeId> = NodeCoder::new(&schema).all_ids().collect();
+
+    let catalog = seed_base("damaged_ptr", &schema, &base);
+    {
+        let service = open_live(Arc::clone(&catalog), &schema).unwrap();
+        for d in &deltas {
+            service.apply_delta(d, &CubeConfig::default()).unwrap();
+        }
+        assert_eq!(service.epoch(), 2);
+    }
+    let listing = || -> Vec<String> {
+        let mut names: Vec<String> =
+            catalog.list().unwrap().into_iter().chain(catalog.list_blobs().unwrap()).collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    assert!(before.iter().any(|n| n.starts_with("live_e2_")), "no live epoch: {before:?}");
+
+    // Flip one byte of the pointer: `live_e2_` -> `xive_e2_`.
+    let blob = catalog.dir().join("active_cube.blob");
+    let mut bytes = std::fs::read(&blob).unwrap();
+    assert_eq!(bytes, b"live_e2_");
+    bytes[0] = b'x';
+    std::fs::write(&blob, &bytes).unwrap();
+
+    assert!(open_live(Arc::clone(&catalog), &schema).is_err(), "a dangling pointer opened");
+    assert_eq!(listing(), before, "a failed open changed the catalog");
+
+    // Repairing the pointer brings the untouched epoch back.
+    cure_core::delta::set_active_prefix(&catalog, "live_e2_").unwrap();
+    let service = open_live(Arc::clone(&catalog), &schema).unwrap();
+    assert_eq!(service.epoch(), 2);
+    for (id, rows) in &snapshot_answers(&service.snapshot(), &nodes) {
+        assert_eq!(rows, &merged_oracle[id], "node {id} diverged after the pointer repair");
     }
 }

@@ -12,6 +12,7 @@ use cure_core::{
     Tuples,
 };
 use cure_serve::{replicate_shards, QueryOptions, ServeError, ShardRouter, ShardRouterConfig};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
 /// A fresh catalog directory seeded with `rows` deterministic facts
@@ -64,8 +65,9 @@ fn merged_answers_equal_the_unsharded_oracle_on_every_node() {
     let (dir, schema, t) = sharded_fixture("oracle", 600, 2, 3);
     let router =
         ShardRouter::open(&[&dir], Arc::clone(&schema), &ShardRouterConfig::default()).unwrap();
-    assert_eq!(router.shard_count(), 3);
-    assert_eq!(router.replica_count(), 1);
+    let stats = router.shard_stats();
+    assert_eq!(stats.len(), 3);
+    assert!(stats.iter().all(|s| s.replicas == 1));
     for node in 0..router.num_nodes() {
         let got = sorted(router.query(node).unwrap().rows);
         assert_eq!(got, oracle(&schema, &t, node), "node {node}");
@@ -103,8 +105,7 @@ fn empty_shards_are_neutral_in_the_merge() {
 fn groups_present_in_a_single_shard_pass_through_unchanged() {
     // Two facts with distinct groups land on different shards (row i →
     // shard i % 2), so every leaf group exists in exactly one sub-cube.
-    let dir = std::env::temp_dir().join(format!("cure_shard_it_single_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("shard_it_single");
     let catalog = Catalog::open(&dir).unwrap();
     let schema = Arc::new(
         CubeSchema::new(vec![Dimension::flat("A", 4), Dimension::flat("B", 3)], 1).unwrap(),
@@ -135,8 +136,7 @@ fn iceberg_thresholds_apply_after_the_merge_not_per_shard() {
     // (2, 2) appears twice — on rows 0 and 1, which land on *different*
     // shards — so its per-shard count is 1 everywhere but its global
     // count is 2.
-    let dir = std::env::temp_dir().join(format!("cure_shard_it_ice_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("shard_it_ice");
     let catalog = Catalog::open(&dir).unwrap();
     let schema = Arc::new(
         CubeSchema::new(vec![Dimension::flat("A", 4), Dimension::flat("B", 3)], 2).unwrap(),
@@ -234,7 +234,7 @@ fn replication_ships_byte_identical_shards_and_replicas_serve_reads() {
         &ShardRouterConfig::default(),
     )
     .unwrap();
-    assert_eq!(both.replica_count(), 2);
+    assert!(both.shard_stats().iter().all(|s| s.replicas == 2));
     for node in 0..both.num_nodes() {
         assert_eq!(
             sorted(both.query(node).unwrap().rows),

@@ -14,11 +14,11 @@ use cure_core::sink::DiskSink;
 use cure_core::{CubeSchema, Dimension, NodeId, Tuples};
 use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube, ReadPath};
 use cure_serve::{CubeService, NodePopularity, NodeSampler};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
 fn build_cube(tag: &str) -> (Arc<Catalog>, Arc<CubeSchema>, String) {
-    let dir = std::env::temp_dir().join(format!("cure_serve_stress_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("serve_stress_{tag}"));
     let catalog = Catalog::open(dir).unwrap();
     let schema = CubeSchema::new(
         vec![

@@ -14,10 +14,22 @@ use proptest::prelude::*;
 
 use cure_query::CubeRow;
 use cure_serve::wire::{
-    decode_frame_bytes, decode_request, decode_response, encode_frame, encode_request,
-    encode_response, tag,
+    decode_request, decode_response, encode_frame, encode_request, encode_response, read_frame,
+    tag, ReadFrameError,
 };
 use cure_serve::{ProtocolError, RemoteError, Request, Response, ServeErrorKind, MAX_FRAME_LEN};
+
+/// Decode exactly one frame from `bytes` through the socket reader: a
+/// short buffer is `Truncated`, bytes after the frame `TrailingBytes`.
+fn decode_frame_bytes(bytes: &[u8]) -> Result<(u8, Vec<u8>), ProtocolError> {
+    let mut r = bytes;
+    match read_frame(&mut r) {
+        Ok(pair) if r.is_empty() => Ok(pair),
+        Ok(_) => Err(ProtocolError::TrailingBytes),
+        Err(ReadFrameError::Protocol(p)) => Err(p),
+        Err(ReadFrameError::Io(_)) => Err(ProtocolError::Truncated),
+    }
+}
 
 // ---------------------------------------------------------------------
 // Strategies (variant selection via a discriminant range + prop_map —

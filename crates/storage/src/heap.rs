@@ -1123,12 +1123,7 @@ mod tests {
     use super::*;
     use crate::cache::BufferCache;
     use crate::schema::{ColType, Column};
-
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("cure_heap_test_{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::scratch::scratch_dir;
 
     fn small_schema() -> Schema {
         Schema::new(vec![Column::new("k", ColType::U32), Column::new("v", ColType::I64)])
@@ -1136,7 +1131,7 @@ mod tests {
 
     #[test]
     fn append_fetch_roundtrip() {
-        let path = tmpdir().join("roundtrip.heap");
+        let path = scratch_dir("heap").join("roundtrip.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         for i in 0..10_000u32 {
             let rid = hf.append(&[Value::U32(i), Value::I64(-(i as i64))]).unwrap();
@@ -1152,7 +1147,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_fetch_errors() {
-        let path = tmpdir().join("oob.heap");
+        let path = scratch_dir("heap").join("oob.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         hf.append(&[Value::U32(1), Value::I64(2)]).unwrap();
         assert!(matches!(
@@ -1163,7 +1158,7 @@ mod tests {
 
     #[test]
     fn scan_sees_all_rows_in_order() {
-        let path = tmpdir().join("scan.heap");
+        let path = scratch_dir("heap").join("scan.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         let n = 5_000u32;
         for i in 0..n {
@@ -1180,7 +1175,7 @@ mod tests {
 
     #[test]
     fn for_each_row_matches_scan() {
-        let path = tmpdir().join("foreach.heap");
+        let path = scratch_dir("heap").join("foreach.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         for i in 0..3_000u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
@@ -1198,7 +1193,7 @@ mod tests {
 
     #[test]
     fn reopen_resumes_appends() {
-        let path = tmpdir().join("reopen.heap");
+        let path = scratch_dir("heap").join("reopen.heap");
         {
             let mut hf = HeapFile::create(&path, small_schema()).unwrap();
             for i in 0..1_234u32 {
@@ -1217,7 +1212,7 @@ mod tests {
 
     #[test]
     fn cached_fetch_counts_hits() {
-        let path = tmpdir().join("cached.heap");
+        let path = scratch_dir("heap").join("cached.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         for i in 0..50_000u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
@@ -1234,7 +1229,7 @@ mod tests {
 
     #[test]
     fn data_bytes_reports_logical_volume() {
-        let path = tmpdir().join("bytes.heap");
+        let path = scratch_dir("heap").join("bytes.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         for i in 0..10u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
@@ -1245,7 +1240,7 @@ mod tests {
     #[test]
     fn corrupted_page_detected() {
         use std::io::{Read, Seek, SeekFrom, Write};
-        let path = tmpdir().join("corrupt.heap");
+        let path = scratch_dir("heap").join("corrupt.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         let rows_per_page = Page::capacity(hf.schema().row_width());
         for i in 0..(rows_per_page as u32 + 10) {
@@ -1279,7 +1274,7 @@ mod tests {
         // sealed page instead of erroring (old behaviour) or silently
         // adopting garbage.
         use std::io::Write;
-        let path = tmpdir().join("torn_partial.heap");
+        let path = scratch_dir("heap").join("torn_partial.heap");
         let rows_per_page = Page::capacity(12);
         let sealed = rows_per_page as u32 * 2;
         {
@@ -1307,7 +1302,7 @@ mod tests {
         // file whose last page fails its checksum; reopen must drop that
         // page and resume from the sealed prefix.
         use std::io::{Seek, SeekFrom, Write};
-        let path = tmpdir().join("torn_rewrite.heap");
+        let path = scratch_dir("heap").join("torn_rewrite.heap");
         let rows_per_page = Page::capacity(12);
         let total = rows_per_page as u32 + 10; // one sealed page + tail
         {
@@ -1337,7 +1332,7 @@ mod tests {
         // checksum: the row-count sanity check must reject it rather than
         // let row() index out of the page.
         use std::io::{Seek, SeekFrom, Write};
-        let path = tmpdir().join("garbage_nrows.heap");
+        let path = scratch_dir("heap").join("garbage_nrows.heap");
         {
             let mut hf = HeapFile::create(&path, small_schema()).unwrap();
             hf.append(&[Value::U32(1), Value::I64(1)]).unwrap();
@@ -1364,8 +1359,8 @@ mod tests {
     #[test]
     fn repair_to_rows_discards_unsealed_suffix() {
         use crate::io::NoFaults;
-        let path = tmpdir().join("repair.heap");
-        let reference = tmpdir().join("repair_ref.heap");
+        let path = scratch_dir("heap").join("repair.heap");
+        let reference = scratch_dir("heap").join("repair_ref.heap");
         let rows_per_page = Page::capacity(12) as u32;
         let sealed = rows_per_page + 7; // one full page + 7 sealed tail rows
                                         // The crashed build wrote well past the seal point before dying.
@@ -1389,8 +1384,8 @@ mod tests {
         // intact; repair must rebuild the canonical page from them.
         use crate::io::NoFaults;
         use std::io::{Seek, SeekFrom, Write};
-        let path = tmpdir().join("repair_torn.heap");
-        let reference = tmpdir().join("repair_torn_ref.heap");
+        let path = scratch_dir("heap").join("repair_torn.heap");
+        let reference = scratch_dir("heap").join("repair_torn_ref.heap");
         let rows_per_page = Page::capacity(12) as u32;
         let sealed = rows_per_page + 7;
         write_rows(&path, sealed + 3);
@@ -1407,7 +1402,7 @@ mod tests {
     #[test]
     fn repair_to_rows_rejects_short_file() {
         use crate::io::NoFaults;
-        let path = tmpdir().join("repair_short.heap");
+        let path = scratch_dir("heap").join("repair_short.heap");
         write_rows(&path, 10);
         // Claiming more sealed rows than the file can hold is unrepairable.
         let err = HeapFile::repair_to_rows(
@@ -1424,7 +1419,7 @@ mod tests {
     fn injected_fault_surfaces_as_error_and_counts() {
         use crate::io::{FaultInjector, FaultKind};
         use std::sync::Arc;
-        let path = tmpdir().join("injected.heap");
+        let path = scratch_dir("heap").join("injected.heap");
         // Write 0 is the header slot, so write 2 is the second data page.
         let policy = Arc::new(FaultInjector::fail_nth_write(2, FaultKind::Enospc));
         let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy.clone()).unwrap();
@@ -1448,7 +1443,7 @@ mod tests {
     fn transient_fault_retried_transparently() {
         use crate::io::{FaultInjector, FaultKind};
         use std::sync::Arc;
-        let path = tmpdir().join("transient.heap");
+        let path = scratch_dir("heap").join("transient.heap");
         // Write 0 is the header slot; the faults land on the first data page.
         let policy =
             Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
@@ -1464,7 +1459,7 @@ mod tests {
 
     #[test]
     fn attached_stats_mirror_file_io() {
-        let path = tmpdir().join("stats.heap");
+        let path = scratch_dir("heap").join("stats.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
@@ -1484,7 +1479,7 @@ mod tests {
     #[test]
     fn attached_stats_count_transient_retries() {
         use crate::io::{FaultInjector, FaultKind};
-        let path = tmpdir().join("stats_retry.heap");
+        let path = scratch_dir("heap").join("stats_retry.heap");
         // Write 0 is the header slot, written before the stats attach.
         let policy =
             Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
@@ -1501,7 +1496,7 @@ mod tests {
     #[test]
     fn hard_read_fault_during_open_surfaces_as_io_error() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_fault_open.heap");
+        let path = scratch_dir("heap").join("read_fault_open.heap");
         write_rows(&path, 10);
         // Opening reads the partial tail page back; a hard fault there is
         // not a torn tail and must surface, not be repaired away.
@@ -1516,7 +1511,7 @@ mod tests {
     #[test]
     fn hard_read_fault_on_sealed_page_errors() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_fault_sealed.heap");
+        let path = scratch_dir("heap").join("read_fault_sealed.heap");
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page * 2 + 3);
         let policy = Arc::new(FaultInjector::counting());
@@ -1535,7 +1530,7 @@ mod tests {
     #[test]
     fn transient_read_fault_retried_and_counted() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_transient.heap");
+        let path = scratch_dir("heap").join("read_transient.heap");
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
@@ -1557,7 +1552,7 @@ mod tests {
     #[test]
     fn chaos_schedule_transient_read_counts_a_retry() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_chaos_retry.heap");
+        let path = scratch_dir("heap").join("read_chaos_retry.heap");
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
@@ -1579,7 +1574,7 @@ mod tests {
     #[test]
     fn flipped_bit_on_reread_is_detected_despite_memo() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_flip.heap");
+        let path = scratch_dir("heap").join("read_flip.heap");
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
@@ -1606,7 +1601,7 @@ mod tests {
     #[test]
     fn torn_read_of_tail_page_repairs_through_open_report() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_torn_open.heap");
+        let path = scratch_dir("heap").join("read_torn_open.heap");
         let rows_per_page = Page::capacity(12) as u32;
         // The tail must hold enough rows that zeroing the back half of the
         // page destroys CRC-covered data (a near-empty tail stores nothing
@@ -1627,7 +1622,7 @@ mod tests {
     #[test]
     fn transient_torn_read_at_open_does_not_drop_the_tail_page() {
         use crate::io::{FaultInjector, ReadFaultKind};
-        let path = tmpdir().join("read_torn_once_open.heap");
+        let path = scratch_dir("heap").join("read_torn_once_open.heap");
         let rows_per_page = Page::capacity(12) as u32;
         let total = rows_per_page + 400;
         write_rows(&path, total);
@@ -1643,7 +1638,7 @@ mod tests {
 
     /// Three sealed pages plus a partial tail page; row `i` is `(i, i)`.
     fn gather_fixture(tag: &str) -> (HeapFile, u64) {
-        let path = tmpdir().join(format!("gather_{tag}.heap"));
+        let path = scratch_dir("heap").join(format!("gather_{tag}.heap"));
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page * 3 + 17);
         (HeapFile::open(&path, small_schema()).unwrap(), rows_per_page as u64)
@@ -1748,7 +1743,7 @@ mod tests {
 
     #[test]
     fn io_counters_advance() {
-        let path = tmpdir().join("io.heap");
+        let path = scratch_dir("heap").join("io.heap");
         let mut hf = HeapFile::create(&path, small_schema()).unwrap();
         let rows_per_page = Page::capacity(hf.schema().row_width());
         for i in 0..(rows_per_page as u32 * 3) {

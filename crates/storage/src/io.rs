@@ -504,12 +504,7 @@ pub fn atomic_write(policy: &dyn IoPolicy, path: &Path, bytes: &[u8]) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("cure_io_test_{}_{tag}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use crate::scratch::scratch_dir;
 
     #[test]
     fn counting_policy_never_fires() {
@@ -599,7 +594,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_or_preserves() {
-        let dir = tmpdir("atomic");
+        let dir = scratch_dir("atomic");
         let path = dir.join("target.json");
         std::fs::write(&path, b"old").unwrap();
 
@@ -616,7 +611,7 @@ mod tests {
 
     #[test]
     fn atomic_write_rides_out_transients() {
-        let dir = tmpdir("transient");
+        let dir = scratch_dir("transient");
         let path = dir.join("t.json");
         let p = FaultInjector::fail_nth_write(0, FaultKind::Transient { failures: 2 });
         atomic_write(&p, &path, b"payload").unwrap();

@@ -18,7 +18,6 @@
 //!   the concurrent serving path (`cure-serve`),
 //! * [`bitmap`] — RLE-compressed bitmap indexes over row-ids (the CURE+
 //!   variant of §5.3),
-//! * [`sort`] — an external merge sorter for relations larger than memory,
 //! * [`hash`] — a fast FxHash-style hasher for integer-keyed hot paths.
 //!
 //! * [`io`] — a pluggable I/O fault layer ([`io::IoPolicy`]) with a
@@ -51,7 +50,6 @@ pub mod scratch;
 pub mod segment;
 pub mod shared_cache;
 pub mod snapshot;
-pub mod sort;
 pub mod stats;
 
 pub use bitmap::BitmapIndex;

@@ -102,27 +102,11 @@ impl Value {
         }
     }
 
-    /// Extract a `u32`, panicking on type mismatch (test/example helper).
-    pub fn as_u32(self) -> u32 {
-        match self {
-            Value::U32(v) => v,
-            other => panic!("expected U32, got {other:?}"),
-        }
-    }
-
     /// Extract a `u64`, panicking on type mismatch (test/example helper).
     pub fn as_u64(self) -> u64 {
         match self {
             Value::U64(v) => v,
             other => panic!("expected U64, got {other:?}"),
-        }
-    }
-
-    /// Extract an `i64`, panicking on type mismatch (test/example helper).
-    pub fn as_i64(self) -> i64 {
-        match self {
-            Value::I64(v) => v,
-            other => panic!("expected I64, got {other:?}"),
         }
     }
 }

@@ -2,11 +2,10 @@
 //! spine.
 //!
 //! The paper's evaluation (§7) argues CURE's advantage in terms of I/O
-//! behaviour — pages moved, spill volume, external-sort passes — so the
-//! reproduction counts exactly those quantities. One [`StorageStats`]
-//! registry hangs off each [`Catalog`](crate::Catalog) and is shared (via
-//! `Arc`) by every [`HeapFile`](crate::HeapFile) the catalog opens and by
-//! any [`ExternalSorter`](crate::sort::ExternalSorter) attached to it.
+//! behaviour — pages moved, fsyncs, checksum work — so the reproduction
+//! counts exactly those quantities. One [`StorageStats`] registry hangs
+//! off each [`Catalog`](crate::Catalog) and is shared (via `Arc`) by
+//! every [`HeapFile`](crate::HeapFile) the catalog opens.
 //!
 //! Hot paths touch nothing but relaxed atomics — no locks, no branches
 //! beyond the increment — so the counters are *always on*: a build with
@@ -27,8 +26,6 @@ pub struct StorageStats {
     read_retries: AtomicU64,
     checksum_verifications: AtomicU64,
     checksum_failures: AtomicU64,
-    sort_runs: AtomicU64,
-    sort_spill_bytes: AtomicU64,
 }
 
 /// A plain point-in-time copy of a [`StorageStats`] registry.
@@ -48,9 +45,11 @@ pub struct StorageCounters {
     pub checksum_verifications: u64,
     /// Page checksum verifications that failed (corrupt pages detected).
     pub checksum_failures: u64,
-    /// Sorted runs spilled by external sorters.
+    /// Always 0. CURE partitions by hash and sorts in memory (§4), so
+    /// there are no external-sort runs; the field stays for readers that
+    /// report it.
     pub sort_runs: u64,
-    /// Bytes spilled to external-sort run files.
+    /// Always 0, like [`sort_runs`](Self::sort_runs).
     pub sort_spill_bytes: u64,
 }
 
@@ -118,13 +117,6 @@ impl StorageStats {
         self.checksum_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one spilled external-sort run of `bytes` bytes.
-    #[inline]
-    pub fn count_sort_spill(&self, bytes: u64) {
-        self.sort_runs.fetch_add(1, Ordering::Relaxed);
-        self.sort_spill_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Heap pages read from disk.
     pub fn pages_read(&self) -> u64 {
         self.pages_read.load(Ordering::Relaxed)
@@ -160,16 +152,6 @@ impl StorageStats {
         self.checksum_failures.load(Ordering::Relaxed)
     }
 
-    /// Sorted runs spilled by external sorters.
-    pub fn sort_runs(&self) -> u64 {
-        self.sort_runs.load(Ordering::Relaxed)
-    }
-
-    /// Bytes spilled to external-sort run files.
-    pub fn sort_spill_bytes(&self) -> u64 {
-        self.sort_spill_bytes.load(Ordering::Relaxed)
-    }
-
     /// A plain copy of every counter.
     pub fn snapshot(&self) -> StorageCounters {
         StorageCounters {
@@ -180,8 +162,7 @@ impl StorageStats {
             read_retries: self.read_retries(),
             checksum_verifications: self.checksum_verifications(),
             checksum_failures: self.checksum_failures(),
-            sort_runs: self.sort_runs(),
-            sort_spill_bytes: self.sort_spill_bytes(),
+            ..StorageCounters::default()
         }
     }
 
@@ -194,8 +175,6 @@ impl StorageStats {
         self.read_retries.store(0, Ordering::Relaxed);
         self.checksum_verifications.store(0, Ordering::Relaxed);
         self.checksum_failures.store(0, Ordering::Relaxed);
-        self.sort_runs.store(0, Ordering::Relaxed);
-        self.sort_spill_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -219,8 +198,6 @@ mod tests {
         s.count_checksum_verification();
         s.count_checksum_verification();
         s.count_checksum_failure();
-        s.count_sort_spill(4096);
-        s.count_sort_spill(1024);
         let snap = s.snapshot();
         assert_eq!(
             snap,
@@ -232,8 +209,7 @@ mod tests {
                 read_retries: 2,
                 checksum_verifications: 2,
                 checksum_failures: 1,
-                sort_runs: 2,
-                sort_spill_bytes: 5120,
+                ..StorageCounters::default()
             }
         );
         s.reset();

@@ -1,19 +1,11 @@
 //! Property-based tests for the storage engine's invariants.
 
-use std::cmp::Ordering;
-
-use cure_storage::sort::{ExternalSorter, RowCmp};
+use cure_storage::scratch::scratch_dir;
 use cure_storage::{
     BitmapIndex, Catalog, ColType, Column, HeapFile, Page, Schema, SharedBufferCache, StorageError,
     Value,
 };
 use proptest::prelude::*;
-
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("cure_prop_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -51,7 +43,7 @@ proptest! {
     /// identically via scan and via random fetch.
     #[test]
     fn heap_append_fetch(rows in proptest::collection::vec((any::<u32>(), any::<i64>()), 1..400)) {
-        let path = tmp("heap").join(format!("t{}.heap", rows.len()));
+        let path = scratch_dir("heap").join(format!("t{}.heap", rows.len()));
         let schema = Schema::new(vec![
             Column::new("k", ColType::U32),
             Column::new("v", ColType::I64),
@@ -89,7 +81,7 @@ proptest! {
         capacity in 0usize..4,
         shards in 1usize..4,
     ) {
-        let path = tmp("gather").join("g.heap");
+        let path = scratch_dir("gather").join("g.heap");
         let schema = Schema::new(vec![
             Column::new("k", ColType::U32),
             Column::new("v", ColType::I64),
@@ -122,31 +114,6 @@ proptest! {
         prop_assert_eq!(cache.hits() + cache.misses(), pages.len() as u64);
     }
 
-    /// External sorter output equals std sort for any input and any
-    /// (possibly tiny, spill-forcing) memory budget.
-    #[test]
-    fn external_sort_matches_std(
-        mut vals in proptest::collection::vec(any::<u64>(), 0..500),
-        budget in 8usize..4096,
-    ) {
-        let cmp: &RowCmp = &|a: &[u8], b: &[u8]| -> Ordering {
-            u64::from_le_bytes(a.try_into().unwrap()).cmp(&u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let dir = tmp("sorter").join(format!("s{}_{budget}", vals.len()));
-        let mut sorter = ExternalSorter::new(8, budget, dir, cmp).unwrap();
-        for v in &vals {
-            sorter.push(&v.to_le_bytes()).unwrap();
-        }
-        let got: Vec<u64> = sorter
-            .finish().unwrap()
-            .collect_all().unwrap()
-            .into_iter()
-            .map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
-            .collect();
-        vals.sort_unstable();
-        prop_assert_eq!(got, vals);
-    }
-
     /// Pages hold exactly `capacity(w)` rows of width `w` and return them
     /// verbatim.
     #[test]
@@ -167,7 +134,7 @@ proptest! {
     /// Catalog metadata roundtrips arbitrary schemas.
     #[test]
     fn catalog_schema_roundtrip(cols in proptest::collection::vec(0u8..4, 1..12)) {
-        let dir = tmp("catalog").join(format!("c{}", cols.len()));
+        let dir = scratch_dir("catalog").join(format!("c{}", cols.len()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = Catalog::open(&dir).unwrap();
         let schema = Schema::new(
@@ -219,7 +186,7 @@ mod fault_injection {
     }
 
     fn fresh_path(tag: &str) -> std::path::PathBuf {
-        super::tmp("faults").join(format!("{tag}.heap"))
+        super::scratch_dir("faults").join(format!("{tag}.heap"))
     }
 
     fn kind_from(sel: u8) -> FaultKind {

@@ -673,6 +673,7 @@ pub fn parse_node(schema: &CubeSchema, coder: &NodeCoder, spec: &str) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cure_storage::scratch::scratch_dir;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -759,8 +760,7 @@ mod tests {
 
     #[test]
     fn check_command_sweeps_and_reports() {
-        let dir = std::env::temp_dir().join(format!("cure-cli-check-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_check");
         let out = run(Command::Check {
             dir: dir.to_string_lossy().into_owned(),
             seeds: 2,
@@ -805,8 +805,7 @@ mod tests {
 
     #[test]
     fn resume_rejected_for_cure_plus() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_resplus_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_resplus");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen { dir: dir_s.clone(), dataset: "apb".into(), scale: 200, density: 0.4 })
             .unwrap();
@@ -825,8 +824,7 @@ mod tests {
 
     #[test]
     fn build_then_resume_reports_already_complete() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_resume_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_resume");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen { dir: dir_s.clone(), dataset: "apb".into(), scale: 500, density: 0.4 })
             .unwrap();
@@ -858,8 +856,7 @@ mod tests {
 
     #[test]
     fn build_stats_snapshot_has_every_layer() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_stats_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_stats");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen { dir: dir_s.clone(), dataset: "apb".into(), scale: 4000, density: 0.4 })
             .unwrap();
@@ -895,7 +892,7 @@ mod tests {
         let storage = v.get("storage").expect("storage section");
         assert!(storage.get("pages_written").and_then(|x| x.as_u64()).unwrap() > 0);
         assert!(storage.get("fsyncs").and_then(|x| x.as_u64()).unwrap() > 0);
-        assert!(storage.get("sort_spill_bytes").and_then(|x| x.as_u64()).is_some());
+        assert!(storage.get("checksum_verifications").and_then(|x| x.as_u64()).is_some());
         // No serving happened, so no serve section.
         assert!(v.get("serve").is_none());
     }
@@ -930,8 +927,7 @@ mod tests {
 
     #[test]
     fn append_merges_and_swaps_active_cube() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_append_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_append");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen { dir: dir_s.clone(), dataset: "apb".into(), scale: 8_000, density: 0.4 })
             .unwrap();
@@ -1025,8 +1021,7 @@ mod tests {
 
     #[test]
     fn ingest_applies_batch_and_swaps_active_cube() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_ingest_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_ingest");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen { dir: dir_s.clone(), dataset: "apb".into(), scale: 8_000, density: 0.4 })
             .unwrap();
@@ -1107,8 +1102,7 @@ mod tests {
 
     #[test]
     fn plan_command_renders_tree() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_plan_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli_plan");
         let dir_s = dir.to_string_lossy().to_string();
         run(Command::Gen {
             dir: dir_s.clone(),
@@ -1125,8 +1119,7 @@ mod tests {
 
     #[test]
     fn gen_build_query_info_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("cure_cli_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("cli");
         let dir_s = dir.to_string_lossy().to_string();
         let out = run(Command::Gen {
             dir: dir_s.clone(),

@@ -2,11 +2,12 @@
 //!
 //! Every `.case` file under `tests/corpus/` is a minimized workload that
 //! once exposed (or was hand-seeded to guard against) a specific bug
-//! class. Each run replays all of them through the full ten-engine
+//! class. Each run replays all of them through the full fourteen-engine
 //! matrix of `cure-check`; a regression in any engine fails here with
 //! the smallest known repro already in hand.
 
 use cure_check::{check_workload, corpus, CheckOptions};
+use cure_storage::scratch::scratch_dir;
 
 #[test]
 fn corpus_cases_conform_across_all_engines() {
@@ -18,7 +19,7 @@ fn corpus_cases_conform_across_all_engines() {
         dir.display(),
         cases.len()
     );
-    let scratch = std::env::temp_dir().join(format!("cure-check-corpus-{}", std::process::id()));
+    let scratch = scratch_dir("check_corpus");
     let opts = CheckOptions::default();
     for (name, w) in &cases {
         let outcome = check_workload(w, &scratch, &opts)

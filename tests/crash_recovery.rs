@@ -19,13 +19,8 @@ use cure::core::{
     build_cure_cube_durable, BuildManifest, CubeSchema, Dimension, DurableOptions, DurableReport,
     Tuples,
 };
+use cure::storage::scratch::scratch_dir;
 use cure::storage::{Catalog, FaultInjector, FaultKind, IoPolicy};
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cure_crashrec_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn test_schema() -> CubeSchema {
     // A: 16 -> 4 -> 2 (linear), B: 6 -> 2, C: flat 4.
@@ -115,7 +110,7 @@ fn reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
 }
 
 fn build_reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
-    let dir = fresh_dir("reference");
+    let dir = scratch_dir("reference");
     let schema = test_schema();
     {
         // Store the fact through a plain catalog so the counter below sees
@@ -133,7 +128,7 @@ fn build_reference() -> (BTreeMap<String, Vec<u8>>, u64, DurableReport) {
 /// Set up a catalog with the fact stored fault-free, ready for a faulty
 /// build attempt.
 fn crash_dir(tag: &str, schema: &CubeSchema) -> PathBuf {
-    let dir = fresh_dir(tag);
+    let dir = scratch_dir(tag);
     let plain = Catalog::open(&dir).unwrap();
     store_fact(&plain, schema, 250, 42);
     dir
@@ -225,7 +220,7 @@ fn transient_write_faults_are_retried_through() {
 
 #[test]
 fn resume_of_untouched_complete_build_is_a_no_op() {
-    let dir = fresh_dir("noop");
+    let dir = scratch_dir("noop");
     let schema = test_schema();
     let plain = Catalog::open(&dir).unwrap();
     store_fact(&plain, &schema, 250, 42);

@@ -11,11 +11,11 @@ use cure::core::{reference, NodeCoder};
 use cure::data::apb::apb1_dense;
 use cure::data::synthetic::{hierarchical, HierSpec};
 use cure::query::{BubstCube, BucCube, CureCube};
+use cure::storage::scratch::scratch_dir;
 use cure::storage::Catalog;
 
 fn fresh_catalog(tag: &str) -> Catalog {
-    let dir = std::env::temp_dir().join(format!("cure_root_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("root_{tag}"));
     Catalog::open(&dir).unwrap()
 }
 
