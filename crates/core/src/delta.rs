@@ -329,6 +329,10 @@ pub enum IngestRecovery {
 /// prefix, swap. `delta` carries leaf dimension values and measures; its
 /// row-ids are ignored and reassigned to continue the fact relation.
 ///
+/// An operator refresh runs alone, so the merge walks the cube on every
+/// available core ([`std::thread::available_parallelism`]); the merged
+/// cube's bytes do not depend on that count.
+///
 /// The active cube must be a complete (non-iceberg), non-DR cube — the
 /// same preconditions as [`update_cube`], checked up front so nothing is
 /// appended on a doomed ingest.
@@ -341,11 +345,19 @@ pub fn ingest_cube(
 ) -> Result<IngestReport> {
     let old_prefix = active_prefix(catalog);
     let new_prefix = other_prefix(&old_prefix);
-    ingest_cube_into(catalog, schema, &old_prefix, &new_prefix, delta, cfg, opts)
+    ingest_cube_into(catalog, schema, &old_prefix, &new_prefix, delta, cfg, opts, all_cores())
+}
+
+/// Worker threads for a merge that runs alone: every available core.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// [`ingest_cube`] with explicit prefixes (live ingest uses per-epoch
-/// prefixes instead of the two-slot flip).
+/// prefixes instead of the two-slot flip) and an explicit number of merge
+/// `threads`, as [`build_cure_cube`](crate::build_cure_cube) takes; `1`
+/// merges on the calling thread.
+#[allow(clippy::too_many_arguments)]
 pub fn ingest_cube_into(
     catalog: &Catalog,
     schema: &CubeSchema,
@@ -354,6 +366,7 @@ pub fn ingest_cube_into(
     delta: &Tuples,
     cfg: &CubeConfig,
     opts: &IngestOptions,
+    threads: usize,
 ) -> Result<IngestReport> {
     if IngestManifest::exists(catalog) {
         return Err(CubeError::Config(
@@ -406,7 +419,7 @@ pub fn ingest_cube_into(
     manifest.phase = IngestPhase::Merging;
     manifest.save(catalog)?;
     let t_merge = Instant::now();
-    let (update, times) = merge_delta(catalog, schema, &manifest, &old_meta, &batch, cfg)?;
+    let (update, times) = merge_delta(catalog, schema, &manifest, &old_meta, &batch, cfg, threads)?;
     let merge_secs = t_merge.elapsed().as_secs_f64();
 
     // Phase 3: the merged cube is durable — journal that, swap, GC.
@@ -436,7 +449,8 @@ pub fn ingest_cube_into(
 /// Resolve an interrupted ingest: roll back (phase `Appending`) or roll
 /// forward (`Merging`, `Swapped`). Returns `None` when no journal exists.
 /// Idempotent — crashing *during* recovery leaves a journal that a rerun
-/// resolves the same way.
+/// resolves the same way. A roll-forward redoes the merge on every
+/// available core, as [`ingest_cube`] does.
 pub fn recover_ingest(
     catalog: &Catalog,
     schema: &CubeSchema,
@@ -467,7 +481,7 @@ pub fn recover_ingest(
                 batch.push(all.dims_of(i), all.aggs_of(i), 1, i as u64);
             }
             let old_meta = CubeMeta::read(catalog, &m.old_prefix)?;
-            merge_delta(catalog, schema, &m, &old_meta, &batch, cfg)?;
+            merge_delta(catalog, schema, &m, &old_meta, &batch, cfg, all_cores())?;
             m.phase = IngestPhase::Swapped;
             m.save(catalog)?;
             set_active_prefix(catalog, &m.new_prefix)?;
@@ -507,10 +521,10 @@ pub fn abort_ingest(catalog: &Catalog) -> Result<Option<IngestRecovery>> {
     }
 }
 
-/// Run [`update_cube`] under the new prefix and make the result durable:
-/// the merged cube is one sealed segment (one fsync) plus `AGGREGATES`.
-/// Any partial output of an earlier attempt is dropped first, so the
-/// merge is restartable.
+/// Run [`update_cube`] on `threads` workers under the new prefix and make
+/// the result durable: the merged cube is one sealed segment (one fsync)
+/// plus `AGGREGATES`. Any partial output of an earlier attempt is dropped
+/// first, so the merge is restartable.
 fn merge_delta(
     catalog: &Catalog,
     schema: &CubeSchema,
@@ -518,11 +532,12 @@ fn merge_delta(
     old_meta: &CubeMeta,
     batch: &Tuples,
     cfg: &CubeConfig,
+    threads: usize,
 ) -> Result<(UpdateReport, MergeTimes)> {
     catalog.drop_prefix(&m.new_prefix)?;
     let mut sink = DiskSink::new(catalog, &m.new_prefix, schema, false, old_meta.plus, None)?;
     let t_walk = Instant::now();
-    let update = update_cube(catalog, schema, &m.old_prefix, batch, cfg, &mut sink)?;
+    let update = update_cube(catalog, schema, &m.old_prefix, batch, cfg, &mut sink, threads)?;
     let walked = t_walk.elapsed().as_secs_f64();
     let during = sink.times();
     let t_sync = Instant::now();
@@ -708,7 +723,8 @@ mod tests {
         let prefix = active_prefix(catalog);
         let empty = Tuples::new(schema.num_dims(), schema.num_measures());
         let mut sink = crate::sink::MemSink::new(schema.num_measures());
-        update_cube(catalog, schema, &prefix, &empty, &CubeConfig::default(), &mut sink).unwrap();
+        update_cube(catalog, schema, &prefix, &empty, &CubeConfig::default(), &mut sink, 1)
+            .unwrap();
         let meta = CubeMeta::read(catalog, &prefix).unwrap();
         let reader =
             crate::reader::MemCubeReader::new(schema, &sink, &all, meta.partition_level).unwrap();
@@ -854,7 +870,8 @@ mod tests {
             };
             let log = Arc::new(IoLog::default());
             let logged = Catalog::open_with_policy(catalog.dir(), log.clone()).unwrap();
-            merge_delta(&logged, &schema, &m, &old_meta, &batch, &CubeConfig::default()).unwrap();
+            merge_delta(&logged, &schema, &m, &old_meta, &batch, &CubeConfig::default(), 2)
+                .unwrap();
 
             let fsyncs = log.fsyncs.lock().unwrap().clone();
             let new_rel: Vec<String> =

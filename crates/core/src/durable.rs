@@ -196,6 +196,10 @@ pub fn build_cure_cube_durable(
     let resumed = recovered.is_some();
 
     // ---- establish sealed inputs (recovered or freshly built) ---------
+    // Seconds this run spent partitioning: 0 when it resumed past the
+    // scan. Wall-clock time is not journaled, so the manifest bytes are
+    // a function of the data alone.
+    let mut partition_secs = 0.0;
     let (mut manifest, part_names, n_tuples, skip, repaired, dropped);
     match recovered {
         Some((m, rec)) => {
@@ -241,7 +245,6 @@ pub fn build_cure_cube_durable(
                     n_rel: String::new(),
                     n_rows: 0,
                     max_partition_rows: 0,
-                    partition_secs: 0.0,
                     completed_partitions: 0,
                     counting_sorts: report.counting_sorts,
                     comparison_sorts: report.comparison_sorts,
@@ -286,7 +289,6 @@ pub fn build_cure_cube_durable(
                 n_rel: format!("{part_prefix}nrel"),
                 n_rows: 0,
                 max_partition_rows: 0,
-                partition_secs: 0.0,
                 completed_partitions: 0,
                 counting_sorts: 0,
                 comparison_sorts: 0,
@@ -299,7 +301,7 @@ pub fn build_cure_cube_durable(
             let start = Instant::now();
             let (names, n, max_partition_rows) =
                 partition_and_build_n(catalog, &fact, schema, &choice, part_prefix)?;
-            m.partition_secs = start.elapsed().as_secs_f64();
+            partition_secs = start.elapsed().as_secs_f64();
 
             // Seal: fsync every partition, persist N, fsync the directory,
             // then journal the sealed row counts.
@@ -368,7 +370,7 @@ pub fn build_cure_cube_durable(
         choice: manifest.choice.clone(),
         n_rows: manifest.n_rows,
         max_partition_rows: manifest.max_partition_rows,
-        partition_secs: manifest.partition_secs,
+        partition_secs,
     };
     let report =
         finish_build(schema, &coder, cfg, &n_tuples, &mut pool, sink, totals, Some(partition))?;
@@ -446,7 +448,7 @@ fn complete_report(m: &BuildManifest) -> Result<BuildReport> {
             choice: m.choice.clone(),
             n_rows: m.n_rows,
             max_partition_rows: m.max_partition_rows,
-            partition_secs: m.partition_secs,
+            partition_secs: 0.0,
         })
     };
     Ok(BuildReport {
@@ -456,9 +458,9 @@ fn complete_report(m: &BuildManifest) -> Result<BuildReport> {
         counting_sorts: m.counting_sorts,
         comparison_sorts: m.comparison_sorts,
         // Phase timers and pool counters are per-run observability, not
-        // journaled state: an already-complete build reports only what
-        // survives in the manifest (the partitioning time).
-        phases: PhaseTimes { partition_secs: m.partition_secs, ..Default::default() },
+        // journaled state: an already-complete build did no work this
+        // run, so every timer reads 0.
+        phases: PhaseTimes::default(),
         pool: PoolCounters::default(),
         partition,
     })

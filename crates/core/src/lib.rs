@@ -60,6 +60,7 @@ pub mod hierarchy;
 pub mod lattice;
 pub mod manifest;
 pub mod meta;
+mod ordered;
 pub mod partition;
 pub mod plan;
 pub mod reader;

@@ -103,8 +103,6 @@ pub struct BuildManifest {
     pub n_rows: u64,
     /// Largest partition (skew indicator, for the final report).
     pub max_partition_rows: u64,
-    /// Seconds the partitioning scan took (for the final report).
-    pub partition_secs: f64,
     /// Partition passes completed (and checkpointed) so far.
     pub completed_partitions: usize,
     /// Counting-sort invocations accumulated over completed passes.
@@ -162,10 +160,6 @@ fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
 
 fn get_u64(v: &Value, key: &str) -> Result<u64> {
     get(v, key)?.as_u64().ok_or_else(|| m_err(format!("field '{key}' is not an integer")))
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64> {
-    get(v, key)?.as_f64().ok_or_else(|| m_err(format!("field '{key}' is not a number")))
 }
 
 fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
@@ -328,7 +322,6 @@ impl BuildManifest {
             ("n_rel", Value::from(self.n_rel.as_str())),
             ("n_rows", Value::from(self.n_rows)),
             ("max_partition_rows", Value::from(self.max_partition_rows)),
-            ("partition_secs", Value::from(self.partition_secs)),
             ("completed_partitions", Value::from(self.completed_partitions)),
             ("counting_sorts", Value::from(self.counting_sorts)),
             ("comparison_sorts", Value::from(self.comparison_sorts)),
@@ -418,7 +411,6 @@ impl BuildManifest {
             n_rel: get_str(v, "n_rel")?.to_string(),
             n_rows: get_u64(v, "n_rows")?,
             max_partition_rows: get_u64(v, "max_partition_rows")?,
-            partition_secs: get_f64(v, "partition_secs")?,
             completed_partitions: get_u64(v, "completed_partitions")? as usize,
             counting_sorts: get_u64(v, "counting_sorts")?,
             comparison_sorts: get_u64(v, "comparison_sorts")?,
@@ -483,7 +475,6 @@ mod tests {
             n_rel: "cube_tmp_nrel".into(),
             n_rows: 37,
             max_partition_rows: 30,
-            partition_secs: 0.125,
             completed_partitions: 1,
             counting_sorts: 7,
             comparison_sorts: 3,
@@ -537,6 +528,22 @@ mod tests {
         let loaded = BuildManifest::load(&catalog, "cube_").unwrap().unwrap();
         assert_eq!(loaded.stats, m.stats);
         assert_eq!(loaded.phase, BuildPhase::Complete);
+    }
+
+    #[test]
+    fn journals_no_wall_clock_time_and_reads_older_manifests_that_did() {
+        // Two builds of the same data must write the same manifest bytes,
+        // so no timing is journaled; a manifest written before that rule
+        // carries `partition_secs`, which is read past.
+        let m = sample(BuildPhase::Passes);
+        let mut inner = m.to_json();
+        assert!(inner.get("partition_secs").is_none());
+        if let Value::Object(fields) = &mut inner {
+            fields.insert("partition_secs".into(), Value::from(0.125));
+        }
+        let crc = crc32(inner.to_string().as_bytes());
+        let root = obj(vec![("crc32", Value::from(crc)), ("manifest", inner)]);
+        assert_eq!(BuildManifest::parse(root.to_string().as_bytes()).unwrap(), m);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::cube::{finish_build, BuildReport, CubeBuilder, CubeConfig, Exec, RunS
 use crate::error::{CubeError, Result};
 use crate::hierarchy::{CubeSchema, LevelIdx};
 use crate::lattice::NodeCoder;
+use crate::ordered::run_ordered;
 use crate::signature::{SealedFlush, SignaturePool};
 use crate::sink::CubeSink;
 use crate::tuples::Tuples;
@@ -318,7 +319,8 @@ pub(crate) fn partition_and_build_n(
 // state — TT writes into a local vector, pool flushes sealed by a
 // recording [`SignaturePool`] — and a single merger replays completed
 // partitions strictly in partition order against the real sink and one
-// decision-carrying pool. Since the pool is flushed at every partition
+// decision-carrying pool (the scheduler in `crate::ordered`, shared with
+// the ingest update walk). Since the pool is flushed at every partition
 // boundary, the flush schedule is a pure function of the partition
 // contents, so the merger performs the exact same writes in the exact
 // same order as the serial loop: the output is byte-identical, at any
@@ -423,16 +425,6 @@ fn cube_partition_recorded(
     Ok(PartitionRun { tts: rec.tts, flushes: pool.take_recorded(), stats })
 }
 
-/// Coordination state shared between workers and the merger.
-struct MergeState {
-    /// Completed, not-yet-merged runs by partition index.
-    runs: std::collections::BTreeMap<usize, PartitionRun>,
-    /// Partitions merged so far (monotone; workers gate on it).
-    merged: usize,
-    /// First failure anywhere in the pool; stops everyone.
-    failed: Option<CubeError>,
-}
-
 /// Run the per-partition passes of a partitioned build into `sink`
 /// through `pool`, the build's one decision-carrying pool (possibly
 /// restored from a manifest). Partitions `0..skip` are assumed already
@@ -445,13 +437,13 @@ struct MergeState {
 ///
 /// At `threads == 1` the partitions are cubed one after another on the
 /// calling thread: the reference loop the parallel path must reproduce.
-/// Above that, a fixed pool of `threads` workers cubes partitions into
-/// buffered runs and the calling thread, as the single merger, applies
-/// completed runs strictly in partition order: every order-sensitive
-/// effect — NT/CAT classification, the §5.1 format decision,
-/// `AGGREGATES` row-id assignment, relation appends — happens there, in
-/// the serial loop's order. A backpressure window of `2 × threads`
-/// partitions bounds the memory held in unmerged runs.
+/// Above that, the shared ordered scheduler ([`crate::ordered`]) has
+/// `threads` workers cube partitions into buffered runs while the calling
+/// thread, as the single merger, applies completed runs strictly in
+/// partition order: every order-sensitive effect — NT/CAT
+/// classification, the §5.1 format decision, `AGGREGATES` row-id
+/// assignment, relation appends — happens there, in the serial loop's
+/// order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_partition_passes<S, F>(
     catalog: &Catalog,
@@ -471,7 +463,6 @@ where
     S: CubeSink + ?Sized,
     F: FnMut(&mut S, &mut SignaturePool, usize, &RunStats) -> Result<()>,
 {
-    let n_parts = part_names.len();
     if threads <= 1 {
         for (i, name) in part_names.iter().enumerate().skip(skip) {
             totals.add(cube_partition(catalog, name, schema, coder, cfg, level, pool, sink)?);
@@ -480,76 +471,11 @@ where
         }
         return Ok(());
     }
-    if skip >= n_parts {
-        return Ok(());
-    }
-    let threads = threads.min(n_parts - skip);
-    // Backpressure window: a worker may run at most this many partitions
-    // ahead of the merge frontier, bounding buffered-run memory. The
-    // window never deadlocks: claim indices are monotone, so the worker
-    // holding the next-to-merge partition always satisfies `i < merged +
-    // window` (window ≥ 1) and can proceed.
-    let window = threads * 2;
-    let next = std::sync::atomic::AtomicUsize::new(skip);
-    let state = parking_lot::Mutex::new(MergeState {
-        runs: std::collections::BTreeMap::new(),
-        merged: skip,
-        failed: None,
-    });
-    let cv = parking_lot::Condvar::new();
-
-    let fail = |e: CubeError| {
-        let mut st = state.lock();
-        if st.failed.is_none() {
-            st.failed = Some(e);
-        }
-        cv.notify_all();
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n_parts {
-                    break;
-                }
-                {
-                    let mut st = state.lock();
-                    while st.failed.is_none() && i >= st.merged + window {
-                        cv.wait(&mut st);
-                    }
-                    if st.failed.is_some() {
-                        break;
-                    }
-                }
-                match cube_partition_recorded(catalog, &part_names[i], schema, coder, cfg, level) {
-                    Ok(run) => {
-                        let mut st = state.lock();
-                        st.runs.insert(i, run);
-                        cv.notify_all();
-                    }
-                    Err(e) => {
-                        fail(e);
-                        break;
-                    }
-                }
-            });
-        }
-
-        // Merger: the calling thread replays runs in partition order.
-        for i in skip..n_parts {
-            let run = {
-                let mut st = state.lock();
-                loop {
-                    if let Some(run) = st.runs.remove(&i) {
-                        break run;
-                    }
-                    if st.failed.is_some() {
-                        return;
-                    }
-                    cv.wait(&mut st);
-                }
-            };
+    run_ordered(
+        skip.min(part_names.len())..part_names.len(),
+        threads,
+        || |i: usize| cube_partition_recorded(catalog, &part_names[i], schema, coder, cfg, level),
+        |i, run: PartitionRun| {
             let t0 = Instant::now();
             let applied = (|| -> Result<()> {
                 // Replay TT writes and flushes interleaved as the worker
@@ -574,20 +500,9 @@ where
                 after_partition(sink, pool, i, totals)
             })();
             totals.merge_secs += t0.elapsed().as_secs_f64();
-            if let Err(e) = applied {
-                fail(e);
-                return;
-            }
-            let mut st = state.lock();
-            st.merged = i + 1;
-            cv.notify_all();
-        }
-    });
-
-    match state.into_inner().failed {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+            applied
+        },
+    )
 }
 
 #[cfg(test)]

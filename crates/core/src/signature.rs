@@ -294,15 +294,7 @@ impl SignaturePool {
             return None;
         }
         let y = self.y;
-        let aggs = &self.aggs;
-        let rowids = &self.rowids;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            aggs[a * y..(a + 1) * y]
-                .cmp(&aggs[b * y..(b + 1) * y])
-                .then_with(|| rowids[a].cmp(&rowids[b]))
-        });
+        let idx = sort_index(&self.aggs, &self.rowids, y);
         let mut out = SealedFlush {
             aggs: Vec::with_capacity(n * y),
             rowids: Vec::with_capacity(n),
@@ -478,10 +470,78 @@ impl SignaturePool {
     }
 }
 
+/// The permutation that sorts signatures by `(aggs, rowid)`: `aggs` holds
+/// `y` values per signature, `rowids` one. `sort_unstable_by` over an
+/// index is deterministic in the comparator's outcomes, which are those
+/// of [`sort_index_by_slices`] — so is the permutation, ties included.
+/// Up to four aggregates, the comparator reads one contiguous,
+/// zero-padded `([i64; K], u64)` key per signature instead of two
+/// slices: the padding is equal in every key, so it never decides.
+fn sort_index(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
+    match y {
+        0..=2 => sort_index_by_keys::<2>(aggs, rowids, y),
+        3..=4 => sort_index_by_keys::<4>(aggs, rowids, y),
+        _ => sort_index_by_slices(aggs, rowids, y),
+    }
+}
+
+/// [`sort_index`] over `([i64; K], u64)` keys, for `y ≤ K`.
+fn sort_index_by_keys<const K: usize>(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
+    let keys: Vec<([i64; K], u64)> = rowids
+        .iter()
+        .enumerate()
+        .map(|(i, &rowid)| {
+            let mut key = [0i64; K];
+            key[..y].copy_from_slice(&aggs[i * y..(i + 1) * y]);
+            (key, rowid)
+        })
+        .collect();
+    let mut idx: Vec<u32> = (0..rowids.len() as u32).collect();
+    idx.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+    idx
+}
+
+/// [`sort_index`] comparing the aggregate slices in place: the reference
+/// comparator, and the one used above four aggregates.
+fn sort_index_by_slices(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..rowids.len() as u32).collect();
+    idx.sort_unstable_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        aggs[a * y..(a + 1) * y]
+            .cmp(&aggs[b * y..(b + 1) * y])
+            .then_with(|| rowids[a].cmp(&rowids[b]))
+    });
+    idx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::MemSink;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The keyed sort makes exactly the slice comparator's permutation,
+        /// ties included: few distinct values and row-ids force many
+        /// equal `(aggs, rowid)` signatures.
+        #[test]
+        fn keyed_sort_matches_slice_sort(
+            y in 1usize..7,
+            raw in proptest::collection::vec((-1i64..2, 0i64..3, 0u64..4), 0..400),
+        ) {
+            let aggs: Vec<i64> = raw
+                .iter()
+                .flat_map(|&(a, b, _)| (0..y).map(move |m| if m % 2 == 0 { a } else { b }))
+                .collect();
+            let rowids: Vec<u64> = raw.iter().map(|&(_, _, r)| r).collect();
+            prop_assert_eq!(
+                sort_index(&aggs, &rowids, y),
+                sort_index_by_slices(&aggs, &rowids, y)
+            );
+        }
+    }
 
     #[test]
     fn singleton_aggs_become_nts() {

@@ -34,9 +34,19 @@
 //! leaf values and measures, `|R|·(4d + 8y)` bytes. Each old node's
 //! relations are then read once, in stored order, into reused buffers,
 //! and each stored row-id is projected into one reused key buffer that
-//! probes the node's delta map. Carrying an old group therefore costs no
-//! heap allocation, and the walk is `O(|R| + cube size + |delta| ·
-//! nodes)`, the `|R|` term being one sequential scan.
+//! probes the node's delta map; old TTs inherited already covered are
+//! not probed. Carrying an old group therefore costs no heap allocation,
+//! and the walk is `O(|R| + cube size + |delta| · nodes)`, the `|R|` term
+//! being one sequential scan.
+//!
+//! The walk runs on `threads` workers: the plan forest is cut into
+//! subtrees of at most `1/(4·threads)` of the old cube's rows, each
+//! walked into a log of its TT writes and pool pushes, and the calling
+//! thread replays the logs in DFS order into the one pool and sink. The
+//! cube, the fact scan and the final pool flush (one sort of every
+//! signature) stay on the calling thread, so the serial share is the
+//! scan, the replay and that flush; the stored bytes do not depend on
+//! `threads`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -49,6 +59,7 @@ use crate::error::{CubeError, Result};
 use crate::hierarchy::{CubeSchema, LevelIdx};
 use crate::lattice::{NodeCoder, NodeId};
 use crate::meta::CubeMeta;
+use crate::ordered::run_ordered;
 use crate::plan::PlanSpec;
 use crate::reference;
 use crate::signature::SignaturePool;
@@ -69,6 +80,16 @@ pub struct UpdateReport {
     pub carried_groups: u64,
     /// Groups introduced by the delta alone.
     pub new_groups: u64,
+}
+
+impl UpdateReport {
+    fn add(&mut self, o: &UpdateReport) {
+        self.nodes += o.nodes;
+        self.tt_demotions += o.tt_demotions;
+        self.merged_groups += o.merged_groups;
+        self.carried_groups += o.carried_groups;
+        self.new_groups += o.new_groups;
+    }
 }
 
 /// The fact relation as two dense columns indexed by row-id: `d` leaf
@@ -160,11 +181,12 @@ fn merge_into(out: &mut Vec<i64>, fns: &[AggFn], a: &[i64], b: &[i64]) {
     AggFn::merge_all(fns, out, b);
 }
 
-/// Read-back of an existing cube: its node relations through its segment's
-/// directory, its fact rows through dense [`FactColumns`]. Each node's contents are
-/// split into non-trivial groups and the TT row-ids stored *at* the node
-/// (not the shared ones from ancestors — those are carried by the DFS).
-struct DiskOldCube<'a> {
+/// Read-back of an existing cube, shared read-only by every walker: its
+/// node relations through its segment's directory, its fact rows through
+/// dense [`FactColumns`]. Each node's contents are split into non-trivial
+/// groups and the TT row-ids stored *at* the node (not the shared ones
+/// from ancestors — those are carried by the DFS).
+struct OldCube<'a> {
     catalog: &'a Catalog,
     meta: CubeMeta,
     /// The old cube's segment: every node relation, opened once.
@@ -172,6 +194,10 @@ struct DiskOldCube<'a> {
     y: usize,
     facts: FactColumns,
     aggregates: Option<HeapFile>,
+}
+
+/// One walker's private read state over an [`OldCube`].
+struct NodeReader {
     /// Page LRU for the `AGGREGATES` fetches behind CAT rows; each node's
     /// references are sorted into `AGGREGATES` order, so a small cache
     /// absorbs almost every repeated page read.
@@ -182,7 +208,7 @@ struct DiskOldCube<'a> {
     cat_refs: Vec<(Option<u64>, u64)>,
 }
 
-impl<'a> DiskOldCube<'a> {
+impl<'a> OldCube<'a> {
     fn open(catalog: &'a Catalog, schema: &CubeSchema, prefix: &str) -> Result<Self> {
         let meta = CubeMeta::read(catalog, prefix)?;
         if meta.dr {
@@ -202,25 +228,38 @@ impl<'a> DiskOldCube<'a> {
         let agg_name = crate::sink::aggregates_rel_name(prefix);
         let aggregates =
             if catalog.exists(&agg_name) { Some(catalog.open_relation(&agg_name)?) } else { None };
-        let agg_buf = vec![0u8; aggregates.as_ref().map_or(0, |a| a.schema().row_width())];
-        Ok(DiskOldCube {
-            catalog,
-            segment: catalog.open_segment(prefix)?,
-            meta,
-            y,
-            facts,
-            aggregates,
+        Ok(OldCube { catalog, segment: catalog.open_segment(prefix)?, meta, y, facts, aggregates })
+    }
+
+    fn reader(&self) -> NodeReader {
+        NodeReader {
             pages: BufferCache::new(1024),
-            agg_buf,
+            agg_buf: vec![0u8; self.aggregates.as_ref().map_or(0, |a| a.schema().row_width())],
             cat_refs: Vec::new(),
-        })
+        }
+    }
+
+    /// The rows the old cube stores at `node` (NT + CAT + TT relation
+    /// rows, from the segment's directory): the walk's unit of weight.
+    fn weight(&self, node: NodeId) -> u64 {
+        let (dir, prefix) = (self.segment.directory(), &self.meta.prefix);
+        [
+            crate::sink::nt_rel_name(prefix, node),
+            crate::sink::cat_rel_name(prefix, node),
+            crate::sink::tt_rel_name(prefix, node),
+        ]
+        .iter()
+        .filter_map(|name| dir.get(name))
+        .map(|e| e.rows())
+        .sum()
     }
 
     /// The node's non-trivial groups in stored order — NT rows, then CAT
     /// rows in `AGGREGATES` order — as their row-ids and flat aggregates
     /// (`y` per group). Non-trivial groups are unique per key in a node.
     fn non_trivial_groups(
-        &mut self,
+        &self,
+        rd: &mut NodeReader,
         node: NodeId,
         rowids: &mut Vec<u64>,
         aggs: &mut Vec<i64>,
@@ -258,7 +297,7 @@ impl<'a> DiskOldCube<'a> {
             .aggregates
             .as_ref()
             .ok_or_else(|| CubeError::Schema("CAT rows but no AGGREGATES".into()))?;
-        let refs = &mut self.cat_refs;
+        let refs = &mut rd.cat_refs;
         refs.clear();
         if bitmap_cats {
             let bm = BitmapIndex::from_bytes(&self.catalog.read_blob(&cat_bm_name)?)?;
@@ -278,9 +317,9 @@ impl<'a> DiskOldCube<'a> {
         // Ascending AGGREGATES order keeps the fetches page-local.
         refs.sort_unstable_by_key(|r| r.1);
         let ars = aggrel.schema();
-        let buf = &mut self.agg_buf;
+        let buf = &mut rd.agg_buf;
         for &(cat_rowid, a_rowid) in refs.iter() {
-            aggrel.fetch_cached(a_rowid, &mut self.pages, buf)?;
+            aggrel.fetch_cached(a_rowid, &mut rd.pages, buf)?;
             let rowid = match (format, cat_rowid) {
                 (CatFormat::CommonSource, _) => Schema::read_u64_at(buf, ars.offset(0)),
                 (_, Some(rowid)) => rowid,
@@ -315,9 +354,352 @@ impl<'a> DiskOldCube<'a> {
     }
 }
 
+/// Where a walk's output goes: the two calls whose order fixes the
+/// merged cube's bytes.
+trait Emit {
+    /// Store `rowid` as a trivial tuple of `node`.
+    fn tt(&mut self, node: NodeId, rowid: u64) -> Result<()>;
+    /// Defer a non-trivial group to the signature pool.
+    fn push(&mut self, aggs: &[i64], rowid: u64, node: NodeId) -> Result<()>;
+}
+
+/// The real output: the one signature pool and the sink behind it.
+struct Direct<'p, 's> {
+    pool: &'p mut SignaturePool,
+    sink: &'s mut dyn CubeSink,
+}
+
+impl Emit for Direct<'_, '_> {
+    fn tt(&mut self, node: NodeId, rowid: u64) -> Result<()> {
+        self.sink.write_tt(node, rowid)
+    }
+
+    fn push(&mut self, aggs: &[i64], rowid: u64, node: NodeId) -> Result<()> {
+        self.pool.push(self.sink, aggs, rowid, node)
+    }
+}
+
+/// One logged [`Emit`] call; a push's aggregates live in [`WalkLog::aggs`].
+enum Op {
+    Tt { node: NodeId, rowid: u64 },
+    Push { node: NodeId, rowid: u64 },
+}
+
+/// A walk's output recorded in call order, for replay on the merger.
+#[derive(Default)]
+struct WalkLog {
+    ops: Vec<Op>,
+    /// Flat aggregates of the pushes, `y` each, in push order.
+    aggs: Vec<i64>,
+    report: UpdateReport,
+}
+
+impl Emit for WalkLog {
+    fn tt(&mut self, node: NodeId, rowid: u64) -> Result<()> {
+        self.ops.push(Op::Tt { node, rowid });
+        Ok(())
+    }
+
+    fn push(&mut self, aggs: &[i64], rowid: u64, node: NodeId) -> Result<()> {
+        self.ops.push(Op::Push { node, rowid });
+        self.aggs.extend_from_slice(aggs);
+        Ok(())
+    }
+}
+
+impl WalkLog {
+    /// Make every logged call on `out`, in order.
+    fn replay(&self, out: &mut impl Emit, y: usize) -> Result<()> {
+        let mut at = 0;
+        for op in &self.ops {
+            match *op {
+                Op::Tt { node, rowid } => out.tt(node, rowid)?,
+                Op::Push { node, rowid } => {
+                    out.push(&self.aggs[at..at + y], rowid, node)?;
+                    at += y;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A tuple stored as a TT on the current DFS path (at this node or an
+/// ancestor); its leaf values and measures come from the fact columns.
+#[derive(Clone)]
+struct PathTt {
+    rowid: u64,
+    /// Whether a TT row for this tuple has been written at an ancestor
+    /// (then the whole subtree is covered and, because key collisions
+    /// propagate upward, no deeper delta collision is possible).
+    covered: bool,
+}
+
+/// How to restore the path TTs when leaving a node's subtree: pop the
+/// `established` entries it added and uncover the inherited entries it
+/// covered.
+struct Leave {
+    established: usize,
+    covered_here: Vec<usize>,
+}
+
+impl Leave {
+    fn undo(self, path: &mut Vec<PathTt>) {
+        path.truncate(path.len() - self.established);
+        for i in self.covered_here {
+            path[i].covered = false;
+        }
+    }
+}
+
+/// Everything a walker reads and nothing it writes: shared by reference
+/// between the calling thread and the workers.
+struct WalkCtx<'a> {
+    schema: &'a CubeSchema,
+    coder: NodeCoder,
+    old: OldCube<'a>,
+    delta: &'a Tuples,
+    /// The lowest delta row-id (`u64::MAX` for an empty delta). Every old
+    /// TT lies below it, because the delta was appended after the rows
+    /// the old cube stores.
+    delta_first: u64,
+    children: FxHashMap<Option<NodeId>, Vec<NodeId>>,
+}
+
+impl WalkCtx<'_> {
+    fn children(&self, node: Option<NodeId>) -> &[NodeId] {
+        self.children.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    fn walker(&self) -> Walker<'_> {
+        Walker {
+            ctx: self,
+            rd: self.old.reader(),
+            own_tts: Vec::new(),
+            group_rowids: Vec::new(),
+            group_aggs: Vec::new(),
+            merged: Vec::with_capacity(self.old.y),
+            proj: Projector::new(self.schema),
+            report: UpdateReport::default(),
+        }
+    }
+}
+
+/// Merges the delta into plan subtrees of the old cube, node by node.
+/// Its buffers are reused by every node it visits, so carrying a group
+/// allocates nothing.
+struct Walker<'c> {
+    ctx: &'c WalkCtx<'c>,
+    rd: NodeReader,
+    own_tts: Vec<u64>,
+    group_rowids: Vec<u64>,
+    group_aggs: Vec<i64>,
+    merged: Vec<i64>,
+    proj: Projector<'c>,
+    report: UpdateReport,
+}
+
+impl Walker<'_> {
+    /// Walk the plan subtree under `root` depth-first into `out`, starting
+    /// from the path TTs in `path` and leaving `path` as it found it.
+    fn walk(&mut self, root: NodeId, path: &mut Vec<PathTt>, out: &mut impl Emit) -> Result<()> {
+        enum Step {
+            Enter(NodeId),
+            Leave(Leave),
+        }
+        let mut stack = vec![Step::Enter(root)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Leave(leave) => leave.undo(path),
+                Step::Enter(node) => {
+                    let leave = self.visit(node, path, out)?;
+                    stack.push(Step::Leave(leave));
+                    stack.extend(
+                        self.ctx.children(Some(node)).iter().rev().map(|&c| Step::Enter(c)),
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Merge the delta into one node, extending `path` with the TTs it
+    /// establishes; the returned [`Leave`] undoes that.
+    fn visit(
+        &mut self,
+        node: NodeId,
+        path: &mut Vec<PathTt>,
+        out: &mut impl Emit,
+    ) -> Result<Leave> {
+        let ctx = self.ctx;
+        let (fns, y) = (ctx.schema.agg_fns(), ctx.old.y);
+        let levels = ctx.coder.decode(node)?;
+        self.proj.set_node(&ctx.coder, &levels);
+        self.report.nodes += 1;
+
+        // Delta groups of this node, keyed by grouping values.
+        let mut delta_map: FxHashMap<Vec<u32>, reference::GroupRow> = FxHashMap::default();
+        for mut g in reference::compute_node(ctx.schema, ctx.delta, &levels) {
+            delta_map.insert(std::mem::take(&mut g.dims), g);
+        }
+        // Old non-trivial groups and own TTs.
+        ctx.old.non_trivial_groups(
+            &mut self.rd,
+            node,
+            &mut self.group_rowids,
+            &mut self.group_aggs,
+        )?;
+        ctx.old.own_tts(node, &mut self.own_tts)?;
+        let facts = &ctx.old.facts;
+        let (proj, merged, report) = (&mut self.proj, &mut self.merged, &mut self.report);
+
+        // 1. Old TTs stored at this node: collision check against delta.
+        //
+        // A collision here demotes the tuple to a non-trivial group *at
+        // this node* (its merged row is written), but its trivial status
+        // may resurface deeper in the subtree where the delta diverges —
+        // the tuple is carried on the path as *uncovered* and step 2
+        // re-establishes its TT at the topmost divergence point of each
+        // branch.
+        let mut established = 0usize;
+        for &rowid in &self.own_tts {
+            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
+                Some(dg) => {
+                    report.tt_demotions += 1;
+                    merge_into(merged, fns, facts.measures(rowid)?, &dg.aggs);
+                    out.push(merged, rowid.min(dg.min_rowid), node)?;
+                    report.merged_groups += 1;
+                    path.push(PathTt { rowid, covered: false });
+                }
+                None => {
+                    // Still trivial at this node: keep as TT and share below.
+                    out.tt(node, rowid)?;
+                    report.carried_groups += 1;
+                    path.push(PathTt { rowid, covered: true });
+                }
+            }
+            established += 1;
+        }
+
+        // 2. Uncovered path TTs (demoted at an ancestor): either the delta
+        // keeps colliding here (merged row, still uncovered) or it has
+        // diverged (this is the least detailed node where the tuple is
+        // trivial again → write its TT and cover the subtree). Covered
+        // entries need nothing: a collision below a TT-covered node is
+        // impossible because equal keys at a finer node imply equal keys
+        // at every coarser one.
+        let inherited = path.len() - established;
+        let mut covered_here: Vec<usize> = Vec::new();
+        for (i, t) in path[..inherited].iter_mut().enumerate() {
+            if t.covered {
+                // A covered *old* TT cannot be hit by the delta here
+                // (collisions propagate upward and were ruled out at the
+                // covering node), so it is not even probed. A covered
+                // *delta* TT, however, still appears in this node's
+                // freshly computed delta groups — the removal consumes it
+                // so step 4 does not store it twice.
+                if t.rowid < ctx.delta_first {
+                    continue;
+                }
+                if let Some(dg) = delta_map.remove(proj.key(facts.leaf(t.rowid)?)) {
+                    debug_assert_eq!(dg.count, 1, "covered TT group must stay trivial");
+                    debug_assert_eq!(dg.min_rowid, t.rowid);
+                }
+                continue;
+            }
+            match delta_map.remove(proj.key(facts.leaf(t.rowid)?)) {
+                Some(dg) => {
+                    merge_into(merged, fns, facts.measures(t.rowid)?, &dg.aggs);
+                    out.push(merged, t.rowid.min(dg.min_rowid), node)?;
+                    report.merged_groups += 1;
+                }
+                None => {
+                    // Divergence point: re-establish the TT for this subtree.
+                    out.tt(node, t.rowid)?;
+                    t.covered = true;
+                    covered_here.push(i);
+                }
+            }
+        }
+
+        // 3. Old non-trivial groups: merge with delta where keys match.
+        for (j, &rowid) in self.group_rowids.iter().enumerate() {
+            let aggs = &self.group_aggs[j * y..(j + 1) * y];
+            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
+                Some(dg) => {
+                    merge_into(merged, fns, aggs, &dg.aggs);
+                    out.push(merged, rowid.min(dg.min_rowid), node)?;
+                    report.merged_groups += 1;
+                }
+                None => {
+                    out.push(aggs, rowid, node)?;
+                    report.carried_groups += 1;
+                }
+            }
+        }
+
+        // 4. Remaining delta-only groups.
+        for (_, dg) in delta_map.drain() {
+            if dg.count == 1 {
+                // New trivial tuple: store here; shared with the subtree.
+                // Its row must already be in the fact relation.
+                facts.index(dg.min_rowid)?;
+                out.tt(node, dg.min_rowid)?;
+                path.push(PathTt { rowid: dg.min_rowid, covered: true });
+                established += 1;
+            } else {
+                out.push(&dg.aggs, dg.min_rowid, node)?;
+            }
+            report.new_groups += 1;
+        }
+        Ok(Leave { established, covered_here })
+    }
+}
+
+/// A plan subtree walked on a worker, entered with a copy of the path TTs
+/// at its root. `before` holds what the calling thread logged while
+/// visiting the split roots above it, which precede the subtree in DFS
+/// order.
+struct Unit {
+    root: NodeId,
+    path: Vec<PathTt>,
+    before: WalkLog,
+}
+
+/// Cut the plan subtree under `node` into [`Unit`]s of at most `limit`
+/// weight, in DFS order. A heavier subtree is split: its root is visited
+/// on the calling thread (logged into `pending`, which the next unit
+/// takes as its `before`) and each child becomes a unit or is split in
+/// turn.
+fn plan_units(
+    walker: &mut Walker<'_>,
+    node: NodeId,
+    path: &mut Vec<PathTt>,
+    weights: &FxHashMap<NodeId, u64>,
+    limit: u64,
+    pending: &mut WalkLog,
+    units: &mut Vec<Unit>,
+) -> Result<()> {
+    let children = walker.ctx.children(Some(node));
+    if weights.get(&node).copied().unwrap_or(0) <= limit || children.is_empty() {
+        units.push(Unit { root: node, path: path.clone(), before: std::mem::take(pending) });
+        return Ok(());
+    }
+    let leave = walker.visit(node, path, pending)?;
+    for &child in children {
+        plan_units(walker, child, path, weights, limit, pending, units)?;
+    }
+    leave.undo(path);
+    Ok(())
+}
+
 /// Merge `delta` into the cube stored under `old_prefix`, writing the
 /// merged cube through `sink` (typically a [`DiskSink`](crate::sink::DiskSink)
 /// with a new prefix).
+///
+/// The plan walk runs on `threads` workers; `1` runs it on the calling
+/// thread. The calls made on `sink`, and so the stored bytes, are the
+/// same at every thread count.
 ///
 /// Preconditions:
 /// * `delta` tuples carry the row-ids they received when appended to the
@@ -335,187 +717,89 @@ pub fn update_cube(
     delta: &Tuples,
     cfg: &CubeConfig,
     sink: &mut dyn CubeSink,
+    threads: usize,
 ) -> Result<UpdateReport> {
-    let mut old = DiskOldCube::open(catalog, schema, old_prefix)?;
+    let old = OldCube::open(catalog, schema, old_prefix)?;
     let plan = match old.meta.partition_level {
         None => PlanSpec::new(schema),
         Some(l) => PlanSpec::partitioned(schema, l)?,
     };
-    let coder = NodeCoder::new(schema);
-    let fns = schema.agg_fns();
-    let y = schema.num_measures();
-    let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
-    let mut report = UpdateReport::default();
-
     let tree = plan.build_tree();
     let mut children: FxHashMap<Option<NodeId>, Vec<NodeId>> = FxHashMap::default();
     for &n in &tree.order {
         children.entry(tree.parent[&n]).or_default().push(n);
     }
-    let roots = children.remove(&None).unwrap_or_default();
+    let ctx = WalkCtx {
+        schema,
+        coder: NodeCoder::new(schema),
+        delta_first: (0..delta.len()).map(|i| delta.rowid(i)).min().unwrap_or(u64::MAX),
+        old,
+        delta,
+        children,
+    };
+    let y = ctx.old.y;
+    let mut pool = SignaturePool::new(y, cfg.pool_capacity, cfg.cat_policy);
+    let mut out = Direct { pool: &mut pool, sink };
+    let roots = ctx.children(None);
+    let mut walker = ctx.walker();
 
-    /// A tuple stored as a TT on the current DFS path (at this node or an
-    /// ancestor); its leaf values and measures come from the fact columns.
-    struct PathTt {
-        rowid: u64,
-        /// Whether a TT row for this tuple has been written at an ancestor
-        /// (then the whole subtree is covered and, because key collisions
-        /// propagate upward, no deeper delta collision is possible).
-        covered: bool,
+    if threads <= 1 {
+        // The reference walk: every call goes straight to the pool and sink.
+        for &root in roots {
+            walker.walk(root, &mut Vec::new(), &mut out)?;
+        }
+    } else {
+        // Subtree weights: `tree.order` lists parents before children.
+        let mut weights: FxHashMap<NodeId, u64> = FxHashMap::default();
+        for &n in tree.order.iter().rev() {
+            let w =
+                ctx.old.weight(n) + ctx.children(Some(n)).iter().map(|c| weights[c]).sum::<u64>();
+            weights.insert(n, w);
+        }
+        let total: u64 = roots.iter().map(|r| weights[r]).sum();
+        let limit = total / (4 * threads as u64);
+        let mut units = Vec::new();
+        let mut pending = WalkLog::default();
+        for &root in roots {
+            plan_units(
+                &mut walker,
+                root,
+                &mut Vec::new(),
+                &weights,
+                limit,
+                &mut pending,
+                &mut units,
+            )?;
+        }
+        run_ordered(
+            0..units.len(),
+            threads,
+            || {
+                let mut w = ctx.walker();
+                let units = &units;
+                move |i: usize| {
+                    let unit = &units[i];
+                    let mut log = WalkLog::default();
+                    w.walk(unit.root, &mut unit.path.clone(), &mut log)?;
+                    log.report = std::mem::take(&mut w.report);
+                    Ok(log)
+                }
+            },
+            |i, log: WalkLog| {
+                units[i].before.replay(&mut out, y)?;
+                log.replay(&mut out, y)?;
+                walker.report.add(&log.report);
+                Ok(())
+            },
+        )?;
+        // A root is split only when it has children, and the first of
+        // them takes the pending log, so none is left over.
+        debug_assert!(pending.ops.is_empty());
     }
-
-    /// One step of the iterative DFS over the plan forest.
-    enum Step {
-        Enter(NodeId),
-        /// Leave a node's subtree: pop the `established` path TTs it added
-        /// and uncover the inherited entries it covered.
-        Leave {
-            established: usize,
-            covered_here: Vec<usize>,
-        },
-    }
-
-    // Buffers reused by every node: carrying a group allocates nothing.
-    let mut path_tts: Vec<PathTt> = Vec::new();
-    let mut own_tts: Vec<u64> = Vec::new();
-    let mut group_rowids: Vec<u64> = Vec::new();
-    let mut group_aggs: Vec<i64> = Vec::new();
-    let mut merged: Vec<i64> = Vec::with_capacity(y);
-    let mut proj = Projector::new(schema);
-    let mut stack: Vec<Step> = roots.iter().rev().map(|&r| Step::Enter(r)).collect();
-
-    while let Some(step) = stack.pop() {
-        let node = match step {
-            Step::Enter(node) => node,
-            Step::Leave { established, covered_here } => {
-                path_tts.truncate(path_tts.len() - established);
-                for i in covered_here {
-                    path_tts[i].covered = false;
-                }
-                continue;
-            }
-        };
-        let levels = coder.decode(node)?;
-        proj.set_node(&coder, &levels);
-        report.nodes += 1;
-
-        // Delta groups of this node, keyed by grouping values.
-        let mut delta_map: FxHashMap<Vec<u32>, reference::GroupRow> = FxHashMap::default();
-        for mut g in reference::compute_node(schema, delta, &levels) {
-            delta_map.insert(std::mem::take(&mut g.dims), g);
-        }
-        // Old non-trivial groups and own TTs.
-        old.non_trivial_groups(node, &mut group_rowids, &mut group_aggs)?;
-        old.own_tts(node, &mut own_tts)?;
-        let facts = &old.facts;
-
-        // 1. Old TTs stored at this node: collision check against delta.
-        //
-        // A collision here demotes the tuple to a non-trivial group *at
-        // this node* (its merged row is written), but its trivial status
-        // may resurface deeper in the subtree where the delta diverges —
-        // the tuple is carried on the path as *uncovered* and step 2
-        // re-establishes its TT at the topmost divergence point of each
-        // branch.
-        let mut established = 0usize;
-        for &rowid in &own_tts {
-            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
-                Some(dg) => {
-                    report.tt_demotions += 1;
-                    merge_into(&mut merged, fns, facts.measures(rowid)?, &dg.aggs);
-                    pool.push(sink, &merged, rowid.min(dg.min_rowid), node)?;
-                    report.merged_groups += 1;
-                    path_tts.push(PathTt { rowid, covered: false });
-                }
-                None => {
-                    // Still trivial at this node: keep as TT and share below.
-                    sink.write_tt(node, rowid)?;
-                    report.carried_groups += 1;
-                    path_tts.push(PathTt { rowid, covered: true });
-                }
-            }
-            established += 1;
-        }
-
-        // 2. Uncovered path TTs (demoted at an ancestor): either the delta
-        // keeps colliding here (merged row, still uncovered) or it has
-        // diverged (this is the least detailed node where the tuple is
-        // trivial again → write its TT and cover the subtree). Covered
-        // entries need nothing: a collision below a TT-covered node is
-        // impossible because equal keys at a finer node imply equal keys
-        // at every coarser one.
-        let inherited = path_tts.len() - established;
-        let mut covered_here: Vec<usize> = Vec::new();
-        for (i, t) in path_tts[..inherited].iter_mut().enumerate() {
-            let hit = delta_map.remove(proj.key(facts.leaf(t.rowid)?));
-            if t.covered {
-                // A covered *old* TT cannot be hit by the delta here
-                // (collisions propagate upward and were ruled out at the
-                // covering node). A covered *delta* TT, however, still
-                // appears in this node's freshly computed delta groups —
-                // the removal above consumes it so step 4 does not store
-                // it twice.
-                if let Some(dg) = hit {
-                    debug_assert_eq!(dg.count, 1, "covered TT group must stay trivial");
-                    debug_assert_eq!(dg.min_rowid, t.rowid);
-                }
-                continue;
-            }
-            match hit {
-                Some(dg) => {
-                    merge_into(&mut merged, fns, facts.measures(t.rowid)?, &dg.aggs);
-                    pool.push(sink, &merged, t.rowid.min(dg.min_rowid), node)?;
-                    report.merged_groups += 1;
-                }
-                None => {
-                    // Divergence point: re-establish the TT for this subtree.
-                    sink.write_tt(node, t.rowid)?;
-                    t.covered = true;
-                    covered_here.push(i);
-                }
-            }
-        }
-
-        // 3. Old non-trivial groups: merge with delta where keys match.
-        for (j, &rowid) in group_rowids.iter().enumerate() {
-            let aggs = &group_aggs[j * y..(j + 1) * y];
-            match delta_map.remove(proj.key(facts.leaf(rowid)?)) {
-                Some(dg) => {
-                    merge_into(&mut merged, fns, aggs, &dg.aggs);
-                    pool.push(sink, &merged, rowid.min(dg.min_rowid), node)?;
-                    report.merged_groups += 1;
-                }
-                None => {
-                    pool.push(sink, aggs, rowid, node)?;
-                    report.carried_groups += 1;
-                }
-            }
-        }
-
-        // 4. Remaining delta-only groups.
-        for (_, dg) in delta_map.drain() {
-            if dg.count == 1 {
-                // New trivial tuple: store here; shared with the subtree.
-                // Its row must already be in the fact relation.
-                facts.index(dg.min_rowid)?;
-                sink.write_tt(node, dg.min_rowid)?;
-                path_tts.push(PathTt { rowid: dg.min_rowid, covered: true });
-                established += 1;
-            } else {
-                pool.push(sink, &dg.aggs, dg.min_rowid, node)?;
-            }
-            report.new_groups += 1;
-        }
-
-        stack.push(Step::Leave { established, covered_here });
-        if let Some(ch) = children.get(&Some(node)) {
-            stack.extend(ch.iter().rev().map(|&c| Step::Enter(c)));
-        }
-    }
-
+    let Direct { pool, sink } = out;
     pool.flush(sink)?;
     sink.finish()?;
-    Ok(report)
+    Ok(walker.report)
 }
 
 #[cfg(test)]
@@ -642,10 +926,14 @@ mod tests {
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
 
-        let mut new_sink = MemSink::new(2);
-        let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink).unwrap();
-        assert_eq!(up.nodes, NodeCoder::new(&schema).num_nodes());
-        assert_matches_oracle(&schema, &new_sink, &concat(&[&base, &delta]), None, tag);
+        for threads in [1, 4] {
+            let mut new_sink = MemSink::new(2);
+            let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink, threads)
+                .unwrap();
+            assert_eq!(up.nodes, NodeCoder::new(&schema).num_nodes());
+            let tag = format!("{tag}, {threads} threads");
+            assert_matches_oracle(&schema, &new_sink, &concat(&[&base, &delta]), None, &tag);
+        }
     }
 
     #[test]
@@ -693,13 +981,13 @@ mod tests {
 
         b1.store_fact(&mut heap).unwrap();
         let mut s2 = DiskSink::new(&catalog, "v2_", &schema, false, false, None).unwrap();
-        update_cube(&catalog, &schema, "v1_", &b1, &cfg, &mut s2).unwrap();
+        update_cube(&catalog, &schema, "v1_", &b1, &cfg, &mut s2, 1).unwrap();
         meta("v2_", false, s2.cat_format()).write(&catalog).unwrap();
 
         b2.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut s3 = MemSink::new(2);
-        update_cube(&catalog, &schema, "v2_", &b2, &cfg, &mut s3).unwrap();
+        update_cube(&catalog, &schema, "v2_", &b2, &cfg, &mut s3, 1).unwrap();
         assert_matches_oracle(&schema, &s3, &concat(&[&b0, &b1, &b2]), None, "chained");
     }
 
@@ -715,7 +1003,7 @@ mod tests {
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut new_sink = MemSink::new(2);
-        update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink).unwrap();
+        update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut new_sink, 1).unwrap();
         assert_matches_oracle(&schema, &new_sink, &concat(&[&base, &delta]), None, "plus");
     }
 
@@ -752,7 +1040,7 @@ mod tests {
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut new_sink = MemSink::new(2);
-        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink)
+        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink, 1)
             .unwrap();
         // TT placement follows the OLD cube's (partitioned) plan forest.
         let all = concat(&[&base, &delta]);
@@ -770,7 +1058,7 @@ mod tests {
         CubeMeta { dr: true, ..meta("x_", false, None) }.write(&catalog).unwrap();
         let delta = make_tuples(&schema, 5, 4, 50);
         let mut sink = MemSink::new(2);
-        assert!(update_cube(&catalog, &schema, "x_", &delta, &CubeConfig::default(), &mut sink)
+        assert!(update_cube(&catalog, &schema, "x_", &delta, &CubeConfig::default(), &mut sink, 1)
             .is_err());
     }
 
@@ -789,7 +1077,7 @@ mod tests {
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut sink = MemSink::new(2);
-        let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink).unwrap();
+        let up = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink, 1).unwrap();
         assert!(up.tt_demotions > 0, "exact duplicates must demote TTs: {up:?}");
     }
 }

@@ -282,7 +282,7 @@ proptest! {
         delta.store_fact(&mut heap).unwrap();
         drop(heap);
         let mut new_sink = MemSink::new(schema.num_measures());
-        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink)
+        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut new_sink, 1)
             .unwrap();
         check_against_oracle(&schema, &all, &new_sink, None, 1)?;
     }

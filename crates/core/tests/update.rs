@@ -166,7 +166,7 @@ fn check_update_equals_rebuild(
 
     // Path 1: incremental update.
     let mut updated = MemSink::new(y);
-    let up = update_cube(&catalog, schema, "old_", &delta, cfg, &mut updated).unwrap();
+    let up = update_cube(&catalog, schema, "old_", &delta, cfg, &mut updated, 1).unwrap();
     if let CatFormatPolicy::Force(format) = cfg.cat_policy {
         assert_eq!(updated.cat_format(), Some(format), "{tag}");
     }
@@ -291,7 +291,8 @@ fn out_of_range_rowids_are_typed_errors() {
             let name = first_nonempty(&catalog, "old_", &schema, |n| rel_name("old_", n));
             set_first_rowid(&catalog, "old_", &name, bad);
             let mut sink = MemSink::new(2);
-            let err = update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink).unwrap_err();
+            let err =
+                update_cube(&catalog, &schema, "old_", &delta, &cfg, &mut sink, 1).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -343,8 +344,9 @@ fn update_with_duplicate_heavy_delta_equals_rebuild() {
     drop(heap);
 
     let mut updated = MemSink::new(2);
-    let up = update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut updated)
-        .unwrap();
+    let up =
+        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut updated, 1)
+            .unwrap();
     assert!(up.tt_demotions > 0, "duplicate-heavy delta must demote TTs: {up:?}");
     assert!(up.merged_groups > 0, "duplicate-heavy delta must merge groups: {up:?}");
 
@@ -363,8 +365,9 @@ fn empty_delta_carries_every_group() {
 
     let delta = Tuples::new(schema.num_dims(), 2);
     let mut updated = MemSink::new(2);
-    let up = update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut updated)
-        .unwrap();
+    let up =
+        update_cube(&catalog, &schema, "old_", &delta, &CubeConfig::default(), &mut updated, 1)
+            .unwrap();
     assert_eq!(up.tt_demotions, 0, "empty delta cannot demote: {up:?}");
     assert_eq!(up.merged_groups, 0, "empty delta cannot merge: {up:?}");
     assert_eq!(up.new_groups, 0, "empty delta cannot add groups: {up:?}");
@@ -413,6 +416,7 @@ mod ingest_props {
             &empty,
             &CubeConfig::default(),
             &mut sink,
+            1,
         )
         .unwrap();
         sink
@@ -532,6 +536,6 @@ fn iceberg_cubes_are_rejected() {
     .unwrap();
     let delta = make_tuples(&schema, 10, 8, 100);
     let mut sink = MemSink::new(2);
-    let err = update_cube(&catalog, &schema, "ice_", &delta, &CubeConfig::default(), &mut sink);
+    let err = update_cube(&catalog, &schema, "ice_", &delta, &CubeConfig::default(), &mut sink, 1);
     assert!(err.is_err(), "iceberg cube must be rejected by update_cube");
 }

@@ -164,7 +164,8 @@ impl LiveCubeService {
 
     /// Apply one delta batch: durable ingest into the next epoch prefix,
     /// swap it in as the current epoch, GC retired epochs nobody reads
-    /// anymore. Single writer — concurrent callers serialize here.
+    /// anymore. Single writer — concurrent callers serialize here. The
+    /// merge walks the cube on this thread alone.
     pub fn apply_delta(&self, delta: &cure_core::Tuples, cfg: &CubeConfig) -> Result<IngestReport> {
         let mut w = self.writer.lock();
         let old_prefix = active_prefix(&self.catalog);
@@ -186,6 +187,10 @@ impl LiveCubeService {
             delta,
             cfg,
             &IngestOptions { drop_old: false },
+            // One merge walker: the ingest shares the cores with the
+            // query clients, and a parallel walk only lengthened their
+            // tail latency without shortening the ingest.
+            1,
         ) {
             Ok(report) => report,
             Err(e) => return Err(self.abort_delta(&mut w, &old_prefix, &new_prefix, e)),

@@ -7,6 +7,8 @@
 //! Performance Book we ship an FxHash-style multiply-rotate hasher. HashDoS
 //! is not a concern: all keys are internally generated dimension ids.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The 64-bit "Fx" multiplication constant (golden-ratio derived).
@@ -36,7 +38,9 @@ impl Hasher for FxHasher {
         // Consume 8-byte words, then the tail.
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.add_word(u64::from_le_bytes(c.try_into().unwrap()));
+            let mut word = [0u8; 8];
+            word.copy_from_slice(c);
+            self.add_word(u64::from_le_bytes(word));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {

@@ -39,6 +39,8 @@
 //! short, a bad magic or a CRC mismatch is [`StorageError::Corrupt`]
 //! naming the file. The header write does not count in `pages_written`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -1086,30 +1088,23 @@ impl<'a> RowScan<'a> {
             if self.page_no > self.hf.full_pages {
                 return Ok(None);
             }
-            let is_tail = self.page_no == self.hf.full_pages;
-            if !is_tail && self.current.is_none() {
-                self.current = Some(self.hf.read_page(self.page_no)?);
-            }
-            let nrows =
-                if is_tail { self.hf.tail.nrows() } else { self.current.as_ref().unwrap().nrows() };
-            if self.slot < nrows {
+            // The tail page, or the current full page (read on first use).
+            let page: *const Page = if self.page_no == self.hf.full_pages {
+                &self.hf.tail
+            } else if let Some(page) = &self.current {
+                page
+            } else {
+                self.current.insert(self.hf.read_page(self.page_no)?)
+            };
+            // SAFETY: the page lives in the borrowed heap file's tail or in
+            // `self.current`, which only a later `next_row` call replaces;
+            // the returned borrow's lifetime is tied to `&mut self`, so the
+            // caller cannot hold it across that replacement.
+            let page = unsafe { &*page };
+            if self.slot < page.nrows() {
                 let slot = self.slot;
                 self.slot += 1;
-                // Borrow from tail or from the cached page.
-                let row = if is_tail {
-                    self.hf.tail.row(w, slot)
-                } else {
-                    // Reborrow through raw pointer is unnecessary: we can
-                    // return a borrow tied to `self` lifetime safely because
-                    // `current` is not mutated until the next call.
-                    let page: *const Page = self.current.as_ref().unwrap();
-                    // SAFETY: the page lives in `self.current` and is only
-                    // replaced by a later `next_row` call; the returned
-                    // borrow's lifetime is tied to `&mut self`, so the
-                    // caller cannot hold it across that replacement.
-                    unsafe { (*page).row(w, slot) }
-                };
-                return Ok(Some(row));
+                return Ok(Some(page.row(w, slot)));
             }
             self.page_no += 1;
             self.slot = 0;

@@ -7,7 +7,18 @@
 //! offset arithmetic trivial (`rowid * row_width`), which is exactly the
 //! property the paper's R-rowid / A-rowid references rely on.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::{Result, StorageError};
+
+/// The `N` bytes of `row` at byte offset `off`. An offset past the row
+/// panics as any slice index does; there is no other failure.
+#[inline]
+fn bytes_at<const N: usize>(row: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&row[off..off + N]);
+    out
+}
 
 /// The primitive column types supported by the engine.
 ///
@@ -220,19 +231,17 @@ impl Schema {
         let mut out = Vec::with_capacity(self.cols.len());
         for (i, c) in self.cols.iter().enumerate() {
             let off = self.offsets[i];
+            let field = row.get(off..off + c.ty.width()).ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "decode_row: column {i} at byte {off} overruns the {}-byte row",
+                    row.len()
+                ))
+            })?;
             let v = match c.ty {
-                ColType::U32 => {
-                    Value::U32(u32::from_le_bytes(row[off..off + 4].try_into().unwrap()))
-                }
-                ColType::U64 => {
-                    Value::U64(u64::from_le_bytes(row[off..off + 8].try_into().unwrap()))
-                }
-                ColType::I64 => {
-                    Value::I64(i64::from_le_bytes(row[off..off + 8].try_into().unwrap()))
-                }
-                ColType::F64 => {
-                    Value::F64(f64::from_le_bytes(row[off..off + 8].try_into().unwrap()))
-                }
+                ColType::U32 => Value::U32(u32::from_le_bytes(bytes_at(field, 0))),
+                ColType::U64 => Value::U64(u64::from_le_bytes(bytes_at(field, 0))),
+                ColType::I64 => Value::I64(i64::from_le_bytes(bytes_at(field, 0))),
+                ColType::F64 => Value::F64(f64::from_le_bytes(bytes_at(field, 0))),
             };
             out.push(v);
         }
@@ -242,19 +251,19 @@ impl Schema {
     /// Read the `U32` column at byte offset `off` directly from a raw row.
     #[inline]
     pub fn read_u32_at(row: &[u8], off: usize) -> u32 {
-        u32::from_le_bytes(row[off..off + 4].try_into().unwrap())
+        u32::from_le_bytes(bytes_at(row, off))
     }
 
     /// Read a `U64` column at byte offset `off` directly from a raw row.
     #[inline]
     pub fn read_u64_at(row: &[u8], off: usize) -> u64 {
-        u64::from_le_bytes(row[off..off + 8].try_into().unwrap())
+        u64::from_le_bytes(bytes_at(row, off))
     }
 
     /// Read an `I64` column at byte offset `off` directly from a raw row.
     #[inline]
     pub fn read_i64_at(row: &[u8], off: usize) -> i64 {
-        i64::from_le_bytes(row[off..off + 8].try_into().unwrap())
+        i64::from_le_bytes(bytes_at(row, off))
     }
 }
 

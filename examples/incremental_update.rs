@@ -73,12 +73,16 @@ fn main() -> cure::core::Result<()> {
         build_secs
     );
 
-    // Append the batch to the fact relation, then merge incrementally.
+    // Append the batch to the fact relation, then merge incrementally,
+    // walking the plan on every core: the merged cube's bytes are the same
+    // at any thread count.
     batch.store_fact(&mut heap)?;
     drop(heap);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t0 = Instant::now();
     let mut new_sink = DiskSink::new(&catalog, "v2_", &schema, false, false, None)?;
-    let up = update_cube(&catalog, &schema, "v1_", &batch, &CubeConfig::default(), &mut new_sink)?;
+    let cfg = CubeConfig::default();
+    let up = update_cube(&catalog, &schema, "v1_", &batch, &cfg, &mut new_sink, threads)?;
     let update_secs = t0.elapsed().as_secs_f64();
     CubeMeta {
         prefix: "v2_".into(),
@@ -93,7 +97,7 @@ fn main() -> cure::core::Result<()> {
     }
     .write(&catalog)?;
     println!(
-        "incremental merge of {} tuples: {:.2}s — {} carried, {} merged, {} new groups, \
+        "incremental merge of {} tuples on {threads} threads: {:.2}s — {} carried, {} merged, {} new groups, \
          {} TT demotions",
         batch.len(),
         update_secs,
