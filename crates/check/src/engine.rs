@@ -1,43 +1,19 @@
-//! The engine matrix: one workload, every build path.
+//! The engine matrix: one workload, every build and serve path.
 //!
-//! Each [`Engine`] builds the workload through a different code path and
-//! returns the same currency — per-node sorted `(grouping values,
-//! aggregates)` rows — plus, for on-disk CURE builds, a byte snapshot of
-//! the cube relations so the determinism contract (PR 3: parallel ≡
-//! sequential; PR 2: resumed ≡ never-crashed) can be checked exactly.
+//! Each [`Engine`] is one row of the `ENGINES` table below: a label, a
+//! build step, an access step that reads the built cube back, and whether
+//! the row's cube bytes join the cross-engine byte-identity check. The
+//! table is the list of engines; DESIGN §11 says what each row checks.
+//! Every row returns the same currency — per-node sorted `(grouping
+//! values, aggregates)` rows — plus the engine-internal invariant
+//! violations its steps found and, for byte-comparable rows, a byte
+//! snapshot of the cube relations, so the determinism contract (parallel
+//! ≡ sequential; resumed ≡ never-crashed) is checked exactly.
 //!
-//! Coverage notes:
-//!
-//! * [`Engine::InMemory`] runs `CubeBuilder::build_in_memory` into a
-//!   [`MemSink`] and reads back through [`MemCubeReader`] — the only
-//!   engine that can host a deliberate [`Mutation`] (the harness's own
-//!   smoke test that mismatches are caught and shrunk).
-//! * [`Engine::DurableResume`] runs a fault-free durable build under a
-//!   counting I/O policy to learn the write schedule, kills a second
-//!   build at a seed-derived write index with a sticky fault, resumes it,
-//!   and compares the resumed bytes against the fault-free reference.
-//! * [`Engine::Buc`] / [`Engine::Bubst`] cube the *flat leaf projection*
-//!   (the baselines know nothing about hierarchies), so they only report
-//!   the lattice nodes whose levels are all leaf-or-ALL.
-//! * [`Engine::DeltaIngest`] splits the facts at seed-derived cut points
-//!   into a base build plus 1–2 delta batches run through the durable
-//!   ingest pipeline (append → merge → swap → GC); the final cube must
-//!   equal the oracle over *all* facts, the chain must be internally
-//!   deterministic (run twice, byte-compared), and iceberg workloads
-//!   must be rejected up front without side effects.
-//! * [`Engine::Sharded`] builds 2–4 partition-scoped sub-cubes, serves
-//!   every lattice node through the scatter-gather [`ShardRouter`]
-//!   (iceberg thresholds applied post-merge via an extra count measure),
-//!   then snapshot-replicates the shard families and asserts a
-//!   replica-only router answers byte-for-byte like the primary.
-//! * [`Engine::SocketSharded`] serves the same sharded topology through
-//!   real `cure-shard-serve` processes on loopback sockets (2 replicas
-//!   per shard), SIGKILLs one replica process mid-sweep, and asserts the
-//!   router answers every node identically through failover — then
-//!   respawns the replica, redirects its backend, and proves full
-//!   recovery. When the server binary is not on disk it falls back to
-//!   in-process [`ShardServer`]s whose `abort()` is wire-equivalent to a
-//!   process kill.
+//! Each build step is written once and shared by the rows that use it:
+//! the two chaos rows build exactly like `sequential`, and `sharded` and
+//! `socket-sharded` share the shard build and replication, each drawing
+//! its own shard and thread counts from the seed.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -53,7 +29,7 @@ use cure_core::{
     shard_cube_prefix, shard_prefix, BuildReport, CubeSchema, DurableOptions, IngestManifest,
     IngestOptions, MemCubeReader, NodeCoder, NodeId, Result as CoreResult, Tuples,
 };
-use cure_query::{CacheConfig, ConcurrentCube, CureCube, ReadPath};
+use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube, ReadPath};
 use cure_serve::{
     replicate_shards, CubeService, QueryOptions, RemoteShardBackend, RemoteShardConfig,
     ResilienceConfig, ServeError, ServeErrorKind, ShardBackend, ShardRouter, ShardRouterConfig,
@@ -66,134 +42,132 @@ use crate::{CheckError, Result};
 
 /// `(grouping values, aggregates)` rows per lattice node — the comparison
 /// currency shared by every engine and the oracle.
-pub type NodeMap = BTreeMap<NodeId, Vec<(Vec<u32>, Vec<i64>)>>;
+pub type NodeMap = BTreeMap<NodeId, Vec<CubeRow>>;
 
-/// One build path through the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// `CubeBuilder::build_in_memory` into a `MemSink`.
-    InMemory,
-    /// `build_cure_cube` at one thread into a `DiskSink` (in-memory fast
-    /// path or external partitioning, depending on the budget).
-    Sequential,
-    /// `build_cure_cube` at this many worker threads (more than one).
-    Parallel(usize),
-    /// Sequential CURE_DR: NTs materialize dimension values.
-    Dr,
-    /// Durable build killed at a fault-injected write index and resumed.
-    DurableResume,
-    /// BUC baseline over the flat leaf projection.
-    Buc,
-    /// BU-BST (condensed cube) baseline over the flat leaf projection.
-    Bubst,
-    /// Base build plus 1–2 delta-ingest batches (the incremental
-    /// maintenance pipeline): base + delta must equal a fresh rebuild.
-    DeltaIngest,
-    /// Fault-free build served through the hardened serve path while a
-    /// seed-derived read-fault schedule (transient EIO, hard EIO, bit
-    /// flips) fires underneath: every query must return oracle-correct
-    /// rows or a typed error — never wrong data — and the service must
-    /// recover to 100% success once the fault budget is spent.
-    ChaosServe,
-    /// [`ChaosServe`](Engine::ChaosServe) with the zero-copy mmap read
-    /// path: the same seed-derived fault schedule fires through
-    /// `MmapRelation` page accesses instead of the shared page cache. A
-    /// corrupted mapped page must surface as a typed `Corrupt` error,
-    /// never wrong rows, and repair must re-verify through the live
-    /// mapping.
-    ChaosServeMmap,
-    /// 2–4 partition-scoped sub-cubes served as one logical cube through
-    /// the scatter-gather [`ShardRouter`], then snapshot-replicated:
-    /// merged answers must equal the oracle on every lattice node
-    /// (iceberg thresholds post-merge), the replica must be
-    /// byte-identical to the primary, and a replica-only router must
-    /// answer exactly like the primary one.
-    Sharded,
-    /// [`Sharded`](Engine::Sharded) across process and socket
-    /// boundaries: every replica is a real `cure-shard-serve` child
-    /// process on loopback (2 replicas per shard), queried through
-    /// [`RemoteShardBackend`]s over the length-prefixed wire protocol.
-    /// One replica process is SIGKILLed mid-sweep and every answer must
-    /// still be byte-identical via failover — correct rows or a typed
-    /// error, never wrong data — with the kill visible in the failover
-    /// counters; the replica is then respawned, its backend redirected,
-    /// and a final sweep must be clean.
-    SocketSharded,
+/// One row of the conformance matrix.
+#[derive(Debug, PartialEq, Eq)]
+struct Row {
+    /// Short stable name (scratch directory and mismatch reports).
+    label: &'static str,
+    build: Build,
+    access: Access,
+    /// The row's cube-relation bytes must equal every other such row's:
+    /// the plain CURE disk builds (sequential and parallel at any thread
+    /// count) and the resumed durable build all promise identical bytes.
+    byte_comparable: bool,
 }
 
+/// How a row builds the workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Build {
+    /// `CubeBuilder::build_in_memory` into a `MemSink`, read back through
+    /// `MemCubeReader`; the only build a [`Mutation`] reaches.
+    InMemory,
+    /// The BUC (or, `condensed`, BU-BST) baseline over the flat leaf
+    /// projection; the baselines know nothing about hierarchies, so only
+    /// the lattice nodes whose levels are all leaf-or-ALL are reported.
+    Flat { condensed: bool },
+    /// `build_cure_cube` into a `DiskSink` at `threads` workers; `dr`
+    /// selects CURE_DR, whose NTs materialize dimension values.
+    Cure { threads: usize, dr: bool },
+    /// A fault-free durable build under a counting I/O policy learns the
+    /// write schedule, a second build dies at a seed-derived write index
+    /// under a sticky fault, and its resumed bytes must equal the
+    /// fault-free reference.
+    DurableResume,
+    /// The facts split at seed-derived cut points into a base build plus
+    /// 1–2 delta batches through the durable ingest pipeline.
+    DeltaIngest,
+    /// Partition-scoped sub-cubes plus a snapshot replica of every shard
+    /// family. The shard count and build threads are drawn, in that
+    /// order, from `seed ^ salt` out of `shards` and `threads`.
+    Shards { salt: u64, shards: &'static [usize], threads: &'static [usize] },
+}
+
+/// How a row reads its built cube back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// The build step's own reader ([`Build::InMemory`], [`Build::Flat`]).
+    Direct,
+    /// `CureCube::node_query` on every node of the active cube.
+    Query,
+    /// The hardened serve path under a seed-derived read-fault schedule.
+    Chaos(ReadPath),
+    /// The scatter-gather `ShardRouter` over the primary shards, then a
+    /// router over the replica alone, which must answer identically.
+    Router,
+    /// Shard servers on loopback sockets, one replica killed mid-sweep
+    /// and respawned.
+    Socket,
+}
+
+const fn row(label: &'static str, build: Build, access: Access, byte_comparable: bool) -> Row {
+    Row { label, build, access, byte_comparable }
+}
+
+/// The conformance matrix, in the order runs are reported: label, build
+/// step, access step, byte-comparable. The delta-ingest cube is merged in
+/// update order, equal to a fresh build but not byte-identical; its build
+/// step compares two identical chains instead.
+const ENGINES: &[Row] = &[
+    row("in-memory", Build::InMemory, Access::Direct, false),
+    row("sequential", Build::Cure { threads: 1, dr: false }, Access::Query, true),
+    row("parallel-2", Build::Cure { threads: 2, dr: false }, Access::Query, true),
+    row("parallel-4", Build::Cure { threads: 4, dr: false }, Access::Query, true),
+    row("parallel-8", Build::Cure { threads: 8, dr: false }, Access::Query, true),
+    row("cure-dr", Build::Cure { threads: 1, dr: true }, Access::Query, false),
+    row("durable-resume", Build::DurableResume, Access::Query, true),
+    row("buc", Build::Flat { condensed: false }, Access::Direct, false),
+    row("bubst", Build::Flat { condensed: true }, Access::Direct, false),
+    row("delta-ingest", Build::DeltaIngest, Access::Query, false),
+    row(
+        "chaos-serve",
+        Build::Cure { threads: 1, dr: false },
+        Access::Chaos(ReadPath::Cache),
+        false,
+    ),
+    row(
+        "chaos-serve-mmap",
+        Build::Cure { threads: 1, dr: false },
+        Access::Chaos(ReadPath::Mmap),
+        false,
+    ),
+    row(
+        "sharded",
+        Build::Shards { salt: 0x54A8D, shards: &[2, 3, 4], threads: &[1, 2, 4] },
+        Access::Router,
+        false,
+    ),
+    row(
+        "socket-sharded",
+        Build::Shards { salt: 0x50C4E7, shards: &[2, 3], threads: &[1, 2] },
+        Access::Socket,
+        false,
+    ),
+];
+
+/// One row of the conformance matrix (see [`Engine::all`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Engine(&'static Row);
+
 impl Engine {
+    /// The in-memory build (the table's first row), the only engine a
+    /// [`Mutation`] applies to.
+    pub const IN_MEMORY: Engine = Engine(&ENGINES[0]);
+
     /// The full conformance matrix, in the order runs are reported.
     pub fn all() -> Vec<Engine> {
-        vec![
-            Engine::InMemory,
-            Engine::Sequential,
-            Engine::Parallel(2),
-            Engine::Parallel(4),
-            Engine::Parallel(8),
-            Engine::Dr,
-            Engine::DurableResume,
-            Engine::Buc,
-            Engine::Bubst,
-            Engine::DeltaIngest,
-            Engine::ChaosServe,
-            Engine::ChaosServeMmap,
-            Engine::Sharded,
-            Engine::SocketSharded,
-        ]
+        ENGINES.iter().map(Engine).collect()
     }
 
     /// Short stable label (scratch directory name and mismatch reports).
-    pub fn label(&self) -> String {
-        match self {
-            Engine::InMemory => "in-memory".into(),
-            Engine::Sequential => "sequential".into(),
-            Engine::Parallel(t) => format!("parallel-{t}"),
-            Engine::Dr => "cure-dr".into(),
-            Engine::DurableResume => "durable-resume".into(),
-            Engine::Buc => "buc".into(),
-            Engine::Bubst => "bubst".into(),
-            Engine::DeltaIngest => "delta-ingest".into(),
-            Engine::ChaosServe => "chaos-serve".into(),
-            Engine::ChaosServeMmap => "chaos-serve-mmap".into(),
-            Engine::Sharded => "sharded".into(),
-            Engine::SocketSharded => "socket-sharded".into(),
-        }
-    }
-
-    /// Parse a label produced by [`Self::label`].
-    pub fn from_label(s: &str) -> Option<Engine> {
-        match s {
-            "in-memory" => Some(Engine::InMemory),
-            "sequential" => Some(Engine::Sequential),
-            "cure-dr" => Some(Engine::Dr),
-            "durable-resume" => Some(Engine::DurableResume),
-            "buc" => Some(Engine::Buc),
-            "bubst" => Some(Engine::Bubst),
-            "delta-ingest" => Some(Engine::DeltaIngest),
-            "chaos-serve" => Some(Engine::ChaosServe),
-            "chaos-serve-mmap" => Some(Engine::ChaosServeMmap),
-            "sharded" => Some(Engine::Sharded),
-            "socket-sharded" => Some(Engine::SocketSharded),
-            other => {
-                other.strip_prefix("parallel-").and_then(|t| t.parse().ok()).map(Engine::Parallel)
-            }
-        }
-    }
-
-    /// Whether this engine's cube-relation bytes participate in the
-    /// cross-engine byte-identity check (plain CURE disk builds only:
-    /// sequential, parallel at any thread count, and the durable resumed
-    /// build all promise identical bytes). Delta ingest is semantically
-    /// equal but physically merged in update order, so it checks its own
-    /// determinism internally (two identical chains, byte-compared)
-    /// instead of joining the fresh-build baseline.
-    pub fn byte_comparable(&self) -> bool {
-        matches!(self, Engine::Sequential | Engine::Parallel(_) | Engine::DurableResume)
+    pub fn label(&self) -> &'static str {
+        self.0.label
     }
 }
 
 /// A deliberately injected aggregation bug, for the harness's own
-/// mutation smoke test (applies to [`Engine::InMemory`] only).
+/// mutation smoke test (applies to [`Engine::IN_MEMORY`] only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Every normal tuple's first aggregate is off by one.
@@ -246,7 +220,7 @@ pub struct EngineRun {
     /// Sorted node contents; CURE engines cover every lattice node, the
     /// flat baselines only the leaf-or-ALL subset.
     pub nodes: NodeMap,
-    /// Byte snapshot of the cube relations (disk CURE engines only).
+    /// Byte snapshot of the cube relations (byte-comparable engines only).
     pub bytes: Option<BTreeMap<String, Vec<u8>>>,
     /// Engine-internal consistency violations (e.g. a resumed durable
     /// build whose bytes differ from the fault-free reference).
@@ -256,86 +230,178 @@ pub struct EngineRun {
 const CUBE_PREFIX: &str = "cube_";
 const PART_PREFIX: &str = "part_";
 
-/// Run `engine` over `workload`, building under `scratch` (a directory
-/// private to this engine run; wiped before use).
-pub fn run_engine(w: &Workload, engine: Engine, scratch: &Path) -> Result<EngineRun> {
-    let schema = w.schema()?;
-    let t = w.fact_tuples();
-    match engine {
-        Engine::InMemory => run_in_memory(w, &schema, &t, None),
-        Engine::Sequential => run_disk(w, &schema, engine, scratch),
-        Engine::Parallel(_) => run_disk(w, &schema, engine, scratch),
-        Engine::Dr => run_disk(w, &schema, engine, scratch),
-        Engine::DurableResume => run_durable_resume(w, &schema, scratch),
-        Engine::Buc => run_buc_baseline(w, &schema, &t, false),
-        Engine::Bubst => run_buc_baseline(w, &schema, &t, true),
-        Engine::DeltaIngest => run_delta_ingest(w, &schema, scratch),
-        Engine::ChaosServe => run_chaos_serve(w, &schema, scratch, ReadPath::Cache),
-        Engine::ChaosServeMmap => run_chaos_serve(w, &schema, scratch, ReadPath::Mmap),
-        Engine::Sharded => run_sharded(w, &schema, scratch),
-        Engine::SocketSharded => run_socket_sharded(w, &schema, scratch),
+/// What a build step leaves for the row's access step.
+enum Built {
+    /// Node contents the build's own reader produced.
+    Nodes(NodeMap),
+    /// A CURE cube on disk: its catalog directory and cube prefix.
+    Cube { dir: PathBuf, prefix: String },
+    /// A sharded build and its replica.
+    Shards(ShardSet),
+}
+
+/// The state one row's steps share.
+struct Run<'a> {
+    w: &'a Workload,
+    schema: &'a CubeSchema,
+    scratch: &'a Path,
+    label: &'static str,
+    /// Engine-internal invariant violations found so far.
+    internal: Vec<String>,
+}
+
+impl Run<'_> {
+    /// This row's directory `suffix` under the scratch root: rows never
+    /// share one.
+    fn dir(&self, suffix: &str) -> PathBuf {
+        self.scratch.join(format!("{}{suffix}", self.label))
+    }
+
+    /// A CURE disk build must have partitioned when the workload forces
+    /// it, or the row silently covers the in-memory path instead.
+    fn check_partitioned(&mut self, report: &BuildReport) {
+        if self.w.partitioned && report.partition.is_none() {
+            self.internal.push(format!(
+                "budget {} did not force partitioning (coverage degraded)",
+                self.w.config().memory_budget_bytes
+            ));
+        }
     }
 }
 
-/// [`run_engine`] for [`Engine::InMemory`] with an optional injected bug
-/// (the mutation smoke test's entry point).
-pub fn run_in_memory_mutated(w: &Workload, mutation: Option<Mutation>) -> Result<EngineRun> {
-    let schema = w.schema()?;
-    let t = w.fact_tuples();
-    run_in_memory(w, &schema, &t, mutation)
-}
-
-fn run_in_memory(
+/// Run `engine` over `workload`, building under directories of `scratch`
+/// named after the engine. `mutation` is injected into the in-memory
+/// build and ignored by every other engine.
+pub fn run_engine(
     w: &Workload,
-    schema: &CubeSchema,
-    t: &Tuples,
+    engine: Engine,
+    scratch: &Path,
     mutation: Option<Mutation>,
 ) -> Result<EngineRun> {
-    let mut sink = MemSink::new(w.measures);
-    let builder = CubeBuilder::new(schema, w.config());
-    match mutation {
-        Some(m) => {
-            let mut wrapped = MutatingSink { inner: &mut sink, mutation: m };
-            builder.build_in_memory(t, &mut wrapped)?;
+    let row = engine.0;
+    let schema = w.schema()?;
+    let mut run = Run { w, schema: &schema, scratch, label: row.label, internal: Vec::new() };
+    let mut built = match row.build {
+        Build::InMemory => Built::Nodes(build_in_memory(&run, mutation)?),
+        Build::Flat { condensed } => Built::Nodes(build_flat(&run, condensed)?),
+        Build::Cure { threads, dr } => {
+            let dir = run.dir("");
+            let report = plain_cube(&run, &dir, &w.fact_tuples(), threads, dr)?;
+            run.check_partitioned(&report);
+            Built::Cube { dir, prefix: CUBE_PREFIX.into() }
         }
-        None => {
-            builder.build_in_memory(t, &mut sink)?;
+        Build::DurableResume => build_durable_resume(&mut run)?,
+        Build::DeltaIngest => build_delta_ingest(&mut run)?,
+        Build::Shards { salt, shards, threads } => {
+            Built::Shards(build_shards(&mut run, salt, shards, threads)?)
         }
-    }
-    let reader = MemCubeReader::new(schema, &sink, t, None)?;
-    let coder = NodeCoder::new(schema);
+    };
+    let nodes = match (row.access, &mut built) {
+        (Access::Direct, Built::Nodes(nodes)) => std::mem::take(nodes),
+        (Access::Query, Built::Cube { dir, prefix }) => {
+            let catalog = Catalog::open(&*dir)?;
+            let mut cube = CureCube::open(&catalog, &schema, prefix)
+                .map_err(|e| CheckError::Case(format!("open cube: {e}")))?;
+            every_node(&schema, |id| {
+                cube.node_query(id).map_err(|e| CheckError::Case(format!("node_query({id}): {e}")))
+            })?
+        }
+        (Access::Chaos(read_path), Built::Cube { dir, prefix }) => {
+            serve_chaos(&mut run, dir, prefix, read_path)?
+        }
+        (Access::Router, Built::Shards(set)) => serve_router(&mut run, set)?,
+        (Access::Socket, Built::Shards(set)) => serve_sockets(&mut run, set)?,
+        _ => {
+            return Err(CheckError::Case(format!(
+                "{}: the access step cannot read this build",
+                row.label
+            )))
+        }
+    };
+    let bytes = match &built {
+        Built::Cube { dir, prefix } if row.byte_comparable => Some(snapshot_cube(dir, prefix)?),
+        _ => None,
+    };
+    Ok(EngineRun { nodes, bytes, internal: run.internal })
+}
+
+/// Every lattice node's rows from `query`, sorted.
+fn every_node(
+    schema: &CubeSchema,
+    mut query: impl FnMut(NodeId) -> Result<Vec<CubeRow>>,
+) -> Result<NodeMap> {
     let mut nodes = NodeMap::new();
-    for id in coder.all_ids() {
-        let mut rows = reader.node_contents(id)?;
+    for id in NodeCoder::new(schema).all_ids() {
+        let mut rows = query(id)?;
         rows.sort();
         nodes.insert(id, rows);
     }
-    Ok(EngineRun { nodes, bytes: None, internal: Vec::new() })
+    Ok(nodes)
 }
 
-fn fresh_dir(scratch: &Path, tag: &str) -> Result<PathBuf> {
-    let dir = scratch.join(tag);
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).map_err(CheckError::Io)?;
+fn build_in_memory(run: &Run, mutation: Option<Mutation>) -> Result<NodeMap> {
+    let t = run.w.fact_tuples();
+    let mut sink = MemSink::new(run.w.measures);
+    let builder = CubeBuilder::new(run.schema, run.w.config());
+    match mutation {
+        Some(mutation) => {
+            builder.build_in_memory(&t, &mut MutatingSink { inner: &mut sink, mutation })?
+        }
+        None => builder.build_in_memory(&t, &mut sink)?,
+    };
+    let reader = MemCubeReader::new(run.schema, &sink, &t, None)?;
+    every_node(run.schema, |id| Ok(reader.node_contents(id)?))
+}
+
+fn build_flat(run: &Run, condensed: bool) -> Result<NodeMap> {
+    let (w, t) = (run.w, run.w.fact_tuples());
+    let cards = w.leaf_cards();
+    let coder = NodeCoder::new(run.schema);
+    let mut buc = BucMemCube::default();
+    let mut bubst = BubstMemCube::default();
+    if condensed {
+        build_bubst(&cards, &t, w.min_support, &mut bubst)?;
+    } else {
+        build_buc(&cards, &t, w.min_support, &mut buc)?;
     }
-    std::fs::create_dir_all(&dir).map_err(CheckError::Io)?;
-    Ok(dir)
+    let mut nodes = NodeMap::new();
+    for id in coder.all_ids() {
+        let levels = coder.decode(id)?;
+        // Baselines cube the flat leaf projection: only nodes with every
+        // dimension at its leaf level or ALL exist there.
+        let flat = (0..w.dims.len()).all(|d| levels[d] == 0 || coder.is_all(&levels, d));
+        if !flat {
+            continue;
+        }
+        let grouped: Vec<usize> =
+            (0..w.dims.len()).filter(|&d| !coder.is_all(&levels, d)).collect();
+        let rows =
+            if condensed { bubst.node_contents(&grouped, &t) } else { buc.node_contents(&grouped) };
+        nodes.insert(id, rows);
+    }
+    Ok(nodes)
 }
 
-fn store_fact(catalog: &Catalog, w: &Workload) -> Result<()> {
-    let d = w.dims.len();
-    let y = w.measures;
-    let t = w.fact_tuples();
+fn fresh_dir(dir: &Path) -> Result<()> {
+    if dir.exists() {
+        std::fs::remove_dir_all(dir).map_err(CheckError::Io)?;
+    }
+    std::fs::create_dir_all(dir).map_err(CheckError::Io)
+}
+
+/// Store `facts` as the `facts` relation of a fresh catalog at `dir`.
+fn stage(dir: &Path, facts: &Tuples) -> Result<()> {
+    fresh_dir(dir)?;
+    let catalog = Catalog::open(dir)?;
     let mut heap = catalog
-        .create_or_replace("facts", Tuples::fact_schema(d, y))
-        .map_err(|e| CheckError::Cube(e.into()))?;
-    t.store_fact(&mut heap)?;
-    heap.sync().map_err(|e| CheckError::Cube(e.into()))?;
+        .create_or_replace("facts", Tuples::fact_schema(facts.n_dims(), facts.n_measures()))?;
+    facts.store_fact(&mut heap)?;
+    heap.sync()?;
     Ok(())
 }
 
 fn dr_resolver<'a>(catalog: &'a Catalog, schema: &CubeSchema) -> Result<RowResolver<'a>> {
-    let fact = catalog.open_relation("facts").map_err(|e| CheckError::Cube(e.into()))?;
+    let fact = catalog.open_relation("facts")?;
     let fs = fact.schema().clone();
     let d = schema.num_dims();
     let mut buf = vec![0u8; fs.row_width()];
@@ -370,20 +436,24 @@ fn write_meta(
     Ok(())
 }
 
-/// Read every lattice node of an on-disk cube back through the query
-/// layer (the same resolution path serving uses).
-fn read_disk_nodes(catalog: &Catalog, schema: &CubeSchema, prefix: &str) -> Result<NodeMap> {
-    let mut cube = CureCube::open(catalog, schema, prefix)
-        .map_err(|e| CheckError::Case(format!("open cube: {e}")))?;
-    let coder = NodeCoder::new(schema);
-    let mut nodes = NodeMap::new();
-    for id in coder.all_ids() {
-        let mut rows =
-            cube.node_query(id).map_err(|e| CheckError::Case(format!("node_query({id}): {e}")))?;
-        rows.sort();
-        nodes.insert(id, rows);
-    }
-    Ok(nodes)
+/// The plain disk build: stage `facts` at `dir`, build the CURE cube over
+/// them at `threads` workers and write its meta blob.
+fn plain_cube(
+    run: &Run,
+    dir: &Path,
+    facts: &Tuples,
+    threads: usize,
+    dr: bool,
+) -> Result<BuildReport> {
+    stage(dir, facts)?;
+    let catalog = Catalog::open(dir)?;
+    let resolver = if dr { Some(dr_resolver(&catalog, run.schema)?) } else { None };
+    let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, run.schema, dr, false, resolver)?;
+    let cfg = run.w.config();
+    let report =
+        build_cure_cube(&catalog, "facts", run.schema, &cfg, &mut sink, PART_PREFIX, threads)?;
+    write_meta(&catalog, run.w, run.schema, &report, dr)?;
+    Ok(report)
 }
 
 /// Byte snapshot of the cube's relations: every catalog file whose name
@@ -402,154 +472,56 @@ fn snapshot_cube(dir: &Path, prefix: &str) -> Result<BTreeMap<String, Vec<u8>>> 
     Ok(out)
 }
 
-fn run_disk(
-    w: &Workload,
-    schema: &CubeSchema,
-    engine: Engine,
-    scratch: &Path,
-) -> Result<EngineRun> {
-    let dir = fresh_dir(scratch, &engine.label())?;
-    let catalog = Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?;
-    store_fact(&catalog, w)?;
+/// [`Build::DurableResume`]: reference build, crash, resume.
+fn build_durable_resume(run: &mut Run) -> Result<Built> {
+    let (w, schema) = (run.w, run.schema);
     let cfg = w.config();
-    let dr = engine == Engine::Dr;
-    let resolver = if dr { Some(dr_resolver(&catalog, schema)?) } else { None };
-    let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, dr, false, resolver)?;
-    let threads = if let Engine::Parallel(t) = engine { t } else { 1 };
-    let report = build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, threads)?;
-    let mut internal = Vec::new();
-    if w.partitioned && report.partition.is_none() {
-        internal.push(format!(
-            "{}: budget {} did not force partitioning (coverage degraded)",
-            engine.label(),
-            cfg.memory_budget_bytes
-        ));
-    }
-    write_meta(&catalog, w, schema, &report, dr)?;
-    let nodes = read_disk_nodes(&catalog, schema, CUBE_PREFIX)?;
-    let bytes = if dr { None } else { Some(snapshot_cube(&dir, CUBE_PREFIX)?) };
-    Ok(EngineRun { nodes, bytes, internal })
-}
-
-fn run_durable_resume(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<EngineRun> {
-    let cfg = w.config();
+    let facts = w.fact_tuples();
     // Thread count varies with the seed so resume composes with the
     // parallel partition passes too; bytes stay identical at any count.
     let threads = [1usize, 2, 4][ShapeRng::new(w.seed ^ 0xD0_0D).below(3) as usize];
+    let build = |catalog: &Catalog, resume: bool| -> Result<BuildReport> {
+        let mut sink = DiskSink::new(catalog, CUBE_PREFIX, schema, false, false, None)?;
+        let opts = DurableOptions { resume, threads };
+        let durable =
+            build_cure_cube_durable(catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, &opts)?;
+        Ok(durable.report)
+    };
 
     // Fault-free reference under a counting policy: learn the write
     // schedule and the expected byte image.
-    let ref_dir = fresh_dir(scratch, "durable-ref")?;
-    {
-        let plain = Catalog::open(&ref_dir).map_err(|e| CheckError::Cube(e.into()))?;
-        store_fact(&plain, w)?;
-    }
+    let ref_dir = run.dir("-ref");
+    stage(&ref_dir, &facts)?;
     let counter = Arc::new(FaultInjector::counting());
-    let catalog = Catalog::open_with_policy(&ref_dir, counter.clone() as Arc<dyn IoPolicy>)
-        .map_err(|e| CheckError::Cube(e.into()))?;
-    let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-    let report = build_cure_cube_durable(
-        &catalog,
-        "facts",
-        schema,
-        &cfg,
-        &mut sink,
-        PART_PREFIX,
-        &DurableOptions { resume: false, threads },
-    )?;
+    let catalog = Catalog::open_with_policy(&ref_dir, counter.clone() as Arc<dyn IoPolicy>)?;
+    let report = build(&catalog, false)?;
     let writes = counter.writes();
-    write_meta(&catalog, w, schema, &report.report, false)?;
+    write_meta(&catalog, w, schema, &report, false)?;
     let ref_bytes = snapshot_cube(&ref_dir, CUBE_PREFIX)?;
-    drop(sink);
     drop(catalog);
-
-    let mut internal = Vec::new();
-    if w.partitioned && report.report.partition.is_none() {
-        internal.push("durable-resume: budget did not force partitioning".into());
-    }
+    run.check_partitioned(&report);
 
     // Kill at a seed-derived write index with a sticky fault (everything
     // after the fault fails too, like a process death), then resume.
     let k = ShapeRng::new(w.seed ^ 0xDEAD).below(writes.max(1));
-    let crash_dir = fresh_dir(scratch, "durable-crash")?;
-    {
-        let plain = Catalog::open(&crash_dir).map_err(|e| CheckError::Cube(e.into()))?;
-        store_fact(&plain, w)?;
-    }
+    let crash_dir = run.dir("-crash");
+    stage(&crash_dir, &facts)?;
     let inj = Arc::new(FaultInjector::fail_nth_write(k, FaultKind::Error).sticky());
-    {
-        let faulty = Catalog::open_with_policy(&crash_dir, inj.clone() as Arc<dyn IoPolicy>)
-            .map_err(|e| CheckError::Cube(e.into()))?;
-        let mut sink = DiskSink::new(&faulty, CUBE_PREFIX, schema, false, false, None)?;
-        let died = build_cure_cube_durable(
-            &faulty,
-            "facts",
-            schema,
-            &cfg,
-            &mut sink,
-            PART_PREFIX,
-            &DurableOptions { resume: false, threads },
-        );
-        if died.is_ok() {
-            internal.push(format!(
-                "durable-resume: sticky fault at write {k}/{writes} did not abort the build"
-            ));
-        }
+    let faulty = Catalog::open_with_policy(&crash_dir, inj as Arc<dyn IoPolicy>)?;
+    if build(&faulty, false).is_ok() {
+        run.internal.push(format!("sticky fault at write {k}/{writes} did not abort the build"));
     }
-    let recovered = Catalog::open(&crash_dir).map_err(|e| CheckError::Cube(e.into()))?;
-    let mut sink = DiskSink::new(&recovered, CUBE_PREFIX, schema, false, false, None)?;
-    let resumed = build_cure_cube_durable(
-        &recovered,
-        "facts",
-        schema,
-        &cfg,
-        &mut sink,
-        PART_PREFIX,
-        &DurableOptions { resume: true, threads },
-    )?;
-    write_meta(&recovered, w, schema, &resumed.report, false)?;
-    let resumed_bytes = snapshot_cube(&crash_dir, CUBE_PREFIX)?;
-    if resumed_bytes != ref_bytes {
-        internal.push(format!(
-            "durable-resume: resumed cube (crash at write {k}/{writes}) is not byte-identical \
-             to the fault-free durable build"
+    drop(faulty);
+    let recovered = Catalog::open(&crash_dir)?;
+    let resumed = build(&recovered, true)?;
+    write_meta(&recovered, w, schema, &resumed, false)?;
+    if snapshot_cube(&crash_dir, CUBE_PREFIX)? != ref_bytes {
+        run.internal.push(format!(
+            "resumed cube (crash at write {k}/{writes}) is not byte-identical to the fault-free \
+             durable build"
         ));
     }
-    let nodes = read_disk_nodes(&recovered, schema, CUBE_PREFIX)?;
-    Ok(EngineRun { nodes, bytes: Some(resumed_bytes), internal })
-}
-
-fn run_buc_baseline(
-    w: &Workload,
-    schema: &CubeSchema,
-    t: &Tuples,
-    condensed: bool,
-) -> Result<EngineRun> {
-    let cards = w.leaf_cards();
-    let coder = NodeCoder::new(schema);
-    let mut buc = BucMemCube::default();
-    let mut bubst = BubstMemCube::default();
-    if condensed {
-        build_bubst(&cards, t, w.min_support, &mut bubst)?;
-    } else {
-        build_buc(&cards, t, w.min_support, &mut buc)?;
-    }
-    let mut nodes = NodeMap::new();
-    for id in coder.all_ids() {
-        let levels = coder.decode(id)?;
-        // Baselines cube the flat leaf projection: only nodes with every
-        // dimension at its leaf level or ALL exist there.
-        let flat = (0..w.dims.len()).all(|d| levels[d] == 0 || coder.is_all(&levels, d));
-        if !flat {
-            continue;
-        }
-        let grouped: Vec<usize> =
-            (0..w.dims.len()).filter(|&d| !coder.is_all(&levels, d)).collect();
-        let rows =
-            if condensed { bubst.node_contents(&grouped, t) } else { buc.node_contents(&grouped) };
-        nodes.insert(id, rows);
-    }
-    Ok(EngineRun { nodes, bytes: None, internal: Vec::new() })
+    Ok(Built::Cube { dir: crash_dir, prefix: CUBE_PREFIX.into() })
 }
 
 /// Split the workload's tuples at seed-derived cut points into a base
@@ -559,9 +531,9 @@ fn split_for_ingest(w: &Workload, t: &Tuples) -> (Tuples, Vec<Tuples>) {
     let (d, y, n) = (t.n_dims(), t.n_measures(), t.len());
     let mut rng = ShapeRng::new(w.seed ^ 0xDE17A);
     let batches = 1 + rng.below(2) as usize;
-    // Base keeps at least one tuple when there are any, so the delta walk
-    // starts from a real cube rather than a degenerate empty one.
-    let c0 = if n == 0 { 0 } else { 1 + rng.below(n as u64) as usize };
+    // Base keeps at least one tuple, so the delta walk starts from a real
+    // cube rather than a degenerate empty one.
+    let c0 = 1 + rng.below(n as u64) as usize;
     let mut cuts = vec![c0];
     if batches == 2 {
         cuts.push(c0 + rng.below((n - c0 + 1) as u64) as usize);
@@ -582,45 +554,14 @@ fn split_for_ingest(w: &Workload, t: &Tuples) -> (Tuples, Vec<Tuples>) {
     (base, deltas)
 }
 
-/// One full base-build + delta-ingest chain under `dir`; returns the
-/// final node contents and a byte snapshot of the active cube's files.
-fn ingest_chain(
-    w: &Workload,
-    schema: &CubeSchema,
-    dir: &Path,
-    base: &Tuples,
-    deltas: &[Tuples],
-) -> Result<(NodeMap, BTreeMap<String, Vec<u8>>)> {
-    let cfg = w.config();
-    let catalog = Catalog::open(dir).map_err(|e| CheckError::Cube(e.into()))?;
-    let mut heap = catalog
-        .create_or_replace("facts", Tuples::fact_schema(w.dims.len(), w.measures))
-        .map_err(|e| CheckError::Cube(e.into()))?;
-    base.store_fact(&mut heap)?;
-    heap.sync().map_err(|e| CheckError::Cube(e.into()))?;
-    drop(heap);
-    let report = {
-        let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-        build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
-    };
-    write_meta(&catalog, w, schema, &report, false)?;
-    for delta in deltas {
-        ingest_cube(&catalog, schema, delta, &cfg, &IngestOptions::default())?;
-    }
-    let active = active_prefix(&catalog);
-    let nodes = read_disk_nodes(&catalog, schema, &active)?;
-    let bytes = snapshot_cube(dir, &active)?;
-    Ok((nodes, bytes))
-}
-
-/// [`Engine::DeltaIngest`]: the incremental maintenance pipeline.
+/// [`Build::DeltaIngest`]: the incremental maintenance pipeline.
 ///
 /// Complete cubes: split the workload into base + 1–2 deltas, build the
 /// base on disk, run each delta through the durable ingest (append,
-/// merge under the partner prefix, swap, GC), and report the final
-/// active cube's nodes — conformance then asserts base + deltas equals
-/// the oracle over *all* facts. The whole chain runs twice and the two
-/// final cubes are byte-compared (internal determinism; the merged
+/// merge under the partner prefix, swap, GC), and hand the final active
+/// cube to the access step — conformance then asserts base + deltas
+/// equals the oracle over *all* facts. The whole chain runs twice and the
+/// two final cubes are byte-compared (internal determinism; the merged
 /// layout is deterministic but deliberately not byte-identical to a
 /// fresh sequential build, so this engine stays out of the cross-engine
 /// byte baseline).
@@ -630,55 +571,56 @@ fn ingest_chain(
 /// engine instead asserts the ingest is *rejected up front* — no journal
 /// left behind, active prefix unchanged — and falls back to a fresh
 /// full build for the semantic comparison.
-fn run_delta_ingest(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<EngineRun> {
+fn build_delta_ingest(run: &mut Run) -> Result<Built> {
+    let (w, schema) = (run.w, run.schema);
     let t = w.fact_tuples();
     let cfg = w.config();
-    let mut internal = Vec::new();
 
     if w.min_support > 1 {
-        let dir = fresh_dir(scratch, "delta-ingest")?;
-        let catalog = Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?;
-        store_fact(&catalog, w)?;
-        let report = {
-            let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
-        };
-        write_meta(&catalog, w, schema, &report, false)?;
+        let dir = run.dir("");
+        plain_cube(run, &dir, &t, 1, false)?;
+        let catalog = Catalog::open(&dir)?;
         let mut probe = Tuples::new(schema.num_dims(), schema.num_measures());
-        if !t.is_empty() {
-            probe.push_fact(t.dims_of(0), t.aggs_of(0), 0);
-        }
+        probe.push_fact(t.dims_of(0), t.aggs_of(0), 0);
         if ingest_cube(&catalog, schema, &probe, &cfg, &IngestOptions::default()).is_ok() {
-            internal.push(format!(
-                "delta-ingest: iceberg cube (min_support {}) accepted a delta ingest",
+            run.internal.push(format!(
+                "iceberg cube (min_support {}) accepted a delta ingest",
                 w.min_support
             ));
         }
         if IngestManifest::exists(&catalog) {
-            internal.push("delta-ingest: rejected ingest left a journal behind".into());
+            run.internal.push("rejected ingest left a journal behind".into());
         }
         if active_prefix(&catalog) != CUBE_PREFIX {
-            internal.push("delta-ingest: rejected ingest moved the active prefix".into());
+            run.internal.push("rejected ingest moved the active prefix".into());
         }
-        let nodes = read_disk_nodes(&catalog, schema, CUBE_PREFIX)?;
-        return Ok(EngineRun { nodes, bytes: None, internal });
+        return Ok(Built::Cube { dir, prefix: CUBE_PREFIX.into() });
     }
 
     let (base, deltas) = split_for_ingest(w, &t);
-    let dir_a = fresh_dir(scratch, "delta-ingest-a")?;
-    let (nodes, bytes_a) = ingest_chain(w, schema, &dir_a, &base, &deltas)?;
-    let dir_b = fresh_dir(scratch, "delta-ingest-b")?;
-    let (_, bytes_b) = ingest_chain(w, schema, &dir_b, &base, &deltas)?;
+    let chain = |suffix: &str| -> Result<(PathBuf, String, BTreeMap<String, Vec<u8>>)> {
+        let dir = run.dir(suffix);
+        plain_cube(run, &dir, &base, 1, false)?;
+        let catalog = Catalog::open(&dir)?;
+        for delta in &deltas {
+            ingest_cube(&catalog, schema, delta, &cfg, &IngestOptions::default())?;
+        }
+        let prefix = active_prefix(&catalog);
+        let bytes = snapshot_cube(&dir, &prefix)?;
+        Ok((dir, prefix, bytes))
+    };
+    let (dir, prefix, bytes_a) = chain("-a")?;
+    let (_, _, bytes_b) = chain("-b")?;
     if bytes_a != bytes_b {
-        internal.push(format!(
-            "delta-ingest: two identical base+delta chains are not byte-identical: {}",
+        run.internal.push(format!(
+            "two identical base+delta chains are not byte-identical: {}",
             crate::first_byte_diff(&bytes_a, &bytes_b)
         ));
     }
-    Ok(EngineRun { nodes, bytes: None, internal })
+    Ok(Built::Cube { dir, prefix })
 }
 
-/// [`Engine::ChaosServe`]: the serve-path robustness invariant.
+/// [`Access::Chaos`]: the serve-path robustness invariant.
 ///
 /// A fault-free sequential build is served through
 /// [`CubeService::query_with_options`] (deliberately tiny page caches, so
@@ -697,32 +639,11 @@ fn run_delta_ingest(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result
 /// 3. **Recovery** — once the fault budget is spent, repair loops
 ///    ([`CubeService::repair_all`] plus breaker cooldowns) must bring
 ///    every node back to success; a final sweep must be 100% clean.
-fn run_chaos_serve(
-    w: &Workload,
-    schema: &CubeSchema,
-    scratch: &Path,
-    read_path: ReadPath,
-) -> Result<EngineRun> {
-    let tag = match read_path {
-        ReadPath::Cache => "chaos-serve",
-        ReadPath::Mmap => "chaos-serve-mmap",
-    };
-    let dir = fresh_dir(scratch, tag)?;
-    {
-        let catalog = Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?;
-        store_fact(&catalog, w)?;
-        let cfg = w.config();
-        let report = {
-            let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, schema, false, false, None)?;
-            build_cure_cube(&catalog, "facts", schema, &cfg, &mut sink, PART_PREFIX, 1)?
-        };
-        write_meta(&catalog, w, schema, &report, false)?;
-    }
-
+fn serve_chaos(run: &mut Run, dir: &Path, prefix: &str, read_path: ReadPath) -> Result<NodeMap> {
     // Tiny caches force queries back to disk so the fault schedule
     // actually intersects the serve path.
     let caches = CacheConfig { fact_pages: 8, agg_pages: 4, shards: 2 };
-    let schema = Arc::new(schema.clone());
+    let schema = Arc::new(run.schema.clone());
     let node_ids: Vec<NodeId> = NodeCoder::new(&schema).all_ids().collect();
 
     // Counting pass: how many policy-governed page reads does opening
@@ -731,64 +652,39 @@ fn run_chaos_serve(
     // deterministic open sequence) so service startup stays fault-free.
     // The probe opens with the *same* read path as the chaos run: mmap
     // opens verify every page through the policy, so its read sequence
-    // differs from the cache path's and the schedule must match it.
+    // differs from the cache path's and the schedule must match it. A
+    // sweep reads at least one page, since workloads hold at least one
+    // fact (`Workload::validate`), so the ALL node has a row on disk.
     let counter = Arc::new(FaultInjector::counting());
     let (open_reads, query_reads) = {
-        let catalog = Arc::new(
-            Catalog::open_with_policy(&dir, counter.clone() as Arc<dyn IoPolicy>)
-                .map_err(|e| CheckError::Cube(e.into()))?,
-        );
+        let catalog =
+            Arc::new(Catalog::open_with_policy(dir, counter.clone() as Arc<dyn IoPolicy>)?);
         let cube = ConcurrentCube::open_with_read_path(
             catalog,
             Arc::clone(&schema),
-            CUBE_PREFIX,
+            prefix,
             caches,
             read_path,
         )
-        .map_err(|e| CheckError::Case(format!("{tag}: open cube: {e}")))?;
+        .map_err(|e| CheckError::Case(format!("open cube: {e}")))?;
         let at_open = counter.reads();
         for &id in &node_ids {
-            cube.node_query(id).map_err(|e| {
-                CheckError::Case(format!("{tag}: fault-free node_query({id}): {e}"))
-            })?;
+            cube.node_query(id)
+                .map_err(|e| CheckError::Case(format!("fault-free node_query({id}): {e}")))?;
         }
         (at_open, counter.reads() - at_open)
     };
 
-    let mut rng = ShapeRng::new(w.seed ^ 0xC4A05);
-    let mut internal = Vec::new();
-    let mut nodes = NodeMap::new();
-    let opts = QueryOptions::default();
-
-    if query_reads == 0 {
-        // Everything lives in in-memory tail pages: there is no disk
-        // read to fault. Serve fault-free and report the answers.
-        let catalog = Arc::new(Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?);
-        let svc = CubeService::open_with_read_path(catalog, schema, CUBE_PREFIX, caches, read_path)
-            .map_err(|e| CheckError::Case(format!("{tag}: open service: {e}")))?;
-        for &id in &node_ids {
-            let mut rows = svc
-                .query_with_options(id, &opts)
-                .map_err(|e| CheckError::Case(format!("{tag}: node {id}: {e}")))?
-                .rows;
-            rows.sort();
-            nodes.insert(id, rows);
-        }
-        return Ok(EngineRun { nodes, bytes: None, internal });
-    }
-
     // Seed-derived schedule. `period ≥ 2` so a transient fault's retried
     // read (which advances the global index) lands off-schedule.
+    let mut rng = ShapeRng::new(run.w.seed ^ 0xC4A05);
     let period = 2 + rng.below(3);
     let count = (query_reads / period).clamp(1, 10);
     let start = open_reads + rng.below(query_reads);
     let policy = Arc::new(FaultInjector::chaos_reads(start, period, count, ReadFaultKind::Chaos));
-    let catalog = Arc::new(
-        Catalog::open_with_policy(&dir, policy.clone() as Arc<dyn IoPolicy>)
-            .map_err(|e| CheckError::Cube(e.into()))?,
-    );
-    let cube = ConcurrentCube::open_with_read_path(catalog, schema, CUBE_PREFIX, caches, read_path)
-        .map_err(|e| CheckError::Case(format!("{tag}: open under chaos policy: {e}")))?;
+    let catalog = Arc::new(Catalog::open_with_policy(dir, policy.clone() as Arc<dyn IoPolicy>)?);
+    let cube = ConcurrentCube::open_with_read_path(catalog, schema, prefix, caches, read_path)
+        .map_err(|e| CheckError::Case(format!("open under chaos policy: {e}")))?;
     let svc = CubeService::from_cube_with_resilience(
         Arc::new(cube),
         ResilienceConfig {
@@ -797,36 +693,35 @@ fn run_chaos_serve(
             ..ResilienceConfig::default()
         },
     );
+    let opts = QueryOptions::default();
+    let internal = &mut run.internal;
+    let mut nodes = NodeMap::new();
 
     // Chaos phase: sweep the lattice until the fault budget drains (the
     // pass cap only guards against a schedule the sweeps never reach).
-    let record = |id: NodeId,
-                  mut rows: Vec<(Vec<u32>, Vec<i64>)>,
-                  nodes: &mut NodeMap,
-                  internal: &mut Vec<String>| {
-        rows.sort();
-        match nodes.get(&id) {
-            Some(prev) if prev != &rows => internal.push(format!(
-                "{tag}: node {id} answered differently across passes (never-wrong-data \
-                 violated)"
-            )),
-            Some(_) => {}
-            None => {
-                nodes.insert(id, rows);
+    let record =
+        |id: NodeId, mut rows: Vec<CubeRow>, nodes: &mut NodeMap, internal: &mut Vec<String>| {
+            rows.sort();
+            match nodes.get(&id) {
+                Some(prev) if prev != &rows => internal.push(format!(
+                    "node {id} answered differently across passes (never-wrong-data violated)"
+                )),
+                Some(_) => {}
+                None => {
+                    nodes.insert(id, rows);
+                }
             }
-        }
-    };
+        };
     let mut passes = 0;
     while passes < 6 && policy.read_faults_fired() < count {
         passes += 1;
         for &id in &node_ids {
             match svc.query_with_options(id, &opts) {
-                Ok(reply) => record(id, reply.rows, &mut nodes, &mut internal),
+                Ok(reply) => record(id, reply.rows, &mut nodes, internal),
                 Err(e) => {
                     if e.kind() == ServeErrorKind::Other {
-                        internal.push(format!(
-                            "{tag}: untyped failure under read faults on node {id}: {e}"
-                        ));
+                        internal
+                            .push(format!("untyped failure under read faults on node {id}: {e}"));
                     }
                 }
             }
@@ -834,8 +729,8 @@ fn run_chaos_serve(
     }
     if policy.read_faults_fired() == 0 {
         internal.push(format!(
-            "{tag}: fault schedule never fired (start {start}, period {period}, count \
-             {count}, reads seen {})",
+            "fault schedule never fired (start {start}, period {period}, count {count}, reads \
+             seen {})",
             policy.reads()
         ));
     }
@@ -848,7 +743,7 @@ fn run_chaos_serve(
             let _ = svc.repair_all();
             match svc.query_with_options(id, &opts) {
                 Ok(reply) => {
-                    record(id, reply.rows, &mut nodes, &mut internal);
+                    record(id, reply.rows, &mut nodes, internal);
                     recovered = true;
                     break;
                 }
@@ -856,7 +751,7 @@ fn run_chaos_serve(
             }
         }
         if !recovered {
-            internal.push(format!("{tag}: node {id} never recovered after faults stopped"));
+            internal.push(format!("node {id} never recovered after faults stopped"));
         }
     }
 
@@ -864,112 +759,68 @@ fn run_chaos_serve(
     let failures =
         node_ids.iter().filter(|&&id| svc.query_with_options(id, &opts).is_err()).count();
     if failures > 0 {
-        internal.push(format!(
-            "{tag}: {failures}/{} queries still failing after recovery",
-            node_ids.len()
-        ));
+        internal
+            .push(format!("{failures}/{} queries still failing after recovery", node_ids.len()));
     }
-    Ok(EngineRun { nodes, bytes: None, internal })
+    Ok(nodes)
 }
 
-/// [`Engine::Sharded`]: scatter-gather serving plus snapshot replication.
-///
-/// The facts are split into a seed-derived number of disjoint shards,
-/// each built into a **complete** sub-cube ([`build_shard_cubes`] forces
-/// `min_support = 1` — per-shard support says nothing about global
-/// support), and every lattice node is answered through the
-/// [`ShardRouter`]'s distributive-aggregate merge. Iceberg workloads
-/// carry an extra always-1 count measure through the shard builds so the
-/// threshold can be applied *post-merge* ([`ShardRouter::iceberg_query`]
-/// with `min_count = min_support - 1` keeps exactly the groups whose
-/// global count reaches `min_support`); the helper measure is stripped
-/// before comparison so the reported rows match the oracle's shape.
-///
-/// The shard families are then shipped with [`replicate_shards`] and two
-/// invariants are asserted as engine-internal checks: the replica's
-/// shard files are byte-identical to the primary's, and a router opened
-/// on the replica directory alone answers every node exactly like the
-/// primary router.
-fn run_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<EngineRun> {
-    let mut rng = ShapeRng::new(w.seed ^ 0x54A8D);
-    let shards = 2 + rng.below(3) as usize;
-    let threads = [1usize, 2, 4][rng.below(3) as usize];
-    let iceberg = w.min_support > 1;
-    let d = w.dims.len();
-    let y = w.measures;
+/// A sharded build ([`Build::Shards`]) and its snapshot replica.
+struct ShardSet {
+    /// The primary catalog, then the [`replicate_shards`] copy.
+    dirs: [PathBuf; 2],
+    shards: usize,
+    /// The workload's schema, plus a count measure on iceberg workloads.
+    schema: Arc<CubeSchema>,
+    /// The row's seed-derived draws, continued by the access step.
+    rng: ShapeRng,
+}
 
-    let serve_schema = if iceberg {
-        let dims = w.dims.iter().map(|s| s.build()).collect();
-        CubeSchema::new(dims, y + 1)?
-    } else {
-        schema.clone()
-    };
+/// [`Build::Shards`]: the facts are split into a seed-derived number of
+/// disjoint shards, each built into a **complete** sub-cube
+/// ([`build_shard_cubes`] forces `min_support = 1` — per-shard support
+/// says nothing about global support). Iceberg workloads carry an extra
+/// always-1 count measure through the shard builds so the threshold can
+/// be applied *post-merge* (see [`shard_answer`]). The shard families are
+/// then shipped with [`replicate_shards`], and the replica's shard files
+/// must be byte-identical to the primary's.
+fn build_shards(
+    run: &mut Run,
+    salt: u64,
+    shard_counts: &[usize],
+    thread_counts: &[usize],
+) -> Result<ShardSet> {
+    let w = run.w;
+    let mut rng = ShapeRng::new(w.seed ^ salt);
+    let shards = shard_counts[rng.below(shard_counts.len() as u64) as usize];
+    let threads = thread_counts[rng.below(thread_counts.len() as u64) as usize];
     let t = w.fact_tuples();
-    let dir = fresh_dir(scratch, "sharded")?;
-    let catalog = Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?;
-    {
-        let n_meas = serve_schema.num_measures();
-        let mut facts = Tuples::with_capacity(d, n_meas, t.len());
+    let (schema, facts) = if w.min_support > 1 {
+        let mut facts = Tuples::with_capacity(w.dims.len(), w.measures + 1, t.len());
         for i in 0..t.len() {
-            if iceberg {
-                let mut aggs = t.aggs_of(i).to_vec();
-                aggs.push(1);
-                facts.push_fact(t.dims_of(i), &aggs, i as u64);
-            } else {
-                facts.push_fact(t.dims_of(i), t.aggs_of(i), i as u64);
-            }
+            let mut aggs = t.aggs_of(i).to_vec();
+            aggs.push(1);
+            facts.push_fact(t.dims_of(i), &aggs, i as u64);
         }
-        let mut heap = catalog
-            .create_or_replace("facts", Tuples::fact_schema(d, n_meas))
-            .map_err(|e| CheckError::Cube(e.into()))?;
-        facts.store_fact(&mut heap)?;
-        heap.sync().map_err(|e| CheckError::Cube(e.into()))?;
-    }
-    let report = build_shard_cubes(&catalog, "facts", &serve_schema, &w.config(), shards, threads)?;
-
-    let mut internal = Vec::new();
-    let covered: u64 = report.rows_per_shard.iter().sum();
-    if covered != t.len() as u64 {
-        internal.push(format!(
-            "sharded: shard split covers {covered} rows, the fact table has {}",
-            t.len()
-        ));
-    }
-
-    let serve_schema = Arc::new(serve_schema);
-    let router_cfg = ShardRouterConfig::default();
-    let router = ShardRouter::open(&[&dir], Arc::clone(&serve_schema), &router_cfg)
-        .map_err(|e| CheckError::Case(format!("sharded: open router: {e}")))?;
-    let node_ids: Vec<NodeId> = NodeCoder::new(schema).all_ids().collect();
-    let opts = QueryOptions::default();
-    let answer = |router: &ShardRouter, id: NodeId| -> Result<Vec<(Vec<u32>, Vec<i64>)>> {
-        let mut rows = if iceberg {
-            router
-                .iceberg_query(id, (w.min_support - 1) as i64, y, &opts)
-                .map_err(|e| CheckError::Case(format!("sharded: iceberg node {id}: {e}")))?
-                .rows
-                .into_iter()
-                .map(|(dims, mut aggs)| {
-                    aggs.truncate(y);
-                    (dims, aggs)
-                })
-                .collect()
-        } else {
-            router.query(id).map_err(|e| CheckError::Case(format!("sharded: node {id}: {e}")))?.rows
-        };
-        rows.sort();
-        Ok(rows)
+        let dims = w.dims.iter().map(|s| s.build()).collect();
+        (CubeSchema::new(dims, w.measures + 1)?, facts)
+    } else {
+        (run.schema.clone(), t)
     };
-    let mut nodes = NodeMap::new();
-    for &id in &node_ids {
-        nodes.insert(id, answer(&router, id)?);
+    let dir = run.dir("");
+    stage(&dir, &facts)?;
+    let catalog = Catalog::open(&dir)?;
+    let report = build_shard_cubes(&catalog, "facts", &schema, &w.config(), shards, threads)?;
+    let covered: u64 = report.rows_per_shard.iter().sum();
+    if covered != facts.len() as u64 {
+        run.internal
+            .push(format!("shard split covers {covered} rows, the fact table has {}", facts.len()));
     }
 
-    // Replication: ship every shard family, then prove byte identity and
-    // serve-equivalence from the replica alone.
-    let replica_dir = fresh_dir(scratch, "sharded-replica")?;
-    replicate_shards(&catalog, shards, &replica_dir)
-        .map_err(|e| CheckError::Case(format!("sharded: replicate: {e}")))?;
+    let replica = run.dir("-replica");
+    fresh_dir(&replica)?;
+    replicate_shards(&catalog, shards, &replica)
+        .map_err(|e| CheckError::Case(format!("replicate: {e}")))?;
     let shard_family = |root: &Path| -> Result<BTreeMap<String, Vec<u8>>> {
         let mut all = BTreeMap::new();
         for k in 0..shards {
@@ -977,223 +828,123 @@ fn run_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<Engi
         }
         Ok(all)
     };
-    let primary_bytes = shard_family(&dir)?;
-    let replica_bytes = shard_family(&replica_dir)?;
+    let (primary_bytes, replica_bytes) = (shard_family(&dir)?, shard_family(&replica)?);
     if primary_bytes != replica_bytes {
-        internal.push(format!(
-            "sharded: replica is not byte-identical to the primary: {}",
+        run.internal.push(format!(
+            "replica is not byte-identical to the primary: {}",
             crate::first_byte_diff(&primary_bytes, &replica_bytes)
         ));
     }
-    let replica_router = ShardRouter::open(&[&replica_dir], Arc::clone(&serve_schema), &router_cfg)
-        .map_err(|e| CheckError::Case(format!("sharded: open replica router: {e}")))?;
-    for &id in &node_ids {
-        let rows = answer(&replica_router, id)?;
-        if nodes.get(&id) != Some(&rows) {
-            internal.push(format!(
-                "sharded: replica router answers differently from the primary on node {id}"
-            ));
-        }
-    }
-    Ok(EngineRun { nodes, bytes: None, internal })
+    Ok(ShardSet { dirs: [dir, replica], shards, schema: Arc::new(schema), rng })
 }
 
-/// One shard-serving replica: either a real `cure-shard-serve` child
-/// process or an in-process [`ShardServer`] fallback. Killed on drop so
-/// a failed run cannot leak servers.
-enum ShardProc {
-    /// A spawned `cure-shard-serve` process.
-    Process(Option<std::process::Child>),
-    /// In-process fallback (no server binary on disk); `abort()` is the
-    /// client-visible equivalent of SIGKILL.
-    Local(Option<ShardServer>),
-}
-
-impl ShardProc {
-    /// Hard-stop this replica: SIGKILL for a process, `abort()` + drop
-    /// (which closes the listener) for the in-process fallback.
-    fn kill(&mut self) {
-        match self {
-            ShardProc::Process(slot) => {
-                if let Some(mut c) = slot.take() {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-            }
-            ShardProc::Local(slot) => {
-                if let Some(s) = slot.take() {
-                    s.abort();
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ShardProc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-/// Locate the `cure-shard-serve` binary: the `CURE_SHARD_SERVE_BIN`
-/// override first, then a walk up from the test/binary's own directory
-/// (`target/{debug,release}` and their `deps/` both resolve).
-fn shard_serve_binary() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("CURE_SHARD_SERVE_BIN") {
-        let p = PathBuf::from(p);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    for dir in exe.ancestors().skip(1) {
-        let cand = dir.join("cure-shard-serve");
-        if cand.is_file() {
-            return Some(cand);
-        }
-    }
-    None
-}
-
-/// Start one replica server for `shard` over the catalog at `dir` and
-/// return it with the loopback endpoint it bound.
-fn spawn_socket_server(
-    bin: Option<&Path>,
-    dir: &Path,
-    shard: usize,
-    schema: &Arc<CubeSchema>,
-) -> Result<(ShardProc, String)> {
-    let Some(bin) = bin else {
-        let catalog = Arc::new(Catalog::open(dir).map_err(|e| CheckError::Cube(e.into()))?);
-        let cube = ConcurrentCube::open_with_read_path(
-            catalog,
-            Arc::clone(schema),
-            &shard_cube_prefix(shard),
-            CacheConfig::default(),
-            ReadPath::Cache,
-        )
-        .map_err(|e| CheckError::Case(format!("socket-sharded: open shard {shard}: {e}")))?;
-        let service =
-            CubeService::from_cube_with_resilience(Arc::new(cube), ResilienceConfig::default());
-        let server =
-            ShardServer::spawn(service, shard as u32, "127.0.0.1:0", ShardServerConfig::default())
-                .map_err(|e| {
-                    CheckError::Case(format!("socket-sharded: bind shard {shard}: {e}"))
-                })?;
-        let addr = server.local_addr().to_string();
-        return Ok((ShardProc::Local(Some(server)), addr));
+/// One node through `router`, sorted. Iceberg workloads keep exactly the
+/// merged groups whose global count reaches `min_support`
+/// ([`ShardRouter::iceberg_query`] with `min_count = min_support - 1`)
+/// and strip the helper count measure, so the rows match the oracle's
+/// shape.
+fn shard_answer(
+    router: &ShardRouter,
+    id: NodeId,
+    w: &Workload,
+) -> std::result::Result<Vec<CubeRow>, ServeError> {
+    let (opts, y) = (QueryOptions::default(), w.measures);
+    let mut rows: Vec<CubeRow> = if w.min_support > 1 {
+        let reply = router.iceberg_query(id, (w.min_support - 1) as i64, y, &opts)?;
+        reply
+            .rows
+            .into_iter()
+            .map(|(dims, mut aggs)| {
+                aggs.truncate(y);
+                (dims, aggs)
+            })
+            .collect()
+    } else {
+        router.query_with_options(id, &opts)?.rows
     };
-    use std::io::BufRead as _;
-    let mut child = std::process::Command::new(bin)
-        .arg("--dir")
-        .arg(dir)
-        .arg("--shard")
-        .arg(shard.to_string())
-        .arg("--listen")
-        .arg("127.0.0.1:0")
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| CheckError::Case(format!("socket-sharded: spawn {}: {e}", bin.display())))?;
-    let stdout = child.stdout.take();
-    // Wrap immediately: any failure below must still reap the child.
-    let proc = ShardProc::Process(Some(child));
-    let Some(stdout) = stdout else {
-        return Err(CheckError::Case("socket-sharded: no stdout pipe from server".into()));
-    };
-    let mut line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut line)
-        .map_err(|e| CheckError::Case(format!("socket-sharded: read server banner: {e}")))?;
-    match line.trim().strip_prefix("LISTENING ") {
-        Some(addr) if !addr.is_empty() => Ok((proc, addr.to_string())),
-        _ => Err(CheckError::Case(format!("socket-sharded: bad server banner {line:?}"))),
-    }
+    rows.sort();
+    Ok(rows)
 }
 
-/// [`Engine::SocketSharded`]: multi-process sharded serving over the
-/// socket wire protocol, proven against a process kill.
+/// [`Access::Router`]: every lattice node through the in-process
+/// scatter-gather [`ShardRouter`] over the primary shards; a router
+/// opened on the replica directory alone must answer every node exactly
+/// like the primary one.
+fn serve_router(run: &mut Run, set: &ShardSet) -> Result<NodeMap> {
+    let answer_all = |dir: &Path| -> Result<NodeMap> {
+        let router =
+            ShardRouter::open(&[dir], Arc::clone(&set.schema), &ShardRouterConfig::default())
+                .map_err(|e| CheckError::Case(format!("open router on {}: {e}", dir.display())))?;
+        every_node(run.schema, |id| {
+            shard_answer(&router, id, run.w)
+                .map_err(|e| CheckError::Case(format!("node {id}: {e}")))
+        })
+    };
+    let primary = answer_all(&set.dirs[0])?;
+    let replica = answer_all(&set.dirs[1])?;
+    for (id, rows) in &primary {
+        if replica.get(id) != Some(rows) {
+            run.internal
+                .push(format!("replica router answers differently from the primary on node {id}"));
+        }
+    }
+    Ok(primary)
+}
+
+/// Serve `shard` of the catalog at `dir` on a fresh loopback port.
+fn serve_shard(dir: &Path, shard: usize, schema: &Arc<CubeSchema>) -> Result<ShardServer> {
+    let catalog = Arc::new(Catalog::open(dir)?);
+    let cube = ConcurrentCube::open_with_read_path(
+        catalog,
+        Arc::clone(schema),
+        &shard_cube_prefix(shard),
+        CacheConfig::default(),
+        ReadPath::Cache,
+    )
+    .map_err(|e| CheckError::Case(format!("open shard {shard}: {e}")))?;
+    let service =
+        CubeService::from_cube_with_resilience(Arc::new(cube), ResilienceConfig::default());
+    ShardServer::spawn(service, shard as u32, "127.0.0.1:0", ShardServerConfig::default())
+        .map_err(|e| CheckError::Case(format!("bind shard {shard}: {e}")))
+}
+
+/// [`Access::Socket`]: sharded serving over the socket wire protocol,
+/// proven against a replica kill.
 ///
-/// The same seed-derived sharded build as [`run_sharded`] is served by
-/// **real server processes** — 2 replicas per shard (the primary
-/// catalog and a [`replicate_shards`] copy), each behind its own
-/// `cure-shard-serve` child on a loopback socket, queried through
-/// [`RemoteShardBackend`]s. Three phases:
+/// Every shard is served by 2 replicas (the primary catalog and its
+/// [`replicate_shards`] copy), each a [`ShardServer`] on its own loopback
+/// socket, queried through [`RemoteShardBackend`]s in real wire frames.
+/// A server's [`ShardServer::abort`] is, for the client, indistinguishable
+/// from its process being SIGKILLed. Three phases:
 ///
 /// 1. **Identity over the wire** — every lattice node is answered
 ///    through the socket router and reported as this engine's node
 ///    contents, so the harness compares them against the oracle
 ///    (iceberg thresholds post-merge, exactly like the in-process
 ///    sharded engine).
-/// 2. **Process kill** — one seed-chosen replica process is SIGKILLed
-///    mid-sweep. Every subsequent answer must be byte-identical to
-///    phase 1 (failover) or a *typed* error — never wrong data, never
-///    an unclassified failure — and the kill must be visible in the
-///    shard's failover counter.
+/// 2. **Kill** — one seed-chosen replica is aborted mid-sweep. Every
+///    subsequent answer must be byte-identical to phase 1 (failover) or
+///    a *typed* error — never wrong data, never an unclassified failure —
+///    and the kill must be visible in the shard's failover counter.
 /// 3. **Recovery** — the replica is respawned from its directory, the
-///    backend redirected at the new endpoint, and after a bounded
-///    retry loop a full sweep must again answer every node
-///    identically.
-fn run_socket_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Result<EngineRun> {
-    let mut rng = ShapeRng::new(w.seed ^ 0x50C4E7);
-    let shards = 2 + rng.below(2) as usize;
-    let threads = [1usize, 2][rng.below(2) as usize];
-    let iceberg = w.min_support > 1;
-    let d = w.dims.len();
-    let y = w.measures;
-
-    let serve_schema = if iceberg {
-        let dims = w.dims.iter().map(|s| s.build()).collect();
-        CubeSchema::new(dims, y + 1)?
-    } else {
-        schema.clone()
-    };
-    let t = w.fact_tuples();
-    let dir = fresh_dir(scratch, "socket-sharded")?;
-    let catalog = Catalog::open(&dir).map_err(|e| CheckError::Cube(e.into()))?;
-    {
-        let n_meas = serve_schema.num_measures();
-        let mut facts = Tuples::with_capacity(d, n_meas, t.len());
-        for i in 0..t.len() {
-            if iceberg {
-                let mut aggs = t.aggs_of(i).to_vec();
-                aggs.push(1);
-                facts.push_fact(t.dims_of(i), &aggs, i as u64);
-            } else {
-                facts.push_fact(t.dims_of(i), t.aggs_of(i), i as u64);
-            }
-        }
-        let mut heap = catalog
-            .create_or_replace("facts", Tuples::fact_schema(d, n_meas))
-            .map_err(|e| CheckError::Cube(e.into()))?;
-        facts.store_fact(&mut heap)?;
-        heap.sync().map_err(|e| CheckError::Cube(e.into()))?;
-    }
-    build_shard_cubes(&catalog, "facts", &serve_schema, &w.config(), shards, threads)?;
-    let replica_dir = fresh_dir(scratch, "socket-sharded-replica")?;
-    replicate_shards(&catalog, shards, &replica_dir)
-        .map_err(|e| CheckError::Case(format!("socket-sharded: replicate: {e}")))?;
-
-    // 2 replicas per shard, each behind its own server process.
-    let serve_schema = Arc::new(serve_schema);
-    let bin = shard_serve_binary();
-    let roots = [dir.clone(), replica_dir.clone()];
-    let mut procs: Vec<ShardProc> = Vec::new();
+///    backend redirected at the new endpoint, and after a bounded retry
+///    loop a full sweep must again answer every node identically.
+fn serve_sockets(run: &mut Run, set: &mut ShardSet) -> Result<NodeMap> {
+    let mut servers: Vec<ShardServer> = Vec::new();
     let mut backends: Vec<Vec<Arc<dyn ShardBackend>>> = Vec::new();
     let mut handles: Vec<Vec<RemoteShardBackend>> = Vec::new();
-    for k in 0..shards {
+    for k in 0..set.shards {
         let mut reps: Vec<Arc<dyn ShardBackend>> = Vec::new();
         let mut hs = Vec::new();
-        for root in &roots {
-            let (proc, addr) = spawn_socket_server(bin.as_deref(), root, k, &serve_schema)?;
-            procs.push(proc);
-            let b =
-                RemoteShardBackend::connect(&addr, RemoteShardConfig::default()).map_err(|e| {
-                    CheckError::Case(format!("socket-sharded: connect shard {k} at {addr}: {e}"))
-                })?;
+        for dir in &set.dirs {
+            let server = serve_shard(dir, k, &set.schema)?;
+            let addr = server.local_addr().to_string();
+            servers.push(server);
+            let b = RemoteShardBackend::connect(&addr, RemoteShardConfig::default())
+                .map_err(|e| CheckError::Case(format!("connect shard {k} at {addr}: {e}")))?;
             if b.shard() != k as u32 {
                 return Err(CheckError::Case(format!(
-                    "socket-sharded: server at {addr} announced shard {}, want {k}",
+                    "server at {addr} announced shard {}, want {k}",
                     b.shard()
                 )));
             }
@@ -1203,64 +954,40 @@ fn run_socket_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Resu
         backends.push(reps);
         handles.push(hs);
     }
-    let router = ShardRouter::from_backends(Arc::clone(&serve_schema), backends)
-        .map_err(|e| CheckError::Case(format!("socket-sharded: open router: {e}")))?;
+    let router = ShardRouter::from_backends(Arc::clone(&set.schema), backends)
+        .map_err(|e| CheckError::Case(format!("open router: {e}")))?;
+    let node_ids: Vec<NodeId> = NodeCoder::new(run.schema).all_ids().collect();
+    let w = run.w;
+    let internal = &mut run.internal;
 
-    let node_ids: Vec<NodeId> = NodeCoder::new(schema).all_ids().collect();
-    let opts = QueryOptions::default();
-    type ServedRows = std::result::Result<Vec<(Vec<u32>, Vec<i64>)>, ServeError>;
-    let answer = |router: &ShardRouter, id: NodeId| -> ServedRows {
-        let mut rows: Vec<(Vec<u32>, Vec<i64>)> = if iceberg {
-            router
-                .iceberg_query(id, (w.min_support - 1) as i64, y, &opts)?
-                .rows
-                .into_iter()
-                .map(|(dims, mut aggs)| {
-                    aggs.truncate(y);
-                    (dims, aggs)
-                })
-                .collect()
-        } else {
-            router.query_with_options(id, &opts)?.rows
-        };
-        rows.sort();
-        Ok(rows)
-    };
-
-    let mut internal = Vec::new();
-    let mut nodes = NodeMap::new();
     // Phase 1: every node answered over the wire; the harness compares
     // these against the oracle.
-    for &id in &node_ids {
-        let rows = answer(&router, id)
-            .map_err(|e| CheckError::Case(format!("socket-sharded: node {id}: {e}")))?;
-        nodes.insert(id, rows);
-    }
+    let nodes = every_node(run.schema, |id| {
+        shard_answer(&router, id, w).map_err(|e| CheckError::Case(format!("node {id}: {e}")))
+    })?;
 
-    // Phase 2: SIGKILL one seed-chosen replica process mid-sweep and
-    // keep querying. Correct rows (failover) or a typed error — never
-    // wrong data, never an unclassified failure.
+    // Phase 2: kill one seed-chosen replica mid-sweep and keep querying.
+    // Correct rows (failover) or a typed error — never wrong data, never
+    // an unclassified failure.
     router.reset_stats();
-    let victim_shard = rng.below(shards as u64) as usize;
+    let victim_shard = set.rng.below(set.shards as u64) as usize;
     let victim = handles[victim_shard][1].clone();
-    let kill_at = rng.below(node_ids.len() as u64) as usize;
+    let kill_at = set.rng.below(node_ids.len() as u64) as usize;
     for (i, &id) in node_ids.iter().enumerate() {
         if i == kill_at {
-            procs[victim_shard * 2 + 1].kill();
+            // Dropped right after the abort, which closes the listener.
+            servers.remove(victim_shard * 2 + 1).abort();
         }
-        match answer(&router, id) {
+        match shard_answer(&router, id, w) {
             Ok(rows) => {
                 if nodes.get(&id) != Some(&rows) {
                     internal.push(format!(
-                        "socket-sharded: wrong data after process kill on node {id} \
-                         (never-wrong-data violated)"
+                        "wrong data after replica kill on node {id} (never-wrong-data violated)"
                     ));
                 }
             }
             Err(e) if e.kind() == ServeErrorKind::Other => {
-                internal.push(format!(
-                    "socket-sharded: untyped failure after process kill on node {id}: {e}"
-                ));
+                internal.push(format!("untyped failure after replica kill on node {id}: {e}"));
             }
             Err(_) => {} // typed failure: allowed; recovery is proven below
         }
@@ -1270,21 +997,19 @@ fn run_socket_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Resu
     // through until it cannot.
     let mut extra = 0;
     while router.shard_stats()[victim_shard].failovers == 0 && extra < 16 {
-        let _ = answer(&router, node_ids[0]);
+        let _ = shard_answer(&router, node_ids[0], w);
         extra += 1;
     }
     if router.shard_stats()[victim_shard].failovers == 0 {
-        internal.push(format!(
-            "socket-sharded: killed a shard {victim_shard} replica but no failover was recorded"
-        ));
+        internal
+            .push(format!("killed a shard {victim_shard} replica but no failover was recorded"));
     }
 
     // Phase 3: respawn the replica from its (intact) directory, point
     // the backend at the new endpoint, and prove full recovery.
-    let (proc, addr) =
-        spawn_socket_server(bin.as_deref(), &replica_dir, victim_shard, &serve_schema)?;
-    procs.push(proc);
-    victim.redirect(&addr);
+    let server = serve_shard(&set.dirs[1], victim_shard, &set.schema)?;
+    victim.redirect(&server.local_addr().to_string());
+    servers.push(server);
     let mut recovered = false;
     for _ in 0..50 {
         if victim.query_plain(node_ids[0]).is_ok() {
@@ -1294,24 +1019,21 @@ fn run_socket_sharded(w: &Workload, schema: &CubeSchema, scratch: &Path) -> Resu
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     if !recovered {
-        internal.push("socket-sharded: respawned replica never answered after redirect".into());
+        internal.push("respawned replica never answered after redirect".into());
     }
     for &id in &node_ids {
-        match answer(&router, id) {
+        match shard_answer(&router, id, w) {
             Ok(rows) => {
                 if nodes.get(&id) != Some(&rows) {
-                    internal
-                        .push(format!("socket-sharded: post-respawn answer differs on node {id}"));
+                    internal.push(format!("post-respawn answer differs on node {id}"));
                 }
             }
-            Err(e) => {
-                internal.push(format!("socket-sharded: node {id} still failing after respawn: {e}"))
-            }
+            Err(e) => internal.push(format!("node {id} still failing after respawn: {e}")),
         }
     }
     let wire = router.wire_totals();
     if wire.bytes_in == 0 || wire.bytes_out == 0 {
-        internal.push("socket-sharded: no wire traffic recorded".into());
+        internal.push("no wire traffic recorded".into());
     }
-    Ok(EngineRun { nodes, bytes: None, internal })
+    Ok(nodes)
 }

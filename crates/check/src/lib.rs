@@ -9,13 +9,9 @@
 //!    hierarchies, Zipf-skewed or uniform fact tables, iceberg
 //!    thresholds, and memory budgets small enough to force external
 //!    partitioning.
-//! 2. **Build** it through every engine configuration ([`Engine::all`]):
-//!    in-memory, CURE sequential, CURE parallel at 2/4/8 threads,
-//!    CURE_DR, a durable build killed at a fault-injected write index and
-//!    resumed, the BUC / BU-BST baselines, delta-ingest (a base
-//!    build advanced by 1–2 incremental batches, which must equal a
-//!    fresh rebuild over all facts), the chaos-serve pair, and the
-//!    sharded scatter-gather router over snapshot-replicated sub-cubes.
+//! 2. **Build** it through every engine ([`Engine::all`]): each is one
+//!    row of the table in [`engine`], pairing a build step with an access
+//!    step that reads the cube back.
 //! 3. **Compare** every lattice node's rows against the executable oracle
 //!    (`cure_core::reference`, Gray et al.'s CUBE semantics) and the
 //!    cube-relation bytes pairwise where determinism is promised
@@ -33,13 +29,14 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use cure_core::{reference, CubeError, NodeCoder};
+use cure_storage::StorageError;
 
 pub mod corpus;
 pub mod engine;
 pub mod shrink;
 pub mod workload;
 
-pub use engine::{run_engine, run_in_memory_mutated, Engine, EngineRun, Mutation, NodeMap};
+pub use engine::{run_engine, Engine, EngineRun, Mutation, NodeMap};
 pub use workload::{DimSpec, Workload};
 
 /// Errors produced by the harness itself.
@@ -71,6 +68,12 @@ impl From<CubeError> for CheckError {
     }
 }
 
+impl From<StorageError> for CheckError {
+    fn from(e: StorageError) -> Self {
+        CheckError::Cube(e.into())
+    }
+}
+
 /// Harness result type.
 pub type Result<T> = std::result::Result<T, CheckError>;
 
@@ -78,8 +81,8 @@ pub type Result<T> = std::result::Result<T, CheckError>;
 /// broken engine-internal invariant).
 #[derive(Debug, Clone)]
 pub struct Mismatch {
-    /// Engine label ([`Engine::label`]).
-    pub engine: String,
+    /// The engine that disagreed.
+    pub engine: Engine,
     /// Human-readable node name, when the mismatch is node-local.
     pub node: Option<String>,
     /// What differed.
@@ -89,8 +92,8 @@ pub struct Mismatch {
 impl std::fmt::Display for Mismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.node {
-            Some(n) => write!(f, "[{}] node {n}: {}", self.engine, self.detail),
-            None => write!(f, "[{}] {}", self.engine, self.detail),
+            Some(n) => write!(f, "[{}] node {n}: {}", self.engine.label(), self.detail),
+            None => write!(f, "[{}] {}", self.engine.label(), self.detail),
         }
     }
 }
@@ -100,7 +103,7 @@ impl std::fmt::Display for Mismatch {
 pub struct CheckOptions {
     /// Engine subset (defaults to the full matrix).
     pub engines: Vec<Engine>,
-    /// Deliberate bug injected into [`Engine::InMemory`] — the harness's
+    /// Deliberate bug injected into [`Engine::IN_MEMORY`] — the harness's
     /// own mutation smoke test.
     pub mutation: Option<Mutation>,
 }
@@ -119,7 +122,7 @@ pub struct CheckOutcome {
     /// Engines run.
     pub engines_run: usize,
     /// Wall seconds per engine, in run order (`Engine::label`).
-    pub engine_secs: Vec<(String, f64)>,
+    pub engine_secs: Vec<(&'static str, f64)>,
 }
 
 /// Render the first few row-level differences between two sorted row
@@ -163,21 +166,16 @@ pub fn check_workload(w: &Workload, scratch: &Path, opts: &CheckOptions) -> Resu
     std::fs::create_dir_all(scratch).map_err(CheckError::Io)?;
 
     let mut outcome = CheckOutcome::default();
-    let mut byte_baseline: Option<(String, BTreeMap<String, Vec<u8>>)> = None;
+    let mut byte_baseline: Option<(Engine, BTreeMap<String, Vec<u8>>)> = None;
     for &e in &opts.engines {
-        let label = e.label();
         let started = Instant::now();
-        let run = if e == Engine::InMemory && opts.mutation.is_some() {
-            run_in_memory_mutated(w, opts.mutation)
-        } else {
-            run_engine(w, e, scratch)
-        };
-        outcome.engine_secs.push((label.clone(), started.elapsed().as_secs_f64()));
+        let run = run_engine(w, e, scratch, opts.mutation);
+        outcome.engine_secs.push((e.label(), started.elapsed().as_secs_f64()));
         let run = match run {
             Ok(r) => r,
             Err(err) => {
                 outcome.mismatches.push(Mismatch {
-                    engine: label,
+                    engine: e,
                     node: None,
                     detail: format!("engine failed: {err}"),
                 });
@@ -185,12 +183,8 @@ pub fn check_workload(w: &Workload, scratch: &Path, opts: &CheckOptions) -> Resu
             }
         };
         outcome.engines_run += 1;
-        for msg in &run.internal {
-            outcome.mismatches.push(Mismatch {
-                engine: label.clone(),
-                node: None,
-                detail: msg.clone(),
-            });
+        for msg in run.internal {
+            outcome.mismatches.push(Mismatch { engine: e, node: None, detail: msg });
         }
         // Semantic comparison: every node the engine materializes must
         // match the oracle exactly (CURE engines cover all nodes, the
@@ -199,26 +193,28 @@ pub fn check_workload(w: &Workload, scratch: &Path, opts: &CheckOptions) -> Resu
             let want = oracle.get(&id).cloned().unwrap_or_default();
             if *rows != want {
                 outcome.mismatches.push(Mismatch {
-                    engine: label.clone(),
+                    engine: e,
                     node: Some(coder.name(&schema, id)),
                     detail: diff_rows(rows, &want),
                 });
             }
         }
-        // Byte identity where the determinism contract promises it.
-        if e.byte_comparable() {
-            if let Some(bytes) = run.bytes {
-                match &byte_baseline {
-                    None => byte_baseline = Some((label, bytes)),
-                    Some((base_label, base)) => {
-                        if *base != bytes {
-                            let diff = first_byte_diff(base, &bytes);
-                            outcome.mismatches.push(Mismatch {
-                                engine: label.clone(),
-                                node: None,
-                                detail: format!("cube bytes differ from {base_label}: {diff}"),
-                            });
-                        }
+        // Byte identity where the determinism contract promises it (only
+        // byte-comparable engines return bytes).
+        if let Some(bytes) = run.bytes {
+            match &byte_baseline {
+                None => byte_baseline = Some((e, bytes)),
+                Some((base_engine, base)) => {
+                    if *base != bytes {
+                        let diff = first_byte_diff(base, &bytes);
+                        outcome.mismatches.push(Mismatch {
+                            engine: e,
+                            node: None,
+                            detail: format!(
+                                "cube bytes differ from {}: {diff}",
+                                base_engine.label()
+                            ),
+                        });
                     }
                 }
             }
@@ -279,7 +275,7 @@ pub struct SuiteReport {
     /// Failing seeds, with minimized repros.
     pub failures: Vec<SeedFailure>,
     /// Wall seconds per engine label, summed over the seeds run.
-    pub engine_secs: BTreeMap<String, f64>,
+    pub engine_secs: BTreeMap<&'static str, f64>,
 }
 
 /// Configuration of a multi-seed sweep ([`run_suite`]).
@@ -311,23 +307,19 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport> {
         let outcome = check_workload(&w, &scratch, &opts)?;
         report.seeds_run += 1;
         for (label, secs) in &outcome.engine_secs {
-            *report.engine_secs.entry(label.clone()).or_default() += secs;
+            *report.engine_secs.entry(label).or_default() += secs;
         }
         if outcome.mismatches.is_empty() {
             continue;
         }
         // Narrow to the failing engines, then minimize.
-        let failing: Vec<Engine> = {
-            let mut labels: Vec<String> =
-                outcome.mismatches.iter().map(|m| m.engine.clone()).collect();
-            labels.sort();
-            labels.dedup();
-            labels.iter().filter_map(|l| Engine::from_label(l)).collect()
-        };
-        let narrow = CheckOptions {
-            engines: if failing.is_empty() { Engine::all() } else { failing },
-            mutation: None,
-        };
+        let mut failing: Vec<Engine> = Vec::new();
+        for m in &outcome.mismatches {
+            if !failing.contains(&m.engine) {
+                failing.push(m.engine);
+            }
+        }
+        let narrow = CheckOptions { engines: failing, mutation: None };
         let minimized = shrink::shrink(&w, &scratch, &narrow);
         let case_path = match &cfg.corpus_dir {
             Some(dir) => {

@@ -36,7 +36,7 @@ pub struct ShrinkReport {
 /// failures too: minimizing a crash is as useful as minimizing a
 /// mismatch.
 fn still_fails(w: &Workload, scratch: &Path, opts: &CheckOptions) -> bool {
-    if w.tuples.is_empty() || w.validate().is_err() {
+    if w.validate().is_err() {
         return false;
     }
     match check_workload(w, scratch, opts) {

@@ -368,6 +368,10 @@ impl Workload {
         if self.measures == 0 {
             return Err(CheckError::Case("workload has no measures".into()));
         }
+        // An empty cube gives the serve-path engines no page to fault.
+        if self.tuples.is_empty() {
+            return Err(CheckError::Case("workload has no fact tuples".into()));
+        }
         let cards = self.leaf_cards();
         for (i, (dims, aggs)) in self.tuples.iter().enumerate() {
             if dims.len() != self.dims.len() || aggs.len() != self.measures {

@@ -5,23 +5,21 @@
 //! forced-partitioning} — `Workload::from_matrix` pins the three booleans
 //! to `seed % 8`), so each of the 8 cells is exercised by 5 seeds. Seeds
 //! 0..8 run in the root package's `tests/conformance_matrix.rs` (tier-1);
-//! this file runs seeds 8..40. Every workload runs through all fourteen
-//! engine configurations:
-//! in-memory, sequential, parallel ×{2,4,8}, CURE_DR, durable
-//! kill+resume, BUC, BU-BST, delta-ingest (base + deltas == fresh
-//! rebuild), chaos-serve ×{cache,mmap}, sharded scatter-gather, and
-//! socket-sharded (real server processes, one SIGKILLed and respawned
-//! mid-run).
+//! this file runs seeds 8..40. Every workload runs through every engine
+//! of `Engine::all()`, the table in `crates/check/src/engine.rs`.
 
-use cure_check::{check_workload, CheckOptions, Workload};
+use cure_check::{check_workload, CheckOptions, Engine, Workload};
 use cure_storage::scratch::scratch_dir;
 
 fn run_seeds(seeds: std::ops::Range<u64>) {
+    check_seeds(seeds, &CheckOptions::default());
+}
+
+fn check_seeds(seeds: impl IntoIterator<Item = u64>, opts: &CheckOptions) {
     let scratch = scratch_dir("check_conformance");
-    let opts = CheckOptions::default();
     for seed in seeds {
         let w = Workload::from_matrix(seed);
-        let outcome = check_workload(&w, &scratch, &opts)
+        let outcome = check_workload(&w, &scratch, opts)
             .unwrap_or_else(|e| panic!("seed {seed} ({}): harness error: {e}", w.describe()));
         assert_eq!(outcome.engines_run, opts.engines.len(), "seed {seed}: engine did not run");
         assert!(
@@ -52,6 +50,17 @@ fn workloads_are_deterministic_per_seed() {
         let a = Workload::from_matrix(seed);
         let b = Workload::from_matrix(seed);
         assert_eq!(a, b, "seed {seed} not deterministic");
+    }
+}
+
+#[test]
+fn every_engine_conforms_alone() {
+    // `run_suite` hands the shrinker only the failing engines, so each
+    // row must build and check without a sibling's scratch directory:
+    // seed 9 builds a full cube, seed 14 an iceberg cube under forced
+    // partitioning.
+    for engine in Engine::all() {
+        check_seeds([9, 14], &CheckOptions { engines: vec![engine], mutation: None });
     }
 }
 

@@ -6,7 +6,7 @@ use cure_check::{check_workload, shrink, CheckOptions, Engine, Mutation, Workloa
 use cure_storage::scratch::scratch_dir;
 
 fn mutated_opts() -> CheckOptions {
-    CheckOptions { engines: vec![Engine::InMemory], mutation: Some(Mutation::NtAggOffByOne) }
+    CheckOptions { engines: vec![Engine::IN_MEMORY], mutation: Some(Mutation::NtAggOffByOne) }
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn injected_bug_shrinks_to_tiny_repro() {
 fn clean_build_passes_without_mutation() {
     let scratch = scratch_dir("clean");
     let w = Workload::from_matrix(0);
-    let opts = CheckOptions { engines: vec![Engine::InMemory], mutation: None };
+    let opts = CheckOptions { engines: vec![Engine::IN_MEMORY], mutation: None };
     let outcome = check_workload(&w, &scratch, &opts).expect("harness runs");
     assert!(outcome.mismatches.is_empty(), "clean in-memory build mismatched the oracle");
     let _ = std::fs::remove_dir_all(&scratch);

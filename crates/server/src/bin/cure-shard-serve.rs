@@ -14,8 +14,8 @@
 //! ```
 //!
 //! to stdout (resolving `--listen 127.0.0.1:0` to the bound port) and
-//! then serves until killed. Parents — the socket-shard tests, the
-//! conformance engine — parse that line to learn the endpoint.
+//! then serves until killed. Parents (the socket-shard kill/respawn
+//! test) parse that line to learn the endpoint.
 
 use std::io::Write as _;
 use std::sync::Arc;
@@ -92,7 +92,7 @@ fn serve(a: &Args) -> Result<(), String> {
     println!("LISTENING {}", server.local_addr());
     let _ = std::io::stdout().flush();
     // Serve until killed (SIGKILL is the expected way down — the
-    // conformance engine proves the router survives exactly that).
+    // socket-shard test proves the router survives exactly that).
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

@@ -138,9 +138,9 @@ impl ShardServer {
 
     /// Hard-stop: shut every live connection down mid-stream without
     /// any goodbye frame. From a client's point of view this is
-    /// indistinguishable from the process being SIGKILLed, which is
-    /// exactly what the in-process fallback of the conformance engine
-    /// uses it for.
+    /// indistinguishable from the process being SIGKILLed, which is how
+    /// the `socket-sharded` conformance engine kills the in-process
+    /// servers it runs every replica on.
     pub fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
         for (_, s) in self.conns.lock().iter() {

@@ -2,9 +2,10 @@
 //!
 //! Every `.case` file under `tests/corpus/` is a minimized workload that
 //! once exposed (or was hand-seeded to guard against) a specific bug
-//! class. Each run replays all of them through the full fourteen-engine
-//! matrix of `cure-check`; a regression in any engine fails here with
-//! the smallest known repro already in hand.
+//! class. Each run replays all of them through every engine of
+//! `cure-check` (`Engine::all()`, the table in
+//! `crates/check/src/engine.rs`); a regression in any engine fails here
+//! with the smallest known repro already in hand.
 
 use cure_check::{check_workload, corpus, CheckOptions};
 use cure_storage::scratch::scratch_dir;
