@@ -146,6 +146,11 @@ const ENGINES: &[Row] = &[
     ),
 ];
 
+/// The tail of the note a CURE disk row raises when a partitioned
+/// workload is too small for its budget to force partitioning: a loss of
+/// coverage, not a wrong answer.
+pub(crate) const COVERAGE_NOTE: &str = "did not force partitioning (coverage degraded)";
+
 /// One row of the conformance matrix (see [`Engine::all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine(&'static Row);
@@ -261,10 +266,8 @@ impl Run<'_> {
     /// it, or the row silently covers the in-memory path instead.
     fn check_partitioned(&mut self, report: &BuildReport) {
         if self.w.partitioned && report.partition.is_none() {
-            self.internal.push(format!(
-                "budget {} did not force partitioning (coverage degraded)",
-                self.w.config().memory_budget_bytes
-            ));
+            let budget = self.w.config().memory_budget_bytes;
+            self.internal.push(format!("budget {budget} {COVERAGE_NOTE}"));
         }
     }
 }

@@ -89,6 +89,14 @@ pub struct Mismatch {
     pub detail: String,
 }
 
+impl Mismatch {
+    /// Whether this is only the note that a partitioned workload did not
+    /// partition, which every CURE disk row raises on a small workload.
+    pub(crate) fn is_coverage_note(&self) -> bool {
+        self.node.is_none() && self.detail.ends_with(engine::COVERAGE_NOTE)
+    }
+}
+
 impl std::fmt::Display for Mismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.node {

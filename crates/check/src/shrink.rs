@@ -3,6 +3,10 @@
 //! The shrinker re-runs the *failing engine subset* after every candidate
 //! reduction and keeps a change only if the failure persists, so the
 //! output is a locally-minimal workload with the same observable defect.
+//! "Persists" means a mismatch from one of the engines the original
+//! workload failed, which is not the coverage note that a partitioned
+//! workload did not partition, unless that note was the original failure:
+//! cutting tuples always ends in a workload too small to partition.
 //! Reduction passes, in order of expected payoff:
 //!
 //! 1. **Drop tuples** — delta-debugging style: remove halves, then
@@ -20,7 +24,7 @@
 use std::path::Path;
 
 use crate::workload::{DimSpec, Workload};
-use crate::{check_workload, CheckOptions};
+use crate::{check_workload, CheckOptions, Engine, Mismatch};
 
 /// Outcome of a shrink run.
 pub struct ShrinkReport {
@@ -32,15 +36,38 @@ pub struct ShrinkReport {
     pub kept: usize,
 }
 
-/// Does `w` still exhibit a failure under `opts`? Engine errors count as
+/// The failure a shrink must keep: the engines the original workload
+/// failed, and whether the coverage note was all it showed.
+struct Failure {
+    engines: Vec<Engine>,
+    note_only: bool,
+}
+
+impl Failure {
+    fn of(mismatches: &[Mismatch]) -> Self {
+        let note_only = mismatches.iter().all(Mismatch::is_coverage_note);
+        let engines = mismatches
+            .iter()
+            .filter(|m| note_only || !m.is_coverage_note())
+            .map(|m| m.engine)
+            .collect();
+        Failure { engines, note_only }
+    }
+
+    fn shown_by(&self, m: &Mismatch) -> bool {
+        self.engines.contains(&m.engine) && (self.note_only || !m.is_coverage_note())
+    }
+}
+
+/// Does `w` still exhibit `failure` under `opts`? Engine errors count as
 /// failures too: minimizing a crash is as useful as minimizing a
 /// mismatch.
-fn still_fails(w: &Workload, scratch: &Path, opts: &CheckOptions) -> bool {
+fn still_fails(w: &Workload, scratch: &Path, opts: &CheckOptions, failure: &Failure) -> bool {
     if w.validate().is_err() {
         return false;
     }
     match check_workload(w, scratch, opts) {
-        Ok(outcome) => !outcome.mismatches.is_empty(),
+        Ok(outcome) => outcome.mismatches.iter().any(|m| failure.shown_by(m)),
         Err(_) => true,
     }
 }
@@ -49,12 +76,14 @@ fn still_fails(w: &Workload, scratch: &Path, opts: &CheckOptions) -> bool {
 /// reproduction. `opts.engines` should already be narrowed to the failing
 /// engines — the predicate cost is proportional to it.
 pub fn shrink(w: &Workload, scratch: &Path, opts: &CheckOptions) -> ShrinkReport {
+    let failure =
+        Failure::of(&check_workload(w, scratch, opts).map_or(Vec::new(), |o| o.mismatches));
     let mut cur = w.clone();
     let mut attempts = 0usize;
     let mut kept = 0usize;
     let mut try_candidate = |cand: Workload, cur: &mut Workload| -> bool {
         attempts += 1;
-        if still_fails(&cand, scratch, opts) {
+        if still_fails(&cand, scratch, opts, &failure) {
             *cur = cand;
             kept += 1;
             true
@@ -147,4 +176,30 @@ pub fn shrink(w: &Workload, scratch: &Path, opts: &CheckOptions) -> ShrinkReport
         }
     }
     ShrinkReport { workload: cur, attempts, kept }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cure_storage::scratch::scratch_dir;
+
+    /// Seed 5's partitioned workload cut to one tuple shows only the
+    /// coverage note on a CURE disk row: that is not the row's real
+    /// failure, though it is a failure when the note was all there was.
+    #[test]
+    fn coverage_note_alone_is_not_a_real_failure() {
+        let mut w = Workload::from_matrix(5);
+        assert!(w.partitioned, "seed 5 must be a partitioned workload");
+        w.tuples.truncate(1);
+        let sequential = Engine::all().into_iter().find(|e| e.label() == "sequential");
+        let opts = CheckOptions { engines: sequential.into_iter().collect(), mutation: None };
+        let scratch = scratch_dir("shrink_note");
+        let shown = check_workload(&w, &scratch, &opts).unwrap().mismatches;
+        assert!(!shown.is_empty() && shown.iter().all(Mismatch::is_coverage_note), "{shown:?}");
+
+        let real = Failure { engines: opts.engines.clone(), note_only: false };
+        assert!(!still_fails(&w, &scratch, &opts, &real), "the note passed for a real failure");
+        assert!(still_fails(&w, &scratch, &opts, &Failure::of(&shown)));
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
 }

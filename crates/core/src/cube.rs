@@ -128,7 +128,8 @@ impl<'a> CubeBuilder<'a> {
             self.cfg.pool_capacity,
             self.cfg.cat_policy,
         );
-        finish_build(self.schema, &coder, &self.cfg, t, &mut pool, sink, RunStats::default(), None)
+        let totals = RunStats::default();
+        finish_build(self.schema, &coder, &self.cfg, t, &mut pool, sink, totals, None, 1)
     }
 }
 
@@ -167,7 +168,8 @@ impl RunStats {
 /// through `pool` — into the [`BuildReport`]. With `partition` set, `t`
 /// is the aggregated relation *N* and dimension 0 is restricted to
 /// levels ≥ L+1 (skipped entirely when L was the top level); without it,
-/// `t` is the whole fact table, cubed in memory.
+/// `t` is the whole fact table, cubed in memory. The recursion runs on
+/// the calling thread; the final flush sorts on `threads` threads.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_build<S: CubeSink + ?Sized>(
     schema: &CubeSchema,
@@ -178,6 +180,7 @@ pub(crate) fn finish_build<S: CubeSink + ?Sized>(
     sink: &mut S,
     mut totals: RunStats,
     partition: Option<PartitionReport>,
+    threads: usize,
 ) -> Result<BuildReport> {
     let mut exec = Exec::new(schema, coder, t, cfg.min_support, cfg.sort_policy);
     if let Some(p) = &partition {
@@ -186,7 +189,7 @@ pub(crate) fn finish_build<S: CubeSink + ?Sized>(
     }
     let t0 = Instant::now();
     exec.run_full(pool, sink)?;
-    pool.flush(sink)?;
+    pool.flush_on(sink, threads)?;
     totals.add(exec.run_stats(t0.elapsed().as_secs_f64()));
     let stats = sink.finish()?;
     Ok(BuildReport {

@@ -372,8 +372,17 @@ pub fn build_cure_cube_durable(
         max_partition_rows: manifest.max_partition_rows,
         partition_secs,
     };
-    let report =
-        finish_build(schema, &coder, cfg, &n_tuples, &mut pool, sink, totals, Some(partition))?;
+    let report = finish_build(
+        schema,
+        &coder,
+        cfg,
+        &n_tuples,
+        &mut pool,
+        sink,
+        totals,
+        Some(partition),
+        opts.threads,
+    )?;
 
     // ---- final fsync, Complete manifest, then drop temps --------------
     manifest.pool = pool.decision_state();

@@ -181,8 +181,17 @@ pub fn build_cure_cube(
         &mut totals,
         |_, _, _, _| Ok(()),
     )?;
-    let report =
-        finish_build(schema, &coder, cfg, &n_tuples, &mut pool, sink, totals, Some(partition))?;
+    let report = finish_build(
+        schema,
+        &coder,
+        cfg,
+        &n_tuples,
+        &mut pool,
+        sink,
+        totals,
+        Some(partition),
+        threads,
+    )?;
     for name in &part_names {
         catalog.drop_relation(name)?;
     }

@@ -11,6 +11,15 @@
 //!   aggregates are stored once in `AGGREGATES` and the node relations
 //!   store references.
 //!
+//! Each signature is one fixed-width record: `([i64; K], u64, NodeId)`
+//! with the aggregates zero-padded to `K = 2` or `4`, or above four
+//! aggregates an offset into one flat buffer. A flush sorts the records
+//! in place, allocating nothing proportional to the pool, under one total
+//! order: the whole `(aggs, rowid, node)`. Equal records are the same
+//! signature, so any correct sort (serial, split across threads as
+//! [`SignaturePool::flush_on`] does for the final flushes of a build and
+//! an ingest, unstable) seals the same flush and writes the same bytes.
+//!
 //! The flush also gathers the paper's `k`/`n` statistics (average CATs per
 //! aggregate combination vs. average distinct source sets) and fixes the
 //! CAT storage format by the §5.1 criterion the first time CATs appear:
@@ -25,10 +34,16 @@
 //! aggregates that land in different flushes are stored redundantly (as
 //! NTs or duplicate CAT groups). The paper's Figure 18 measures exactly
 //! this trade-off; `flushes()` and `len()` expose what experiments need.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::cmp::Ordering;
 
 use crate::error::Result;
 use crate::lattice::NodeId;
 use crate::sink::{CatFormat, CatFormatPolicy, CubeSink};
+
+/// Fewest records per thread worth a split when a flush sorts on threads.
+const SORT_GRAIN: usize = 1 << 14;
 
 /// Durable snapshot of a pool's CAT-format decision machinery.
 ///
@@ -54,8 +69,110 @@ pub struct PoolDecisionState {
     pub total_signatures: u64,
 }
 
-/// One flush's worth of signatures, sorted by `(aggs, rowid)` and sealed
-/// for later replay.
+/// One pooled signature: its aggregates, source row-id and node.
+type Rec<A> = (A, u64, NodeId);
+
+/// Pooled signatures, one record each; `Wide` records point into a flat
+/// aggregate buffer kept in push order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Records {
+    K2(Vec<Rec<[i64; 2]>>),
+    K4(Vec<Rec<[i64; 4]>>),
+    Wide(Vec<i64>, Vec<Rec<usize>>),
+}
+
+impl Records {
+    fn new(y: usize) -> Self {
+        match y {
+            0..=2 => Records::K2(Vec::new()),
+            3..=4 => Records::K4(Vec::new()),
+            _ => Records::Wide(Vec::new(), Vec::new()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Records::K2(v) => v.len(),
+            Records::K4(v) => v.len(),
+            Records::Wide(_, v) => v.len(),
+        }
+    }
+
+    fn push(&mut self, aggs: &[i64], rowid: u64, node: NodeId) {
+        let pad = |m: usize| aggs.get(m).map_or(0, |a| *a);
+        match self {
+            Records::K2(v) => v.push((std::array::from_fn(pad), rowid, node)),
+            Records::K4(v) => v.push((std::array::from_fn(pad), rowid, node)),
+            Records::Wide(flat, v) => {
+                v.push((flat.len(), rowid, node));
+                flat.extend_from_slice(aggs);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Records::K2(v) => v.clear(),
+            Records::K4(v) => v.clear(),
+            Records::Wide(flat, v) => {
+                flat.clear();
+                v.clear();
+            }
+        }
+    }
+
+    /// Sort the records in place by `(aggs, rowid, node)` on `threads` threads.
+    fn sort(&mut self, y: usize, threads: usize) {
+        match self {
+            Records::K2(v) => sort_records(v, threads, &Ord::cmp),
+            Records::K4(v) => sort_records(v, threads, &Ord::cmp),
+            Records::Wide(flat, v) => {
+                sort_records(v, threads, &|a: &Rec<usize>, b: &Rec<usize>| {
+                    (a.0.get(flat, y), a.1, a.2).cmp(&(b.0.get(flat, y), b.1, b.2))
+                })
+            }
+        }
+    }
+}
+
+/// A record's aggregates: inline and zero-padded, or an offset into `flat`.
+trait Aggs {
+    fn get<'a>(&'a self, flat: &'a [i64], y: usize) -> &'a [i64];
+}
+
+impl<const K: usize> Aggs for [i64; K] {
+    fn get<'a>(&'a self, _: &'a [i64], y: usize) -> &'a [i64] {
+        &self[..y]
+    }
+}
+
+impl Aggs for usize {
+    fn get<'a>(&'a self, flat: &'a [i64], y: usize) -> &'a [i64] {
+        &flat[*self..*self + y]
+    }
+}
+
+/// Sort `v` in place by the total order `cmp` on `threads` threads: split
+/// it around its element of rank `len · ⌊threads/2⌋ / threads`, then sort
+/// both sides on scoped threads. A total order makes the result unique.
+fn sort_records<T: Send, F: Fn(&T, &T) -> Ordering + Sync>(v: &mut [T], threads: usize, cmp: &F) {
+    if threads <= 1 || v.len() < 2 {
+        v.sort_unstable_by(cmp);
+        return;
+    }
+    let left = threads / 2;
+    let mid = v.len() * left / threads;
+    v.select_nth_unstable_by(mid, cmp);
+    let (lo, hi) = v.split_at_mut(mid);
+    std::thread::scope(|s| {
+        s.spawn(|| sort_records(lo, left, cmp));
+        sort_records(hi, threads - left, cmp);
+    });
+}
+
+/// One flush's worth of signatures, sorted by `(aggs, rowid, node)` and
+/// sealed for later replay: the pool's record buffer, sorted in place and
+/// moved out of the pool.
 ///
 /// Parallel builds cube partitions on worker threads, but the NT/CAT
 /// classification, the §5.1 format decision and `AGGREGATES` row-id
@@ -63,17 +180,12 @@ pub struct PoolDecisionState {
 /// in *recording* mode: every flush is sorted and sealed into one of
 /// these instead of being written, and a single merger replays the sealed
 /// flushes — in partition order, against one decision-carrying pool — via
-/// [`SignaturePool::apply_sealed`]. Because sorting is deterministic and
+/// [`SignaturePool::apply_sealed`]. The sort is under a total order and
 /// the merger sees the exact same flush contents in the exact same order
-/// as a sequential build would, the output bytes are identical.
+/// as a sequential build would, so the output bytes are identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedFlush {
-    /// Flat aggregate values, `y` per signature, in sorted order.
-    aggs: Vec<i64>,
-    /// Source row-ids, parallel to `aggs`.
-    rowids: Vec<u64>,
-    /// Owning nodes, parallel to `rowids`.
-    nodes: Vec<NodeId>,
+    records: Records,
     /// Trivial tuples the worker had written when this flush happened,
     /// so the merger replays TT writes and flushes interleaved exactly
     /// as a sequential build made them.
@@ -88,18 +200,12 @@ impl SealedFlush {
 
     /// Number of signatures in this flush.
     pub fn len(&self) -> usize {
-        self.rowids.len()
+        self.records.len()
     }
 
-    /// Whether the flush holds no signatures (never true for flushes
-    /// produced by [`SignaturePool::flush`], which skips empty pools).
+    /// Whether the flush holds no signatures (a flush never seals an empty pool).
     pub fn is_empty(&self) -> bool {
-        self.rowids.is_empty()
-    }
-
-    /// Approximate heap footprint in bytes (for merge backpressure).
-    pub fn size_bytes(&self) -> usize {
-        self.aggs.len() * 8 + self.rowids.len() * 8 + self.nodes.len() * 8
+        self.len() == 0
     }
 }
 
@@ -108,9 +214,7 @@ impl SealedFlush {
 pub struct SignaturePool {
     y: usize,
     capacity: usize,
-    aggs: Vec<i64>,
-    rowids: Vec<u64>,
-    nodes: Vec<NodeId>,
+    records: Records,
     policy: CatFormatPolicy,
     decided: Option<CatFormat>,
     /// Recording mode: flushes are sealed here instead of being written.
@@ -146,9 +250,7 @@ impl SignaturePool {
         SignaturePool {
             y,
             capacity,
-            aggs: Vec::new(),
-            rowids: Vec::new(),
-            nodes: Vec::new(),
+            records: Records::new(y),
             policy,
             decided,
             record: None,
@@ -183,12 +285,12 @@ impl SignaturePool {
 
     /// Number of signatures currently pooled.
     pub fn len(&self) -> usize {
-        self.rowids.len()
+        self.records.len()
     }
 
     /// Whether the pool holds no signatures.
     pub fn is_empty(&self) -> bool {
-        self.rowids.is_empty()
+        self.len() == 0
     }
 
     /// Completed flushes so far.
@@ -241,9 +343,7 @@ impl SignaturePool {
         if self.len() >= self.capacity {
             self.flush(sink)?;
         }
-        self.aggs.extend_from_slice(aggs);
-        self.rowids.push(rowid);
-        self.nodes.push(node);
+        self.records.push(aggs, rowid, node);
         self.total_signatures += 1;
         Ok(())
     }
@@ -251,17 +351,28 @@ impl SignaturePool {
     /// Sort, classify and write out every pooled signature (`
     /// FlushSignatures` in the paper's pseudo-code), emptying the pool.
     ///
-    /// In [recording mode](Self::recording) the sorted contents are
+    /// In [recording mode](Self::recording) the sorted records are
     /// sealed into the internal log instead and `sink` is not touched.
     pub fn flush(&mut self, sink: &mut (impl CubeSink + ?Sized)) -> Result<()> {
-        let Some(sealed) = self.seal_sorted() else {
-            return Ok(());
-        };
-        if let Some(log) = &mut self.record {
-            log.push(SealedFlush { tt_mark: sink.tts_written(), ..sealed });
+        self.flush_on(sink, 1)
+    }
+
+    /// [`flush`](Self::flush), sorting on up to `threads` threads, at most one
+    /// per 16 384 records; what is written does not depend on `threads`.
+    pub fn flush_on(&mut self, sink: &mut (impl CubeSink + ?Sized), threads: usize) -> Result<()> {
+        if self.is_empty() {
             return Ok(());
         }
-        self.apply_writes(sink, &sealed)
+        self.records.sort(self.y, threads.min(self.len() / SORT_GRAIN).max(1));
+        let mut records = std::mem::replace(&mut self.records, Records::new(self.y));
+        if let Some(log) = &mut self.record {
+            log.push(SealedFlush { records, tt_mark: sink.tts_written() });
+            return Ok(());
+        }
+        let written = self.apply_writes(sink, &records);
+        records.clear();
+        self.records = records;
+        written
     }
 
     /// Replay a worker-sealed flush into `sink` as if its signatures had
@@ -282,73 +393,37 @@ impl SignaturePool {
             return Ok(());
         }
         self.total_signatures += sealed.len() as u64;
-        self.apply_writes(sink, sealed)
+        self.apply_writes(sink, &sealed.records)
     }
 
-    /// Drain the pool into a [`SealedFlush`] sorted by `(aggs, rowid)` —
-    /// bringing common-aggregate signatures (and common-source ones
-    /// within them) to adjacent positions. Returns `None` when empty.
-    fn seal_sorted(&mut self) -> Option<SealedFlush> {
-        let n = self.len();
-        if n == 0 {
-            return None;
+    /// The write half of a flush, over sorted records.
+    fn apply_writes(&mut self, sink: &mut (impl CubeSink + ?Sized), recs: &Records) -> Result<()> {
+        match recs {
+            Records::K2(v) => self.write_sorted(sink, v, &[]),
+            Records::K4(v) => self.write_sorted(sink, v, &[]),
+            Records::Wide(flat, v) => self.write_sorted(sink, v, flat),
         }
-        let y = self.y;
-        let idx = sort_index(&self.aggs, &self.rowids, y);
-        let mut out = SealedFlush {
-            aggs: Vec::with_capacity(n * y),
-            rowids: Vec::with_capacity(n),
-            nodes: Vec::with_capacity(n),
-            tt_mark: 0,
-        };
-        for &w in &idx {
-            let t = w as usize;
-            out.aggs.extend_from_slice(&self.aggs[t * y..(t + 1) * y]);
-            out.rowids.push(self.rowids[t]);
-            out.nodes.push(self.nodes[t]);
-        }
-        self.aggs.clear();
-        self.rowids.clear();
-        self.nodes.clear();
-        Some(out)
     }
 
-    /// The write half of a flush, over pre-sorted signatures: adopt or
-    /// make the §5.1 format decision, then emit NTs and CAT groups.
-    fn apply_writes(
+    /// Adopt or make the §5.1 format decision, then emit NTs and CAT groups:
+    /// one per run of equal aggregates, split by row-id in format (a).
+    fn write_sorted<A: Aggs>(
         &mut self,
         sink: &mut (impl CubeSink + ?Sized),
-        sealed: &SealedFlush,
+        recs: &[Rec<A>],
+        flat: &[i64],
     ) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let n = sealed.len();
         let y = self.y;
-        let aggs = &sealed.aggs;
-        let rowids = &sealed.rowids;
-        let nodes = &sealed.nodes;
-        let same_aggs = |a: usize, b: usize| aggs[a * y..(a + 1) * y] == aggs[b * y..(b + 1) * y];
+        let same_aggs = |a: &Rec<A>, b: &Rec<A>| a.0.get(flat, y) == b.0.get(flat, y);
         self.flushes += 1;
 
         // Pass 1 (only while undecided): gather k/n statistics.
         if self.decided.is_none() {
-            let mut i = 0usize;
-            while i < n {
-                let mut j = i + 1;
-                while j < n && same_aggs(i, j) {
-                    j += 1;
-                }
-                if j - i > 1 {
-                    self.groups += 1;
-                    self.k_sum += (j - i) as u64;
-                    let mut distinct = 1u64;
-                    for w in i + 1..j {
-                        if rowids[w] != rowids[w - 1] {
-                            distinct += 1;
-                        }
-                    }
-                    self.n_sum += distinct;
-                }
-                i = j;
+            for g in recs.chunk_by(same_aggs).filter(|g| g.len() > 1) {
+                self.groups += 1;
+                self.k_sum += g.len() as u64;
+                self.n_sum += 1 + g.windows(2).filter(|w| w[0].1 != w[1].1).count() as u64;
             }
             if self.groups > 0 {
                 // §5.1: format (a) iff k/n > Y+1; else AsNt when Y == 1;
@@ -371,61 +446,29 @@ impl SignaturePool {
 
         // Pass 2: write NTs and CAT groups.
         let mut members: Vec<(NodeId, u64)> = Vec::new();
-        let mut i = 0usize;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && same_aggs(i, j) {
-                j += 1;
-            }
-            let agg_slice = &aggs[i * y..(i + 1) * y];
-            if j - i == 1 {
+        for g in recs.chunk_by(same_aggs) {
+            let aggs = g[0].0.get(flat, y);
+            if let [(_, rowid, node)] = g {
                 self.nt_written += 1;
-                sink.write_nt(nodes[i], rowids[i], agg_slice)?;
-            } else {
-                let format = self.decided.ok_or_else(|| {
-                    crate::error::CubeError::Config(
-                        "CAT group flushed without a format decision".into(),
-                    )
-                })?;
-                match format {
-                    CatFormat::CommonSource => {
-                        // Sub-group by source rowid (already adjacent).
-                        let mut s = i;
-                        while s < j {
-                            let mut e = s + 1;
-                            while e < j && rowids[e] == rowids[s] {
-                                e += 1;
-                            }
-                            members.clear();
-                            for t in s..e {
-                                members.push((nodes[t], rowids[t]));
-                            }
-                            self.cat_groups += 1;
-                            self.cat_tuples += (e - s) as u64;
-                            sink.write_cat_group(&members, agg_slice)?;
-                            s = e;
-                        }
-                    }
-                    CatFormat::Coincidental | CatFormat::AsNt => {
-                        members.clear();
-                        for t in i..j {
-                            members.push((nodes[t], rowids[t]));
-                        }
-                        self.cat_groups += 1;
-                        self.cat_tuples += (j - i) as u64;
-                        sink.write_cat_group(&members, agg_slice)?;
-                    }
-                }
+                sink.write_nt(*node, *rowid, aggs)?;
+                continue;
             }
-            i = j;
+            let format = self.decided.ok_or_else(|| {
+                crate::error::CubeError::Config(
+                    "CAT group flushed without a format decision".into(),
+                )
+            })?;
+            let by_source = format == CatFormat::CommonSource;
+            for cat in g.chunk_by(|a, b| !by_source || a.1 == b.1) {
+                members.clear();
+                members.extend(cat.iter().map(|r| (r.2, r.1)));
+                self.cat_groups += 1;
+                self.cat_tuples += cat.len() as u64;
+                sink.write_cat_group(&members, aggs)?;
+            }
         }
         self.write_secs += t0.elapsed().as_secs_f64();
         Ok(())
-    }
-
-    /// The policy this pool was created with.
-    pub fn policy(&self) -> CatFormatPolicy {
-        self.policy
     }
 
     /// Snapshot the decision machinery for the build manifest. Only
@@ -470,50 +513,6 @@ impl SignaturePool {
     }
 }
 
-/// The permutation that sorts signatures by `(aggs, rowid)`: `aggs` holds
-/// `y` values per signature, `rowids` one. `sort_unstable_by` over an
-/// index is deterministic in the comparator's outcomes, which are those
-/// of [`sort_index_by_slices`] — so is the permutation, ties included.
-/// Up to four aggregates, the comparator reads one contiguous,
-/// zero-padded `([i64; K], u64)` key per signature instead of two
-/// slices: the padding is equal in every key, so it never decides.
-fn sort_index(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
-    match y {
-        0..=2 => sort_index_by_keys::<2>(aggs, rowids, y),
-        3..=4 => sort_index_by_keys::<4>(aggs, rowids, y),
-        _ => sort_index_by_slices(aggs, rowids, y),
-    }
-}
-
-/// [`sort_index`] over `([i64; K], u64)` keys, for `y ≤ K`.
-fn sort_index_by_keys<const K: usize>(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
-    let keys: Vec<([i64; K], u64)> = rowids
-        .iter()
-        .enumerate()
-        .map(|(i, &rowid)| {
-            let mut key = [0i64; K];
-            key[..y].copy_from_slice(&aggs[i * y..(i + 1) * y]);
-            (key, rowid)
-        })
-        .collect();
-    let mut idx: Vec<u32> = (0..rowids.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-    idx
-}
-
-/// [`sort_index`] comparing the aggregate slices in place: the reference
-/// comparator, and the one used above four aggregates.
-fn sort_index_by_slices(aggs: &[i64], rowids: &[u64], y: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..rowids.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        aggs[a * y..(a + 1) * y]
-            .cmp(&aggs[b * y..(b + 1) * y])
-            .then_with(|| rowids[a].cmp(&rowids[b]))
-    });
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,23 +522,64 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The keyed sort makes exactly the slice comparator's permutation,
-        /// ties included: few distinct values and row-ids force many
-        /// equal `(aggs, rowid)` signatures.
+        /// The in-place record sort, at any thread count and in each of
+        /// the three record forms, gives exactly the reference sort of
+        /// whole `(aggs, rowid, node)` signatures: few distinct values,
+        /// row-ids and nodes force many ties and many equal records.
         #[test]
-        fn keyed_sort_matches_slice_sort(
-            y in 1usize..7,
-            raw in proptest::collection::vec((-1i64..2, 0i64..3, 0u64..4), 0..400),
+        fn record_sort_matches_reference_sort(
+            y in 1usize..=6,
+            threads in 1usize..=8,
+            raw in proptest::collection::vec((-1i64..2, 0i64..3, 0u64..4, 0u64..3), 0..3000),
         ) {
-            let aggs: Vec<i64> = raw
+            let mut want: Vec<(Vec<i64>, u64, NodeId)> = raw
                 .iter()
-                .flat_map(|&(a, b, _)| (0..y).map(move |m| if m % 2 == 0 { a } else { b }))
+                .map(|&(a, b, rowid, node)| {
+                    ((0..y).map(|m| if m % 2 == 0 { a } else { b }).collect(), rowid, node)
+                })
                 .collect();
-            let rowids: Vec<u64> = raw.iter().map(|&(_, _, r)| r).collect();
-            prop_assert_eq!(
-                sort_index(&aggs, &rowids, y),
-                sort_index_by_slices(&aggs, &rowids, y)
-            );
+            let mut records = Records::new(y);
+            for (aggs, rowid, node) in &want {
+                records.push(aggs, *rowid, *node);
+            }
+            records.sort(y, threads);
+            want.sort();
+            prop_assert_eq!(signatures(&records, y), want);
+        }
+    }
+
+    /// The records of `records` in buffer order, as owned signatures.
+    fn signatures(records: &Records, y: usize) -> Vec<(Vec<i64>, u64, NodeId)> {
+        fn read<A: Aggs>(v: &[Rec<A>], flat: &[i64], y: usize) -> Vec<(Vec<i64>, u64, NodeId)> {
+            v.iter().map(|r| (r.0.get(flat, y).to_vec(), r.1, r.2)).collect()
+        }
+        match records {
+            Records::K2(v) => read(v, &[], y),
+            Records::K4(v) => read(v, &[], y),
+            Records::Wide(flat, v) => read(v, flat, y),
+        }
+    }
+
+    /// A flush large enough to split across threads writes what the
+    /// one-thread flush writes, CAT groups and `AGGREGATES` order included.
+    #[test]
+    fn threaded_flush_writes_what_serial_flush_writes() {
+        let n = 3 * SORT_GRAIN as u64;
+        let run = |y: usize, threads: usize| {
+            let mut sink = MemSink::new(y);
+            let mut pool = SignaturePool::new(y, n as usize, CatFormatPolicy::Auto);
+            for i in 0..n {
+                let aggs: Vec<i64> = (0..y as i64).map(|m| ((i * 7919) % 97) as i64 + m).collect();
+                pool.push(&mut sink, &aggs, (i * 31) % 1_000, i % 5).unwrap();
+            }
+            pool.flush_on(&mut sink, threads).unwrap();
+            (sink.nts, sink.cats, sink.aggregates, pool.decision_state())
+        };
+        for y in [2, 3, 5] {
+            let serial = run(y, 1);
+            for threads in [2, 3, 4] {
+                assert!(run(y, threads) == serial, "y = {y}, {threads} threads");
+            }
         }
     }
 

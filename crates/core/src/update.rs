@@ -43,10 +43,10 @@
 //! subtrees of at most `1/(4·threads)` of the old cube's rows, each
 //! walked into a log of its TT writes and pool pushes, and the calling
 //! thread replays the logs in DFS order into the one pool and sink. The
-//! cube, the fact scan and the final pool flush (one sort of every
-//! signature) stay on the calling thread, so the serial share is the
-//! scan, the replay and that flush; the stored bytes do not depend on
-//! `threads`.
+//! final pool flush sorts every signature in place on the same `threads`
+//! ([`SignaturePool::flush_on`]) and classifies and writes them on the
+//! calling thread, so the serial share is the fact scan, the replay and
+//! that classify-and-write; the stored bytes do not depend on `threads`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -797,7 +797,7 @@ pub fn update_cube(
         debug_assert!(pending.ops.is_empty());
     }
     let Direct { pool, sink } = out;
-    pool.flush(sink)?;
+    pool.flush_on(sink, threads)?;
     sink.finish()?;
     Ok(walker.report)
 }
