@@ -626,7 +626,7 @@ fn build_delta_ingest(run: &mut Run) -> Result<Built> {
 /// [`Access::Chaos`]: the serve-path robustness invariant.
 ///
 /// A fault-free sequential build is served through
-/// [`CubeService::query_with_options`] (deliberately tiny page caches, so
+/// [`CubeService::query`] (deliberately tiny page caches, so
 /// queries keep going back to disk) while a seed-derived
 /// [`FaultInjector::chaos_reads`] schedule cycles transient EIO, hard
 /// EIO, and silent bit flips through the read path. Three things are
@@ -693,7 +693,6 @@ fn serve_chaos(run: &mut Run, dir: &Path, prefix: &str, read_path: ReadPath) -> 
         ResilienceConfig {
             breaker_threshold: 4,
             breaker_cooldown: std::time::Duration::from_millis(20),
-            ..ResilienceConfig::default()
         },
     );
     let opts = QueryOptions::default();
@@ -719,8 +718,8 @@ fn serve_chaos(run: &mut Run, dir: &Path, prefix: &str, read_path: ReadPath) -> 
     while passes < 6 && policy.read_faults_fired() < count {
         passes += 1;
         for &id in &node_ids {
-            match svc.query_with_options(id, &opts) {
-                Ok(reply) => record(id, reply.rows, &mut nodes, internal),
+            match svc.query(id, &opts) {
+                Ok(rows) => record(id, rows, &mut nodes, internal),
                 Err(e) => {
                     if e.kind() == ServeErrorKind::Other {
                         internal
@@ -744,9 +743,9 @@ fn serve_chaos(run: &mut Run, dir: &Path, prefix: &str, read_path: ReadPath) -> 
         let mut recovered = false;
         for _ in 0..50 {
             let _ = svc.repair_all();
-            match svc.query_with_options(id, &opts) {
-                Ok(reply) => {
-                    record(id, reply.rows, &mut nodes, internal);
+            match svc.query(id, &opts) {
+                Ok(rows) => {
+                    record(id, rows, &mut nodes, internal);
                     recovered = true;
                     break;
                 }
@@ -759,8 +758,7 @@ fn serve_chaos(run: &mut Run, dir: &Path, prefix: &str, read_path: ReadPath) -> 
     }
 
     // Final sweep: the service must be back to 100% success.
-    let failures =
-        node_ids.iter().filter(|&&id| svc.query_with_options(id, &opts).is_err()).count();
+    let failures = node_ids.iter().filter(|&&id| svc.query(id, &opts).is_err()).count();
     if failures > 0 {
         internal
             .push(format!("{failures}/{} queries still failing after recovery", node_ids.len()));
@@ -853,9 +851,8 @@ fn shard_answer(
 ) -> std::result::Result<Vec<CubeRow>, ServeError> {
     let (opts, y) = (QueryOptions::default(), w.measures);
     let mut rows: Vec<CubeRow> = if w.min_support > 1 {
-        let reply = router.iceberg_query(id, (w.min_support - 1) as i64, y, &opts)?;
-        reply
-            .rows
+        router
+            .iceberg_query(id, (w.min_support - 1) as i64, y, &opts)?
             .into_iter()
             .map(|(dims, mut aggs)| {
                 aggs.truncate(y);
@@ -863,7 +860,7 @@ fn shard_answer(
             })
             .collect()
     } else {
-        router.query_with_options(id, &opts)?.rows
+        router.query(id, &opts)?
     };
     rows.sort();
     Ok(rows)
@@ -897,7 +894,7 @@ fn serve_router(run: &mut Run, set: &ShardSet) -> Result<NodeMap> {
 /// Serve `shard` of the catalog at `dir` on a fresh loopback port.
 fn serve_shard(dir: &Path, shard: usize, schema: &Arc<CubeSchema>) -> Result<ShardServer> {
     let catalog = Arc::new(Catalog::open(dir)?);
-    let cube = ConcurrentCube::open_with_read_path(
+    let service = CubeService::open_with_read_path(
         catalog,
         Arc::clone(schema),
         &shard_cube_prefix(shard),
@@ -905,8 +902,6 @@ fn serve_shard(dir: &Path, shard: usize, schema: &Arc<CubeSchema>) -> Result<Sha
         ReadPath::Cache,
     )
     .map_err(|e| CheckError::Case(format!("open shard {shard}: {e}")))?;
-    let service =
-        CubeService::from_cube_with_resilience(Arc::new(cube), ResilienceConfig::default());
     ShardServer::spawn(service, shard as u32, "127.0.0.1:0", ShardServerConfig::default())
         .map_err(|e| CheckError::Case(format!("bind shard {shard}: {e}")))
 }
@@ -1015,7 +1010,7 @@ fn serve_sockets(run: &mut Run, set: &mut ShardSet) -> Result<NodeMap> {
     servers.push(server);
     let mut recovered = false;
     for _ in 0..50 {
-        if victim.query_plain(node_ids[0]).is_ok() {
+        if victim.query(node_ids[0], &QueryOptions::default()).is_ok() {
             recovered = true;
             break;
         }

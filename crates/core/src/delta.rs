@@ -42,13 +42,13 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cure_storage::checksum::crc32;
-use cure_storage::{atomic_write, Catalog, HeapFile};
+use cure_storage::{Catalog, HeapFile};
 use serde_json::Value;
 
 use crate::cube::CubeConfig;
 use crate::error::{CubeError, Result};
 use crate::hierarchy::CubeSchema;
+use crate::journal::Journal;
 use crate::manifest::BuildManifest;
 use crate::meta::CubeMeta;
 use crate::sink::{CubeSink as _, DiskSink};
@@ -57,6 +57,8 @@ use crate::update::{update_cube, UpdateReport};
 
 /// Catalog blob holding the prefix of the currently active cube.
 pub const ACTIVE_BLOB: &str = "active_cube";
+
+const J: Journal = Journal { label: "ingest manifest" };
 
 /// File name of the ingest journal (one ingest at a time per catalog).
 pub const INGEST_MANIFEST_FILE: &str = "ingest.json";
@@ -168,7 +170,7 @@ impl IngestPhase {
             "appending" => Ok(IngestPhase::Appending),
             "merging" => Ok(IngestPhase::Merging),
             "swapped" => Ok(IngestPhase::Swapped),
-            other => Err(m_err(format!("unknown phase '{other}'"))),
+            other => Err(J.err(format!("unknown phase '{other}'"))),
         }
     }
 }
@@ -192,26 +194,6 @@ pub struct IngestManifest {
     pub drop_old: bool,
 }
 
-fn m_err(msg: impl std::fmt::Display) -> CubeError {
-    CubeError::Config(format!("ingest manifest: {msg}"))
-}
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
-    v.get(key).ok_or_else(|| m_err(format!("missing field '{key}'")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64> {
-    get(v, key)?.as_u64().ok_or_else(|| m_err(format!("field '{key}' is not an integer")))
-}
-
-fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
-    get(v, key)?.as_str().ok_or_else(|| m_err(format!("field '{key}' is not a string")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool> {
-    get(v, key)?.as_bool().ok_or_else(|| m_err(format!("field '{key}' is not a bool")))
-}
-
 impl IngestManifest {
     /// Filesystem path of the ingest journal in `catalog`.
     pub fn path(catalog: &Catalog) -> PathBuf {
@@ -225,16 +207,7 @@ impl IngestManifest {
 
     /// Atomically replace the on-disk journal with this state.
     pub fn save(&self, catalog: &Catalog) -> Result<()> {
-        let inner = self.to_json();
-        let crc = crc32(inner.to_string().as_bytes());
-        let mut root = BTreeMap::new();
-        root.insert("crc32".to_string(), Value::from(crc));
-        root.insert("manifest".to_string(), inner);
-        let text = serde_json::to_string_pretty(&Value::Object(root))
-            .map_err(|e| m_err(format!("serialize: {e}")))?;
-        atomic_write(catalog.policy().as_ref(), &Self::path(catalog), text.as_bytes())
-            .map_err(|e| CubeError::Storage(e.into()))?;
-        Ok(())
+        J.save(catalog, &Self::path(catalog), self.to_json())
     }
 
     /// Load the journal, if one exists and is intact. A damaged file is
@@ -243,50 +216,26 @@ impl IngestManifest {
     /// journals are only ever replaced atomically, so damage means
     /// external corruption and the safe answer is "no pending ingest".
     pub fn load(catalog: &Catalog) -> Result<Option<IngestManifest>> {
-        let path = Self::path(catalog);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CubeError::Storage(e.into())),
-        };
-        match Self::parse(&bytes) {
-            Ok(m) => Ok(Some(m)),
-            Err(e) => {
-                eprintln!(
-                    "cure-core: warning: ignoring damaged ingest manifest {}: {e}",
-                    path.display()
-                );
-                Ok(None)
-            }
-        }
+        J.load(&Self::path(catalog), Self::parse)
     }
 
     /// Delete the journal if present.
     pub fn remove(catalog: &Catalog) -> Result<()> {
-        match std::fs::remove_file(Self::path(catalog)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(CubeError::Storage(e.into())),
-        }
+        Journal::remove(&Self::path(catalog))
     }
 
     /// Parse and CRC-check raw journal bytes.
     pub fn parse(bytes: &[u8]) -> Result<IngestManifest> {
-        let root = serde_json::from_slice(bytes).map_err(|e| m_err(format!("unparseable: {e}")))?;
-        let crc = get_u64(&root, "crc32")? as u32;
-        let inner = get(&root, "manifest")?;
-        let actual = crc32(inner.to_string().as_bytes());
-        if actual != crc {
-            return Err(m_err(format!("CRC mismatch (stored {crc:#010x}, actual {actual:#010x})")));
-        }
-        Ok(IngestManifest {
-            phase: IngestPhase::parse(get_str(inner, "phase")?)?,
-            old_prefix: get_str(inner, "old_prefix")?.to_string(),
-            new_prefix: get_str(inner, "new_prefix")?.to_string(),
-            fact_rel: get_str(inner, "fact_rel")?.to_string(),
-            fact_rows_before: get_u64(inner, "fact_rows_before")?,
-            delta_rows: get_u64(inner, "delta_rows")?,
-            drop_old: get_bool(inner, "drop_old")?,
+        J.parse(bytes, |v| {
+            Ok(IngestManifest {
+                phase: IngestPhase::parse(J.str(v, "phase")?)?,
+                old_prefix: J.str(v, "old_prefix")?.to_string(),
+                new_prefix: J.str(v, "new_prefix")?.to_string(),
+                fact_rel: J.str(v, "fact_rel")?.to_string(),
+                fact_rows_before: J.u64(v, "fact_rows_before")?,
+                delta_rows: J.u64(v, "delta_rows")?,
+                drop_old: J.bool(v, "drop_old")?,
+            })
         })
     }
 

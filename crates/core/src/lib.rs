@@ -57,6 +57,7 @@ pub mod delta;
 pub mod durable;
 pub mod error;
 pub mod hierarchy;
+mod journal;
 pub mod lattice;
 pub mod manifest;
 pub mod meta;

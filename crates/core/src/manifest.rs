@@ -29,18 +29,19 @@
 // the test modules).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use cure_storage::checksum::crc32;
-use cure_storage::{atomic_write, Catalog, Directory, SegmentCheckpoint};
+use cure_storage::{Catalog, Directory, SegmentCheckpoint};
 use serde_json::Value;
 
-use crate::error::{CubeError, Result};
+use crate::error::Result;
 use crate::hierarchy::LevelIdx;
+use crate::journal::Journal;
 use crate::partition::PartitionChoice;
 use crate::signature::PoolDecisionState;
 use crate::sink::{CatFormat, SinkCheckpoint, SinkStats};
+
+const J: Journal = Journal { label: "build manifest" };
 
 /// Manifest format version (bumped on incompatible layout changes).
 pub const MANIFEST_VERSION: u64 = 2;
@@ -70,7 +71,7 @@ impl BuildPhase {
             "partitioning" => Ok(BuildPhase::Partitioning),
             "passes" => Ok(BuildPhase::Passes),
             "complete" => Ok(BuildPhase::Complete),
-            other => Err(m_err(format!("unknown phase '{other}'"))),
+            other => Err(J.err(format!("unknown phase '{other}'"))),
         }
     }
 }
@@ -117,10 +118,6 @@ pub struct BuildManifest {
     pub stats: Option<SinkStats>,
 }
 
-fn m_err(msg: impl std::fmt::Display) -> CubeError {
-    CubeError::Config(format!("build manifest: {msg}"))
-}
-
 fn fmt_cat(f: Option<CatFormat>) -> &'static str {
     match f {
         None => "none",
@@ -136,7 +133,7 @@ fn parse_cat(s: &str) -> Result<Option<CatFormat>> {
         "a" => Ok(Some(CatFormat::CommonSource)),
         "b" => Ok(Some(CatFormat::Coincidental)),
         "nt" => Ok(Some(CatFormat::AsNt)),
-        other => Err(m_err(format!("unknown cat format '{other}'"))),
+        other => Err(J.err(format!("unknown cat format '{other}'"))),
     }
 }
 
@@ -152,24 +149,6 @@ fn rel_list(rels: &[(String, u64)]) -> Value {
     )
 }
 
-// -- field accessors over the parsed tree ---------------------------------
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
-    v.get(key).ok_or_else(|| m_err(format!("missing field '{key}'")))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64> {
-    get(v, key)?.as_u64().ok_or_else(|| m_err(format!("field '{key}' is not an integer")))
-}
-
-fn get_str<'v>(v: &'v Value, key: &str) -> Result<&'v str> {
-    get(v, key)?.as_str().ok_or_else(|| m_err(format!("field '{key}' is not a string")))
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool> {
-    get(v, key)?.as_bool().ok_or_else(|| m_err(format!("field '{key}' is not a bool")))
-}
-
 /// Lower-case hex of `bytes`.
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -179,29 +158,29 @@ fn hex(bytes: &[u8]) -> String {
 /// table as the hex of the segment directory's encoding (checked by the
 /// same decoder that reads a sealed segment).
 fn segment_checkpoint(sink: &Value) -> Result<SegmentCheckpoint> {
-    let pages = get_u64(sink, "segment_pages")?;
-    let text = get_str(sink, "extents")?;
+    let pages = J.u64(sink, "segment_pages")?;
+    let text = J.str(sink, "extents")?;
     if !text.len().is_multiple_of(2) || !text.is_ascii() {
-        return Err(m_err("extents: not hex"));
+        return Err(J.err("extents: not hex"));
     }
     let bytes = (0..text.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&text[i..i + 2], 16))
         .collect::<std::result::Result<Vec<u8>, _>>()
-        .map_err(|e| m_err(format!("extents: {e}")))?;
-    let directory = Directory::decode(&bytes, pages).map_err(|e| m_err(format!("extents: {e}")))?;
+        .map_err(|e| J.err(format!("extents: {e}")))?;
+    let directory = Directory::decode(&bytes, pages).map_err(|e| J.err(format!("extents: {e}")))?;
     Ok(SegmentCheckpoint { pages, directory })
 }
 
 fn get_rels(v: &Value, key: &str) -> Result<Vec<(String, u64)>> {
     let arr =
-        get(v, key)?.as_array().ok_or_else(|| m_err(format!("field '{key}' is not an array")))?;
+        J.get(v, key)?.as_array().ok_or_else(|| J.err(format!("field '{key}' is not an array")))?;
     let mut out = Vec::with_capacity(arr.len());
     for item in arr {
         let pair =
-            item.as_array().filter(|p| p.len() == 2).ok_or_else(|| m_err("bad relation entry"))?;
-        let name = pair[0].as_str().ok_or_else(|| m_err("relation name is not a string"))?;
-        let rows = pair[1].as_u64().ok_or_else(|| m_err("relation rows is not an integer"))?;
+            item.as_array().filter(|p| p.len() == 2).ok_or_else(|| J.err("bad relation entry"))?;
+        let name = pair[0].as_str().ok_or_else(|| J.err("relation name is not a string"))?;
+        let rows = pair[1].as_u64().ok_or_else(|| J.err("relation rows is not an integer"))?;
         out.push((name.to_string(), rows));
     }
     Ok(out)
@@ -226,20 +205,7 @@ impl BuildManifest {
 
     /// Atomically replace the on-disk manifest with this state.
     pub fn save(&self, catalog: &Catalog) -> Result<()> {
-        let inner = self.to_json();
-        let crc = crc32(inner.to_string().as_bytes());
-        let mut root = BTreeMap::new();
-        root.insert("crc32".to_string(), Value::from(crc));
-        root.insert("manifest".to_string(), inner);
-        let text = serde_json::to_string_pretty(&Value::Object(root))
-            .map_err(|e| m_err(format!("serialize: {e}")))?;
-        atomic_write(
-            catalog.policy().as_ref(),
-            &Self::path(catalog, &self.cube_prefix),
-            text.as_bytes(),
-        )
-        .map_err(|e| CubeError::Storage(e.into()))?;
-        Ok(())
+        J.save(catalog, &Self::path(catalog, &self.cube_prefix), self.to_json())
     }
 
     /// Load the manifest for `cube_prefix`, if one exists and is intact.
@@ -251,51 +217,29 @@ impl BuildManifest {
     /// corruption — the safe answer is a fresh build, not an error.
     pub fn load(catalog: &Catalog, cube_prefix: &str) -> Result<Option<BuildManifest>> {
         let path = Self::path(catalog, cube_prefix);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(CubeError::Storage(e.into())),
+        let Some(m) = J.load(&path, Self::parse)? else {
+            return Ok(None);
         };
-        match Self::parse(&bytes) {
-            Ok(m) => {
-                if m.cube_prefix != cube_prefix {
-                    eprintln!(
-                        "cure-core: warning: {} journals prefix '{}', expected '{}'; ignoring",
-                        path.display(),
-                        m.cube_prefix,
-                        cube_prefix
-                    );
-                    return Ok(None);
-                }
-                Ok(Some(m))
-            }
-            Err(e) => {
-                eprintln!("cure-core: warning: ignoring damaged manifest {}: {e}", path.display());
-                Ok(None)
-            }
+        if m.cube_prefix != cube_prefix {
+            eprintln!(
+                "cure-core: warning: {} journals prefix '{}', expected '{}'; ignoring",
+                path.display(),
+                m.cube_prefix,
+                cube_prefix
+            );
+            return Ok(None);
         }
+        Ok(Some(m))
     }
 
     /// Delete the manifest if present.
     pub fn remove(catalog: &Catalog, cube_prefix: &str) -> Result<()> {
-        let path = Self::path(catalog, cube_prefix);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(CubeError::Storage(e.into())),
-        }
+        Journal::remove(&Self::path(catalog, cube_prefix))
     }
 
     /// Parse and CRC-check raw manifest bytes.
     pub fn parse(bytes: &[u8]) -> Result<BuildManifest> {
-        let root = serde_json::from_slice(bytes).map_err(|e| m_err(format!("unparseable: {e}")))?;
-        let crc = get_u64(&root, "crc32")? as u32;
-        let inner = get(&root, "manifest")?;
-        let actual = crc32(inner.to_string().as_bytes());
-        if actual != crc {
-            return Err(m_err(format!("CRC mismatch (stored {crc:#010x}, actual {actual:#010x})")));
-        }
-        Self::from_json(inner)
+        J.parse(bytes, Self::from_json)
     }
 
     fn to_json(&self) -> Value {
@@ -370,64 +314,64 @@ impl BuildManifest {
     }
 
     fn from_json(v: &Value) -> Result<BuildManifest> {
-        let version = get_u64(v, "version")?;
+        let version = J.u64(v, "version")?;
         if version != MANIFEST_VERSION {
-            return Err(m_err(format!("version {version} is not supported")));
+            return Err(J.err(format!("version {version} is not supported")));
         }
-        let choice = get(v, "choice")?;
-        let pool = get(v, "pool")?;
-        let sink = get(v, "sink")?;
+        let choice = J.get(v, "choice")?;
+        let pool = J.get(v, "pool")?;
+        let sink = J.get(v, "sink")?;
         let stats = match v.get("stats") {
             None => None,
             Some(s) => Some(SinkStats {
-                tt_tuples: get_u64(s, "tt_tuples")?,
-                nt_tuples: get_u64(s, "nt_tuples")?,
-                cat_tuples: get_u64(s, "cat_tuples")?,
-                aggregates_rows: get_u64(s, "aggregates_rows")?,
-                tt_bytes: get_u64(s, "tt_bytes")?,
-                nt_bytes: get_u64(s, "nt_bytes")?,
-                cat_bytes: get_u64(s, "cat_bytes")?,
-                aggregates_bytes: get_u64(s, "aggregates_bytes")?,
-                relations: get_u64(s, "relations")?,
-                cat_format: parse_cat(get_str(s, "cat_format")?)?,
+                tt_tuples: J.u64(s, "tt_tuples")?,
+                nt_tuples: J.u64(s, "nt_tuples")?,
+                cat_tuples: J.u64(s, "cat_tuples")?,
+                aggregates_rows: J.u64(s, "aggregates_rows")?,
+                tt_bytes: J.u64(s, "tt_bytes")?,
+                nt_bytes: J.u64(s, "nt_bytes")?,
+                cat_bytes: J.u64(s, "cat_bytes")?,
+                aggregates_bytes: J.u64(s, "aggregates_bytes")?,
+                relations: J.u64(s, "relations")?,
+                cat_format: parse_cat(J.str(s, "cat_format")?)?,
             }),
         };
         Ok(BuildManifest {
-            phase: BuildPhase::parse(get_str(v, "phase")?)?,
-            cube_prefix: get_str(v, "cube_prefix")?.to_string(),
-            part_prefix: get_str(v, "part_prefix")?.to_string(),
-            fact_rel: get_str(v, "fact_rel")?.to_string(),
-            dr: get_bool(v, "dr")?,
-            pool_capacity: get_u64(v, "pool_capacity")? as usize,
-            min_support: get_u64(v, "min_support")?,
+            phase: BuildPhase::parse(J.str(v, "phase")?)?,
+            cube_prefix: J.str(v, "cube_prefix")?.to_string(),
+            part_prefix: J.str(v, "part_prefix")?.to_string(),
+            fact_rel: J.str(v, "fact_rel")?.to_string(),
+            dr: J.bool(v, "dr")?,
+            pool_capacity: J.u64(v, "pool_capacity")? as usize,
+            min_support: J.u64(v, "min_support")?,
             choice: PartitionChoice {
-                level: get_u64(choice, "level")? as LevelIdx,
-                num_partitions: get_u64(choice, "num_partitions")? as usize,
-                est_partition_bytes: get_u64(choice, "est_partition_bytes")?,
-                est_n_rows: get_u64(choice, "est_n_rows")?,
-                est_n_bytes: get_u64(choice, "est_n_bytes")?,
+                level: J.u64(choice, "level")? as LevelIdx,
+                num_partitions: J.u64(choice, "num_partitions")? as usize,
+                est_partition_bytes: J.u64(choice, "est_partition_bytes")?,
+                est_n_rows: J.u64(choice, "est_n_rows")?,
+                est_n_bytes: J.u64(choice, "est_n_bytes")?,
             },
             partitions: get_rels(v, "partitions")?,
-            n_rel: get_str(v, "n_rel")?.to_string(),
-            n_rows: get_u64(v, "n_rows")?,
-            max_partition_rows: get_u64(v, "max_partition_rows")?,
-            completed_partitions: get_u64(v, "completed_partitions")? as usize,
-            counting_sorts: get_u64(v, "counting_sorts")?,
-            comparison_sorts: get_u64(v, "comparison_sorts")?,
+            n_rel: J.str(v, "n_rel")?.to_string(),
+            n_rows: J.u64(v, "n_rows")?,
+            max_partition_rows: J.u64(v, "max_partition_rows")?,
+            completed_partitions: J.u64(v, "completed_partitions")? as usize,
+            counting_sorts: J.u64(v, "counting_sorts")?,
+            comparison_sorts: J.u64(v, "comparison_sorts")?,
             pool: PoolDecisionState {
-                decided: parse_cat(get_str(pool, "decided")?)?,
-                groups: get_u64(pool, "groups")?,
-                k_sum: get_u64(pool, "k_sum")?,
-                n_sum: get_u64(pool, "n_sum")?,
-                flushes: get_u64(pool, "flushes")?,
-                total_signatures: get_u64(pool, "total_signatures")?,
+                decided: parse_cat(J.str(pool, "decided")?)?,
+                groups: J.u64(pool, "groups")?,
+                k_sum: J.u64(pool, "k_sum")?,
+                n_sum: J.u64(pool, "n_sum")?,
+                flushes: J.u64(pool, "flushes")?,
+                total_signatures: J.u64(pool, "total_signatures")?,
             },
             sink: SinkCheckpoint {
-                format: parse_cat(get_str(sink, "format")?)?,
-                agg_rows: get_u64(sink, "agg_rows")?,
-                tt_tuples: get_u64(sink, "tt_tuples")?,
-                nt_tuples: get_u64(sink, "nt_tuples")?,
-                cat_tuples: get_u64(sink, "cat_tuples")?,
+                format: parse_cat(J.str(sink, "format")?)?,
+                agg_rows: J.u64(sink, "agg_rows")?,
+                tt_tuples: J.u64(sink, "tt_tuples")?,
+                nt_tuples: J.u64(sink, "nt_tuples")?,
+                cat_tuples: J.u64(sink, "cat_tuples")?,
                 segment: segment_checkpoint(sink)?,
             },
             stats,
@@ -438,6 +382,7 @@ impl BuildManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cure_storage::checksum::crc32;
 
     fn fresh_catalog(tag: &str) -> Catalog {
         Catalog::open(cure_storage::scratch::scratch_dir(&format!("manifest_{tag}"))).unwrap()

@@ -9,8 +9,8 @@
 //! * [`RemoteShardBackend`](crate::net::RemoteShardBackend) — a socket
 //!   client speaking the [`wire`](crate::wire) protocol.
 //!
-//! The trait surface is exactly what `ShardRouter` consumes: the two
-//! query paths, the shared metrics block (per-replica queries/errors
+//! The trait surface is exactly what `ShardRouter` consumes: one query
+//! entry point, the shared metrics block (per-replica queries/errors
 //! roll up into shard-labelled stats), counter reset, and two optional
 //! counter families — cache totals (in-process only) and wire totals
 //! (socket only).
@@ -113,14 +113,7 @@ impl WireCounters {
 pub trait ShardBackend: Send + Sync {
     /// Answer a node query under the full resilience policy (deadline,
     /// breaker, quarantine — or their socket analogues).
-    fn query_with_options(
-        &self,
-        node: NodeId,
-        opts: &QueryOptions,
-    ) -> Result<Vec<CubeRow>, ServeError>;
-
-    /// Answer a node query on the trusted path (no deadline or breaker).
-    fn query_plain(&self, node: NodeId) -> Result<Vec<CubeRow>, ServeError>;
+    fn query(&self, node: NodeId, opts: &QueryOptions) -> Result<Vec<CubeRow>, ServeError>;
 
     /// Lattice size of the served sub-cube.
     fn num_nodes(&self) -> NodeId;
@@ -142,16 +135,8 @@ pub trait ShardBackend: Send + Sync {
 }
 
 impl ShardBackend for CubeService {
-    fn query_with_options(
-        &self,
-        node: NodeId,
-        opts: &QueryOptions,
-    ) -> Result<Vec<CubeRow>, ServeError> {
-        CubeService::query_with_options(self, node, opts).map(|r| r.rows)
-    }
-
-    fn query_plain(&self, node: NodeId) -> Result<Vec<CubeRow>, ServeError> {
-        CubeService::query(self, node).map(|r| r.rows).map_err(ServeError::Query)
+    fn query(&self, node: NodeId, opts: &QueryOptions) -> Result<Vec<CubeRow>, ServeError> {
+        CubeService::query(self, node, opts)
     }
 
     fn num_nodes(&self) -> NodeId {

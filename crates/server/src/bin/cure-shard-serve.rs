@@ -21,8 +21,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use cure_core::{read_schema_blob, read_shard_count, shard_cube_prefix};
-use cure_query::{CacheConfig, ConcurrentCube, ReadPath};
-use cure_serve::{CubeService, ResilienceConfig, ShardServer, ShardServerConfig};
+use cure_query::{CacheConfig, ReadPath};
+use cure_serve::{CubeService, ShardServer, ShardServerConfig};
 use cure_storage::Catalog;
 
 fn usage() -> String {
@@ -76,7 +76,7 @@ fn serve(a: &Args) -> Result<(), String> {
     let schema = read_schema_blob(&catalog)
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("'{}' has no schema blob (rebuild the shards)", a.dir))?;
-    let cube = ConcurrentCube::open_with_read_path(
+    let service = CubeService::open_with_read_path(
         Arc::clone(&catalog),
         Arc::new(schema),
         &shard_cube_prefix(a.shard),
@@ -84,8 +84,6 @@ fn serve(a: &Args) -> Result<(), String> {
         a.read_path,
     )
     .map_err(|e| e.to_string())?;
-    let service =
-        CubeService::from_cube_with_resilience(Arc::new(cube), ResilienceConfig::default());
     let server =
         ShardServer::spawn(service, a.shard as u32, &a.listen, ShardServerConfig::default())
             .map_err(|e| format!("cannot bind {}: {e}", a.listen))?;

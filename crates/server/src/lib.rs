@@ -15,9 +15,9 @@
 //! * [`LiveCubeService`] — live ingest: a single writer applies delta
 //!   batches through the durable ingest pipeline while readers keep
 //!   answering from pinned, immutable epoch snapshots;
-//! * [`resilience`] — the serve-path hardening state: per-relation
-//!   circuit breakers and the corrupt-page quarantine behind
-//!   [`CubeService::query_with_options`]'s typed-failure guarantee
+//! * [`resilience`] — the serve-path hardening state: one circuit
+//!   breaker per service (or per remote endpoint) and the corrupt-page
+//!   quarantine behind [`CubeService::query`]'s typed-failure guarantee
 //!   (correct rows or a typed error — never wrong data, never a panic);
 //! * [`ShardRouter`] — scatter-gather serving over partition-scoped
 //!   sub-cubes with round-robin replica balancing and failover, plus
@@ -46,8 +46,8 @@ pub use metrics::{
     AttributionSample, AttributionTotals, LatencyHistogram, ServeErrorKind, ServeMetrics,
 };
 pub use net::{RemoteShardBackend, RemoteShardConfig, ShardServer, ShardServerConfig};
-pub use resilience::{BreakerState, QuarantineSet, RelationBreakers, ResilienceConfig};
-pub use service::{CubeService, QueryOptions, QueryReply, ServeError};
+pub use resilience::{BreakerState, ResilienceConfig};
+pub use service::{CubeService, QueryOptions, ServeError};
 pub use shard::{replicate_shards, ReplicationReport, ShardRouter, ShardRouterConfig, ShardStats};
 pub use stats::{IngestTotals, StatsSnapshot};
 pub use wire::{ProtocolError, RemoteError, Request, Response, MAX_FRAME_LEN, WIRE_VERSION};

@@ -11,7 +11,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use cure_query::CubeRow;
+
+use crate::service::ServeError;
 
 /// Number of log₂ buckets: covers 1 ns .. ~584 years.
 const BUCKETS: usize = 64;
@@ -201,6 +205,22 @@ impl ServeMetrics {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.rows.fetch_add(rows as u64, Ordering::Relaxed);
         self.latency.record(latency);
+    }
+
+    /// Record one query's outcome — its row count and the time since
+    /// `start`, or its error's kind — and hand the outcome back. The
+    /// service, the router and the remote backend all record through
+    /// this.
+    pub(crate) fn record(
+        &self,
+        start: Instant,
+        res: Result<Vec<CubeRow>, ServeError>,
+    ) -> Result<Vec<CubeRow>, ServeError> {
+        match &res {
+            Ok(rows) => self.record_query(rows.len(), start.elapsed()),
+            Err(e) => self.record_error_kind(e.kind()),
+        }
+        res
     }
 
     /// Record one failed query, classified.

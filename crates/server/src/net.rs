@@ -6,8 +6,8 @@
 //! **bounded** connection pool (past the cap, a typed `Overloaded`
 //! frame is written and the connection dropped — load shedding at the
 //! door), one handler thread per admitted connection, and every answer
-//! produced by the existing hardened [`CubeService::query_with_options`]
-//! path — the socket adds transport, not new query semantics.
+//! produced by the service's one entry point, [`CubeService::query`] —
+//! the socket adds transport, not new query semantics.
 //!
 //! The client carries the resilience contract across the process
 //! boundary:
@@ -15,15 +15,17 @@
 //! * **deadlines** become socket read/write timeouts (the remaining
 //!   budget is also shipped in the request frame so the server stops
 //!   working on an expired query);
-//! * **breaker integration** — a per-endpoint circuit breaker trips on
-//!   connect/reset failures and fails fast with `Degraded` while open.
-//!   Socket *timeouts* resolve probes without counting as failures
-//!   ([`RelationBreakers::record_timeout`]): a slow shard is not a dead
-//!   shard;
+//! * **breaker integration** — each endpoint has its own circuit
+//!   breaker, which trips on connect/reset failures and fails fast with
+//!   `Degraded` while open. Socket *timeouts* resolve probes without
+//!   counting as failures: a slow shard is not a dead shard;
 //! * **reconnect with backoff** — pooled connections that die are
 //!   redialed (counted in [`WireCounters`]), and
 //!   [`RemoteShardBackend::redirect`] points the backend at a respawned
-//!   server without rebuilding the router.
+//!   server without rebuilding the router. The endpoint's address,
+//!   breaker and connection pool live in one slot, so a redirect starts
+//!   with a closed breaker and an empty pool, and an exchange still in
+//!   flight against the old endpoint reports to the old breaker.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -36,12 +38,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cure_core::NodeId;
-use cure_query::{iceberg_filter_merged, CubeRow, ReadPath};
+use cure_query::{CubeRow, ReadPath};
 use parking_lot::Mutex;
 
 use crate::backend::{ShardBackend, WireCounters, WireTotals};
 use crate::metrics::{ServeErrorKind, ServeMetrics};
-use crate::resilience::{RelationBreakers, ResilienceConfig};
+use crate::resilience::{Breaker, ResilienceConfig};
 use crate::service::{CubeService, QueryOptions, ServeError};
 use crate::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
@@ -221,26 +223,9 @@ fn handle_connection(
                 mmap: service.read_path() == ReadPath::Mmap,
             },
             Ok(Request::Node { node, deadline_ms }) => {
-                match service.query_with_options(node, &budget_opts(deadline_ms)) {
-                    Ok(reply) => Response::Rows(reply.rows),
+                match service.query(node, &budget_opts(deadline_ms)) {
+                    Ok(rows) => Response::Rows(rows),
                     Err(e) => Response::Error(RemoteError::from_serve_error(&e)),
-                }
-            }
-            Ok(Request::Iceberg { node, min_count, count_measure, deadline_ms }) => {
-                if min_count < 1 {
-                    Response::Error(RemoteError::Upstream {
-                        kind: ServeErrorKind::Other,
-                        detail: "iceberg threshold must be ≥ 1".into(),
-                    })
-                } else {
-                    match service.query_with_options(node, &budget_opts(deadline_ms)) {
-                        Ok(reply) => Response::Rows(iceberg_filter_merged(
-                            reply.rows,
-                            min_count,
-                            count_measure as usize,
-                        )),
-                        Err(e) => Response::Error(RemoteError::from_serve_error(&e)),
-                    }
                 }
             }
         };
@@ -270,7 +255,7 @@ pub struct RemoteShardConfig {
     pub connect_attempts: u32,
     /// Sleep between failed dial attempts.
     pub reconnect_backoff: Duration,
-    /// Breaker tuning for the per-endpoint transport breaker.
+    /// Breaker tuning for each endpoint's transport breaker.
     pub resilience: ResilienceConfig,
 }
 
@@ -286,14 +271,21 @@ impl Default for RemoteShardConfig {
     }
 }
 
+/// The endpoint a backend currently dials, with the transport breaker
+/// and the pooled connections that belong to it. A redirect replaces the
+/// whole slot.
+struct Endpoint {
+    addr: String,
+    breaker: Breaker,
+    pool: Mutex<Vec<TcpStream>>,
+}
+
 struct RemoteInner {
-    endpoint: Mutex<String>,
+    endpoint: Mutex<Arc<Endpoint>>,
     shard: u32,
     num_nodes: NodeId,
-    pool: Mutex<Vec<TcpStream>>,
     counters: WireCounters,
     metrics: Arc<ServeMetrics>,
-    breakers: RelationBreakers,
     ever_connected: AtomicBool,
     cfg: RemoteShardConfig,
 }
@@ -330,13 +322,15 @@ impl RemoteShardBackend {
                 Ok((t, p)) => match decode_response(t, &p) {
                     Ok(Response::HelloAck { shard, num_nodes, .. }) => {
                         let inner = RemoteInner {
-                            endpoint: Mutex::new(endpoint.to_string()),
+                            endpoint: Mutex::new(Arc::new(Endpoint {
+                                addr: endpoint.to_string(),
+                                breaker: Breaker::new(cfg.resilience),
+                                pool: Mutex::new(vec![stream]),
+                            })),
                             shard,
                             num_nodes,
-                            pool: Mutex::new(vec![stream]),
                             counters: WireCounters::new(),
                             metrics: Arc::new(ServeMetrics::new()),
-                            breakers: RelationBreakers::new(cfg.resilience),
                             ever_connected: AtomicBool::new(true),
                             cfg,
                         };
@@ -371,71 +365,61 @@ impl RemoteShardBackend {
 
     /// The endpoint currently dialed.
     pub fn endpoint(&self) -> String {
-        self.inner.endpoint.lock().clone()
+        self.slot().addr.clone()
     }
 
-    /// Point this backend at a new endpoint (a respawned server) and
-    /// drop every pooled connection to the old one.
+    fn slot(&self) -> Arc<Endpoint> {
+        Arc::clone(&self.inner.endpoint.lock())
+    }
+
+    /// Point this backend at a new endpoint (a respawned server), with a
+    /// closed breaker and no pooled connections. Connections to the old
+    /// endpoint close once the exchanges still using them finish.
     pub fn redirect(&self, new_endpoint: &str) {
-        let mut ep = self.inner.endpoint.lock();
-        *ep = new_endpoint.to_string();
-        drop(ep);
-        self.inner.pool.lock().clear();
+        *self.inner.endpoint.lock() = Arc::new(Endpoint {
+            addr: new_endpoint.to_string(),
+            breaker: Breaker::new(self.inner.cfg.resilience),
+            pool: Mutex::new(Vec::new()),
+        });
         self.inner.counters.add_reconnect();
     }
 
-    fn breaker_key(&self) -> String {
-        format!("shard{}@{}", self.inner.shard, self.inner.endpoint.lock())
-    }
-
-    /// Take a pooled connection or dial a fresh one.
-    fn checkout(&self) -> Result<(TcpStream, bool), std::io::Error> {
-        if let Some(s) = self.inner.pool.lock().pop() {
+    /// Take a pooled connection to `ep` or dial a fresh one.
+    fn checkout(&self, ep: &Endpoint) -> Result<(TcpStream, bool), std::io::Error> {
+        if let Some(s) = ep.pool.lock().pop() {
             return Ok((s, true));
         }
-        let endpoint = self.inner.endpoint.lock().clone();
-        match dial(&endpoint, &self.inner.cfg) {
-            Ok(s) => {
-                if self.inner.ever_connected.swap(true, Ordering::Relaxed) {
-                    self.inner.counters.add_reconnect();
-                }
-                Ok((s, false))
-            }
-            Err(e) => Err(e),
+        let s = dial(&ep.addr, &self.inner.cfg)?;
+        if self.inner.ever_connected.swap(true, Ordering::Relaxed) {
+            self.inner.counters.add_reconnect();
         }
-    }
-
-    fn checkin(&self, s: TcpStream) {
-        self.inner.pool.lock().push(s);
+        Ok((s, false))
     }
 
     /// One request/response exchange with transport-level resilience:
     /// breaker admission, socket timeouts from the remaining deadline,
     /// and one redial retry when a *pooled* (possibly stale) connection
-    /// fails mid-exchange.
-    fn exchange(
-        &self,
-        req: &Request,
-        deadline: Option<Instant>,
-        node: NodeId,
-    ) -> Result<Vec<CubeRow>, ServeError> {
-        let key = self.breaker_key();
-        if !self.inner.breakers.admit(&key) {
-            return Err(ServeError::Degraded { relation: key });
+    /// fails mid-exchange. The whole exchange runs against the endpoint
+    /// slot taken on entry, so its outcome lands on that endpoint's
+    /// breaker even if a redirect happens meanwhile.
+    fn exchange(&self, node: NodeId, opts: &QueryOptions) -> Result<Vec<CubeRow>, ServeError> {
+        let ep = self.slot();
+        if !ep.breaker.admit() {
+            return Err(ServeError::Degraded {
+                relation: format!("shard{}@{}", self.inner.shard, ep.addr),
+            });
         }
-        let frame = encode_request(req);
+        let frame = encode_request(&Request::Node { node, deadline_ms: Self::deadline_ms(opts) });
         let mut attempt = 0u32;
         loop {
-            let (stream, pooled) = match self.checkout() {
+            let (stream, pooled) = match self.checkout(&ep) {
                 Ok(pair) => pair,
                 Err(e) => {
-                    self.inner.breakers.record_io_failure(&key);
-                    return Err(ServeError::Unavailable {
-                        endpoint: format!("{} ({e})", self.endpoint()),
-                    });
+                    ep.breaker.record_io_failure();
+                    return Err(ServeError::Unavailable { endpoint: format!("{} ({e})", ep.addr) });
                 }
             };
-            match self.try_exchange(stream, &frame, deadline, node, &key) {
+            match self.try_exchange(&ep, stream, &frame, opts.deadline, node) {
                 Ok(rows) => return Ok(rows),
                 Err(Retry::Fatal(e)) => return Err(e),
                 Err(Retry::Transport(e)) => {
@@ -446,10 +430,8 @@ impl RemoteShardBackend {
                     if pooled && attempt == 1 {
                         continue;
                     }
-                    self.inner.breakers.record_io_failure(&key);
-                    return Err(ServeError::Unavailable {
-                        endpoint: format!("{} ({e})", self.endpoint()),
-                    });
+                    ep.breaker.record_io_failure();
+                    return Err(ServeError::Unavailable { endpoint: format!("{} ({e})", ep.addr) });
                 }
             }
         }
@@ -457,17 +439,17 @@ impl RemoteShardBackend {
 
     fn try_exchange(
         &self,
+        ep: &Endpoint,
         mut stream: TcpStream,
         frame: &[u8],
         deadline: Option<Instant>,
         node: NodeId,
-        key: &str,
     ) -> Result<Vec<CubeRow>, Retry> {
         let io_timeout = match deadline {
             Some(d) => {
                 let now = Instant::now();
                 if now >= d {
-                    self.inner.breakers.record_timeout(key);
+                    ep.breaker.record_timeout();
                     return Err(Retry::Fatal(ServeError::Timeout { node }));
                 }
                 d.duration_since(now).max(Duration::from_millis(1))
@@ -488,16 +470,16 @@ impl RemoteShardBackend {
                 self.inner.counters.add_bytes_in(10 + payload.len() as u64);
                 match decode_response(t, &payload) {
                     Ok(Response::Rows(rows)) => {
-                        self.inner.breakers.record_success(key);
-                        self.checkin(stream);
+                        ep.breaker.record_success();
+                        ep.pool.lock().push(stream);
                         Ok(rows)
                     }
                     Ok(Response::Error(remote)) => {
                         // The transport worked; the failure is the
                         // server's. Typed server errors must not trip
                         // the *transport* breaker.
-                        self.inner.breakers.record_success(key);
-                        self.checkin(stream);
+                        ep.breaker.record_success();
+                        ep.pool.lock().push(stream);
                         Err(Retry::Fatal(remote.into_serve_error()))
                     }
                     Ok(other) => Err(Retry::Fatal(ServeError::Protocol {
@@ -513,7 +495,7 @@ impl RemoteShardBackend {
                 // breaker probe, and the connection (which may still
                 // deliver a late response) is discarded.
                 self.inner.counters.add_timeout();
-                self.inner.breakers.record_timeout(key);
+                ep.breaker.record_timeout();
                 Err(Retry::Fatal(ServeError::Timeout { node }))
             }
             Err(ReadFrameError::Io(e)) => Err(Retry::Transport(e)),
@@ -531,39 +513,6 @@ impl RemoteShardBackend {
                 (remaining.as_millis().min(u128::from(u32::MAX)) as u32).max(1)
             }
         }
-    }
-
-    fn record(&self, res: Result<Vec<CubeRow>, ServeError>) -> Result<Vec<CubeRow>, ServeError> {
-        match res {
-            Ok(rows) => {
-                self.inner.metrics.record_query(rows.len(), Duration::ZERO);
-                Ok(rows)
-            }
-            Err(e) => {
-                self.inner.metrics.record_error_kind(e.kind());
-                Err(e)
-            }
-        }
-    }
-
-    /// Iceberg query against the remote server (server-side filter).
-    /// Only meaningful when the server holds a complete cube; routers
-    /// over *sharded* cubes filter after the merge instead.
-    pub fn iceberg_query(
-        &self,
-        node: NodeId,
-        min_count: i64,
-        count_measure: u32,
-        opts: &QueryOptions,
-    ) -> Result<Vec<CubeRow>, ServeError> {
-        let req = Request::Iceberg {
-            node,
-            min_count,
-            count_measure,
-            deadline_ms: Self::deadline_ms(opts),
-        };
-        let res = self.exchange(&req, opts.deadline, node);
-        self.record(res)
     }
 }
 
@@ -589,20 +538,10 @@ fn dial(endpoint: &str, cfg: &RemoteShardConfig) -> std::io::Result<TcpStream> {
 }
 
 impl ShardBackend for RemoteShardBackend {
-    fn query_with_options(
-        &self,
-        node: NodeId,
-        opts: &QueryOptions,
-    ) -> Result<Vec<CubeRow>, ServeError> {
-        let req = Request::Node { node, deadline_ms: Self::deadline_ms(opts) };
-        let res = self.exchange(&req, opts.deadline, node);
-        self.record(res)
-    }
-
-    fn query_plain(&self, node: NodeId) -> Result<Vec<CubeRow>, ServeError> {
-        let req = Request::Node { node, deadline_ms: 0 };
-        let res = self.exchange(&req, None, node);
-        self.record(res)
+    fn query(&self, node: NodeId, opts: &QueryOptions) -> Result<Vec<CubeRow>, ServeError> {
+        let start = Instant::now();
+        let res = self.exchange(node, opts);
+        self.inner.metrics.record(start, res)
     }
 
     fn num_nodes(&self) -> NodeId {

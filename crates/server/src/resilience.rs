@@ -1,44 +1,42 @@
-//! Serve-path resilience state: per-relation circuit breakers and the
+//! Serve-path resilience state: the circuit breaker and the
 //! corrupt-page quarantine set.
 //!
-//! Both structures are small shared registries consulted on every
-//! resilient query (see `CubeService::query_with_options`):
+//! Both are small shared structures consulted on every query (see
+//! `CubeService::query`):
 //!
-//! * [`RelationBreakers`] — classic closed → open → half-open circuit
-//!   breakers keyed by relation name. `N` *consecutive* I/O failures
-//!   against a relation trip its breaker; while open, queries fail fast
-//!   with a typed `Degraded` error instead of hammering a sick disk.
-//!   After a cooldown the breaker admits probe traffic (half-open) and
-//!   one success closes it again.
-//! * [`QuarantineSet`] — `(relation, page)` pairs that failed checksum
+//! * `Breaker` — a classic closed → open → half-open circuit breaker.
+//!   Each `CubeService` owns one (guarding its fact relation) and each
+//!   `RemoteShardBackend` owns one per endpoint. `N` *consecutive* I/O
+//!   failures trip it; while open, queries fail fast with a typed
+//!   `Degraded` error instead of hammering a sick disk or a dead socket.
+//!   After a cooldown the breaker admits one probe (half-open) and one
+//!   success closes it again.
+//! * `QuarantineSet` — `(relation, page)` pairs that failed checksum
 //!   or sanity verification. Queries consult it *before* fetching (via
 //!   the [`PageQuarantine`] trait), turning repeat reads of a known-bad
-//!   page into immediate typed failures with zero I/O. Pages leave
-//!   quarantine only through the repair hook, which re-verifies the page
-//!   from disk.
+//!   page into immediate typed failures with zero I/O. While it is empty
+//!   — the normal case — the per-page check is one atomic load. Pages
+//!   leave quarantine only through the repair hook, which re-verifies
+//!   the page from disk.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cure_query::PageQuarantine;
 use parking_lot::Mutex;
 
-/// Tunables for the serve-path resilience layer.
+/// Tunables for a circuit breaker.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
-    /// Consecutive I/O failures on one relation that trip its breaker.
-    /// `0` disables circuit breaking entirely.
+    /// Consecutive I/O failures that trip the breaker. `0` disables
+    /// circuit breaking entirely.
     pub breaker_threshold: u32,
     /// How long a tripped breaker stays open before admitting a
     /// half-open probe.
     pub breaker_cooldown: Duration,
-    /// How long a *closed* breaker may sit untouched before it becomes
-    /// prunable. Live ingest mints a fresh relation name per epoch
-    /// (`live_e<N>_…`), so without pruning the registry grows one entry
-    /// per epoch forever.
-    pub breaker_idle_ttl: Duration,
 }
 
 impl Default for ResilienceConfig {
@@ -46,16 +44,11 @@ impl Default for ResilienceConfig {
         // 8 consecutive failures is comfortably past the storage layer's
         // own bounded retries (transient blips never reach 8); 250 ms
         // keeps recovery probes frequent enough for interactive serving.
-        // 60 s of idleness comfortably outlives any live epoch turnover.
-        ResilienceConfig {
-            breaker_threshold: 8,
-            breaker_cooldown: Duration::from_millis(250),
-            breaker_idle_ttl: Duration::from_secs(60),
-        }
+        ResilienceConfig { breaker_threshold: 8, breaker_cooldown: Duration::from_millis(250) }
     }
 }
 
-/// Breaker states, reported by [`RelationBreakers::state`].
+/// Breaker states, reported by `CubeService::breaker_state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: all traffic admitted.
@@ -79,14 +72,11 @@ impl BreakerState {
 }
 
 #[derive(Debug)]
-struct Breaker {
+struct BreakerInner {
     state: BreakerState,
     /// When an open breaker starts admitting probes.
     open_until: Instant,
     consecutive_failures: u32,
-    /// Last admit/success/failure touching this breaker, for idle
-    /// pruning.
-    last_touched: Instant,
     /// A half-open probe is outstanding: further traffic is rejected
     /// until the probe resolves (or its TTL — one cooldown — elapses, in
     /// case the probe's caller never reported back).
@@ -95,61 +85,43 @@ struct Breaker {
     probe_started: Instant,
 }
 
+/// One circuit breaker (see module docs).
+#[derive(Debug)]
+pub(crate) struct Breaker {
+    cfg: ResilienceConfig,
+    inner: Mutex<BreakerInner>,
+}
+
 impl Breaker {
-    fn new() -> Self {
+    /// A closed breaker.
+    pub(crate) fn new(cfg: ResilienceConfig) -> Self {
         let now = Instant::now();
         Breaker {
-            state: BreakerState::Closed,
-            open_until: now,
-            consecutive_failures: 0,
-            last_touched: now,
-            probe_inflight: false,
-            probe_started: now,
+            cfg,
+            inner: Mutex::new(BreakerInner {
+                state: BreakerState::Closed,
+                open_until: now,
+                consecutive_failures: 0,
+                probe_inflight: false,
+                probe_started: now,
+            }),
         }
     }
-}
 
-/// Registry size above which mutating calls opportunistically prune
-/// closed, idle entries. Small enough that the map stays bounded under
-/// epoch churn, large enough that steady-state registries (a handful of
-/// relations) never pay the scan.
-const PRUNE_ABOVE: usize = 16;
-
-/// Per-relation circuit breakers (see module docs).
-#[derive(Debug)]
-pub struct RelationBreakers {
-    cfg: ResilienceConfig,
-    breakers: Mutex<HashMap<String, Breaker>>,
-}
-
-impl RelationBreakers {
-    /// An empty registry (every relation starts closed).
-    pub fn new(cfg: ResilienceConfig) -> Self {
-        RelationBreakers { cfg, breakers: Mutex::new(HashMap::new()) }
-    }
-
-    /// The configuration this registry was built with.
-    pub fn config(&self) -> ResilienceConfig {
-        self.cfg
-    }
-
-    /// Whether a query against `relation` may proceed. An open breaker
-    /// whose cooldown has elapsed transitions to half-open and admits
-    /// the caller as its **single** probe; other callers keep getting
-    /// rejected until the probe resolves (success, failure, or timeout)
-    /// or one further cooldown passes without a verdict. Admitting the
-    /// whole queue at half-open was harmless in-process, but against a
-    /// merely *slow* socket it let a burst of probes all time out and
-    /// flap the breaker open again.
-    pub fn admit(&self, relation: &str) -> bool {
+    /// Whether a query may proceed. An open breaker whose cooldown has
+    /// elapsed transitions to half-open and admits the caller as its
+    /// **single** probe; other callers keep getting rejected until the
+    /// probe resolves (success, failure, or timeout) or one further
+    /// cooldown passes without a verdict. Admitting the whole queue at
+    /// half-open was harmless in-process, but against a merely *slow*
+    /// socket it let a burst of probes all time out and flap the breaker
+    /// open again.
+    pub(crate) fn admit(&self) -> bool {
         if self.cfg.breaker_threshold == 0 {
             return true;
         }
-        let mut map = self.breakers.lock();
-        Self::prune_locked(&mut map, self.cfg.breaker_idle_ttl);
-        let b = map.entry(relation.to_string()).or_insert_with(Breaker::new);
+        let mut b = self.inner.lock();
         let now = Instant::now();
-        b.last_touched = now;
         match b.state {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => {
@@ -176,51 +148,41 @@ impl RelationBreakers {
         }
     }
 
-    /// Record a successful query against `relation`: resets the failure
-    /// streak and closes a half-open breaker.
-    pub fn record_success(&self, relation: &str) {
+    /// Record a successful query: resets the failure streak and closes a
+    /// half-open breaker.
+    pub(crate) fn record_success(&self) {
         if self.cfg.breaker_threshold == 0 {
             return;
         }
-        let mut map = self.breakers.lock();
-        if let Some(b) = map.get_mut(relation) {
-            b.consecutive_failures = 0;
-            b.last_touched = Instant::now();
-            b.probe_inflight = false;
-            if b.state == BreakerState::HalfOpen {
-                b.state = BreakerState::Closed;
-            }
+        let mut b = self.inner.lock();
+        b.consecutive_failures = 0;
+        b.probe_inflight = false;
+        if b.state == BreakerState::HalfOpen {
+            b.state = BreakerState::Closed;
         }
     }
 
-    /// Record a *timeout* against `relation`. A timeout means slow, not
-    /// dead: it neither advances the consecutive-failure streak (a slow
-    /// socket must not trip the breaker the way a refused connection
-    /// does) nor re-opens a half-open breaker — it only resolves an
-    /// outstanding probe so the next caller may probe again.
-    pub fn record_timeout(&self, relation: &str) {
+    /// Record a *timeout*. A timeout means slow, not dead: it neither
+    /// advances the consecutive-failure streak (a slow socket must not
+    /// trip the breaker the way a refused connection does) nor re-opens
+    /// a half-open breaker — it only resolves an outstanding probe so the
+    /// next caller may probe again.
+    pub(crate) fn record_timeout(&self) {
         if self.cfg.breaker_threshold == 0 {
             return;
         }
-        let mut map = self.breakers.lock();
-        if let Some(b) = map.get_mut(relation) {
-            b.last_touched = Instant::now();
-            b.probe_inflight = false;
-        }
+        self.inner.lock().probe_inflight = false;
     }
 
-    /// Record an I/O failure against `relation`. Returns `true` when
-    /// this failure *tripped* the breaker (a closed → open or half-open
-    /// → open transition), so the caller can count trips.
-    pub fn record_io_failure(&self, relation: &str) -> bool {
+    /// Record an I/O failure. Returns `true` when this failure *tripped*
+    /// the breaker (a closed → open or half-open → open transition), so
+    /// the caller can count trips.
+    pub(crate) fn record_io_failure(&self) -> bool {
         if self.cfg.breaker_threshold == 0 {
             return false;
         }
-        let mut map = self.breakers.lock();
-        Self::prune_locked(&mut map, self.cfg.breaker_idle_ttl);
-        let b = map.entry(relation.to_string()).or_insert_with(Breaker::new);
+        let mut b = self.inner.lock();
         b.consecutive_failures = b.consecutive_failures.saturating_add(1);
-        b.last_touched = Instant::now();
         let trip = match b.state {
             // A failed half-open probe re-opens immediately.
             BreakerState::HalfOpen => true,
@@ -235,90 +197,82 @@ impl RelationBreakers {
         trip
     }
 
-    /// Current state of `relation`'s breaker (an untracked relation is
-    /// closed). Reported without mutating: an elapsed cooldown still
-    /// reads `Open` until traffic actually probes it.
-    pub fn state(&self, relation: &str) -> BreakerState {
-        self.breakers.lock().get(relation).map_or(BreakerState::Closed, |b| b.state)
-    }
-
-    /// Number of tracked breakers (bounded under epoch churn — see
-    /// [`prune_idle`](Self::prune_idle)).
-    pub fn len(&self) -> usize {
-        self.breakers.lock().len()
-    }
-
-    /// Whether no breakers are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.breakers.lock().is_empty()
-    }
-
-    /// Drop every closed breaker that has been idle for at least the
-    /// configured TTL; returns how many were removed. Open and half-open
-    /// breakers are never pruned — they carry the state the resilience
-    /// policy exists for. Mutating calls run this opportunistically once
-    /// the registry outgrows a small floor, so relations minted per live
-    /// epoch (`live_e<N>_…`) cannot grow the map without bound.
-    pub fn prune_idle(&self) -> usize {
-        let mut map = self.breakers.lock();
-        let before = map.len();
-        map.retain(|_, b| {
-            b.state != BreakerState::Closed || b.last_touched.elapsed() < self.cfg.breaker_idle_ttl
-        });
-        before - map.len()
-    }
-
-    /// The opportunistic in-lock variant of [`prune_idle`](Self::prune_idle),
-    /// gated so small steady-state registries never pay the scan.
-    fn prune_locked(map: &mut HashMap<String, Breaker>, ttl: Duration) {
-        if map.len() > PRUNE_ABOVE {
-            map.retain(|_, b| b.state != BreakerState::Closed || b.last_touched.elapsed() < ttl);
-        }
+    /// Current state. Reported without mutating: an elapsed cooldown
+    /// still reads `Open` until traffic actually probes it.
+    pub(crate) fn state(&self) -> BreakerState {
+        self.inner.lock().state
     }
 }
 
 /// The corrupt-page quarantine: `(relation, page)` pairs that failed
 /// verification, consulted before every guarded fetch.
 #[derive(Debug, Default)]
-pub struct QuarantineSet {
-    set: Mutex<HashSet<(String, u64)>>,
+pub(crate) struct QuarantineSet {
+    /// Quarantined pages, kept in step with `pages` under its lock and
+    /// read without it, so checking a page against an empty set is one
+    /// atomic load.
+    len: AtomicUsize,
+    /// Quarantined page numbers per relation. Keyed by the relation's
+    /// name so a lookup borrows the caller's `&str` instead of building
+    /// a key.
+    pages: Mutex<HashMap<String, BTreeSet<u64>>>,
 }
 
 impl QuarantineSet {
-    /// An empty quarantine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add a page; returns `false` if it was already quarantined.
-    pub fn insert(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().insert((relation.to_string(), page))
+    pub(crate) fn insert(&self, relation: &str, page: u64) -> bool {
+        let mut map = self.pages.lock();
+        let added = match map.get_mut(relation) {
+            Some(pages) => pages.insert(page),
+            None => {
+                map.insert(relation.to_string(), BTreeSet::from([page]));
+                true
+            }
+        };
+        if added {
+            self.len.fetch_add(1, Ordering::Release);
+        }
+        added
     }
 
     /// Release a page (after successful repair); returns whether it was
     /// present.
-    pub fn remove(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().remove(&(relation.to_string(), page))
+    pub(crate) fn remove(&self, relation: &str, page: u64) -> bool {
+        let mut map = self.pages.lock();
+        let Some(pages) = map.get_mut(relation) else {
+            return false;
+        };
+        let removed = pages.remove(&page);
+        if pages.is_empty() {
+            map.remove(relation);
+        }
+        if removed {
+            self.len.fetch_sub(1, Ordering::Release);
+        }
+        removed
     }
 
     /// Whether a page is currently quarantined.
-    pub fn contains(&self, relation: &str, page: u64) -> bool {
-        self.set.lock().contains(&(relation.to_string(), page))
+    pub(crate) fn contains(&self, relation: &str, page: u64) -> bool {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        self.pages.lock().get(relation).is_some_and(|pages| pages.contains(&page))
     }
 
     /// Number of quarantined pages.
-    pub fn len(&self) -> usize {
-        self.set.lock().len()
-    }
-
-    /// Whether the quarantine is empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.lock().is_empty()
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
     }
 
     /// Snapshot of the quarantined pages (sorted, for stable output).
-    pub fn entries(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<_> = self.set.lock().iter().cloned().collect();
+    pub(crate) fn entries(&self) -> Vec<(String, u64)> {
+        let mut v: Vec<(String, u64)> = self
+            .pages
+            .lock()
+            .iter()
+            .flat_map(|(rel, pages)| pages.iter().map(move |&p| (rel.clone(), p)))
+            .collect();
         v.sort();
         v
     }
@@ -334,185 +288,129 @@ impl PageQuarantine for QuarantineSet {
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> ResilienceConfig {
-        ResilienceConfig {
+    fn fast() -> Breaker {
+        Breaker::new(ResilienceConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(20),
-            ..ResilienceConfig::default()
-        }
+        })
     }
 
     #[test]
     fn breaker_trips_after_consecutive_failures_only() {
-        let b = RelationBreakers::new(fast_cfg());
-        assert!(!b.record_io_failure("fact"));
-        assert!(!b.record_io_failure("fact"));
+        let b = fast();
+        assert!(!b.record_io_failure());
+        assert!(!b.record_io_failure());
         // A success in between resets the streak.
-        b.record_success("fact");
-        assert!(!b.record_io_failure("fact"));
-        assert!(!b.record_io_failure("fact"));
-        assert!(b.record_io_failure("fact"), "third consecutive failure trips");
-        assert_eq!(b.state("fact"), BreakerState::Open);
-        assert!(!b.admit("fact"), "open breaker rejects");
-        // Another relation is unaffected.
-        assert!(b.admit("aggregates"));
-        assert_eq!(b.state("aggregates"), BreakerState::Closed);
+        b.record_success();
+        assert!(!b.record_io_failure());
+        assert!(!b.record_io_failure());
+        assert!(b.record_io_failure(), "third consecutive failure trips");
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(!b.admit(), "open breaker rejects");
+        // Another breaker is unaffected.
+        let other = fast();
+        assert!(other.admit());
+        assert_eq!(other.state(), BreakerState::Closed);
     }
 
     #[test]
     fn breaker_recovers_through_half_open() {
-        let b = RelationBreakers::new(fast_cfg());
+        let b = fast();
         for _ in 0..3 {
-            b.record_io_failure("fact");
+            b.record_io_failure();
         }
-        assert!(!b.admit("fact"));
+        assert!(!b.admit());
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"), "cooldown elapsed: probe admitted");
-        assert_eq!(b.state("fact"), BreakerState::HalfOpen);
+        assert!(b.admit(), "cooldown elapsed: probe admitted");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
         // A failed probe re-opens at once (single failure, not N).
-        assert!(b.record_io_failure("fact"));
-        assert_eq!(b.state("fact"), BreakerState::Open);
+        assert!(b.record_io_failure());
+        assert_eq!(b.state(), BreakerState::Open);
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"));
-        b.record_success("fact");
-        assert_eq!(b.state("fact"), BreakerState::Closed);
-        assert!(b.admit("fact"));
+        assert!(b.admit());
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(b.admit());
     }
 
     #[test]
     fn zero_threshold_disables_breaking() {
-        let b = RelationBreakers::new(ResilienceConfig {
+        let b = Breaker::new(ResilienceConfig {
             breaker_threshold: 0,
             breaker_cooldown: Duration::from_millis(1),
-            ..ResilienceConfig::default()
         });
         for _ in 0..100 {
-            assert!(!b.record_io_failure("fact"));
+            assert!(!b.record_io_failure());
         }
-        assert!(b.admit("fact"));
-        assert_eq!(b.state("fact"), BreakerState::Closed);
-    }
-
-    #[test]
-    fn epoch_churn_keeps_the_registry_bounded() {
-        // The live-ingest pattern: every applied delta mints a fresh
-        // relation name (`live_e<N>_facts`), queries it for a while,
-        // then abandons it. With an immediate idle TTL the registry must
-        // stay bounded no matter how many epochs pass.
-        let b = RelationBreakers::new(ResilienceConfig {
-            breaker_idle_ttl: Duration::ZERO,
-            ..ResilienceConfig::default()
-        });
-        for epoch in 0..1000 {
-            let rel = format!("live_e{epoch}_facts");
-            assert!(b.admit(&rel));
-            b.record_success(&rel);
-        }
-        assert!(
-            b.len() <= PRUNE_ABOVE + 1,
-            "breaker registry grew without bound: {} entries after 1000 epochs",
-            b.len()
-        );
-    }
-
-    #[test]
-    fn prune_keeps_open_and_recent_breakers() {
-        let b = RelationBreakers::new(ResilienceConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(60),
-            breaker_idle_ttl: Duration::ZERO,
-        });
-        // Trip one relation open, touch one closed relation.
-        assert!(b.record_io_failure("live_e1_facts"));
-        assert!(b.admit("live_e2_facts"));
-        assert_eq!(b.len(), 2);
-        // With a zero TTL the closed entry is prunable; the open one
-        // must survive — it carries the fail-fast state.
-        let pruned = b.prune_idle();
-        assert_eq!(pruned, 1);
-        assert_eq!(b.state("live_e1_facts"), BreakerState::Open);
-        assert!(!b.admit("live_e1_facts"), "open breaker still rejects after pruning");
-    }
-
-    #[test]
-    fn idle_ttl_preserves_active_entries() {
-        // A generous TTL never prunes entries that are in active use.
-        let b = RelationBreakers::new(ResilienceConfig {
-            breaker_idle_ttl: Duration::from_secs(3600),
-            ..ResilienceConfig::default()
-        });
-        for epoch in 0..100 {
-            assert!(b.admit(&format!("live_e{epoch}_facts")));
-        }
-        assert_eq!(b.len(), 100, "entries within the TTL must survive");
-        assert_eq!(b.prune_idle(), 0);
+        assert!(b.admit());
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn timeouts_do_not_flap_the_breaker() {
         // Satellite regression: a slow responder (timeouts) must never
         // trip a closed breaker, no matter how many in a row …
-        let b = RelationBreakers::new(fast_cfg());
+        let b = fast();
         for _ in 0..50 {
-            b.record_timeout("fact");
+            b.record_timeout();
         }
-        assert_eq!(b.state("fact"), BreakerState::Closed);
-        assert!(b.admit("fact"));
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(b.admit());
         // … and a slow probe must not re-open a half-open breaker the
         // way a hard failure does.
         for _ in 0..3 {
-            b.record_io_failure("fact");
+            b.record_io_failure();
         }
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"), "probe admitted after cooldown");
-        assert_eq!(b.state("fact"), BreakerState::HalfOpen);
-        b.record_timeout("fact");
-        assert_eq!(b.state("fact"), BreakerState::HalfOpen, "slow probe keeps half-open");
+        assert!(b.admit(), "probe admitted after cooldown");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.record_timeout();
+        assert_eq!(b.state(), BreakerState::HalfOpen, "slow probe keeps half-open");
         // The timeout resolved the probe, so the next caller probes at
         // once instead of waiting out the probe TTL.
-        assert!(b.admit("fact"));
-        b.record_success("fact");
-        assert_eq!(b.state("fact"), BreakerState::Closed);
+        assert!(b.admit());
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn half_open_admits_a_single_probe() {
-        let b = RelationBreakers::new(fast_cfg());
+        let b = fast();
         for _ in 0..3 {
-            b.record_io_failure("fact");
+            b.record_io_failure();
         }
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"), "first caller becomes the probe");
+        assert!(b.admit(), "first caller becomes the probe");
         // While the probe is outstanding, the rest of the burst is
         // rejected instead of stampeding a maybe-slow backend.
-        assert!(!b.admit("fact"));
-        assert!(!b.admit("fact"));
-        assert_eq!(b.state("fact"), BreakerState::HalfOpen);
+        assert!(!b.admit());
+        assert!(!b.admit());
+        assert_eq!(b.state(), BreakerState::HalfOpen);
         // The probe resolving (success) closes and re-admits everyone.
-        b.record_success("fact");
-        assert_eq!(b.state("fact"), BreakerState::Closed);
-        assert!(b.admit("fact"));
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(b.admit());
     }
 
     #[test]
     fn lost_probe_expires_after_one_cooldown() {
         // A probe whose caller dies without reporting back must not
         // wedge the breaker half-open forever.
-        let b = RelationBreakers::new(fast_cfg());
+        let b = fast();
         for _ in 0..3 {
-            b.record_io_failure("fact");
+            b.record_io_failure();
         }
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"));
-        assert!(!b.admit("fact"), "probe outstanding");
+        assert!(b.admit());
+        assert!(!b.admit(), "probe outstanding");
         std::thread::sleep(Duration::from_millis(25));
-        assert!(b.admit("fact"), "probe TTL elapsed: a new probe is admitted");
+        assert!(b.admit(), "probe TTL elapsed: a new probe is admitted");
     }
 
     #[test]
     fn quarantine_round_trips() {
-        let q = QuarantineSet::new();
-        assert!(q.is_empty());
+        let q = QuarantineSet::default();
+        assert_eq!(q.len(), 0);
         assert!(q.insert("fact", 3));
         assert!(!q.insert("fact", 3), "double insert reported");
         assert!(q.insert("fact", 4));
@@ -525,5 +423,11 @@ mod tests {
         assert!(q.remove("fact", 3));
         assert!(!q.remove("fact", 3));
         assert_eq!(q.len(), 2);
+        // Draining the set brings back the lock-free empty check.
+        assert!(q.remove("fact", 4));
+        assert!(q.remove("agg", 3));
+        assert_eq!(q.len(), 0);
+        assert!(!q.contains("agg", 3));
+        assert!(q.entries().is_empty());
     }
 }

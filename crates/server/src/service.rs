@@ -1,18 +1,19 @@
 //! [`CubeService`]: the shared handle worker threads answer queries
 //! through.
 //!
-//! A service is a trio of `Arc`s — a [`ConcurrentCube`], a
-//! [`ServeMetrics`] block, and the resilience state (circuit breakers +
-//! corrupt-page quarantine) — so it is `Clone` and `Send`: open it once,
-//! hand a clone to every worker, and each [`CubeService::query`] call
-//! answers a node query through the shared sharded page caches while
-//! timing itself into the metrics histogram.
+//! A service is a handful of `Arc`s — a [`ConcurrentCube`], a
+//! [`ServeMetrics`] block, and the resilience state (one circuit breaker
+//! and the corrupt-page quarantine) — so it is `Clone` and `Send`: open
+//! it once, hand a clone to every worker, and each [`CubeService::query`]
+//! call answers a node query through the shared page caches while timing
+//! itself into the metrics histogram.
 //!
-//! [`CubeService::query_with_options`] is the hardened entry point: it
-//! honours a per-request deadline, consults the fact relation's circuit
-//! breaker before doing any work, fails fast on quarantined pages, and
-//! converts every failure into a typed [`ServeError`] — the serve path
-//! never returns wrong rows and never panics; it degrades.
+//! [`CubeService::query`] is the one entry point: it honours the
+//! request's deadline (if [`QueryOptions`] carries one), consults the
+//! service's circuit breaker before doing any work, fails fast on
+//! quarantined pages, and converts every failure into a typed
+//! [`ServeError`] — the serve path never returns wrong rows and never
+//! panics; it degrades. `QueryOptions::default()` asks for no deadline.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -26,23 +27,14 @@ use cure_query::{CacheConfig, ConcurrentCube, CubeRow, QueryGuard, ReadPath};
 use cure_storage::{Catalog, StorageError};
 
 use crate::metrics::{AttributionSample, ServeErrorKind, ServeMetrics};
-use crate::resilience::{BreakerState, QuarantineSet, RelationBreakers, ResilienceConfig};
+use crate::resilience::{Breaker, BreakerState, QuarantineSet, ResilienceConfig};
 
 /// Every `ATTR_SAMPLE_EVERY`-th query is answered through the attributed
 /// entry point, so the metrics learn where latency goes (probe vs page
 /// reads vs compute) without timing every query.
 const ATTR_SAMPLE_EVERY: u64 = 64;
 
-/// One answered query: the result rows plus the service-side latency.
-#[derive(Debug)]
-pub struct QueryReply {
-    /// The node's `(grouping values, aggregates)` rows.
-    pub rows: Vec<CubeRow>,
-    /// Wall-clock time spent answering, as seen by the worker.
-    pub latency: Duration,
-}
-
-/// Per-request options for [`CubeService::query_with_options`].
+/// Per-request options for every serving type's `query`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryOptions {
     /// Fail with [`ServeError::Timeout`] once this instant passes —
@@ -55,6 +47,11 @@ impl QueryOptions {
     /// Options with a deadline `budget` from now.
     pub fn with_budget(budget: Duration) -> Self {
         QueryOptions { deadline: Some(Instant::now() + budget) }
+    }
+
+    /// Whether the deadline, if any, has passed.
+    pub(crate) fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -157,7 +154,7 @@ impl ServeError {
 }
 
 /// Map a raw query error onto the serve-side failure classes.
-pub(crate) fn classify_cube_error(e: &CubeError) -> ServeErrorKind {
+fn classify_cube_error(e: &CubeError) -> ServeErrorKind {
     match e {
         CubeError::Timeout(_) => ServeErrorKind::Timeout,
         CubeError::Storage(StorageError::Io(_)) => ServeErrorKind::Io,
@@ -167,11 +164,13 @@ pub(crate) fn classify_cube_error(e: &CubeError) -> ServeErrorKind {
     }
 }
 
-/// Shared resilience state: one breaker registry and one quarantine per
-/// service (shared across clones, like the metrics).
+/// Shared resilience state: one breaker and one quarantine per service
+/// (shared across clones, like the metrics).
 #[derive(Debug)]
 struct Resilience {
-    breakers: RelationBreakers,
+    /// Guards the cube's reads; its `Degraded` errors name the fact
+    /// relation.
+    breaker: Breaker,
     quarantine: QuarantineSet,
 }
 
@@ -208,8 +207,8 @@ impl CubeService {
             cube,
             metrics: Arc::new(ServeMetrics::new()),
             resilience: Arc::new(Resilience {
-                breakers: RelationBreakers::new(cfg),
-                quarantine: QuarantineSet::new(),
+                breaker: Breaker::new(cfg),
+                quarantine: QuarantineSet::default(),
             }),
             sample_tick: Arc::new(AtomicU64::new(0)),
         }
@@ -252,79 +251,62 @@ impl CubeService {
         self.cube.coder().num_nodes()
     }
 
-    /// Answer a node query, recording latency and row count (or a
-    /// classified error) into the shared metrics. No deadline, breaker,
-    /// or quarantine is applied — this is the trusted-environment path.
-    pub fn query(&self, node: NodeId) -> Result<QueryReply> {
-        let start = Instant::now();
-        match self.guarded_query(node, &QueryGuard::default()) {
-            Ok(rows) => {
-                let latency = start.elapsed();
-                self.metrics.record_query(rows.len(), latency);
-                Ok(QueryReply { rows, latency })
-            }
-            Err(e) => {
-                self.metrics.record_error_kind(classify_cube_error(&e));
-                Err(e)
-            }
-        }
-    }
-
     /// Answer a node query under the full resilience policy: deadline on
-    /// entry and between page fetches, circuit-breaker admission on the
-    /// fact relation, quarantine fast-fail on known-corrupt pages, and a
-    /// typed [`ServeError`] for every failure mode. Each failure is
-    /// counted under its [`ServeErrorKind`]; corrupt pages discovered
-    /// mid-query are added to the quarantine before returning.
-    pub fn query_with_options(
+    /// entry and between page fetches, circuit-breaker admission, quarantine
+    /// fast-fail on known-corrupt pages, and a typed [`ServeError`] for
+    /// every failure mode. The answer's row count and latency, or the
+    /// failure's [`ServeErrorKind`], go into the shared metrics; corrupt
+    /// pages discovered mid-query are added to the quarantine before
+    /// returning.
+    pub fn query(
         &self,
         node: NodeId,
         opts: &QueryOptions,
-    ) -> std::result::Result<QueryReply, ServeError> {
-        if let Some(d) = opts.deadline {
-            if Instant::now() >= d {
-                return self.fail(ServeError::Timeout { node });
-            }
+    ) -> std::result::Result<Vec<CubeRow>, ServeError> {
+        let start = Instant::now();
+        let res = self.answer(node, opts);
+        self.metrics.record(start, res)
+    }
+
+    fn answer(
+        &self,
+        node: NodeId,
+        opts: &QueryOptions,
+    ) -> std::result::Result<Vec<CubeRow>, ServeError> {
+        if opts.expired() {
+            return Err(ServeError::Timeout { node });
         }
-        let fact_rel = self.cube.fact_relation();
-        if !self.resilience.breakers.admit(&fact_rel) {
-            return self.fail(ServeError::Degraded { relation: fact_rel });
+        let breaker = &self.resilience.breaker;
+        if !breaker.admit() {
+            return Err(ServeError::Degraded { relation: self.cube.fact_relation() });
         }
         let guard =
             QueryGuard { deadline: opts.deadline, quarantine: Some(&self.resilience.quarantine) };
-        let start = Instant::now();
         match self.guarded_query(node, &guard) {
             Ok(rows) => {
-                let latency = start.elapsed();
-                self.resilience.breakers.record_success(&fact_rel);
-                self.metrics.record_query(rows.len(), latency);
-                Ok(QueryReply { rows, latency })
+                breaker.record_success();
+                Ok(rows)
             }
             Err(CubeError::Timeout(_)) => {
                 // Slow, not dead: resolve an outstanding half-open probe
                 // without counting toward the breaker's failure streak.
-                self.resilience.breakers.record_timeout(&fact_rel);
-                self.fail(ServeError::Timeout { node })
+                breaker.record_timeout();
+                Err(ServeError::Timeout { node })
             }
             Err(CubeError::Storage(StorageError::CorruptPage { relation, page, .. })) => {
                 // Remember the bad page so the next query that would
                 // touch it fails fast without disk I/O.
                 self.resilience.quarantine.insert(&relation, page);
-                self.fail(ServeError::Corrupt { relation, page })
+                Err(ServeError::Corrupt { relation, page })
             }
             Err(e @ CubeError::Storage(StorageError::Io(_))) => {
-                if self.resilience.breakers.record_io_failure(&fact_rel) {
+                if breaker.record_io_failure() {
                     self.metrics.record_breaker_trip();
                 }
-                self.fail(ServeError::Query(e))
+                Err(ServeError::Query(e))
             }
-            Err(e) => self.fail(ServeError::Query(e)),
+            Err(e) => Err(ServeError::Query(e)),
         }
-    }
-
-    fn fail(&self, e: ServeError) -> std::result::Result<QueryReply, ServeError> {
-        self.metrics.record_error_kind(e.kind());
-        Err(e)
     }
 
     /// Try to release a quarantined page by re-verifying it from disk
@@ -360,8 +342,8 @@ impl CubeService {
         self.resilience.quarantine.entries()
     }
 
-    /// Current circuit-breaker state of the fact relation.
+    /// Current state of the service's circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
-        self.resilience.breakers.state(&self.cube.fact_relation())
+        self.resilience.breaker.state()
     }
 }

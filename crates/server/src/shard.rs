@@ -45,7 +45,7 @@ use cure_storage::{export_snapshot, verify_snapshot, Catalog};
 use crate::backend::{ShardBackend, WireTotals};
 use crate::metrics::ServeMetrics;
 use crate::resilience::ResilienceConfig;
-use crate::service::{CubeService, QueryOptions, QueryReply, ServeError};
+use crate::service::{CubeService, QueryOptions, ServeError};
 
 /// How a [`ShardRouter`] opens its per-replica services.
 #[derive(Debug, Clone, Copy)]
@@ -106,10 +106,10 @@ struct RouterInner {
 
 /// A thread-safe, clonable scatter-gather router over sharded sub-cubes.
 ///
-/// Mirrors [`CubeService`]'s surface — [`query`](Self::query) for the
-/// trusted path, [`query_with_options`](Self::query_with_options) for
-/// the hardened one — so callers treat a router and a single service
-/// interchangeably.
+/// Mirrors [`CubeService`]'s surface — one [`query`](Self::query) under
+/// [`QueryOptions`] — so callers treat a router and a single service
+/// interchangeably; [`iceberg_query`](Self::iceberg_query) adds a
+/// post-merge threshold.
 #[derive(Clone)]
 pub struct ShardRouter {
     inner: Arc<RouterInner>,
@@ -151,12 +151,9 @@ impl ShardRouter {
             }
             catalogs.push(catalog);
         }
+        // A topology of zero shards is rejected by `from_backends`.
         let n = shards_n.unwrap_or(0);
-        if n == 0 {
-            return Err(CubeError::Config("shard topology records zero shards".into()));
-        }
-        let mut shards = Vec::with_capacity(n);
-        let mut num_nodes = 0;
+        let mut backends = Vec::with_capacity(n);
         for k in 0..n {
             let mut replicas: Vec<Arc<dyn ShardBackend>> = Vec::with_capacity(catalogs.len());
             for catalog in &catalogs {
@@ -167,34 +164,22 @@ impl ShardRouter {
                     cfg.caches,
                     cfg.read_path,
                 )?;
-                num_nodes = cube.coder().num_nodes();
                 replicas.push(Arc::new(CubeService::from_cube_with_resilience(
                     Arc::new(cube),
                     cfg.resilience,
                 )));
             }
-            shards.push(Shard {
-                replicas,
-                cursor: AtomicUsize::new(0),
-                failovers: AtomicU64::new(0),
-            });
+            backends.push(replicas);
         }
-        Ok(ShardRouter {
-            inner: Arc::new(RouterInner {
-                schema,
-                shards,
-                metrics: Arc::new(ServeMetrics::new()),
-                num_nodes,
-            }),
-        })
+        Self::from_backends(schema, backends)
     }
 
     /// Build a router over pre-constructed backends — one inner vec of
-    /// replicas per shard. This is how the socket path assembles a
-    /// router: each backend is a
-    /// [`RemoteShardBackend`](crate::net::RemoteShardBackend) dialed to
-    /// one shard-server process. Every backend must serve the same
-    /// lattice (same schema ⇒ same node count); mixed in-process and
+    /// replicas per shard. [`open`](Self::open) passes in-process
+    /// [`CubeService`]s; the socket path passes
+    /// [`RemoteShardBackend`](crate::net::RemoteShardBackend)s, each
+    /// dialed to one shard-server process. Every backend must serve the
+    /// same lattice (same schema ⇒ same node count); mixed in-process and
     /// socket replicas within one shard are allowed.
     pub fn from_backends(
         schema: Arc<CubeSchema>,
@@ -306,19 +291,14 @@ impl ShardRouter {
         &self,
         k: usize,
         node: NodeId,
-        opts: Option<&QueryOptions>,
+        opts: &QueryOptions,
     ) -> std::result::Result<Vec<CubeRow>, ServeError> {
         let shard = &self.inner.shards[k];
         let n = shard.replicas.len();
         let start = shard.cursor.fetch_add(1, Ordering::Relaxed) % n;
         let mut last: Option<ServeError> = None;
         for attempt in 0..n {
-            let replica = &shard.replicas[(start + attempt) % n];
-            let res = match opts {
-                Some(o) => replica.query_with_options(node, o),
-                None => replica.query_plain(node),
-            };
-            match res {
+            match shard.replicas[(start + attempt) % n].query(node, opts) {
                 Ok(rows) => return Ok(rows),
                 Err(e @ ServeError::Timeout { .. }) => return Err(e),
                 Err(e) => {
@@ -333,70 +313,50 @@ impl ShardRouter {
     }
 
     /// Scatter `node` to every shard and collect the partial answers.
-    /// With options, the request's deadline is re-checked *before each
-    /// shard* so an expired budget surfaces as a typed
-    /// [`ServeError::Timeout`] mid-gather instead of burning the
-    /// remaining shards.
+    /// The request's deadline is re-checked *before each shard* so an
+    /// expired budget surfaces as a typed [`ServeError::Timeout`]
+    /// mid-gather instead of burning the remaining shards.
     fn gather(
         &self,
         node: NodeId,
-        opts: Option<&QueryOptions>,
+        opts: &QueryOptions,
     ) -> std::result::Result<Vec<Vec<CubeRow>>, ServeError> {
         let mut parts = Vec::with_capacity(self.inner.shards.len());
         for k in 0..self.inner.shards.len() {
-            if let Some(d) = opts.and_then(|o| o.deadline) {
-                if Instant::now() >= d {
-                    return Err(ServeError::Timeout { node });
-                }
+            if opts.expired() {
+                return Err(ServeError::Timeout { node });
             }
             parts.push(self.shard_partial(k, node, opts)?);
         }
         Ok(parts)
     }
 
-    fn merged_reply(&self, parts: Vec<Vec<CubeRow>>, start: Instant) -> QueryReply {
-        let rows = merge_partials(self.inner.schema.agg_fns(), parts);
-        let latency = start.elapsed();
-        self.inner.metrics.record_query(rows.len(), latency);
-        QueryReply { rows, latency }
-    }
-
-    fn fail(&self, e: ServeError) -> std::result::Result<QueryReply, ServeError> {
-        self.inner.metrics.record_error_kind(e.kind());
-        Err(e)
-    }
-
-    /// Answer a node query over the whole logical cube: scatter to every
-    /// shard, merge the partials. Trusted path (no deadline or breaker
-    /// at the router; replicas still fail over).
-    pub fn query(&self, node: NodeId) -> Result<QueryReply> {
-        let start = Instant::now();
-        match self.gather(node, None) {
-            Ok(parts) => Ok(self.merged_reply(parts, start)),
-            Err(e) => {
-                self.inner.metrics.record_error_kind(e.kind());
-                match e {
-                    ServeError::Query(e) => Err(e),
-                    other => Err(CubeError::Config(other.to_string())),
-                }
-            }
-        }
-    }
-
-    /// [`query`](Self::query) under the full resilience policy:
-    /// per-request deadline checked before each shard and inside each
-    /// replica query, breaker admission and quarantine per replica, and
-    /// a typed [`ServeError`] for every failure mode.
-    pub fn query_with_options(
+    /// Gather, merge, post-process with `finish`, and record the outcome
+    /// in the router metrics.
+    fn merged(
         &self,
         node: NodeId,
         opts: &QueryOptions,
-    ) -> std::result::Result<QueryReply, ServeError> {
+        finish: impl FnOnce(Vec<CubeRow>) -> Vec<CubeRow>,
+    ) -> std::result::Result<Vec<CubeRow>, ServeError> {
         let start = Instant::now();
-        match self.gather(node, Some(opts)) {
-            Ok(parts) => Ok(self.merged_reply(parts, start)),
-            Err(e) => self.fail(e),
-        }
+        let res = self
+            .gather(node, opts)
+            .map(|parts| finish(merge_partials(self.inner.schema.agg_fns(), parts)));
+        self.inner.metrics.record(start, res)
+    }
+
+    /// Answer a node query over the whole logical cube: scatter to every
+    /// shard, merge the partials. The request's deadline is checked
+    /// before each shard and inside each replica query; breaker admission
+    /// and quarantine apply per replica, and every failure is a typed
+    /// [`ServeError`].
+    pub fn query(
+        &self,
+        node: NodeId,
+        opts: &QueryOptions,
+    ) -> std::result::Result<Vec<CubeRow>, ServeError> {
+        self.merged(node, opts, |rows| rows)
     }
 
     /// Iceberg query with **post-merge** thresholding: every shard
@@ -411,23 +371,13 @@ impl ShardRouter {
         min_count: i64,
         count_measure: usize,
         opts: &QueryOptions,
-    ) -> std::result::Result<QueryReply, ServeError> {
+    ) -> std::result::Result<Vec<CubeRow>, ServeError> {
         if min_count < 1 {
-            return self.fail(ServeError::Query(CubeError::Config(
-                "iceberg threshold must be ≥ 1".into(),
-            )));
+            let e = ServeError::Query(CubeError::Config("iceberg threshold must be ≥ 1".into()));
+            self.inner.metrics.record_error_kind(e.kind());
+            return Err(e);
         }
-        let start = Instant::now();
-        match self.gather(node, Some(opts)) {
-            Ok(parts) => {
-                let merged = merge_partials(self.inner.schema.agg_fns(), parts);
-                let rows = iceberg_filter_merged(merged, min_count, count_measure);
-                let latency = start.elapsed();
-                self.inner.metrics.record_query(rows.len(), latency);
-                Ok(QueryReply { rows, latency })
-            }
-            Err(e) => self.fail(e),
-        }
+        self.merged(node, opts, |rows| iceberg_filter_merged(rows, min_count, count_measure))
     }
 }
 

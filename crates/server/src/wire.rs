@@ -1,12 +1,12 @@
 //! The socket wire protocol for sharded serving: small length-prefixed
-//! binary frames for node queries and iceberg queries.
+//! binary frames for node queries.
 //!
 //! Every frame is
 //!
 //! ```text
 //! ┌──────────┬─────────┬───────┬───────────────┬───────────────┐
 //! │ len: u32 │ ver: u8 │ tag:u8│ crc32: u32    │ payload …     │
-//! │ (LE)     │  = 1    │       │ of payload,LE │ len − 6 bytes │
+//! │ (LE)     │  = 2    │       │ of payload,LE │ len − 6 bytes │
 //! └──────────┴─────────┴───────┴───────────────┴───────────────┘
 //! ```
 //!
@@ -38,7 +38,7 @@ use crate::metrics::ServeErrorKind;
 use crate::service::ServeError;
 
 /// Protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on `len` (bytes after the length prefix). Large enough for
 /// any realistic node answer, small enough that a hostile length prefix
@@ -54,8 +54,6 @@ pub mod tag {
     pub const HELLO: u8 = 0x01;
     /// Node query request.
     pub const NODE: u8 = 0x02;
-    /// Iceberg query request.
-    pub const ICEBERG: u8 = 0x03;
     /// Handshake acknowledgement.
     pub const HELLO_ACK: u8 = 0x81;
     /// Row-set answer.
@@ -73,20 +71,6 @@ pub enum Request {
     Node {
         /// Lattice node id.
         node: NodeId,
-        /// Remaining deadline budget in milliseconds; `0` = none.
-        deadline_ms: u32,
-    },
-    /// Answer node `node` with a post-filter iceberg threshold. Only
-    /// meaningful against a server holding a *complete* cube (a single
-    /// shard's partial support says nothing globally — routers filter
-    /// after the merge instead).
-    Iceberg {
-        /// Lattice node id.
-        node: NodeId,
-        /// Keep groups with `aggs[count_measure] > min_count`.
-        min_count: i64,
-        /// Which aggregate column holds the count.
-        count_measure: u32,
         /// Remaining deadline budget in milliseconds; `0` = none.
         deadline_ms: u32,
     },
@@ -165,7 +149,7 @@ pub enum Response {
         /// page cache (`false`).
         mmap: bool,
     },
-    /// The answer rows of a node/iceberg query.
+    /// The answer rows of a node query.
     Rows(Vec<CubeRow>),
     /// A typed failure.
     Error(RemoteError),
@@ -281,14 +265,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut p, *node);
             put_u32(&mut p, *deadline_ms);
             encode_frame(tag::NODE, &p)
-        }
-        Request::Iceberg { node, min_count, count_measure, deadline_ms } => {
-            let mut p = Vec::with_capacity(24);
-            put_u64(&mut p, *node);
-            put_i64(&mut p, *min_count);
-            put_u32(&mut p, *count_measure);
-            put_u32(&mut p, *deadline_ms);
-            encode_frame(tag::ICEBERG, &p)
         }
     }
 }
@@ -460,12 +436,6 @@ pub fn decode_request(frame_tag: u8, payload: &[u8]) -> Result<Request, Protocol
     let req = match frame_tag {
         tag::HELLO => Request::Hello,
         tag::NODE => Request::Node { node: c.u64()?, deadline_ms: c.u32()? },
-        tag::ICEBERG => Request::Iceberg {
-            node: c.u64()?,
-            min_count: c.i64()?,
-            count_measure: c.u32()?,
-            deadline_ms: c.u32()?,
-        },
         t => return Err(ProtocolError::BadTag { tag: t }),
     };
     c.finish()?;
@@ -601,12 +571,6 @@ mod tests {
         round_trip_request(Request::Hello);
         round_trip_request(Request::Node { node: 0, deadline_ms: 0 });
         round_trip_request(Request::Node { node: u64::MAX, deadline_ms: 25 });
-        round_trip_request(Request::Iceberg {
-            node: 7,
-            min_count: -3,
-            count_measure: 2,
-            deadline_ms: 1000,
-        });
     }
 
     #[test]
@@ -668,7 +632,10 @@ mod tests {
         let good = encode_request(&Request::Node { node: 5, deadline_ms: 10 });
         let mut bad = good.clone();
         bad[4] = WIRE_VERSION + 1;
-        assert_eq!(decode_frame_bytes(&bad), Err(ProtocolError::BadVersion { got: 2 }));
+        assert_eq!(
+            decode_frame_bytes(&bad),
+            Err(ProtocolError::BadVersion { got: WIRE_VERSION + 1 })
+        );
         // Flip one payload byte: CRC catches it.
         let mut bad = good.clone();
         let n = bad.len();
@@ -682,10 +649,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected_in_both_directions() {
-        let frame = encode_frame(0x7F, &[]);
-        let (t, p) = decode_frame_bytes(&frame).unwrap();
-        assert_eq!(decode_request(t, &p), Err(ProtocolError::BadTag { tag: 0x7F }));
-        assert_eq!(decode_response(t, &p), Err(ProtocolError::BadTag { tag: 0x7F }));
+        // 0x03 was the version-1 iceberg request.
+        for tag in [0x7F, 0x03] {
+            let frame = encode_frame(tag, &[]);
+            let (t, p) = decode_frame_bytes(&frame).unwrap();
+            assert_eq!(decode_request(t, &p), Err(ProtocolError::BadTag { tag }));
+            assert_eq!(decode_response(t, &p), Err(ProtocolError::BadTag { tag }));
+        }
         // A response tag is not a valid request and vice versa.
         let (t, p) = decode_frame_bytes(&encode_response(&Response::Rows(vec![]))).unwrap();
         assert!(matches!(decode_request(t, &p), Err(ProtocolError::BadTag { .. })));

@@ -90,20 +90,14 @@ fn read_faults_yield_correct_rows_or_typed_errors_and_the_service_heals() {
     );
     let service = CubeService::from_cube_with_resilience(
         Arc::new(open(Arc::clone(&catalog))),
-        ResilienceConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(5),
-            ..ResilienceConfig::default()
-        },
+        ResilienceConfig { breaker_threshold: 1, breaker_cooldown: Duration::from_millis(5) },
     );
     let opts = QueryOptions::default();
 
     // Chaos phase: a seeded uniform workload from concurrent clients.
     let mut sampler = NodeSampler::new(nodes, NodePopularity::Uniform, SEED).unwrap();
     let workload: Vec<NodeId> = (0..QUERIES).map(|_| sampler.next_node()).collect();
-    common::closed_loop(&workload, THREADS, |node| {
-        check(node, service.query_with_options(node, &opts).map(|r| r.rows), &want)
-    });
+    common::closed_loop(&workload, THREADS, |node| check(node, service.query(node, &opts), &want));
 
     // Spend what is left of the schedule: sweeping nodes forces fresh
     // reads past the tiny caches. Bounded, so a schedule the sweep never
@@ -113,7 +107,7 @@ fn read_faults_yield_correct_rows_or_typed_errors_and_the_service_heals() {
         std::thread::sleep(Duration::from_millis(2));
         let _ = service.repair_all();
         let node = probes % nodes;
-        check(node, service.query_with_options(node, &opts).map(|r| r.rows), &want);
+        check(node, service.query(node, &opts), &want);
         probes += 1;
     }
     assert_eq!(policy.read_faults_fired(), BUDGET, "the fault budget was not spent");
@@ -129,7 +123,7 @@ fn read_faults_yield_correct_rows_or_typed_errors_and_the_service_heals() {
     {
         std::thread::sleep(Duration::from_millis(5));
         let _ = service.repair_all();
-        let _ = service.query_with_options(0, &opts);
+        let _ = service.query(0, &opts);
         probes += 1;
     }
     assert_eq!(service.breaker_state(), BreakerState::Closed);
@@ -137,8 +131,57 @@ fn read_faults_yield_correct_rows_or_typed_errors_and_the_service_heals() {
 
     // Healed: every node answers, and answers correctly.
     for node in 0..nodes {
-        let rows = service.query_with_options(node, &opts).unwrap().rows;
+        let rows = service.query(node, &opts).unwrap();
         assert_eq!(sorted(rows), want[node as usize], "node {node} after recovery");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_quarantined_fact_page_fails_fast_until_repaired() {
+    let (dir, schema) = common::apb_cube("chaos_quarantine", 0.4, 4000, 0xC11);
+    let open = |catalog: Arc<Catalog>| {
+        CubeService::open_with_read_path(
+            catalog,
+            Arc::clone(&schema),
+            PREFIX,
+            CacheConfig::default(),
+            ReadPath::Cache,
+        )
+        .unwrap()
+    };
+    // Count the reads of opening the cube and of one query on the leaf
+    // node, whose last page read is a fact page.
+    let counter = Arc::new(FaultInjector::counting());
+    let probe = open(Arc::new(
+        Catalog::open_with_policy(&dir, Arc::clone(&counter) as Arc<dyn IoPolicy>).unwrap(),
+    ));
+    let open_reads = counter.reads();
+    let node = probe.num_nodes() - 1;
+    let opts = QueryOptions::default();
+    let want = sorted(probe.query(node, &opts).unwrap());
+    let last_read = counter.reads() - 1;
+    drop(probe);
+
+    // Flip exactly that read: the first query finds the fact page
+    // corrupt and quarantines it.
+    let policy = Arc::new(FaultInjector::chaos_reads(last_read, 1, 1, ReadFaultKind::FlipBit));
+    let service = open(Arc::new(
+        Catalog::open_with_policy(&dir, Arc::clone(&policy) as Arc<dyn IoPolicy>).unwrap(),
+    ));
+    assert_eq!(policy.reads(), open_reads);
+    let (relation, page) = match service.query(node, &opts) {
+        Err(ServeError::Corrupt { relation, page }) => (relation, page),
+        other => panic!("expected a corrupt page, got {other:?}"),
+    };
+    assert_eq!(relation, service.cube().fact_relation());
+    assert_eq!(service.quarantine_entries(), vec![(relation.clone(), page)]);
+    // The flip is spent, so only the quarantine fails the next query.
+    match service.query(node, &opts) {
+        Err(ServeError::Corrupt { relation: r, page: p }) => assert_eq!((r, p), (relation, page)),
+        other => panic!("a quarantined page must fail fast, got {other:?}"),
+    }
+    assert_eq!(service.repair_all(), 1);
+    assert_eq!(sorted(service.query(node, &opts).unwrap()), want);
     let _ = std::fs::remove_dir_all(&dir);
 }

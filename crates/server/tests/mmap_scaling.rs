@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use cure_core::NodeId;
 use cure_query::{CacheConfig, ReadPath};
-use cure_serve::{CubeService, NodePopularity, NodeSampler};
+use cure_serve::{CubeService, NodePopularity, NodeSampler, QueryOptions};
 use cure_storage::Catalog;
 
 /// Queries per timed run.
@@ -31,7 +31,7 @@ const QUERIES: u64 = 200;
 fn qps(service: &CubeService, nodes: &[NodeId], threads: usize) -> f64 {
     let start = Instant::now();
     common::closed_loop(nodes, threads, |node| {
-        service.query(node).unwrap();
+        service.query(node, &QueryOptions::default()).unwrap();
     });
     nodes.len() as f64 / start.elapsed().as_secs_f64()
 }

@@ -46,10 +46,10 @@ fn read_faults_on_a_node_tail_page_leave_the_file_alone() {
     .unwrap();
 
     let opts = QueryOptions::default();
-    match service.query_with_options(node, &opts) {
+    match service.query(node, &opts) {
         Err(ServeError::Corrupt { relation, .. }) => assert_eq!(relation, nt),
         Err(e) => panic!("expected a corrupt page of {nt}, got {e}"),
-        Ok(reply) => panic!("answered {} rows through a corrupt page", reply.rows.len()),
+        Ok(rows) => panic!("answered {} rows through a corrupt page", rows.len()),
     }
     assert_eq!(std::fs::metadata(&heap).unwrap().len(), len, "the query changed {nt} on disk");
     assert_eq!(service.quarantine_len(), 1);
@@ -63,7 +63,7 @@ fn read_faults_on_a_node_tail_page_leave_the_file_alone() {
     }
     assert_eq!(policy.read_faults_fired(), 3);
     assert_eq!(service.quarantine_len(), 0, "{:?}", service.quarantine_entries());
-    assert_eq!(service.query_with_options(node, &opts).unwrap().rows, want);
+    assert_eq!(service.query(node, &opts).unwrap(), want);
     assert_eq!(std::fs::metadata(&heap).unwrap().len(), len);
     let _ = std::fs::remove_dir_all(&dir);
 }

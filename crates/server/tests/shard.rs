@@ -8,12 +8,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cure_core::{
-    build_shard_cubes, shard_fact_rel, shard_prefix, CubeConfig, CubeSchema, Dimension, NodeCoder,
-    Tuples,
+    build_shard_cubes, shard_cube_prefix, shard_fact_rel, shard_prefix, CubeConfig, CubeSchema,
+    Dimension, NodeCoder, Tuples,
 };
-use cure_serve::{replicate_shards, QueryOptions, ServeError, ShardRouter, ShardRouterConfig};
+use cure_query::{CacheConfig, ReadPath};
+use cure_serve::{
+    replicate_shards, CubeService, QueryOptions, ServeError, ServeErrorKind, ShardBackend,
+    ShardRouter, ShardRouterConfig,
+};
 use cure_storage::scratch::scratch_dir;
-use cure_storage::Catalog;
+use cure_storage::{Catalog, FaultInjector, IoPolicy, ReadFaultKind};
 
 /// A fresh catalog directory seeded with `rows` deterministic facts
 /// over a 2-dim (one hierarchical), `measures`-measure schema, plus the
@@ -69,7 +73,7 @@ fn merged_answers_equal_the_unsharded_oracle_on_every_node() {
     assert_eq!(stats.len(), 3);
     assert!(stats.iter().all(|s| s.replicas == 1));
     for node in 0..router.num_nodes() {
-        let got = sorted(router.query(node).unwrap().rows);
+        let got = sorted(router.query(node, &QueryOptions::default()).unwrap());
         assert_eq!(got, oracle(&schema, &t, node), "node {node}");
     }
     // Router metrics saw one merged query per node; shard sub-queries
@@ -96,7 +100,7 @@ fn empty_shards_are_neutral_in_the_merge() {
     let router =
         ShardRouter::open(&[&dir], Arc::clone(&schema), &ShardRouterConfig::default()).unwrap();
     for node in 0..router.num_nodes() {
-        let got = sorted(router.query(node).unwrap().rows);
+        let got = sorted(router.query(node, &QueryOptions::default()).unwrap());
         assert_eq!(got, oracle(&schema, &t, node), "node {node}");
     }
 }
@@ -123,11 +127,11 @@ fn groups_present_in_a_single_shard_pass_through_unchanged() {
     // Leaf node: both groups, each from exactly one shard, untouched.
     let coder = NodeCoder::new(&schema);
     let leaf = coder.encode(&[0, 0]);
-    let got = sorted(router.query(leaf).unwrap().rows);
+    let got = sorted(router.query(leaf, &QueryOptions::default()).unwrap());
     assert_eq!(got, vec![(vec![0, 0], vec![7]), (vec![3, 2], vec![-5])]);
     // ALL node: the two singleton partials merge into one global group.
     let all = coder.empty_node();
-    assert_eq!(router.query(all).unwrap().rows, vec![(vec![], vec![2])]);
+    assert_eq!(router.query(all, &QueryOptions::default()).unwrap(), vec![(vec![], vec![2])]);
 }
 
 #[test]
@@ -155,11 +159,11 @@ fn iceberg_thresholds_apply_after_the_merge_not_per_shard() {
     let coder = NodeCoder::new(&schema);
     let leaf = coder.encode(&[0, 0]);
     // min_count = 1 keeps groups with global count > 1: exactly (2, 2).
-    let kept = router.iceberg_query(leaf, 1, 1, &QueryOptions::default()).unwrap().rows;
+    let kept = router.iceberg_query(leaf, 1, 1, &QueryOptions::default()).unwrap();
     assert_eq!(kept, vec![(vec![2, 2], vec![30, 2])]);
     // A per-shard filter would have dropped it: each sub-cube's count
     // for (2, 2) is exactly 1, not > 1.
-    let full = sorted(router.query(leaf).unwrap().rows);
+    let full = sorted(router.query(leaf, &QueryOptions::default()).unwrap());
     assert_eq!(full.len(), 2, "complete sub-cubes still hold every group");
     // The threshold contract is strict and validated.
     assert!(matches!(
@@ -178,7 +182,7 @@ fn deadline_expiry_mid_gather_returns_typed_timeout() {
     // gather: the router must surface a typed timeout naming the node,
     // never a partial merge.
     let opts = QueryOptions { deadline: Some(std::time::Instant::now()) };
-    match router.query_with_options(node, &opts) {
+    match router.query(node, &opts) {
         Err(ServeError::Timeout { node: n }) => assert_eq!(n, node),
         other => panic!("expected typed timeout, got {other:?}"),
     }
@@ -186,7 +190,51 @@ fn deadline_expiry_mid_gather_returns_typed_timeout() {
     assert_eq!(router.metrics().queries(), 0);
     // With a generous budget the same query completes.
     let opts = QueryOptions::with_budget(std::time::Duration::from_secs(10));
-    assert!(router.query_with_options(node, &opts).is_ok());
+    assert!(router.query(node, &opts).is_ok());
+}
+
+#[test]
+fn every_replica_of_a_shard_quarantined_fails_typed_corrupt() {
+    // Shard 0 is served by two replicas whose every page read after the
+    // open comes back bit-flipped; shard 1 is healthy.
+    let (dir, schema, _) = sharded_fixture("quarantine", 400, 1, 2);
+    let replica_dir = dir.join("replica0");
+    replicate_shards(&Catalog::open(&dir).unwrap(), 2, &replica_dir).unwrap();
+    let open = |catalog: Catalog, k: usize| {
+        CubeService::open_with_read_path(
+            Arc::new(catalog),
+            Arc::clone(&schema),
+            &shard_cube_prefix(k),
+            CacheConfig::default(),
+            ReadPath::Cache,
+        )
+        .unwrap()
+    };
+    let counter = Arc::new(FaultInjector::counting());
+    open(Catalog::open_with_policy(&dir, Arc::clone(&counter) as Arc<dyn IoPolicy>).unwrap(), 0);
+    let open_reads = counter.reads();
+    let mut backends: Vec<Vec<Arc<dyn ShardBackend>>> = vec![Vec::new(), Vec::new()];
+    for d in [&dir, &replica_dir] {
+        let flips =
+            Arc::new(FaultInjector::chaos_reads(open_reads, 1, 1_000_000, ReadFaultKind::FlipBit));
+        let damaged = Catalog::open_with_policy(d, flips as Arc<dyn IoPolicy>).unwrap();
+        backends[0].push(Arc::new(open(damaged, 0)));
+        backends[1].push(Arc::new(open(Catalog::open(d).unwrap(), 1)));
+    }
+    let router = ShardRouter::from_backends(Arc::clone(&schema), backends).unwrap();
+    let node = router.num_nodes() - 1;
+    // Each query finds a bad page on each replica in turn, and each
+    // replica quarantines it. With every replica of shard 0 failing, the
+    // merged query fails with the replicas' typed corruption.
+    for pass in 0..2 {
+        match router.query(node, &QueryOptions::default()) {
+            Err(e @ ServeError::Corrupt { .. }) => assert_eq!(e.kind(), ServeErrorKind::Corrupt),
+            other => panic!("pass {pass}: expected a typed corrupt page, got {other:?}"),
+        }
+    }
+    assert_eq!(router.metrics().corrupt_errors(), 2);
+    assert_eq!(router.metrics().queries(), 0);
+    assert!(router.shard_stats()[0].failovers > 0);
 }
 
 #[test]
@@ -222,8 +270,12 @@ fn replication_ships_byte_identical_shards_and_replicas_serve_reads() {
         ShardRouter::open(&[&replica_dir], Arc::clone(&schema), &ShardRouterConfig::default())
             .unwrap();
     for node in 0..primary.num_nodes() {
-        let p = sorted(primary.query(node).unwrap().rows);
-        assert_eq!(p, sorted(replica.query(node).unwrap().rows), "node {node}");
+        let p = sorted(primary.query(node, &QueryOptions::default()).unwrap());
+        assert_eq!(
+            p,
+            sorted(replica.query(node, &QueryOptions::default()).unwrap()),
+            "node {node}"
+        );
         assert_eq!(p, oracle(&schema, &t, node), "node {node}");
     }
     // A two-replica router balances across both and still answers
@@ -237,7 +289,7 @@ fn replication_ships_byte_identical_shards_and_replicas_serve_reads() {
     assert!(both.shard_stats().iter().all(|s| s.replicas == 2));
     for node in 0..both.num_nodes() {
         assert_eq!(
-            sorted(both.query(node).unwrap().rows),
+            sorted(both.query(node, &QueryOptions::default()).unwrap()),
             oracle(&schema, &t, node),
             "node {node}"
         );

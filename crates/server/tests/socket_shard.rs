@@ -10,10 +10,15 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
-use cure_core::{build_shard_cubes, CubeConfig, CubeSchema, Dimension, NodeCoder, Tuples};
+use std::time::Duration;
+
+use cure_core::{
+    build_shard_cubes, shard_cube_prefix, CubeConfig, CubeSchema, Dimension, NodeCoder, Tuples,
+};
+use cure_query::{CacheConfig, ReadPath};
 use cure_serve::{
-    replicate_shards, QueryOptions, RemoteShardBackend, RemoteShardConfig, ShardBackend,
-    ShardRouter,
+    replicate_shards, CubeService, QueryOptions, RemoteShardBackend, RemoteShardConfig,
+    ResilienceConfig, ServeErrorKind, ShardBackend, ShardRouter, ShardServer, ShardServerConfig,
 };
 use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
@@ -148,13 +153,21 @@ fn socket_router_survives_replica_process_kill() {
     // traffic really crossed the wire.
     for node in 0..router.num_nodes() {
         assert_eq!(
-            sorted(router.query(node).unwrap().rows),
+            sorted(router.query(node, &QueryOptions::default()).unwrap()),
             oracle(&schema, &t, node),
             "node {node}"
         );
     }
     let wire = router.wire_totals();
     assert!(wire.bytes_in > 0 && wire.bytes_out > 0, "no wire traffic recorded: {wire:?}");
+    // Each backend timed its exchanges.
+    for h in handles.iter().flatten() {
+        assert!(
+            h.metrics().latency().max().is_some_and(|d| d > Duration::ZERO),
+            "{} recorded no exchange latency",
+            h.endpoint()
+        );
+    }
 
     // Phase 2: SIGKILL shard 0's replica 1 mid-load. Every answer must
     // still match the oracle — failover or a typed error, never wrong
@@ -166,7 +179,7 @@ fn socket_router_survives_replica_process_kill() {
         if node == kill_at {
             procs.kill(proc_idx[0][1]);
         }
-        let got = sorted(router.query_with_options(node, &QueryOptions::default()).unwrap().rows);
+        let got = sorted(router.query(node, &QueryOptions::default()).unwrap());
         assert_eq!(got, oracle(&schema, &t, node), "wrong data after process kill on node {node}");
     }
     let stats = router.shard_stats();
@@ -185,7 +198,7 @@ fn socket_router_survives_replica_process_kill() {
     victim.redirect(&addr);
     router.reset_stats();
     for node in 0..router.num_nodes() {
-        let got = sorted(router.query_with_options(node, &QueryOptions::default()).unwrap().rows);
+        let got = sorted(router.query(node, &QueryOptions::default()).unwrap());
         assert_eq!(
             got,
             oracle(&schema, &t, node),
@@ -203,8 +216,8 @@ fn socket_router_survives_replica_process_kill() {
     // the primary replica of the same shard.
     let node = router.num_nodes() - 1;
     assert_eq!(
-        sorted(victim.query_plain(node).unwrap()),
-        sorted(handles[0][0].query_plain(node).unwrap()),
+        sorted(victim.query(node, &QueryOptions::default()).unwrap()),
+        sorted(handles[0][0].query(node, &QueryOptions::default()).unwrap()),
         "direct query against the respawned replica"
     );
 }
@@ -213,7 +226,7 @@ fn socket_router_survives_replica_process_kill() {
 fn connecting_to_a_dead_endpoint_fails_typed() {
     let cfg = RemoteShardConfig {
         connect_attempts: 2,
-        reconnect_backoff: std::time::Duration::from_millis(1),
+        reconnect_backoff: Duration::from_millis(1),
         ..RemoteShardConfig::default()
     };
     // Port 9 (discard) on loopback is closed in the test environment;
@@ -224,4 +237,49 @@ fn connecting_to_a_dead_endpoint_fails_typed() {
         }
         Ok(_) => panic!("connect to a closed port must fail"),
     }
+}
+
+/// Serve shard 0 of the catalog at `dir` on a fresh loopback port.
+fn serve_in_process(dir: &Path, schema: &Arc<CubeSchema>) -> ShardServer {
+    let service = CubeService::open_with_read_path(
+        Arc::new(Catalog::open(dir).unwrap()),
+        Arc::clone(schema),
+        &shard_cube_prefix(0),
+        CacheConfig::default(),
+        ReadPath::Cache,
+    )
+    .unwrap();
+    ShardServer::spawn(service, 0, "127.0.0.1:0", ShardServerConfig::default()).unwrap()
+}
+
+#[test]
+fn redirect_starts_the_new_endpoint_closed() {
+    let (dir, schema, t) = sharded_fixture("redirect", 200, 1);
+    let first = serve_in_process(&dir, &schema);
+    let cfg = RemoteShardConfig {
+        resilience: ResilienceConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(3600),
+        },
+        ..RemoteShardConfig::default()
+    };
+    let backend = RemoteShardBackend::connect(&first.local_addr().to_string(), cfg).unwrap();
+    let node = backend.num_nodes() - 1;
+    let opts = QueryOptions::default();
+    assert_eq!(sorted(backend.query(node, &opts).unwrap()), oracle(&schema, &t, node));
+
+    // The endpoint dies: one failed exchange trips the breaker, and the
+    // open breaker rejects the next query without dialing.
+    first.stop();
+    let err = backend.query(node, &opts).unwrap_err();
+    assert_eq!(err.kind(), ServeErrorKind::Io, "{err}");
+    let err = backend.query(node, &opts).unwrap_err();
+    assert_eq!(err.kind(), ServeErrorKind::Degraded, "{err}");
+
+    // A respawned server at a new endpoint starts with a closed breaker:
+    // the very next query is admitted and answers correctly.
+    let second = serve_in_process(&dir, &schema);
+    backend.redirect(&second.local_addr().to_string());
+    assert_eq!(sorted(backend.query(node, &opts).unwrap()), oracle(&schema, &t, node));
+    second.stop();
 }

@@ -13,7 +13,7 @@ use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::sink::DiskSink;
 use cure_core::{CubeSchema, Dimension, NodeId, Tuples};
 use cure_query::{CacheConfig, ConcurrentCube, CubeRow, CureCube, ReadPath};
-use cure_serve::{CubeService, NodePopularity, NodeSampler};
+use cure_serve::{CubeService, NodePopularity, NodeSampler, QueryOptions};
 use cure_storage::scratch::scratch_dir;
 use cure_storage::Catalog;
 
@@ -89,8 +89,8 @@ fn serve_and_check(
         for _ in 0..threads {
             s.spawn(|| {
                 while let Some(&node) = workload.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let reply = service.query(node).unwrap();
-                    assert_eq!(&sorted(reply.rows), &reference[&node], "node {node} diverged");
+                    let rows = service.query(node, &QueryOptions::default()).unwrap();
+                    assert_eq!(&sorted(rows), &reference[&node], "node {node} diverged");
                 }
             });
         }

@@ -37,13 +37,10 @@ fn decode_frame_bytes(bytes: &[u8]) -> Result<(u8, Vec<u8>), ProtocolError> {
 // ---------------------------------------------------------------------
 
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0u8..3, any::<u64>(), any::<i64>(), any::<u32>(), any::<u32>()).prop_map(
-        |(which, node, min_count, count_measure, deadline_ms)| match which {
-            0 => Request::Hello,
-            1 => Request::Node { node, deadline_ms },
-            _ => Request::Iceberg { node, min_count, count_measure, deadline_ms },
-        },
-    )
+    (0u8..2, any::<u64>(), any::<u32>()).prop_map(|(which, node, deadline_ms)| match which {
+        0 => Request::Hello,
+        _ => Request::Node { node, deadline_ms },
+    })
 }
 
 fn kind_of(b: u8) -> ServeErrorKind {
@@ -265,7 +262,8 @@ fn corpus_truncations_and_bad_lengths() {
 #[test]
 fn corpus_bad_version_bytes() {
     let mut bytes = encode_request(&Request::Node { node: 1, deadline_ms: 0 });
-    for v in [0u8, 2, 0x7F, 0xFF] {
+    // Version 1 is the previous protocol, which carried an iceberg request.
+    for v in [0u8, 1, 0x7F, 0xFF] {
         bytes[4] = v;
         assert_eq!(decode_frame_bytes(&bytes), Err(ProtocolError::BadVersion { got: v }));
     }

@@ -221,20 +221,31 @@ fn write_spec(catalog: &Catalog, dataset: &str, scale: u64, density: f64) -> Res
     Ok(())
 }
 
-/// Recreate the schema recorded by `gen` (generators are deterministic).
-pub fn load_schema(catalog: &Catalog) -> Result<CubeSchema> {
+/// The `(dataset, scale, density)` recorded by `gen`.
+fn read_spec(catalog: &Catalog) -> Result<(String, u64, f64)> {
     let raw = catalog.read_blob(SPEC_BLOB)?;
     let text = String::from_utf8(raw).map_err(|_| CubeError::Schema("bad spec blob".into()))?;
     let mut lines = text.lines();
     let dataset = lines.next().unwrap_or("apb").to_string();
     let scale: u64 = lines.next().and_then(|s| s.parse().ok()).unwrap_or(1000);
     let density: f64 = lines.next().and_then(|s| s.parse().ok()).unwrap_or(0.4);
-    Ok(make_dataset(&dataset, scale, density)?.schema)
+    Ok((dataset, scale, density))
 }
 
-fn make_dataset(name: &str, scale: u64, density: f64) -> Result<Dataset> {
+/// Recreate the schema recorded by `gen` (generators are deterministic).
+pub fn load_schema(catalog: &Catalog) -> Result<CubeSchema> {
+    let (dataset, scale, density) = read_spec(catalog)?;
+    Ok(make_dataset(&dataset, scale, density, GEN_SEED)?.schema)
+}
+
+/// The APB generator seed of the fact table `gen` writes.
+const GEN_SEED: u64 = 0xC11;
+
+/// Generate `name` at `scale`; `seed` drives the APB generator (the
+/// surrogate datasets are fixed).
+fn make_dataset(name: &str, scale: u64, density: f64, seed: u64) -> Result<Dataset> {
     match name {
-        "apb" => Ok(cure_data::apb::apb1_dense(density, scale, 0xC11)),
+        "apb" => Ok(cure_data::apb::apb1_dense(density, scale, seed)),
         "covtype" => Ok(cure_data::surrogates::covtype_like(scale as usize)),
         "sep85l" => Ok(cure_data::surrogates::sep85l_like(scale as usize)),
         other => Err(CubeError::Config(format!("unknown dataset '{other}'"))),
@@ -247,7 +258,7 @@ pub fn run(cmd: Command) -> Result<String> {
     match cmd {
         Command::Gen { dir, dataset, scale, density } => {
             let catalog = Catalog::open(&dir)?;
-            let ds = make_dataset(&dataset, scale, density)?;
+            let ds = make_dataset(&dataset, scale, density, GEN_SEED)?;
             ds.store(&catalog, "facts")?;
             write_spec(&catalog, &dataset, scale, density)?;
             let _ = writeln!(
@@ -462,19 +473,8 @@ pub fn run(cmd: Command) -> Result<String> {
             report_recovery(&mut out, &catalog, &schema)?;
             // Generate a delta batch from the recorded dataset spec with a
             // fresh seed; the ingest pipeline appends and re-rowids it.
-            let raw = catalog.read_blob(SPEC_BLOB)?;
-            let text =
-                String::from_utf8(raw).map_err(|_| CubeError::Schema("bad spec blob".into()))?;
-            let mut lines = text.lines();
-            let dataset = lines.next().unwrap_or("apb").to_string();
-            let scale: u64 = lines.next().and_then(|s| s.parse().ok()).unwrap_or(1000);
-            let density: f64 = lines.next().and_then(|s| s.parse().ok()).unwrap_or(0.4);
-            let src = match dataset.as_str() {
-                "apb" => cure_data::apb::apb1_dense(density, scale, seed ^ 0xDE17A),
-                "covtype" => cure_data::surrogates::covtype_like(scale as usize),
-                "sep85l" => cure_data::surrogates::sep85l_like(scale as usize),
-                other => return Err(CubeError::Config(format!("unknown dataset '{other}'"))),
-            };
+            let (dataset, scale, density) = read_spec(&catalog)?;
+            let src = make_dataset(&dataset, scale, density, seed ^ 0xDE17A)?;
             let take = tuples.min(src.tuples.len());
             let mut delta = cure_core::Tuples::new(schema.num_dims(), schema.num_measures());
             for i in 0..take {
