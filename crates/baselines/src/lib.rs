@@ -22,6 +22,8 @@
 //! harness can compare construction time, cube size and query response
 //! time across methods.
 
+#![forbid(unsafe_code)]
+
 pub mod bubst;
 pub mod buc;
 pub mod fcure;

@@ -176,8 +176,10 @@ fn bench_storage_primitives(c: &mut Criterion) {
         b.iter(|| {
             n += 1;
             let path = dir.join(format!("b{n}.heap"));
+            let schema = cure_storage::Schema::fact(2, 1);
             let mut hf =
-                cure_storage::HeapFile::create(&path, cure_storage::Schema::fact(2, 1)).unwrap();
+                cure_storage::HeapFile::create(&path, schema, cure_storage::io::no_faults())
+                    .unwrap();
             let row = [0u8; 16];
             for _ in 0..10_000 {
                 hf.append_raw(&row).unwrap();

@@ -14,27 +14,12 @@
 //! recorded in the JSON so the committed numbers stay interpretable.
 
 use cure_core::partition::build_cure_cube;
-use cure_core::sink::{DiskSink, RowResolver};
-use cure_core::{CubeConfig, CubeSchema, Result};
-use cure_storage::{Catalog, Schema};
+use cure_core::sink::{fact_row_resolver, DiskSink};
+use cure_core::{CubeConfig, Result};
 
 use crate::{
     experiment_catalog, print_table, timed, write_result, CureVariant, FigureResult, Series,
 };
-
-fn dr_resolver<'a>(catalog: &Catalog, schema: &CubeSchema) -> Result<RowResolver<'a>> {
-    let fact = catalog.open_relation("facts")?;
-    let fs = fact.schema().clone();
-    let d = schema.num_dims();
-    let mut buf = vec![0u8; fs.row_width()];
-    Ok(Box::new(move |rowid, out: &mut [u32]| {
-        fact.fetch_into(rowid, &mut buf)?;
-        for (i, o) in out.iter_mut().enumerate().take(d) {
-            *o = Schema::read_u32_at(&buf, fs.offset(i));
-        }
-        Ok(())
-    }))
-}
 
 /// Run the parallel-build scaling experiment.
 pub fn run(scale: u64) -> Result<Vec<FigureResult>> {
@@ -71,7 +56,7 @@ pub fn run(scale: u64) -> Result<Vec<FigureResult>> {
             ))?;
             ds.store(&catalog, "facts")?;
             let resolver =
-                if variant.dr() { Some(dr_resolver(&catalog, &ds.schema)?) } else { None };
+                if variant.dr() { Some(fact_row_resolver(&catalog, "facts")?) } else { None };
             let mut sink =
                 DiskSink::new(&catalog, "bs_", &ds.schema, variant.dr(), false, resolver)?;
             let (report, secs) = timed(|| {

@@ -17,6 +17,8 @@
 //! monotonicity — which is scale-stable; EXPERIMENTS.md records the scale
 //! used for the committed results.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -24,10 +26,10 @@ use std::time::Instant;
 use cure_core::cube::{BuildReport, CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
 use cure_core::partition::build_cure_cube;
-use cure_core::sink::{DiskSink, RowResolver};
+use cure_core::sink::{fact_row_resolver, DiskSink};
 use cure_core::{CubeSchema, Result};
 use cure_query::CureCube;
-use cure_storage::{Catalog, Schema};
+use cure_storage::Catalog;
 
 /// The CURE variants the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,21 +102,7 @@ pub fn build_cure_variant(
     variant: CureVariant,
     cfg: &CubeConfig,
 ) -> Result<(BuildReport, f64)> {
-    let resolver: Option<RowResolver> = if variant.dr() {
-        let fact = catalog.open_relation(fact_rel)?;
-        let fs = fact.schema().clone();
-        let d = schema.num_dims();
-        let mut buf = vec![0u8; fs.row_width()];
-        Some(Box::new(move |rowid, out: &mut [u32]| {
-            fact.fetch_into(rowid, &mut buf)?;
-            for (i, o) in out.iter_mut().enumerate().take(d) {
-                *o = Schema::read_u32_at(&buf, fs.offset(i));
-            }
-            Ok(())
-        }))
-    } else {
-        None
-    };
+    let resolver = if variant.dr() { Some(fact_row_resolver(catalog, fact_rel)?) } else { None };
     let start = Instant::now();
     let mut sink = DiskSink::new(catalog, prefix, schema, variant.dr(), variant.plus(), resolver)?;
     let report =
@@ -146,21 +134,7 @@ pub fn build_cure_variant_in_memory(
     variant: CureVariant,
     cfg: &CubeConfig,
 ) -> Result<(BuildReport, f64)> {
-    let resolver: Option<RowResolver> = if variant.dr() {
-        let fact = catalog.open_relation(fact_rel)?;
-        let fs = fact.schema().clone();
-        let d = schema.num_dims();
-        let mut buf = vec![0u8; fs.row_width()];
-        Some(Box::new(move |rowid, out: &mut [u32]| {
-            fact.fetch_into(rowid, &mut buf)?;
-            for (i, o) in out.iter_mut().enumerate().take(d) {
-                *o = Schema::read_u32_at(&buf, fs.offset(i));
-            }
-            Ok(())
-        }))
-    } else {
-        None
-    };
+    let resolver = if variant.dr() { Some(fact_row_resolver(catalog, fact_rel)?) } else { None };
     let start = Instant::now();
     let mut sink = DiskSink::new(catalog, prefix, schema, variant.dr(), variant.plus(), resolver)?;
     let report = CubeBuilder::new(schema, cfg.clone()).build_in_memory(tuples, &mut sink)?;

@@ -23,7 +23,7 @@ use cure_baselines::bubst::{build_bubst, BubstMemCube};
 use cure_baselines::buc::{build_buc, BucMemCube};
 use cure_core::cube::CubeBuilder;
 use cure_core::meta::CubeMeta;
-use cure_core::sink::{CatFormat, CubeSink, DiskSink, MemSink, RowResolver, SinkStats};
+use cure_core::sink::{fact_row_resolver, CatFormat, CubeSink, DiskSink, MemSink, SinkStats};
 use cure_core::{
     active_prefix, build_cure_cube, build_cure_cube_durable, build_shard_cubes, ingest_cube,
     shard_cube_prefix, shard_prefix, BuildReport, CubeSchema, DurableOptions, IngestManifest,
@@ -403,20 +403,6 @@ fn stage(dir: &Path, facts: &Tuples) -> Result<()> {
     Ok(())
 }
 
-fn dr_resolver<'a>(catalog: &'a Catalog, schema: &CubeSchema) -> Result<RowResolver<'a>> {
-    let fact = catalog.open_relation("facts")?;
-    let fs = fact.schema().clone();
-    let d = schema.num_dims();
-    let mut buf = vec![0u8; fs.row_width()];
-    Ok(Box::new(move |rowid, vals: &mut [u32]| {
-        fact.fetch_into(rowid, &mut buf)?;
-        for (i, v) in vals.iter_mut().enumerate().take(d) {
-            *v = cure_storage::Schema::read_u32_at(&buf, fs.offset(i));
-        }
-        Ok(())
-    }))
-}
-
 fn write_meta(
     catalog: &Catalog,
     w: &Workload,
@@ -450,7 +436,7 @@ fn plain_cube(
 ) -> Result<BuildReport> {
     stage(dir, facts)?;
     let catalog = Catalog::open(dir)?;
-    let resolver = if dr { Some(dr_resolver(&catalog, run.schema)?) } else { None };
+    let resolver = if dr { Some(fact_row_resolver(&catalog, "facts")?) } else { None };
     let mut sink = DiskSink::new(&catalog, CUBE_PREFIX, run.schema, dr, false, resolver)?;
     let cfg = run.w.config();
     let report =

@@ -24,6 +24,8 @@
 //! green in tier-1; `cure-cli check --seeds N --budget-secs S` runs the
 //! open-ended nightly sweep.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

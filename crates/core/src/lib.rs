@@ -51,6 +51,8 @@
 //! # Ok::<(), cure_core::CubeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggfn;
 pub mod cube;
 pub mod delta;

@@ -349,6 +349,21 @@ pub fn tt_schema() -> Schema {
 /// the CURE_DR variant to materialize grouping values at flush time.
 pub type RowResolver<'a> = Box<dyn FnMut(u64, &mut [u32]) -> Result<()> + Send + 'a>;
 
+/// The CURE_DR [`RowResolver`] over fact relation `fact_rel` of
+/// `catalog`: row-id `r` resolves to fact row `r`'s leading dimension
+/// columns, one per output slot.
+pub fn fact_row_resolver(catalog: &Catalog, fact_rel: &str) -> Result<RowResolver<'static>> {
+    let fact = catalog.open_relation(fact_rel)?;
+    let mut buf = vec![0u8; fact.schema().row_width()];
+    Ok(Box::new(move |rowid, out: &mut [u32]| {
+        fact.fetch_into(rowid, &mut buf)?;
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = Schema::read_u32_at(&buf, fact.schema().offset(i));
+        }
+        Ok(())
+    }))
+}
+
 #[derive(Default)]
 struct NodeBuf {
     tt: Vec<u64>,

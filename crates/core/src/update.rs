@@ -270,7 +270,7 @@ impl<'a> OldCube<'a> {
         let dir = self.segment.directory();
         if let Some(nt) = dir.get(&crate::sink::nt_rel_name(&self.meta.prefix, node)) {
             let rs = &nt.schema;
-            self.segment.for_each_row(nt, |row| {
+            self.segment.for_each_row(nt, any_page, |row| {
                 rowids.push(Schema::read_u64_at(row, rs.offset(0)));
                 aggs.extend((0..y).map(|m| Schema::read_i64_at(row, rs.offset(1 + m))));
             })?;
@@ -304,7 +304,7 @@ impl<'a> OldCube<'a> {
             refs.extend(bm.iter().map(|a| (None, a)));
         } else if let Some(cat) = cat {
             let rs = &cat.schema;
-            self.segment.for_each_row(cat, |row| {
+            self.segment.for_each_row(cat, any_page, |row| {
                 refs.push(match format {
                     CatFormat::Coincidental => (
                         Some(Schema::read_u64_at(row, rs.offset(0))),
@@ -348,10 +348,16 @@ impl<'a> OldCube<'a> {
         }
         let name = crate::sink::tt_rel_name(&self.meta.prefix, node);
         if let Some(tt) = self.segment.directory().get(&name) {
-            self.segment.for_each_row(tt, |row| out.push(Schema::read_u64_at(row, 0)))?;
+            self.segment.for_each_row(tt, any_page, |row| out.push(Schema::read_u64_at(row, 0)))?;
         }
         Ok(())
     }
+}
+
+/// The per-page check of the walk's segment scans: none, since a merge
+/// reads the whole old cube.
+fn any_page(_page: u64) -> Result<()> {
+    Ok(())
 }
 
 /// Where a walk's output goes: the two calls whose order fixes the

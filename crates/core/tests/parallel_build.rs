@@ -11,12 +11,12 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use cure_core::sink::RowResolver;
+use cure_core::sink::fact_row_resolver;
 use cure_core::{
     build_cure_cube, CatFormat, CubeConfig, CubeSchema, CubeSink, Dimension, DiskSink, NodeId,
     SinkStats, Tuples,
 };
-use cure_storage::{Catalog, Schema};
+use cure_storage::Catalog;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     cure_storage::scratch::scratch_dir(&format!("parbuild_{tag}"))
@@ -75,21 +75,6 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// CURE_DR materializes grouping values by re-reading the fact rows.
-fn dr_resolver(catalog: &Catalog, schema: &CubeSchema) -> RowResolver<'static> {
-    let fact = catalog.open_relation("facts").unwrap();
-    let fs = fact.schema().clone();
-    let d = schema.num_dims();
-    let mut buf = vec![0u8; fs.row_width()];
-    Box::new(move |rowid, vals: &mut [u32]| {
-        fact.fetch_into(rowid, &mut buf)?;
-        for (i, o) in vals.iter_mut().enumerate().take(d) {
-            *o = Schema::read_u32_at(&buf, fs.offset(i));
-        }
-        Ok(())
-    })
-}
-
 fn build(dir: &Path, dr: bool, threads: usize) -> BTreeMap<String, Vec<u8>> {
     let schema = test_schema();
     let catalog = Catalog::open(dir).unwrap();
@@ -97,7 +82,7 @@ fn build(dir: &Path, dr: bool, threads: usize) -> BTreeMap<String, Vec<u8>> {
     // Small budget so the build partitions (the parallel path is the
     // partition passes; in-memory builds short-circuit it).
     let cfg = CubeConfig { memory_budget_bytes: 8 << 10, ..CubeConfig::default() };
-    let resolver = dr.then(|| dr_resolver(&catalog, &schema));
+    let resolver = dr.then(|| fact_row_resolver(&catalog, "facts").unwrap());
     let mut sink = DiskSink::new(&catalog, "cube_", &schema, dr, false, resolver).unwrap();
     let report =
         build_cure_cube(&catalog, "facts", &schema, &cfg, &mut sink, "tmp_", threads).unwrap();

@@ -15,6 +15,8 @@
 //!   substitution argument);
 //! * [`zipf`] — the Zipf sampler everything above uses.
 
+#![forbid(unsafe_code)]
+
 pub mod apb;
 pub mod surrogates;
 pub mod synthetic;

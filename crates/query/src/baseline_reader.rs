@@ -40,14 +40,13 @@ impl<'a> BucCube<'a> {
         let rs = rel.schema().clone();
         let arity = rs.arity() - self.y;
         let mut out = Vec::with_capacity(rel.num_rows() as usize);
-        let mut scan = rel.scan();
-        while let Some(row) = scan.next_row()? {
+        rel.for_each_row(|_, row| {
             let dims: Vec<u32> =
                 (0..arity).map(|i| Schema::read_u32_at(row, rs.offset(i))).collect();
             let aggs: Vec<i64> =
                 (0..self.y).map(|m| Schema::read_i64_at(row, rs.offset(arity + m))).collect();
             out.push((dims, aggs));
-        }
+        })?;
         Ok(out)
     }
 }
@@ -86,8 +85,7 @@ impl<'a> BubstCube<'a> {
         let path = flatnode::path(node);
         let mut out = Vec::new();
         let mut fact_buf = vec![0u8; self.fact_schema.row_width()];
-        let mut scan = rel.scan();
-        while let Some(raw) = scan.next_row()? {
+        rel.try_for_each_row(|_, raw| {
             let row: BubstRow = cure_baselines::bubst::decode_bubst_row(&rs, self.d, self.y, raw);
             if !row.is_bst {
                 if row.node == node {
@@ -105,7 +103,8 @@ impl<'a> BubstCube<'a> {
                     .collect();
                 out.push((dims, row.aggs));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 }

@@ -25,7 +25,9 @@
 //!
 //! Either way a query returns the same rows in the same order as the
 //! exclusive handle, and the [`QueryGuard`]'s deadline and quarantine
-//! are checked before each fact or `AGGREGATES` page a query touches.
+//! are checked before each page a query touches: each page of the
+//! segment its node sources are read from, and each fact and
+//! `AGGREGATES` page.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -109,10 +111,10 @@ impl Default for CacheConfig {
 
 /// Pages the serving layer has marked as known-corrupt.
 ///
-/// Consulted by [`ConcurrentCube::node_query_guarded`] *before* each fact
-/// or `AGGREGATES` page is read, so repeat reads of a page that already
-/// failed its checksum become fast typed failures instead of further
-/// disk I/O. Implemented by the quarantine set in `cure-serve`.
+/// Consulted by [`ConcurrentCube::node_query_guarded`] *before* each
+/// segment, fact or `AGGREGATES` page is read, so repeat reads of a page
+/// that already failed its checksum become fast typed failures instead
+/// of further disk I/O. Implemented by the quarantine set in `cure-serve`.
 pub trait PageQuarantine: Sync {
     /// Whether `(relation, page)` is currently quarantined.
     fn is_quarantined(&self, relation: &str, page: u64) -> bool;
@@ -184,7 +186,8 @@ const _: () = {
 
 /// [`RowFetcher`] of a [`ConcurrentCube`]: each fetch reads the pages of
 /// the relation's [`Source`] — gathered through a shared cache, or
-/// borrowed from the mapping — after the guard's check on each page.
+/// borrowed from the mapping — after the guard's check on each page, and
+/// the guard checks each segment page a source scan reads too.
 struct SharedFetcher<'f, 'g> {
     cube: &'f ConcurrentCube,
     guard: &'f QueryGuard<'g>,
@@ -209,6 +212,10 @@ impl RowFetcher for SharedFetcher<'_, '_> {
         let c = self.cube;
         c.stats.agg_fetches.fetch_add(rowids.len() as u64, Ordering::Relaxed);
         fetch(&c.aggregates, &c.agg_name, &c.agg_cache, self.guard, rowids, visit)
+    }
+
+    fn before_segment_page(&self, page: u64) -> Result<()> {
+        self.guard.check_page(self.cube.relations.segment_name(), page)
     }
 }
 
@@ -413,9 +420,10 @@ impl ConcurrentCube {
 
     /// [`node_query`](Self::node_query) under a [`QueryGuard`]: the same
     /// answer when nothing intervenes, [`CubeError::Timeout`] when the
-    /// guard's deadline passes mid-query (checked before each page
-    /// fetch), and a typed [`StorageError::CorruptPage`] without touching
-    /// the page when a fetch would land on a quarantined one.
+    /// guard's deadline passes mid-query (checked before each page read),
+    /// and a typed [`StorageError::CorruptPage`] without touching the
+    /// page when a read would land on a quarantined one — a segment,
+    /// fact or `AGGREGATES` page.
     pub fn node_query_guarded(&self, node: NodeId, guard: &QueryGuard<'_>) -> Result<Vec<CubeRow>> {
         self.answer(node, guard, None)
     }
@@ -595,6 +603,10 @@ mod tests {
             visit: impl FnMut(usize, &[u8]) -> Result<()>,
         ) -> Result<()> {
             self.inner.fetch_aggs(rowids, visit)
+        }
+
+        fn before_segment_page(&self, page: u64) -> Result<()> {
+            self.inner.before_segment_page(page)
         }
     }
 
@@ -810,55 +822,99 @@ mod tests {
         }
     }
 
+    /// Every page of the cube's segment a query of `node` reads, from
+    /// the segment's directory: the extents of the node's NT and CAT and
+    /// of the TT of each node on its plan path.
+    fn segment_pages(
+        cube: &ConcurrentCube,
+        dir: &cure_storage::Directory,
+        node: NodeId,
+    ) -> BTreeSet<u64> {
+        use cure_core::sink::{cat_rel_name, nt_rel_name, tt_rel_name};
+        let p = &cube.meta.prefix;
+        let mut names = vec![nt_rel_name(p, node), cat_rel_name(p, node)];
+        names.extend(cube.plan.path_to(node).unwrap().into_iter().map(|m| tt_rel_name(p, m)));
+        let extents = names.iter().filter_map(|name| dir.get(name)).flat_map(|e| &e.extents);
+        extents.flat_map(|x| x.first_page..x.first_page + u64::from(x.pages)).collect()
+    }
+
     #[test]
     fn one_quarantined_fact_page_fails_exactly_the_nodes_that_read_it() {
         let (catalog, schema, prefix) = build_test_cube("guard_one_page");
-        let open =
-            || ConcurrentCube::open(Arc::clone(&catalog), Arc::clone(&schema), &prefix).unwrap();
-        let probe_cube = open();
+        let open = |read_path| {
+            ConcurrentCube::open_with_read_path(
+                Arc::clone(&catalog),
+                Arc::clone(&schema),
+                &prefix,
+                CacheConfig::default(),
+                read_path,
+            )
+            .unwrap()
+        };
+        let probe_cube = open(ReadPath::Cache);
         let nodes = probe_cube.coder().num_nodes();
         let reference: Vec<_> = (0..nodes).map(|n| probe_cube.node_query(n).unwrap()).collect();
-        let pages: Vec<BTreeSet<u64>> =
+        let fact_pages: Vec<BTreeSet<u64>> =
             (0..nodes).map(|n| fact_access(&probe_cube, n).pages).collect();
-        // A sealed page that some nodes read and some do not.
-        let page = pages
-            .iter()
-            .flatten()
-            .copied()
-            .find(|p| pages.iter().any(|s| !s.contains(p)))
-            .expect("test cube has no page that only some nodes read");
+        let segment = catalog.open_segment(&prefix).unwrap();
+        let segment_pages: Vec<BTreeSet<u64>> =
+            (0..nodes).map(|n| segment_pages(&probe_cube, segment.directory(), n)).collect();
+        // A page that some nodes read and some do not.
+        let pick = |pages: &[BTreeSet<u64>]| {
+            pages
+                .iter()
+                .flatten()
+                .copied()
+                .find(|p| pages.iter().any(|s| !s.contains(p)))
+                .expect("test cube has no page that only some nodes read")
+        };
+
+        // Quarantine `page` of `relation` and query every node on `cube`:
+        // exactly the nodes that read the page fail, typed and fast.
+        let sweep = |cube: &ConcurrentCube, relation: &str, page: u64, pages: &[BTreeSet<u64>]| {
+            let quarantine = QuarantineOne { relation: relation.to_string(), page };
+            let guard = QueryGuard { deadline: None, quarantine: Some(&quarantine) };
+            let (mut answered, mut rejected) = (0, 0);
+            for node in 0..nodes {
+                let reads_page = pages[node as usize].contains(&page);
+                match cube.node_query_guarded(node, &guard) {
+                    Ok(rows) => {
+                        assert!(
+                            !reads_page,
+                            "node {node} answered through quarantined page {page} of {relation}"
+                        );
+                        assert_eq!(rows, reference[node as usize], "node {node} diverged");
+                        answered += 1;
+                    }
+                    Err(CubeError::Storage(StorageError::CorruptPage {
+                        relation: r,
+                        page: p,
+                        detail,
+                    })) => {
+                        assert!(reads_page, "node {node} rejected without reading page {page}");
+                        assert_eq!((r.as_str(), p), (relation, page));
+                        assert!(detail.contains("quarantined"), "{detail}");
+                        rejected += 1;
+                    }
+                    Err(e) => panic!("node {node}: unexpected error {e}"),
+                }
+            }
+            assert!(answered > 0 && rejected > 0, "answered {answered}, rejected {rejected}");
+        };
 
         // A fresh handle, so its fact cache starts cold.
-        let cube = open();
-        let quarantine = QuarantineOne { relation: cube.fact_relation(), page };
-        let guard = QueryGuard { deadline: None, quarantine: Some(&quarantine) };
-        let (mut answered, mut rejected) = (0, 0);
-        for node in 0..nodes {
-            let reads_page = pages[node as usize].contains(&page);
-            match cube.node_query_guarded(node, &guard) {
-                Ok(rows) => {
-                    assert!(!reads_page, "node {node} answered through quarantined page {page}");
-                    assert_eq!(rows, reference[node as usize], "node {node} diverged");
-                    answered += 1;
-                }
-                Err(CubeError::Storage(StorageError::CorruptPage {
-                    relation,
-                    page: p,
-                    detail,
-                })) => {
-                    assert!(reads_page, "node {node} rejected without reading page {page}");
-                    assert_eq!((relation, p), (cube.fact_relation(), page));
-                    assert!(detail.contains("quarantined"), "{detail}");
-                    rejected += 1;
-                }
-                Err(e) => panic!("node {node}: unexpected error {e}"),
-            }
+        let cube = open(ReadPath::Cache);
+        sweep(&cube, &cube.fact_relation(), pick(&fact_pages), &fact_pages);
+        // A page of the segment every node source is read from, on both
+        // read paths.
+        for read_path in [ReadPath::Cache, ReadPath::Mmap] {
+            sweep(&open(read_path), segment.name(), pick(&segment_pages), &segment_pages);
         }
-        assert!(answered > 0 && rejected > 0, "answered {answered}, rejected {rejected}");
 
         // Every shard of the cache can hold every fact page, so a page
         // loaded during the sweep is still resident; the quarantined one
         // costs a page read now because it was never loaded.
+        let page = pick(&fact_pages);
         let fact = fact_heap(&cube);
         let rows_per_page = fact.rows_per_page() as u64;
         let fact_cache = cube.fact_cache();
@@ -867,10 +923,13 @@ mod tests {
         let mut buf = vec![0u8; cube.fact_schema.row_width()];
         let mut page_reads_to_fetch = |p: u64| {
             let before = catalog.stats().pages_read();
-            fact.fetch_shared(p * rows_per_page, &cube.fact_cache, &mut buf).unwrap();
+            fact.gather_shared(&[p * rows_per_page], &cube.fact_cache, &mut buf, |_| {
+                Ok::<(), StorageError>(())
+            })
+            .unwrap();
             catalog.stats().pages_read() - before
         };
-        let loaded = pages
+        let loaded = fact_pages
             .iter()
             .filter(|s| !s.contains(&page))
             .flatten()

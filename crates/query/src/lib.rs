@@ -28,6 +28,8 @@
 //! the private `resolve` module and driven by both cube front ends, on
 //! every read path.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline_reader;
 pub mod concurrent;
 pub mod cure_reader;

@@ -93,6 +93,12 @@ pub(crate) trait RowFetcher {
         rowids: &[u64],
         visit: impl FnMut(usize, &[u8]) -> Result<()>,
     ) -> Result<()>;
+
+    /// The check before each page of the cube's segment that a source
+    /// scan reads; its error aborts the query. None by default.
+    fn before_segment_page(&self, _page: u64) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// A heap relation a handle reads rows from by row-id: the fact table
@@ -121,7 +127,7 @@ impl Source {
     /// corrupt-page errors carry; empty for an absent one.
     pub(crate) fn relation_name(&self) -> String {
         match self {
-            Source::Relation(rel) => rel.relation_name(),
+            Source::Relation(rel) => rel.relation_name().to_string(),
             Source::Mapped(rel) => rel.relation_name().to_string(),
             Source::Absent => String::new(),
         }
@@ -229,13 +235,18 @@ impl NodeRelations {
         })
     }
 
-    /// Run `f` over every row of segment relation `entry`, in row order.
-    fn for_each_row(&self, entry: &SegmentEntry, f: impl FnMut(&[u8])) -> Result<()> {
+    /// Run `f` over every row of segment relation `entry`, in row order,
+    /// after `before_page` on each page.
+    fn for_each_row(
+        &self,
+        entry: &SegmentEntry,
+        before_page: impl FnMut(u64) -> Result<()>,
+        f: impl FnMut(&[u8]),
+    ) -> Result<()> {
         match &self.store {
-            Store::Read(seg) => seg.for_each_row(entry, f)?,
-            Store::Mapped(map) => map.for_each_row(entry, f)?,
+            Store::Read(seg) => seg.for_each_row(entry, before_page, f),
+            Store::Mapped(map) => map.for_each_row(entry, before_page, f),
         }
-        Ok(())
     }
 
     /// The segment's name: the relation its corrupt-page errors carry.
@@ -256,12 +267,20 @@ impl NodeRelations {
     }
 }
 
-/// Run `f` over every row of a relation source, in row-id order.
-/// Absent sources have no rows; bitmaps hold row-ids, not rows.
-fn for_each_row(env: &ResolveEnv<'_>, src: &NodeSource<'_>, f: impl FnMut(&[u8])) -> Result<()> {
+/// Run `f` over every row of a relation source, in row-id order, with
+/// `fetcher`'s check before each segment page. Absent sources have no
+/// rows; bitmaps hold row-ids, not rows.
+fn for_each_row(
+    env: &ResolveEnv<'_>,
+    fetcher: &impl RowFetcher,
+    src: &NodeSource<'_>,
+    f: impl FnMut(&[u8]),
+) -> Result<()> {
     match src {
         NodeSource::Absent => Ok(()),
-        NodeSource::Rows(entry) => env.relations.for_each_row(entry, f),
+        NodeSource::Rows(entry) => {
+            env.relations.for_each_row(entry, |page| fetcher.before_segment_page(page), f)
+        }
         NodeSource::Bitmap(_) => {
             Err(QueryError::Malformed("a bitmap source has no rows".into()).into())
         }
@@ -406,14 +425,14 @@ pub(crate) fn scan_node(
             if env.meta.dr {
                 // CURE_DR NT rows hold their grouping values: no fetch.
                 let arity = env.coder.grouping_arity(&levels);
-                for_each_row(env, &nt, |row| {
+                for_each_row(env, fetcher, &nt, |row| {
                     let dims = (0..arity).map(|i| Schema::read_u32_at(row, rs.offset(i)));
                     let aggs = (0..y).map(|m| Schema::read_i64_at(row, rs.offset(arity + m)));
                     out.push((dims.collect(), aggs.collect()));
                 })?;
                 start = out.len();
             } else {
-                for_each_row(env, &nt, |row| {
+                for_each_row(env, fetcher, &nt, |row| {
                     let rowid = Schema::read_u64_at(row, rs.offset(0));
                     if keep(rowid) {
                         rowids.push(rowid);
@@ -433,7 +452,7 @@ pub(crate) fn scan_node(
             match (&tt, qualifier) {
                 (NodeSource::Bitmap(bm), Some(q)) => rowids.extend(bm.intersect(q).iter()),
                 (NodeSource::Bitmap(bm), None) => rowids.extend(bm.iter()),
-                (src, _) => for_each_row(env, src, |row| {
+                (src, _) => for_each_row(env, fetcher, src, |row| {
                     let rowid = Schema::read_u64_at(row, 0);
                     if keep(rowid) {
                         rowids.push(rowid);
@@ -507,12 +526,12 @@ fn scan_cat(
         }
         (NodeSource::Bitmap(bm), CatFormat::CommonSource) => a_rowids.extend(bm.iter()),
         (src, CatFormat::CommonSource) => {
-            for_each_row(env, src, |row| a_rowids.push(Schema::read_u64_at(row, 0)))?
+            for_each_row(env, fetcher, src, |row| a_rowids.push(Schema::read_u64_at(row, 0)))?
         }
         // A bitmap has no source row-ids, so `for_each_row` rejects it.
         (src, CatFormat::Coincidental) => {
             let a_off = src.schema().map_or(0, |rs| rs.offset(1));
-            for_each_row(env, src, |row| {
+            for_each_row(env, fetcher, src, |row| {
                 let rowid = Schema::read_u64_at(row, 0);
                 if keep(rowid) {
                     sources.push(rowid);

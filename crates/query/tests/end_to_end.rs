@@ -9,7 +9,7 @@ use cure_baselines::buc::BucDiskCube;
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
 use cure_core::partition::build_cure_cube;
-use cure_core::sink::{CatFormatPolicy, DiskSink, RowResolver};
+use cure_core::sink::{fact_row_resolver, CatFormatPolicy, DiskSink};
 use cure_core::{reference, CubeSchema, Dimension, NodeCoder, Tuples};
 use cure_query::rollup::{flat_node_for, rollup};
 use cure_query::{BubstCube, BucCube, CureCube};
@@ -74,21 +74,7 @@ fn check_disk_cube(dr: bool, plus: bool, policy: CatFormatPolicy, tag: &str) {
     store_fact(&catalog, &schema, &t);
     let cfg = CubeConfig { cat_policy: policy, ..CubeConfig::default() };
 
-    let resolver: Option<RowResolver> = if dr {
-        let fact = catalog.open_relation("facts").unwrap();
-        let fs = fact.schema().clone();
-        let d = schema.num_dims();
-        Some(Box::new(move |rowid, out: &mut [u32]| {
-            let mut buf = vec![0u8; fs.row_width()];
-            fact.fetch_into(rowid, &mut buf)?;
-            for (i, o) in out.iter_mut().enumerate().take(d) {
-                *o = cure_storage::Schema::read_u32_at(&buf, fs.offset(i));
-            }
-            Ok(())
-        }))
-    } else {
-        None
-    };
+    let resolver = dr.then(|| fact_row_resolver(&catalog, "facts").unwrap());
     let mut sink = DiskSink::new(&catalog, "c_", &schema, dr, plus, resolver).unwrap();
     let report = CubeBuilder::new(&schema, cfg.clone()).build_in_memory(&t, &mut sink).unwrap();
     CubeMeta {

@@ -1,6 +1,6 @@
 //! Differential test for the zero-copy read path: for every relation of
 //! a built cube — in all three storage schemes (CURE, CURE+, CURE DR) —
-//! mmap reads, per-row `fetch_shared` cache reads and the page-ordered
+//! mmap reads, one-row `gather_shared` cache reads and the page-ordered
 //! `gather_shared` batch must return byte-identical rows, and the mmap
 //! query path must answer every node exactly like the cache query path:
 //! the same rows in the same order, and the same typed error when a
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cure_core::cube::{CubeBuilder, CubeConfig};
 use cure_core::meta::CubeMeta;
-use cure_core::sink::{DiskSink, RowResolver};
+use cure_core::sink::{fact_row_resolver, DiskSink};
 use cure_core::{CubeError, CubeSchema, Dimension, Tuples};
 use cure_query::{
     Attribution, CacheConfig, ConcurrentCube, CubeRow, PageQuarantine, QueryGuard, ReadPath,
@@ -68,20 +68,7 @@ fn build_variant(dr: bool, plus: bool, tag: &str) -> (Arc<Catalog>, Arc<CubeSche
     let mut heap = catalog.create_or_replace("facts", Tuples::fact_schema(d, y)).unwrap();
     t.store_fact(&mut heap).unwrap();
     drop(heap);
-    let resolver: Option<RowResolver> = if dr {
-        let fact = catalog.open_relation("facts").unwrap();
-        let fs = fact.schema().clone();
-        Some(Box::new(move |rowid, out: &mut [u32]| {
-            let mut buf = vec![0u8; fs.row_width()];
-            fact.fetch_into(rowid, &mut buf)?;
-            for (i, o) in out.iter_mut().enumerate().take(d) {
-                *o = cure_storage::Schema::read_u32_at(&buf, fs.offset(i));
-            }
-            Ok(())
-        }))
-    } else {
-        None
-    };
+    let resolver = dr.then(|| fact_row_resolver(&catalog, "facts").unwrap());
     let report = {
         let mut sink = DiskSink::new(&catalog, "c_", &schema, dr, plus, resolver).unwrap();
         CubeBuilder::new(&schema, CubeConfig::default()).build_in_memory(&t, &mut sink).unwrap()
@@ -102,8 +89,8 @@ fn build_variant(dr: bool, plus: bool, tag: &str) -> (Arc<Catalog>, Arc<CubeSche
     (Arc::new(catalog), Arc::new(schema))
 }
 
-/// Every row of every relation, byte-for-byte: mmap vs `fetch_shared`
-/// vs one `gather_shared` of all rows in a scrambled order for the heap
+/// Every row of every relation, byte-for-byte: mmap vs one-row
+/// `gather_shared` vs one `gather_shared` of all rows in a scrambled order for the heap
 /// relations, and the segment read by `pread` vs through its mapping for
 /// every node relation.
 fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
@@ -113,7 +100,9 @@ fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
     assert!(!read.directory().entries().is_empty(), "{tag}: segment has no relations");
     for entry in mapped.directory().entries() {
         let mut rows = Vec::new();
-        mapped.for_each_row(entry, |row| rows.extend_from_slice(row)).unwrap();
+        mapped
+            .for_each_row(entry, |_| Ok::<(), StorageError>(()), |row| rows.extend_from_slice(row))
+            .unwrap();
         assert_eq!(rows, read.rows_of(&entry.name).unwrap(), "{tag}/{}: diverged", entry.name);
     }
     let relations = catalog.list().unwrap();
@@ -126,7 +115,7 @@ fn assert_relations_byte_identical(catalog: &Catalog, tag: &str) {
         let cache = SharedBufferCache::new(8, 2);
         let mut buf = vec![0u8; heap.schema().row_width()];
         for rowid in 0..heap.num_rows() {
-            heap.fetch_shared(rowid, &cache, &mut buf).unwrap();
+            heap.gather_shared(&[rowid], &cache, &mut buf, |_| Ok::<(), StorageError>(())).unwrap();
             let row = mapped.row(rowid).unwrap();
             assert_eq!(
                 &buf[..],

@@ -29,6 +29,8 @@
 //! paper's two hot relations (§5.3): the original fact table and
 //! `AGGREGATES`.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod live;
 pub mod metrics;
@@ -49,6 +51,6 @@ pub use net::{RemoteShardBackend, RemoteShardConfig, ShardServer, ShardServerCon
 pub use resilience::{BreakerState, ResilienceConfig};
 pub use service::{CubeService, QueryOptions, ServeError};
 pub use shard::{replicate_shards, ReplicationReport, ShardRouter, ShardRouterConfig, ShardStats};
-pub use stats::{IngestTotals, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use wire::{ProtocolError, RemoteError, Request, Response, MAX_FRAME_LEN, WIRE_VERSION};
 pub use workload::{NodePopularity, NodeSampler};

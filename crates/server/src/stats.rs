@@ -5,7 +5,7 @@
 //! [`StorageCounters`] for page/fsync/checksum traffic,
 //! [`PhaseTimes`](cure_core::PhaseTimes) and
 //! [`PoolCounters`](cure_core::PoolCounters) inside a [`BuildReport`]
-//! for the build, and [`IngestTotals`] for delta ingest. A [`StatsSnapshot`] stitches
+//! for the build, and [`IngestReport`] for delta ingest. A [`StatsSnapshot`] stitches
 //! whichever of those a command produced into a single JSON object
 //! (`cure-cli build|ingest … --stats file.json`), so one file answers
 //! "what did this run cost in I/O and time". Sections a command did not
@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use cure_core::BuildReport;
+use cure_core::{BuildReport, IngestReport};
 use cure_storage::StorageCounters;
 use serde_json::{json, ToJson, Value};
 
@@ -27,63 +27,6 @@ use serde_json::{json, ToJson, Value};
 /// no nested-object macro).
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect::<BTreeMap<_, _>>())
-}
-
-/// Ingest counters: [`UpdateReport`](cure_core::UpdateReport) totals
-/// plus the epoch/batch bookkeeping of a one-shot (`cure-cli ingest`)
-/// delta application.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IngestTotals {
-    /// Epoch counter after the last applied batch.
-    pub epoch: u64,
-    /// Delta batches applied.
-    pub batches: u64,
-    /// Delta tuples appended to the fact relation.
-    pub delta_rows: u64,
-    /// TTs that lost trivial status at some node.
-    pub tt_demotions: u64,
-    /// Groups merged from both old cube and delta.
-    pub merged_groups: u64,
-    /// Groups carried unchanged from the old cube.
-    pub carried_groups: u64,
-    /// Groups introduced by deltas alone.
-    pub new_groups: u64,
-    /// Catalog objects dropped by old-prefix GC.
-    pub dropped_objects: u64,
-    /// Seconds spent appending + fsyncing deltas.
-    pub append_secs: f64,
-    /// Seconds spent merging (update walk + sink + fsync).
-    pub merge_secs: f64,
-    /// Of `merge_secs`: the update walk.
-    pub walk_secs: f64,
-    /// Of `merge_secs`: writing the merged cubes' pages (no fsync).
-    pub sink_secs: f64,
-    /// Of `merge_secs`: the merged cubes' fsyncs and metadata writes.
-    pub sync_secs: f64,
-    /// Seconds spent dropping superseded cubes.
-    pub gc_secs: f64,
-}
-
-impl IngestTotals {
-    /// Totals of a single one-shot ingest.
-    pub fn from_report(r: &cure_core::IngestReport) -> Self {
-        IngestTotals {
-            epoch: 1,
-            batches: 1,
-            delta_rows: r.delta_rows,
-            tt_demotions: r.update.tt_demotions,
-            merged_groups: r.update.merged_groups,
-            carried_groups: r.update.carried_groups,
-            new_groups: r.update.new_groups,
-            dropped_objects: r.dropped_objects,
-            append_secs: r.append_secs,
-            merge_secs: r.merge_secs,
-            walk_secs: r.walk_secs,
-            sink_secs: r.sink_secs,
-            sync_secs: r.sync_secs,
-            gc_secs: r.gc_secs,
-        }
-    }
 }
 
 /// A combined, JSON-serializable statistics snapshot for one CLI run.
@@ -165,18 +108,20 @@ impl StatsSnapshot {
         ]));
     }
 
-    /// Record the ingest-layer section: epoch/batch counters and the
-    /// accumulated [`UpdateReport`](cure_core::UpdateReport) numbers, so
+    /// Record the ingest-layer section of one ingest (`cure-cli ingest`
+    /// applies one delta batch, moving the cube one epoch): its
+    /// [`UpdateReport`](cure_core::UpdateReport) numbers and timings, so
     /// ingest runs are observable like builds.
-    pub fn set_ingest(&mut self, t: &IngestTotals) {
+    pub fn set_ingest(&mut self, t: &IngestReport) {
+        let u = &t.update;
         self.ingest = Some(obj(vec![
-            ("epoch", json!(t.epoch)),
-            ("batches", json!(t.batches)),
+            ("epoch", json!(1u64)),
+            ("batches", json!(1u64)),
             ("delta_rows", json!(t.delta_rows)),
-            ("tt_demotions", json!(t.tt_demotions)),
-            ("merged_groups", json!(t.merged_groups)),
-            ("carried_groups", json!(t.carried_groups)),
-            ("new_groups", json!(t.new_groups)),
+            ("tt_demotions", json!(u.tt_demotions)),
+            ("merged_groups", json!(u.merged_groups)),
+            ("carried_groups", json!(u.carried_groups)),
+            ("new_groups", json!(u.new_groups)),
             ("dropped_objects", json!(t.dropped_objects)),
             ("append_secs", json!(t.append_secs)),
             ("merge_secs", json!(t.merge_secs)),
@@ -301,14 +246,17 @@ mod tests {
     #[test]
     fn ingest_section_round_trips() {
         let mut snap = StatsSnapshot::new();
-        snap.set_ingest(&IngestTotals {
-            epoch: 3,
-            batches: 3,
+        snap.set_ingest(&IngestReport {
+            update: cure_core::UpdateReport {
+                tt_demotions: 12,
+                merged_groups: 40,
+                carried_groups: 900,
+                new_groups: 77,
+                ..Default::default()
+            },
             delta_rows: 150,
-            tt_demotions: 12,
-            merged_groups: 40,
-            carried_groups: 900,
-            new_groups: 77,
+            old_prefix: "e0_".into(),
+            new_prefix: "e1_".into(),
             dropped_objects: 21,
             append_secs: 0.25,
             merge_secs: 1.5,
@@ -320,7 +268,9 @@ mod tests {
         let text = String::from_utf8(snap.to_pretty_bytes()).unwrap();
         let v = serde_json::from_str(&text).unwrap();
         let ing = v.get("ingest").expect("ingest section");
-        assert_eq!(ing.get("epoch").and_then(Value::as_u64), Some(3));
+        // One ingest applies one batch and moves the cube one epoch.
+        assert_eq!(ing.get("epoch").and_then(Value::as_u64), Some(1));
+        assert_eq!(ing.get("batches").and_then(Value::as_u64), Some(1));
         assert_eq!(ing.get("delta_rows").and_then(Value::as_u64), Some(150));
         assert_eq!(ing.get("sync_secs").and_then(Value::as_f64), Some(0.125));
         assert_eq!(ing.get("tt_demotions").and_then(Value::as_u64), Some(12));

@@ -108,7 +108,7 @@ impl Catalog {
 
     /// Open an existing relation, reading its schema from its header.
     /// This is the writer's open: a torn tail left by a crash is repaired
-    /// by truncation (see [`HeapFile::open_report`]); readers use
+    /// by truncation (see [`HeapFile::open`]); readers use
     /// [`open_sealed`](Self::open_sealed).
     pub fn open_relation(&self, name: &str) -> Result<HeapFile> {
         let path = self.heap_path(name);

@@ -6,14 +6,21 @@
 //! 1. **Append** — cube construction is write-mostly; appends are buffered
 //!    in a tail page and flushed when the page fills.
 //! 2. **Sequential scan** — partitioning and monolithic-format query
-//!    answering scan entire relations.
+//!    answering scan entire relations ([`HeapFile::for_each_row`]).
 //! 3. **Random fetch by row-id** — CURE's NT/TT/CAT formats replace data
 //!    with R-rowid/A-rowid references that are resolved at query time,
-//!    optionally through a [`BufferCache`](crate::cache::BufferCache).
+//!    optionally through a [`BufferCache`](crate::cache::BufferCache), or
+//!    a page-ordered batch at a time through a
+//!    [`SharedBufferCache`](crate::shared_cache::SharedBufferCache)
+//!    ([`HeapFile::gather_shared`]).
 //!
 //! Row-ids are dense `0..num_rows`, so `rowid ↔ (page, slot)` is pure
 //! arithmetic. The file also keeps I/O counters (`pages_read` /
 //! `pages_written`) used by the experiment harness to report I/O volumes.
+//! Every data page is read through the crate's one checked page read
+//! (the crate-private `read` module, shared with segments and mappings):
+//! policy-consulted with retries, at most a page's capacity of rows, and
+//! checksum-verified once per handle.
 //!
 //! ## File layout
 //!
@@ -41,19 +48,19 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
-use crate::io::{fsync_file, no_faults, with_write_retries, IoPolicy, ReadFault, WriteFault};
+use crate::io::{fsync_file, with_write_retries, IoPolicy, WriteFault};
 use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
+use crate::read::{Origin, PageFile, VerifiedPages, Verify};
 use crate::schema::{ColType, Column, Schema, Value};
 use crate::stats::StorageStats;
 
@@ -223,14 +230,14 @@ pub(crate) fn write_slot(
 static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The concurrent serving path shares immutable heap files across worker
-/// threads (`Arc<HeapFile>` + [`fetch_shared`](HeapFile::fetch_shared)).
+/// threads (`Arc<HeapFile>` + [`gather_shared`](HeapFile::gather_shared)).
 const _: () = {
     const fn assert_sync<T: Sync + Send>() {}
     assert_sync::<HeapFile>();
 };
 
-/// What [`HeapFile::open_report`] had to discard to recover a clean tail
-/// after a crash left a torn final page.
+/// What [`HeapFile::open`] had to discard to recover a clean tail after
+/// a crash left a torn final page.
 #[derive(Debug, Clone)]
 pub struct TailRepair {
     /// Trailing bytes removed because the file length was not a page
@@ -246,7 +253,11 @@ pub struct TailRepair {
 /// An append-only relation stored as a sequence of pages.
 pub struct HeapFile {
     file: File,
-    path: PathBuf,
+    /// Path, name, I/O policy and counters: every page write, fsync and
+    /// read goes through them. The counters are attached by
+    /// [`Catalog`](crate::Catalog); a standalone file counts per file
+    /// only.
+    io: PageFile,
     schema: Schema,
     /// Process-unique id used as the buffer-cache key namespace.
     file_id: u64,
@@ -255,27 +266,17 @@ pub struct HeapFile {
     full_pages: u64,
     /// The partially filled tail page (rows not yet on disk unless flushed).
     tail: Page,
-    /// Fault-injection hook consulted before every page write and fsync.
-    policy: Arc<dyn IoPolicy>,
-    /// Catalog-wide counter registry, attached by [`Catalog`](crate::Catalog);
-    /// `None` for standalone files (counting then stays per-file only).
-    stats: Option<Arc<StorageStats>>,
     pages_read: AtomicU64,
     pages_written: AtomicU64,
-    /// Checksum-verification memo: bit set ⇔ the page passed verification
-    /// once through this handle (pages are immutable once full, so one
-    /// check per handle suffices; re-reads skip the CRC).
-    verified: Mutex<Vec<u64>>,
+    /// The pages this handle has verified (full pages are immutable, so
+    /// one check per handle suffices; clean re-reads skip the CRC).
+    verified: VerifiedPages,
 }
 
 impl HeapFile {
-    /// Create a new, empty heap file at `path`, truncating any existing file.
-    pub fn create(path: impl AsRef<Path>, schema: Schema) -> Result<Self> {
-        Self::create_with_policy(path, schema, no_faults())
-    }
-
-    /// [`create`](Self::create) with an explicit I/O policy (fault injection).
-    pub fn create_with_policy(
+    /// Create a new, empty heap file at `path` with I/O policy `policy`,
+    /// truncating any existing file.
+    pub fn create(
         path: impl AsRef<Path>,
         schema: Schema,
         policy: Arc<dyn IoPolicy>,
@@ -292,12 +293,8 @@ impl HeapFile {
         policy: Arc<dyn IoPolicy>,
         exclusive: bool,
     ) -> Result<Self> {
-        let rows_per_page = Page::capacity(schema.row_width());
-        if rows_per_page == 0 {
-            return Err(StorageError::Layout(format!(
-                "row width {} exceeds page capacity",
-                schema.row_width()
-            )));
+        if Page::capacity(schema.row_width()) == 0 {
+            return Err(too_wide(&schema));
         }
         let header = encode_header(&schema)?;
         let mut opts = OpenOptions::new();
@@ -309,70 +306,29 @@ impl HeapFile {
         }
         let file = opts.open(path)?;
         write_slot(policy.as_ref(), &file, path, 0, &header).1?;
-        Ok(HeapFile {
-            file,
-            path: path.to_path_buf(),
-            schema,
-            file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
-            rows_per_page,
-            full_pages: 0,
-            tail: Page::new(),
-            policy,
-            stats: None,
-            pages_read: AtomicU64::new(0),
-            pages_written: AtomicU64::new(0),
-            verified: Mutex::new(Vec::new()),
-        })
+        Ok(HeapFile::with_pages(file, path, schema, 0, policy, None))
     }
 
-    /// Open an existing heap file created with `schema`: its header must
-    /// hold that schema ([`StorageError::Layout`] otherwise), and a header
-    /// cut short by a crash during creation is rewritten from it.
+    /// Open the heap file at `path`, created with `schema`, through I/O
+    /// policy `policy`: its header must hold that schema
+    /// ([`StorageError::Layout`] otherwise), and a header cut short by a
+    /// crash during creation is rewritten from it. Returns the file and
+    /// the torn-tail repair applied, if any.
     ///
     /// The last page on disk, if partially filled, becomes the in-memory
-    /// tail so appends can resume. A torn tail left by a crash (partial
-    /// trailing page, or a final page failing its checksum) is truncated
-    /// back to the last sealed page with a warning on stderr; use
-    /// [`open_report`](Self::open_report) to observe the repair.
-    pub fn open(path: impl AsRef<Path>, schema: Schema) -> Result<Self> {
-        Self::open_with_policy(path, schema, no_faults())
-    }
-
-    /// [`open`](Self::open) with an explicit I/O policy (fault injection).
-    pub fn open_with_policy(
-        path: impl AsRef<Path>,
-        schema: Schema,
-        policy: Arc<dyn IoPolicy>,
-    ) -> Result<Self> {
-        let (hf, repair) = Self::open_report_with_policy(path, schema, policy)?;
-        if let Some(r) = &repair {
-            eprintln!("cure-storage: warning: {}: {}", hf.path.display(), r.reason);
-        }
-        Ok(hf)
-    }
-
-    /// Open, additionally reporting any torn-tail repair that was applied.
-    pub fn open_report(
-        path: impl AsRef<Path>,
-        schema: Schema,
-    ) -> Result<(Self, Option<TailRepair>)> {
-        Self::open_report_with_policy(path, schema, no_faults())
-    }
-
-    /// [`open_report`](Self::open_report) with an explicit I/O policy.
-    ///
-    /// Tail recovery distinguishes two torn-write shapes: a file length
-    /// that is not a page multiple (the crash interrupted a write that was
-    /// extending the file) and a final page whose checksum or row count is
-    /// invalid (the crash interrupted an in-place rewrite of the tail
-    /// page). Both are repaired by truncating to the last sealed page.
-    /// Because truncation is destructive, a checksum-invalid tail is
-    /// confirmed by a second read first: corruption that a re-read does
-    /// not reproduce was a transient read-side fault, and the page is
-    /// kept. Corruption *before* the final page is not repaired — it cannot have
-    /// been produced by a single torn tail write — and surfaces as
-    /// [`StorageError::Corrupt`] on first read of the damaged page.
-    pub fn open_report_with_policy(
+    /// tail so appends can resume. Tail recovery distinguishes two
+    /// torn-write shapes: a file length that is not a page multiple (the
+    /// crash interrupted a write that was extending the file) and a final
+    /// page whose checksum or row count is invalid (the crash interrupted
+    /// an in-place rewrite of the tail page). Both are repaired by
+    /// truncating to the last sealed page. Because truncation is
+    /// destructive, a checksum-invalid tail is confirmed by a second read
+    /// first: corruption that a re-read does not reproduce was a
+    /// transient read-side fault, and the page is kept. Corruption
+    /// *before* the final page is not repaired — it cannot have been
+    /// produced by a single torn tail write — and surfaces as
+    /// [`StorageError::CorruptPage`] on first read of the damaged page.
+    pub fn open(
         path: impl AsRef<Path>,
         schema: Schema,
         policy: Arc<dyn IoPolicy>,
@@ -415,12 +371,8 @@ impl HeapFile {
             }
             None => read_header(&file, path, len)?,
         };
-        let rows_per_page = Page::capacity(schema.row_width());
-        if rows_per_page == 0 {
-            return Err(StorageError::Layout(format!(
-                "row width {} exceeds page capacity",
-                schema.row_width()
-            )));
+        if Page::capacity(schema.row_width()) == 0 {
+            return Err(too_wide(&schema));
         }
         let data_len = len - page_offset(0);
         let excess = data_len % PAGE_SIZE as u64;
@@ -453,7 +405,7 @@ impl HeapFile {
                         // is verified and adopted as the tail if partial.
                         hf.full_pages -= 1;
                         hf.file.set_len(page_offset(hf.full_pages))?;
-                        fsync_file(hf.policy.as_ref(), &hf.file, &hf.path)
+                        fsync_file(hf.io.policy.as_ref(), &hf.file, &hf.io.path)
                             .map_err(StorageError::Io)?;
                         repair = Some(TailRepair {
                             truncated_bytes: PAGE_SIZE as u64
@@ -487,10 +439,7 @@ impl HeapFile {
         let len = file.metadata()?.len();
         let schema = read_header(&file, path, len)?;
         if Page::capacity(schema.row_width()) == 0 {
-            return Err(StorageError::Layout(format!(
-                "row width {} exceeds page capacity",
-                schema.row_width()
-            )));
+            return Err(too_wide(&schema));
         }
         let data_len = len - page_offset(0);
         if !data_len.is_multiple_of(PAGE_SIZE as u64) {
@@ -516,17 +465,15 @@ impl HeapFile {
     ) -> Self {
         HeapFile {
             file,
-            path: path.to_path_buf(),
+            io: PageFile::new(path, policy, stats, false),
             rows_per_page: Page::capacity(schema.row_width()),
             schema,
             file_id: NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed),
             full_pages: pages,
             tail: Page::new(),
-            policy,
-            stats,
             pages_read: AtomicU64::new(0),
             pages_written: AtomicU64::new(0),
-            verified: Mutex::new(Vec::new()),
+            verified: VerifiedPages::default(),
         }
     }
 
@@ -550,7 +497,7 @@ impl HeapFile {
 
     /// Filesystem path of the backing file.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.io.path
     }
 
     /// Process-unique id, namespacing this file's pages in a buffer cache.
@@ -573,7 +520,7 @@ impl HeapFile {
     /// reads/writes, fsyncs and write retries are mirrored into it in
     /// addition to the per-file counters.
     pub fn attach_stats(&mut self, stats: Arc<StorageStats>) {
-        self.stats = Some(stats);
+        self.io.stats = Some(stats);
     }
 
     /// Pages read from disk since creation (cache hits do not count).
@@ -625,10 +572,8 @@ impl HeapFile {
 
     /// Fsync the backing file, making previously flushed pages durable.
     pub fn sync(&self) -> Result<()> {
-        fsync_file(self.policy.as_ref(), &self.file, &self.path).map_err(StorageError::Io)?;
-        if let Some(stats) = &self.stats {
-            stats.count_fsync();
-        }
+        fsync_file(self.io.policy.as_ref(), &self.file, &self.io.path).map_err(StorageError::Io)?;
+        self.io.count(StorageStats::count_fsync);
         Ok(())
     }
 
@@ -637,120 +582,37 @@ impl HeapFile {
         stamped.zero_padding(self.schema.row_width());
         stamped.stamp_checksum();
         let (attempts, result) = write_slot(
-            self.policy.as_ref(),
+            self.io.policy.as_ref(),
             &self.file,
-            &self.path,
+            &self.io.path,
             page_offset(page_no),
             stamped.as_bytes(),
         );
-        if let Some(stats) = &self.stats {
-            // Retries are counted even when the write ultimately fails.
-            stats.count_write_retries(attempts.saturating_sub(1));
-        }
+        // Retries are counted even when the write ultimately fails.
+        self.io.count(|s| s.count_write_retries(attempts.saturating_sub(1)));
         result?;
         self.pages_written.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = &self.stats {
-            stats.count_page_written();
-        }
+        self.io.count(StorageStats::count_page_written);
         Ok(())
     }
 
+    /// Read data page `page_no` through the checked page read: at most a
+    /// page's capacity of rows, checksum verified once per handle.
     fn read_page(&self, page_no: u64) -> Result<Page> {
-        let offset = page_offset(page_no);
-        let mut attempts = 0u64;
-        // Whether the policy tampered with the returned bytes (bit flip /
-        // torn tail): such a read must always be checksum-verified and must
-        // never update the verification memo.
-        let mut tampered = false;
-        let result = with_write_retries(|| {
-            attempts += 1;
-            let mut buf = vec![0u8; PAGE_SIZE];
-            match self.policy.on_read(&self.path, offset, PAGE_SIZE) {
-                ReadFault::Proceed => {
-                    self.file.read_exact_at(&mut buf, offset)?;
-                    Ok(buf)
-                }
-                ReadFault::Fail(e) => Err(e),
-                ReadFault::FlipBit { offset: byte, mask } => {
-                    tampered = true;
-                    self.file.read_exact_at(&mut buf, offset)?;
-                    buf[byte % PAGE_SIZE] ^= mask.max(1);
-                    Ok(buf)
-                }
-                ReadFault::Torn { keep } => {
-                    tampered = true;
-                    self.file.read_exact_at(&mut buf, offset)?;
-                    buf[keep.min(PAGE_SIZE)..].fill(0);
-                    Ok(buf)
-                }
-            }
-        });
-        if let Some(stats) = &self.stats {
-            // Retries are counted even when the read ultimately fails.
-            stats.count_read_retries(attempts.saturating_sub(1));
-        }
-        let buf = result?;
+        let (image, tampered) =
+            self.io.read(Origin::File(&self.file), page_offset(page_no), PAGE_SIZE)?;
         self.pages_read.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = &self.stats {
-            stats.count_page_read();
-        }
-        let page = Page::from_bytes(buf.into_boxed_slice())?;
-        // A row count beyond capacity can only come from a damaged header
-        // (e.g. a torn header-only write); the checksum may not catch it
-        // when the stored checksum is the legacy "never stamped" zero.
-        if page.nrows() > self.rows_per_page {
-            return Err(StorageError::CorruptPage {
-                relation: self.relation_name(),
-                page: page_no,
-                detail: format!(
-                    "row count {} exceeds capacity {}",
-                    page.nrows(),
-                    self.rows_per_page
-                ),
-            });
-        }
-        // Verify the checksum the first time this handle sees the page;
-        // full pages are immutable, so later clean re-reads skip the CRC
-        // work. Policy-tampered reads always verify and never memoize —
-        // otherwise injected corruption on a re-read would pass silently.
-        let (word, bit) = ((page_no / 64) as usize, page_no % 64);
-        let mut verified = self.verified.lock();
-        if verified.len() <= word {
-            verified.resize(word + 1, 0);
-        }
-        let already = verified[word] & (1 << bit) != 0;
-        if tampered || !already {
-            if let Some(stats) = &self.stats {
-                stats.count_checksum_verification();
-            }
-            if let Err(e) = page.verify_checksum() {
-                if let Some(stats) = &self.stats {
-                    stats.count_checksum_failure();
-                }
-                // A page seen corrupt must be re-verified on its next read.
-                verified[word] &= !(1 << bit);
-                let detail = match e {
-                    StorageError::Corrupt(msg) => msg,
-                    other => other.to_string(),
-                };
-                return Err(StorageError::CorruptPage {
-                    relation: self.relation_name(),
-                    page: page_no,
-                    detail,
-                });
-            }
-            if !tampered {
-                verified[word] |= 1 << bit;
-            }
-        }
-        Ok(page)
+        self.io.count(StorageStats::count_page_read);
+        let verify = Verify::Once { memo: &self.verified, tampered };
+        self.io.check(page_no, &image, verify, Some(self.rows_per_page))?;
+        Page::from_bytes(image.into_owned().into_boxed_slice())
     }
 
     /// The relation name this heap file stores (its file stem) — the
     /// identity [`StorageError::CorruptPage`] and the serving layer's
     /// quarantine key by.
-    pub fn relation_name(&self) -> String {
-        self.path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default()
+    pub fn relation_name(&self) -> &str {
+        &self.io.name
     }
 
     /// Rows per full page for this file's row width (so callers can map a
@@ -763,13 +625,7 @@ impl HeapFile {
     /// disk, verifying its checksum: the repair probe behind the serving
     /// layer's quarantine. `Ok` means the on-disk bytes are sound again.
     pub fn reverify_page(&self, page_no: u64) -> Result<()> {
-        {
-            let (word, bit) = ((page_no / 64) as usize, page_no % 64);
-            let mut verified = self.verified.lock();
-            if let Some(w) = verified.get_mut(word) {
-                *w &= !(1 << bit);
-            }
-        }
+        self.verified.forget(page_no);
         if page_no >= self.full_pages {
             // The tail page lives in memory and has no on-disk checksum.
             return Ok(());
@@ -800,7 +656,7 @@ impl HeapFile {
         let w = schema.row_width();
         let rows_per_page = Page::capacity(w);
         if rows_per_page == 0 {
-            return Err(StorageError::Layout(format!("row width {w} exceeds page capacity")));
+            return Err(too_wide(schema));
         }
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
@@ -839,16 +695,19 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Fetch row `rowid`, copying its bytes into `out`.
-    ///
-    /// Rows in the in-memory tail are served without I/O. Disk pages are
-    /// read directly; see [`fetch_cached`](Self::fetch_cached) for the
-    /// cache-mediated path used during query answering.
-    pub fn fetch_into(&self, rowid: RowId, out: &mut [u8]) -> Result<()> {
+    /// Copy row `rowid` into `out`, after checking that `out` holds one
+    /// row and that the row exists: from the in-memory tail without I/O,
+    /// else from the page `load` returns.
+    fn fetch_with<P: Borrow<Page>>(
+        &self,
+        rowid: RowId,
+        out: &mut [u8],
+        load: impl FnOnce(u64) -> Result<P>,
+    ) -> Result<()> {
         let w = self.schema.row_width();
         if out.len() != w {
             return Err(StorageError::Layout(format!(
-                "fetch_into: buffer {} bytes, row width {w}",
+                "row fetch: buffer {} bytes, row width {w}",
                 out.len()
             )));
         }
@@ -859,11 +718,19 @@ impl HeapFile {
         let slot = (rowid % self.rows_per_page as u64) as usize;
         if page_no == self.full_pages {
             out.copy_from_slice(self.tail.row(w, slot));
-            return Ok(());
+        } else {
+            out.copy_from_slice(load(page_no)?.borrow().row(w, slot));
         }
-        let page = self.read_page(page_no)?;
-        out.copy_from_slice(page.row(w, slot));
         Ok(())
+    }
+
+    /// Fetch row `rowid`, copying its bytes into `out`.
+    ///
+    /// Rows in the in-memory tail are served without I/O. Disk pages are
+    /// read directly; see [`fetch_cached`](Self::fetch_cached) for the
+    /// cache-mediated path used during query answering.
+    pub fn fetch_into(&self, rowid: RowId, out: &mut [u8]) -> Result<()> {
+        self.fetch_with(rowid, out, |page_no| self.read_page(page_no))
     }
 
     /// Fetch row `rowid` through a [`BufferCache`](crate::cache::BufferCache).
@@ -877,76 +744,24 @@ impl HeapFile {
         cache: &mut crate::cache::BufferCache,
         out: &mut [u8],
     ) -> Result<()> {
-        let w = self.schema.row_width();
-        if out.len() != w {
-            return Err(StorageError::Layout(format!(
-                "fetch_cached: buffer {} bytes, row width {w}",
-                out.len()
-            )));
-        }
-        if rowid >= self.num_rows() {
-            return Err(StorageError::RowOutOfBounds { rowid, num_rows: self.num_rows() });
-        }
-        let page_no = rowid / self.rows_per_page as u64;
-        let slot = (rowid % self.rows_per_page as u64) as usize;
-        if page_no == self.full_pages {
-            out.copy_from_slice(self.tail.row(w, slot));
-            return Ok(());
-        }
-        let page = cache.get_or_load(self.file_id, page_no, || self.read_page(page_no))?;
-        out.copy_from_slice(page.row(w, slot));
-        Ok(())
-    }
-
-    /// Fetch row `rowid` through a [`SharedBufferCache`](crate::shared_cache::SharedBufferCache).
-    ///
-    /// The `&self` counterpart of [`fetch_cached`](Self::fetch_cached):
-    /// reads go through pread-style positioned I/O and the shared sharded
-    /// cache, so an immutable (fully flushed) heap file can be fetched
-    /// from many threads concurrently. Rows in the in-memory tail are
-    /// served without I/O, exactly as in the exclusive path.
-    pub fn fetch_shared(
-        &self,
-        rowid: RowId,
-        cache: &crate::shared_cache::SharedBufferCache,
-        out: &mut [u8],
-    ) -> Result<()> {
-        let w = self.schema.row_width();
-        if out.len() != w {
-            return Err(StorageError::Layout(format!(
-                "fetch_shared: buffer {} bytes, row width {w}",
-                out.len()
-            )));
-        }
-        if rowid >= self.num_rows() {
-            return Err(StorageError::RowOutOfBounds { rowid, num_rows: self.num_rows() });
-        }
-        let page_no = rowid / self.rows_per_page as u64;
-        let slot = (rowid % self.rows_per_page as u64) as usize;
-        if page_no == self.full_pages {
-            out.copy_from_slice(self.tail.row(w, slot));
-            return Ok(());
-        }
-        cache.with_page_or_load(
-            self.file_id,
-            page_no,
-            || self.read_page(page_no),
-            |page| {
-                out.copy_from_slice(page.row(w, slot));
-            },
-        )
+        self.fetch_with(rowid, out, |page_no| {
+            cache.get_or_load(self.file_id, page_no, || self.read_page(page_no))
+        })
     }
 
     /// Fetch many rows through a [`SharedBufferCache`](crate::shared_cache::SharedBufferCache),
-    /// visiting each distinct page once.
+    /// visiting each distinct page once: the `&self` fetch of the
+    /// concurrent serving path, which reads pread-style and shares pages
+    /// across threads, so an immutable (fully flushed) heap file can be
+    /// fetched from many threads at once.
     ///
     /// Row `rowids[i]` is copied to `out[i * w..(i + 1) * w]` (`w` the row
     /// width), so callers see rows in input order while the file is read
     /// in page order: row-ids are bucketed by page with a counting sort
     /// (O(n + pages spanned)), then every page costs one shard lock, one
     /// LRU lookup and, on a miss, one checksum-verified load. Rows in the
-    /// in-memory tail page are served without I/O, as in
-    /// [`fetch_shared`](Self::fetch_shared). Duplicate row-ids are allowed.
+    /// in-memory tail page are served without I/O. Duplicate row-ids are
+    /// allowed.
     ///
     /// `before_page(page_no)` runs before each page (the tail included)
     /// is touched; its error aborts the gather, so a caller can stop
@@ -1033,14 +848,9 @@ impl HeapFile {
         self.schema.decode_row(&buf)
     }
 
-    /// Streaming sequential scan over all rows (disk pages + tail).
-    pub fn scan(&self) -> RowScan<'_> {
-        RowScan { hf: self, page_no: 0, slot: 0, current: None }
-    }
-
     /// Run `f` over every row, in row-id order. Returns the number of rows
-    /// visited. Prefer this over [`scan`](Self::scan) in hot loops — the
-    /// closure receives a borrow of the page buffer with no per-row copy.
+    /// visited. The closure receives a borrow of the page buffer with no
+    /// per-row copy.
     pub fn for_each_row(&self, mut f: impl FnMut(RowId, &[u8])) -> Result<u64> {
         self.try_for_each_row(|rowid, row| {
             f(rowid, row);
@@ -1071,52 +881,16 @@ impl HeapFile {
     }
 }
 
-/// Streaming cursor over a heap file. Not a std `Iterator` because each row
-/// borrows the cursor's internal page buffer (a lending iterator).
-pub struct RowScan<'a> {
-    hf: &'a HeapFile,
-    page_no: u64,
-    slot: usize,
-    current: Option<Page>,
-}
-
-impl<'a> RowScan<'a> {
-    /// Advance and return the next row, or `None` at end of file.
-    pub fn next_row(&mut self) -> Result<Option<&[u8]>> {
-        let w = self.hf.schema.row_width();
-        loop {
-            if self.page_no > self.hf.full_pages {
-                return Ok(None);
-            }
-            // The tail page, or the current full page (read on first use).
-            let page: *const Page = if self.page_no == self.hf.full_pages {
-                &self.hf.tail
-            } else if let Some(page) = &self.current {
-                page
-            } else {
-                self.current.insert(self.hf.read_page(self.page_no)?)
-            };
-            // SAFETY: the page lives in the borrowed heap file's tail or in
-            // `self.current`, which only a later `next_row` call replaces;
-            // the returned borrow's lifetime is tied to `&mut self`, so the
-            // caller cannot hold it across that replacement.
-            let page = unsafe { &*page };
-            if self.slot < page.nrows() {
-                let slot = self.slot;
-                self.slot += 1;
-                return Ok(Some(page.row(w, slot)));
-            }
-            self.page_no += 1;
-            self.slot = 0;
-            self.current = None;
-        }
-    }
+/// The error for a schema whose rows do not fit a page.
+fn too_wide(schema: &Schema) -> StorageError {
+    StorageError::Layout(format!("row width {} exceeds page capacity", schema.row_width()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::BufferCache;
+    use crate::io::no_faults;
     use crate::schema::{ColType, Column};
     use crate::scratch::scratch_dir;
 
@@ -1127,7 +901,7 @@ mod tests {
     #[test]
     fn append_fetch_roundtrip() {
         let path = scratch_dir("heap").join("roundtrip.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         for i in 0..10_000u32 {
             let rid = hf.append(&[Value::U32(i), Value::I64(-(i as i64))]).unwrap();
             assert_eq!(rid, i as u64);
@@ -1143,7 +917,7 @@ mod tests {
     #[test]
     fn out_of_bounds_fetch_errors() {
         let path = scratch_dir("heap").join("oob.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         hf.append(&[Value::U32(1), Value::I64(2)]).unwrap();
         assert!(matches!(
             hf.fetch_values(1).unwrap_err(),
@@ -1154,24 +928,24 @@ mod tests {
     #[test]
     fn scan_sees_all_rows_in_order() {
         let path = scratch_dir("heap").join("scan.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         let n = 5_000u32;
         for i in 0..n {
             hf.append(&[Value::U32(i), Value::I64(i as i64)]).unwrap();
         }
-        let mut scan = hf.scan();
         let mut count = 0u32;
-        while let Some(row) = scan.next_row().unwrap() {
+        hf.for_each_row(|_, row| {
             assert_eq!(Schema::read_u32_at(row, 0), count);
             count += 1;
-        }
+        })
+        .unwrap();
         assert_eq!(count, n);
     }
 
     #[test]
     fn for_each_row_matches_scan() {
         let path = scratch_dir("heap").join("foreach.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         for i in 0..3_000u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
         }
@@ -1190,13 +964,13 @@ mod tests {
     fn reopen_resumes_appends() {
         let path = scratch_dir("heap").join("reopen.heap");
         {
-            let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+            let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
             for i in 0..1_234u32 {
                 hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
             }
             hf.flush().unwrap();
         }
-        let mut hf = HeapFile::open(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::open(&path, small_schema(), no_faults()).unwrap().0;
         assert_eq!(hf.num_rows(), 1_234);
         let rid = hf.append(&[Value::U32(9_999), Value::I64(1)]).unwrap();
         assert_eq!(rid, 1_234);
@@ -1208,7 +982,7 @@ mod tests {
     #[test]
     fn cached_fetch_counts_hits() {
         let path = scratch_dir("heap").join("cached.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         for i in 0..50_000u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
         }
@@ -1225,7 +999,7 @@ mod tests {
     #[test]
     fn data_bytes_reports_logical_volume() {
         let path = scratch_dir("heap").join("bytes.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         for i in 0..10u32 {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
         }
@@ -1236,7 +1010,7 @@ mod tests {
     fn corrupted_page_detected() {
         use std::io::{Read, Seek, SeekFrom, Write};
         let path = scratch_dir("heap").join("corrupt.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         let rows_per_page = Page::capacity(hf.schema().row_width());
         for i in 0..(rows_per_page as u32 + 10) {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
@@ -1251,7 +1025,7 @@ mod tests {
         f.seek(SeekFrom::Start(page_offset(0) + 100)).unwrap();
         f.write_all(&[b[0] ^ 0x55]).unwrap();
         drop(f);
-        let hf = HeapFile::open(&path, small_schema()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), no_faults()).unwrap().0;
         let err = hf.fetch_values(0).unwrap_err();
         match err {
             StorageError::CorruptPage { relation, page, .. } => {
@@ -1273,7 +1047,7 @@ mod tests {
         let rows_per_page = Page::capacity(12);
         let sealed = rows_per_page as u32 * 2;
         {
-            let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+            let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
             for i in 0..sealed {
                 hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
             }
@@ -1283,7 +1057,7 @@ mod tests {
         let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xAAu8; 100]).unwrap();
         drop(f);
-        let (hf, repair) = HeapFile::open_report(&path, small_schema()).unwrap();
+        let (hf, repair) = HeapFile::open(&path, small_schema(), no_faults()).unwrap();
         let repair = repair.expect("torn tail must be reported");
         assert_eq!(repair.truncated_bytes, 100);
         assert!(!repair.dropped_page);
@@ -1301,7 +1075,7 @@ mod tests {
         let rows_per_page = Page::capacity(12);
         let total = rows_per_page as u32 + 10; // one sealed page + tail
         {
-            let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+            let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
             for i in 0..total {
                 hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
             }
@@ -1312,7 +1086,7 @@ mod tests {
         f.seek(SeekFrom::Start(page_offset(1) + 20)).unwrap();
         f.write_all(&[0xFF; 8]).unwrap();
         drop(f);
-        let (mut hf, repair) = HeapFile::open_report(&path, small_schema()).unwrap();
+        let (mut hf, repair) = HeapFile::open(&path, small_schema(), no_faults()).unwrap();
         let repair = repair.expect("dropped page must be reported");
         assert!(repair.dropped_page);
         assert_eq!(hf.num_rows(), rows_per_page as u64, "sealed page survives");
@@ -1329,7 +1103,7 @@ mod tests {
         use std::io::{Seek, SeekFrom, Write};
         let path = scratch_dir("heap").join("garbage_nrows.heap");
         {
-            let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+            let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
             hf.append(&[Value::U32(1), Value::I64(1)]).unwrap();
             hf.flush().unwrap();
         }
@@ -1338,13 +1112,13 @@ mod tests {
         // nrows = u16::MAX, checksum field zeroed.
         f.write_all(&[0xFF, 0xFF, 0, 0, 0, 0, 0, 0]).unwrap();
         drop(f);
-        let (hf, repair) = HeapFile::open_report(&path, small_schema()).unwrap();
+        let (hf, repair) = HeapFile::open(&path, small_schema(), no_faults()).unwrap();
         assert!(repair.expect("reported").dropped_page);
         assert_eq!(hf.num_rows(), 0);
     }
 
     fn write_rows(path: &std::path::Path, n: u32) {
-        let mut hf = HeapFile::create(path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(path, small_schema(), no_faults()).unwrap();
         for i in 0..n {
             hf.append(&[Value::U32(i), Value::I64(i as i64)]).unwrap();
         }
@@ -1367,7 +1141,7 @@ mod tests {
             std::fs::read(&reference).unwrap(),
             "repaired file is byte-identical to a build that stopped at the seal"
         );
-        let hf = HeapFile::open(&path, small_schema()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), no_faults()).unwrap().0;
         assert_eq!(hf.num_rows(), sealed as u64);
         assert_eq!(hf.fetch_values(sealed as u64 - 1).unwrap()[0], Value::U32(sealed - 1));
     }
@@ -1417,7 +1191,7 @@ mod tests {
         let path = scratch_dir("heap").join("injected.heap");
         // Write 0 is the header slot, so write 2 is the second data page.
         let policy = Arc::new(FaultInjector::fail_nth_write(2, FaultKind::Enospc));
-        let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), policy.clone()).unwrap();
         let rows_per_page = Page::capacity(12) as u32;
         let mut result = Ok(0);
         for i in 0..rows_per_page * 3 {
@@ -1442,20 +1216,20 @@ mod tests {
         // Write 0 is the header slot; the faults land on the first data page.
         let policy =
             Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
-        let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), policy).unwrap();
         for i in 0..(Page::capacity(12) as u32 + 1) {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();
         }
         hf.flush().unwrap();
         hf.sync().unwrap();
-        let hf = HeapFile::open(&path, small_schema()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), no_faults()).unwrap().0;
         assert_eq!(hf.num_rows(), Page::capacity(12) as u64 + 1);
     }
 
     #[test]
     fn attached_stats_mirror_file_io() {
         let path = scratch_dir("heap").join("stats.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
         let rows_per_page = Page::capacity(hf.schema().row_width());
@@ -1478,7 +1252,7 @@ mod tests {
         // Write 0 is the header slot, written before the stats attach.
         let policy =
             Arc::new(FaultInjector::fail_nth_write(1, FaultKind::Transient { failures: 2 }));
-        let mut hf = HeapFile::create_with_policy(&path, small_schema(), policy).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), policy).unwrap();
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
         for i in 0..(Page::capacity(12) as u32 + 1) {
@@ -1496,7 +1270,7 @@ mod tests {
         // Opening reads the partial tail page back; a hard fault there is
         // not a torn tail and must surface, not be repaired away.
         let policy = Arc::new(FaultInjector::fail_nth_read(0, ReadFaultKind::Error));
-        let err = match HeapFile::open_with_policy(&path, small_schema(), policy) {
+        let err = match HeapFile::open(&path, small_schema(), policy) {
             Ok(_) => panic!("open must fail on a hard read fault"),
             Err(e) => e,
         };
@@ -1510,12 +1284,12 @@ mod tests {
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page * 2 + 3);
         let policy = Arc::new(FaultInjector::counting());
-        let hf = HeapFile::open_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), policy.clone()).unwrap().0;
         let reads_at_open = policy.reads();
         drop(hf);
         // Re-open with a fault scheduled at the first post-open read.
         let policy = Arc::new(FaultInjector::fail_nth_read(reads_at_open, ReadFaultKind::Error));
-        let hf = HeapFile::open_with_policy(&path, small_schema(), policy).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), policy).unwrap().0;
         let err = hf.fetch_values(0).unwrap_err();
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
         // The failed load is not cached anywhere: the next read succeeds.
@@ -1529,14 +1303,14 @@ mod tests {
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
-        let hf = HeapFile::open_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), policy.clone()).unwrap().0;
         let reads_at_open = policy.reads();
         drop(hf);
         let policy = Arc::new(FaultInjector::fail_nth_read(
             reads_at_open,
             ReadFaultKind::Transient { failures: 2 },
         ));
-        let mut hf = HeapFile::open_with_policy(&path, small_schema(), policy).unwrap();
+        let mut hf = HeapFile::open(&path, small_schema(), policy).unwrap().0;
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
         assert_eq!(hf.fetch_values(0).unwrap()[0], Value::U32(0), "retries absorb the fault");
@@ -1551,14 +1325,14 @@ mod tests {
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
-        let hf = HeapFile::open_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), policy.clone()).unwrap().0;
         let reads_at_open = policy.reads();
         drop(hf);
         // Chaos ordinal 0 is a one-shot transient: the bounded retry
         // must absorb it and the retry must land in the stats.
         let policy =
             Arc::new(FaultInjector::chaos_reads(reads_at_open, 2, 1, ReadFaultKind::Chaos));
-        let mut hf = HeapFile::open_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let mut hf = HeapFile::open(&path, small_schema(), policy.clone()).unwrap().0;
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
         assert_eq!(hf.fetch_values(0).unwrap()[0], Value::U32(0), "retry absorbs the fault");
@@ -1573,14 +1347,14 @@ mod tests {
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page + 3);
         let policy = Arc::new(FaultInjector::counting());
-        let hf = HeapFile::open_with_policy(&path, small_schema(), policy.clone()).unwrap();
+        let hf = HeapFile::open(&path, small_schema(), policy.clone()).unwrap().0;
         let reads_at_open = policy.reads();
         drop(hf);
         // Clean first read memoizes the page; the *second* read is
         // corrupted in flight and must still fail the checksum.
         let policy =
             Arc::new(FaultInjector::fail_nth_read(reads_at_open + 1, ReadFaultKind::FlipBit));
-        let mut hf = HeapFile::open_with_policy(&path, small_schema(), policy).unwrap();
+        let mut hf = HeapFile::open(&path, small_schema(), policy).unwrap().0;
         let stats = Arc::new(StorageStats::new());
         hf.attach_stats(Arc::clone(&stats));
         assert!(hf.fetch_values(0).is_ok(), "clean read verifies and memoizes");
@@ -1594,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_read_of_tail_page_repairs_through_open_report() {
+    fn torn_read_of_tail_page_repairs_through_open() {
         use crate::io::{FaultInjector, ReadFaultKind};
         let path = scratch_dir("heap").join("read_torn_open.heap");
         let rows_per_page = Page::capacity(12) as u32;
@@ -1607,8 +1381,7 @@ mod tests {
         // persistent on-media damage looks like, so open must drop the
         // page and resume from the sealed one.
         let policy = Arc::new(FaultInjector::chaos_reads(0, 1, 2, ReadFaultKind::Torn));
-        let (hf, repair) =
-            HeapFile::open_report_with_policy(&path, small_schema(), policy).unwrap();
+        let (hf, repair) = HeapFile::open(&path, small_schema(), policy).unwrap();
         let repair = repair.expect("torn read of the tail page must be reported");
         assert!(repair.dropped_page);
         assert_eq!(hf.num_rows(), rows_per_page as u64, "sealed page survives");
@@ -1625,8 +1398,7 @@ mod tests {
         // back clean, proving the media is fine — truncating would lose
         // real data, so open must keep every row.
         let policy = Arc::new(FaultInjector::fail_nth_read(0, ReadFaultKind::Torn));
-        let (hf, repair) =
-            HeapFile::open_report_with_policy(&path, small_schema(), policy).unwrap();
+        let (hf, repair) = HeapFile::open(&path, small_schema(), policy).unwrap();
         assert!(repair.is_none(), "transient read fault must not trigger a repair: {repair:?}");
         assert_eq!(hf.num_rows(), total as u64, "no rows may be dropped");
     }
@@ -1636,7 +1408,7 @@ mod tests {
         let path = scratch_dir("heap").join(format!("gather_{tag}.heap"));
         let rows_per_page = Page::capacity(12) as u32;
         write_rows(&path, rows_per_page * 3 + 17);
-        (HeapFile::open(&path, small_schema()).unwrap(), rows_per_page as u64)
+        (HeapFile::open(&path, small_schema(), no_faults()).unwrap().0, rows_per_page as u64)
     }
 
     fn gather(
@@ -1739,7 +1511,7 @@ mod tests {
     #[test]
     fn io_counters_advance() {
         let path = scratch_dir("heap").join("io.heap");
-        let mut hf = HeapFile::create(&path, small_schema()).unwrap();
+        let mut hf = HeapFile::create(&path, small_schema(), no_faults()).unwrap();
         let rows_per_page = Page::capacity(hf.schema().row_width());
         for i in 0..(rows_per_page as u32 * 3) {
             hf.append(&[Value::U32(i), Value::I64(0)]).unwrap();

@@ -25,15 +25,24 @@
 //!   errors, and the [`io::atomic_write`] publish protocol backing
 //!   crash-safe cube construction,
 //!
+//! Every data page any reader takes from disk — a heap page, a segment
+//! extent read with `pread`, a page of a mapping — goes through one
+//! checked page read (the crate-private `read` module): the I/O policy
+//! consulted with injected faults applied, transient errors retried and
+//! counted, the row count and checksum checked and counted, and damage
+//! named as a typed [`StorageError::CorruptPage`].
+//!
 //! Cube *construction* is synchronous and single-threaded by design: the
 //! paper's algorithms are single-threaded, and keeping the engine simple
 //! makes the measured construction costs attributable to the cubing
 //! algorithms rather than to engine concurrency artifacts. Query *serving*
 //! is concurrent: heap files are readable through `&self`
-//! ([`heap::HeapFile::fetch_shared`] for one row,
-//! [`heap::HeapFile::gather_shared`] for a page-ordered batch) and pages
-//! are shared across worker threads via the sharded
-//! [`shared_cache::SharedBufferCache`].
+//! ([`heap::HeapFile::gather_shared`] fetches a page-ordered batch of
+//! rows) and pages are shared across worker threads via the sharded
+//! [`shared_cache::SharedBufferCache`]. The only `unsafe` code is the
+//! memory map in [`mmap`]; the compiler holds every other module to that.
+
+#![deny(unsafe_code)]
 
 pub mod bitmap;
 pub mod cache;
@@ -43,8 +52,10 @@ pub mod error;
 pub mod hash;
 pub mod heap;
 pub mod io;
+#[allow(unsafe_code)]
 pub mod mmap;
 pub mod page;
+mod read;
 pub mod schema;
 pub mod scratch;
 pub mod segment;

@@ -20,7 +20,9 @@
 //!   deterministic chaos fault schedules that drive the cache path's
 //!   conformance engine work unchanged against the mmap path: a bit
 //!   flip or torn read surfaces as a typed
-//!   [`StorageError::CorruptPage`], never as wrong rows,
+//!   [`StorageError::CorruptPage`], never as wrong rows — every access
+//!   and check goes through the crate's one checked page read (the
+//!   crate-private `read` module, shared with heap files and segments),
 //! * re-verifies pages in place via [`reverify_page`]
 //!   (`MAP_SHARED` means an on-disk repair is visible through the
 //!   mapping), the hook behind the serve layer's quarantine repair.
@@ -39,15 +41,16 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::io;
 use std::os::unix::io::AsRawFd;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::catalog::{not_found, Catalog};
 use crate::error::{Result, StorageError};
 use crate::heap::{decode_header, page_offset, RowId};
-use crate::io::{with_write_retries, IoPolicy, ReadFault};
-use crate::page::{verify_image, Page, PAGE_HEADER, PAGE_SIZE};
+use crate::io::IoPolicy;
+use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
+use crate::read::{page_nrows, Origin, PageFile, Verify};
 use crate::schema::Schema;
 use crate::stats::StorageStats;
 
@@ -73,27 +76,20 @@ mod sys {
     }
 }
 
-/// Row count stored in a raw page image's header.
-pub(crate) fn page_nrows(bytes: &[u8]) -> usize {
-    u16::from_le_bytes([bytes[0], bytes[1]]) as usize
-}
-
 /// A whole file mapped read-only, whose data pages start at
 /// [`page_offset`]`(0)`: the page-level core shared by [`MmapRelation`]
-/// and the segment map. It owns the policy consultation, the once-only
-/// verification and the bad-page set; what the pages hold is the
-/// owner's business.
+/// and the segment map. It reads and checks pages through the one
+/// checked page read ([`PageFile`]) and owns the bad-page set; what the
+/// pages hold is the owner's business.
 pub(crate) struct Mapping {
     /// Base of the mapping (the header slot, then the data pages).
     ptr: *const u8,
     map_len: usize,
-    path: PathBuf,
-    /// The identity corrupt errors and the quarantine key by.
-    name: String,
+    /// Path, name (the identity corrupt errors and the quarantine key
+    /// by), I/O policy and counters.
+    pub(crate) io: PageFile,
     /// Data pages the owner serves (set by the owner after open).
     pages: u64,
-    policy: Arc<dyn IoPolicy>,
-    stats: Option<Arc<StorageStats>>,
     /// Bitset over data pages: a set bit marks a page that failed
     /// verification (at open or at a repair probe) and is served as a
     /// typed [`StorageError::CorruptPage`] until re-verified clean.
@@ -120,11 +116,13 @@ impl Drop for Mapping {
 
 impl Mapping {
     /// Map the file at `path` whole. At least one header slot must be
-    /// there; the caller decides how many data pages follow it.
+    /// there; the caller decides how many data pages follow it. `strict`
+    /// pages must carry a stamped checksum (segments).
     pub(crate) fn open(
         path: &Path,
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
+        strict: bool,
     ) -> Result<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -156,15 +154,11 @@ impl Mapping {
         // The mapping outlives the descriptor, so a handle holds no open
         // file.
         drop(file);
-        let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
         Ok(Mapping {
             ptr,
             map_len: len as usize,
-            path: path.to_path_buf(),
-            name,
+            io: PageFile::new(path, policy, stats, strict),
             pages: 0,
-            policy,
-            stats,
             bad: Vec::new(),
         })
     }
@@ -180,10 +174,6 @@ impl Mapping {
         debug_assert!(page_offset(pages) as usize <= self.map_len);
         self.pages = pages;
         self.bad = (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-    }
-
-    pub(crate) fn name(&self) -> &str {
-        &self.name
     }
 
     pub(crate) fn pages(&self) -> u64 {
@@ -202,7 +192,7 @@ impl Mapping {
         self.bad.get(word).is_some_and(|w| w.load(Ordering::Acquire) & (1 << bit) != 0)
     }
 
-    pub(crate) fn set_bad(&self, page_no: u64, bad: bool) {
+    fn set_bad(&self, page_no: u64, bad: bool) {
         let (word, bit) = ((page_no / 64) as usize, page_no % 64);
         if let Some(w) = self.bad.get(word) {
             if bad {
@@ -218,121 +208,65 @@ impl Mapping {
         self.bad.iter().map(|w| w.load(Ordering::Acquire).count_ones() as u64).sum()
     }
 
-    /// Consult the I/O policy for one page access, mirroring the heap
-    /// layer's read semantics: transient failures are retried with
-    /// backoff (and counted), hard failures surface as I/O errors, and
-    /// tampering faults (bit flip / torn read) are applied to a private
-    /// copy of the mapped page. Returns the page image to serve from.
-    pub(crate) fn policy_page(&self, page_no: u64) -> Result<Cow<'_, [u8]>> {
-        let offset = page_offset(page_no);
-        let mut attempts = 0u64;
-        let result = with_write_retries(|| {
-            attempts += 1;
-            match self.policy.on_read(&self.path, offset, PAGE_SIZE) {
-                ReadFault::Proceed => Ok(None),
-                ReadFault::Fail(e) => Err(e),
-                ReadFault::FlipBit { offset: byte, mask } => {
-                    let mut copy = self.raw_page(page_no).to_vec();
-                    copy[byte % PAGE_SIZE] ^= mask.max(1);
-                    Ok(Some(copy))
-                }
-                ReadFault::Torn { keep } => {
-                    let mut copy = self.raw_page(page_no).to_vec();
-                    copy[keep.min(PAGE_SIZE)..].fill(0);
-                    Ok(Some(copy))
-                }
-            }
-        });
-        if let Some(stats) = &self.stats {
-            stats.count_read_retries(attempts.saturating_sub(1));
-        }
-        match result? {
-            None => Ok(Cow::Borrowed(self.raw_page(page_no))),
-            Some(copy) => Ok(Cow::Owned(copy)),
-        }
+    /// Data page `page_no` through the checked page read: borrowed from
+    /// the mapping, or a private tampered copy when the policy injected
+    /// a fault (then `true`).
+    fn read(&self, page_no: u64) -> Result<(Cow<'_, [u8]>, bool)> {
+        self.io.read(Origin::Map(self.bytes()), page_offset(page_no), PAGE_SIZE)
     }
 
-    pub(crate) fn corrupt(&self, page_no: u64, detail: impl Into<String>) -> StorageError {
-        StorageError::CorruptPage {
-            relation: self.name.clone(),
-            page: page_no,
-            detail: detail.into(),
-        }
-    }
-
-    /// Verify a page image (row count at most `max_rows`, then the
-    /// checksum), counting into the storage stats.
-    pub(crate) fn verify_bytes(&self, page_no: u64, bytes: &[u8], max_rows: usize) -> Result<()> {
-        if let Some(stats) = &self.stats {
-            stats.count_checksum_verification();
-        }
-        let fail = |detail: String| {
-            if let Some(stats) = &self.stats {
-                stats.count_checksum_failure();
-            }
-            Err(self.corrupt(page_no, detail))
-        };
-        let nrows = page_nrows(bytes);
-        if nrows > max_rows {
-            return fail(format!("row count {nrows} exceeds capacity {max_rows}"));
-        }
-        if let Err(detail) = verify_image(bytes) {
-            return fail(detail);
-        }
-        Ok(())
-    }
-
-    /// Open-time check of one page: policy-consulted and verified, and
-    /// marked bad (not failed) when it does not pass. Returns whether it
-    /// passed.
+    /// Open-time check of one page (at most `max_rows` rows): read and
+    /// verified, and marked bad (not failed) when it does not pass.
+    /// Returns whether it passed.
     pub(crate) fn verify_at_open(&self, page_no: u64, max_rows: usize) -> bool {
-        let sound = match self.policy_page(page_no) {
-            Ok(bytes) => self.verify_bytes(page_no, &bytes, max_rows).is_ok(),
-            // A hard read fault at open degrades the page, not the
-            // open; the repair probe re-verifies it later.
-            Err(_) => false,
-        };
+        let sound = self
+            .read(page_no)
+            .and_then(|(image, _)| self.io.check(page_no, &image, Verify::Always, Some(max_rows)))
+            // A hard read fault at open degrades the page, not the open;
+            // the repair probe re-verifies it later.
+            .is_ok();
         if !sound {
             self.set_bad(page_no, true);
         }
         sound
     }
 
-    /// One page image, policy-consulted and gated on the bad-page set.
-    /// Borrowed from the mapping on the clean path (zero-copy); owned
+    /// One page image, gated on the bad-page set. Borrowed from the
+    /// mapping on the clean path (zero-copy, verified at open); owned
     /// only when the fault policy tampered with the access, in which
-    /// case the tampered image is re-verified and surfaces as a typed
+    /// case the tampered image is verified and surfaces as a typed
     /// corrupt error on mismatch.
     pub(crate) fn page(&self, page_no: u64, max_rows: usize) -> Result<Cow<'_, [u8]>> {
         if page_no >= self.pages {
-            return Err(self.corrupt(page_no, format!("page beyond file ({} pages)", self.pages)));
+            return Err(self
+                .io
+                .corrupt(page_no, format!("page beyond file ({} pages)", self.pages)));
         }
         if self.bad_bit(page_no) {
-            return Err(self.corrupt(page_no, "page failed verification (pending repair)"));
+            return Err(self.io.corrupt(page_no, "page failed verification (pending repair)"));
         }
-        let bytes = self.policy_page(page_no)?;
-        if let Cow::Owned(_) = bytes {
-            // Tampered access: always verify, never trust. (The clean
-            // borrowed path was verified once at open.)
-            self.verify_bytes(page_no, &bytes, max_rows)?;
+        let (image, tampered) = self.read(page_no)?;
+        if tampered {
+            self.io.check(page_no, &image, Verify::Always, Some(max_rows))?;
         }
-        Ok(bytes)
+        Ok(image)
     }
 
-    /// Repair probe: re-verify `page_no` against the live mapping and
-    /// update the bad-page set to match. `Ok` means the page serves clean.
+    /// Repair probe: re-verify `page_no` (at most `max_rows` rows)
+    /// against the live mapping and update the bad-page set to match.
+    /// `Ok` means the page serves clean.
     pub(crate) fn reverify_page(&self, page_no: u64, max_rows: usize) -> Result<()> {
         if page_no >= self.pages {
             // Parity with the heap layer's in-memory tail: nothing on
             // disk to verify.
             return Ok(());
         }
-        let bytes = self.policy_page(page_no)?;
-        match self.verify_bytes(page_no, &bytes, max_rows) {
+        let (image, tampered) = self.read(page_no)?;
+        match self.io.check(page_no, &image, Verify::Always, Some(max_rows)) {
             Ok(()) => {
                 // Only a clean *untampered* image clears the bad bit —
                 // a faulted probe proves nothing about the mapping.
-                if matches!(bytes, Cow::Borrowed(_)) {
+                if !tampered {
                     self.set_bad(page_no, false);
                 }
                 Ok(())
@@ -357,7 +291,7 @@ pub struct MmapRelation {
 impl std::fmt::Debug for MmapRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MmapRelation")
-            .field("name", &self.map.name)
+            .field("name", &self.map.io.name)
             .field("pages", &self.map.pages)
             .field("rows", &self.num_rows)
             .finish()
@@ -383,7 +317,7 @@ impl MmapRelation {
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
     ) -> Result<Self> {
-        let mut map = Mapping::open(path, policy, stats)?;
+        let mut map = Mapping::open(path, policy, stats, false)?;
         let len = map.map_len as u64;
         if !len.is_multiple_of(PAGE_SIZE as u64) {
             return Err(StorageError::Corrupt(format!(
@@ -419,7 +353,7 @@ impl MmapRelation {
                 return Err(StorageError::Corrupt(format!(
                     "{}: page {p} holds {} rows but only the last page may be partial — \
                      relation is not sealed",
-                    self.map.path.display(),
+                    self.map.io.path.display(),
                     page_nrows(self.map.raw_page(p)),
                 )));
             }
@@ -436,7 +370,7 @@ impl MmapRelation {
     /// The relation name (file stem) — the identity corrupt errors and
     /// the serving layer's quarantine key by.
     pub fn relation_name(&self) -> &str {
-        &self.map.name
+        &self.map.io.name
     }
 
     /// The relation's row schema.
@@ -512,6 +446,7 @@ impl MmapRelation {
 #[cfg(test)]
 mod tests {
     use std::os::unix::fs::FileExt;
+    use std::path::PathBuf;
 
     use super::*;
     use crate::io::{no_faults, FaultInjector, ReadFaultKind};

@@ -49,23 +49,26 @@
 //! Two readers serve a sealed segment: [`Segment`] reads one extent with
 //! one `pread` (checksums verified on first sight per handle), and
 //! [`SegmentMap`] maps the file once and verifies every page at open.
+//! Both read and check pages through the crate's one checked page read
+//! (the crate-private `read` module, shared with heap files), which holds
+//! segment pages to a stamped checksum and the exact row count their
+//! extent implies, and both scans take a `before_page` hook, as
+//! [`HeapFile::gather_shared`](crate::HeapFile::gather_shared) does.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::checksum::crc32;
 use crate::error::{Result, StorageError};
 use crate::heap::{page_offset, parse_schema_text, schema_text, write_slot};
-use crate::io::{fsync_file, with_write_retries, IoPolicy, ReadFault};
-use crate::mmap::{page_nrows, Mapping};
-use crate::page::{stamp_image, verify_image, Page, PAGE_HEADER, PAGE_SIZE};
+use crate::io::{fsync_file, IoPolicy};
+use crate::mmap::Mapping;
+use crate::page::{stamp_image, Page, PAGE_HEADER, PAGE_SIZE};
+use crate::read::{check_checksum, check_rows, Origin, PageFile, VerifiedPages, Verify};
 use crate::schema::Schema;
 use crate::stats::StorageStats;
 
@@ -321,16 +324,6 @@ impl<'a> Cursor<'a> {
         a.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(a))
     }
-}
-
-/// A segment page's checksum check. Every segment page is stamped when
-/// written, so unlike a heap page a zero ("never stamped") checksum is
-/// damage too.
-fn verify_stamped(image: &[u8]) -> std::result::Result<(), String> {
-    if image[4..8] == [0; 4] {
-        return Err("page checksum never stamped".into());
-    }
-    verify_image(image)
 }
 
 fn corrupt(path: &Path, detail: &str) -> StorageError {
@@ -609,25 +602,16 @@ impl SegmentWriter {
 /// page's checksum verified the first time this handle sees it.
 pub struct Segment {
     file: File,
-    path: PathBuf,
-    name: String,
+    io: PageFile,
     pages: u64,
     dir: Directory,
-    policy: Arc<dyn IoPolicy>,
-    stats: Option<Arc<StorageStats>>,
-    /// Bit set ⇔ the page passed verification once through this handle.
-    verified: Mutex<Vec<u64>>,
+    verified: VerifiedPages,
 }
 
 impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Segment").field("name", &self.name).field("pages", &self.pages).finish()
+        f.debug_struct("Segment").field("name", &self.io.name).field("pages", &self.pages).finish()
     }
-}
-
-/// File stem of `path`: the name corrupt-page errors carry.
-fn stem(path: &Path) -> String {
-    path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default()
 }
 
 impl Segment {
@@ -652,20 +636,17 @@ impl Segment {
         let dir = parse_directory(path, &bytes, crc, pages)?;
         Ok(Segment {
             file,
-            name: stem(path),
-            path: path.to_path_buf(),
+            io: PageFile::new(path, policy, stats, true),
             pages,
             dir,
-            policy,
-            stats,
-            verified: Mutex::new(Vec::new()),
+            verified: VerifiedPages::default(),
         })
     }
 
     /// The segment's name (file stem): the relation named by its typed
     /// corrupt-page errors and the serving layer's quarantine key.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.io.name
     }
 
     /// Data pages in the file.
@@ -678,94 +659,29 @@ impl Segment {
         &self.dir
     }
 
-    fn corrupt_page(&self, page: u64, detail: impl Into<String>) -> StorageError {
-        StorageError::CorruptPage { relation: self.name.clone(), page, detail: detail.into() }
-    }
-
-    /// Read `len` bytes at `offset` through the policy, with transient
-    /// retries. Returns the bytes and whether the policy tampered with
-    /// them.
-    fn read_through_policy(&self, offset: u64, len: usize) -> Result<(Vec<u8>, bool)> {
-        let mut attempts = 0u64;
-        let mut tampered = false;
-        let result = with_write_retries(|| {
-            attempts += 1;
-            let mut buf = vec![0u8; len];
-            match self.policy.on_read(&self.path, offset, len) {
-                ReadFault::Proceed => self.file.read_exact_at(&mut buf, offset)?,
-                ReadFault::Fail(e) => return Err(e),
-                ReadFault::FlipBit { offset: byte, mask } => {
-                    tampered = true;
-                    self.file.read_exact_at(&mut buf, offset)?;
-                    buf[byte % len] ^= mask.max(1);
-                }
-                ReadFault::Torn { keep } => {
-                    tampered = true;
-                    self.file.read_exact_at(&mut buf, offset)?;
-                    buf[keep.min(len)..].fill(0);
-                }
-            }
-            Ok(buf)
-        });
-        if let Some(stats) = &self.stats {
-            stats.count_read_retries(attempts.saturating_sub(1));
-        }
-        Ok((result?, tampered))
-    }
-
-    /// Check page `page_no`'s image: its checksum (unless this handle
-    /// verified it before and the read was untampered), then that it
-    /// holds `expect` rows when given.
-    fn check_page(
-        &self,
-        page_no: u64,
-        image: &[u8],
-        tampered: bool,
-        expect: Option<usize>,
-    ) -> Result<()> {
-        let (word, bit) = ((page_no / 64) as usize, page_no % 64);
-        let mut verified = self.verified.lock();
-        if verified.len() <= word {
-            verified.resize(word + 1, 0);
-        }
-        if tampered || verified[word] & (1 << bit) == 0 {
-            if let Some(stats) = &self.stats {
-                stats.count_checksum_verification();
-            }
-            if let Err(detail) = verify_stamped(image) {
-                if let Some(stats) = &self.stats {
-                    stats.count_checksum_failure();
-                }
-                verified[word] &= !(1 << bit);
-                return Err(self.corrupt_page(page_no, detail));
-            }
-            if !tampered {
-                verified[word] |= 1 << bit;
-            }
-        }
-        if let Some(want) = expect {
-            let got = page_nrows(image);
-            if got != want {
-                return Err(self
-                    .corrupt_page(page_no, format!("page holds {got} rows, extent says {want}")));
-            }
-        }
-        Ok(())
-    }
-
     /// Run `f` over every row of `entry` (a relation of this segment's
     /// directory), in row order: one read per extent.
-    pub fn for_each_row(&self, entry: &SegmentEntry, mut f: impl FnMut(&[u8])) -> Result<()> {
+    ///
+    /// `before_page(page_no)` runs before each page is read — for all of
+    /// an extent's pages before its one read — and its error aborts the
+    /// scan, as in [`HeapFile::gather_shared`](crate::HeapFile::gather_shared).
+    pub fn for_each_row<E: From<StorageError>>(
+        &self,
+        entry: &SegmentEntry,
+        mut before_page: impl FnMut(u64) -> std::result::Result<(), E>,
+        mut f: impl FnMut(&[u8]),
+    ) -> std::result::Result<(), E> {
         let (w, rpp) = (entry.schema.row_width(), entry.rows_per_page());
         for x in &entry.extents {
+            (x.first_page..x.first_page + u64::from(x.pages)).try_for_each(&mut before_page)?;
             let len = x.pages as usize * PAGE_SIZE;
-            let (buf, tampered) = self.read_through_policy(page_offset(x.first_page), len)?;
-            if let Some(stats) = &self.stats {
-                stats.count_pages_read(u64::from(x.pages));
-            }
+            let (buf, tampered) =
+                self.io.read(Origin::File(&self.file), page_offset(x.first_page), len)?;
+            self.io.count(|s| s.count_pages_read(u64::from(x.pages)));
             for (i, image) in buf.chunks_exact(PAGE_SIZE).enumerate() {
-                let rows = x.rows_on(i as u64, rpp);
-                self.check_page(x.first_page + i as u64, image, tampered, Some(rows))?;
+                let (p, rows) = (x.first_page + i as u64, x.rows_on(i as u64, rpp));
+                self.io.check(p, image, Verify::Once { memo: &self.verified, tampered }, None)?;
+                self.io.expect_rows(p, image, rows)?;
                 for row in image[PAGE_HEADER..PAGE_HEADER + rows * w].chunks_exact(w) {
                     f(row);
                 }
@@ -779,7 +695,11 @@ impl Segment {
     pub fn rows_of(&self, name: &str) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         if let Some(entry) = self.dir.get(name) {
-            self.for_each_row(entry, |row| out.extend_from_slice(row))?;
+            self.for_each_row(
+                entry,
+                |_| Ok::<(), StorageError>(()),
+                |row| out.extend_from_slice(row),
+            )?;
         }
         Ok(out)
     }
@@ -788,22 +708,16 @@ impl Segment {
     /// disk, checking its checksum: the repair probe behind the serving
     /// layer's quarantine. `Ok` means the page is sound on disk.
     pub fn reverify_page(&self, page_no: u64) -> Result<()> {
-        {
-            let (word, bit) = ((page_no / 64) as usize, page_no % 64);
-            if let Some(w) = self.verified.lock().get_mut(word) {
-                *w &= !(1 << bit);
-            }
-        }
+        self.verified.forget(page_no);
         if page_no >= self.pages {
-            return Err(
-                self.corrupt_page(page_no, format!("page beyond file ({} pages)", self.pages))
-            );
+            return Err(self
+                .io
+                .corrupt(page_no, format!("page beyond file ({} pages)", self.pages)));
         }
-        let (image, tampered) = self.read_through_policy(page_offset(page_no), PAGE_SIZE)?;
-        if let Some(stats) = &self.stats {
-            stats.count_page_read();
-        }
-        self.check_page(page_no, &image, tampered, None)
+        let (image, tampered) =
+            self.io.read(Origin::File(&self.file), page_offset(page_no), PAGE_SIZE)?;
+        self.io.count(StorageStats::count_page_read);
+        self.io.check(page_no, &image, Verify::Once { memo: &self.verified, tampered }, None)
     }
 }
 
@@ -817,7 +731,7 @@ pub struct SegmentMap {
 impl std::fmt::Debug for SegmentMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentMap")
-            .field("name", &self.map.name())
+            .field("name", &self.map.io.name)
             .field("pages", &self.map.pages())
             .finish()
     }
@@ -834,7 +748,7 @@ impl SegmentMap {
         policy: Arc<dyn IoPolicy>,
         stats: Option<Arc<StorageStats>>,
     ) -> Result<Self> {
-        let mut map = Mapping::open(path, policy, stats)?;
+        let mut map = Mapping::open(path, policy, stats, true)?;
         let bytes = map.bytes();
         let len = bytes.len() as u64;
         let footer = bytes.get(bytes.len().saturating_sub(FOOTER_LEN)..).unwrap_or_default();
@@ -846,9 +760,7 @@ impl SegmentMap {
             let rpp = entry.rows_per_page();
             for x in &entry.extents {
                 for p in x.first_page..x.first_page + u64::from(x.pages) {
-                    if map.verify_at_open(p, rpp) && verify_stamped(map.raw_page(p)).is_err() {
-                        map.set_bad(p, true);
-                    }
+                    map.verify_at_open(p, rpp);
                 }
             }
         }
@@ -857,7 +769,7 @@ impl SegmentMap {
 
     /// The segment's name (file stem), as [`Segment::name`].
     pub fn name(&self) -> &str {
-        self.map.name()
+        &self.map.io.name
     }
 
     /// The relations this segment stores.
@@ -871,20 +783,21 @@ impl SegmentMap {
     }
 
     /// Run `f` over every row of `entry`, in row order, each row a
-    /// borrowed slice of the mapping on the clean path.
-    pub fn for_each_row(&self, entry: &SegmentEntry, mut f: impl FnMut(&[u8])) -> Result<()> {
+    /// borrowed slice of the mapping on the clean path. `before_page`
+    /// runs before each page is touched, as in [`Segment::for_each_row`].
+    pub fn for_each_row<E: From<StorageError>>(
+        &self,
+        entry: &SegmentEntry,
+        mut before_page: impl FnMut(u64) -> std::result::Result<(), E>,
+        mut f: impl FnMut(&[u8]),
+    ) -> std::result::Result<(), E> {
         let (w, rpp) = (entry.schema.row_width(), entry.rows_per_page());
         for x in &entry.extents {
             for i in 0..u64::from(x.pages) {
-                let p = x.first_page + i;
-                let image: Cow<'_, [u8]> = self.map.page(p, rpp)?;
-                let rows = x.rows_on(i, rpp);
-                if page_nrows(&image) != rows {
-                    return Err(self.map.corrupt(
-                        p,
-                        format!("page holds {} rows, extent says {rows}", page_nrows(&image)),
-                    ));
-                }
+                let (p, rows) = (x.first_page + i, x.rows_on(i, rpp));
+                before_page(p)?;
+                let image = self.map.page(p, rpp)?;
+                self.map.io.expect_rows(p, &image, rows)?;
                 for row in image[PAGE_HEADER..PAGE_HEADER + rows * w].chunks_exact(w) {
                     f(row);
                 }
@@ -899,13 +812,10 @@ impl SegmentMap {
         if page_no >= self.map.pages() {
             return Err(self
                 .map
+                .io
                 .corrupt(page_no, format!("page beyond file ({} pages)", self.map.pages())));
         }
-        self.map.reverify_page(page_no, Page::capacity(1))?;
-        verify_stamped(self.map.raw_page(page_no)).map_err(|detail| {
-            self.map.set_bad(page_no, true);
-            self.map.corrupt(page_no, detail)
-        })
+        self.map.reverify_page(page_no, Page::capacity(1))
     }
 }
 
@@ -926,16 +836,13 @@ pub(crate) fn verify_image_bytes(path: &Path, name: &str, bytes: &[u8]) -> Resul
                 let p = x.first_page + i;
                 let off = page_offset(p) as usize;
                 let image = &bytes[off..off + PAGE_SIZE];
-                let fail = |detail: String| StorageError::CorruptPage {
-                    relation: name.to_string(),
-                    page: p,
-                    detail,
-                };
-                verify_stamped(image).map_err(fail)?;
-                let (got, want) = (page_nrows(image), x.rows_on(i, rpp));
-                if got != want {
-                    return Err(fail(format!("page holds {got} rows, extent says {want}")));
-                }
+                check_checksum(image, true)
+                    .and_then(|()| check_rows(image, x.rows_on(i, rpp)))
+                    .map_err(|detail| StorageError::CorruptPage {
+                        relation: name.to_string(),
+                        page: p,
+                        detail,
+                    })?;
             }
         }
     }
@@ -993,7 +900,8 @@ mod tests {
         assert_eq!(map.bad_pages(), 0);
         for entry in map.directory().entries() {
             let mut got = Vec::new();
-            map.for_each_row(entry, |r| got.extend_from_slice(r)).unwrap();
+            map.for_each_row(entry, |_| Ok::<(), StorageError>(()), |r| got.extend_from_slice(r))
+                .unwrap();
             assert_eq!(got, seg.rows_of(&entry.name).unwrap(), "{}", entry.name);
         }
         assert_eq!(seg.directory().data_bytes(), (a.len() + b.len()) as u64);

@@ -7,10 +7,9 @@
 //! serialize every page access; instead the [`SharedBufferCache`] splits
 //! capacity across N independently locked shards, selected by a hash of
 //! `(file_id, page_no)`. Shard locks are only held for the duration of a
-//! page lookup plus copying the rows a caller needs from that page (one
-//! row for `HeapFile::fetch_shared`, every requested row on the page for
-//! `HeapFile::gather_shared`), so threads touching different shards
-//! proceed in parallel.
+//! page lookup plus copying the rows a caller needs from that page
+//! (every requested row on the page, for `HeapFile::gather_shared`), so
+//! threads touching different shards proceed in parallel.
 //!
 //! Hit/miss counters are additionally mirrored into lock-free atomics so
 //! aggregate rates can be read without taking any shard lock (the

@@ -1,5 +1,6 @@
 //! Property-based tests for the storage engine's invariants.
 
+use cure_storage::io::no_faults;
 use cure_storage::scratch::scratch_dir;
 use cure_storage::{
     BitmapIndex, Catalog, ColType, Column, HeapFile, Page, Schema, SharedBufferCache, StorageError,
@@ -48,7 +49,7 @@ proptest! {
             Column::new("k", ColType::U32),
             Column::new("v", ColType::I64),
         ]);
-        let mut hf = HeapFile::create(&path, schema).unwrap();
+        let mut hf = HeapFile::create(&path, schema, no_faults()).unwrap();
         for &(k, v) in &rows {
             hf.append(&[Value::U32(k), Value::I64(v)]).unwrap();
         }
@@ -70,8 +71,7 @@ proptest! {
         }
     }
 
-    /// The batched gather returns exactly what per-row `fetch_shared`
-    /// does, in input order, for any row-id vector (duplicates, tail
+    /// The batched gather returns exactly what a one-row gather does, in input order, for any row-id vector (duplicates, tail
     /// rows, any order) and any cache size, and it looks each distinct
     /// sealed page up exactly once.
     #[test]
@@ -86,14 +86,14 @@ proptest! {
             Column::new("k", ColType::U32),
             Column::new("v", ColType::I64),
         ]);
-        let mut hf = HeapFile::create(&path, schema.clone()).unwrap();
+        let mut hf = HeapFile::create(&path, schema.clone(), no_faults()).unwrap();
         for i in 0..total {
             hf.append(&[Value::U32(i as u32), Value::I64(-(i as i64))]).unwrap();
         }
         hf.flush().unwrap();
         // Reopened, a partial last page is the in-memory tail and every
         // full page is sealed.
-        let hf = HeapFile::open(&path, schema).unwrap();
+        let hf = HeapFile::open(&path, schema, no_faults()).unwrap().0;
         let rowids: Vec<u64> = picks.iter().map(|p| p % total).collect();
         let w = hf.schema().row_width();
         let cache = SharedBufferCache::new(capacity, shards);
@@ -102,7 +102,8 @@ proptest! {
         let per_row = SharedBufferCache::new(capacity, shards);
         let mut expect = vec![0u8; w];
         for (i, &rowid) in rowids.iter().enumerate() {
-            hf.fetch_shared(rowid, &per_row, &mut expect).unwrap();
+            hf.gather_shared(&[rowid], &per_row, &mut expect, |_| Ok::<(), StorageError>(()))
+                .unwrap();
             prop_assert_eq!(&out[i * w..(i + 1) * w], &expect[..], "row {} (id {})", i, rowid);
         }
         let rpp = hf.rows_per_page() as u64;
@@ -170,7 +171,7 @@ proptest! {
 mod fault_injection {
     use std::sync::Arc;
 
-    use cure_storage::io::{FaultInjector, FaultKind, IoPolicy, NoFaults};
+    use cure_storage::io::{no_faults, FaultInjector, FaultKind, IoPolicy, NoFaults};
     use cure_storage::{ColType, Column, HeapFile, Schema};
     use proptest::prelude::*;
 
@@ -205,11 +206,8 @@ mod fault_injection {
         batches: &[u16],
         injector: Arc<FaultInjector>,
     ) -> (u64, u64) {
-        let mut heap = match HeapFile::create_with_policy(
-            path,
-            schema(),
-            injector.clone() as Arc<dyn IoPolicy>,
-        ) {
+        let mut heap = match HeapFile::create(path, schema(), injector.clone() as Arc<dyn IoPolicy>)
+        {
             Ok(h) => h,
             Err(_) => return (0, 0),
         };
@@ -250,7 +248,7 @@ mod fault_injection {
         use cure_storage::{SharedBufferCache, StorageError};
 
         let path = fresh_path("gather_flip");
-        let mut heap = HeapFile::create(&path, schema()).unwrap();
+        let mut heap = HeapFile::create(&path, schema(), no_faults()).unwrap();
         let rpp = heap.rows_per_page() as u64;
         for i in 0..rpp * 2 + 5 {
             heap.append_raw(&row_bytes(i)).unwrap();
@@ -258,12 +256,12 @@ mod fault_injection {
         heap.flush().unwrap();
         drop(heap);
         let counting = Arc::new(FaultInjector::counting());
-        drop(HeapFile::open_with_policy(&path, schema(), counting.clone()).unwrap());
+        drop(HeapFile::open(&path, schema(), counting.clone()).unwrap());
         // Flip a bit in the first page read after open: the gather reads
         // page 0 first, whatever the input order.
         let policy =
             Arc::new(FaultInjector::fail_nth_read(counting.reads(), ReadFaultKind::FlipBit));
-        let heap = HeapFile::open_with_policy(&path, schema(), policy).unwrap();
+        let heap = HeapFile::open(&path, schema(), policy).unwrap().0;
         let rowids = [rpp + 3, 2, rpp * 2 + 1, 0];
         let cache = SharedBufferCache::new(8, 2);
         let mut out = vec![0u8; rowids.len() * 12];
@@ -304,7 +302,7 @@ mod fault_injection {
             if !inj.fired() { return Ok(()); } // k past the schedule's writes: nothing to test
 
             HeapFile::repair_to_rows(&path, &schema(), durable, &NoFaults).unwrap();
-            let (heap, repair) = HeapFile::open_report(&path, schema()).unwrap();
+            let (heap, repair) = HeapFile::open(&path, schema(), no_faults()).unwrap();
             prop_assert!(repair.is_none(), "repair_to_rows left a torn tail: {:?}", repair);
             assert_rows_intact(&heap, durable);
         }
@@ -330,7 +328,7 @@ mod fault_injection {
             let (_, appended) = run_schedule(&path, &batches, inj.clone());
             if !inj.fired() { return Ok(()); } // k past the schedule's writes: nothing to test
 
-            let (heap, _) = HeapFile::open_report(&path, schema()).unwrap();
+            let (heap, _) = HeapFile::open(&path, schema(), no_faults()).unwrap();
             let survived = heap.num_rows();
             prop_assert!(survived <= appended, "{} rows from {} appended", survived, appended);
             assert_rows_intact(&heap, survived);
@@ -351,7 +349,7 @@ mod fault_injection {
             ));
             let (durable, appended) = run_schedule(&path, &batches, inj.clone());
             prop_assert_eq!(durable, appended);
-            let (heap, repair) = HeapFile::open_report(&path, schema()).unwrap();
+            let (heap, repair) = HeapFile::open(&path, schema(), no_faults()).unwrap();
             prop_assert!(repair.is_none());
             assert_rows_intact(&heap, appended);
         }

@@ -146,7 +146,11 @@ fn exercise(dir: &Path, bytes: &[u8]) -> std::result::Result<usize, TestCaseErro
         let map = catalog.map_segment(PREFIX).unwrap();
         for entry in map.directory().entries() {
             let mut got = Vec::new();
-            match map.for_each_row(entry, |r| got.extend_from_slice(r)) {
+            match map.for_each_row(
+                entry,
+                |_| Ok::<(), StorageError>(()),
+                |r| got.extend_from_slice(r),
+            ) {
                 Ok(()) => {
                     let rows = &want.iter().find(|w| w.0 == entry.name).unwrap().2;
                     prop_assert!(&got == rows, "{}: wrong rows mapped", entry.name);

@@ -293,18 +293,8 @@ pub fn run(cmd: Command) -> Result<String> {
                 min_support: min_sup,
                 ..CubeConfig::default()
             };
-            let resolver: Option<cure_core::sink::RowResolver> = if dr {
-                let fact = catalog.open_relation("facts")?;
-                let fs = fact.schema().clone();
-                let d = schema.num_dims();
-                let mut buf = vec![0u8; fs.row_width()];
-                Some(Box::new(move |rowid, vals: &mut [u32]| {
-                    fact.fetch_into(rowid, &mut buf)?;
-                    for (i, o) in vals.iter_mut().enumerate().take(d) {
-                        *o = cure_storage::Schema::read_u32_at(&buf, fs.offset(i));
-                    }
-                    Ok(())
-                }))
+            let resolver = if dr {
+                Some(cure_core::sink::fact_row_resolver(&catalog, "facts")?)
             } else {
                 None
             };
@@ -540,9 +530,9 @@ pub fn run(cmd: Command) -> Result<String> {
                 report.dropped_objects,
             );
             if let Some(path) = &stats {
-                use cure_serve::{IngestTotals, StatsSnapshot};
+                use cure_serve::StatsSnapshot;
                 let mut snap = StatsSnapshot::new();
-                snap.set_ingest(&IngestTotals::from_report(&report));
+                snap.set_ingest(&report);
                 snap.set_storage(catalog.stats().snapshot());
                 std::fs::write(path, snap.to_pretty_bytes())
                     .map_err(|e| CubeError::Config(format!("cannot write --stats {path}: {e}")))?;

@@ -12,6 +12,8 @@
 //! * [`baselines`] — BUC, BU-BST and FCURE comparison cubing algorithms.
 //! * [`query`] — node-query answering over every cube format.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use cure_baselines as baselines;

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use cure::core::cube::{CubeBuilder, CubeConfig};
 use cure::core::meta::CubeMeta;
-use cure::core::sink::{DiskSink, RowResolver};
+use cure::core::sink::{fact_row_resolver, DiskSink};
 use cure::core::{BuildReport, CubeSchema, DurableOptions, IngestOptions, Tuples};
 use cure::data::apb::apb1_dense;
 use cure::data::Dataset;
@@ -42,20 +42,6 @@ fn write_meta(catalog: &Catalog, schema: &CubeSchema, report: &BuildReport, dr: 
     }
     .write(catalog)
     .unwrap();
-}
-
-fn dr_resolver<'a>(catalog: &'a Catalog, schema: &CubeSchema) -> RowResolver<'a> {
-    let fact = catalog.open_relation("facts").unwrap();
-    let fs = fact.schema().clone();
-    let d = schema.num_dims();
-    let mut buf = vec![0u8; fs.row_width()];
-    Box::new(move |rowid, vals: &mut [u32]| {
-        fact.fetch_into(rowid, &mut buf)?;
-        for (i, v) in vals.iter_mut().enumerate().take(d) {
-            *v = cure::storage::Schema::read_u32_at(&buf, fs.offset(i));
-        }
-        Ok(())
-    })
 }
 
 /// Build one workload's catalog at `threads` and hash it. The ingest
@@ -97,7 +83,7 @@ fn run_workload(name: &str, threads: usize) -> BTreeMap<String, String> {
         }
         "cure_dr" | "durable_ingest" => {
             let dr = name == "cure_dr";
-            let resolver = dr.then(|| dr_resolver(&catalog, schema));
+            let resolver = dr.then(|| fact_row_resolver(&catalog, "facts").unwrap());
             let mut sink = DiskSink::new(&catalog, "cube_", schema, dr, false, resolver).unwrap();
             let built = cure::core::build_cure_cube_durable(
                 &catalog,
